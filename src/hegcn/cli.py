@@ -77,14 +77,6 @@ def _write_hoc_csv(path, rows) -> None:
         writer.writerows(rows)
 
 
-def _workers() -> int:
-    # reserved: layer work is embarrassingly parallel, the engine is serial
-    try:
-        return max(1, int(os.environ.get("HEGCN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ----------------------------------------------------------------------
 
 
@@ -344,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _workers()
     try:
         return args.func(args)
     except ConfigError as exc:

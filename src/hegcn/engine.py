@@ -167,14 +167,15 @@ def ama_spatial(
         for h in range(lout.cts_per_joint)
     }
     sel_by_size = {n: packing.giant_step_coverage(cap, n) for n in {lin.group_size(g) for g in range(lin.cts_per_joint)}}
+    deltas = sorted({d for sel in sel_by_size.values() for d in sel})
     positions = np.arange(cap)
+    rolled = {delta: (positions - delta) % cap for delta in deltas}  # v[rolled[d]] == np.roll(v, d)
 
     bias_on = _has_bias(merged.bias)
     out_cts = []
     for k in range(J):
         row_pieces = [(p.rows[k]) for p in pieces if p.rows[k] >= 0]
         for h in range(lout.cts_per_joint):
-            deltas = sorted({d for g in range(lin.cts_per_joint) for d in sel_by_size[lin.group_size(g)]})
             giants = []
             for delta in deltas:
                 terms = []
@@ -188,9 +189,9 @@ def ama_spatial(
                         vals = np.where(sel, vals, 0.0)
                         if not np.any(vals):
                             continue
-                        plain = np.repeat(vals, pad)
-                        if delta:
-                            plain = np.roll(plain, delta * pad)
+                        # rolling the cap block values equals rolling the
+                        # slot vector by delta*pad: each block is uniform
+                        plain = np.repeat(vals[rolled[delta]], pad)
                         terms.append(ctx.pmult(fm.cts[lin.ama_ct_index(j_in, g)], plain))
                 part = _accumulate(ctx, terms)
                 if part is None:
@@ -230,25 +231,28 @@ def rowmajor_spatial(
     M = merged.matrices
     rots = _RotCache(ctx)
 
-    q = np.arange(lin.slot_count)
-    trow = q // J
-    kcol = q % J
-    in_grid = q < T * J
+    in_grid = np.arange(lin.slot_count) < T * J
+    # diagonal d reads joint k + d at joint k of every frame row; reads past
+    # either end of the row are wraps and stay zero
+    joints = np.arange(J)
+    row_valid = {d: (joints + d >= 0) & (joints + d < J) for d in offsets}
+    row_read = {d: np.clip(joints + d, 0, J - 1) for d in offsets}
 
     bias_on = _has_bias(merged.bias)
     out_cts = []
     for b in range(B):
         for o in range(merged.c_out):
+            # one joint row of diagonal d for every input channel, into output channel o
+            diags = {d: np.where(row_valid[d], M[:, o, joints, row_read[d]], 0.0) for d in offsets}
             terms = []
             for c in range(lin.C):
                 src = fm.cts[b * lin.C + c]
                 for d in offsets:
-                    valid = in_grid & (kcol + d >= 0) & (kcol + d < J)
-                    plain = np.zeros(lin.slot_count)
-                    kk = kcol[valid]
-                    plain[valid] = M[c, o, kk, kk + d]
-                    if not np.any(plain):
+                    row = diags[d][c]
+                    if not np.any(row):
                         continue
+                    plain = np.zeros(lin.slot_count)
+                    plain[: T * J] = np.tile(row, T)
                     terms.append(ctx.pmult(rots.get(src, d), plain))
             acc = _accumulate(ctx, terms)
             if acc is None:
@@ -327,47 +331,65 @@ def temporal_conv(
         for kappa, eps in taps
     }
     bias_on = _has_bias(bias)
-    rots = _RotCache(ctx)
 
     if lin.kind == AMA:
-        out_fm = _temporal_ama(fm, W, bias, bias_on, taps, masks, rots, ctx)
+        out_fm = _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx)
     else:
-        out_fm = _temporal_rowmajor(fm, W, bias, bias_on, taps, masks, rots, ctx)
+        out_fm = _temporal_rowmajor(fm, W, bias, bias_on, taps, masks, ctx)
     out_fm.t_stride = fm.t_stride * layer.stride
     out_fm.t_valid = math.ceil(fm.t_valid / layer.stride)
     return out_fm
 
 
-def _temporal_ama(fm, W, bias, bias_on, taps, masks, rots, ctx):
+def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
     lin = fm.layout
     cap, pad, J = lin.capacity, lin.pad_bt, lin.J
     G = lin.cts_per_joint
     in_chan = {g: np.array([lin.block_channel(g, b) for b in range(cap)]) for g in range(G)}
     sel_by_size = {n: packing.giant_step_coverage(cap, n) for n in {lin.group_size(g) for g in range(G)}}
+    deltas = sorted({d for sel in sel_by_size.values() for d in sel})
     positions = np.arange(cap)
+    rolled = {delta: (positions - delta) % cap for delta in deltas}  # v[rolled[d]] == np.roll(v, d)
+
+    # Block weights do not depend on the joint, so every (h, delta) term list
+    # is built once per layer.  Each tap mask repeats every pad slots, so
+    # rolling the cap block weights by delta equals rolling the slot vector
+    # by delta*pad.  The weights sit in one array, not in thousands of
+    # small buffers that stay alive through the joint loop and scatter
+    # over the heap (that raised the CLI's peak RSS sooner).
+    terms_of, weight_rows = {}, []
+    for h in range(G):
+        for delta in deltas:
+            terms = []
+            for g in range(G):
+                sel = sel_by_size[lin.group_size(g)].get(delta)
+                if sel is None:
+                    continue
+                c_read = in_chan[g][(positions + delta) % cap]
+                for kappa, eps in taps:
+                    w_vec = np.where(sel, W[in_chan[h], c_read, kappa], 0.0)
+                    if not np.any(w_vec):
+                        continue
+                    terms.append((g, kappa, eps, len(weight_rows)))
+                    weight_rows.append(w_vec[rolled[delta]])
+            terms_of[h, delta] = terms
+    block_weights = np.array(weight_rows)
+    del weight_rows
 
     out_cts = []
     for j in range(J):
+        # tap rotations of joint j's inputs are never read after joint j
+        rots = _RotCache(ctx)
         for h in range(G):
-            out_ch = in_chan[h]
-            deltas = sorted({d for g in range(G) for d in sel_by_size[lin.group_size(g)]})
             giants = []
             for delta in deltas:
-                terms = []
-                for g in range(G):
-                    sel = sel_by_size[lin.group_size(g)].get(delta)
-                    if sel is None:
-                        continue
-                    src = fm.cts[lin.ama_ct_index(j, g)]
-                    c_read = in_chan[g][(positions + delta) % cap]
-                    for kappa, eps in taps:
-                        w_vec = np.where(sel, W[out_ch, c_read, kappa], 0.0)
-                        if not np.any(w_vec):
-                            continue
-                        plain = np.repeat(w_vec, pad) * np.tile(masks[kappa], cap)
-                        if delta:
-                            plain = np.roll(plain, delta * pad)
-                        terms.append(ctx.pmult(rots.get(src, eps * fm.t_stride), plain))
+                terms = [
+                    ctx.pmult(
+                        rots.get(fm.cts[lin.ama_ct_index(j, g)], eps * fm.t_stride),
+                        np.multiply.outer(block_weights[row], masks[kappa]).ravel(),
+                    )
+                    for g, kappa, eps, row in terms_of[h, delta]
+                ]
                 part = _accumulate(ctx, terms)
                 if part is None:
                     continue
@@ -381,9 +403,10 @@ def _temporal_ama(fm, W, bias, bias_on, taps, masks, rots, ctx):
     return EncryptedFeatureMap(out_cts, lin, fm.t_stride, fm.t_valid, label=fm.label)
 
 
-def _temporal_rowmajor(fm, W, bias, bias_on, taps, masks, rots, ctx):
+def _temporal_rowmajor(fm, W, bias, bias_on, taps, masks, ctx):
     lin = fm.layout
     B, T, J, C = lin.B, lin.T, lin.J, lin.C
+    rots = _RotCache(ctx)
     out_cts = []
     for b in range(B):
         for o in range(C):
@@ -579,15 +602,11 @@ class RunResult:
         return rows
 
 
-def layer_labels(spec: ModelSpec) -> list[str]:
-    return spec.labels()
-
-
 def check_depth_budget(spec: ModelSpec, max_level: int) -> None:
     """Static check; names the first layer that cannot fit the budget."""
     available = max_level - 1  # one level of headroom stays reserved
     used = 0
-    for label, layer in zip(layer_labels(spec), spec.layers):
+    for label, layer in zip(spec.labels(), spec.layers):
         used += layer.levels
         if used > available:
             raise DepthBudgetError(
@@ -632,15 +651,14 @@ def run_model(
     ct_counts = {"pack": len(fm.cts)}
     score_cts = None
     classes = None
-    for label, layer in zip(layer_labels(spec), spec.layers):
+    for label, layer in zip(spec.labels(), spec.layers):
         before = fm.level if score_cts is None else score_cts[0].level
         with ctx.layer(label):
             if isinstance(layer, SpatialConv):
-                merged = merge_spatial(layer.adjacency, layer.weights, layer.bias, layer.bn)
-                if fmt == AMA:
-                    fm = ama_spatial(fm, merged, ctx=ctx)
-                else:
-                    fm = rowmajor_spatial(fm, merged, ctx=ctx)
+                # left unbound so the merged matrices (20 MB at 64 channels
+                # and J = 25) are freed with their layer
+                spatial = ama_spatial if fmt == AMA else rowmajor_spatial
+                fm = spatial(fm, merge_spatial(layer.adjacency, layer.weights, layer.bias, layer.bn), ctx=ctx)
             elif isinstance(layer, TemporalConv):
                 fm = temporal_conv(fm, layer, ctx=ctx)
             elif isinstance(layer, Activation):

@@ -52,8 +52,14 @@ class HocCounter:
     def bump(self, layer: str, op: str, n: int = 1) -> None:
         if op not in OPS:
             raise ValueError(f"unknown op {op!r}")
-        counts = self.per_layer.setdefault(layer, _zero_counts())
-        counts[op] += n
+        self.counts_of(layer)[op] += n
+
+    def counts_of(self, layer: str) -> dict[str, int]:
+        """The live per-op counts of ``layer``, created at zero on first use."""
+        counts = self.per_layer.get(layer)
+        if counts is None:
+            counts = self.per_layer[layer] = _zero_counts()
+        return counts
 
     def layer(self, label: str) -> dict[str, int]:
         return dict(self.per_layer.get(label, _zero_counts()))
@@ -190,9 +196,10 @@ class SimContext:
         return np.round(values * scale) / scale
 
     def _record(self, op: str, level_before: int, level_after: int, **extra) -> None:
-        self.counter.bump(self._layer, op)
+        counts = self.counter.counts_of(self._layer)
+        counts[op] += 1
         if op in ("pmult", "cmult"):
-            self.counter.bump(self._layer, "rescale")
+            counts["rescale"] += 1
         if self.log_ops:
             rec = {
                 "op": op,
@@ -205,6 +212,8 @@ class SimContext:
 
     def _as_plaintext(self, pt) -> np.ndarray:
         """Scalars broadcast; shorter vectors are zero-padded (mask semantics)."""
+        if type(pt) is np.ndarray and pt.dtype == np.float64 and pt.shape == (self.slot_count,):
+            return pt
         if np.isscalar(pt):
             return np.full(self.slot_count, float(pt))
         arr = np.asarray(pt, dtype=np.float64).ravel()
@@ -280,7 +289,7 @@ class SimContext:
         k = int(k) % self.slot_count
         if k == 0:
             return ct
-        out = self._new_ct(np.roll(ct.slots, -k), ct.level)
+        out = self._new_ct(np.concatenate((ct.slots[k:], ct.slots[:k])), ct.level)
         self._record("rot", ct.level, out.level, rotation_amount=k)
         return out
 
@@ -339,32 +348,3 @@ def replay_counts(oplog) -> HocCounter:
                 counter.bump(rec["layer"], "rescale")
     return counter
 
-
-# Free-function aliases matching the operation contracts.
-
-def encrypt(values, ctx: SimContext) -> SimCiphertext:
-    return ctx.encrypt(values)
-
-
-def decrypt(ct: SimCiphertext) -> np.ndarray:
-    return ct.ctx.decrypt(ct)
-
-
-def add(a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
-    return a.ctx.add(a, b)
-
-
-def pmult(ct: SimCiphertext, pt) -> SimCiphertext:
-    return ct.ctx.pmult(ct, pt)
-
-
-def cmult(a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
-    return a.ctx.cmult(a, b)
-
-
-def rotate(ct: SimCiphertext, k: int) -> SimCiphertext:
-    return ct.ctx.rotate(ct, k)
-
-
-def mod_switch(ct: SimCiphertext, target_level: int) -> SimCiphertext:
-    return ct.ctx.mod_switch(ct, target_level)

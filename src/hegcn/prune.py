@@ -9,6 +9,7 @@ parameters per candidate, then selects the best trade-off.
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 from dataclasses import dataclass
@@ -118,12 +119,32 @@ class CommandEvaluator:
             ) from exc
 
 
-def _call_evaluator(evaluator, variant: ModelSpec, pruned, stage: str) -> float:
-    """Invoke an evaluator, tolerating plain two-argument callables."""
+def _takes_stage(evaluator) -> bool:
+    """Whether ``evaluator`` accepts a ``stage`` keyword, read from its signature.
+
+    Callables without an inspectable signature are assumed to follow the
+    three-argument protocol of the built-in evaluators.
+    """
     try:
+        params = inspect.signature(evaluator).parameters.values()
+    except (TypeError, ValueError):
+        return True
+    return any(
+        p.kind is inspect.Parameter.VAR_KEYWORD
+        or (p.name == "stage" and p.kind is not inspect.Parameter.POSITIONAL_ONLY)
+        for p in params
+    )
+
+
+def _call_evaluator(evaluator, variant: ModelSpec, pruned, stage: str) -> float:
+    """Invoke an evaluator once; plain two-argument callables get no stage.
+
+    A ``TypeError`` raised inside the evaluator propagates, so a fault is
+    never retried under a different stage.
+    """
+    if _takes_stage(evaluator):
         return evaluator(variant, pruned, stage=stage)
-    except TypeError:
-        return evaluator(variant, pruned)
+    return evaluator(variant, pruned)
 
 
 def rank_activations(spec: ModelSpec, evaluator) -> list[int]:
