@@ -10,6 +10,16 @@ cost model:
   and boundary masks all fused into a single plaintext vector per term, so
   every layer costs exactly one plaintext-multiplication level.
 
+Execution is batched; the schedule and its counts are those of a
+per-ciphertext loop.  Each conv kernel stacks its input ciphertexts and
+evaluates one giant step (or one chunk of row-major shifts) as a single
+``SimContext.fold``: rows are joints (AMA temporal), output joints (AMA
+spatial) or output channels (row-major), terms are the source ciphertexts a
+row sums, and a term is skipped exactly where its plaintext would be zero.
+Rows run in chunks whose source stack stays under ``_CHUNK_BYTES``.  Input
+rotations are applied to a stack of the sources some executed term reads,
+and every count, including the adds of partial sums, comes from hesim ops.
+
 Values at padding slots, masked-out strided frames and replica copies are
 allowed to go stale; every consumer reads only through masks or anchor
 slots, and the plaintext reference implementation is the ground truth all
@@ -83,22 +93,101 @@ def default_slot_count(dims) -> int:
 # ----------------------------------------------------------------------
 # shared helpers
 
+#: Upper bound on the bytes of one chunk's source stack or plaintext table.
+#: Kernels run over joints, output joints, rotation amounts or activation
+#: inputs in chunks that stay below it.  Measured on the reference model
+#: (slot 8192): 2 MB and 256 KB run equally fast, 256 KB keeps the run's
+#: peak memory lower and the activation's elementwise ops in cache.
+_CHUNK_BYTES = 256 << 10
 
-class _RotCache:
-    """Share input-ciphertext rotations; each amount is paid for once."""
 
-    def __init__(self, ctx: SimContext):
-        self.ctx = ctx
-        self._seen: dict[tuple[str, int], SimCiphertext] = {}
+def _chunks(items, item_bytes: int) -> list:
+    """Consecutive runs of ``items``, each under ``_CHUNK_BYTES`` (at least one item)."""
+    size = max(1, _CHUNK_BYTES // max(item_bytes, 1))
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
-    def get(self, ct: SimCiphertext, amount: int) -> SimCiphertext:
-        amount = amount % self.ctx.slot_count
-        if amount == 0:
-            return ct
-        key = (ct.id, amount)
-        if key not in self._seen:
-            self._seen[key] = self.ctx.rotate(ct, amount)
-        return self._seen[key]
+
+class _RowSums:
+    """Per-row running sums of partial results, every add counted by hesim.
+
+    A row holds no ciphertext until its first partial arrives, so each row
+    pays one Add per partial after its first, as a per-ciphertext loop does.
+    """
+
+    def __init__(self, n: int):
+        self.rows: list[SimCiphertext | None] = [None] * n
+        self.full: SimCiphertext | None = None  # every row, as one stack
+
+    def add(self, ctx: SimContext, part: SimCiphertext, idx) -> None:
+        """Add row i of the stack ``part`` into result row ``idx[i]``."""
+        n = len(self.rows)
+        if len(idx) == n and self.full is not None:
+            self.full = ctx.add(self.full, part)
+            return
+        if len(idx) == n and all(r is None for r in self.rows):
+            self.full = part
+            return
+        if self.full is not None:
+            self.rows, self.full = hesim.unstack(self.full), None
+        new = hesim.unstack(part)
+        old = [i for i, r in enumerate(idx) if self.rows[r] is not None]
+        if old:
+            sums = ctx.add(hesim.stack([self.rows[idx[i]] for i in old]), hesim.stack([new[i] for i in old]))
+            for i, ct in zip(old, hesim.unstack(sums)):
+                new[i] = ct
+        for i, r in enumerate(idx):
+            self.rows[r] = new[i]
+
+    def result(self, ctx: SimContext, level: int) -> SimCiphertext:
+        """Every row as one stack; a row that received nothing is an encrypted zero."""
+        if self.full is not None:
+            return self.full
+        empty = [r for r, ct in enumerate(self.rows) if ct is None]
+        if empty:
+            zeros = ctx.mod_switch(ctx.encrypt(np.zeros((len(empty), ctx.slot_count))), level)
+            for r, ct in zip(empty, hesim.unstack(zeros)):
+                self.rows[r] = ct
+        return hesim.stack(self.rows)
+
+
+def _fold_rows(ctx, sums, src, coef, mask, vec=1.0, grid=None, amount=0) -> None:
+    """Fold the rows that have terms, rotate them by ``amount``, add them into ``sums``."""
+    U = src.rows // mask.shape[-1]
+    idx = np.flatnonzero(np.broadcast_to(mask, (U,) + mask.shape[1:]).any(axis=-1))
+    if len(idx):
+        part = ctx.fold(src, coef, mask, vec, grid)
+        if len(idx) < part.rows:
+            rows = hesim.unstack(part)
+            part = hesim.stack([rows[i] for i in idx])
+        sums.add(ctx, ctx.rotate(part, amount), idx)
+
+
+def _ama_fold(ctx, src, steps, U, V, lin, vec=1.0) -> SimCiphertext:
+    """The AMA channel fold: per giant step, one fold over U source sets
+    into V output groups, rotated by ``delta * pad`` and summed per row.
+
+    ``steps`` yields (delta, coef, mask) with coef over the (block, slot in
+    block) grid; a row's giant step with no terms is skipped.
+    """
+    sums = _RowSums(U * V)
+    grid = (lin.capacity, lin.pad_bt)
+    for delta, coef, mask in steps:
+        _fold_rows(ctx, sums, src, coef, mask, vec, grid, delta * lin.pad_bt)
+    return sums.result(ctx, src.level - 1)
+
+
+def _block_channels(lin: PackingLayout) -> np.ndarray:
+    """(group, block position) -> channel of an AMA layout."""
+    return np.array([[lin.block_channel(g, beta) for beta in range(lin.capacity)] for g in range(lin.cts_per_joint)])
+
+
+def _giant_steps(lin: PackingLayout):
+    """The giant steps of an AMA channel fold and, per input group, the
+    block positions each step serves ({delta: mask})."""
+    sizes = {lin.group_size(g) for g in range(lin.cts_per_joint)}
+    sel_by_size = {n: packing.giant_step_coverage(lin.capacity, n) for n in sizes}
+    deltas = sorted({d for sel in sel_by_size.values() for d in sel})
+    return deltas, [sel_by_size[lin.group_size(g)] for g in range(lin.cts_per_joint)]
 
 
 def _accumulate(ctx: SimContext, terms: list[SimCiphertext]) -> SimCiphertext | None:
@@ -108,6 +197,12 @@ def _accumulate(ctx: SimContext, terms: list[SimCiphertext]) -> SimCiphertext | 
     return acc
 
 
+def _add_bias(ctx, ct, bias_slots) -> SimCiphertext:
+    """ct + an encrypted bias; a stack takes one bias row per ciphertext."""
+    bct = ctx.encrypt(bias_slots)
+    return ctx.add(ct, ctx.mod_switch(bct, ct.level))
+
+
 def _bias_vector_ama(layout: PackingLayout, bias: np.ndarray, h: int) -> np.ndarray:
     """Per-slot bias for output group h, uniform within each channel block."""
     cap = layout.capacity
@@ -115,13 +210,20 @@ def _bias_vector_ama(layout: PackingLayout, bias: np.ndarray, h: int) -> np.ndar
     return np.repeat(vals, layout.pad_bt)
 
 
-def _maybe_add_bias(ctx, ct, bias_slots) -> SimCiphertext:
-    bct = ctx.encrypt(bias_slots)
-    return ctx.add(ct, ctx.mod_switch(bct, ct.level))
-
-
 def _has_bias(bias) -> bool:
     return bias is not None and np.any(np.abs(np.asarray(bias)) > 0)
+
+
+def _rotations(ctx, cts, amount, used) -> dict[int, SimCiphertext]:
+    """``cts[i]`` rotated by ``amount`` for every ``used[i]``, as one stack op
+    (rotation by zero is free and returns every input)."""
+    if amount % ctx.slot_count == 0:
+        return dict(enumerate(cts))
+    idx = np.flatnonzero(used)
+    if not len(idx):
+        return {}
+    rotated = ctx.rotate(hesim.stack([cts[i] for i in idx]), amount)
+    return dict(zip(idx.tolist(), hesim.unstack(rotated)))
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +240,8 @@ def ama_spatial(
 
     ``pieces`` is the shared patterned decomposition of the joint-mixing
     action (columns indexed by output joint); it is recomputed from the
-    merged pattern when not supplied.
+    merged pattern when not supplied.  Rows of the fold are output joints,
+    each reading the input joint its pieces name.
     """
     ctx = ctx or fm.cts[0].ctx
     lin = fm.layout
@@ -155,55 +258,90 @@ def ama_spatial(
 
     B, T, J = lin.B, lin.T, lin.J
     lout = packing.ama_layout((B, merged.c_out, T, J), lin.slot_count)
-    cap, pad = lin.capacity, lin.pad_bt
+    cap, G, H = lin.capacity, lin.cts_per_joint, lout.cts_per_joint
     M = merged.matrices
+    in_chan, out_chan = _block_channels(lin), _block_channels(lout)
+    deltas, sel = _giant_steps(lin)
+    rolled = {delta: (np.arange(cap) - delta) % cap for delta in deltas}  # v[rolled[d]] == np.roll(v, d)
+    # input joint of (output joint, piece); -1 where the piece has no entry
+    # (a zero matrix has no pieces: one empty piece gives every output zero)
+    reads = np.array([p.rows for p in pieces] or [[-1] * J], dtype=np.int64).T
+    m = reads.shape[1]
+    bias_rows = np.array([_bias_vector_ama(lout, merged.bias, h) for h in range(H)])
 
-    in_chan = {
-        g: np.array([lin.block_channel(g, beta) for beta in range(cap)])
-        for g in range(lin.cts_per_joint)
-    }
-    out_chan = {
-        h: np.array([lout.block_channel(h, p) for p in range(cap)])
-        for h in range(lout.cts_per_joint)
-    }
-    sel_by_size = {n: packing.giant_step_coverage(cap, n) for n in {lin.group_size(g) for g in range(lin.cts_per_joint)}}
-    deltas = sorted({d for sel in sel_by_size.values() for d in sel})
-    positions = np.arange(cap)
-    rolled = {delta: (positions - delta) % cap for delta in deltas}  # v[rolled[d]] == np.roll(v, d)
-
-    bias_on = _has_bias(merged.bias)
-    out_cts = []
-    for k in range(J):
-        row_pieces = [(p.rows[k]) for p in pieces if p.rows[k] >= 0]
-        for h in range(lout.cts_per_joint):
-            giants = []
-            for delta in deltas:
-                terms = []
-                for j_in in row_pieces:
-                    for g in range(lin.cts_per_joint):
-                        sel = sel_by_size[lin.group_size(g)].get(delta)
-                        if sel is None:
-                            continue
-                        c_read = in_chan[g][(positions + delta) % cap]
-                        vals = M[c_read, out_chan[h], k, j_in]
-                        vals = np.where(sel, vals, 0.0)
-                        if not np.any(vals):
-                            continue
-                        # rolling the cap block values equals rolling the
-                        # slot vector by delta*pad: each block is uniform
-                        plain = np.repeat(vals[rolled[delta]], pad)
-                        terms.append(ctx.pmult(fm.cts[lin.ama_ct_index(j_in, g)], plain))
-                part = _accumulate(ctx, terms)
-                if part is None:
+    def steps(ks):
+        jin = np.maximum(reads[ks], 0)[:, :, None, None]
+        present = (reads[ks] >= 0)[:, :, None, None]
+        for delta in deltas:
+            coef = np.zeros((len(ks), H, m, G, cap))
+            for g in range(G):
+                if delta not in sel[g]:
                     continue
-                giants.append(ctx.rotate(part, delta * pad))
-            acc = _accumulate(ctx, giants)
-            if acc is None:  # output joint receives nothing: deliver zeros
-                acc = ctx.mod_switch(ctx.encrypt([]), fm.level - 1)
-            if bias_on:
-                acc = _maybe_add_bias(ctx, acc, _bias_vector_ama(lout, merged.bias, h))
-            out_cts.append(acc)
+                c_read = in_chan[g][(np.arange(cap) + delta) % cap]
+                vals = M[c_read, out_chan[None, None], ks[:, None, None, None], jin]  # (k, piece, h, p)
+                vals = np.where(sel[g][delta] & present, vals, 0.0)
+                # rolling the cap block values equals rolling the slot vector
+                # by delta*pad: each block is uniform
+                coef[:, :, :, g] = vals[..., rolled[delta]].transpose(0, 2, 1, 3)
+            yield delta, coef.reshape(len(ks), H, m * G, cap, 1), coef.any(axis=-1).reshape(len(ks), H, m * G)
+
+    out_cts = []
+    for ks in _chunks(np.arange(J), m * G * lin.slot_count * 8):
+        src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for k in ks for j in np.maximum(reads[k], 0) for g in range(G)])
+        acc = _ama_fold(ctx, src, steps(ks), len(ks), H, lin)
+        if _has_bias(merged.bias):
+            acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(ks), 1)))
+        out_cts += hesim.unstack(acc)
     return EncryptedFeatureMap(out_cts, lout, fm.t_stride, fm.t_valid, label=fm.label)
+
+
+def _amounts(shifts, slot_count) -> dict[int, list[int]]:
+    """Group term indices by rotation amount mod slot_count (each amount is paid once)."""
+    out: dict[int, list[int]] = {}
+    for i, shift in enumerate(shifts):
+        out.setdefault(int(shift) % slot_count, []).append(i)
+    return out
+
+
+def _rowmajor_fold(ctx, fm, coef_of, shifts, n_out, bias_rows, vec_of=None) -> list[SimCiphertext]:
+    """Row-major mixing: output channel o of sample b sums, over the
+    (shift, input channel) terms, the input rotated by the shift times a
+    plaintext on the T x J grid.
+
+    ``coef_of(i)`` is the (C_in, n_out, 1 or J) coefficient table of shift
+    i; ``vec_of(i)``, when given, a frame mask its plaintexts share.  The
+    input rotation of (shift, c) is paid once, when some output reads it.
+    Shifts are grouped by rotation amount and folded in chunks.
+    """
+    lin = fm.layout
+    C, S = lin.C, lin.slot_count
+    grid = (lin.T, lin.J)
+    by_amount = _amounts(shifts, S)
+    # bytes of one shift's sources, or at most of its coefficients
+    shift_bytes = C * max(S, n_out * lin.J) * 8
+    chunks = _chunks(list(by_amount), shift_bytes * max(map(len, by_amount.values()), default=1))
+    out_cts = []
+    for b in range(lin.B):
+        x = fm.cts[b * C : (b + 1) * C]
+        sums = _RowSums(n_out)
+        for amounts in chunks:
+            srcs, coefs, vecs = [], [], []
+            for amount in amounts:
+                tables = [coef_of(i) for i in by_amount[amount]]
+                rotated = _rotations(ctx, x, amount, np.any([t.any(axis=(1, 2)) for t in tables], axis=0))
+                for i, table in zip(by_amount[amount], tables):
+                    srcs += [rotated.get(c, x[c]) for c in range(C)]
+                    coefs.append(table)
+                    if vec_of is not None:
+                        vecs.append(np.broadcast_to(vec_of(i)[:, None], (C, lin.T, 1)))
+            coef = np.concatenate(coefs).transpose(1, 0, 2)[None, :, :, None, :]  # (1, o, term, 1, J or 1)
+            vec = np.concatenate(vecs) if vecs else 1.0
+            _fold_rows(ctx, sums, hesim.stack(srcs), coef, coef.any(axis=(3, 4)), vec, grid)
+        acc = sums.result(ctx, fm.level - 1)
+        if bias_rows is not None:
+            acc = _add_bias(ctx, acc, bias_rows)
+        out_cts += hesim.unstack(acc)
+    return out_cts
 
 
 def rowmajor_spatial(
@@ -229,38 +367,20 @@ def rowmajor_spatial(
     B, T, J = lin.B, lin.T, lin.J
     offsets = diagonal_offsets(merged.pattern)
     M = merged.matrices
-    rots = _RotCache(ctx)
-
-    in_grid = np.arange(lin.slot_count) < T * J
-    # diagonal d reads joint k + d at joint k of every frame row; reads past
-    # either end of the row are wraps and stay zero
     joints = np.arange(J)
-    row_valid = {d: (joints + d >= 0) & (joints + d < J) for d in offsets}
-    row_read = {d: np.clip(joints + d, 0, J - 1) for d in offsets}
 
-    bias_on = _has_bias(merged.bias)
-    out_cts = []
-    for b in range(B):
-        for o in range(merged.c_out):
-            # one joint row of diagonal d for every input channel, into output channel o
-            diags = {d: np.where(row_valid[d], M[:, o, joints, row_read[d]], 0.0) for d in offsets}
-            terms = []
-            for c in range(lin.C):
-                src = fm.cts[b * lin.C + c]
-                for d in offsets:
-                    row = diags[d][c]
-                    if not np.any(row):
-                        continue
-                    plain = np.zeros(lin.slot_count)
-                    plain[: T * J] = np.tile(row, T)
-                    terms.append(ctx.pmult(rots.get(src, d), plain))
-            acc = _accumulate(ctx, terms)
-            if acc is None:
-                acc = ctx.mod_switch(ctx.encrypt([]), fm.level - 1)
-            if bias_on:
-                plain_bias = np.where(in_grid, merged.bias[o], 0.0)
-                acc = _maybe_add_bias(ctx, acc, plain_bias)
-            out_cts.append(acc)
+    def diagonal(i):
+        # diagonal d reads joint k + d at joint k of every frame row; reads
+        # past either end of the row are wraps and stay zero
+        d = offsets[i]
+        valid = (joints + d >= 0) & (joints + d < J)
+        return np.where(valid, M[:, :, joints, np.clip(joints + d, 0, J - 1)], 0.0)  # (c, o, k)
+
+    bias_rows = None
+    if _has_bias(merged.bias):
+        in_grid = np.arange(lin.slot_count) < T * J
+        bias_rows = np.where(in_grid, merged.bias[:, None], 0.0)
+    out_cts = _rowmajor_fold(ctx, fm, diagonal, offsets, merged.c_out, bias_rows)
     lout = packing.rowmajor_layout((B, merged.c_out, T, J), lin.slot_count)
     return EncryptedFeatureMap(out_cts, lout, fm.t_stride, fm.t_valid, label=fm.label)
 
@@ -342,93 +462,68 @@ def temporal_conv(
 
 
 def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
-    lin = fm.layout
-    cap, pad, J = lin.capacity, lin.pad_bt, lin.J
-    G = lin.cts_per_joint
-    in_chan = {g: np.array([lin.block_channel(g, b) for b in range(cap)]) for g in range(G)}
-    sel_by_size = {n: packing.giant_step_coverage(cap, n) for n in {lin.group_size(g) for g in range(G)}}
-    deltas = sorted({d for sel in sel_by_size.values() for d in sel})
-    positions = np.arange(cap)
-    rolled = {delta: (positions - delta) % cap for delta in deltas}  # v[rolled[d]] == np.roll(v, d)
+    """Rows of the fold are joints (in chunks), terms are (input group, tap).
 
-    # Block weights do not depend on the joint, so every (h, delta) term list
-    # is built once per layer.  Each tap mask repeats every pad slots, so
-    # rolling the cap block weights by delta equals rolling the slot vector
-    # by delta*pad.  The weights sit in one array, not in thousands of
-    # small buffers that stay alive through the joint loop and scatter
-    # over the heap (that raised the CLI's peak RSS sooner).
-    terms_of, weight_rows = {}, []
-    for h in range(G):
-        for delta in deltas:
-            terms = []
-            for g in range(G):
-                sel = sel_by_size[lin.group_size(g)].get(delta)
-                if sel is None:
-                    continue
-                c_read = in_chan[g][(positions + delta) % cap]
-                for kappa, eps in taps:
-                    w_vec = np.where(sel, W[in_chan[h], c_read, kappa], 0.0)
-                    if not np.any(w_vec):
-                        continue
-                    terms.append((g, kappa, eps, len(weight_rows)))
-                    weight_rows.append(w_vec[rolled[delta]])
-            terms_of[h, delta] = terms
-    block_weights = np.array(weight_rows)
-    del weight_rows
+    Block weights do not depend on the joint, so every giant step's
+    plaintexts are built once per layer.  Each tap mask repeats every pad
+    slots, so rolling the cap block weights by delta equals rolling the
+    slot vector by delta*pad.
+    """
+    lin = fm.layout
+    cap, J, G, K = lin.capacity, lin.J, lin.cts_per_joint, len(taps)
+    chan = _block_channels(lin)
+    deltas, sel = _giant_steps(lin)
+    positions = np.arange(cap)
+    steps = []
+    for delta in deltas:
+        coef = np.zeros((1, G, G, K, cap))  # (joint, h, g, tap, block)
+        for g in range(G):
+            if delta not in sel[g]:
+                continue
+            c_read = chan[g][(positions + delta) % cap]
+            w = np.where(sel[g][delta][None, :, None], W[chan, c_read], 0.0)  # (h, p, tap)
+            coef[0, :, g] = w[:, (positions - delta) % cap].transpose(0, 2, 1)
+        steps.append((delta, coef.reshape(1, G, G * K, cap, 1), coef.any(axis=-1).reshape(1, G, G * K)))
+    vec = np.tile(np.array([masks[kappa] for kappa, _ in taps])[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
+
+    # a tap rotation is paid for the (group, tap) pairs some giant step reads
+    read = np.any([mask[0].any(axis=0) for _, _, mask in steps], axis=0).reshape(G, K)
+    by_amount = _amounts([eps * fm.t_stride for _, eps in taps], lin.slot_count)
+    bias_rows = np.array([_bias_vector_ama(lin, bias, h) for h in range(G)])
 
     out_cts = []
-    for j in range(J):
-        # tap rotations of joint j's inputs are never read after joint j
-        rots = _RotCache(ctx)
-        for h in range(G):
-            giants = []
-            for delta in deltas:
-                terms = [
-                    ctx.pmult(
-                        rots.get(fm.cts[lin.ama_ct_index(j, g)], eps * fm.t_stride),
-                        np.multiply.outer(block_weights[row], masks[kappa]).ravel(),
-                    )
-                    for g, kappa, eps, row in terms_of[h, delta]
-                ]
-                part = _accumulate(ctx, terms)
-                if part is None:
-                    continue
-                giants.append(ctx.rotate(part, delta * pad))
-            acc = _accumulate(ctx, giants)
-            if acc is None:
-                acc = ctx.mod_switch(ctx.encrypt([]), fm.level - 1)
-            if bias_on:
-                acc = _maybe_add_bias(ctx, acc, _bias_vector_ama(lin, bias, h))
-            out_cts.append(acc)
+    # tap rotations of a joint's inputs are never read after that joint
+    for js in _chunks(range(J), G * K * lin.slot_count * 8):
+        x = [fm.cts[lin.ama_ct_index(j, g)] for j in js for g in range(G)]
+        tapped = {}  # (input index, tap) -> tap-rotated input
+        for amount, kappas in by_amount.items():
+            used = np.tile(read[:, kappas].any(axis=1), len(js))
+            for i, ct in _rotations(ctx, x, amount, used).items():
+                tapped.update({(i, kappa): ct for kappa in kappas})
+        src = hesim.stack([tapped.get((i, kappa), x[i]) for i in range(len(x)) for kappa in range(K)])
+        acc = _ama_fold(ctx, src, steps, len(js), G, lin, vec)
+        if bias_on:
+            acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(js), 1)))
+        out_cts += hesim.unstack(acc)
     return EncryptedFeatureMap(out_cts, lin, fm.t_stride, fm.t_valid, label=fm.label)
 
 
 def _temporal_rowmajor(fm, W, bias, bias_on, taps, masks, ctx):
+    """A GEMM over (tap, input channel) per sample: rows are output channels."""
     lin = fm.layout
-    B, T, J, C = lin.B, lin.T, lin.J, lin.C
-    rots = _RotCache(ctx)
-    out_cts = []
-    for b in range(B):
-        for o in range(C):
-            terms = []
-            for c in range(C):
-                src = fm.cts[b * C + c]
-                for kappa, eps in taps:
-                    if W[o, c, kappa] == 0.0:
-                        continue
-                    # masks were built over one T-row; expand over the T x J grid
-                    row_mask = masks[kappa][:T]
-                    plain = np.zeros(lin.slot_count)
-                    plain[: T * J] = np.repeat(row_mask, J) * W[o, c, kappa]
-                    terms.append(ctx.pmult(rots.get(src, eps * fm.t_stride * J), plain))
-            acc = _accumulate(ctx, terms)
-            if acc is None:
-                acc = ctx.mod_switch(ctx.encrypt([]), fm.level - 1)
-            if bias_on:
-                plain_bias = np.zeros(lin.slot_count)
-                plain_bias[: T * J] = bias[o]
-                acc = _maybe_add_bias(ctx, acc, plain_bias)
-            out_cts.append(acc)
+    bias_rows = None
+    if bias_on:
+        bias_rows = np.where(np.arange(lin.slot_count) < lin.T * lin.J, bias[:, None], 0.0)
+    out_cts = _rowmajor_fold(
+        ctx,
+        fm,
+        lambda kappa: W[:, :, kappa].T[:, :, None],
+        [eps * fm.t_stride * lin.J for _, eps in taps],
+        lin.C,
+        bias_rows,
+        # masks were built over one T-row; each frame row spans J slots
+        vec_of=lambda kappa: masks[kappa][: lin.T],
+    )
     return EncryptedFeatureMap(out_cts, lin, fm.t_stride, fm.t_valid, label=fm.label)
 
 
@@ -448,13 +543,12 @@ def poly_activation(
     if fm.level < 2:
         raise hesim.LevelError(f"activation needs level >= 2, have {fm.level}")
     out_cts = []
-    for ct in fm.cts:
-        sq = ctx.cmult(ct, ct)
-        quad = ctx.pmult(sq, float(a))
-        lin = ctx.mod_switch(ctx.pmult(ct, float(b)), quad.level)
-        poly = ctx.add(quad, lin)
-        const = ctx.mod_switch(ctx.encrypt(np.full(ctx.slot_count, float(c))), poly.level)
-        out_cts.append(ctx.add(poly, const))
+    for cts in _chunks(fm.cts, ctx.slot_count * 8):
+        x = hesim.stack(cts)
+        quad = ctx.pmult(ctx.cmult(x, x), float(a))
+        poly = ctx.add(quad, ctx.mod_switch(ctx.pmult(x, float(b)), quad.level))
+        const = ctx.mod_switch(ctx.encrypt(np.full((x.rows, ctx.slot_count), float(c))), poly.level)
+        out_cts += hesim.unstack(ctx.add(poly, const))
     return EncryptedFeatureMap(
         out_cts, fm.layout, fm.t_stride, fm.t_valid, fm.pooled, fm.label
     )
@@ -542,7 +636,7 @@ def fully_connected(
             acc = _accumulate(ctx, terms)
             for i in range(int(math.log2(cap))):
                 acc = ctx.add(acc, ctx.rotate(acc, pad * (cap >> (i + 1))))
-            acc = _maybe_add_bias(ctx, acc, np.full(lin.slot_count, bias[s]))
+            acc = _add_bias(ctx, acc, np.full(lin.slot_count, bias[s]))
             score_cts.append(acc)
         return score_cts
 
@@ -558,7 +652,7 @@ def fully_connected(
         acc = _accumulate(ctx, terms)
         plain_bias = np.zeros(lin.slot_count)
         plain_bias[:classes] = bias
-        acc = _maybe_add_bias(ctx, acc, plain_bias)
+        acc = _add_bias(ctx, acc, plain_bias)
         score_cts.append(acc)
     return score_cts
 
@@ -682,8 +776,36 @@ def run_model(
     return RunResult(scores, fmt, ctx.counter, trace, depth_total, ct_counts)
 
 
+def _batch_norm(h: np.ndarray, bn: dict | None) -> np.ndarray:
+    """Inference batch norm over the channel axis of (B, C, T, J)."""
+    if bn is None:
+        return h
+    scale = np.asarray(bn["gamma"]) / np.sqrt(np.asarray(bn["var"]) + bn.get("eps", 1e-5))
+    shift = np.asarray(bn["beta"]) - np.asarray(bn["mean"]) * scale
+    return h * scale[None, :, None, None] + shift[None, :, None, None]
+
+
+def spatial_reference(layer: SpatialConv, h: np.ndarray) -> np.ndarray:
+    """Plaintext spatial conv on (B, C_in, T, J): sum over partitions p of
+    W_p^T X N_p^T, then bias, then batch norm.
+
+    Reads the normalized partitions directly and never builds the merged
+    (C_in, C_out, J, J) matrices, so it checks ``merge_spatial`` instead of
+    sharing its code.
+    """
+    out = 0.0
+    for w, n in zip(layer.weights, layer.adjacency.normalized()):
+        out = out + np.einsum("co,bctk->botk", w, h @ n.T, optimize=True)
+    if layer.bias is not None:
+        out = out + layer.bias[None, :, None, None]
+    return _batch_norm(out, layer.bn)
+
+
 def plaintext_reference(spec: ModelSpec, x: GraphTensor) -> np.ndarray:
-    """Dense float64 forward pass; ground truth for every encrypted path."""
+    """Dense float64 forward pass; ground truth for every encrypted path.
+
+    Batch norm is applied as its own affine step, not folded into weights.
+    """
     if x.dims != spec.input_dims:
         raise ValueError(f"input dims {x.dims} do not match model {spec.input_dims}")
     h = x.data.copy()
@@ -691,19 +813,8 @@ def plaintext_reference(spec: ModelSpec, x: GraphTensor) -> np.ndarray:
     scores = None
     for layer in spec.layers:
         if isinstance(layer, SpatialConv):
-            merged = merge_spatial(layer.adjacency, layer.weights, layer.bias, layer.bn)
-            h = merged.apply(h)
+            h = spatial_reference(layer, h)
         elif isinstance(layer, TemporalConv):
-            W = layer.weights
-            bias = np.zeros(layer.channels) if layer.bias is None else layer.bias.copy()
-            if layer.bn is not None:
-                scale = np.asarray(layer.bn["gamma"]) / np.sqrt(
-                    np.asarray(layer.bn["var"]) + layer.bn.get("eps", 1e-5)
-                )
-                W = W * scale[:, None, None]
-                bias = (bias - np.asarray(layer.bn["mean"])) * scale + np.asarray(
-                    layer.bn["beta"]
-                )
             B, C, T, J = h.shape
             K, half = layer.kernel, (layer.kernel - 1) // 2
             padded = np.zeros((B, C, T + 2 * half, J))
@@ -712,8 +823,10 @@ def plaintext_reference(spec: ModelSpec, x: GraphTensor) -> np.ndarray:
             out = np.zeros((B, layer.channels, t_out, J))
             for kappa in range(K):
                 sl = padded[:, :, kappa : kappa + T : layer.stride, :][:, :, :t_out, :]
-                out += np.einsum("oc,bctj->botj", W[:, :, kappa], sl)
-            h = out + bias[None, :, None, None]
+                out += np.einsum("oc,bctj->botj", layer.weights[:, :, kappa], sl, optimize=True)
+            if layer.bias is not None:
+                out += layer.bias[None, :, None, None]
+            h = _batch_norm(out, layer.bn)
         elif isinstance(layer, Activation):
             if not layer.pruned:
                 h = layer.a * h * h + layer.b * h + layer.c

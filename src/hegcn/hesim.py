@@ -11,6 +11,12 @@ Level discipline:
     level;
   * additions require equal levels (use ``mod_switch`` to align);
   * rotation by zero is the identity and is neither counted nor logged.
+
+Batching: a ciphertext may hold an (n, slots) stack of n ciphertexts at one
+level.  Every op on a stack counts n and writes one log record with a
+``count`` field (left out when n = 1).  ``fold`` is a fused plaintext
+multiply-accumulate over a stack that counts each of its PMults and Adds.
+``stack`` and ``unstack`` are bookkeeping and count nothing.
 """
 
 from __future__ import annotations
@@ -76,26 +82,6 @@ class HocCounter:
         totals = self.totals()
         return sum(totals[op] for op in HOC_OPS)
 
-    @property
-    def rot(self) -> int:
-        return self.totals()["rot"]
-
-    @property
-    def pmult(self) -> int:
-        return self.totals()["pmult"]
-
-    @property
-    def cmult(self) -> int:
-        return self.totals()["cmult"]
-
-    @property
-    def add(self) -> int:
-        return self.totals()["add"]
-
-    @property
-    def rescale(self) -> int:
-        return self.totals()["rescale"]
-
     def merge(self, other: "HocCounter") -> "HocCounter":
         merged = HocCounter()
         for src in (self, other):
@@ -121,7 +107,12 @@ class HocCounter:
 
 
 class SimCiphertext:
-    """Immutable slot vector with a remaining-level budget and an opaque id."""
+    """Immutable slot vector with a remaining-level budget and an opaque id.
+
+    ``slots`` is one vector of ``slot_count`` values, or a stack of shape
+    (n, slot_count): n ciphertexts at one level that every operation treats
+    row by row and counts n times.
+    """
 
     __slots__ = ("slots", "level", "id", "ctx")
 
@@ -133,8 +124,36 @@ class SimCiphertext:
         self.id = id
         self.ctx = ctx
 
+    @property
+    def rows(self) -> int:
+        """Ciphertexts held: 1 for a single vector, n for an (n, slots) stack."""
+        return 1 if self.slots.ndim == 1 else self.slots.shape[0]
+
     def __repr__(self) -> str:
-        return f"SimCiphertext(id={self.id}, level={self.level}, slots={len(self.slots)})"
+        shape = "x".join(map(str, self.slots.shape))
+        return f"SimCiphertext(id={self.id}, level={self.level}, slots={shape})"
+
+
+def stack(cts) -> SimCiphertext:
+    """One stack of the given ciphertexts and stacks, in order.
+
+    Bookkeeping, not an HE operation: nothing is counted or logged.
+    """
+    cts = list(cts)
+    if not cts:
+        raise ValueError("stack needs at least one ciphertext")
+    levels = {ct.level for ct in cts}
+    if len(levels) > 1:
+        raise LevelError(f"cannot stack ciphertexts at levels {sorted(levels)}")
+    slots = np.concatenate([ct.slots.reshape(ct.rows, -1) for ct in cts])
+    return cts[0].ctx._new_ct(slots, cts[0].level)
+
+
+def unstack(ct: SimCiphertext) -> list[SimCiphertext]:
+    """The rows of a stack as single ciphertexts (views, nothing counted)."""
+    if ct.slots.ndim == 1:
+        return [ct]
+    return [ct.ctx._new_ct(row, ct.level) for row in ct.slots]
 
 
 class SimContext:
@@ -142,8 +161,9 @@ class SimContext:
 
     ``slot_count`` is half the CKKS polynomial degree and must be a power of
     two.  With ``quantize=True`` values are rounded to the fixed-point grid
-    ``2**-scale_bits`` at encryption and after every multiplication,
-    emulating rescaling of a scaled integer representation.
+    ``2**-scale_bits`` at encryption and after every multiplication (a
+    ``fold`` rounds its fused sum once), emulating rescaling of a scaled
+    integer representation.
     """
 
     def __init__(
@@ -195,11 +215,15 @@ class SimContext:
         scale = float(2**self.scale_bits)
         return np.round(values * scale) / scale
 
-    def _record(self, op: str, level_before: int, level_after: int, **extra) -> None:
+    def _record(self, op: str, level_before: int, level_after: int, n: int = 1, **extra) -> None:
+        """Count ``n`` applications of ``op``; log them as one record."""
         counts = self.counter.counts_of(self._layer)
-        counts[op] += 1
+        counts[op] += n
         if op in ("pmult", "cmult"):
-            counts["rescale"] += 1
+            counts["rescale"] += n
+        self._log(op, level_before, level_after, n, **extra)
+
+    def _log(self, op: str, level_before: int, level_after: int, n: int = 1, **extra) -> None:
         if self.log_ops:
             rec = {
                 "op": op,
@@ -207,6 +231,8 @@ class SimContext:
                 "level_before": level_before,
                 "level_after": level_after,
             }
+            if n > 1:
+                rec["count"] = n
             rec.update(extra)
             self.oplog.append(rec)
 
@@ -227,24 +253,21 @@ class SimContext:
     # scheme operations
 
     def encrypt(self, values) -> SimCiphertext:
-        """Fresh ciphertext at max_level; missing tail slots are zero."""
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size > self.slot_count:
-            raise ValueError(f"{arr.size} values exceed slot count {self.slot_count}")
-        slots = np.zeros(self.slot_count)
-        slots[: arr.size] = arr
+        """Fresh ciphertext at max_level; missing tail slots are zero.
+
+        A 2-D array of shape (n, k) encrypts a stack of n ciphertexts.
+        """
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim != 2:
+            arr = arr.ravel()
+        if arr.shape[-1] > self.slot_count:
+            raise ValueError(f"{arr.shape[-1]} values exceed slot count {self.slot_count}")
+        slots = np.zeros(arr.shape[:-1] + (self.slot_count,))
+        slots[..., : arr.shape[-1]] = arr
         if self.quantize:
             slots = self._quantize(slots)
         ct = self._new_ct(slots, self.max_level)
-        if self.log_ops:
-            self.oplog.append(
-                {
-                    "op": "encrypt",
-                    "layer": self._layer,
-                    "level_before": self.max_level,
-                    "level_after": self.max_level,
-                }
-            )
+        self._log("encrypt", self.max_level, self.max_level, ct.rows)
         return ct
 
     def decrypt(self, ct: SimCiphertext) -> np.ndarray:
@@ -253,19 +276,24 @@ class SimContext:
     def add(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
         if a.level != b.level:
             raise LevelError(f"level mismatch: {a.level} vs {b.level}")
+        if a.slots.shape != b.slots.shape:
+            raise ValueError(f"cannot add shapes {a.slots.shape} and {b.slots.shape}")
         out = self._new_ct(a.slots + b.slots, a.level)
-        self._record("add", a.level, out.level)
+        self._record("add", a.level, out.level, out.rows)
         return out
 
     def pmult(self, ct: SimCiphertext, pt) -> SimCiphertext:
-        """Plaintext multiplication with the implicit rescale (level - 1)."""
+        """Plaintext multiplication with the implicit rescale (level - 1).
+
+        A stack is multiplied row by row by the same plaintext.
+        """
         if ct.level < 1:
             raise LevelError("level exhausted: pmult needs level >= 1")
         slots = ct.slots * self._as_plaintext(pt)
         if self.quantize:
             slots = self._quantize(slots)
         out = self._new_ct(slots, ct.level - 1)
-        self._record("pmult", ct.level, out.level)
+        self._record("pmult", ct.level, out.level, out.rows)
         return out
 
     def cmult(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
@@ -273,24 +301,28 @@ class SimContext:
             raise LevelError(f"level mismatch: {a.level} vs {b.level}")
         if a.level < 1:
             raise LevelError("level exhausted: cmult needs level >= 1")
+        if a.slots.shape != b.slots.shape:
+            raise ValueError(f"cannot multiply shapes {a.slots.shape} and {b.slots.shape}")
         slots = a.slots * b.slots
         if self.quantize:
             slots = self._quantize(slots)
         out = self._new_ct(slots, a.level - 1)
-        self._record("cmult", a.level, out.level)
+        self._record("cmult", a.level, out.level, out.rows)
         return out
 
     def rotate(self, ct: SimCiphertext, k: int) -> SimCiphertext:
         """Left cyclic shift by k slots; negative k shifts right.
 
-        Rotation by zero (mod slot_count) is free: the input ciphertext is
-        returned unchanged and nothing is counted or logged.
+        A stack rotates every row.  Rotation by zero (mod slot_count) is
+        free: the input ciphertext is returned unchanged and nothing is
+        counted or logged.
         """
         k = int(k) % self.slot_count
         if k == 0:
             return ct
-        out = self._new_ct(np.concatenate((ct.slots[k:], ct.slots[:k])), ct.level)
-        self._record("rot", ct.level, out.level, rotation_amount=k)
+        slots = np.concatenate((ct.slots[..., k:], ct.slots[..., :k]), axis=-1)
+        out = self._new_ct(slots, ct.level)
+        self._record("rot", ct.level, out.level, out.rows, rotation_amount=k)
         return out
 
     def mod_switch(self, ct: SimCiphertext, target_level: int) -> SimCiphertext:
@@ -303,16 +335,80 @@ class SimContext:
         if target_level == ct.level:
             return ct
         out = self._new_ct(ct.slots, target_level)
-        if self.log_ops:
-            self.oplog.append(
-                {
-                    "op": "mod_switch",
-                    "layer": self._layer,
-                    "level_before": ct.level,
-                    "level_after": target_level,
-                }
-            )
+        self._log("mod_switch", ct.level, target_level, ct.rows)
         return out
+
+    def fold(self, src: SimCiphertext, coef, mask, vec=1.0, grid=None) -> SimCiphertext:
+        """Fused plaintext multiply-accumulate: many PMults and Adds as one op.
+
+        ``src`` is a stack of U x T ciphertexts, u-major: U source sets of T
+        terms each (U = 1 when every row reads the same sources).  Row
+        (u, v) of the result, u-major, is
+
+            sum over t with mask[u, v, t] of  src[u, t] * pt[u, v, t]
+
+        ``mask`` has shape (U or 1, V, T).  The slots are read as a
+        ``grid`` of shape (n1, n2), n1 * n2 <= slot_count (default
+        (1, slot_count)); on the grid the plaintext is
+        ``coef[u, v, t] * vec[t]``, and past it zero.  ``coef`` broadcasts to
+        (U, V, T, n1, n2) and varies along at most one grid axis; ``vec``
+        broadcasts to (T, n1, n2).
+
+        Counts exactly what the per-ciphertext schedule would: one PMult
+        (and its rescale) per masked term, and ``terms - 1`` Adds per row
+        with at least one term.  A row without terms is zero and was
+        computed by no operation; callers replace or drop it.  With
+        ``quantize`` the sum is rounded once, as a fused multiply-accumulate
+        rescales once.
+        """
+        if src.level < 1:
+            raise LevelError("level exhausted: fold needs level >= 1")
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 3 or src.rows % mask.shape[2]:
+            raise ValueError(f"mask of shape {mask.shape} does not fit {src.rows} source ciphertexts")
+        T, V = mask.shape[2], mask.shape[1]
+        U = src.rows // T
+        if mask.shape[0] not in (1, U):
+            raise ValueError(f"mask of shape {mask.shape} does not fit {U} source sets")
+        n1, n2 = grid or (1, self.slot_count)
+        if n1 * n2 > self.slot_count:
+            raise ValueError(f"grid {n1}x{n2} exceeds slot count {self.slot_count}")
+        coef = np.asarray(coef, dtype=np.float64)
+        if coef.ndim != 5:
+            raise ValueError("coef must broadcast to (U, V, T, n1, n2)")
+        if coef.shape[3] > 1 and coef.shape[4] > 1:
+            raise ValueError("coef may vary along one grid axis only")
+        z = src.slots.reshape(U, T, -1)[:, :, : n1 * n2].reshape(U, T, n1, n2) * vec
+        coef = np.where(mask[..., None, None], coef, 0.0)
+        by_col = coef.shape[4] > 1
+        if by_col:  # put the axis coef varies along first
+            z, coef = z.swapaxes(2, 3), coef.swapaxes(3, 4)
+        nb, nf = z.shape[2:]
+        if coef.shape[3] == 1:  # one scalar per term: a single product
+            z = z.reshape(U, T, 1, nb * nf)
+        cb = np.moveaxis(coef[..., 0], 3, 1)  # (U or 1, nb', V, T)
+        zb = z.transpose(0, 2, 1, 3)  # (U, nb', T, nf')
+        if cb.shape[0] == 1 and U > 1:  # shared plaintexts: one product per block
+            nbz, nfz = zb.shape[1], zb.shape[3]
+            prod = cb[0] @ zb.transpose(1, 2, 0, 3).reshape(nbz, T, U * nfz)
+            prod = prod.reshape(nbz, V, U, nfz).transpose(2, 0, 1, 3)
+        else:
+            prod = cb @ zb  # (U, nb', V, nf')
+        prod = prod.transpose(0, 2, 1, 3).reshape(U, V, nb, nf)
+        if by_col:
+            prod = prod.swapaxes(2, 3)
+        out = np.zeros((U * V, self.slot_count))
+        out[:, : n1 * n2] = prod.reshape(U * V, n1 * n2)
+        if self.quantize:
+            out = self._quantize(out)
+        terms = np.broadcast_to(mask, (U, V, T)).sum(axis=-1)
+        level = src.level - 1
+        if terms.sum():
+            self._record("pmult", src.level, level, int(terms.sum()))
+        adds = int(np.maximum(terms - 1, 0).sum())
+        if adds:
+            self._record("add", level, level, adds)
+        return self._new_ct(out, level)
 
     # ------------------------------------------------------------------
     # log export / replay
@@ -337,14 +433,15 @@ def replay_counts(oplog) -> HocCounter:
     """Rebuild a HocCounter from an operation log.
 
     Only the four scheduled operations count; pmult/cmult records imply one
-    rescale each, mirroring the live accounting.
+    rescale each, mirroring the live accounting.  A record of a batched op
+    carries ``count`` (absent means one).
     """
     counter = HocCounter()
     for rec in oplog:
         op = rec["op"]
         if op in ("add", "rot", "pmult", "cmult"):
-            counter.bump(rec["layer"], op)
+            n = rec.get("count", 1)
+            counter.bump(rec["layer"], op, n)
             if op in ("pmult", "cmult"):
-                counter.bump(rec["layer"], "rescale")
+                counter.bump(rec["layer"], "rescale", n)
     return counter
-

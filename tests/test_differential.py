@@ -11,11 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hegcn import costmodel
-from hegcn.adjacency import AdjacencySet
-from hegcn.engine import default_slot_count, plaintext_reference, run_model
+from hegcn import costmodel, engine
+from hegcn.adjacency import AdjacencySet, merge_spatial
+from hegcn.engine import default_slot_count, plaintext_reference, run_model, spatial_reference
 from hegcn.hesim import SimContext, replay_counts
-from hegcn.model import ModelSpec, TemporalConv, random_stgcn
+from hegcn.model import ModelSpec, SpatialConv, TemporalConv, random_stgcn
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor
 
 
@@ -53,15 +53,19 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
-@pytest.mark.parametrize("slot_factor", [1, 2])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_kernels_match_oracle_and_counts(case, slot_factor, fmt):
+def case_spec(case):
     dims, widths, kernel, stride2_at = CASES[case]
     spec = random_stgcn(
         dims, widths, skeleton(dims[3]), classes=3, kernel=kernel, stride2_at=stride2_at, seed=5, with_bn=True
     )
-    spec = with_temporal_bn(spec, seed=6)
+    return dims, with_temporal_bn(spec, seed=6)
+
+
+@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+@pytest.mark.parametrize("slot_factor", [1, 2])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernels_match_oracle_and_counts(case, slot_factor, fmt):
+    dims, spec = case_spec(case)
     x = GraphTensor.random(dims, seed=7)
     slot_count = default_slot_count(dims) * slot_factor
     ctx = SimContext(slot_count, max_level=costmodel.depth(spec), log_ops=True)
@@ -72,3 +76,32 @@ def test_kernels_match_oracle_and_counts(case, slot_factor, fmt):
     diff = costmodel.reconcile(res.per_layer(), costmodel.analytic_layer_counts(spec, fmt, slot_count))
     assert diff["max_abs_diff"] == 0, diff["per_layer"]
     assert replay_counts(ctx.oplog) == res.counter
+
+
+@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+def test_one_item_chunks_change_nothing(monkeypatch, fmt):
+    """Chunks of one joint, output joint or rotation amount: the partial
+    sums merge across chunks with the same counts and scores."""
+    dims, spec = case_spec("batch2-k5-stride2")
+    x = GraphTensor.random(dims, seed=7)
+    slot_count = default_slot_count(dims)
+    want = run_model(spec, x, fmt, slot_count=slot_count)
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    ctx = SimContext(slot_count, max_level=costmodel.depth(spec), log_ops=True)
+    res = run_model(spec, x, fmt, ctx=ctx)
+    assert res.counter == want.counter
+    assert replay_counts(ctx.oplog) == res.counter
+    np.testing.assert_allclose(res.scores, want.scores, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_spatial_oracle_equals_merged_matrices(case):
+    """The oracle's spatial step (partitions, bias, then batch norm) agrees
+    with the merged matrices the encrypted paths use."""
+    dims, spec = case_spec(case)
+    spatial = [layer for layer in spec.layers if isinstance(layer, SpatialConv)]
+    assert spatial and all(layer.bn is not None for layer in spatial)
+    for layer in spatial:
+        h = np.random.default_rng(layer.c_out).uniform(-1, 1, (dims[0], layer.c_in) + dims[2:])
+        merged = merge_spatial(layer.adjacency, layer.weights, layer.bias, layer.bn)
+        np.testing.assert_allclose(spatial_reference(layer, h), merged.apply(h), rtol=0, atol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hegcn import costmodel, engine
-from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, decompose, merge_spatial
+from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, decompose, diagonal_offsets, merge_spatial
 from hegcn.engine import (
     DepthBudgetError,
     EncryptedFeatureMap,
@@ -18,7 +18,7 @@ from hegcn.engine import (
     run_model,
     temporal_conv,
 )
-from hegcn.hesim import LevelError, SimContext
+from hegcn.hesim import LevelError, SimContext, replay_counts
 from hegcn.model import (
     Activation,
     FullyConnected,
@@ -431,7 +431,7 @@ def test_reference_model_measured_end_to_end():
 
     Anchors the analytic substitution used elsewhere: measured counters
     equal the per-layer formulas exactly at full scale, the level trace
-    totals 21, and decrypted scores match the oracle.  Takes ~20s.
+    totals 21, and decrypted scores match the oracle.
     """
     from hegcn.model import reference_stgcn3
 
@@ -445,6 +445,84 @@ def test_reference_model_measured_end_to_end():
     assert sum(e["consumed"] for e in res.level_trace) == 21
     ref = plaintext_reference(spec, x)
     assert float(np.max(np.abs(res.scores - ref))) <= 1e-9
+
+
+class TestSkipRules:
+    """Hand-counted schedules where whole rows have no terms.
+
+    dims (1, 2, 4, 3): AMA at slot 4 keeps one channel per ciphertext (one
+    giant step, so no fold rotations); row-major at slot 16 keeps the 4 x 3
+    grid.  Output channel 1 has all-zero weights and gets encrypted zeros.
+    """
+
+    dims = (1, 2, 4, 3)
+    slots = {AMA: 4, ROWMAJOR: 16}
+
+    def run(self, fmt, op, *args):
+        x = GraphTensor.random(self.dims, seed=30)
+        ctx = SimContext(self.slots[fmt], max_level=2, log_ops=True)
+        fm = packed(x, ctx, fmt)
+        with ctx.layer("l"):
+            out = op(fm, *args, ctx=ctx)
+        assert replay_counts(ctx.oplog) == ctx.counter
+        zeros = [r for r in ctx.oplog if r["op"] == "encrypt" and r["layer"] == "l"]
+        return x.data, unpack(out, fmt), ctx.counter.layer("l"), sum(r.get("count", 1) for r in zeros)
+
+    def spatial(self):
+        # dense mixing into output channel 0 for output joints 0 and 1;
+        # output joint 2 reads no input (no decomposition piece has it)
+        mats = np.zeros((2, 2, 3, 3))
+        mats[:, 0, :2, :] = np.arange(1, 13).reshape(2, 2, 3) / 10.0
+        return MergedSpatialMatrix(mats, np.zeros(2))
+
+    def test_ama_spatial_zero_channel_and_joint_without_pieces(self):
+        merged = self.spatial()
+        assert (decompose(merged.pattern.T)[0].rows == [0, 0, -1]).all()
+        x, got, counts, zeros = self.run(AMA, ama_spatial, merged)
+        np.testing.assert_allclose(got, merged.apply(x), atol=1e-12)
+        # joints 0 and 1 into channel 0: 3 pieces x 2 input groups
+        assert counts == {"rot": 0, "pmult": 12, "cmult": 0, "add": 10, "rescale": 12}
+        assert zeros == 4  # (joint 0, ch 1), (joint 1, ch 1), (joint 2, ch 0 and 1)
+
+    def test_rowmajor_spatial_zero_channel(self):
+        merged = self.spatial()
+        assert diagonal_offsets(merged.pattern) == [-1, 0, 1, 2]
+        x, got, counts, zeros = self.run(ROWMAJOR, rowmajor_spatial, merged)
+        np.testing.assert_allclose(got, merged.apply(x), atol=1e-12)
+        # channel 0: 2 inputs x 4 diagonals; 3 nonzero offsets per input rotate
+        assert counts == {"rot": 6, "pmult": 8, "cmult": 0, "add": 7, "rescale": 8}
+        assert zeros == 1
+
+    @pytest.mark.parametrize("chunk_bytes", [engine._CHUNK_BYTES, 1])
+    def test_rowmajor_rows_with_terms_in_some_chunks(self, monkeypatch, chunk_bytes):
+        # channel 1 reads only diagonal -1, so with one diagonal per chunk it
+        # is present in the first chunk and absent from the others
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
+        merged = self.spatial()
+        merged.matrices[:, 1, 1, 0] = 0.5
+        x, got, counts, zeros = self.run(ROWMAJOR, rowmajor_spatial, merged)
+        np.testing.assert_allclose(got, merged.apply(x), atol=1e-12)
+        assert counts == {"rot": 6, "pmult": 10, "cmult": 0, "add": 8, "rescale": 10}
+        assert zeros == 0
+
+    @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+    def test_temporal_zero_channel(self, fmt):
+        w = np.zeros((2, 2, 3))
+        w[0] = np.arange(1, 7).reshape(2, 3) / 7.0
+        w[0, 1, 2] = 0.0  # no output reads tap +1 of input channel 1: it never rotates
+        layer = TemporalConv(2, 3, 1, w, None, None)
+        x, got, counts, zeros = self.run(fmt, temporal_conv, layer)
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (0, 0)))
+        want = sum(np.einsum("oc,bctj->botj", w[:, :, k], padded[:, :, k : k + 4]) for k in range(3))
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        if fmt == AMA:
+            # per joint (3): channel 0 sums 3 + 2 (group, tap) terms; taps
+            # -1, +1 of group 0 and -1 of group 1 rotate
+            assert counts == {"rot": 9, "pmult": 15, "cmult": 0, "add": 12, "rescale": 15}
+            assert zeros == 3
+        else:
+            assert counts == {"rot": 3, "pmult": 5, "cmult": 0, "add": 4, "rescale": 5}
+            assert zeros == 1
 
 
 class TestOddShapes:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hegcn.hesim import HocCounter, LevelError, SimContext, replay_counts
+from hegcn.hesim import HocCounter, LevelError, SimContext, replay_counts, stack, unstack
 
 
 def ctx(slots=8, levels=5, **kw):
@@ -51,7 +51,7 @@ class TestAdd:
         out = c.add(c.encrypt([1, 2]), c.encrypt([3, 4]))
         np.testing.assert_array_equal(out.slots, [4, 6])
         assert out.level == 5
-        assert c.counter.add == 1
+        assert c.counter.totals()["add"] == 1
 
     def test_zero_identity(self):
         c = ctx()
@@ -72,7 +72,7 @@ class TestPMult:
         out = c.pmult(c.encrypt([1, 2, 3]), 2)
         np.testing.assert_array_equal(out.slots[:3], [2, 4, 6])
         assert out.level == 4
-        assert c.counter.pmult == 1 and c.counter.rescale == 1
+        assert c.counter.totals()["pmult"] == 1 and c.counter.totals()["rescale"] == 1
 
     def test_ones_still_consumes_a_level(self):
         c = ctx()
@@ -99,7 +99,7 @@ class TestCMult:
         out = c.cmult(c.encrypt([2, 3]), c.encrypt([4, 5]))
         np.testing.assert_array_equal(out.slots, [8, 15])
         assert out.level == 4
-        assert c.counter.cmult == 1
+        assert c.counter.totals()["cmult"] == 1
 
     def test_square(self):
         c = ctx(slots=2)
@@ -119,14 +119,14 @@ class TestRotate:
         c = ctx(slots=4)
         out = c.rotate(c.encrypt([1, 2, 3, 4]), 1)
         np.testing.assert_array_equal(out.slots, [2, 3, 4, 1])
-        assert c.counter.rot == 1
+        assert c.counter.totals()["rot"] == 1
 
     def test_zero_rotation_free(self):
         c = ctx(slots=4)
         x = c.encrypt([1, 2, 3, 4])
         assert c.rotate(x, 0) is x
         assert c.rotate(x, 4) is x
-        assert c.counter.rot == 0
+        assert c.counter.totals()["rot"] == 0
 
     def test_inverse(self):
         c = ctx(slots=8)
@@ -143,10 +143,10 @@ class TestRotate:
         c = ctx(slots=8)
         x = c.encrypt(np.arange(8.0))
         two_step = c.rotate(c.rotate(x, 3), 4)
-        assert c.counter.rot == 2
+        assert c.counter.totals()["rot"] == 2
         c2 = ctx(slots=8)
         one_step = c2.rotate(c2.encrypt(np.arange(8.0)), 7)
-        assert c2.counter.rot == 1
+        assert c2.counter.totals()["rot"] == 1
         np.testing.assert_array_equal(two_step.slots, one_step.slots)
 
 
@@ -169,6 +169,140 @@ class TestModSwitch:
         x = c.mod_switch(c.encrypt([1]), 2)
         with pytest.raises(LevelError):
             c.mod_switch(x, 3)
+
+
+class TestStacks:
+    def rows(self, c, n=3, seed=0):
+        return np.random.default_rng(seed).uniform(-1, 1, (n, c.slot_count))
+
+    def test_each_op_on_a_stack_counts_its_rows(self):
+        c = ctx(levels=4, log_ops=True)
+        x = c.encrypt(self.rows(c))
+        assert x.rows == 3
+        y = c.pmult(x, 2.0)
+        c.add(y, y)
+        c.cmult(y, y)
+        c.rotate(x, 2)
+        c.mod_switch(x, 1)
+        assert c.counter.totals() == {"rot": 3, "pmult": 3, "cmult": 3, "add": 3, "rescale": 6}
+        assert [r.get("count") for r in c.oplog] == [3] * 6
+
+    def test_stack_ops_equal_per_row_ops(self):
+        c = ctx(levels=4)
+        vals = self.rows(c)
+        x = c.encrypt(vals)
+        singles = [c.encrypt(v) for v in vals]
+        for k in (1, 3, -2):
+            for row, single in zip(unstack(c.rotate(x, k)), singles):
+                np.testing.assert_array_equal(row.slots, c.rotate(single, k).slots)
+        w = np.arange(8.0)
+        for row, single in zip(unstack(c.pmult(x, w)), singles):
+            np.testing.assert_array_equal(row.slots, c.pmult(single, w).slots)
+
+    def test_stack_and_unstack_are_free_and_inverse(self):
+        c = ctx(log_ops=True)
+        singles = [c.encrypt(v) for v in self.rows(c)]
+        log_len = len(c.oplog)
+        s = stack(singles)
+        back = unstack(s)
+        assert len(c.oplog) == log_len
+        assert c.counter.totals() == dict.fromkeys(("rot", "pmult", "cmult", "add", "rescale"), 0)
+        assert [ct.level for ct in back] == [s.level] * 3
+        for a, b in zip(singles, back):
+            np.testing.assert_array_equal(a.slots, b.slots)
+
+    def test_stack_rejects_mixed_levels(self):
+        c = ctx(levels=4)
+        with pytest.raises(LevelError):
+            stack([c.encrypt([1]), c.mod_switch(c.encrypt([2]), 3)])
+
+    def test_stack_ops_check_levels(self):
+        c = ctx(levels=1)
+        x = c.encrypt(self.rows(c))
+        low = c.pmult(x, 1.0)
+        with pytest.raises(LevelError):
+            c.add(x, low)
+        with pytest.raises(LevelError):
+            c.pmult(low, 1.0)
+        with pytest.raises(LevelError):
+            c.fold(low, np.ones((1, 1, 3, 1, 1)), np.ones((1, 1, 3), bool))
+
+    def fold_case(self, c, U=2, V=3, T=4, seed=1):
+        rng = np.random.default_rng(seed)
+        src = c.encrypt(rng.uniform(-1, 1, (U * T, c.slot_count)))
+        mask = rng.uniform(size=(U, V, T)) < 0.5
+        mask[0, 0] = False  # one row without terms
+        mask[1, 1] = [True, False, False, False]  # one row with a single term
+        return src, mask
+
+    def loop_fold(self, c, src, mask, plain):
+        """The per-ciphertext schedule a fold stands for: pmult, then add."""
+        U, V, T = mask.shape
+        srcs = unstack(src)
+        out = []
+        for u in range(U):
+            for v in range(V):
+                acc = None
+                for t in np.flatnonzero(mask[u, v]):
+                    term = c.pmult(srcs[u * T + t], plain(u, v, t))
+                    acc = term if acc is None else c.add(acc, term)
+                out.append(acc)
+        return out
+
+    @pytest.mark.parametrize(
+        "coef_shape, grid",
+        [
+            ((2, 3, 4, 1, 1), None),  # a scalar per term and row
+            ((1, 3, 4, 4, 1), (4, 2)),  # per block, shared by the source sets
+            ((2, 3, 4, 1, 3), (2, 3)),  # periodic along the minor axis, tail past the grid
+        ],
+    )
+    def test_fold_equals_the_loop_and_counts_the_mask(self, coef_shape, grid):
+        c = ctx(slots=8, levels=3, log_ops=True)
+        src, mask = self.fold_case(c)
+        rng = np.random.default_rng(2)
+        coef = rng.uniform(-1, 1, coef_shape)
+        n1, n2 = grid or (1, 8)
+        vec = rng.uniform(-1, 1, (4, 1, n2))
+
+        def plain(u, v, t):
+            pt = np.zeros(8)
+            pt[: n1 * n2] = np.broadcast_to(coef[min(u, coef.shape[0] - 1), v, t] * vec[t], (n1, n2)).ravel()
+            return pt
+
+        with c.layer("fold"):
+            out = c.fold(src, coef, mask, vec, grid)
+        loop = ctx(slots=8, levels=3)
+        with loop.layer("fold"):
+            want = self.loop_fold(loop, loop.encrypt(src.slots), mask, plain)
+        # hand count: 2*3 rows, mask.sum() pmults, (terms - 1) adds per row with terms
+        terms = mask.sum(axis=-1)
+        expect = {"rot": 0, "pmult": int(terms.sum()), "cmult": 0, "rescale": int(terms.sum())}
+        expect["add"] = int(np.maximum(terms - 1, 0).sum())
+        assert c.counter.layer("fold") == expect == loop.counter.layer("fold")
+        assert out.rows == 6 and out.level == src.level - 1
+        for row, w in zip(unstack(out), want):
+            np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-15)
+        assert replay_counts(c.oplog) == c.counter
+
+    def test_fold_skips_masked_terms(self):
+        c = ctx(slots=8, levels=2)
+        src = c.encrypt(np.ones((2, 8)))
+        out = c.fold(src, np.full((1, 1, 2, 1, 1), 5.0), np.array([[[True, False]]]))
+        np.testing.assert_array_equal(out.slots, np.full((1, 8), 5.0))
+        assert c.counter.totals()["pmult"] == 1 and c.counter.totals()["add"] == 0
+
+    def test_replay_of_batched_records(self):
+        c = ctx(levels=4, log_ops=True)
+        with c.layer("a"):
+            x = c.encrypt(self.rows(c, n=5))
+            y = c.rotate(c.pmult(x, 0.5), 1)
+            c.add(y, y)
+            c.fold(stack(unstack(x)[:4]), np.ones((1, 2, 2, 1, 1)), np.ones((1, 2, 2), bool))
+        with c.layer("b"):
+            c.pmult(c.encrypt([1.0]), 2.0)
+        assert any(r.get("count", 1) > 1 for r in c.oplog)
+        assert replay_counts(c.oplog) == c.counter
 
 
 @settings(max_examples=50, deadline=None)
