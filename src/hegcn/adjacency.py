@@ -292,11 +292,5 @@ def diagonal_offsets(pattern: np.ndarray, tol: float = VALID_EPS) -> list[int]:
     These are the rotation amounts a row-major diagonal-method matrix
     multiplication needs; the offset-0 diagonal rotates for free.
     """
-    pattern = np.asarray(pattern)
-    J = pattern.shape[0]
-    offs = []
-    for d in range(-(J - 1), J):
-        rows = np.arange(max(0, -d), min(J, J - d))
-        if rows.size and np.any(np.abs(pattern[rows, rows + d]) > tol):
-            offs.append(d)
-    return offs
+    rows, cols = np.nonzero(np.abs(np.asarray(pattern)) > tol)
+    return sorted(set((cols - rows).tolist()))

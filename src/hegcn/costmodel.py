@@ -333,6 +333,32 @@ def _folded_bias_nonzero(bias, bn) -> bool:
     return bool(np.any(np.abs(folded) > 0))
 
 
+def _fold_deltas(cap: int, n: int) -> set[int]:
+    """Block rotations a channel fold of one n-channel group needs.
+
+    A ciphertext holds ``cap`` block positions tiled with period n, so
+    position p rotated by delta blocks reads channel ((p + delta) mod cap)
+    mod n, and each position takes every channel from the first delta that
+    exposes it:
+
+    * a position p <= cap - n reads n consecutive blocks without wrapping,
+      hence all n channels through deltas 0..n-1;
+    * one of the last n - 1 positions, p = cap - L with 0 < L < n, reads the
+      L channels (cap - L .. cap - 1) mod n through deltas 0..L-1 and then
+      wraps to block 0.  Delta L + r reads block r, channel r, so the
+      n - L missing channels (cap + j) mod n, j < n - L, arrive at deltas
+      L + ((cap + j) mod n).
+
+    When n divides cap the wrapped deltas are L + j <= n - 1 and the set is
+    range(n); only ragged tilings add deltas beyond it.
+    """
+    deltas = set(range(n))
+    if cap % n:
+        for L in range(1, n):
+            deltas.update(L + (cap + j) % n for j in range(n - L))
+    return deltas
+
+
 def _ama_fold_geometry(layout) -> tuple[int, int]:
     """(plaintext mults per output ciphertext column unit, giant rotations).
 
@@ -341,12 +367,9 @@ def _ama_fold_geometry(layout) -> tuple[int, int]:
     per-output-ciphertext rotation count of the channel fold.
     """
     sizes = [layout.group_size(g) for g in range(layout.cts_per_joint)]
-    cov = {n: packing.giant_step_coverage(layout.capacity, n) for n in set(sizes)}
-    per_group = sum(len(cov[n]) for n in sizes)
-    union = set()
-    for n in sizes:
-        union.update(cov[n])
-    return per_group, len(union) - 1
+    deltas = {n: _fold_deltas(layout.capacity, n) for n in set(sizes)}
+    per_group = sum(len(deltas[n]) for n in sizes)
+    return per_group, len(set().union(*deltas.values())) - 1
 
 
 def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[str, dict[str, int]]:
@@ -366,7 +389,8 @@ def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[st
     for label, layer in zip(spec.labels(), spec.layers):
         counts = _zero()
         if isinstance(layer, SpatialConv):
-            V = int(layer.adjacency.structural_union().sum())
+            union = layer.adjacency.structural_union()
+            V = int(union.sum())
             bias_on = _folded_bias_nonzero(layer.bias, layer.bn)
             if fmt == AMA:
                 lin = packing.ama_layout((B, layer.c_in, T, J), slot_count)
@@ -377,7 +401,7 @@ def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[st
                 counts["rot"] = n_out * giant_rots
                 counts["add"] = counts["pmult"] - n_out + (n_out if bias_on else 0)
             else:
-                offs = diagonal_offsets(layer.adjacency.structural_union())
+                offs = diagonal_offsets(union)
                 n_in, n_out = B * layer.c_in, B * layer.c_out
                 counts["rot"] = n_in * (len(offs) - (1 if 0 in offs else 0))
                 counts["pmult"] = n_in * len(offs) * layer.c_out

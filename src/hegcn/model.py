@@ -211,6 +211,15 @@ class ModelSpec:
             blob.append(arr.tobytes())
             offset += arr.size
 
+        def put_bias_bn(i, layer, entry):
+            if layer.bias is not None:
+                put(f"layer{i}.bias", layer.bias)
+                entry["has_bias"] = True
+            if layer.bn is not None:
+                for key in ("gamma", "beta", "mean", "var"):
+                    put(f"layer{i}.bn.{key}", np.asarray(layer.bn[key]))
+                entry["bn_eps"] = float(layer.bn.get("eps", 1e-5))
+
         spec_layers = []
         for i, layer in enumerate(self.layers):
             entry = {"type": layer.kind}
@@ -218,23 +227,11 @@ class ModelSpec:
                 entry.update(c_in=layer.c_in, c_out=layer.c_out)
                 entry["adjacency"] = json.loads(layer.adjacency.to_json())
                 put(f"layer{i}.weights", layer.weights)
-                if layer.bias is not None:
-                    put(f"layer{i}.bias", layer.bias)
-                    entry["has_bias"] = True
-                if layer.bn is not None:
-                    for key in ("gamma", "beta", "mean", "var"):
-                        put(f"layer{i}.bn.{key}", np.asarray(layer.bn[key]))
-                    entry["bn_eps"] = float(layer.bn.get("eps", 1e-5))
+                put_bias_bn(i, layer, entry)
             elif isinstance(layer, TemporalConv):
                 entry.update(channels=layer.channels, kernel=layer.kernel, stride=layer.stride)
                 put(f"layer{i}.weights", layer.weights)
-                if layer.bias is not None:
-                    put(f"layer{i}.bias", layer.bias)
-                    entry["has_bias"] = True
-                if layer.bn is not None:
-                    for key in ("gamma", "beta", "mean", "var"):
-                        put(f"layer{i}.bn.{key}", np.asarray(layer.bn[key]))
-                    entry["bn_eps"] = float(layer.bn.get("eps", 1e-5))
+                put_bias_bn(i, layer, entry)
             elif isinstance(layer, Activation):
                 entry.update(a=layer.a, b=layer.b, c=layer.c, pruned=layer.pruned)
             elif isinstance(layer, FullyConnected):

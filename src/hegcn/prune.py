@@ -139,12 +139,20 @@ def _takes_stage(evaluator) -> bool:
 def _call_evaluator(evaluator, variant: ModelSpec, pruned, stage: str) -> float:
     """Invoke an evaluator once; plain two-argument callables get no stage.
 
-    A ``TypeError`` raised inside the evaluator propagates, so a fault is
-    never retried under a different stage.
+    Any fault inside the evaluator, a ``TypeError`` included, is raised as
+    an :class:`EvaluatorError` naming the variant and is never retried
+    under a different stage.
     """
-    if _takes_stage(evaluator):
-        return evaluator(variant, pruned, stage=stage)
-    return evaluator(variant, pruned)
+    takes_stage = _takes_stage(evaluator)
+    try:
+        if takes_stage:
+            return evaluator(variant, pruned, stage=stage)
+        return evaluator(variant, pruned)
+    except EvaluatorError:
+        raise
+    except Exception as exc:
+        what = f"drop-one variant {pruned[0]}" if stage == "rank" else f"variant {variant_key(pruned)!r}"
+        raise EvaluatorError(f"evaluator failed for {what}: {exc}") from exc
 
 
 def rank_activations(spec: ModelSpec, evaluator) -> list[int]:
@@ -159,12 +167,7 @@ def rank_activations(spec: ModelSpec, evaluator) -> list[int]:
         raise ValueError("model has no activations to rank")
     scored = []
     for idx in indices:
-        try:
-            acc = _call_evaluator(evaluator, spec.prune_activations([idx]), (idx,), "rank")
-        except EvaluatorError:
-            raise
-        except Exception as exc:
-            raise EvaluatorError(f"evaluator failed for drop-one variant {idx}: {exc}") from exc
+        acc = _call_evaluator(evaluator, spec.prune_activations([idx]), (idx,), "rank")
         scored.append((idx, acc))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return [idx for idx, _ in scored]
@@ -192,14 +195,7 @@ def search(
     for i in range(max_prune + 1):
         pruned = tuple(sorted(ranking[:i]))
         variant = spec.prune_activations(pruned) if pruned else spec
-        try:
-            acc = _call_evaluator(evaluator, variant, pruned, "search")
-        except EvaluatorError:
-            raise
-        except Exception as exc:
-            raise EvaluatorError(
-                f"evaluator failed for variant {variant_key(pruned)!r}: {exc}"
-            ) from exc
+        acc = _call_evaluator(evaluator, variant, pruned, "search")
         levels = costmodel.depth(variant)
         params = select_params(levels, scale_bits, security_bits)
         results.append(PruneResult(variant_key(pruned) or "baseline", pruned, acc, levels, params))

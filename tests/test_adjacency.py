@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hegcn.adjacency import (
+    VALID_EPS,
     AdjacencySet,
     MergedSpatialMatrix,
     chain_skeleton_25,
@@ -170,6 +171,36 @@ class TestSkeletonStandIn:
         offs = diagonal_offsets(union)
         assert len(offs) == 19
         assert 0 in offs
+
+
+def scanned_diagonal_offsets(pattern, tol=VALID_EPS):
+    """Reference: test each generalized diagonal d = column - row in turn."""
+    J = pattern.shape[0]
+    offs = []
+    for d in range(-(J - 1), J):
+        rows = np.arange(max(0, -d), min(J, J - d))
+        if rows.size and np.any(np.abs(pattern[rows, rows + d]) > tol):
+            offs.append(d)
+    return offs
+
+
+class TestDiagonalOffsets:
+    def test_matches_per_diagonal_scan(self):
+        rng = np.random.default_rng(29)
+        values = np.array([1.0, -1.0, 0.37, -2.5, 1e-13, -1e-13, 1e-12, 2e-12])
+        for J in range(1, 31):
+            for density in (0.05, 0.3, 0.9):
+                hot = rng.uniform(size=(J, J)) < density
+                pattern = np.where(hot, rng.choice(values, size=(J, J)), 0.0)
+                got = diagonal_offsets(pattern)
+                assert got == scanned_diagonal_offsets(pattern), (J, density)
+                assert all(type(d) is int for d in got)
+                assert diagonal_offsets(pattern, tol=0.5) == scanned_diagonal_offsets(pattern, tol=0.5)
+
+    def test_zero_and_sub_tolerance_patterns_have_no_offsets(self):
+        assert diagonal_offsets(np.zeros((7, 7))) == []
+        assert diagonal_offsets(np.full((7, 7), -1e-13)) == []
+        assert diagonal_offsets(np.zeros((0, 0))) == []
 
 
 def test_sparser_matrix_never_needs_more_pieces():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hegcn import costmodel, engine
+from hegcn import costmodel, engine, packing
 from hegcn.costmodel import (
     HocFormulaInput,
     ParamSelectionError,
@@ -14,6 +14,7 @@ from hegcn.costmodel import (
     reconcile,
     select_params,
     framework_hoc,
+    total_hoc,
     totals_of,
 )
 from hegcn.model import (
@@ -174,6 +175,29 @@ class TestExactAnalytic:
         diff = reconcile(b, a)
         assert diff["max_abs_diff"] > 0
         assert diff["per_layer"]
+
+
+class TestFoldDeltas:
+    """The cost model's closed-form giant steps against the engine's
+    greedy coverage scan, which stays the reference."""
+
+    @pytest.mark.parametrize("cap", [2**k for k in range(8)] + [12, 24, 40])
+    def test_closed_form_matches_coverage_scan(self, cap):
+        for n in range(1, cap + 1):
+            assert costmodel._fold_deltas(cap, n) == set(packing.giant_step_coverage(cap, n)), n
+
+    def test_analytic_counts_do_not_use_the_coverage_scan(self, monkeypatch):
+        """The analytic mirror derives its giant steps itself, so a fault in
+        the engine's coverage scan cannot cancel out in ``reconcile``."""
+
+        def forbidden(cap, n):
+            raise AssertionError("analytic_layer_counts called packing.giant_step_coverage")
+
+        monkeypatch.setattr(packing, "giant_step_coverage", forbidden)
+        ref, accept = reference_stgcn3(c_in=4), acceptance_stgcn3()
+        assert total_hoc(totals_of(analytic_layer_counts(ref, AMA, 8192))) == 651_532
+        assert total_hoc(totals_of(analytic_layer_counts(accept, AMA, 1024))) == 110_306
+        assert total_hoc(totals_of(analytic_layer_counts(accept, ROWMAJOR, 1024))) == 340_944
 
 
 class TestAmortization:

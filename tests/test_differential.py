@@ -1,22 +1,25 @@
 """Differential test of the conv kernels on small shapes, both packings.
 
-Every case runs the encrypted pipeline at the minimum slot count and at
-twice it, and checks three independent gates: scores against the plaintext
-oracle, measured counters against the analytic mirror, and oplog replay
-against the live counters.
+Every case runs the encrypted pipeline and checks three independent gates:
+scores against the plaintext oracle, measured counters against the analytic
+mirror, and oplog replay against the live counters.  Fixed cases run at the
+minimum slot count and at twice it; a bounded hypothesis sweep draws further
+shapes at the minimum slot count.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hegcn import costmodel, engine
 from hegcn.adjacency import AdjacencySet, merge_spatial
 from hegcn.engine import default_slot_count, plaintext_reference, run_model, spatial_reference
 from hegcn.hesim import SimContext, replay_counts
 from hegcn.model import ModelSpec, SpatialConv, TemporalConv, random_stgcn
-from hegcn.packing import AMA, ROWMAJOR, GraphTensor
+from hegcn.packing import AMA, ROWMAJOR, GraphTensor, ama_layout
 
 
 def with_temporal_bn(spec: ModelSpec, seed: int) -> ModelSpec:
@@ -61,13 +64,7 @@ def case_spec(case):
     return dims, with_temporal_bn(spec, seed=6)
 
 
-@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
-@pytest.mark.parametrize("slot_factor", [1, 2])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_kernels_match_oracle_and_counts(case, slot_factor, fmt):
-    dims, spec = case_spec(case)
-    x = GraphTensor.random(dims, seed=7)
-    slot_count = default_slot_count(dims) * slot_factor
+def check_gates(spec, x, fmt, slot_count):
     ctx = SimContext(slot_count, max_level=costmodel.depth(spec), log_ops=True)
 
     res = run_model(spec, x, fmt, ctx=ctx)
@@ -76,6 +73,55 @@ def test_kernels_match_oracle_and_counts(case, slot_factor, fmt):
     diff = costmodel.reconcile(res.per_layer(), costmodel.analytic_layer_counts(spec, fmt, slot_count))
     assert diff["max_abs_diff"] == 0, diff["per_layer"]
     assert replay_counts(ctx.oplog) == res.counter
+
+
+@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+@pytest.mark.parametrize("slot_factor", [1, 2])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernels_match_oracle_and_counts(case, slot_factor, fmt):
+    dims, spec = case_spec(case)
+    check_gates(spec, GraphTensor.random(dims, seed=7), fmt, default_slot_count(dims) * slot_factor)
+
+
+def ragged_widths(dims) -> list[int]:
+    """Channel counts with an AMA group that does not tile the minimum-slot ciphertext."""
+    B, _, T, J = dims
+    layouts = [ama_layout((B, c, T, J), default_slot_count(dims)) for c in range(1, 7)]
+    return [lay.C for lay in layouts if any(lay.capacity % lay.group_size(g) for g in range(lay.cts_per_joint))]
+
+
+@st.composite
+def small_models(draw):
+    """A random ST-GCN stack: up to two blocks, a ragged AMA width whenever
+    the minimum slot count allows one, optional stride, BN and pruning."""
+    B, C = draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    dims = (B, C, draw(st.sampled_from([4, 8])), draw(st.integers(3, 8)))
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    ragged = ragged_widths(dims)
+    if ragged:
+        widths[draw(st.integers(0, len(widths) - 1))] = draw(st.sampled_from(ragged))
+    stride2_at = draw(st.sampled_from([None, *range(len(widths))]))
+    frames = dims[2] // 2 if stride2_at is not None and stride2_at < len(widths) - 1 else dims[2]
+    kernel = draw(st.sampled_from([k for k in (1, 3, 5) if k <= frames]))
+    with_bn = draw(st.booleans())
+    seed = draw(st.integers(0, 99))
+    spec = random_stgcn(
+        dims, widths, skeleton(dims[3]), classes=2, kernel=kernel, stride2_at=stride2_at, seed=seed, with_bn=with_bn
+    )
+    if with_bn:
+        spec = with_temporal_bn(spec, seed=6)
+    pruned = draw(st.sets(st.sampled_from(spec.activation_indices())))
+    return spec.prune_activations(pruned) if pruned else spec
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(spec=small_models())
+def test_random_shapes_match_oracle_and_counts(spec):
+    """Drawn shapes exercise the analytic mirror's ragged giant-step branch
+    against the engine's coverage scan, end to end."""
+    x = GraphTensor.random(spec.input_dims, seed=7)
+    for fmt in (AMA, ROWMAJOR):
+        check_gates(spec, x, fmt, default_slot_count(spec.input_dims))
 
 
 @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
