@@ -6,10 +6,12 @@ partition adjacency.  Because the 1x1 convolution weight is a scalar per
 (partition, channel pair), it merges into the adjacency values and the
 whole spatial step costs a single plaintext-multiplication depth.
 
-For rotation-free encrypted evaluation the merged matrix is decomposed
-into "patterned sparse" pieces with at most one nonzero per column.  The
-number of pieces m equals the maximum column population, so sparser
-adjacencies need fewer plaintext multiplications.
+The merged layer keeps its factors: P weight slabs, P normalized
+partitions and one batch-norm fold (``fold_bn``); kernels read single
+entries from them.  For rotation-free encrypted evaluation the shared
+support is decomposed into "patterned sparse" pieces with at most one
+nonzero per column.  The number of pieces m equals the maximum column
+population, so sparser adjacencies need fewer plaintext multiplications.
 """
 
 from __future__ import annotations
@@ -49,7 +51,11 @@ def normalize(adj: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdjacencySet:
-    """Partitioned adjacency: one J x J matrix per partition, self-loops included."""
+    """Partitioned adjacency: one J x J matrix per partition, self-loops included.
+
+    The normalized partitions and their structural union are computed once,
+    at construction, and are read-only.
+    """
 
     matrices: list[np.ndarray]
 
@@ -63,6 +69,9 @@ class AdjacencySet:
                 raise ValueError("all partition matrices must be J x J")
         if np.all(np.abs(sum(self.matrices).diagonal()) < VALID_EPS):
             raise ValueError("self-loop missing: union diagonal is all zero")
+        self._normalized = np.stack([sym_normalize(m) for m in self.matrices])
+        self._union = (np.abs(self._normalized) > VALID_EPS).any(axis=0).astype(float)
+        self._normalized.flags.writeable = self._union.flags.writeable = False
 
     @property
     def J(self) -> int:
@@ -72,15 +81,13 @@ class AdjacencySet:
     def partitions(self) -> int:
         return len(self.matrices)
 
-    def normalized(self) -> list[np.ndarray]:
-        return [sym_normalize(m) for m in self.matrices]
+    def normalized(self) -> np.ndarray:
+        """The normalized partitions, (partitions, J, J)."""
+        return self._normalized
 
     def structural_union(self) -> np.ndarray:
         """0/1 support of the merged matrix (shared across channel pairs)."""
-        pattern = np.zeros((self.J, self.J))
-        for n in self.normalized():
-            pattern[np.abs(n) > VALID_EPS] = 1.0
-        return pattern
+        return self._union
 
     @classmethod
     def from_edges(cls, J: int, partitions, add_self_loop: bool = True) -> "AdjacencySet":
@@ -173,45 +180,79 @@ def decompose(M: np.ndarray, tol: float = VALID_EPS) -> list[PatternedSparseMatr
     return pieces
 
 
+def fold_bn(bias, bn: dict | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel (scale, shift) of a conv bias then inference batch norm
+    (``bn``: arrays gamma, beta, mean, var and scalar eps).  Without ``bn``
+    the scale is ones and the shift the bias, or zeros when there is none."""
+    shift = np.zeros(n) if bias is None else np.array(bias, dtype=np.float64)
+    if bn is None:
+        return np.ones(n), shift
+    var = np.asarray(bn["var"], dtype=np.float64)
+    scale = np.asarray(bn["gamma"], dtype=np.float64) / np.sqrt(var + float(bn.get("eps", 1e-5)))
+    return scale, (shift - np.asarray(bn["mean"], dtype=np.float64)) * scale + np.asarray(bn["beta"], dtype=np.float64)
+
+
 @dataclass
 class MergedSpatialMatrix:
-    """Adjacency, 1x1 conv and batch norm folded to one matrix per channel pair.
+    """Adjacency, 1x1 conv and batch norm of a spatial layer, as factors.
 
-    ``matrices[c_in, c_out]`` is J x J in "output joint row" orientation:
-    applying it on the left of a joint-indexed column vector gives the
-    spatial convolution output for that channel pair.  ``bias`` absorbs the
-    convolution bias and the batch-norm shift.
+    Channel pair (c, o) mixes joints by sum_p weights[p, c, o] * parts[p], a
+    J x J matrix in "output joint row" orientation (applied on the left of a
+    joint-indexed column vector).  ``weights`` carries the batch-norm scale,
+    ``bias`` the folded shift, ``pattern`` the 0/1 support every channel
+    pair shares (by default the union of the parts' supports).
     """
 
-    matrices: np.ndarray  # (C_in, C_out, J, J)
+    weights: np.ndarray  # (P, C_in, C_out)
+    parts: np.ndarray  # (P, J, J)
     bias: np.ndarray  # (C_out,)
-    pattern: np.ndarray = field(default=None)  # shared 0/1 support, (J, J)
+    pattern: np.ndarray = field(default=None)  # (J, J)
 
     def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=np.float64)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.parts = np.asarray(self.parts, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.matrices.ndim != 4 or self.matrices.shape[2] != self.matrices.shape[3]:
-            raise ValueError("matrices must have shape (C_in, C_out, J, J)")
-        if self.bias.shape != (self.matrices.shape[1],):
+        if self.weights.ndim != 3 or self.parts.ndim != 3 or self.parts.shape[1] != self.parts.shape[2]:
+            raise ValueError("weights must have shape (P, C_in, C_out) and parts (P, J, J)")
+        if self.weights.shape[0] != self.parts.shape[0]:
+            raise ValueError(f"{self.weights.shape[0]} weight slabs for {self.parts.shape[0]} partitions")
+        if self.bias.shape != (self.c_out,):
             raise ValueError("bias must be one value per output channel")
         if self.pattern is None:
-            self.pattern = (np.abs(self.matrices) > VALID_EPS).any(axis=(0, 1)).astype(float)
+            self.pattern = (np.abs(self.parts) > VALID_EPS).any(axis=0).astype(float)
+
+    @classmethod
+    def from_dense(cls, mats: np.ndarray, bias: np.ndarray) -> "MergedSpatialMatrix":
+        """Arbitrary (C_in, C_out, J, J) matrices as J*J one-hot parts, with
+        weights[k*J + j] = mats[:, :, k, j]; the pattern is their support."""
+        mats = np.asarray(mats, dtype=np.float64)
+        c_in, c_out, J, _ = mats.shape
+        weights = mats.reshape(c_in, c_out, J * J).transpose(2, 0, 1)
+        pattern = (np.abs(mats) > VALID_EPS).any(axis=(0, 1)).astype(float)
+        return cls(weights, np.eye(J * J).reshape(J * J, J, J), bias, pattern)
 
     @property
     def c_in(self) -> int:
-        return self.matrices.shape[0]
+        return self.weights.shape[1]
 
     @property
     def c_out(self) -> int:
-        return self.matrices.shape[1]
+        return self.weights.shape[2]
 
     @property
     def J(self) -> int:
-        return self.matrices.shape[2]
+        return self.parts.shape[1]
 
-    def valid_elements(self) -> int:
-        """V: structural nonzeros of the shared pattern."""
-        return int(self.pattern.sum())
+    def entries(self, c, o, k, j) -> np.ndarray:
+        """Matrix entries [c_in, c_out, row k, column j] over broadcast index arrays."""
+        return sum(w[c, o] * n[k, j] for w, n in zip(self.weights, self.parts))
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """Dense read-only (C_in, C_out, J, J) view of the factors, for oracles."""
+        dense = np.einsum("pco,pkj->cokj", self.weights, self.parts)
+        dense.flags.writeable = False
+        return dense
 
     def max_column_nonzeros(self) -> int:
         """m of the decomposition, taken over the shared pattern."""
@@ -223,53 +264,22 @@ class MergedSpatialMatrix:
         return out + self.bias[None, :, None, None]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "c_in": self.c_in,
-                "c_out": self.c_out,
-                "J": self.J,
-                "bias": self.bias.tolist(),
-                "matrices": self.matrices.tolist(),
-            },
-            sort_keys=True,
-        )
+        doc = {"c_in": self.c_in, "c_out": self.c_out, "J": self.J, "bias": self.bias.tolist()}
+        return json.dumps({**doc, "matrices": self.matrices.tolist()}, sort_keys=True)
 
 
 def merge_spatial(
-    adjs: AdjacencySet,
-    weights: np.ndarray,
-    bias: np.ndarray | None = None,
-    bn: dict | None = None,
+    adjs: AdjacencySet, weights: np.ndarray, bias: np.ndarray | None = None, bn: dict | None = None
 ) -> MergedSpatialMatrix:
-    """Fold sum_p N_p * W_p[c_in, c_out] plus batch norm into one matrix set.
+    """Fold sum_p N_p * W_p[c_in, c_out] plus batch norm into one layer.
 
-    ``weights`` has shape (partitions, C_in, C_out).  ``bn`` holds per
-    output channel arrays gamma, beta, mean, var (and scalar eps); the
-    scale folds into the matrices, the shift into the bias.
+    ``weights`` has shape (partitions, C_in, C_out); ``bn`` is as for
+    ``fold_bn``.  The scale folds into the weight slabs, the shift into the
+    bias; the normalized partitions are shared, not copied.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 3:
-        raise ValueError("weights must have shape (partitions, C_in, C_out)")
-    if weights.shape[0] != adjs.partitions:
-        raise ValueError(
-            f"{weights.shape[0]} weight slabs for {adjs.partitions} partitions"
-        )
-    _, c_in, c_out = weights.shape
-    normed = adjs.normalized()
-    # merged[c,o] = sum_p W_p[c,o] * N_p
-    merged = np.einsum("pco,pkj->cokj", weights, np.stack(normed))
-    out_bias = np.zeros(c_out) if bias is None else np.asarray(bias, dtype=np.float64).copy()
-    if bn is not None:
-        gamma = np.asarray(bn["gamma"], dtype=np.float64)
-        beta = np.asarray(bn["beta"], dtype=np.float64)
-        mean = np.asarray(bn["mean"], dtype=np.float64)
-        var = np.asarray(bn["var"], dtype=np.float64)
-        eps = float(bn.get("eps", 1e-5))
-        scale = gamma / np.sqrt(var + eps)
-        merged = merged * scale[None, :, None, None]
-        out_bias = (out_bias - mean) * scale + beta
-    pattern = adjs.structural_union()
-    return MergedSpatialMatrix(merged, out_bias, pattern)
+    scale, shift = fold_bn(bias, bn, weights.shape[-1])
+    return MergedSpatialMatrix(weights * scale, adjs.normalized(), shift, adjs.structural_union())
 
 
 def chain_skeleton_25() -> AdjacencySet:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hegcn import packing
-from hegcn.adjacency import diagonal_offsets
+from hegcn.adjacency import diagonal_offsets, fold_bn
 from hegcn.model import (
     Activation,
     FullyConnected,
@@ -324,13 +324,9 @@ def _zero() -> dict[str, int]:
     return {"rot": 0, "pmult": 0, "cmult": 0, "add": 0, "rescale": 0}
 
 
-def _folded_bias_nonzero(bias, bn) -> bool:
-    b = np.zeros(1) if bias is None else np.asarray(bias, dtype=np.float64)
-    if bn is None:
-        return bool(np.any(np.abs(b) > 0))
-    scale = np.asarray(bn["gamma"]) / np.sqrt(np.asarray(bn["var"]) + bn.get("eps", 1e-5))
-    folded = (b - np.asarray(bn["mean"])) * scale + np.asarray(bn["beta"])
-    return bool(np.any(np.abs(folded) > 0))
+def _folded_bias_nonzero(layer, channels: int) -> bool:
+    """Whether a conv layer adds a bias: its folded batch-norm shift is nonzero."""
+    return bool(np.any(np.abs(fold_bn(layer.bias, layer.bn, channels)[1]) > 0))
 
 
 def _fold_deltas(cap: int, n: int) -> set[int]:
@@ -391,7 +387,7 @@ def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[st
         if isinstance(layer, SpatialConv):
             union = layer.adjacency.structural_union()
             V = int(union.sum())
-            bias_on = _folded_bias_nonzero(layer.bias, layer.bn)
+            bias_on = _folded_bias_nonzero(layer, layer.c_out)
             if fmt == AMA:
                 lin = packing.ama_layout((B, layer.c_in, T, J), slot_count)
                 lout = packing.ama_layout((B, layer.c_out, T, J), slot_count)
@@ -408,7 +404,7 @@ def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[st
                 counts["add"] = counts["pmult"] - n_out + (n_out if bias_on else 0)
             c_cur = layer.c_out
         elif isinstance(layer, TemporalConv):
-            bias_on = layer.bn is not None or _folded_bias_nonzero(layer.bias, None)
+            bias_on = _folded_bias_nonzero(layer, layer.channels)
             K = layer.kernel
             if fmt == AMA:
                 lin = packing.ama_layout((B, c_cur, T, J), slot_count)

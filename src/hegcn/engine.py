@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hegcn import costmodel, hesim, packing
-from hegcn.adjacency import MergedSpatialMatrix, decompose, diagonal_offsets, merge_spatial
+from hegcn.adjacency import MergedSpatialMatrix, decompose, diagonal_offsets, fold_bn, merge_spatial
 from hegcn.hesim import SimCiphertext, SimContext
 from hegcn.model import (
     Activation,
@@ -259,7 +259,6 @@ def ama_spatial(
     B, T, J = lin.B, lin.T, lin.J
     lout = packing.ama_layout((B, merged.c_out, T, J), lin.slot_count)
     cap, G, H = lin.capacity, lin.cts_per_joint, lout.cts_per_joint
-    M = merged.matrices
     in_chan, out_chan = _block_channels(lin), _block_channels(lout)
     deltas, sel = _giant_steps(lin)
     rolled = {delta: (np.arange(cap) - delta) % cap for delta in deltas}  # v[rolled[d]] == np.roll(v, d)
@@ -278,7 +277,7 @@ def ama_spatial(
                 if delta not in sel[g]:
                     continue
                 c_read = in_chan[g][(np.arange(cap) + delta) % cap]
-                vals = M[c_read, out_chan[None, None], ks[:, None, None, None], jin]  # (k, piece, h, p)
+                vals = merged.entries(c_read, out_chan[None, None], ks[:, None, None, None], jin)  # (k, piece, h, p)
                 vals = np.where(sel[g][delta] & present, vals, 0.0)
                 # rolling the cap block values equals rolling the slot vector
                 # by delta*pad: each block is uniform
@@ -366,15 +365,15 @@ def rowmajor_spatial(
 
     B, T, J = lin.B, lin.T, lin.J
     offsets = diagonal_offsets(merged.pattern)
-    M = merged.matrices
     joints = np.arange(J)
+    c, o = np.arange(merged.c_in)[:, None, None], np.arange(merged.c_out)[:, None]
 
     def diagonal(i):
         # diagonal d reads joint k + d at joint k of every frame row; reads
         # past either end of the row are wraps and stay zero
         d = offsets[i]
         valid = (joints + d >= 0) & (joints + d < J)
-        return np.where(valid, M[:, :, joints, np.clip(joints + d, 0, J - 1)], 0.0)  # (c, o, k)
+        return np.where(valid, merged.entries(c, o, joints, np.clip(joints + d, 0, J - 1)), 0.0)  # (c, o, k)
 
     bias_rows = None
     if _has_bias(merged.bias):
@@ -432,14 +431,8 @@ def temporal_conv(
         raise hesim.LevelError("level exhausted before temporal conv")
 
     # merge batch-norm scale/shift into taps and bias up front
-    W = layer.weights
-    bias = np.zeros(layer.channels) if layer.bias is None else layer.bias.copy()
-    if layer.bn is not None:
-        scale = np.asarray(layer.bn["gamma"]) / np.sqrt(
-            np.asarray(layer.bn["var"]) + layer.bn.get("eps", 1e-5)
-        )
-        W = W * scale[:, None, None]
-        bias = (bias - np.asarray(layer.bn["mean"])) * scale + np.asarray(layer.bn["beta"])
+    scale, bias = fold_bn(layer.bias, layer.bn, layer.channels)
+    W = layer.weights * scale[:, None, None]
 
     K = layer.kernel
     half = (K - 1) // 2
@@ -749,8 +742,6 @@ def run_model(
         before = fm.level if score_cts is None else score_cts[0].level
         with ctx.layer(label):
             if isinstance(layer, SpatialConv):
-                # left unbound so the merged matrices (20 MB at 64 channels
-                # and J = 25) are freed with their layer
                 spatial = ama_spatial if fmt == AMA else rowmajor_spatial
                 fm = spatial(fm, merge_spatial(layer.adjacency, layer.weights, layer.bias, layer.bn), ctx=ctx)
             elif isinstance(layer, TemporalConv):
@@ -855,7 +846,7 @@ def dense_matmul_case(fmt: str, B: int, C: int, J: int, T: int = 4, seed: int = 
     dims = (B, C, T, J)
     x = GraphTensor(rng.uniform(-1, 1, size=dims))
     mats = rng.uniform(0.5, 1.5, size=(C, C, J, J))
-    merged = MergedSpatialMatrix(mats, np.zeros(C))
+    merged = MergedSpatialMatrix.from_dense(mats, np.zeros(C))
     ctx = SimContext(slot, max_level=1, log_ops=False)
     label = "matmul"
     with ctx.layer(label):

@@ -221,7 +221,9 @@ def giant_step_coverage(cap: int, n: int) -> dict[int, np.ndarray]:
             q = ((p + delta) % cap) % n
             if q not in seen:
                 seen.add(q)
-                sel.setdefault(delta, np.zeros(cap, dtype=bool))[p] = True
+                if delta not in sel:
+                    sel[delta] = np.zeros(cap, dtype=bool)
+                sel[delta][p] = True
             delta += 1
     return sel
 

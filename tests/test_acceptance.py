@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hegcn import costmodel, engine
-from hegcn.adjacency import AdjacencySet, chain_skeleton_25, decompose, merge_spatial
+from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, chain_skeleton_25, decompose, merge_spatial
 from hegcn.costmodel import HocFormulaInput, analytic_layer_counts, reconcile, select_params
 from hegcn.hesim import SimContext
 from hegcn.model import ModelSpec, acceptance_stgcn3, random_stgcn, reference_stgcn3
@@ -206,9 +206,7 @@ def test_criterion_06_sparsity_payoff():
     # densifying the matrix never lowers the AMA multiplication count
     denser = merged.matrices[0, 0].copy()
     denser[0, 12] = denser[12, 0] = 0.5
-    merged2 = merge_spatial(adj, np.ones((1, 1, 1)))
-    merged2.matrices[0, 0][0, 12] = merged2.matrices[0, 0][12, 0] = 0.5
-    merged2.pattern[0, 12] = merged2.pattern[12, 0] = 1.0
+    merged2 = MergedSpatialMatrix.from_dense(denser[None, None], np.zeros(1))
     ctx2 = SimContext(128, max_level=1)
     with ctx2.layer("sconv"):
         cts, layout = engine.packing.ama_pack(x, ctx2)

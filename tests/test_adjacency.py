@@ -154,6 +154,68 @@ class TestMergeSpatial:
             merge_spatial(adjs, np.ones((2, 1, 1)))
 
 
+def random_bn(rng, n):
+    return {
+        "gamma": rng.uniform(0.5, 1.5, n),
+        "beta": rng.normal(size=n),
+        "mean": rng.normal(size=n),
+        "var": rng.uniform(0.5, 2.0, n),
+        "eps": 1e-5,
+    }
+
+
+class TestFactoredForm:
+    """Spatial layers are kept as P weight slabs and P partitions; the dense
+    (C_in, C_out, J, J) matrices are only a read-only view for oracles."""
+
+    # mixed index ndims: (2,1,1), (3,1), (4,1,1,1) and (5,) broadcast to (4,2,3,5)
+    def indices(self, rng, c_in, c_out, J):
+        return (
+            rng.integers(0, c_in, size=(2, 1, 1)),
+            rng.integers(0, c_out, size=(3, 1)),
+            rng.integers(0, J, size=(4, 1, 1, 1)),
+            rng.integers(0, J, size=5),
+        )
+
+    @pytest.mark.parametrize("with_bn", [False, True])
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    def test_entries_equal_dense_indexing(self, P, with_bn):
+        rng = np.random.default_rng(10 * P + with_bn)
+        J, c_in, c_out = 5, 3, 4
+        parts = [(rng.uniform(size=(J, J)) > 0.6) + np.eye(J) * (p == 0) for p in range(P)]
+        bn = random_bn(rng, c_out) if with_bn else None
+        merged = merge_spatial(AdjacencySet(parts), rng.normal(size=(P, c_in, c_out)), rng.normal(size=c_out), bn)
+        dense = merged.matrices
+        idx = self.indices(rng, c_in, c_out, J)
+        assert merged.entries(*idx).shape == (4, 2, 3, 5)
+        np.testing.assert_allclose(merged.entries(*idx), dense[idx], rtol=0, atol=1e-14)
+        full = np.ix_(range(c_in), range(c_out), range(J), range(J))
+        np.testing.assert_allclose(merged.entries(*full), dense, rtol=0, atol=1e-14)
+
+    def test_from_dense_entries_are_the_matrices(self):
+        rng = np.random.default_rng(3)
+        mats = np.where(rng.uniform(size=(3, 4, 5, 5)) > 0.5, rng.normal(size=(3, 4, 5, 5)), 0.0)
+        merged = MergedSpatialMatrix.from_dense(mats, np.zeros(4))
+        idx = self.indices(rng, 3, 4, 5)
+        np.testing.assert_array_equal(merged.entries(*idx), mats[idx])
+        np.testing.assert_array_equal(merged.matrices, mats)
+        np.testing.assert_array_equal(merged.pattern, (mats != 0).any(axis=(0, 1)))
+
+    def test_writes_into_the_dense_view_raise(self):
+        merged = merge_spatial(chain_skeleton_25(), np.ones((1, 1, 1)))
+        for dense in (merged.matrices, MergedSpatialMatrix.from_dense(np.ones((1, 1, 2, 2)), np.zeros(1)).matrices):
+            with pytest.raises(ValueError, match="read-only"):
+                dense[0, 0, 0, 0] = 2.0
+
+    def test_normalized_partitions_are_computed_once_and_read_only(self):
+        adj = chain_skeleton_25()
+        assert adj.normalized() is adj.normalized()
+        assert adj.structural_union() is adj.structural_union()
+        for shared in (adj.normalized(), adj.structural_union(), merge_spatial(adj, np.ones((1, 1, 1))).pattern):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 2.0
+
+
 class TestSkeletonStandIn:
     def test_shape_and_tree(self):
         adj = chain_skeleton_25()

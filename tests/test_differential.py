@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hegcn import costmodel, engine
-from hegcn.adjacency import AdjacencySet, merge_spatial
+from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, merge_spatial
 from hegcn.engine import default_slot_count, plaintext_reference, run_model, spatial_reference
 from hegcn.hesim import SimContext, replay_counts
-from hegcn.model import ModelSpec, SpatialConv, TemporalConv, random_stgcn
+from hegcn.model import ModelSpec, SpatialConv, TemporalConv, acceptance_stgcn3, random_stgcn
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor, ama_layout
 
 
@@ -112,6 +112,37 @@ def small_models(draw):
         spec = with_temporal_bn(spec, seed=6)
     pruned = draw(st.sets(st.sampled_from(spec.activation_indices())))
     return spec.prune_activations(pruned) if pruned else spec
+
+
+@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+def test_zero_shift_temporal_bn_adds_no_bias(fmt):
+    """Temporal BN with no bias, beta = mean = 0 folds to a zero shift: the
+    engine adds no bias, so the analytic mirror must count none."""
+    dims, spec = case_spec("ragged-k3-stride2")
+    layers = list(spec.layers)
+    i = next(i for i, layer in enumerate(layers) if isinstance(layer, TemporalConv))
+    n, eps = layers[i].channels, 1e-5
+    bn = {"gamma": np.ones(n), "beta": np.zeros(n), "mean": np.zeros(n), "var": np.full(n, 1 - eps), "eps": eps}
+    layers[i] = replace(layers[i], bias=None, bn=bn)
+    check_gates(ModelSpec(dims, layers, name=spec.name), GraphTensor.random(dims, seed=7), fmt, default_slot_count(dims))
+
+
+@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+@pytest.mark.parametrize("case", ["acceptance", "ragged-k3-stride2"])
+def test_kernels_never_read_dense_matrices(monkeypatch, case, fmt):
+    """The spatial kernels read coefficients from the factors only: with the
+    dense view unavailable, every gate still holds."""
+
+    def dense(self):
+        raise AssertionError("a kernel read MergedSpatialMatrix.matrices")
+
+    if case == "acceptance":
+        spec, slot_count = acceptance_stgcn3(), 1024
+    else:
+        dims, spec = case_spec(case)
+        slot_count = default_slot_count(dims)
+    monkeypatch.setattr(MergedSpatialMatrix, "matrices", property(dense))
+    check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), fmt, slot_count)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)

@@ -55,7 +55,7 @@ class TestSpatial:
         M = np.zeros((4, 4))
         for i, j in [(1, 1), (1, 3), (1, 4), (2, 3), (3, 2), (4, 1), (4, 2), (4, 4)]:
             M[i - 1, j - 1] = (10 * i + j) / 50.0
-        merged = MergedSpatialMatrix(M[None, None], np.zeros(1))
+        merged = MergedSpatialMatrix.from_dense(M[None, None], np.zeros(1))
         x = GraphTensor.random((1, 1, 4, 4), seed=2)
         oracle = merged.apply(x.data)
         for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
@@ -65,7 +65,7 @@ class TestSpatial:
             assert out.level == 1
 
     def test_identity_matrix_preserves_values(self):
-        merged = MergedSpatialMatrix(np.eye(4)[None, None], np.zeros(1))
+        merged = MergedSpatialMatrix.from_dense(np.eye(4)[None, None], np.zeros(1))
         x = GraphTensor.random((1, 1, 4, 4), seed=3)
         for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
             ctx = SimContext(16, max_level=1)
@@ -83,12 +83,12 @@ class TestSpatial:
         ):
             ctx = SimContext(32, max_level=1)
             with ctx.layer("m"):
-                ama_spatial(packed(x, ctx, AMA), MergedSpatialMatrix(mats, np.zeros(2)), ctx=ctx)
+                ama_spatial(packed(x, ctx, AMA), MergedSpatialMatrix.from_dense(mats, np.zeros(2)), ctx=ctx)
             counts[name] = ctx.counter.layer("m")["rot"]
         assert counts["diag"] == counts["dense"]
 
     def test_single_channel_diagonal_needs_zero_rotations(self):
-        merged = MergedSpatialMatrix((np.eye(4) * 0.5)[None, None], np.zeros(1))
+        merged = MergedSpatialMatrix.from_dense((np.eye(4) * 0.5)[None, None], np.zeros(1))
         x = GraphTensor.random((1, 1, 4, 4), seed=5)
         ctx = SimContext(8, max_level=1)
         with ctx.layer("m"):
@@ -99,14 +99,14 @@ class TestSpatial:
     def test_rowmajor_rotation_count_dense(self):
         # dense J=4 pattern: 2J-2 = 6 counted rotations per input ciphertext
         x = GraphTensor.random((1, 2, 4, 4), seed=6)
-        merged = MergedSpatialMatrix(np.full((2, 2, 4, 4), 0.3), np.zeros(2))
+        merged = MergedSpatialMatrix.from_dense(np.full((2, 2, 4, 4), 0.3), np.zeros(2))
         ctx = SimContext(16, max_level=1)
         with ctx.layer("m"):
             rowmajor_spatial(packed(x, ctx, ROWMAJOR), merged, ctx=ctx)
         assert ctx.counter.layer("m")["rot"] == 2 * 6
 
     def test_level_exhausted(self):
-        merged = MergedSpatialMatrix(np.eye(4)[None, None], np.zeros(1))
+        merged = MergedSpatialMatrix.from_dense(np.eye(4)[None, None], np.zeros(1))
         x = GraphTensor.zeros((1, 1, 4, 4))
         ctx = SimContext(16, max_level=1)
         fm = packed(x, ctx, AMA)
@@ -115,7 +115,7 @@ class TestSpatial:
             ama_spatial(low, merged, ctx=ctx)
 
     def test_layout_mismatch_rejected(self):
-        merged = MergedSpatialMatrix(np.eye(4)[None, None], np.zeros(1))
+        merged = MergedSpatialMatrix.from_dense(np.eye(4)[None, None], np.zeros(1))
         x = GraphTensor.zeros((1, 1, 4, 4))
         ctx = SimContext(16, max_level=1)
         with pytest.raises(ValueError, match="AMA"):
@@ -124,7 +124,7 @@ class TestSpatial:
     def test_nonsymmetric_matrix_orientation(self):
         # strictly upper-triangular mixing pins row/column orientation
         M = np.triu(np.arange(1, 17, dtype=float).reshape(4, 4) / 10.0, 1) + np.eye(4)
-        merged = MergedSpatialMatrix(M[None, None], np.zeros(1))
+        merged = MergedSpatialMatrix.from_dense(M[None, None], np.zeros(1))
         x = GraphTensor.random((1, 1, 4, 4), seed=9)
         oracle = merged.apply(x.data)
         for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
@@ -468,12 +468,15 @@ class TestSkipRules:
         zeros = [r for r in ctx.oplog if r["op"] == "encrypt" and r["layer"] == "l"]
         return x.data, unpack(out, fmt), ctx.counter.layer("l"), sum(r.get("count", 1) for r in zeros)
 
-    def spatial(self):
+    def spatial_mats(self):
         # dense mixing into output channel 0 for output joints 0 and 1;
         # output joint 2 reads no input (no decomposition piece has it)
         mats = np.zeros((2, 2, 3, 3))
         mats[:, 0, :2, :] = np.arange(1, 13).reshape(2, 2, 3) / 10.0
-        return MergedSpatialMatrix(mats, np.zeros(2))
+        return mats
+
+    def spatial(self):
+        return MergedSpatialMatrix.from_dense(self.spatial_mats(), np.zeros(2))
 
     def test_ama_spatial_zero_channel_and_joint_without_pieces(self):
         merged = self.spatial()
@@ -498,8 +501,9 @@ class TestSkipRules:
         # channel 1 reads only diagonal -1, so with one diagonal per chunk it
         # is present in the first chunk and absent from the others
         monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
-        merged = self.spatial()
-        merged.matrices[:, 1, 1, 0] = 0.5
+        mats = self.spatial_mats()
+        mats[:, 1, 1, 0] = 0.5
+        merged = MergedSpatialMatrix.from_dense(mats, np.zeros(2))
         x, got, counts, zeros = self.run(ROWMAJOR, rowmajor_spatial, merged)
         np.testing.assert_allclose(got, merged.apply(x), atol=1e-12)
         assert counts == {"rot": 6, "pmult": 10, "cmult": 0, "add": 8, "rescale": 10}
@@ -533,7 +537,7 @@ class TestOddShapes:
         rng = np.random.default_rng(C)
         x = GraphTensor.random((1, C, 4, 3), seed=C)
         mats = rng.uniform(0.5, 1.5, size=(C, C, 3, 3))
-        merged = MergedSpatialMatrix(mats, rng.normal(size=C))
+        merged = MergedSpatialMatrix.from_dense(mats, rng.normal(size=C))
         ctx = SimContext(32, max_level=2)  # capacity 8, C does not divide it
         out = ama_spatial(packed(x, ctx, AMA), merged, ctx=ctx)
         np.testing.assert_allclose(unpack(out, AMA), merged.apply(x.data), atol=1e-12)
