@@ -11,14 +11,16 @@ cost model:
   every layer costs exactly one plaintext-multiplication level.
 
 Execution is batched; the schedule and its counts are those of a
-per-ciphertext loop.  Each conv kernel stacks its input ciphertexts and
-evaluates one giant step (or one chunk of row-major shifts) as a single
-``SimContext.fold``: rows are joints (AMA temporal), output joints (AMA
-spatial) or output channels (row-major), terms are the source ciphertexts a
-row sums, and a term is skipped exactly where its plaintext would be zero.
-Rows run in chunks whose source stack stays under ``_CHUNK_BYTES``.  Input
-rotations are applied to a stack of the sources some executed term reads,
-and every count, including the adds of partial sums, comes from hesim ops.
+per-ciphertext loop.  Each conv kernel stacks its input ciphertexts.  An AMA
+channel fold evaluates all of its giant steps as one
+``SimContext.fold_steps`` (one block-circulant GEMM); a row-major kernel
+evaluates each chunk of shifts as one ``SimContext.fold``.  Rows are joints
+(AMA temporal), output joints (AMA spatial) or output channels (row-major),
+terms are the source ciphertexts a row sums, and a term is skipped exactly
+where its plaintext would be zero.  Rows run in chunks whose source stack
+stays under ``_CHUNK_BYTES``.  Input rotations are applied to a stack of the
+sources some executed term reads, and every count, including the giant-step
+rotations and the adds of partial sums, comes from hesim ops.
 
 Values at padding slots, masked-out strided frames and replica copies are
 allowed to go stale; every consumer reads only through masks or anchor
@@ -107,8 +109,19 @@ def _chunks(items, item_bytes: int) -> list:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
+def _zero_fill(ctx: SimContext, rows: list, level: int) -> SimCiphertext:
+    """``rows`` as one stack; a row that received no term (None) becomes an
+    encrypted zero, encrypted once for all such rows and switched to ``level``."""
+    empty = [r for r, ct in enumerate(rows) if ct is None]
+    if empty:
+        zeros = ctx.mod_switch(ctx.encrypt(np.zeros((len(empty), ctx.slot_count))), level)
+        for r, ct in zip(empty, hesim.unstack(zeros)):
+            rows[r] = ct
+    return hesim.stack(rows)
+
+
 class _RowSums:
-    """Per-row running sums of partial results, every add counted by hesim.
+    """Per-row running sums of row-major fold chunks, every add counted by hesim.
 
     A row holds no ciphertext until its first partial arrives, so each row
     pays one Add per partial after its first, as a per-ciphertext loop does.
@@ -118,62 +131,44 @@ class _RowSums:
         self.rows: list[SimCiphertext | None] = [None] * n
         self.full: SimCiphertext | None = None  # every row, as one stack
 
-    def add(self, ctx: SimContext, part: SimCiphertext, idx) -> None:
-        """Add row i of the stack ``part`` into result row ``idx[i]``."""
-        n = len(self.rows)
-        if len(idx) == n and self.full is not None:
-            self.full = ctx.add(self.full, part)
+    def fold(self, ctx, src, coef, mask, vec, grid) -> None:
+        """Fold the rows that have terms (one source set) and add them into the sums."""
+        idx = np.flatnonzero(mask[0].any(axis=-1))
+        if not len(idx):
             return
-        if len(idx) == n and all(r is None for r in self.rows):
-            self.full = part
+        part = ctx.fold(src, coef, mask, vec, grid)
+        n = len(self.rows)
+        if len(idx) == n and (self.full is not None or all(r is None for r in self.rows)):
+            self.full = part if self.full is None else ctx.add(self.full, part)
             return
         if self.full is not None:
             self.rows, self.full = hesim.unstack(self.full), None
         new = hesim.unstack(part)
-        old = [i for i, r in enumerate(idx) if self.rows[r] is not None]
+        old = [i for i in idx if self.rows[i] is not None]
         if old:
-            sums = ctx.add(hesim.stack([self.rows[idx[i]] for i in old]), hesim.stack([new[i] for i in old]))
+            sums = ctx.add(hesim.stack([self.rows[i] for i in old]), hesim.stack([new[i] for i in old]))
             for i, ct in zip(old, hesim.unstack(sums)):
                 new[i] = ct
-        for i, r in enumerate(idx):
-            self.rows[r] = new[i]
+        for i in idx:
+            self.rows[i] = new[i]
 
     def result(self, ctx: SimContext, level: int) -> SimCiphertext:
         """Every row as one stack; a row that received nothing is an encrypted zero."""
-        if self.full is not None:
-            return self.full
-        empty = [r for r, ct in enumerate(self.rows) if ct is None]
-        if empty:
-            zeros = ctx.mod_switch(ctx.encrypt(np.zeros((len(empty), ctx.slot_count))), level)
-            for r, ct in zip(empty, hesim.unstack(zeros)):
-                self.rows[r] = ct
-        return hesim.stack(self.rows)
+        return self.full if self.full is not None else _zero_fill(ctx, self.rows, level)
 
 
-def _fold_rows(ctx, sums, src, coef, mask, vec=1.0, grid=None, amount=0) -> None:
-    """Fold the rows that have terms, rotate them by ``amount``, add them into ``sums``."""
-    U = src.rows // mask.shape[-1]
-    idx = np.flatnonzero(np.broadcast_to(mask, (U,) + mask.shape[1:]).any(axis=-1))
-    if len(idx):
-        part = ctx.fold(src, coef, mask, vec, grid)
-        if len(idx) < part.rows:
-            rows = hesim.unstack(part)
-            part = hesim.stack([rows[i] for i in idx])
-        sums.add(ctx, ctx.rotate(part, amount), idx)
+def _ama_fold(ctx, src, steps, lin, vec=1.0) -> SimCiphertext:
+    """The AMA channel fold: all giant steps as one ``SimContext.fold_steps``
+    on the (block, slot in block) grid; a row no step reaches is an encrypted zero.
 
-
-def _ama_fold(ctx, src, steps, U, V, lin, vec=1.0) -> SimCiphertext:
-    """The AMA channel fold: per giant step, one fold over U source sets
-    into V output groups, rotated by ``delta * pad`` and summed per row.
-
-    ``steps`` yields (delta, coef, mask) with coef over the (block, slot in
-    block) grid; a row's giant step with no terms is skipped.
+    ``steps`` yields (delta, coef, mask): the fold of giant step delta,
+    rotated left by delta blocks.
     """
-    sums = _RowSums(U * V)
-    grid = (lin.capacity, lin.pad_bt)
-    for delta, coef, mask in steps:
-        _fold_rows(ctx, sums, src, coef, mask, vec, grid, delta * lin.pad_bt)
-    return sums.result(ctx, src.level - 1)
+    steps = [(delta * lin.pad_bt, coef, mask) for delta, coef, mask in steps]
+    acc, has_terms = ctx.fold_steps(src, steps, vec, (lin.capacity, lin.pad_bt))
+    if has_terms.all():
+        return acc
+    return _zero_fill(ctx, [ct if h else None for ct, h in zip(hesim.unstack(acc), has_terms)], acc.level)
 
 
 def _block_channels(lin: PackingLayout) -> np.ndarray:
@@ -287,7 +282,7 @@ def ama_spatial(
     out_cts = []
     for ks in _chunks(np.arange(J), m * G * lin.slot_count * 8):
         src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for k in ks for j in np.maximum(reads[k], 0) for g in range(G)])
-        acc = _ama_fold(ctx, src, steps(ks), len(ks), H, lin)
+        acc = _ama_fold(ctx, src, steps(ks), lin)
         if _has_bias(merged.bias):
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(ks), 1)))
         out_cts += hesim.unstack(acc)
@@ -335,7 +330,7 @@ def _rowmajor_fold(ctx, fm, coef_of, shifts, n_out, bias_rows, vec_of=None) -> l
                         vecs.append(np.broadcast_to(vec_of(i)[:, None], (C, lin.T, 1)))
             coef = np.concatenate(coefs).transpose(1, 0, 2)[None, :, :, None, :]  # (1, o, term, 1, J or 1)
             vec = np.concatenate(vecs) if vecs else 1.0
-            _fold_rows(ctx, sums, hesim.stack(srcs), coef, coef.any(axis=(3, 4)), vec, grid)
+            sums.fold(ctx, hesim.stack(srcs), coef, coef.any(axis=(3, 4)), vec, grid)
         acc = sums.result(ctx, fm.level - 1)
         if bias_rows is not None:
             acc = _add_bias(ctx, acc, bias_rows)
@@ -494,7 +489,7 @@ def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
             for i, ct in _rotations(ctx, x, amount, used).items():
                 tapped.update({(i, kappa): ct for kappa in kappas})
         src = hesim.stack([tapped.get((i, kappa), x[i]) for i in range(len(x)) for kappa in range(K)])
-        acc = _ama_fold(ctx, src, steps, len(js), G, lin, vec)
+        acc = _ama_fold(ctx, src, steps, lin, vec)
         if bias_on:
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(js), 1)))
         out_cts += hesim.unstack(acc)

@@ -16,7 +16,10 @@ Batching: a ciphertext may hold an (n, slots) stack of n ciphertexts at one
 level.  Every op on a stack counts n and writes one log record with a
 ``count`` field (left out when n = 1).  ``fold`` is a fused plaintext
 multiply-accumulate over a stack that counts each of its PMults and Adds.
-``stack`` and ``unstack`` are bookkeeping and count nothing.
+``fold_steps`` sums many folds rotated by whole blocks (the giant steps of
+a baby-step/giant-step product) as one block-circulant matrix product, and
+counts each step's PMults, Adds, rotations and partial-sum Adds as that
+step would.  ``stack`` and ``unstack`` are bookkeeping and count nothing.
 """
 
 from __future__ import annotations
@@ -162,8 +165,8 @@ class SimContext:
     ``slot_count`` is half the CKKS polynomial degree and must be a power of
     two.  With ``quantize=True`` values are rounded to the fixed-point grid
     ``2**-scale_bits`` at encryption and after every multiplication (a
-    ``fold`` rounds its fused sum once), emulating rescaling of a scaled
-    integer representation.
+    ``fold`` or ``fold_steps`` rounds its fused sum once), emulating
+    rescaling of a scaled integer representation.
     """
 
     def __init__(
@@ -410,6 +413,76 @@ class SimContext:
             self._record("add", level, level, adds)
         return self._new_ct(out, level)
 
+    def fold_steps(self, src: SimCiphertext, steps, vec=1.0, grid=None) -> tuple[SimCiphertext, np.ndarray]:
+        """Many block-rotated folds summed per row, as one block-circulant GEMM.
+
+        ``steps`` holds (amount, coef, mask) triples.  Row r of the result is
+
+            sum over steps of  rotate(fold(src, coef, mask, vec, grid), amount)[r]
+
+        the baby-step/giant-step matrix-vector product of Halevi and Shoup:
+        the ``grid`` (n1, n2) must cover every slot, every amount must be a
+        multiple of n2 (a shift by whole blocks) and ``coef`` must be
+        constant along n2.  Step s then moves block (b + amount_s / n2) mod n1
+        of its fold to block b, so all steps together are one (V*n1, n1*T)
+        matrix per source set, applied to ``src * vec`` read as (n1*T, n2).
+        Repeated amounts add up.
+
+        Counts, step by step, what folding, rotating and summing the rows
+        one step at a time would: the fold's PMults and Adds, one rotation
+        per row with terms (none when the amount is 0 mod slot_count), and
+        one Add per row with terms that already holds a partial sum.  Returns
+        the (U*V, slot_count) stack and which rows got a term; a row without
+        terms is zero and was computed by no operation.  With ``quantize``
+        the fused sum is rounded once.
+        """
+        if src.level < 1:
+            raise LevelError("level exhausted: fold_steps needs level >= 1")
+        n1, n2 = grid or (1, self.slot_count)
+        if n1 * n2 != self.slot_count:
+            raise ValueError(f"grid {n1}x{n2} does not cover slot count {self.slot_count}")
+        steps = [(int(a), np.asarray(coef, dtype=np.float64), np.asarray(mask, dtype=bool)) for a, coef, mask in steps]
+        if not steps or steps[0][2].ndim != 3 or src.rows % steps[0][2].shape[2]:
+            raise ValueError(f"fold_steps needs at least one step, each with a mask that fits {src.rows} sources")
+        V, T = steps[0][2].shape[1:]
+        U = src.rows // T
+        for amount, coef, mask in steps:
+            if amount % n2:
+                raise ValueError(f"rotation amount {amount} is not a multiple of the block length {n2}")
+            if coef.ndim != 5 or coef.shape[4] > 1:
+                raise ValueError("coef must broadcast to (U, V, T, n1, 1): constant along n2")
+            if mask.shape[1:] != (V, T) or mask.shape[0] not in (1, U):
+                raise ValueError(f"mask of shape {mask.shape} does not fit {U} source sets of {T}")
+        mat = _block_circulant(steps, U, n1, n2)
+        # per step: terms per row, rows with terms, and those already holding a partial
+        terms = np.stack([np.broadcast_to(m, (U, V, T)) for _, _, m in steps]).sum(axis=-1).reshape(-1, U * V)
+        rows = terms > 0
+        merges = np.zeros_like(rows)
+        merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
+        per_step = zip(
+            terms.sum(axis=1).tolist(),
+            np.maximum(terms - 1, 0).sum(axis=1).tolist(),
+            rows.sum(axis=1).tolist(),
+            merges.sum(axis=1).tolist(),
+        )
+        level = src.level - 1
+        for (amount, _, _), (pmults, adds, n_rows, n_merges) in zip(steps, per_step):
+            if pmults:
+                self._record("pmult", src.level, level, pmults)
+            if adds:
+                self._record("add", level, level, adds)
+            if amount % self.slot_count and n_rows:
+                self._record("rot", level, level, n_rows, rotation_amount=amount % self.slot_count)
+            if n_merges:
+                self._record("add", level, level, n_merges)
+        z = np.empty((U, n1, T, n2))  # src * vec, (source block, term)-major like the columns of mat
+        vec = np.broadcast_to(vec, (T, n1, n2))
+        np.multiply(src.slots.reshape(U, T, n1, n2).swapaxes(1, 2), vec.swapaxes(0, 1), out=z)
+        out = (mat @ z.reshape(U, n1 * T, n2)).reshape(U * V, self.slot_count)
+        if self.quantize:
+            out = self._quantize(out)
+        return self._new_ct(out, level), rows.any(axis=0)
+
     # ------------------------------------------------------------------
     # log export / replay
 
@@ -427,6 +500,24 @@ class SimContext:
                 f"max_level {self.max_level} x scale_bits {self.scale_bits} = "
                 f"{budget} bits exceeds modulus budget Q={params.modulus_bits}"
             )
+
+
+def _block_circulant(steps, U: int, n1: int, n2: int) -> np.ndarray:
+    """The (U or 1, V*n1, n1*T) matrix of ``fold_steps`` (one when every step
+    is shared by the source sets): rows (out, block), columns (source block,
+    term).  Step a moves source block (b + a) mod n1 of its masked block
+    coefficients to block b."""
+    V, T = steps[0][2].shape[1:]
+    sets = 1 if all(coef.shape[0] == mask.shape[0] == 1 for _, coef, mask in steps) else U
+    mat = np.zeros((sets, V, n1 * n1, T))  # (block, source block) flattened
+    for amount, coef, mask in steps:
+        a = amount // n2 % n1
+        c = np.where(mask[..., None], coef[..., 0], 0.0)
+        c = np.broadcast_to(c, (c.shape[0], V, T, n1)).swapaxes(-1, -2)  # (set, out, source block, term)
+        # pairs (b, b + a) for b < n1 - a, then (b, b + a - n1): two runs of stride n1 + 1
+        mat[:, :, a : (n1 - a) * (n1 + 1) : n1 + 1] += c[:, :, a:]
+        mat[:, :, (n1 - a) * n1 :: n1 + 1] += c[:, :, :a]
+    return mat.reshape(sets, V * n1, n1 * T)
 
 
 def replay_counts(oplog) -> HocCounter:

@@ -127,6 +127,14 @@ def test_zero_shift_temporal_bn_adds_no_bias(fmt):
     check_gates(ModelSpec(dims, layers, name=spec.name), GraphTensor.random(dims, seed=7), fmt, default_slot_count(dims))
 
 
+def gated_case(case):
+    """(spec, slot count) of the acceptance model @1024 or of a named case."""
+    if case == "acceptance":
+        return acceptance_stgcn3(), 1024
+    dims, spec = case_spec(case)
+    return spec, default_slot_count(dims)
+
+
 @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
 @pytest.mark.parametrize("case", ["acceptance", "ragged-k3-stride2"])
 def test_kernels_never_read_dense_matrices(monkeypatch, case, fmt):
@@ -136,13 +144,22 @@ def test_kernels_never_read_dense_matrices(monkeypatch, case, fmt):
     def dense(self):
         raise AssertionError("a kernel read MergedSpatialMatrix.matrices")
 
-    if case == "acceptance":
-        spec, slot_count = acceptance_stgcn3(), 1024
-    else:
-        dims, spec = case_spec(case)
-        slot_count = default_slot_count(dims)
+    spec, slot_count = gated_case(case)
     monkeypatch.setattr(MergedSpatialMatrix, "matrices", property(dense))
     check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), fmt, slot_count)
+
+
+@pytest.mark.parametrize("case", ["acceptance", "ragged-k3-stride2"])
+def test_ama_never_calls_per_step_fold(monkeypatch, case):
+    """The AMA channel fold runs every giant step in one ``fold_steps``:
+    with the per-step ``fold`` unavailable, every gate still holds."""
+
+    def fold(*args, **kwargs):
+        raise AssertionError("the AMA path called SimContext.fold")
+
+    spec, slot_count = gated_case(case)
+    monkeypatch.setattr(SimContext, "fold", fold)
+    check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), AMA, slot_count)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)

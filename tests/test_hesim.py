@@ -305,6 +305,103 @@ class TestStacks:
         assert replay_counts(c.oplog) == c.counter
 
 
+class TestFoldSteps:
+    """``fold_steps`` against the schedule it stands for, on 32 slots read
+    as 4 blocks of 8: U = 2 source sets of T = 4 terms, V = 3 outputs."""
+
+    U, V, T, N1, N2 = 2, 3, 4, 4, 8
+
+    def steps(self, shared, seed=3):
+        rng = np.random.default_rng(seed)
+        U, V, T, n1 = self.U, self.V, self.T, self.N1
+        sets = 1 if shared else U
+        # 0, a full turn, a negative amount, a repeat, a step without terms
+        amounts = [0, 8, 32, -16, 8, 24, 16]
+        steps = []
+        for s, amount in enumerate(amounts):
+            mask = rng.uniform(size=(sets, V, T)) < 0.6
+            mask[:, 0] = False  # output 0 of every set: no term in any step
+            if s % 2:
+                mask[-1, 2] = False  # output 2 of the last set: terms in some steps only
+            if s == 5:
+                mask[:] = False
+            coef = rng.uniform(-1, 1, (sets, V, T, n1, 1))
+            if s == 3:
+                mask = mask[:1]  # one mask, per-set coefficients when not shared
+            if s == 4:
+                coef = coef[:1, :, :, :1]  # one scalar per term, shared by the sets
+            steps.append((amount, coef, mask))
+        return steps
+
+    def per_step(self, c, src, steps, vec):
+        """Fold, keep the rows with terms, rotate them, add into running sums."""
+        U, V, T = self.U, self.V, self.T
+        sums = [None] * (U * V)
+        for amount, coef, mask in steps:
+            idx = np.flatnonzero(np.broadcast_to(mask, (U, V, T)).any(axis=-1))
+            if not len(idx):
+                continue
+            part = unstack(c.fold(src, coef, mask, vec, (self.N1, self.N2)))
+            rotated = unstack(c.rotate(stack([part[i] for i in idx]), amount))
+            old = [k for k, i in enumerate(idx) if sums[i] is not None]
+            if old:
+                added = c.add(stack([sums[idx[k]] for k in old]), stack([rotated[k] for k in old]))
+                for k, ct in zip(old, unstack(added)):
+                    rotated[k] = ct
+            for k, i in enumerate(idx):
+                sums[i] = rotated[k]
+        return sums
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("vec_kind", ["scalar", "per-term"])
+    def test_equals_the_per_step_schedule(self, shared, vec_kind):
+        rng = np.random.default_rng(4)
+        vals = rng.uniform(-1, 1, (self.U * self.T, 32))
+        vec = 0.5 if vec_kind == "scalar" else rng.uniform(-1, 1, (self.T, 1, self.N2))
+        steps = self.steps(shared)
+        c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
+        with c.layer("steps"):
+            out, has_terms = c.fold_steps(c.encrypt(vals), steps, vec, (self.N1, self.N2))
+        with ref.layer("steps"):
+            want = self.per_step(ref, ref.encrypt(vals), steps, vec)
+        assert has_terms.tolist() == [w is not None for w in want]
+        assert not has_terms[0] and not has_terms[3] and has_terms[5]
+        assert out.rows == self.U * self.V and out.level == 2
+        for row, w in zip(unstack(out), want):
+            np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
+        assert c.counter == ref.counter
+        assert c.counter.totals()["rot"] > 0 and c.oplog == ref.oplog
+        assert replay_counts(c.oplog) == c.counter
+
+    def test_quantize_rounds_the_fused_sum_once(self):
+        q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
+        src = q.encrypt(np.random.default_rng(5).uniform(-1, 1, (self.U * self.T, 32)))
+        steps = self.steps(shared=False)
+        got = q.fold_steps(src, steps, 0.3, (self.N1, self.N2))[0].slots
+        want = exact.fold_steps(exact.encrypt(src.slots), steps, 0.3, (self.N1, self.N2))[0].slots
+        np.testing.assert_array_equal(got, np.round(want * 2.0**33) / 2.0**33)
+
+    def test_level_is_checked_first(self):
+        c = ctx(slots=32, levels=1)
+        low = c.pmult(c.encrypt(np.ones((4, 32))), 1.0)
+        with pytest.raises(LevelError):
+            c.fold_steps(low, [(3, np.ones((1, 1, 4, 5, 2)), np.ones((1, 1, 4), bool))], grid=(5, 5))
+
+    @pytest.mark.parametrize(
+        "amount, coef_shape, grid, match",
+        [
+            (8, (1, 1, 4, 2, 1), (2, 8), "does not cover"),
+            (4, (1, 1, 4, 4, 1), (4, 8), "not a multiple of the block length"),
+            (8, (1, 1, 4, 4, 8), (4, 8), "constant along n2"),
+        ],
+    )
+    def test_typed_errors(self, amount, coef_shape, grid, match):
+        c = ctx(slots=32, levels=2)
+        src = c.encrypt(np.ones((4, 32)))
+        with pytest.raises(ValueError, match=match):
+            c.fold_steps(src, [(amount, np.ones(coef_shape), np.ones((1, 1, 4), bool))], grid=grid)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     vals=st.lists(st.floats(-100, 100), min_size=1, max_size=8),
