@@ -6,12 +6,11 @@ Three layers of formulas live here:
   PMult, Add per format).  AMA results sit in max(B*C, J) ciphertexts; the
   counts are exact against measured counters whenever B, C and J are
   powers of two with B <= J, and estimates elsewhere.
-* ``layer_hoc`` / ``framework_hoc`` -- coarse aggregate rows in the style
-  of cross-framework cost comparisons (CHET, Fast-HEAR), evaluated
-  verbatim from a :class:`HocFormulaInput`.  They fold whole layer stacks
-  into single terms and skip some bookkeeping (see
-  ``analytic_layer_counts``), but comparisons against those frameworks are
-  defined in their terms.
+* ``framework_hoc`` -- coarse model-level rows in the style of
+  cross-framework cost comparisons (CHET, Fast-HEAR), evaluated verbatim
+  from a :class:`HocFormulaInput`.  They fold whole layer stacks into
+  single terms and skip some bookkeeping (see ``analytic_layer_counts``),
+  but comparisons against those frameworks are defined in their terms.
 * ``analytic_layer_counts`` -- exact per-layer predictions that mirror the
   engine's schedule operation for operation; ``reconcile`` diffs them
   against measured counters and must come out all-zero.
@@ -166,88 +165,6 @@ class HocFormulaInput:
             R=2 * slot_count,
             samples=samples,
         )
-
-
-def layer_hoc(fmt: str, inp: HocFormulaInput) -> dict[str, dict[str, float]]:
-    """Aggregate per-layer-type rows, kept verbatim for comparability.
-
-    These S_p/T_e-weighted expressions fold whole layer stacks into single
-    terms and omit a few bookkeeping operations (pooling fold additions,
-    the pooling scale multiplication); ``analytic_layer_counts`` carries
-    the exact per-layer accounting.
-    """
-    i = inp
-    log_t = math.log2(i.T / 2)
-    log_r = math.log2(i.R / 2)
-    if fmt == AMA:
-        return {
-            "s_conv": {
-                "rot": i.J * (i.S_p + 1) * (i.O / i.U) * (i.U - 1),
-                "pmult": i.N_a * (i.V / i.J) * i.O * i.S_p,
-                "cmult": 0,
-                "add": (i.N_a * (i.V / i.J) * i.O - i.N_a) * i.S_p,
-            },
-            "t_conv": {
-                "rot": i.N_a * (i.K - 1) * (i.T_e + 1) + i.J * (i.U - 1) * (i.O / i.U) * i.S_p,
-                "pmult": i.N_a * i.O * i.K * (i.T_e + 1),
-                "cmult": 0,
-                "add": (i.N_a * i.O * i.K - i.N_a) * (i.T_e + 1),
-            },
-            "gap": {
-                "rot": i.C / i.U * log_t,
-                "pmult": 0,
-                "cmult": 0,
-                "add": i.C / i.U * (i.J - 1),
-            },
-            "fc": {
-                "rot": i.C / i.U * i.C_s,
-                "pmult": i.C / i.U * i.C_s,
-                "cmult": 0,
-                "add": i.C / i.U * i.C_s,
-            },
-            "activation": {
-                "rot": 0,
-                "pmult": 2 * i.N_a * i.A,
-                "cmult": i.N_a * i.A,
-                "add": 2 * i.N_a * i.A,
-            },
-        }
-    if fmt == ROWMAJOR:
-        return {
-            "s_conv": {
-                "rot": i.N_r * (i.D - 1) * i.S_p,
-                "pmult": i.N_r * i.D * i.C * (i.S_p + 1),
-                "cmult": 0,
-                # this row reuses the temporal O*K product; kept as-is
-                # for comparability
-                "add": (i.N_r * i.O * i.K - i.N_r) * (i.S_p + 1),
-            },
-            "t_conv": {
-                "rot": i.N_r * (i.K - 1) * (i.T_e + 1),
-                "pmult": i.N_r * i.K * i.O * (i.T_e + 1),
-                "cmult": 0,
-                "add": (i.N_r * i.K * i.O - i.N_r) * (i.T_e + 1),
-            },
-            "gap": {
-                "rot": i.N_r / i.samples * log_r,
-                "pmult": 0,
-                "cmult": 0,
-                "add": i.N_r / i.samples + i.N_r / i.samples * log_r,
-            },
-            "fc": {
-                "rot": i.C_s,
-                "pmult": i.N_r / i.samples * i.C_s,
-                "cmult": 0,
-                "add": i.N_r / i.samples * i.C_s,
-            },
-            "activation": {
-                "rot": 0,
-                "pmult": i.N_r * 2 * i.A,
-                "cmult": i.N_r * i.A,
-                "add": i.N_r * i.A,
-            },
-        }
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 def framework_hoc(method: str, inp: HocFormulaInput) -> dict[str, float]:

@@ -13,11 +13,14 @@ cost model:
 Execution is batched; the schedule and its counts are those of a
 per-ciphertext loop.  Each conv kernel stacks its input ciphertexts.  An AMA
 channel fold evaluates all of its giant steps as one
-``SimContext.fold_steps`` (one block-circulant GEMM); a row-major kernel
+``SimContext.fold_steps`` (one block-circulant GEMM) on one coefficient
+table over (step, row, term, output block), gathered in one vectorized step
+from the giant steps ``_giant_steps`` lists: once per layer for temporal
+convs, once per chunk of output joints for spatial ones.  A row-major kernel
 evaluates each chunk of shifts as one ``SimContext.fold``.  Rows are joints
 (AMA temporal), output joints (AMA spatial) or output channels (row-major),
 terms are the source ciphertexts a row sums, and a term is skipped exactly
-where its plaintext would be zero.  Rows run in chunks whose source stack
+where its coefficients are all zero.  Rows run in chunks whose source stack
 stays under ``_CHUNK_BYTES``.  Input rotations are applied to a stack of the
 sources some executed term reads, and every count, including the giant-step
 rotations and the adds of partial sums, comes from hesim ops.
@@ -131,12 +134,12 @@ class _RowSums:
         self.rows: list[SimCiphertext | None] = [None] * n
         self.full: SimCiphertext | None = None  # every row, as one stack
 
-    def fold(self, ctx, src, coef, mask, vec, grid) -> None:
-        """Fold the rows that have terms (one source set) and add them into the sums."""
-        idx = np.flatnonzero(mask[0].any(axis=-1))
+    def fold(self, ctx, src, coef, vec, grid) -> None:
+        """Fold the rows that have terms and add them into the sums."""
+        idx = np.flatnonzero(coef.any(axis=(1, 2)))
         if not len(idx):
             return
-        part = ctx.fold(src, coef, mask, vec, grid)
+        part = ctx.fold(src, coef, vec, grid)
         n = len(self.rows)
         if len(idx) == n and (self.full is not None or all(r is None for r in self.rows)):
             self.full = part if self.full is None else ctx.add(self.full, part)
@@ -157,15 +160,11 @@ class _RowSums:
         return self.full if self.full is not None else _zero_fill(ctx, self.rows, level)
 
 
-def _ama_fold(ctx, src, steps, lin, vec=1.0) -> SimCiphertext:
+def _ama_fold(ctx, src, amounts, coef, lin, vec=1.0) -> SimCiphertext:
     """The AMA channel fold: all giant steps as one ``SimContext.fold_steps``
     on the (block, slot in block) grid; a row no step reaches is an encrypted zero.
-
-    ``steps`` yields (delta, coef, mask): the fold of giant step delta,
-    rotated left by delta blocks.
     """
-    steps = [(delta * lin.pad_bt, coef, mask) for delta, coef, mask in steps]
-    acc, has_terms = ctx.fold_steps(src, steps, vec, (lin.capacity, lin.pad_bt))
+    acc, has_terms = ctx.fold_steps(src, amounts, coef, vec, (lin.capacity, lin.pad_bt))
     if has_terms.all():
         return acc
     return _zero_fill(ctx, [ct if h else None for ct, h in zip(hesim.unstack(acc), has_terms)], acc.level)
@@ -176,13 +175,22 @@ def _block_channels(lin: PackingLayout) -> np.ndarray:
     return np.array([[lin.block_channel(g, beta) for beta in range(lin.capacity)] for g in range(lin.cts_per_joint)])
 
 
-def _giant_steps(lin: PackingLayout):
-    """The giant steps of an AMA channel fold and, per input group, the
-    block positions each step serves ({delta: mask})."""
-    sizes = {lin.group_size(g) for g in range(lin.cts_per_joint)}
-    sel_by_size = {n: packing.giant_step_coverage(lin.capacity, n) for n in sizes}
-    deltas = sorted({d for sel in sel_by_size.values() for d in sel})
-    return deltas, [sel_by_size[lin.group_size(g)] for g in range(lin.cts_per_joint)]
+def _giant_steps(lin: PackingLayout, lout: PackingLayout):
+    """The giant steps of an AMA channel fold from ``lin`` to ``lout``.
+
+    Returns the rotation amounts (S,), the (H, cap) channel of every output
+    block, the (S, G, cap) input channel step s brings to block position p
+    of group g (a rotation by delta blocks brings block p + delta), and the
+    (S, G, cap) mask of the positions each step serves.
+    """
+    cap, G = lin.capacity, lin.cts_per_joint
+    sizes = [lin.group_size(g) for g in range(G)]
+    cover = {n: packing.giant_step_coverage(cap, n) for n in set(sizes)}
+    deltas = np.array(sorted({d for sel in cover.values() for d in sel}))
+    never = np.zeros(cap, dtype=bool)
+    serves = np.array([[cover[n].get(d, never) for n in sizes] for d in deltas])
+    reads = _block_channels(lin)[np.arange(G)[:, None], (np.arange(cap) + deltas[:, None, None]) % cap]
+    return deltas * lin.pad_bt, _block_channels(lout), reads, serves
 
 
 def _accumulate(ctx: SimContext, terms: list[SimCiphertext]) -> SimCiphertext | None:
@@ -254,35 +262,22 @@ def ama_spatial(
     B, T, J = lin.B, lin.T, lin.J
     lout = packing.ama_layout((B, merged.c_out, T, J), lin.slot_count)
     cap, G, H = lin.capacity, lin.cts_per_joint, lout.cts_per_joint
-    in_chan, out_chan = _block_channels(lin), _block_channels(lout)
-    deltas, sel = _giant_steps(lin)
-    rolled = {delta: (np.arange(cap) - delta) % cap for delta in deltas}  # v[rolled[d]] == np.roll(v, d)
+    amounts, out_chan, c_read, serves = _giant_steps(lin, lout)
     # input joint of (output joint, piece); -1 where the piece has no entry
     # (a zero matrix has no pieces: one empty piece gives every output zero)
     reads = np.array([p.rows for p in pieces] or [[-1] * J], dtype=np.int64).T
     m = reads.shape[1]
     bias_rows = np.array([_bias_vector_ama(lout, merged.bias, h) for h in range(H)])
 
-    def steps(ks):
-        jin = np.maximum(reads[ks], 0)[:, :, None, None]
-        present = (reads[ks] >= 0)[:, :, None, None]
-        for delta in deltas:
-            coef = np.zeros((len(ks), H, m, G, cap))
-            for g in range(G):
-                if delta not in sel[g]:
-                    continue
-                c_read = in_chan[g][(np.arange(cap) + delta) % cap]
-                vals = merged.entries(c_read, out_chan[None, None], ks[:, None, None, None], jin)  # (k, piece, h, p)
-                vals = np.where(sel[g][delta] & present, vals, 0.0)
-                # rolling the cap block values equals rolling the slot vector
-                # by delta*pad: each block is uniform
-                coef[:, :, :, g] = vals[..., rolled[delta]].transpose(0, 2, 1, 3)
-            yield delta, coef.reshape(len(ks), H, m * G, cap, 1), coef.any(axis=-1).reshape(len(ks), H, m * G)
-
     out_cts = []
     for ks in _chunks(np.arange(J), m * G * lin.slot_count * 8):
+        # coefficients over (step, output joint, h, piece, g, block)
+        jin = reads[ks][:, None, :, None, None]
+        index = (c_read[:, None, None, None], out_chan[:, None, None], ks[:, None, None, None, None], np.maximum(jin, 0))
+        vals = np.where(serves[:, None, None, None] & (jin >= 0), merged.entries(*index), 0.0)
+        coef = vals.reshape(len(amounts), len(ks), H, m * G, cap)
         src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for k in ks for j in np.maximum(reads[k], 0) for g in range(G)])
-        acc = _ama_fold(ctx, src, steps(ks), lin)
+        acc = _ama_fold(ctx, src, amounts, coef, lin)
         if _has_bias(merged.bias):
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(ks), 1)))
         out_cts += hesim.unstack(acc)
@@ -328,9 +323,9 @@ def _rowmajor_fold(ctx, fm, coef_of, shifts, n_out, bias_rows, vec_of=None) -> l
                     coefs.append(table)
                     if vec_of is not None:
                         vecs.append(np.broadcast_to(vec_of(i)[:, None], (C, lin.T, 1)))
-            coef = np.concatenate(coefs).transpose(1, 0, 2)[None, :, :, None, :]  # (1, o, term, 1, J or 1)
+            coef = np.concatenate(coefs).transpose(1, 0, 2)  # (o, term, J or 1)
             vec = np.concatenate(vecs) if vecs else 1.0
-            sums.fold(ctx, hesim.stack(srcs), coef, coef.any(axis=(3, 4)), vec, grid)
+            sums.fold(ctx, hesim.stack(srcs), coef, vec, grid)
         acc = sums.result(ctx, fm.level - 1)
         if bias_rows is not None:
             acc = _add_bias(ctx, acc, bias_rows)
@@ -452,30 +447,20 @@ def temporal_conv(
 def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
     """Rows of the fold are joints (in chunks), terms are (input group, tap).
 
-    Block weights do not depend on the joint, so every giant step's
-    plaintexts are built once per layer.  Each tap mask repeats every pad
-    slots, so rolling the cap block weights by delta equals rolling the
-    slot vector by delta*pad.
+    Block weights do not depend on the joint, so the giant-step table is
+    built once per layer and shared by every joint.
     """
     lin = fm.layout
-    cap, J, G, K = lin.capacity, lin.J, lin.cts_per_joint, len(taps)
-    chan = _block_channels(lin)
-    deltas, sel = _giant_steps(lin)
-    positions = np.arange(cap)
-    steps = []
-    for delta in deltas:
-        coef = np.zeros((1, G, G, K, cap))  # (joint, h, g, tap, block)
-        for g in range(G):
-            if delta not in sel[g]:
-                continue
-            c_read = chan[g][(positions + delta) % cap]
-            w = np.where(sel[g][delta][None, :, None], W[chan, c_read], 0.0)  # (h, p, tap)
-            coef[0, :, g] = w[:, (positions - delta) % cap].transpose(0, 2, 1)
-        steps.append((delta, coef.reshape(1, G, G * K, cap, 1), coef.any(axis=-1).reshape(1, G, G * K)))
+    J, G, K = lin.J, lin.cts_per_joint, len(taps)
+    amounts, out_chan, c_read, serves = _giant_steps(lin, lin)
+    # W over (step, h, g, tap, block)
+    w = W[out_chan[:, None, None], c_read[:, None, :, None], np.arange(K)[:, None]]
+    w = np.where(serves[:, None, :, None], w, 0.0)
+    coef = w.reshape(len(amounts), 1, G, G * K, lin.capacity)
     vec = np.tile(np.array([masks[kappa] for kappa, _ in taps])[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
 
     # a tap rotation is paid for the (group, tap) pairs some giant step reads
-    read = np.any([mask[0].any(axis=0) for _, _, mask in steps], axis=0).reshape(G, K)
+    read = coef.any(axis=(0, 1, 2, 4)).reshape(G, K)
     by_amount = _amounts([eps * fm.t_stride for _, eps in taps], lin.slot_count)
     bias_rows = np.array([_bias_vector_ama(lin, bias, h) for h in range(G)])
 
@@ -489,7 +474,7 @@ def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
             for i, ct in _rotations(ctx, x, amount, used).items():
                 tapped.update({(i, kappa): ct for kappa in kappas})
         src = hesim.stack([tapped.get((i, kappa), x[i]) for i in range(len(x)) for kappa in range(K)])
-        acc = _ama_fold(ctx, src, steps, lin, vec)
+        acc = _ama_fold(ctx, src, amounts, coef, lin, vec)
         if bias_on:
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(js), 1)))
         out_cts += hesim.unstack(acc)

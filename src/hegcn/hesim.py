@@ -19,7 +19,9 @@ multiply-accumulate over a stack that counts each of its PMults and Adds.
 ``fold_steps`` sums many folds rotated by whole blocks (the giant steps of
 a baby-step/giant-step product) as one block-circulant matrix product, and
 counts each step's PMults, Adds, rotations and partial-sum Adds as that
-step would.  ``stack`` and ``unstack`` are bookkeeping and count nothing.
+step would.  Both take one coefficient array: a term runs, and is counted,
+exactly when its coefficients are not all zero.  ``stack`` and ``unstack``
+are bookkeeping and count nothing.
 """
 
 from __future__ import annotations
@@ -341,24 +343,21 @@ class SimContext:
         self._log("mod_switch", ct.level, target_level, ct.rows)
         return out
 
-    def fold(self, src: SimCiphertext, coef, mask, vec=1.0, grid=None) -> SimCiphertext:
+    def fold(self, src: SimCiphertext, coef, vec=1.0, grid=None) -> SimCiphertext:
         """Fused plaintext multiply-accumulate: many PMults and Adds as one op.
 
-        ``src`` is a stack of U x T ciphertexts, u-major: U source sets of T
-        terms each (U = 1 when every row reads the same sources).  Row
-        (u, v) of the result, u-major, is
+        ``src`` is a stack of T ciphertexts, the terms every row reads.  The
+        slots are read as a ``grid`` of shape (n1, n2), n1 * n2 <= slot_count
+        (default (1, slot_count)).  ``coef`` has shape (V, T, 1) or (V, T, n2)
+        and ``vec`` broadcasts to (T, n1, n2).  Row v of the result is
 
-            sum over t with mask[u, v, t] of  src[u, t] * pt[u, v, t]
+            sum over t with coef[v, t] not all zero of  src[t] * pt[v, t]
 
-        ``mask`` has shape (U or 1, V, T).  The slots are read as a
-        ``grid`` of shape (n1, n2), n1 * n2 <= slot_count (default
-        (1, slot_count)); on the grid the plaintext is
-        ``coef[u, v, t] * vec[t]``, and past it zero.  ``coef`` broadcasts to
-        (U, V, T, n1, n2) and varies along at most one grid axis; ``vec``
-        broadcasts to (T, n1, n2).
+        where on the grid ``pt[v, t]`` is ``coef[v, t] * vec[t]`` (the same
+        along n1), and past it zero.
 
         Counts exactly what the per-ciphertext schedule would: one PMult
-        (and its rescale) per masked term, and ``terms - 1`` Adds per row
+        (and its rescale) per term that runs, and ``terms - 1`` Adds per row
         with at least one term.  A row without terms is zero and was
         computed by no operation; callers replace or drop it.  With
         ``quantize`` the sum is rounded once, as a fused multiply-accumulate
@@ -366,45 +365,25 @@ class SimContext:
         """
         if src.level < 1:
             raise LevelError("level exhausted: fold needs level >= 1")
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 3 or src.rows % mask.shape[2]:
-            raise ValueError(f"mask of shape {mask.shape} does not fit {src.rows} source ciphertexts")
-        T, V = mask.shape[2], mask.shape[1]
-        U = src.rows // T
-        if mask.shape[0] not in (1, U):
-            raise ValueError(f"mask of shape {mask.shape} does not fit {U} source sets")
         n1, n2 = grid or (1, self.slot_count)
         if n1 * n2 > self.slot_count:
             raise ValueError(f"grid {n1}x{n2} exceeds slot count {self.slot_count}")
         coef = np.asarray(coef, dtype=np.float64)
-        if coef.ndim != 5:
-            raise ValueError("coef must broadcast to (U, V, T, n1, n2)")
-        if coef.shape[3] > 1 and coef.shape[4] > 1:
-            raise ValueError("coef may vary along one grid axis only")
-        z = src.slots.reshape(U, T, -1)[:, :, : n1 * n2].reshape(U, T, n1, n2) * vec
-        coef = np.where(mask[..., None, None], coef, 0.0)
-        by_col = coef.shape[4] > 1
-        if by_col:  # put the axis coef varies along first
-            z, coef = z.swapaxes(2, 3), coef.swapaxes(3, 4)
-        nb, nf = z.shape[2:]
-        if coef.shape[3] == 1:  # one scalar per term: a single product
-            z = z.reshape(U, T, 1, nb * nf)
-        cb = np.moveaxis(coef[..., 0], 3, 1)  # (U or 1, nb', V, T)
-        zb = z.transpose(0, 2, 1, 3)  # (U, nb', T, nf')
-        if cb.shape[0] == 1 and U > 1:  # shared plaintexts: one product per block
-            nbz, nfz = zb.shape[1], zb.shape[3]
-            prod = cb[0] @ zb.transpose(1, 2, 0, 3).reshape(nbz, T, U * nfz)
-            prod = prod.reshape(nbz, V, U, nfz).transpose(2, 0, 1, 3)
-        else:
-            prod = cb @ zb  # (U, nb', V, nf')
-        prod = prod.transpose(0, 2, 1, 3).reshape(U, V, nb, nf)
-        if by_col:
-            prod = prod.swapaxes(2, 3)
-        out = np.zeros((U * V, self.slot_count))
-        out[:, : n1 * n2] = prod.reshape(U * V, n1 * n2)
+        if coef.ndim != 3 or coef.shape[2] not in (1, n2):
+            raise ValueError(f"coef of shape {coef.shape} is not (rows, terms, 1 or {n2})")
+        V, T = coef.shape[:2]
+        if src.rows != T:
+            raise ValueError(f"{src.rows} source ciphertexts do not match {T} terms")
+        z = src.slots.reshape(T, -1)[:, : n1 * n2].reshape(T, n1, n2) * vec
+        if coef.shape[2] == 1:  # one scalar per term: a single product
+            prod = coef[:, :, 0] @ z.reshape(T, n1 * n2)
+        else:  # one product per slot column
+            prod = (coef.transpose(2, 0, 1) @ z.transpose(2, 0, 1)).transpose(1, 2, 0)
+        out = np.zeros((V, self.slot_count))
+        out[:, : n1 * n2] = prod.reshape(V, n1 * n2)
         if self.quantize:
             out = self._quantize(out)
-        terms = np.broadcast_to(mask, (U, V, T)).sum(axis=-1)
+        terms = coef.any(axis=-1).sum(axis=-1)
         level = src.level - 1
         if terms.sum():
             self._record("pmult", src.level, level, int(terms.sum()))
@@ -413,23 +392,26 @@ class SimContext:
             self._record("add", level, level, adds)
         return self._new_ct(out, level)
 
-    def fold_steps(self, src: SimCiphertext, steps, vec=1.0, grid=None) -> tuple[SimCiphertext, np.ndarray]:
+    def fold_steps(self, src: SimCiphertext, amounts, coef, vec=1.0, grid=None) -> tuple[SimCiphertext, np.ndarray]:
         """Many block-rotated folds summed per row, as one block-circulant GEMM.
 
-        ``steps`` holds (amount, coef, mask) triples.  Row r of the result is
+        ``src`` is a stack of U x T ciphertexts, u-major: U source sets of T
+        terms each.  The slots are read as a ``grid`` (n1, n2) that covers
+        every slot, and every rotation amount is a multiple of n2 (a shift by
+        whole blocks).  ``coef`` has shape (S, U or 1, V, T, n1): step,
+        source set, row, term and the block a coefficient lands on after its
+        step's rotation; ``vec`` broadcasts to (T, n1, n2).  Block b of row
+        (u, v), u-major, is
 
-            sum over steps of  rotate(fold(src, coef, mask, vec, grid), amount)[r]
+            sum over steps s, terms t of  coef[s, u, v, t, b] * (src[u, t] * vec[t])[b']
 
-        the baby-step/giant-step matrix-vector product of Halevi and Shoup:
-        the ``grid`` (n1, n2) must cover every slot, every amount must be a
-        multiple of n2 (a shift by whole blocks) and ``coef`` must be
-        constant along n2.  Step s then moves block (b + amount_s / n2) mod n1
-        of its fold to block b, so all steps together are one (V*n1, n1*T)
-        matrix per source set, applied to ``src * vec`` read as (n1*T, n2).
-        Repeated amounts add up.
+        with b' = (b + amounts[s] / n2) mod n1: the baby-step/giant-step
+        matrix-vector product of Halevi and Shoup, where all steps together
+        are one (V*n1, n1*T) matrix per source set.  Repeated amounts add up.
 
         Counts, step by step, what folding, rotating and summing the rows
-        one step at a time would: the fold's PMults and Adds, one rotation
+        one step at a time would: one PMult per term whose coefficients are
+        not all zero and ``terms - 1`` Adds per row with terms, one rotation
         per row with terms (none when the amount is 0 mod slot_count), and
         one Add per row with terms that already holds a partial sum.  Returns
         the (U*V, slot_count) stack and which rows got a term; a row without
@@ -441,21 +423,23 @@ class SimContext:
         n1, n2 = grid or (1, self.slot_count)
         if n1 * n2 != self.slot_count:
             raise ValueError(f"grid {n1}x{n2} does not cover slot count {self.slot_count}")
-        steps = [(int(a), np.asarray(coef, dtype=np.float64), np.asarray(mask, dtype=bool)) for a, coef, mask in steps]
-        if not steps or steps[0][2].ndim != 3 or src.rows % steps[0][2].shape[2]:
-            raise ValueError(f"fold_steps needs at least one step, each with a mask that fits {src.rows} sources")
-        V, T = steps[0][2].shape[1:]
+        amounts = np.asarray(amounts, dtype=np.int64)
+        coef = np.asarray(coef, dtype=np.float64)
+        if coef.ndim != 5 or coef.shape[4] != n1 or coef.shape[0] != len(amounts):
+            raise ValueError(f"coef of shape {coef.shape} is not ({len(amounts)}, sets, rows, terms, {n1})")
+        S, sets, V, T = coef.shape[:4]
         U = src.rows // T
-        for amount, coef, mask in steps:
-            if amount % n2:
-                raise ValueError(f"rotation amount {amount} is not a multiple of the block length {n2}")
-            if coef.ndim != 5 or coef.shape[4] > 1:
-                raise ValueError("coef must broadcast to (U, V, T, n1, 1): constant along n2")
-            if mask.shape[1:] != (V, T) or mask.shape[0] not in (1, U):
-                raise ValueError(f"mask of shape {mask.shape} does not fit {U} source sets of {T}")
-        mat = _block_circulant(steps, U, n1, n2)
+        if src.rows % T or sets not in (1, U):
+            raise ValueError(f"coef of {sets} sets of {T} terms does not fit {src.rows} source ciphertexts")
+        if np.any(amounts % n2):
+            raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
+        # rows (out, block), columns (source block, term); block b reads source block b + a
+        mat = np.zeros((sets, V, n1, n1, T))
+        b = np.arange(n1)
+        for a, c in zip(amounts // n2, coef):
+            mat[:, :, b, (b + a) % n1] += c.swapaxes(-1, -2)
         # per step: terms per row, rows with terms, and those already holding a partial
-        terms = np.stack([np.broadcast_to(m, (U, V, T)) for _, _, m in steps]).sum(axis=-1).reshape(-1, U * V)
+        terms = np.broadcast_to(coef.any(axis=-1), (S, U, V, T)).sum(axis=-1).reshape(S, U * V)
         rows = terms > 0
         merges = np.zeros_like(rows)
         merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
@@ -466,7 +450,7 @@ class SimContext:
             merges.sum(axis=1).tolist(),
         )
         level = src.level - 1
-        for (amount, _, _), (pmults, adds, n_rows, n_merges) in zip(steps, per_step):
+        for amount, (pmults, adds, n_rows, n_merges) in zip(amounts.tolist(), per_step):
             if pmults:
                 self._record("pmult", src.level, level, pmults)
             if adds:
@@ -478,7 +462,7 @@ class SimContext:
         z = np.empty((U, n1, T, n2))  # src * vec, (source block, term)-major like the columns of mat
         vec = np.broadcast_to(vec, (T, n1, n2))
         np.multiply(src.slots.reshape(U, T, n1, n2).swapaxes(1, 2), vec.swapaxes(0, 1), out=z)
-        out = (mat @ z.reshape(U, n1 * T, n2)).reshape(U * V, self.slot_count)
+        out = (mat.reshape(sets, V * n1, n1 * T) @ z.reshape(U, n1 * T, n2)).reshape(U * V, self.slot_count)
         if self.quantize:
             out = self._quantize(out)
         return self._new_ct(out, level), rows.any(axis=0)
@@ -500,24 +484,6 @@ class SimContext:
                 f"max_level {self.max_level} x scale_bits {self.scale_bits} = "
                 f"{budget} bits exceeds modulus budget Q={params.modulus_bits}"
             )
-
-
-def _block_circulant(steps, U: int, n1: int, n2: int) -> np.ndarray:
-    """The (U or 1, V*n1, n1*T) matrix of ``fold_steps`` (one when every step
-    is shared by the source sets): rows (out, block), columns (source block,
-    term).  Step a moves source block (b + a) mod n1 of its masked block
-    coefficients to block b."""
-    V, T = steps[0][2].shape[1:]
-    sets = 1 if all(coef.shape[0] == mask.shape[0] == 1 for _, coef, mask in steps) else U
-    mat = np.zeros((sets, V, n1 * n1, T))  # (block, source block) flattened
-    for amount, coef, mask in steps:
-        a = amount // n2 % n1
-        c = np.where(mask[..., None], coef[..., 0], 0.0)
-        c = np.broadcast_to(c, (c.shape[0], V, T, n1)).swapaxes(-1, -2)  # (set, out, source block, term)
-        # pairs (b, b + a) for b < n1 - a, then (b, b + a - n1): two runs of stride n1 + 1
-        mat[:, :, a : (n1 - a) * (n1 + 1) : n1 + 1] += c[:, :, a:]
-        mat[:, :, (n1 - a) * n1 :: n1 + 1] += c[:, :, :a]
-    return mat.reshape(sets, V * n1, n1 * T)
 
 
 def replay_counts(oplog) -> HocCounter:

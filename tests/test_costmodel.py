@@ -9,7 +9,6 @@ from hegcn.costmodel import (
     ParamSelectionError,
     analytic_layer_counts,
     depth,
-    layer_hoc,
     matmul_hoc,
     reconcile,
     select_params,
@@ -112,20 +111,6 @@ class TestFrameworkRows:
         )
         defaults.update(kw)
         return HocFormulaInput.from_config(**defaults)
-
-    def test_ama_activation_cmult_cell(self):
-        inp = self.inp()
-        rows = layer_hoc(AMA, inp)
-        assert rows["activation"]["cmult"] == inp.N_a * inp.A
-
-    def test_ama_gap_rotation_cell(self):
-        # C=64, U=32, T=256: 2 * log2(128) = 14
-        rows = layer_hoc(AMA, self.inp())
-        assert rows["gap"]["rot"] == 14
-
-    def test_rowmajor_fc_rotation_cell(self):
-        rows = layer_hoc(ROWMAJOR, self.inp())
-        assert rows["fc"]["rot"] == 60
 
     def test_u_capped_at_channels(self):
         inp = self.inp(C=8, O=8)

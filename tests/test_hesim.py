@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 
@@ -225,72 +226,79 @@ class TestStacks:
         with pytest.raises(LevelError):
             c.pmult(low, 1.0)
         with pytest.raises(LevelError):
-            c.fold(low, np.ones((1, 1, 3, 1, 1)), np.ones((1, 1, 3), bool))
-
-    def fold_case(self, c, U=2, V=3, T=4, seed=1):
-        rng = np.random.default_rng(seed)
-        src = c.encrypt(rng.uniform(-1, 1, (U * T, c.slot_count)))
-        mask = rng.uniform(size=(U, V, T)) < 0.5
-        mask[0, 0] = False  # one row without terms
-        mask[1, 1] = [True, False, False, False]  # one row with a single term
-        return src, mask
-
-    def loop_fold(self, c, src, mask, plain):
-        """The per-ciphertext schedule a fold stands for: pmult, then add."""
-        U, V, T = mask.shape
-        srcs = unstack(src)
-        out = []
-        for u in range(U):
-            for v in range(V):
-                acc = None
-                for t in np.flatnonzero(mask[u, v]):
-                    term = c.pmult(srcs[u * T + t], plain(u, v, t))
-                    acc = term if acc is None else c.add(acc, term)
-                out.append(acc)
-        return out
+            c.fold(low, np.ones((1, 3, 1)))
 
     @pytest.mark.parametrize(
         "coef_shape, grid",
         [
-            ((2, 3, 4, 1, 1), None),  # a scalar per term and row
-            ((1, 3, 4, 4, 1), (4, 2)),  # per block, shared by the source sets
-            ((2, 3, 4, 1, 3), (2, 3)),  # periodic along the minor axis, tail past the grid
+            ((3, 4, 1), None),  # a scalar per term and row
+            ((3, 4, 1), (4, 2)),  # a scalar per term on a block grid
+            ((3, 4, 3), (2, 3)),  # periodic along the minor axis, tail past the grid
         ],
     )
     def test_fold_equals_the_loop_and_counts_the_mask(self, coef_shape, grid):
-        c = ctx(slots=8, levels=3, log_ops=True)
-        src, mask = self.fold_case(c)
+        """The mask is the nonzero pattern of ``coef``: exactly the terms
+        that run in the per-ciphertext loop."""
         rng = np.random.default_rng(2)
-        coef = rng.uniform(-1, 1, coef_shape)
+        vals = rng.uniform(-1, 1, (4, 8))
         n1, n2 = grid or (1, 8)
-        vec = rng.uniform(-1, 1, (4, 1, n2))
-
-        def plain(u, v, t):
-            pt = np.zeros(8)
-            pt[: n1 * n2] = np.broadcast_to(coef[min(u, coef.shape[0] - 1), v, t] * vec[t], (n1, n2)).ravel()
-            return pt
-
-        with c.layer("fold"):
-            out = c.fold(src, coef, mask, vec, grid)
-        loop = ctx(slots=8, levels=3)
-        with loop.layer("fold"):
-            want = self.loop_fold(loop, loop.encrypt(src.slots), mask, plain)
-        # hand count: 2*3 rows, mask.sum() pmults, (terms - 1) adds per row with terms
-        terms = mask.sum(axis=-1)
+        coef = np.where(rng.uniform(size=coef_shape[:2] + (1,)) < 0.5, rng.uniform(-1, 1, coef_shape), 0.0)
+        coef[0] = 0.0  # a row without terms
+        coef[1] = 0.0
+        coef[1, 2] = 0.7  # a row with a single term
+        coef[2, 3] = 0.0
+        coef[2, 3, 0] = -0.4  # a term runs when any one coefficient is nonzero
+        # hand count: a PMult per term with a nonzero coefficient, terms - 1 Adds per row with terms
+        terms = coef.any(axis=-1).sum(axis=-1)
         expect = {"rot": 0, "pmult": int(terms.sum()), "cmult": 0, "rescale": int(terms.sum())}
         expect["add"] = int(np.maximum(terms - 1, 0).sum())
-        assert c.counter.layer("fold") == expect == loop.counter.layer("fold")
-        assert out.rows == 6 and out.level == src.level - 1
-        for row, w in zip(unstack(out), want):
-            np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-15)
-        assert replay_counts(c.oplog) == c.counter
+        for vec in (0.5, rng.uniform(-1, 1, (4, 1, n2))):
+            c, ref = ctx(slots=8, levels=3, log_ops=True), ctx(slots=8, levels=3, log_ops=True)
+            with c.layer("fold"):
+                out = c.fold(c.encrypt(vals), coef, vec, grid)
+            plains = np.zeros((3, 4, 8))
+            on_grid = (coef[:, :, None] * np.broadcast_to(vec, (4, 1, n2))).repeat(n1, axis=2)
+            plains[:, :, : n1 * n2] = on_grid.reshape(3, 4, -1)
+            with ref.layer("fold"):
+                runs = coef.any(axis=-1)[None, None]
+                want = per_ciphertext_folds(ref, ref.encrypt(vals), [0], plains[None, None], runs)
+            assert c.counter.layer("fold") == expect == ref.counter.layer("fold")
+            assert coalesce(c.oplog) == coalesce(ref.oplog)
+            assert out.rows == 3 and out.level == 2
+            assert [w is None for w in want] == [True, False, False]
+            for row, w in zip(unstack(out), want):
+                np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
+            assert replay_counts(c.oplog) == c.counter
 
     def test_fold_skips_masked_terms(self):
+        """A term whose coefficients are all zero runs no PMult."""
         c = ctx(slots=8, levels=2)
         src = c.encrypt(np.ones((2, 8)))
-        out = c.fold(src, np.full((1, 1, 2, 1, 1), 5.0), np.array([[[True, False]]]))
+        out = c.fold(src, np.array([[[5.0], [0.0]]]))
         np.testing.assert_array_equal(out.slots, np.full((1, 8), 5.0))
         assert c.counter.totals()["pmult"] == 1 and c.counter.totals()["add"] == 0
+
+    def test_fold_level_is_checked_first(self):
+        c = ctx(slots=8, levels=1)
+        low = c.pmult(c.encrypt(np.ones((3, 8))), 1.0)
+        with pytest.raises(LevelError):
+            c.fold(low, np.ones((2, 5)), grid=(4, 4))
+
+    @pytest.mark.parametrize(
+        "rows, coef_shape, grid, match",
+        [
+            (4, (1, 4, 1), (4, 4), "exceeds slot count"),
+            (4, (1, 4), None, "is not"),  # not 3-D
+            (4, (1, 4, 1, 1), None, "is not"),
+            (4, (1, 4, 2), (2, 4), "is not"),  # last axis neither 1 nor n2
+            (8, (1, 4, 1), None, "do not match"),  # two source sets
+            (3, (1, 4, 1), None, "do not match"),
+        ],
+    )
+    def test_fold_typed_errors(self, rows, coef_shape, grid, match):
+        c = ctx(slots=8, levels=2)
+        with pytest.raises(ValueError, match=match):
+            c.fold(c.encrypt(np.ones((rows, 8))), np.ones(coef_shape), grid=grid)
 
     def test_replay_of_batched_records(self):
         c = ctx(levels=4, log_ops=True)
@@ -298,59 +306,81 @@ class TestStacks:
             x = c.encrypt(self.rows(c, n=5))
             y = c.rotate(c.pmult(x, 0.5), 1)
             c.add(y, y)
-            c.fold(stack(unstack(x)[:4]), np.ones((1, 2, 2, 1, 1)), np.ones((1, 2, 2), bool))
+            c.fold(stack(unstack(x)[:2]), np.ones((2, 2, 1)))
         with c.layer("b"):
             c.pmult(c.encrypt([1.0]), 2.0)
         assert any(r.get("count", 1) > 1 for r in c.oplog)
         assert replay_counts(c.oplog) == c.counter
 
 
+def coalesce(oplog) -> list[dict]:
+    """Consecutive records alike but for ``count`` as one record of their summed count."""
+    out = []
+    for rec in oplog:
+        rec = dict(rec)
+        n = rec.pop("count", 1)
+        if out and out[-1][0] == rec:
+            out[-1][1] += n
+        else:
+            out.append([rec, n])
+    return [{**rec, "count": n} if n > 1 else rec for rec, n in out]
+
+
+def per_ciphertext_folds(c, src, amounts, plains, runs) -> list:
+    """The schedule ``fold_steps`` stands for, one ciphertext at a time.
+
+    ``plains`` holds the (S, U or 1, V, T, slot_count) slot plaintexts and
+    ``runs`` the (S, U or 1, V, T) terms that run.  Per step: PMult every
+    term that runs by its plaintext, Add the products of each row, rotate
+    each row's partial by the step's amount, and Add it into the row's
+    running sum.  Returns the running sums, None for a row without terms.
+    """
+    S, sets, V, T = runs.shape
+    U = src.rows // T
+    srcs = unstack(src)
+    sums = [None] * (U * V)
+    for s, amount in enumerate(amounts):
+        products = {}
+        for u in range(U):
+            for v in range(V):
+                for t in range(T):
+                    if runs[s, min(u, sets - 1), v, t]:
+                        pt = plains[s, min(u, sets - 1), v, t]
+                        products.setdefault(u * V + v, []).append(c.pmult(srcs[u * T + t], pt))
+        partials = {r: functools.reduce(c.add, terms) for r, terms in products.items()}
+        rotated = {r: c.rotate(ct, amount) for r, ct in partials.items()}
+        for r, ct in rotated.items():
+            sums[r] = ct if sums[r] is None else c.add(sums[r], ct)
+    return sums
+
+
 class TestFoldSteps:
-    """``fold_steps`` against the schedule it stands for, on 32 slots read
-    as 4 blocks of 8: U = 2 source sets of T = 4 terms, V = 3 outputs."""
+    """``fold_steps`` against the per-ciphertext schedule it stands for, on
+    32 slots read as 4 blocks of 8: U = 2 source sets of T = 4 terms, V = 3
+    outputs."""
 
     U, V, T, N1, N2 = 2, 3, 4, 4, 8
+    # 0, a repeat, a full turn, a negative amount, a step without terms
+    AMOUNTS = [0, 8, 32, -16, 8, 24, 16]
 
-    def steps(self, shared, seed=3):
+    def coef(self, shared, seed=3):
         rng = np.random.default_rng(seed)
-        U, V, T, n1 = self.U, self.V, self.T, self.N1
-        sets = 1 if shared else U
-        # 0, a full turn, a negative amount, a repeat, a step without terms
-        amounts = [0, 8, 32, -16, 8, 24, 16]
-        steps = []
-        for s, amount in enumerate(amounts):
-            mask = rng.uniform(size=(sets, V, T)) < 0.6
-            mask[:, 0] = False  # output 0 of every set: no term in any step
-            if s % 2:
-                mask[-1, 2] = False  # output 2 of the last set: terms in some steps only
-            if s == 5:
-                mask[:] = False
-            coef = rng.uniform(-1, 1, (sets, V, T, n1, 1))
-            if s == 3:
-                mask = mask[:1]  # one mask, per-set coefficients when not shared
-            if s == 4:
-                coef = coef[:1, :, :, :1]  # one scalar per term, shared by the sets
-            steps.append((amount, coef, mask))
-        return steps
+        shape = (len(self.AMOUNTS), 1 if shared else self.U, self.V, self.T, self.N1)
+        coef = np.where(rng.uniform(size=shape[:4] + (1,)) < 0.6, rng.uniform(-1, 1, shape), 0.0)
+        coef[:, :, 0] = 0.0  # output 0 of every set: no term in any step
+        coef[1::2, -1, 2] = 0.0  # output 2 of the last set: terms in some steps only
+        coef[5] = 0.0
+        coef[2, :, 1, 0] = [0.0, 0.3, 0.0, -0.2]  # zeros at some blocks of a term that runs
+        return coef
 
-    def per_step(self, c, src, steps, vec):
-        """Fold, keep the rows with terms, rotate them, add into running sums."""
-        U, V, T = self.U, self.V, self.T
-        sums = [None] * (U * V)
-        for amount, coef, mask in steps:
-            idx = np.flatnonzero(np.broadcast_to(mask, (U, V, T)).any(axis=-1))
-            if not len(idx):
-                continue
-            part = unstack(c.fold(src, coef, mask, vec, (self.N1, self.N2)))
-            rotated = unstack(c.rotate(stack([part[i] for i in idx]), amount))
-            old = [k for k, i in enumerate(idx) if sums[i] is not None]
-            if old:
-                added = c.add(stack([sums[idx[k]] for k in old]), stack([rotated[k] for k in old]))
-                for k, ct in zip(old, unstack(added)):
-                    rotated[k] = ct
-            for k, i in enumerate(idx):
-                sums[i] = rotated[k]
-        return sums
+    def plains(self, coef, vec):
+        """Slot plaintexts per (step, set, row, term): a coefficient lands on
+        block b after the step's rotation, so before it sits at block b + shift."""
+        vec = np.broadcast_to(vec, (self.T, self.N1, self.N2))
+        out = np.zeros(coef.shape[:4] + (self.N1, self.N2))
+        for s, amount in enumerate(self.AMOUNTS):
+            out[s] = np.roll(coef[s], amount // self.N2, axis=-1)[..., None] * vec
+        return out.reshape(coef.shape[:4] + (-1,))
 
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("vec_kind", ["scalar", "per-term"])
@@ -358,48 +388,52 @@ class TestFoldSteps:
         rng = np.random.default_rng(4)
         vals = rng.uniform(-1, 1, (self.U * self.T, 32))
         vec = 0.5 if vec_kind == "scalar" else rng.uniform(-1, 1, (self.T, 1, self.N2))
-        steps = self.steps(shared)
+        coef, grid = self.coef(shared), (self.N1, self.N2)
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         with c.layer("steps"):
-            out, has_terms = c.fold_steps(c.encrypt(vals), steps, vec, (self.N1, self.N2))
+            out, has_terms = c.fold_steps(c.encrypt(vals), self.AMOUNTS, coef, vec, grid)
         with ref.layer("steps"):
-            want = self.per_step(ref, ref.encrypt(vals), steps, vec)
+            want = per_ciphertext_folds(ref, ref.encrypt(vals), self.AMOUNTS, self.plains(coef, vec), coef.any(axis=-1))
         assert has_terms.tolist() == [w is not None for w in want]
         assert not has_terms[0] and not has_terms[3] and has_terms[5]
         assert out.rows == self.U * self.V and out.level == 2
         for row, w in zip(unstack(out), want):
             np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
         assert c.counter == ref.counter
-        assert c.counter.totals()["rot"] > 0 and c.oplog == ref.oplog
+        assert c.counter.totals()["rot"] > 0 and coalesce(c.oplog) == coalesce(ref.oplog)
+        assert any(rec.get("count", 1) > 1 for rec in c.oplog)
         assert replay_counts(c.oplog) == c.counter
 
     def test_quantize_rounds_the_fused_sum_once(self):
         q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
         src = q.encrypt(np.random.default_rng(5).uniform(-1, 1, (self.U * self.T, 32)))
-        steps = self.steps(shared=False)
-        got = q.fold_steps(src, steps, 0.3, (self.N1, self.N2))[0].slots
-        want = exact.fold_steps(exact.encrypt(src.slots), steps, 0.3, (self.N1, self.N2))[0].slots
+        coef, grid = self.coef(shared=False), (self.N1, self.N2)
+        got = q.fold_steps(src, self.AMOUNTS, coef, 0.3, grid)[0].slots
+        want = exact.fold_steps(exact.encrypt(src.slots), self.AMOUNTS, coef, 0.3, grid)[0].slots
         np.testing.assert_array_equal(got, np.round(want * 2.0**33) / 2.0**33)
 
     def test_level_is_checked_first(self):
         c = ctx(slots=32, levels=1)
         low = c.pmult(c.encrypt(np.ones((4, 32))), 1.0)
         with pytest.raises(LevelError):
-            c.fold_steps(low, [(3, np.ones((1, 1, 4, 5, 2)), np.ones((1, 1, 4), bool))], grid=(5, 5))
+            c.fold_steps(low, [3], np.ones((1, 1, 1, 4, 5, 2)), grid=(5, 5))
 
     @pytest.mark.parametrize(
         "amount, coef_shape, grid, match",
         [
-            (8, (1, 1, 4, 2, 1), (2, 8), "does not cover"),
-            (4, (1, 1, 4, 4, 1), (4, 8), "not a multiple of the block length"),
-            (8, (1, 1, 4, 4, 8), (4, 8), "constant along n2"),
+            (8, (1, 1, 1, 4, 2), (2, 8), "does not cover"),
+            (4, (1, 1, 1, 4, 4), (4, 8), "not a multiple of the block length"),
+            (8, (1, 1, 1, 4, 8), (4, 8), "is not"),  # last axis not n1
+            (8, (1, 1, 4, 4), (4, 8), "is not"),  # not 5-D
+            (8, (2, 1, 1, 4, 4), (4, 8), "is not"),  # one step per amount
+            (8, (1, 3, 1, 2, 4), (4, 8), "does not fit"),  # neither 1 nor U = 2 sets
+            (8, (1, 1, 1, 3, 4), (4, 8), "does not fit"),  # 4 sources, 3 terms
         ],
     )
     def test_typed_errors(self, amount, coef_shape, grid, match):
         c = ctx(slots=32, levels=2)
-        src = c.encrypt(np.ones((4, 32)))
         with pytest.raises(ValueError, match=match):
-            c.fold_steps(src, [(amount, np.ones(coef_shape), np.ones((1, 1, 4), bool))], grid=grid)
+            c.fold_steps(c.encrypt(np.ones((4, 32))), [amount], np.ones(coef_shape), grid=grid)
 
 
 @settings(max_examples=50, deadline=None)
