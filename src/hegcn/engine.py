@@ -13,10 +13,12 @@ cost model:
 Execution is batched; the schedule and its counts are those of a
 per-ciphertext loop.  Each conv kernel stacks its input ciphertexts.  An AMA
 channel fold evaluates all of its giant steps as one
-``SimContext.fold_steps`` (one block-circulant GEMM) on one coefficient
-table over (step, row, term, output block), gathered in one vectorized step
-from the giant steps ``_giant_steps`` lists: once per layer for temporal
-convs, once per chunk of output joints for spatial ones.  A row-major kernel
+``SimContext.fold_steps`` (one block-circulant GEMM) of a
+``hesim.BlockCirculant`` built from one coefficient table over (step, row,
+term, output block), gathered in one vectorized step from the giant steps
+``_giant_steps`` lists: one operator per layer for temporal convs, applied
+to every chunk of joints, and one per chunk of output joints for spatial
+ones.  A row-major kernel
 evaluates each chunk of shifts as one ``SimContext.fold``.  Rows are joints
 (AMA temporal), output joints (AMA spatial) or output channels (row-major),
 terms are the source ciphertexts a row sums, and a term is skipped exactly
@@ -160,19 +162,15 @@ class _RowSums:
         return self.full if self.full is not None else _zero_fill(ctx, self.rows, level)
 
 
-def _ama_fold(ctx, src, amounts, coef, lin, vec=1.0) -> SimCiphertext:
-    """The AMA channel fold: all giant steps as one ``SimContext.fold_steps``
-    on the (block, slot in block) grid; a row no step reaches is an encrypted zero.
+def _ama_fold(ctx, src, op, vec=1.0) -> SimCiphertext:
+    """The AMA channel fold: all giant steps of the block-circulant operator
+    ``op`` as one ``SimContext.fold_steps``; a row no step reaches is an
+    encrypted zero.
     """
-    acc, has_terms = ctx.fold_steps(src, amounts, coef, vec, (lin.capacity, lin.pad_bt))
+    acc, has_terms = ctx.fold_steps(src, op, vec)
     if has_terms.all():
         return acc
     return _zero_fill(ctx, [ct if h else None for ct, h in zip(hesim.unstack(acc), has_terms)], acc.level)
-
-
-def _block_channels(lin: PackingLayout) -> np.ndarray:
-    """(group, block position) -> channel of an AMA layout."""
-    return np.array([[lin.block_channel(g, beta) for beta in range(lin.capacity)] for g in range(lin.cts_per_joint)])
 
 
 def _giant_steps(lin: PackingLayout, lout: PackingLayout):
@@ -189,8 +187,8 @@ def _giant_steps(lin: PackingLayout, lout: PackingLayout):
     deltas = np.array(sorted({d for sel in cover.values() for d in sel}))
     never = np.zeros(cap, dtype=bool)
     serves = np.array([[cover[n].get(d, never) for n in sizes] for d in deltas])
-    reads = _block_channels(lin)[np.arange(G)[:, None], (np.arange(cap) + deltas[:, None, None]) % cap]
-    return deltas * lin.pad_bt, _block_channels(lout), reads, serves
+    reads = lin.block_channels()[np.arange(G)[:, None], (np.arange(cap) + deltas[:, None, None]) % cap]
+    return deltas * lin.pad_bt, lout.block_channels(), reads, serves
 
 
 def _accumulate(ctx: SimContext, terms: list[SimCiphertext]) -> SimCiphertext | None:
@@ -206,11 +204,9 @@ def _add_bias(ctx, ct, bias_slots) -> SimCiphertext:
     return ctx.add(ct, ctx.mod_switch(bct, ct.level))
 
 
-def _bias_vector_ama(layout: PackingLayout, bias: np.ndarray, h: int) -> np.ndarray:
-    """Per-slot bias for output group h, uniform within each channel block."""
-    cap = layout.capacity
-    vals = np.array([bias[layout.block_channel(h, p)] for p in range(cap)])
-    return np.repeat(vals, layout.pad_bt)
+def _bias_rows_ama(layout: PackingLayout, bias: np.ndarray) -> np.ndarray:
+    """Per-slot bias of every output group, uniform within each channel block."""
+    return np.repeat(np.asarray(bias)[layout.block_channels()], layout.pad_bt, axis=1)
 
 
 def _has_bias(bias) -> bool:
@@ -267,7 +263,7 @@ def ama_spatial(
     # (a zero matrix has no pieces: one empty piece gives every output zero)
     reads = np.array([p.rows for p in pieces] or [[-1] * J], dtype=np.int64).T
     m = reads.shape[1]
-    bias_rows = np.array([_bias_vector_ama(lout, merged.bias, h) for h in range(H)])
+    bias_rows = _bias_rows_ama(lout, merged.bias)
 
     out_cts = []
     for ks in _chunks(np.arange(J), m * G * lin.slot_count * 8):
@@ -275,9 +271,9 @@ def ama_spatial(
         jin = reads[ks][:, None, :, None, None]
         index = (c_read[:, None, None, None], out_chan[:, None, None], ks[:, None, None, None, None], np.maximum(jin, 0))
         vals = np.where(serves[:, None, None, None] & (jin >= 0), merged.entries(*index), 0.0)
-        coef = vals.reshape(len(amounts), len(ks), H, m * G, cap)
+        op = hesim.BlockCirculant(amounts, vals.reshape(len(amounts), len(ks), H, m * G, cap), (cap, lin.pad_bt))
         src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for k in ks for j in np.maximum(reads[k], 0) for g in range(G)])
-        acc = _ama_fold(ctx, src, amounts, coef, lin)
+        acc = _ama_fold(ctx, src, op)
         if _has_bias(merged.bias):
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(ks), 1)))
         out_cts += hesim.unstack(acc)
@@ -447,8 +443,8 @@ def temporal_conv(
 def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
     """Rows of the fold are joints (in chunks), terms are (input group, tap).
 
-    Block weights do not depend on the joint, so the giant-step table is
-    built once per layer and shared by every joint.
+    Block weights do not depend on the joint, so the block-circulant
+    operator is built once per layer and applied to every chunk of joints.
     """
     lin = fm.layout
     J, G, K = lin.J, lin.cts_per_joint, len(taps)
@@ -457,12 +453,13 @@ def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
     w = W[out_chan[:, None, None], c_read[:, None, :, None], np.arange(K)[:, None]]
     w = np.where(serves[:, None, :, None], w, 0.0)
     coef = w.reshape(len(amounts), 1, G, G * K, lin.capacity)
+    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt))
     vec = np.tile(np.array([masks[kappa] for kappa, _ in taps])[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
 
     # a tap rotation is paid for the (group, tap) pairs some giant step reads
     read = coef.any(axis=(0, 1, 2, 4)).reshape(G, K)
     by_amount = _amounts([eps * fm.t_stride for _, eps in taps], lin.slot_count)
-    bias_rows = np.array([_bias_vector_ama(lin, bias, h) for h in range(G)])
+    bias_rows = _bias_rows_ama(lin, bias)
 
     out_cts = []
     # tap rotations of a joint's inputs are never read after that joint
@@ -474,7 +471,7 @@ def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
             for i, ct in _rotations(ctx, x, amount, used).items():
                 tapped.update({(i, kappa): ct for kappa in kappas})
         src = hesim.stack([tapped.get((i, kappa), x[i]) for i in range(len(x)) for kappa in range(K)])
-        acc = _ama_fold(ctx, src, amounts, coef, lin, vec)
+        acc = _ama_fold(ctx, src, op, vec)
         if bias_on:
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(js), 1)))
         out_cts += hesim.unstack(acc)
@@ -596,16 +593,16 @@ def fully_connected(
 
     if lin.kind == AMA:
         G, pad, cap = lin.cts_per_joint, lin.pad_bt, lin.capacity
+        # (group, class) plaintexts: a channel's weight at the anchor slot of
+        # every sample in its first block copy
+        plains = np.zeros((G, classes, lin.slot_count))
+        for g in range(G):
+            chans = np.array(lin.group_channels(g))
+            anchors = np.arange(len(chans))[:, None] * pad + np.arange(lin.B) * lin.T
+            plains[g][:, anchors] = weights[chans].T[:, :, None]
         score_cts = []
         for s in range(classes):
-            terms = []
-            for g in range(G):
-                plain = np.zeros(lin.slot_count)
-                for p in range(lin.group_size(g)):  # first copy only
-                    c = lin.block_channel(g, p)
-                    for b in range(lin.B):
-                        plain[p * pad + b * lin.T] = weights[c, s]
-                terms.append(ctx.pmult(fm.cts[g], plain))
+            terms = [ctx.pmult(fm.cts[g], plains[g, s]) for g in range(G)]
             acc = _accumulate(ctx, terms)
             for i in range(int(math.log2(cap))):
                 acc = ctx.add(acc, ctx.rotate(acc, pad * (cap >> (i + 1))))

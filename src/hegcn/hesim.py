@@ -16,12 +16,13 @@ Batching: a ciphertext may hold an (n, slots) stack of n ciphertexts at one
 level.  Every op on a stack counts n and writes one log record with a
 ``count`` field (left out when n = 1).  ``fold`` is a fused plaintext
 multiply-accumulate over a stack that counts each of its PMults and Adds.
-``fold_steps`` sums many folds rotated by whole blocks (the giant steps of
-a baby-step/giant-step product) as one block-circulant matrix product, and
+A ``BlockCirculant`` is built once from the coefficients of many folds
+rotated by whole blocks (the giant steps of a baby-step/giant-step
+product); ``fold_steps`` applies it to a stack as one matrix product and
 counts each step's PMults, Adds, rotations and partial-sum Adds as that
-step would.  Both take one coefficient array: a term runs, and is counted,
-exactly when its coefficients are not all zero.  ``stack`` and ``unstack``
-are bookkeeping and count nothing.
+step would.  In both, a term runs, and is counted, exactly when its
+coefficients are not all zero.  ``stack`` and ``unstack`` are bookkeeping
+and count nothing.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class HocCounter:
 
     Totals are always derived from the per-layer map, so the invariant
     "total == sum over layers" holds by construction.  ``merge`` is
-    associative and commutative, which makes per-thread counters safe to
-    combine in any order.
+    associative and commutative, so counters of separate evaluations
+    combine in any order; ``copy`` is a merge with an empty counter.
     """
 
     def __init__(self):
@@ -159,6 +160,72 @@ def unstack(ct: SimCiphertext) -> list[SimCiphertext]:
     if ct.slots.ndim == 1:
         return [ct]
     return [ct.ctx._new_ct(row, ct.level) for row in ct.slots]
+
+
+class BlockCirculant:
+    """The baby-step/giant-step operator of one AMA channel fold, built once
+    and applied by ``SimContext.fold_steps`` to any number of source stacks.
+
+    The slots are read as a ``grid`` (n1, n2): n1 blocks of n2 slots.  Step s
+    rotates by ``amounts[s]`` slots, a multiple of n2 (a shift by whole
+    blocks).  ``coef`` has shape (S, sets, V, T, n1): step, source set (one
+    set shared by all, or one per set), row, term and the block a
+    coefficient lands on after its step's rotation.  Block b of row v of
+    source set u is
+
+        sum over steps s, terms t of  coef[s, u, v, t, b] * src[u, t][b']
+
+    with b' = (b + amounts[s] / n2) mod n1: the baby-step/giant-step
+    matrix-vector product of Halevi and Shoup (CRYPTO 2018), where all steps
+    together are one (V*n1, T*n1) block-circulant matrix per source set.
+    Repeated amounts add up.
+
+    ``matrix`` is that (sets, V*n1, T*n1) matrix, rows (row, block) and
+    columns (term, source block).  ``steps`` holds, per step, the rotation
+    amount mod n1*n2 and the PMults, Adds, rows with terms and partial-sum
+    Adds of one source set; ``has_terms`` marks the (sets*V) rows some step
+    reaches.  The arrays are read-only and ``fold_steps`` changes nothing, so
+    one operator serves any number of source stacks.
+    """
+
+    __slots__ = ("grid", "sets", "rows", "terms", "matrix", "steps", "has_terms")
+
+    def __init__(self, amounts, coef, grid):
+        n1, n2 = grid
+        amounts = np.asarray(amounts, dtype=np.int64)
+        coef = np.asarray(coef, dtype=np.float64)
+        if coef.ndim != 5 or coef.shape[4] != n1 or coef.shape[0] != len(amounts):
+            raise ValueError(f"coef of shape {coef.shape} is not ({len(amounts)}, sets, rows, terms, {n1})")
+        if np.any(amounts % n2):
+            raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
+        S, sets, V, T = coef.shape[:4]
+        # sum the steps per block shift k (block b reads source block b + k), then
+        # gather mat[u, v, b, t, c] = D[(c - b) % n1, u, v, t, b]
+        D = np.zeros((n1, sets, V, T, n1))
+        for k, c in zip((amounts // n2 % n1).tolist(), coef):
+            D[k] += c
+        b = np.arange(n1)
+        k = (b - b[:, None]) % n1
+        mat = np.take_along_axis(D.transpose(1, 2, 4, 3, 0), k[None, None, :, None, :], axis=-1)
+        # per step: terms per row, rows with terms, and those already holding a partial
+        terms = coef.any(axis=-1).sum(axis=-1).reshape(S, sets * V)
+        rows = terms > 0
+        merges = np.zeros_like(rows)
+        merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
+        steps = zip(
+            (amounts % (n1 * n2)).tolist(),
+            terms.sum(axis=1).tolist(),
+            np.maximum(terms - 1, 0).sum(axis=1).tolist(),
+            rows.sum(axis=1).tolist(),
+            merges.sum(axis=1).tolist(),
+        )
+        self.grid = (int(n1), int(n2))
+        self.sets, self.rows, self.terms = sets, V, T
+        self.matrix = mat.reshape(sets, V * n1, T * n1)
+        self.steps = tuple(steps)
+        self.has_terms = rows.any(axis=0)
+        self.matrix.flags.writeable = False
+        self.has_terms.flags.writeable = False
 
 
 class SimContext:
@@ -392,22 +459,17 @@ class SimContext:
             self._record("add", level, level, adds)
         return self._new_ct(out, level)
 
-    def fold_steps(self, src: SimCiphertext, amounts, coef, vec=1.0, grid=None) -> tuple[SimCiphertext, np.ndarray]:
-        """Many block-rotated folds summed per row, as one block-circulant GEMM.
+    def fold_steps(self, src: SimCiphertext, op: "BlockCirculant", vec=1.0) -> tuple[SimCiphertext, np.ndarray]:
+        """Apply a prebuilt block-circulant operator: many block-rotated folds
+        summed per row, as one GEMM.
 
-        ``src`` is a stack of U x T ciphertexts, u-major: U source sets of T
-        terms each.  The slots are read as a ``grid`` (n1, n2) that covers
-        every slot, and every rotation amount is a multiple of n2 (a shift by
-        whole blocks).  ``coef`` has shape (S, U or 1, V, T, n1): step,
-        source set, row, term and the block a coefficient lands on after its
-        step's rotation; ``vec`` broadcasts to (T, n1, n2).  Block b of row
-        (u, v), u-major, is
-
-            sum over steps s, terms t of  coef[s, u, v, t, b] * (src[u, t] * vec[t])[b']
-
-        with b' = (b + amounts[s] / n2) mod n1: the baby-step/giant-step
-        matrix-vector product of Halevi and Shoup, where all steps together
-        are one (V*n1, n1*T) matrix per source set.  Repeated amounts add up.
+        ``src`` is a stack of U x T ciphertexts, u-major: U source sets of the
+        operator's T terms each, read on its grid, which must cover every
+        slot.  The operator holds one set of coefficients for every source
+        set, or one per set; ``vec`` broadcasts to (T, n1, n2) and scales
+        each term's slots before the product.  Row (u, v) of the result,
+        u-major, is ``op``'s row v applied to source set u (see
+        ``BlockCirculant``).
 
         Counts, step by step, what folding, rotating and summing the rows
         one step at a time would: one PMult per term whose coefficients are
@@ -420,52 +482,30 @@ class SimContext:
         """
         if src.level < 1:
             raise LevelError("level exhausted: fold_steps needs level >= 1")
-        n1, n2 = grid or (1, self.slot_count)
+        n1, n2 = op.grid
         if n1 * n2 != self.slot_count:
             raise ValueError(f"grid {n1}x{n2} does not cover slot count {self.slot_count}")
-        amounts = np.asarray(amounts, dtype=np.int64)
-        coef = np.asarray(coef, dtype=np.float64)
-        if coef.ndim != 5 or coef.shape[4] != n1 or coef.shape[0] != len(amounts):
-            raise ValueError(f"coef of shape {coef.shape} is not ({len(amounts)}, sets, rows, terms, {n1})")
-        S, sets, V, T = coef.shape[:4]
+        sets, T = op.sets, op.terms
         U = src.rows // T
         if src.rows % T or sets not in (1, U):
             raise ValueError(f"coef of {sets} sets of {T} terms does not fit {src.rows} source ciphertexts")
-        if np.any(amounts % n2):
-            raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
-        # rows (out, block), columns (source block, term); block b reads source block b + a
-        mat = np.zeros((sets, V, n1, n1, T))
-        b = np.arange(n1)
-        for a, c in zip(amounts // n2, coef):
-            mat[:, :, b, (b + a) % n1] += c.swapaxes(-1, -2)
-        # per step: terms per row, rows with terms, and those already holding a partial
-        terms = np.broadcast_to(coef.any(axis=-1), (S, U, V, T)).sum(axis=-1).reshape(S, U * V)
-        rows = terms > 0
-        merges = np.zeros_like(rows)
-        merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
-        per_step = zip(
-            terms.sum(axis=1).tolist(),
-            np.maximum(terms - 1, 0).sum(axis=1).tolist(),
-            rows.sum(axis=1).tolist(),
-            merges.sum(axis=1).tolist(),
-        )
+        scale = U if sets == 1 else 1  # shared coefficients: every step runs on each source set
         level = src.level - 1
-        for amount, (pmults, adds, n_rows, n_merges) in zip(amounts.tolist(), per_step):
+        for rotation, pmults, adds, n_rows, n_merges in op.steps:
             if pmults:
-                self._record("pmult", src.level, level, pmults)
+                self._record("pmult", src.level, level, pmults * scale)
             if adds:
-                self._record("add", level, level, adds)
-            if amount % self.slot_count and n_rows:
-                self._record("rot", level, level, n_rows, rotation_amount=amount % self.slot_count)
+                self._record("add", level, level, adds * scale)
+            if rotation and n_rows:
+                self._record("rot", level, level, n_rows * scale, rotation_amount=rotation)
             if n_merges:
-                self._record("add", level, level, n_merges)
-        z = np.empty((U, n1, T, n2))  # src * vec, (source block, term)-major like the columns of mat
+                self._record("add", level, level, n_merges * scale)
         vec = np.broadcast_to(vec, (T, n1, n2))
-        np.multiply(src.slots.reshape(U, T, n1, n2).swapaxes(1, 2), vec.swapaxes(0, 1), out=z)
-        out = (mat.reshape(sets, V * n1, n1 * T) @ z.reshape(U, n1 * T, n2)).reshape(U * V, self.slot_count)
+        z = src.slots.reshape(U, T, n1, n2) * vec  # columns (term, source block), like the operator's
+        out = (op.matrix @ z.reshape(U, T * n1, n2)).reshape(U * op.rows, self.slot_count)
         if self.quantize:
             out = self._quantize(out)
-        return self._new_ct(out, level), rows.any(axis=0)
+        return self._new_ct(out, level), np.tile(op.has_terms, scale)
 
     # ------------------------------------------------------------------
     # log export / replay

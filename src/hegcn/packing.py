@@ -134,14 +134,15 @@ class PackingLayout:
     def group_size(self, g: int) -> int:
         return len(self.group_channels(g))
 
-    def block_channel(self, g: int, beta: int) -> int:
-        """Channel held at block position ``beta`` of group-``g`` ciphertexts.
+    def block_channels(self) -> np.ndarray:
+        """(group, block position) -> channel held there in every ciphertext
+        of that group.
 
         Blocks tile cyclically with the group's own size, so replica blocks
         map back onto real channels.
         """
-        n = self.group_size(g)
-        return g * self.channels_per_ct + (beta % n)
+        beta = np.arange(self.capacity)
+        return np.array([np.array(self.group_channels(g))[beta % self.group_size(g)] for g in range(self.cts_per_joint)])
 
     def ama_ct_index(self, j: int, g: int) -> int:
         return j * self.cts_per_joint + g

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hegcn import costmodel, engine
+from hegcn import costmodel, engine, hesim
 from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, decompose, diagonal_offsets, merge_spatial
 from hegcn.engine import (
     DepthBudgetError,
@@ -176,6 +176,29 @@ class TestTemporalConv:
         n_cts = lin.ct_count()
         _, giant = costmodel._ama_fold_geometry(lin)
         assert ctx.counter.layer("t")["rot"] == n_cts * (K - 1) + n_cts * giant
+
+    def test_ama_builds_one_operator_per_layer(self, monkeypatch):
+        """Every chunk of joints applies the layer's one block-circulant operator."""
+        built, applied = [], []
+        build, apply = hesim.BlockCirculant, SimContext.fold_steps
+
+        def counted_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def counted_apply(ctx, src, op, vec=1.0):
+            applied.append(op)
+            return apply(ctx, src, op, vec)
+
+        monkeypatch.setattr(hesim, "BlockCirculant", counted_build)
+        monkeypatch.setattr(SimContext, "fold_steps", counted_apply)
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)  # one joint per chunk
+        rng = np.random.default_rng(5)
+        layer = TemporalConv(3, 3, 1, rng.normal(size=(3, 3, 3)), rng.normal(size=3), None)
+        x = GraphTensor.random((1, 3, 8, 4), seed=6)
+        ctx = SimContext(64, max_level=1)
+        temporal_conv(packed(x, ctx, AMA), layer, ctx=ctx)
+        assert len(built) == 1 and len(applied) == x.dims[3] and all(op is built[0] for op in applied)
 
     def test_stride_two_decimates(self):
         rng = np.random.default_rng(3)

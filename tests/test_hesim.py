@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hegcn.hesim import HocCounter, LevelError, SimContext, replay_counts, stack, unstack
+from hegcn.hesim import BlockCirculant, HocCounter, LevelError, SimContext, replay_counts, stack, unstack
 
 
 def ctx(slots=8, levels=5, **kw):
@@ -355,9 +355,9 @@ def per_ciphertext_folds(c, src, amounts, plains, runs) -> list:
 
 
 class TestFoldSteps:
-    """``fold_steps`` against the per-ciphertext schedule it stands for, on
-    32 slots read as 4 blocks of 8: U = 2 source sets of T = 4 terms, V = 3
-    outputs."""
+    """``fold_steps`` of a ``BlockCirculant`` against the per-ciphertext
+    schedule it stands for, on 32 slots read as 4 blocks of 8: U = 2 source
+    sets of T = 4 terms, V = 3 outputs."""
 
     U, V, T, N1, N2 = 2, 3, 4, 4, 8
     # 0, a repeat, a full turn, a negative amount, a step without terms
@@ -391,7 +391,7 @@ class TestFoldSteps:
         coef, grid = self.coef(shared), (self.N1, self.N2)
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         with c.layer("steps"):
-            out, has_terms = c.fold_steps(c.encrypt(vals), self.AMOUNTS, coef, vec, grid)
+            out, has_terms = c.fold_steps(c.encrypt(vals), BlockCirculant(self.AMOUNTS, coef, grid), vec)
         with ref.layer("steps"):
             want = per_ciphertext_folds(ref, ref.encrypt(vals), self.AMOUNTS, self.plains(coef, vec), coef.any(axis=-1))
         assert has_terms.tolist() == [w is not None for w in want]
@@ -408,32 +408,81 @@ class TestFoldSteps:
         q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
         src = q.encrypt(np.random.default_rng(5).uniform(-1, 1, (self.U * self.T, 32)))
         coef, grid = self.coef(shared=False), (self.N1, self.N2)
-        got = q.fold_steps(src, self.AMOUNTS, coef, 0.3, grid)[0].slots
-        want = exact.fold_steps(exact.encrypt(src.slots), self.AMOUNTS, coef, 0.3, grid)[0].slots
+        op = BlockCirculant(self.AMOUNTS, coef, grid)
+        got = q.fold_steps(src, op, 0.3)[0].slots
+        want = exact.fold_steps(exact.encrypt(src.slots), op, 0.3)[0].slots
         np.testing.assert_array_equal(got, np.round(want * 2.0**33) / 2.0**33)
 
     def test_level_is_checked_first(self):
         c = ctx(slots=32, levels=1)
         low = c.pmult(c.encrypt(np.ones((4, 32))), 1.0)
+        op = BlockCirculant([5], np.ones((1, 3, 1, 4, 5)), (5, 5))  # neither covers nor fits
         with pytest.raises(LevelError):
-            c.fold_steps(low, [3], np.ones((1, 1, 1, 4, 5, 2)), grid=(5, 5))
+            c.fold_steps(low, op)
 
     @pytest.mark.parametrize(
         "amount, coef_shape, grid, match",
         [
             (8, (1, 1, 1, 4, 2), (2, 8), "does not cover"),
-            (4, (1, 1, 1, 4, 4), (4, 8), "not a multiple of the block length"),
-            (8, (1, 1, 1, 4, 8), (4, 8), "is not"),  # last axis not n1
-            (8, (1, 1, 4, 4), (4, 8), "is not"),  # not 5-D
-            (8, (2, 1, 1, 4, 4), (4, 8), "is not"),  # one step per amount
             (8, (1, 3, 1, 2, 4), (4, 8), "does not fit"),  # neither 1 nor U = 2 sets
             (8, (1, 1, 1, 3, 4), (4, 8), "does not fit"),  # 4 sources, 3 terms
         ],
     )
     def test_typed_errors(self, amount, coef_shape, grid, match):
         c = ctx(slots=32, levels=2)
+        op = BlockCirculant([amount], np.ones(coef_shape), grid)
         with pytest.raises(ValueError, match=match):
-            c.fold_steps(c.encrypt(np.ones((4, 32))), [amount], np.ones(coef_shape), grid=grid)
+            c.fold_steps(c.encrypt(np.ones((4, 32))), op)
+
+
+class TestBlockCirculant:
+    """The operator ``fold_steps`` applies, on ``TestFoldSteps``'s steps."""
+
+    N1, N2, T = TestFoldSteps.N1, TestFoldSteps.N2, TestFoldSteps.T
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_gather_equals_the_per_step_scatter(self, shared):
+        coef = TestFoldSteps().coef(shared)
+        sets, V = coef.shape[1:3]
+        # block b of a row reads source block b + a / n2 in step a: scatter each step's coefficients
+        want = np.zeros((sets, V, self.N1, self.N1, self.T))  # (set, row, block, source block, term)
+        b = np.arange(self.N1)
+        for a, c in zip(np.array(TestFoldSteps.AMOUNTS) // self.N2, coef):
+            want[:, :, b, (b + a) % self.N1] += c.swapaxes(-1, -2)
+        op = BlockCirculant(TestFoldSteps.AMOUNTS, coef, (self.N1, self.N2))
+        got = op.matrix.reshape(sets, V, self.N1, self.T, self.N1)  # (set, row, block, term, source block)
+        assert np.array_equal(got, want.swapaxes(-1, -2))
+        assert not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize("U", [1, 2])
+    def test_one_operator_applies_to_many_stacks(self, U):
+        """Applied twice, one shared-coefficient operator counts, logs and
+        computes what two freshly built ones do."""
+        coef, grid = TestFoldSteps().coef(shared=True), (self.N1, self.N2)
+        rng = np.random.default_rng(6)
+        srcs = [rng.uniform(-1, 1, (U * self.T, 32)) for _ in range(2)]
+        reused, fresh = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
+        op = BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid)
+        got = [reused.fold_steps(reused.encrypt(vals), op, 0.7) for vals in srcs]
+        want = [fresh.fold_steps(fresh.encrypt(vals), BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid), 0.7) for vals in srcs]
+        for (out, has), (ref, ref_has) in zip(got, want):
+            assert out.rows == U * coef.shape[2]
+            np.testing.assert_array_equal(out.slots, ref.slots)
+            np.testing.assert_array_equal(has, ref_has)
+        assert reused.counter == fresh.counter and reused.oplog == fresh.oplog
+
+    @pytest.mark.parametrize(
+        "amount, coef_shape, grid, match",
+        [
+            (4, (1, 1, 1, 4, 4), (4, 8), "not a multiple of the block length"),
+            (8, (1, 1, 1, 4, 8), (4, 8), "is not"),  # last axis not n1
+            (8, (1, 1, 4, 4), (4, 8), "is not"),  # not 5-D
+            (8, (2, 1, 1, 4, 4), (4, 8), "is not"),  # one step per amount
+        ],
+    )
+    def test_typed_errors(self, amount, coef_shape, grid, match):
+        with pytest.raises(ValueError, match=match):
+            BlockCirculant([amount], np.ones(coef_shape), grid)
 
 
 @settings(max_examples=50, deadline=None)
