@@ -23,9 +23,12 @@ evaluates each chunk of shifts as one ``SimContext.fold``.  Rows are joints
 (AMA temporal), output joints (AMA spatial) or output channels (row-major),
 terms are the source ciphertexts a row sums, and a term is skipped exactly
 where its coefficients are all zero.  Rows run in chunks whose source stack
-stays under ``_CHUNK_BYTES``.  Input rotations are applied to a stack of the
-sources some executed term reads, and every count, including the giant-step
-rotations and the adds of partial sums, comes from hesim ops.
+stays under ``_CHUNK_BYTES``.  An AMA temporal operator carries the tap
+rotations (the baby steps) too: a chunk stacks only its inputs, and
+``fold_steps`` rotates each one by every tap some term reads.  Row-major
+input rotations are applied to a stack of the sources some executed term
+reads.  Every count, including the tap and giant-step rotations and the
+adds of partial sums, comes from hesim ops.
 
 Values at padding slots, masked-out strided frames and replica copies are
 allowed to go stale; every consumer reads only through masks or anchor
@@ -444,7 +447,9 @@ def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
     """Rows of the fold are joints (in chunks), terms are (input group, tap).
 
     Block weights do not depend on the joint, so the block-circulant
-    operator is built once per layer and applied to every chunk of joints.
+    operator, taps included, is built once per layer and applied to every
+    chunk of joints; a chunk's source stack holds only its G inputs per
+    joint, and ``fold_steps`` rotates them by the taps.
     """
     lin = fm.layout
     J, G, K = lin.J, lin.cts_per_joint, len(taps)
@@ -453,24 +458,13 @@ def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
     w = W[out_chan[:, None, None], c_read[:, None, :, None], np.arange(K)[:, None]]
     w = np.where(serves[:, None, :, None], w, 0.0)
     coef = w.reshape(len(amounts), 1, G, G * K, lin.capacity)
-    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt))
+    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), [eps * fm.t_stride for _, eps in taps])
     vec = np.tile(np.array([masks[kappa] for kappa, _ in taps])[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
-
-    # a tap rotation is paid for the (group, tap) pairs some giant step reads
-    read = coef.any(axis=(0, 1, 2, 4)).reshape(G, K)
-    by_amount = _amounts([eps * fm.t_stride for _, eps in taps], lin.slot_count)
     bias_rows = _bias_rows_ama(lin, bias)
 
     out_cts = []
-    # tap rotations of a joint's inputs are never read after that joint
     for js in _chunks(range(J), G * K * lin.slot_count * 8):
-        x = [fm.cts[lin.ama_ct_index(j, g)] for j in js for g in range(G)]
-        tapped = {}  # (input index, tap) -> tap-rotated input
-        for amount, kappas in by_amount.items():
-            used = np.tile(read[:, kappas].any(axis=1), len(js))
-            for i, ct in _rotations(ctx, x, amount, used).items():
-                tapped.update({(i, kappa): ct for kappa in kappas})
-        src = hesim.stack([tapped.get((i, kappa), x[i]) for i in range(len(x)) for kappa in range(K)])
+        src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for j in js for g in range(G)])
         acc = _ama_fold(ctx, src, op, vec)
         if bias_on:
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(js), 1)))
@@ -544,16 +538,14 @@ def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> E
 
     if lin.kind == AMA:
         G, pad, cap = lin.cts_per_joint, lin.pad_bt, lin.capacity
+        mask = np.zeros(lin.slot_count)  # the anchor slot of every (block, sample)
+        mask[np.arange(cap)[:, None] * pad + np.arange(lin.B) * lin.T] = 1.0 / count
         out_cts = []
         for g in range(G):
             acc = _accumulate(ctx, [fm.cts[lin.ama_ct_index(j, g)] for j in range(lin.J)])
             steps = int(math.log2(tv)) if tv > 1 else 0
             for i in range(steps):
                 acc = ctx.add(acc, ctx.rotate(acc, sigma * (tv >> (i + 1))))
-            mask = np.zeros(lin.slot_count)
-            for p in range(cap):
-                for b in range(lin.B):
-                    mask[p * pad + b * lin.T] = 1.0 / count
             out_cts.append(ctx.pmult(acc, mask))
         return EncryptedFeatureMap(out_cts, lin, sigma, tv, pooled=True, label=fm.label)
 

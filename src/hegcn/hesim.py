@@ -16,13 +16,16 @@ Batching: a ciphertext may hold an (n, slots) stack of n ciphertexts at one
 level.  Every op on a stack counts n and writes one log record with a
 ``count`` field (left out when n = 1).  ``fold`` is a fused plaintext
 multiply-accumulate over a stack that counts each of its PMults and Adds.
-A ``BlockCirculant`` is built once from the coefficients of many folds
-rotated by whole blocks (the giant steps of a baby-step/giant-step
-product); ``fold_steps`` applies it to a stack as one matrix product and
-counts each step's PMults, Adds, rotations and partial-sum Adds as that
-step would.  In both, a term runs, and is counted, exactly when its
-coefficients are not all zero.  ``stack`` and ``unstack`` are bookkeeping
-and count nothing.
+A ``BlockCirculant`` is built once from the tap rotations of the inputs
+(the baby steps of a baby-step/giant-step product) and the coefficients of
+many folds rotated by whole blocks (the giant steps).  ``fold_steps``
+applies it to a stack of inputs as one tap-rotated buffer and one matrix
+product, and counts the tap rotations and each giant step's PMults, Adds,
+rotations and partial-sum Adds as the step-by-step schedule would; it adds
+the operator's precomputed totals to the counter once and writes the
+per-step records only when ``log_ops`` is on.  In both, a term runs, and is
+counted, exactly when its coefficients are not all zero.  ``stack`` and
+``unstack`` are bookkeeping and count nothing.
 """
 
 from __future__ import annotations
@@ -166,31 +169,40 @@ class BlockCirculant:
     """The baby-step/giant-step operator of one AMA channel fold, built once
     and applied by ``SimContext.fold_steps`` to any number of source stacks.
 
-    The slots are read as a ``grid`` (n1, n2): n1 blocks of n2 slots.  Step s
-    rotates by ``amounts[s]`` slots, a multiple of n2 (a shift by whole
-    blocks).  ``coef`` has shape (S, sets, V, T, n1): step, source set (one
-    set shared by all, or one per set), row, term and the block a
-    coefficient lands on after its step's rotation.  Block b of row v of
-    source set u is
+    The slots are read as a ``grid`` (n1, n2): n1 blocks of n2 slots.  The
+    baby steps rotate each input ciphertext by every one of the K ``taps``
+    (slot amounts); the T terms are the (input, tap) pairs, input-major, so
+    a source set is T / K inputs.  Giant step s rotates by ``amounts[s]``
+    slots, a multiple of n2 (a shift by whole blocks).  ``coef`` has shape
+    (S, sets, V, T, n1): step, source set (one set shared by all, or one per
+    set), row, term and the block a coefficient lands on after its step's
+    rotation.  Block b of row v of source set u is
 
         sum over steps s, terms t of  coef[s, u, v, t, b] * src[u, t][b']
 
-    with b' = (b + amounts[s] / n2) mod n1: the baby-step/giant-step
-    matrix-vector product of Halevi and Shoup (CRYPTO 2018), where all steps
+    with b' = (b + amounts[s] / n2) mod n1 and src[u, t] input i of set u
+    rotated by tap k, for t = (i, k): the baby-step/giant-step matrix-vector
+    product of Halevi and Shoup (CRYPTO 2018), where all giant steps
     together are one (V*n1, T*n1) block-circulant matrix per source set.
     Repeated amounts add up.
 
     ``matrix`` is that (sets, V*n1, T*n1) matrix, rows (row, block) and
-    columns (term, source block).  ``steps`` holds, per step, the rotation
-    amount mod n1*n2 and the PMults, Adds, rows with terms and partial-sum
-    Adds of one source set; ``has_terms`` marks the (sets*V) rows some step
-    reaches.  The arrays are read-only and ``fold_steps`` changes nothing, so
-    one operator serves any number of source stacks.
+    columns (term, source block).  ``reads`` marks the (sets, T / K, K)
+    pairs some coefficient reads; ``has_terms`` the (sets*V) rows some step
+    reaches.  ``records`` lists the op log of one source set in the
+    schedule's order: one rotation per distinct nonzero tap amount of the
+    inputs some pair of it reads, then per giant step its PMults, its Adds
+    of products, one rotation per row with terms (none when the amount is 0
+    mod n1*n2) and one Add per row that already holds a partial sum.  Each
+    record is (op, count, levels spent before, levels spent after, extra
+    fields); ``totals`` sums them per counter.  The arrays are read-only
+    and ``fold_steps`` changes nothing, so one operator serves any number
+    of source stacks.
     """
 
-    __slots__ = ("grid", "sets", "rows", "terms", "matrix", "steps", "has_terms")
+    __slots__ = ("grid", "taps", "sets", "rows", "terms", "matrix", "reads", "has_terms", "records", "totals")
 
-    def __init__(self, amounts, coef, grid):
+    def __init__(self, amounts, coef, grid, taps=(0,)):
         n1, n2 = grid
         amounts = np.asarray(amounts, dtype=np.int64)
         coef = np.asarray(coef, dtype=np.float64)
@@ -199,33 +211,59 @@ class BlockCirculant:
         if np.any(amounts % n2):
             raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
         S, sets, V, T = coef.shape[:4]
+        taps = tuple(int(a) % (n1 * n2) for a in taps)
+        if not taps or T % len(taps):
+            raise ValueError(f"{T} terms are not (input, tap) pairs of {len(taps)} taps")
         # sum the steps per block shift k (block b reads source block b + k), then
-        # gather mat[u, v, b, t, c] = D[(c - b) % n1, u, v, t, b]
+        # copy the sums once into E[u, v, t, b, k], doubled along k, so that
+        # mat[u, v, b, t, c] = E[u, v, t, b, (c - b) % n1] = E[u, v, t, b, n1 - b + c]
+        # is a strided view
         D = np.zeros((n1, sets, V, T, n1))
         for k, c in zip((amounts // n2 % n1).tolist(), coef):
             D[k] += c
-        b = np.arange(n1)
-        k = (b - b[:, None]) % n1
-        mat = np.take_along_axis(D.transpose(1, 2, 4, 3, 0), k[None, None, :, None, :], axis=-1)
+        D = D.transpose(1, 2, 3, 4, 0)
+        E = np.concatenate((D, D), axis=-1)
+        su, sv, st, sb, sk = E.strides
+        mat = np.lib.stride_tricks.as_strided(E[..., n1:], (sets, V, n1, T, n1), (su, sv, sb - sk, st, sk)).copy()
         # per step: terms per row, rows with terms, and those already holding a partial
-        terms = coef.any(axis=-1).sum(axis=-1).reshape(S, sets * V)
+        runs = coef.any(axis=-1)  # (S, sets, V, T): the terms that run
+        terms = runs.sum(axis=-1).reshape(S, sets * V)
         rows = terms > 0
         merges = np.zeros_like(rows)
         merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
-        steps = zip(
+        reads = runs.any(axis=(0, 2)).reshape(sets, T // len(taps), len(taps))
+        records = []
+        for a in dict.fromkeys(taps):  # distinct amounts, in first-appearance order
+            inputs = reads[:, :, [k for k, b in enumerate(taps) if b == a]].any(axis=-1).sum()
+            records.append(("rot", int(inputs) if a else 0, 0, 0, {"rotation_amount": a}))
+        for rotation, pmults, adds, n_rows, n_merges in zip(
             (amounts % (n1 * n2)).tolist(),
             terms.sum(axis=1).tolist(),
             np.maximum(terms - 1, 0).sum(axis=1).tolist(),
             rows.sum(axis=1).tolist(),
             merges.sum(axis=1).tolist(),
-        )
+        ):
+            records += [
+                ("pmult", pmults, 0, 1, {}),
+                ("add", adds, 1, 1, {}),
+                ("rot", n_rows if rotation else 0, 1, 1, {"rotation_amount": rotation}),
+                ("add", n_merges, 1, 1, {}),
+            ]
+        records = [rec for rec in records if rec[1]]
+        totals = dict.fromkeys(OPS, 0)
+        for op, n, *_ in records:
+            totals[op] += n
+        totals["rescale"] = totals["pmult"]
         self.grid = (int(n1), int(n2))
+        self.taps = taps
         self.sets, self.rows, self.terms = sets, V, T
         self.matrix = mat.reshape(sets, V * n1, T * n1)
-        self.steps = tuple(steps)
+        self.reads = reads
         self.has_terms = rows.any(axis=0)
-        self.matrix.flags.writeable = False
-        self.has_terms.flags.writeable = False
+        self.records = tuple(records)
+        self.totals = {op: n for op, n in totals.items() if n}
+        for arr in (self.matrix, self.reads, self.has_terms):
+            arr.flags.writeable = False
 
 
 class SimContext:
@@ -460,52 +498,74 @@ class SimContext:
         return self._new_ct(out, level)
 
     def fold_steps(self, src: SimCiphertext, op: "BlockCirculant", vec=1.0) -> tuple[SimCiphertext, np.ndarray]:
-        """Apply a prebuilt block-circulant operator: many block-rotated folds
-        summed per row, as one GEMM.
+        """Apply a prebuilt block-circulant operator: the tap rotations of
+        every input and many block-rotated folds summed per row, as one GEMM.
 
-        ``src`` is a stack of U x T ciphertexts, u-major: U source sets of the
-        operator's T terms each, read on its grid, which must cover every
-        slot.  The operator holds one set of coefficients for every source
-        set, or one per set; ``vec`` broadcasts to (T, n1, n2) and scales
-        each term's slots before the product.  Row (u, v) of the result,
-        u-major, is ``op``'s row v applied to source set u (see
-        ``BlockCirculant``).
+        ``src`` is a stack of U x T / K input ciphertexts, u-major: U source
+        sets of the operator's T / K inputs each, read on its grid, which
+        must cover every slot.  The operator holds one set of coefficients
+        for every source set, or one per set; ``vec`` broadcasts to
+        (T, n1, n2) and scales each (input, tap) term's slots after the tap
+        rotation and before the product.  Row (u, v) of the result, u-major,
+        is ``op``'s row v applied to source set u (see ``BlockCirculant``).
 
-        Counts, step by step, what folding, rotating and summing the rows
-        one step at a time would: one PMult per term whose coefficients are
-        not all zero and ``terms - 1`` Adds per row with terms, one rotation
-        per row with terms (none when the amount is 0 mod slot_count), and
-        one Add per row with terms that already holds a partial sum.  Returns
-        the (U*V, slot_count) stack and which rows got a term; a row without
-        terms is zero and was computed by no operation.  With ``quantize``
-        the fused sum is rounded once.
+        Counts what rotating the inputs by their taps, then folding,
+        rotating and summing the rows one giant step at a time would: one
+        rotation per input and distinct nonzero tap amount that some pair
+        reads, one PMult per term whose coefficients are not all zero and
+        ``terms - 1`` Adds per row with terms, one rotation per row with
+        terms (none when the amount is 0 mod slot_count), and one Add per
+        row with terms that already holds a partial sum.  The operator's
+        totals are added once; with ``log_ops`` its records are written in
+        that order.  A pair that no coefficient reads is neither rotated nor
+        counted.  Returns the (U*V, slot_count) stack and which rows got a
+        term; a row without terms is zero and was computed by no operation.
+        With ``quantize`` the fused sum is rounded once.
         """
         if src.level < 1:
             raise LevelError("level exhausted: fold_steps needs level >= 1")
         n1, n2 = op.grid
-        if n1 * n2 != self.slot_count:
-            raise ValueError(f"grid {n1}x{n2} does not cover slot count {self.slot_count}")
-        sets, T = op.sets, op.terms
-        U = src.rows // T
-        if src.rows % T or sets not in (1, U):
-            raise ValueError(f"coef of {sets} sets of {T} terms does not fit {src.rows} source ciphertexts")
+        N = self.slot_count
+        if n1 * n2 != N:
+            raise ValueError(f"grid {n1}x{n2} does not cover slot count {N}")
+        sets, T, K = op.sets, op.terms, len(op.taps)
+        inputs = T // K
+        U = src.rows // inputs
+        if src.rows % inputs or sets not in (1, U):
+            raise ValueError(f"coef of {sets} sets of {inputs} inputs does not fit {src.rows} source ciphertexts")
         scale = U if sets == 1 else 1  # shared coefficients: every step runs on each source set
-        level = src.level - 1
-        for rotation, pmults, adds, n_rows, n_merges in op.steps:
-            if pmults:
-                self._record("pmult", src.level, level, pmults * scale)
-            if adds:
-                self._record("add", level, level, adds * scale)
-            if rotation and n_rows:
-                self._record("rot", level, level, n_rows * scale, rotation_amount=rotation)
-            if n_merges:
-                self._record("add", level, level, n_merges * scale)
+        if op.totals:
+            counts = self.counter.counts_of(self._layer)
+            for name, n in op.totals.items():
+                counts[name] += n * scale
+        if self.log_ops:
+            for name, n, before, after, extra in op.records:
+                self._log(name, src.level - before, src.level - after, n * scale, **extra)
+        unscaled = np.ndim(vec) == 0 and vec == 1
         vec = np.broadcast_to(vec, (T, n1, n2))
-        z = src.slots.reshape(U, T, n1, n2) * vec  # columns (term, source block), like the operator's
-        out = (op.matrix @ z.reshape(U, T * n1, n2)).reshape(U * op.rows, self.slot_count)
+        x = src.slots.reshape(U, inputs, N)
+        if op.taps == (0,):
+            z = x if unscaled else x.reshape(U, T, n1, n2) * vec
+        else:
+            # z[u, i, k] is input i of set u rotated by tap k: columns (term,
+            # source block), like the operator's
+            z = np.empty((U, inputs, K, N))
+            for k, a in enumerate(op.taps):
+                dst = z[:, :, k]
+                rotated = op.reads[:, :, k, None] & bool(a)  # (sets, inputs, 1)
+                if not rotated.all():  # a zero tap, or a pair no coefficient reads
+                    dst[...] = x
+                if rotated.any():
+                    where = True if rotated.all() else rotated
+                    np.copyto(dst[..., : N - a], x[..., a:], where=where)
+                    np.copyto(dst[..., N - a :], x[..., :a], where=where)
+            if not unscaled:
+                z4 = z.reshape(U, T, n1, n2)
+                np.multiply(z4, vec, out=z4)
+        out = (op.matrix @ z.reshape(U, T * n1, n2)).reshape(U * op.rows, N)
         if self.quantize:
             out = self._quantize(out)
-        return self._new_ct(out, level), np.tile(op.has_terms, scale)
+        return self._new_ct(out, src.level - 1), np.tile(op.has_terms, scale)
 
     # ------------------------------------------------------------------
     # log export / replay

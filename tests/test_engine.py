@@ -200,6 +200,41 @@ class TestTemporalConv:
         temporal_conv(packed(x, ctx, AMA), layer, ctx=ctx)
         assert len(built) == 1 and len(applied) == x.dims[3] and all(op is built[0] for op in applied)
 
+    def test_ama_taps_are_rotated_inside_the_fold(self, monkeypatch):
+        """An AMA layer neither rotates nor stacks tap rows: it stacks only its
+        input ciphertexts and ``fold_steps`` pays the tap rotations."""
+        rng = np.random.default_rng(12)
+        layer = TemporalConv(3, 5, 1, rng.normal(size=(3, 3, 5)), rng.normal(size=3), None)
+        x = GraphTensor.random((1, 3, 8, 4), seed=13)
+        ctx = SimContext(64, max_level=1)
+        fm = packed(x, ctx, AMA)
+        inputs, real_stack = {id(ct) for ct in fm.cts}, hesim.stack
+
+        def inputs_only(cts):
+            cts = list(cts)
+            assert all(id(ct) in inputs for ct in cts), "stacked a ciphertext that is not a layer input"
+            return real_stack(cts)
+
+        def no_rotate(*args):
+            raise AssertionError("SimContext.rotate called for a tap")
+
+        monkeypatch.setattr(hesim, "stack", inputs_only)
+        monkeypatch.setattr(SimContext, "rotate", no_rotate)
+        with ctx.layer("t"):
+            out = temporal_conv(fm, layer, ctx=ctx)
+        np.testing.assert_allclose(unpack(out, AMA), self.conv(x.data, layer), atol=1e-12)
+        lin = out.layout
+        _, giant = costmodel._ama_fold_geometry(lin)
+        assert ctx.counter.layer("t")["rot"] == lin.ct_count() * (layer.kernel - 1 + giant)
+
+    @staticmethod
+    def conv(h, layer):
+        """Zero-padded stride-1 temporal convolution plus bias on (B, C, T, J)."""
+        half = layer.kernel // 2
+        padded = np.pad(h, ((0, 0), (0, 0), (half, half), (0, 0)))
+        out = sum(np.einsum("oc,bctj->botj", layer.weights[:, :, k], padded[:, :, k : k + h.shape[2]]) for k in range(layer.kernel))
+        return out + layer.bias[None, :, None, None]
+
     def test_stride_two_decimates(self):
         rng = np.random.default_rng(3)
         layer = TemporalConv(1, 3, 2, rng.normal(size=(1, 1, 3)), None, None)
@@ -447,6 +482,19 @@ class TestRunModel:
         ctx = SimContext(64, max_level=costmodel.depth(spec), log_ops=True)
         run_model(spec, x, AMA, ctx=ctx)
         assert replay_counts(ctx.oplog) == ctx.counter
+
+    @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+    def test_counts_do_not_depend_on_log_ops(self, fmt):
+        """The acceptance model @1024 counts the same with and without a log."""
+        from hegcn.model import acceptance_stgcn3
+
+        spec = acceptance_stgcn3()
+        x = GraphTensor.random(spec.input_dims, seed=43)
+        quiet = run_model(spec, x, fmt, slot_count=1024, log_ops=False)
+        ctx = SimContext(1024, max_level=costmodel.depth(spec), log_ops=True)
+        logged = run_model(spec, x, fmt, ctx=ctx)
+        assert quiet.counter == logged.counter == replay_counts(ctx.oplog)
+        np.testing.assert_array_equal(quiet.scores, logged.scores)
 
 
 def test_reference_model_measured_end_to_end():

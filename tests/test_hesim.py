@@ -485,6 +485,98 @@ class TestBlockCirculant:
             BlockCirculant([amount], np.ones(coef_shape), grid)
 
 
+class TestFusedTaps:
+    """``fold_steps`` of an operator with taps against the explicit baby
+    steps: one ``rotate`` per (input, tap amount) some pair reads, a
+    ``stack`` of the (input, tap) terms and the same operator with the single
+    tap 0.  32 slots read as 4 blocks of 8; U = 2 source sets of 3 inputs,
+    V = 2 outputs."""
+
+    U, I, V, N1, N2 = 2, 3, 2, 4, 8
+    AMOUNTS = [0, 8, -16, 8]
+    # a zero tap, and 3 and 35 equal mod 32: one rotation serves both
+    TAPS = [0, 3, -1, 35]
+
+    def coef(self, shared):
+        rng = np.random.default_rng(8)
+        K = len(self.TAPS)
+        shape = (len(self.AMOUNTS), 1 if shared else self.U, self.V, self.I * K, self.N1)
+        coef = np.where(rng.uniform(size=shape[:4] + (1,)) < 0.8, rng.uniform(-1, 1, shape), 0.0).reshape(shape[:3] + (self.I, K, self.N1))
+        coef[:, :, :, 1, 2] = 0.0  # input 1 is never read at tap -1: not rotated by 31
+        coef[:, :, :, 0, [1, 3]] = 0.0  # input 0 is never read at 3 = 35 mod 32
+        coef[:, :, :, 2, 1] = 0.0  # input 2 at tap 3 is not read, at tap 35 it is
+        coef[:, :, :, 2, 3, 0] = 0.7
+        if not shared:
+            coef[:, 1, :, 1, 2, 1] = 0.4  # set 1 reads input 1 at tap -1 after all
+        return coef.reshape(shape)
+
+    def explicit(self, c, vals, coef, vec):
+        """The baby steps one rotation at a time, then the giant steps fused."""
+        K, N = len(self.TAPS), self.N1 * self.N2
+        read = np.broadcast_to(coef.any(axis=(0, 2, 4)).reshape(-1, self.I, K), (self.U, self.I, K))
+        inputs = unstack(c.encrypt(vals))  # u-major
+        taps = [a % N for a in self.TAPS]
+        rotated = {}
+        for a in dict.fromkeys(taps):
+            for u in range(self.U):
+                for i in range(self.I):
+                    if any(read[u, i, k] for k in range(K) if taps[k] == a):
+                        rotated[u, i, a] = c.rotate(inputs[u * self.I + i], a)
+        terms = [
+            rotated[u, i, taps[k]] if read[u, i, k] and taps[k] else inputs[u * self.I + i]
+            for u in range(self.U)
+            for i in range(self.I)
+            for k in range(K)
+        ]
+        return c.fold_steps(stack(terms), BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), vec)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("vec_kind", ["one", "per-term"])
+    def test_equals_rotate_stack_and_fold(self, shared, vec_kind):
+        rng = np.random.default_rng(9)
+        vals = rng.uniform(-1, 1, (self.U * self.I, 32))
+        vec = 1.0 if vec_kind == "one" else rng.uniform(-1, 1, (self.I * len(self.TAPS), 1, self.N2))
+        coef = self.coef(shared)
+        c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
+        op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), self.TAPS)
+        with c.layer("taps"):
+            out, has_terms = c.fold_steps(c.encrypt(vals), op, vec)
+        with ref.layer("taps"):
+            want, want_terms = self.explicit(ref, vals, coef, vec)
+        np.testing.assert_allclose(out.slots, want.slots, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(has_terms, want_terms)
+        assert out.level == want.level == 2
+        assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
+        assert replay_counts(c.oplog) == c.counter
+        # one record per distinct nonzero tap amount (at the input level), counting the inputs read at it
+        taps = [(rec["rotation_amount"], rec.get("count", 1)) for rec in c.oplog if rec["op"] == "rot" and rec["level_before"] == 3]
+        assert taps == [(3, 4), (31, 4 if shared else 5)]
+
+    def test_counts_do_not_depend_on_log_ops(self):
+        vals = np.random.default_rng(10).uniform(-1, 1, (self.U * self.I, 32))
+        op = BlockCirculant(self.AMOUNTS, self.coef(shared=True), (self.N1, self.N2), self.TAPS)
+        quiet, logged = ctx(slots=32, levels=3, log_ops=False), ctx(slots=32, levels=3, log_ops=True)
+        for c in (quiet, logged):
+            with c.layer("taps"):
+                c.fold_steps(c.encrypt(vals), op, 0.5)
+        assert quiet.oplog == [] and quiet.counter.totals()["rot"] > 0
+        assert quiet.counter == logged.counter == replay_counts(logged.oplog)
+
+    @pytest.mark.parametrize(
+        "taps, rows, match",
+        [
+            ([0, 1, 2, 3, 4], 6, "not \\(input, tap\\) pairs"),  # 12 terms, 5 taps
+            ([0, 1, 2, 3], 5, "does not fit"),  # 5 rows, 3 inputs per set
+            ([0, 1, 2, 3], 9, "does not fit"),  # 3 sets, coefficients for 2
+        ],
+    )
+    def test_typed_errors(self, taps, rows, match):
+        c = ctx(slots=32, levels=2)
+        with pytest.raises(ValueError, match=match):
+            op = BlockCirculant(self.AMOUNTS, self.coef(shared=False), (self.N1, self.N2), taps)
+            c.fold_steps(c.encrypt(np.ones((rows, 32))), op)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     vals=st.lists(st.floats(-100, 100), min_size=1, max_size=8),
