@@ -11,24 +11,23 @@ cost model:
   every layer costs exactly one plaintext-multiplication level.
 
 Execution is batched; the schedule and its counts are those of a
-per-ciphertext loop.  Each conv kernel stacks its input ciphertexts.  An AMA
-channel fold evaluates all of its giant steps as one
-``SimContext.fold_steps`` (one block-circulant GEMM) of a
+per-ciphertext loop.  Every conv kernel is one ``SimContext.fold_steps`` of
+a prebuilt operator per layer (or per chunk of output joints), applied to a
+stack of its input ciphertexts.  An AMA channel fold is a
 ``hesim.BlockCirculant`` built from one coefficient table over (step, row,
 term, output block), gathered in one vectorized step from the giant steps
 ``_giant_steps`` lists: one operator per layer for temporal convs, applied
 to every chunk of joints, and one per chunk of output joints for spatial
-ones.  A row-major kernel
-evaluates each chunk of shifts as one ``SimContext.fold``.  Rows are joints
-(AMA temporal), output joints (AMA spatial) or output channels (row-major),
-terms are the source ciphertexts a row sums, and a term is skipped exactly
-where its coefficients are all zero.  Rows run in chunks whose source stack
-stays under ``_CHUNK_BYTES``.  An AMA temporal operator carries the tap
-rotations (the baby steps) too: a chunk stacks only its inputs, and
-``fold_steps`` rotates each one by every tap some term reads.  Row-major
-input rotations are applied to a stack of the sources some executed term
-reads.  Every count, including the tap and giant-step rotations and the
-adds of partial sums, comes from hesim ops.
+ones; a temporal operator carries the tap rotations (the baby steps) too.
+A row-major conv is one ``hesim.Diagonals`` per layer, built one diagonal
+or tap table at a time and applied to every sample's input channels at
+once.  Rows are joints (AMA temporal), output joints (AMA spatial) or
+output channels (row-major), terms are the rotated inputs a row sums, and a
+term is skipped exactly where its coefficients are all zero.  AMA rows run
+in chunks whose source stack stays under ``_CHUNK_BYTES``; a ``Diagonals``
+gathers and multiplies chunks of grid columns under the same bound.  Every
+count, including the input, tap and giant-step rotations and the adds of
+partial sums, comes from hesim.
 
 Values at padding slots, masked-out strided frames and replica copies are
 allowed to go stale; every consumer reads only through masks or anchor
@@ -45,7 +44,7 @@ import numpy as np
 
 from hegcn import costmodel, hesim, packing
 from hegcn.adjacency import MergedSpatialMatrix, decompose, diagonal_offsets, fold_bn, merge_spatial
-from hegcn.hesim import SimCiphertext, SimContext
+from hegcn.hesim import _CHUNK_BYTES, SimCiphertext, SimContext  # one chunk bound, shared with hesim.Diagonals
 from hegcn.model import (
     Activation,
     FullyConnected,
@@ -103,14 +102,6 @@ def default_slot_count(dims) -> int:
 # ----------------------------------------------------------------------
 # shared helpers
 
-#: Upper bound on the bytes of one chunk's source stack or plaintext table.
-#: Kernels run over joints, output joints, rotation amounts or activation
-#: inputs in chunks that stay below it.  Measured on the reference model
-#: (slot 8192): 2 MB and 256 KB run equally fast, 256 KB keeps the run's
-#: peak memory lower and the activation's elementwise ops in cache.
-_CHUNK_BYTES = 256 << 10
-
-
 def _chunks(items, item_bytes: int) -> list:
     """Consecutive runs of ``items``, each under ``_CHUNK_BYTES`` (at least one item)."""
     size = max(1, _CHUNK_BYTES // max(item_bytes, 1))
@@ -128,47 +119,9 @@ def _zero_fill(ctx: SimContext, rows: list, level: int) -> SimCiphertext:
     return hesim.stack(rows)
 
 
-class _RowSums:
-    """Per-row running sums of row-major fold chunks, every add counted by hesim.
-
-    A row holds no ciphertext until its first partial arrives, so each row
-    pays one Add per partial after its first, as a per-ciphertext loop does.
-    """
-
-    def __init__(self, n: int):
-        self.rows: list[SimCiphertext | None] = [None] * n
-        self.full: SimCiphertext | None = None  # every row, as one stack
-
-    def fold(self, ctx, src, coef, vec, grid) -> None:
-        """Fold the rows that have terms and add them into the sums."""
-        idx = np.flatnonzero(coef.any(axis=(1, 2)))
-        if not len(idx):
-            return
-        part = ctx.fold(src, coef, vec, grid)
-        n = len(self.rows)
-        if len(idx) == n and (self.full is not None or all(r is None for r in self.rows)):
-            self.full = part if self.full is None else ctx.add(self.full, part)
-            return
-        if self.full is not None:
-            self.rows, self.full = hesim.unstack(self.full), None
-        new = hesim.unstack(part)
-        old = [i for i in idx if self.rows[i] is not None]
-        if old:
-            sums = ctx.add(hesim.stack([self.rows[i] for i in old]), hesim.stack([new[i] for i in old]))
-            for i, ct in zip(old, hesim.unstack(sums)):
-                new[i] = ct
-        for i in idx:
-            self.rows[i] = new[i]
-
-    def result(self, ctx: SimContext, level: int) -> SimCiphertext:
-        """Every row as one stack; a row that received nothing is an encrypted zero."""
-        return self.full if self.full is not None else _zero_fill(ctx, self.rows, level)
-
-
-def _ama_fold(ctx, src, op, vec=1.0) -> SimCiphertext:
-    """The AMA channel fold: all giant steps of the block-circulant operator
-    ``op`` as one ``SimContext.fold_steps``; a row no step reaches is an
-    encrypted zero.
+def _fold(ctx, src, op, vec=1.0) -> SimCiphertext:
+    """A prebuilt operator ``op`` applied as one ``SimContext.fold_steps``;
+    a row no term reaches is an encrypted zero.
     """
     acc, has_terms = ctx.fold_steps(src, op, vec)
     if has_terms.all():
@@ -214,18 +167,6 @@ def _bias_rows_ama(layout: PackingLayout, bias: np.ndarray) -> np.ndarray:
 
 def _has_bias(bias) -> bool:
     return bias is not None and np.any(np.abs(np.asarray(bias)) > 0)
-
-
-def _rotations(ctx, cts, amount, used) -> dict[int, SimCiphertext]:
-    """``cts[i]`` rotated by ``amount`` for every ``used[i]``, as one stack op
-    (rotation by zero is free and returns every input)."""
-    if amount % ctx.slot_count == 0:
-        return dict(enumerate(cts))
-    idx = np.flatnonzero(used)
-    if not len(idx):
-        return {}
-    rotated = ctx.rotate(hesim.stack([cts[i] for i in idx]), amount)
-    return dict(zip(idx.tolist(), hesim.unstack(rotated)))
 
 
 # ----------------------------------------------------------------------
@@ -276,60 +217,30 @@ def ama_spatial(
         vals = np.where(serves[:, None, None, None] & (jin >= 0), merged.entries(*index), 0.0)
         op = hesim.BlockCirculant(amounts, vals.reshape(len(amounts), len(ks), H, m * G, cap), (cap, lin.pad_bt))
         src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for k in ks for j in np.maximum(reads[k], 0) for g in range(G)])
-        acc = _ama_fold(ctx, src, op)
+        acc = _fold(ctx, src, op)
         if _has_bias(merged.bias):
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(ks), 1)))
         out_cts += hesim.unstack(acc)
     return EncryptedFeatureMap(out_cts, lout, fm.t_stride, fm.t_valid, label=fm.label)
 
 
-def _amounts(shifts, slot_count) -> dict[int, list[int]]:
-    """Group term indices by rotation amount mod slot_count (each amount is paid once)."""
-    out: dict[int, list[int]] = {}
-    for i, shift in enumerate(shifts):
-        out.setdefault(int(shift) % slot_count, []).append(i)
-    return out
-
-
-def _rowmajor_fold(ctx, fm, coef_of, shifts, n_out, bias_rows, vec_of=None) -> list[SimCiphertext]:
+def _rowmajor_fold(ctx, fm, shifts, tables, bias, vec=1.0) -> list[SimCiphertext]:
     """Row-major mixing: output channel o of sample b sums, over the
     (shift, input channel) terms, the input rotated by the shift times a
-    plaintext on the T x J grid.
+    plaintext on the T x J grid, then adds ``bias[o]`` on the grid.
 
-    ``coef_of(i)`` is the (C_in, n_out, 1 or J) coefficient table of shift
-    i; ``vec_of(i)``, when given, a frame mask its plaintexts share.  The
-    input rotation of (shift, c) is paid once, when some output reads it.
-    Shifts are grouped by rotation amount and folded in chunks.
+    ``tables`` yields the (1 or J, C_in, C_out) coefficient table of each
+    shift, and ``vec`` the (shift, C_in, T) frame factors the plaintexts
+    share.  One ``hesim.Diagonals`` holds the layer; every sample is one of
+    its source sets.
     """
     lin = fm.layout
-    C, S = lin.C, lin.slot_count
-    grid = (lin.T, lin.J)
-    by_amount = _amounts(shifts, S)
-    # bytes of one shift's sources, or at most of its coefficients
-    shift_bytes = C * max(S, n_out * lin.J) * 8
-    chunks = _chunks(list(by_amount), shift_bytes * max(map(len, by_amount.values()), default=1))
-    out_cts = []
-    for b in range(lin.B):
-        x = fm.cts[b * C : (b + 1) * C]
-        sums = _RowSums(n_out)
-        for amounts in chunks:
-            srcs, coefs, vecs = [], [], []
-            for amount in amounts:
-                tables = [coef_of(i) for i in by_amount[amount]]
-                rotated = _rotations(ctx, x, amount, np.any([t.any(axis=(1, 2)) for t in tables], axis=0))
-                for i, table in zip(by_amount[amount], tables):
-                    srcs += [rotated.get(c, x[c]) for c in range(C)]
-                    coefs.append(table)
-                    if vec_of is not None:
-                        vecs.append(np.broadcast_to(vec_of(i)[:, None], (C, lin.T, 1)))
-            coef = np.concatenate(coefs).transpose(1, 0, 2)  # (o, term, J or 1)
-            vec = np.concatenate(vecs) if vecs else 1.0
-            sums.fold(ctx, hesim.stack(srcs), coef, vec, grid)
-        acc = sums.result(ctx, fm.level - 1)
-        if bias_rows is not None:
-            acc = _add_bias(ctx, acc, bias_rows)
-        out_cts += hesim.unstack(acc)
-    return out_cts
+    op = hesim.Diagonals(shifts, tables, (lin.T, lin.J), lin.slot_count)
+    acc = _fold(ctx, hesim.stack(fm.cts), op, vec)
+    if _has_bias(bias):
+        bias_rows = np.where(np.arange(lin.slot_count) < lin.T * lin.J, np.asarray(bias)[:, None], 0.0)
+        acc = _add_bias(ctx, acc, np.tile(bias_rows, (lin.B, 1)))
+    return hesim.unstack(acc)
 
 
 def rowmajor_spatial(
@@ -352,24 +263,13 @@ def rowmajor_spatial(
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before spatial conv")
 
-    B, T, J = lin.B, lin.T, lin.J
     offsets = diagonal_offsets(merged.pattern)
-    joints = np.arange(J)
-    c, o = np.arange(merged.c_in)[:, None, None], np.arange(merged.c_out)[:, None]
-
-    def diagonal(i):
-        # diagonal d reads joint k + d at joint k of every frame row; reads
-        # past either end of the row are wraps and stay zero
-        d = offsets[i]
-        valid = (joints + d >= 0) & (joints + d < J)
-        return np.where(valid, merged.entries(c, o, joints, np.clip(joints + d, 0, J - 1)), 0.0)  # (c, o, k)
-
-    bias_rows = None
-    if _has_bias(merged.bias):
-        in_grid = np.arange(lin.slot_count) < T * J
-        bias_rows = np.where(in_grid, merged.bias[:, None], 0.0)
-    out_cts = _rowmajor_fold(ctx, fm, diagonal, offsets, merged.c_out, bias_rows)
-    lout = packing.rowmajor_layout((B, merged.c_out, T, J), lin.slot_count)
+    # diagonal d reads joint k + d at joint k of every frame row; reads past
+    # either end of the row are wraps and stay zero.  A zero matrix has no
+    # diagonals: one zero table gives every output zero.
+    tables = map(merged.diagonal, offsets) if offsets else [np.zeros((1, merged.c_in, merged.c_out))]
+    out_cts = _rowmajor_fold(ctx, fm, offsets or [0], tables, merged.bias)
+    lout = packing.rowmajor_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
     return EncryptedFeatureMap(out_cts, lout, fm.t_stride, fm.t_valid, label=fm.label)
 
 
@@ -432,18 +332,17 @@ def temporal_conv(
         ).astype(float)
         for kappa, eps in taps
     }
-    bias_on = _has_bias(bias)
 
     if lin.kind == AMA:
-        out_fm = _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx)
+        out_fm = _temporal_ama(fm, W, bias, taps, masks, ctx)
     else:
-        out_fm = _temporal_rowmajor(fm, W, bias, bias_on, taps, masks, ctx)
+        out_fm = _temporal_rowmajor(fm, W, bias, taps, masks, ctx)
     out_fm.t_stride = fm.t_stride * layer.stride
     out_fm.t_valid = math.ceil(fm.t_valid / layer.stride)
     return out_fm
 
 
-def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
+def _temporal_ama(fm, W, bias, taps, masks, ctx):
     """Rows of the fold are joints (in chunks), terms are (input group, tap).
 
     Block weights do not depend on the joint, so the block-circulant
@@ -465,28 +364,24 @@ def _temporal_ama(fm, W, bias, bias_on, taps, masks, ctx):
     out_cts = []
     for js in _chunks(range(J), G * K * lin.slot_count * 8):
         src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for j in js for g in range(G)])
-        acc = _ama_fold(ctx, src, op, vec)
-        if bias_on:
+        acc = _fold(ctx, src, op, vec)
+        if _has_bias(bias):
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(js), 1)))
         out_cts += hesim.unstack(acc)
     return EncryptedFeatureMap(out_cts, lin, fm.t_stride, fm.t_valid, label=fm.label)
 
 
-def _temporal_rowmajor(fm, W, bias, bias_on, taps, masks, ctx):
-    """A GEMM over (tap, input channel) per sample: rows are output channels."""
+def _temporal_rowmajor(fm, W, bias, taps, masks, ctx):
+    """One ``hesim.Diagonals`` of the K taps: terms are (tap, input channel), rows output channels."""
     lin = fm.layout
-    bias_rows = None
-    if bias_on:
-        bias_rows = np.where(np.arange(lin.slot_count) < lin.T * lin.J, bias[:, None], 0.0)
     out_cts = _rowmajor_fold(
         ctx,
         fm,
-        lambda kappa: W[:, :, kappa].T[:, :, None],
         [eps * fm.t_stride * lin.J for _, eps in taps],
-        lin.C,
-        bias_rows,
+        (W[None, :, :, kappa].transpose(0, 2, 1) for kappa, _ in taps),
+        bias,
         # masks were built over one T-row; each frame row spans J slots
-        vec_of=lambda kappa: masks[kappa][: lin.T],
+        np.array([masks[kappa][: lin.T] for kappa, _ in taps])[:, None],
     )
     return EncryptedFeatureMap(out_cts, lin, fm.t_stride, fm.t_valid, label=fm.label)
 

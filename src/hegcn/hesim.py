@@ -14,18 +14,22 @@ Level discipline:
 
 Batching: a ciphertext may hold an (n, slots) stack of n ciphertexts at one
 level.  Every op on a stack counts n and writes one log record with a
-``count`` field (left out when n = 1).  ``fold`` is a fused plaintext
-multiply-accumulate over a stack that counts each of its PMults and Adds.
-A ``BlockCirculant`` is built once from the tap rotations of the inputs
-(the baby steps of a baby-step/giant-step product) and the coefficients of
-many folds rotated by whole blocks (the giant steps).  ``fold_steps``
-applies it to a stack of inputs as one tap-rotated buffer and one matrix
-product, and counts the tap rotations and each giant step's PMults, Adds,
-rotations and partial-sum Adds as the step-by-step schedule would; it adds
-the operator's precomputed totals to the counter once and writes the
-per-step records only when ``log_ops`` is on.  In both, a term runs, and is
-counted, exactly when its coefficients are not all zero.  ``stack`` and
-``unstack`` are bookkeeping and count nothing.
+``count`` field (left out when n = 1).  ``fold_steps`` is the one fused
+multiply-accumulate: it applies a prebuilt operator, the baby-step/giant-step
+product of Halevi and Shoup (CRYPTO 2018), to a stack of input ciphertexts.
+A ``BlockCirculant`` (AMA) holds the tap rotations of the inputs (the baby
+steps) and many folds rotated by whole blocks (the giant steps) as one
+block-circulant matrix.  A ``Diagonals`` (row-major) holds the diagonal or
+tap rotations as the baby steps, with one giant step of 0, and keeps its
+coefficients per grid column, compressed to the shifts each column reads.
+Each operator is built once per layer, precomputes its counter totals and
+op records, and is applied as one gathered buffer and one batched matrix
+product; ``fold_steps`` adds its totals to the counter once and writes its
+records only when ``log_ops`` is on.  The counts are those of the schedule
+one ciphertext at a time: a rotation per input and amount some term reads,
+and a PMult per term that runs (its coefficients are not all zero), with
+the Adds that sum them.  ``stack`` and ``unstack`` are bookkeeping and
+count nothing.
 """
 
 from __future__ import annotations
@@ -36,12 +40,20 @@ from contextlib import contextmanager
 
 import numpy as np
 
-#: Counter names, in the order they appear in reports.
-OPS = ("rot", "pmult", "cmult", "add", "rescale")
+#: Upper bound on the bytes of one chunk's source stack, plaintext table or
+#: gathered buffer.  Kernels and ``Diagonals`` run in chunks that stay below
+#: it (at least one item each).  Measured on the reference model (slot
+#: 8192): 2 MB and 256 KB run equally fast, 256 KB keeps the run's peak
+#: memory lower and the activation's elementwise ops in cache.  A
+#: ``Diagonals`` item is one grid column with all its frames: splitting the
+#: frames to stay under the bound made a 128-channel temporal layer at slot
+#: 8192 2.2x slower.
+_CHUNK_BYTES = 256 << 10
 
-#: Counters that enter the homomorphic-operation-count total.  Rescale is
-#: bookkeeping for the modulus chain, not a separately scheduled operation.
-HOC_OPS = ("rot", "pmult", "cmult", "add")
+#: Counter names, in the order they appear in reports.  Rescale is
+#: bookkeeping for the modulus chain, not a separately scheduled operation,
+#: and does not enter the homomorphic-operation-count total.
+OPS = ("rot", "pmult", "cmult", "add", "rescale")
 
 
 class LevelError(Exception):
@@ -58,7 +70,7 @@ class HocCounter:
     Totals are always derived from the per-layer map, so the invariant
     "total == sum over layers" holds by construction.  ``merge`` is
     associative and commutative, so counters of separate evaluations
-    combine in any order; ``copy`` is a merge with an empty counter.
+    combine in any order.
     """
 
     def __init__(self):
@@ -86,11 +98,6 @@ class HocCounter:
                 out[op] += counts[op]
         return out
 
-    def hoc_total(self) -> int:
-        """Rot + PMult + CMult + Add (the hardware-neutral cost metric)."""
-        totals = self.totals()
-        return sum(totals[op] for op in HOC_OPS)
-
     def merge(self, other: "HocCounter") -> "HocCounter":
         merged = HocCounter()
         for src in (self, other):
@@ -99,9 +106,6 @@ class HocCounter:
                     if counts[op]:
                         merged.bump(label, op, counts[op])
         return merged
-
-    def copy(self) -> "HocCounter":
-        return HocCounter().merge(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HocCounter):
@@ -187,8 +191,10 @@ class BlockCirculant:
     Repeated amounts add up.
 
     ``matrix`` is that (sets, V*n1, T*n1) matrix, rows (row, block) and
-    columns (term, source block).  ``reads`` marks the (sets, T / K, K)
-    pairs some coefficient reads; ``has_terms`` the (sets*V) rows some step
+    columns (term, source block).  ``rotated`` holds, per tap, the
+    (sets, T / K, 1) mask of the inputs it rotates (the pairs some
+    coefficient reads), True when that is all of them and None when none
+    or the tap is 0; ``has_terms`` marks the (sets*V) rows some step
     reaches.  ``records`` lists the op log of one source set in the
     schedule's order: one rotation per distinct nonzero tap amount of the
     inputs some pair of it reads, then per giant step its PMults, its Adds
@@ -200,7 +206,7 @@ class BlockCirculant:
     of source stacks.
     """
 
-    __slots__ = ("grid", "taps", "sets", "rows", "terms", "matrix", "reads", "has_terms", "records", "totals")
+    __slots__ = ("grid", "slot_count", "taps", "sets", "rows", "terms", "inputs", "matrix", "rotated", "has_terms", "records", "totals")
 
     def __init__(self, amounts, coef, grid, taps=(0,)):
         n1, n2 = grid
@@ -254,16 +260,175 @@ class BlockCirculant:
         for op, n, *_ in records:
             totals[op] += n
         totals["rescale"] = totals["pmult"]
+        # per tap, the (sets, inputs, 1) pairs it rotates: None when none, True when all
+        rotated = reads & np.array([a != 0 for a in taps])
+        rotated.flags.writeable = False
+        self.rotated = tuple(None if not r.any() else True if r.all() else r[..., None] for r in np.moveaxis(rotated, -1, 0))
         self.grid = (int(n1), int(n2))
+        self.slot_count = int(n1 * n2)
         self.taps = taps
-        self.sets, self.rows, self.terms = sets, V, T
+        self.sets, self.rows, self.terms, self.inputs = sets, V, T, T // len(taps)
         self.matrix = mat.reshape(sets, V * n1, T * n1)
-        self.reads = reads
         self.has_terms = rows.any(axis=0)
         self.records = tuple(records)
         self.totals = {op: n for op, n in totals.items() if n}
-        for arr in (self.matrix, self.reads, self.has_terms):
+        for arr in (self.matrix, self.has_terms):
             arr.flags.writeable = False
+
+    def apply(self, x: np.ndarray, vec) -> np.ndarray:
+        """The (U, rows, slot_count) products of the (U, inputs, slot_count) sources."""
+        U, inputs, N = x.shape
+        n1, n2 = self.grid
+        T, K = self.terms, len(self.taps)
+        unscaled = np.ndim(vec) == 0 and vec == 1
+        vec = np.broadcast_to(vec, (T, n1, n2))
+        if self.taps == (0,):
+            z = x if unscaled else x.reshape(U, T, n1, n2) * vec
+        else:
+            # z[u, i, k] is input i of set u rotated by tap k: columns (term,
+            # source block), like the operator's
+            z = np.empty((U, inputs, K, N))
+            for k, a in enumerate(self.taps):
+                dst, where = z[:, :, k], self.rotated[k]
+                if where is not True:  # a zero tap, or a pair no coefficient reads
+                    dst[...] = x
+                if where is not None:
+                    np.copyto(dst[..., : N - a], x[..., a:], where=where)
+                    np.copyto(dst[..., N - a :], x[..., :a], where=where)
+            if not unscaled:
+                z4 = z.reshape(U, T, n1, n2)
+                np.multiply(z4, vec, out=z4)
+        return (self.matrix @ z.reshape(U, T * n1, n2)).reshape(U, self.rows, N)
+
+
+class Diagonals:
+    """The diagonal-method operator of one row-major conv, built once and
+    applied by ``SimContext.fold_steps`` to any number of source sets.
+
+    The slots are read as a ``grid`` (n1, n2) of n1 frames by n2 columns,
+    n1 * n2 <= ``slot_count``; past it every plaintext is zero.  Shift i
+    rotates the inputs by ``shifts[i]`` slots: the baby steps of the
+    diagonal method of Halevi and Shoup (CRYPTO 2018), whose single giant
+    step is 0.  ``tables`` yields one (1 or n2, inputs, rows) coefficient
+    table per shift; a single column holds the coefficients of every column.
+    The terms are the (shift, input) pairs, and row v of source set u at
+    slot (t, k) is
+
+        sum over i, c of  tables[i][k, c, v] * vec[i, c, t] * src[u, c][(t*n2 + k + shifts[i]) mod slot_count]
+
+    with ``vec`` the factor ``fold_steps`` is given.  The tables are read
+    one at a time and kept per column, compressed to the shifts with a
+    nonzero coefficient there: ``coef`` (columns, rows, S * inputs) holds
+    the coefficients of a column's S shift slots, input-minor, ``steps``
+    and ``offsets`` (columns, S) the shift of each slot and the slot it
+    reads at frame 0, counted from ``span[0]``.  A slot past a column's live
+    shifts has zero coefficients.  There is one column when every table
+    has width 1.
+
+    ``records`` lists the op log of one source set per distinct amount mod
+    slot_count, in first-appearance order: one rotation per input some term
+    of the amount reads (none for amount 0), one PMult per (term, row) whose
+    coefficients are not all zero, ``terms - 1`` Adds per row, and one Add
+    per row with terms that already holds a partial sum of an earlier
+    amount.  ``totals`` sums them per counter; ``has_terms`` marks the rows
+    some term reaches.  The arrays are read-only and ``fold_steps`` changes
+    nothing, so one operator serves any number of source stacks.
+    """
+
+    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "shifts", "span", "coef", "steps", "offsets", "has_terms", "records", "totals")
+
+    def __init__(self, shifts, tables, grid, slot_count):
+        n1, n2 = grid
+        N = int(slot_count)
+        if n1 * n2 > N:
+            raise ValueError(f"grid {n1}x{n2} exceeds slot count {N}")
+        amounts = [int(a) % N for a in shifts]
+        reach = [a - N if a > N // 2 else a for a in amounts]  # the nearer way round
+        lo = min([0] + reach) // n2 * n2  # the first slot read, rounded down to a whole frame
+        pieces, per_amount = [], {}  # per shift its live columns; per amount (inputs read, terms per row)
+        shape = None  # (inputs, rows), from the first table
+        for i, table in enumerate(tables):
+            table = np.asarray(table, dtype=np.float64)
+            shape = shape or table.shape[1:]
+            if table.ndim != 3 or table.shape[0] not in (1, n2) or table.shape[1:] != shape:
+                raise ValueError(f"coef of shape {table.shape} is not (1 or {n2}, inputs, rows) like the first")
+            live = np.flatnonzero(table.reshape(len(table), -1).any(axis=1))
+            vals = table[live]
+            runs = (vals != 0).any(axis=0)  # (inputs, rows): the products that run
+            reads, per_row = per_amount.setdefault(amounts[i], (np.zeros(shape[0], bool), np.zeros(shape[1], np.int64)))
+            reads |= runs.any(axis=1)
+            per_row += runs.sum(axis=0)
+            pieces.append((i, live, vals.transpose(0, 2, 1), len(table)))  # (live columns, rows, inputs)
+        if len(pieces) != len(amounts) or not pieces:
+            raise ValueError(f"{len(pieces)} coefficient tables for {len(amounts)} shifts")
+        C, V = shape
+        cols = max(width for *_, width in pieces)
+        # a width-1 table is live in every column when the others have n2
+        pieces = [(i, np.arange(cols) if len(live) and width < cols else live, vals) for i, live, vals, width in pieces]
+        S = max(1, int(np.bincount(np.concatenate([live for _, live, _ in pieces]), minlength=cols).max()))
+        coef = np.zeros((cols, V, S, C))
+        at, offsets = np.zeros((cols, S), np.int64), np.full((cols, S), -lo)
+        filled = np.zeros(cols, np.int64)
+        for i, live, vals in pieces:
+            slot = filled[live]
+            coef[live, :, slot] = vals
+            at[live, slot], offsets[live, slot] = i, reach[i] - lo
+            filled[live] += 1
+        records, seen = [], np.zeros(V, bool)
+        for a, (reads, per_row) in per_amount.items():
+            records += [
+                ("rot", int(reads.sum()) if a else 0, 0, 0, {"rotation_amount": a}),
+                ("pmult", int(per_row.sum()), 0, 1, {}),
+                ("add", int(np.maximum(per_row - 1, 0).sum()), 1, 1, {}),
+                ("add", int((seen & (per_row > 0)).sum()), 1, 1, {}),
+            ]
+            seen |= per_row > 0
+        records = [rec for rec in records if rec[1]]
+        totals = dict.fromkeys(OPS, 0)
+        for op, n, *_ in records:
+            totals[op] += n
+        totals["rescale"] = totals["pmult"]
+        self.grid, self.slot_count = (int(n1), int(n2)), N
+        self.sets, self.rows, self.inputs, self.shifts = 1, V, C, len(amounts)
+        # the whole frames the shifts read, from slot lo to hi
+        self.span = (lo, -(-(n1 * n2 + max([0] + reach)) // n2) * n2)
+        self.coef, self.steps, self.offsets = coef.reshape(cols, V, S * C), at, offsets
+        self.has_terms = seen
+        self.records = tuple(records)
+        self.totals = {op: n for op, n in totals.items() if n}
+        for arr in (self.coef, self.steps, self.offsets, self.has_terms):
+            arr.flags.writeable = False
+
+    def apply(self, x: np.ndarray, vec) -> np.ndarray:
+        """The (U, rows, slot_count) products of the (U, inputs, slot_count)
+        sources: the frames the shifts read, copied once column-major, are
+        gathered into one buffer per chunk of columns, then one batched GEMM."""
+        U, C, N = x.shape
+        n1, n2 = self.grid
+        cols, V, L = self.coef.shape
+        lo, hi = self.span
+        xs = np.concatenate((x[..., N + lo :], x[..., : min(hi, N)], x[..., : max(hi - N, 0)]), axis=-1)
+        F = xs.shape[-1] // n2
+        ys = xs.reshape(U, C, F, n2).transpose(0, 3, 1, 2).copy()  # (U, column, input, frame)
+        su, sk, sc, sf = ys.strides
+        # view[u, k, f, c, t] = ys[u, k, c, f + t]: column k of every input from frame f on
+        view = np.lib.stride_tricks.as_strided(ys, (U, n2, F - n1 + 1, C, n1), (su, sk, sf, sc, sf))
+        scaled = not (np.ndim(vec) == 0 and vec == 1)
+        if scaled:  # the factors of every term slot: (columns, L, n1)
+            vec = np.broadcast_to(vec, (self.shifts, C, n1))[self.steps].reshape(cols, L, n1)
+        by_column = np.empty((U, n2, V, n1))
+        size = max(1, _CHUNK_BYTES // (U * L * n1 * 8))
+        for k0 in range(0, n2, size):
+            ks = np.arange(k0, min(k0 + size, n2))
+            sel = ks if cols > 1 else [0]
+            read = ks[:, None] + self.offsets[sel]  # the slot each shift slot reads at frame 0
+            z = view[:, read % n2, read // n2].reshape(U, len(ks), L, n1)
+            if scaled:
+                z *= vec[sel]
+            np.matmul(self.coef[sel], z, out=by_column[:, k0 : k0 + len(ks)])
+        out = np.zeros((U, V, N))
+        out[..., : n1 * n2].reshape(U, V, n1, n2)[...] = by_column.transpose(0, 2, 3, 1)
+        return out
 
 
 class SimContext:
@@ -272,8 +437,8 @@ class SimContext:
     ``slot_count`` is half the CKKS polynomial degree and must be a power of
     two.  With ``quantize=True`` values are rounded to the fixed-point grid
     ``2**-scale_bits`` at encryption and after every multiplication (a
-    ``fold`` or ``fold_steps`` rounds its fused sum once), emulating
-    rescaling of a scaled integer representation.
+    ``fold_steps`` rounds its fused sum once), emulating rescaling of a
+    scaled integer representation.
     """
 
     def __init__(
@@ -448,92 +613,37 @@ class SimContext:
         self._log("mod_switch", ct.level, target_level, ct.rows)
         return out
 
-    def fold(self, src: SimCiphertext, coef, vec=1.0, grid=None) -> SimCiphertext:
-        """Fused plaintext multiply-accumulate: many PMults and Adds as one op.
+    def fold_steps(self, src: SimCiphertext, op, vec=1.0) -> tuple[SimCiphertext, np.ndarray]:
+        """Apply a prebuilt operator, a ``BlockCirculant`` or ``Diagonals``:
+        many rotated, plaintext-multiplied and summed terms as one fused
+        multiply-accumulate.
 
-        ``src`` is a stack of T ciphertexts, the terms every row reads.  The
-        slots are read as a ``grid`` of shape (n1, n2), n1 * n2 <= slot_count
-        (default (1, slot_count)).  ``coef`` has shape (V, T, 1) or (V, T, n2)
-        and ``vec`` broadcasts to (T, n1, n2).  Row v of the result is
+        ``src`` is a stack of U x ``op.inputs`` ciphertexts, u-major: U
+        source sets.  The operator holds one set of coefficients for every
+        source set, or one per set.  ``vec`` scales each term's slots after
+        its rotation and before the product: it broadcasts to (T, n1, n2)
+        for a ``BlockCirculant`` of T (input, tap) terms and to (shifts,
+        inputs, n1) for ``Diagonals``.  Row (u, v) of the result, u-major,
+        is ``op``'s row v applied to source set u.
 
-            sum over t with coef[v, t] not all zero of  src[t] * pt[v, t]
-
-        where on the grid ``pt[v, t]`` is ``coef[v, t] * vec[t]`` (the same
-        along n1), and past it zero.
-
-        Counts exactly what the per-ciphertext schedule would: one PMult
-        (and its rescale) per term that runs, and ``terms - 1`` Adds per row
-        with at least one term.  A row without terms is zero and was
-        computed by no operation; callers replace or drop it.  With
-        ``quantize`` the sum is rounded once, as a fused multiply-accumulate
-        rescales once.
-        """
-        if src.level < 1:
-            raise LevelError("level exhausted: fold needs level >= 1")
-        n1, n2 = grid or (1, self.slot_count)
-        if n1 * n2 > self.slot_count:
-            raise ValueError(f"grid {n1}x{n2} exceeds slot count {self.slot_count}")
-        coef = np.asarray(coef, dtype=np.float64)
-        if coef.ndim != 3 or coef.shape[2] not in (1, n2):
-            raise ValueError(f"coef of shape {coef.shape} is not (rows, terms, 1 or {n2})")
-        V, T = coef.shape[:2]
-        if src.rows != T:
-            raise ValueError(f"{src.rows} source ciphertexts do not match {T} terms")
-        z = src.slots.reshape(T, -1)[:, : n1 * n2].reshape(T, n1, n2) * vec
-        if coef.shape[2] == 1:  # one scalar per term: a single product
-            prod = coef[:, :, 0] @ z.reshape(T, n1 * n2)
-        else:  # one product per slot column
-            prod = (coef.transpose(2, 0, 1) @ z.transpose(2, 0, 1)).transpose(1, 2, 0)
-        out = np.zeros((V, self.slot_count))
-        out[:, : n1 * n2] = prod.reshape(V, n1 * n2)
-        if self.quantize:
-            out = self._quantize(out)
-        terms = coef.any(axis=-1).sum(axis=-1)
-        level = src.level - 1
-        if terms.sum():
-            self._record("pmult", src.level, level, int(terms.sum()))
-        adds = int(np.maximum(terms - 1, 0).sum())
-        if adds:
-            self._record("add", level, level, adds)
-        return self._new_ct(out, level)
-
-    def fold_steps(self, src: SimCiphertext, op: "BlockCirculant", vec=1.0) -> tuple[SimCiphertext, np.ndarray]:
-        """Apply a prebuilt block-circulant operator: the tap rotations of
-        every input and many block-rotated folds summed per row, as one GEMM.
-
-        ``src`` is a stack of U x T / K input ciphertexts, u-major: U source
-        sets of the operator's T / K inputs each, read on its grid, which
-        must cover every slot.  The operator holds one set of coefficients
-        for every source set, or one per set; ``vec`` broadcasts to
-        (T, n1, n2) and scales each (input, tap) term's slots after the tap
-        rotation and before the product.  Row (u, v) of the result, u-major,
-        is ``op``'s row v applied to source set u (see ``BlockCirculant``).
-
-        Counts what rotating the inputs by their taps, then folding,
-        rotating and summing the rows one giant step at a time would: one
-        rotation per input and distinct nonzero tap amount that some pair
-        reads, one PMult per term whose coefficients are not all zero and
-        ``terms - 1`` Adds per row with terms, one rotation per row with
-        terms (none when the amount is 0 mod slot_count), and one Add per
-        row with terms that already holds a partial sum.  The operator's
-        totals are added once; with ``log_ops`` its records are written in
-        that order.  A pair that no coefficient reads is neither rotated nor
-        counted.  Returns the (U*V, slot_count) stack and which rows got a
-        term; a row without terms is zero and was computed by no operation.
-        With ``quantize`` the fused sum is rounded once.
+        Counts what the operator's schedule, one ciphertext at a time, would:
+        every rotation of an input some term reads, one PMult per term whose
+        coefficients are not all zero, the Adds of each row's products, and
+        the rotations and Adds of partial sums.  The operator's totals are
+        added once; with ``log_ops`` its records are written in its order.
+        Returns the (U*V, slot_count) stack and which rows got a term; a row
+        without terms is zero and was computed by no operation.  With
+        ``quantize`` the fused sum is rounded once.
         """
         if src.level < 1:
             raise LevelError("level exhausted: fold_steps needs level >= 1")
-        n1, n2 = op.grid
         N = self.slot_count
-        if n1 * n2 != N:
-            raise ValueError(f"grid {n1}x{n2} does not cover slot count {N}")
-        sets, T, K = op.sets, op.terms, len(op.taps)
-        inputs = T // K
-        U = src.rows // inputs
-        if src.rows % inputs or sets not in (1, U):
-            raise ValueError(f"coef of {sets} sets of {inputs} inputs does not fit {src.rows} source ciphertexts")
-        scale = U if sets == 1 else 1  # shared coefficients: every step runs on each source set
+        if op.slot_count != N:
+            raise ValueError(f"operator of {op.slot_count} slots does not cover slot count {N}")
+        U = src.rows // op.inputs
+        if src.rows % op.inputs or op.sets not in (1, U):
+            raise ValueError(f"coef of {op.sets} sets of {op.inputs} inputs does not fit {src.rows} source ciphertexts")
+        scale = U if op.sets == 1 else 1  # shared coefficients: every step runs on each source set
         if op.totals:
             counts = self.counter.counts_of(self._layer)
             for name, n in op.totals.items():
@@ -541,28 +651,7 @@ class SimContext:
         if self.log_ops:
             for name, n, before, after, extra in op.records:
                 self._log(name, src.level - before, src.level - after, n * scale, **extra)
-        unscaled = np.ndim(vec) == 0 and vec == 1
-        vec = np.broadcast_to(vec, (T, n1, n2))
-        x = src.slots.reshape(U, inputs, N)
-        if op.taps == (0,):
-            z = x if unscaled else x.reshape(U, T, n1, n2) * vec
-        else:
-            # z[u, i, k] is input i of set u rotated by tap k: columns (term,
-            # source block), like the operator's
-            z = np.empty((U, inputs, K, N))
-            for k, a in enumerate(op.taps):
-                dst = z[:, :, k]
-                rotated = op.reads[:, :, k, None] & bool(a)  # (sets, inputs, 1)
-                if not rotated.all():  # a zero tap, or a pair no coefficient reads
-                    dst[...] = x
-                if rotated.any():
-                    where = True if rotated.all() else rotated
-                    np.copyto(dst[..., : N - a], x[..., a:], where=where)
-                    np.copyto(dst[..., N - a :], x[..., :a], where=where)
-            if not unscaled:
-                z4 = z.reshape(U, T, n1, n2)
-                np.multiply(z4, vec, out=z4)
-        out = (op.matrix @ z.reshape(U, T * n1, n2)).reshape(U * op.rows, N)
+        out = op.apply(src.slots.reshape(U, op.inputs, N), vec).reshape(U * op.rows, N)
         if self.quantize:
             out = self._quantize(out)
         return self._new_ct(out, src.level - 1), np.tile(op.has_terms, scale)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hegcn import costmodel, engine
+from hegcn import costmodel, engine, hesim
 from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, merge_spatial
 from hegcn.engine import default_slot_count, plaintext_reference, run_model, spatial_reference
 from hegcn.hesim import SimContext, replay_counts
@@ -151,14 +151,16 @@ def test_kernels_never_read_dense_matrices(monkeypatch, case, fmt):
 
 @pytest.mark.parametrize("case", ["acceptance", "ragged-k3-stride2"])
 def test_ama_never_calls_per_step_fold(monkeypatch, case):
-    """The AMA channel fold runs every giant step in one ``fold_steps``:
-    with the per-step ``fold`` unavailable, every gate still holds."""
+    """The AMA channel fold runs every giant step in one ``fold_steps`` of a
+    ``BlockCirculant``: hesim has no per-step fold, and with the row-major
+    operator unavailable every gate still holds."""
 
-    def fold(*args, **kwargs):
-        raise AssertionError("the AMA path called SimContext.fold")
+    def diagonals(*args, **kwargs):
+        raise AssertionError("the AMA path built a hesim.Diagonals")
 
+    assert not hasattr(SimContext, "fold")
     spec, slot_count = gated_case(case)
-    monkeypatch.setattr(SimContext, "fold", fold)
+    monkeypatch.setattr(hesim, "Diagonals", diagonals)
     check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), AMA, slot_count)
 
 
@@ -174,13 +176,14 @@ def test_random_shapes_match_oracle_and_counts(spec):
 
 @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
 def test_one_item_chunks_change_nothing(monkeypatch, fmt):
-    """Chunks of one joint, output joint or rotation amount: the partial
-    sums merge across chunks with the same counts and scores."""
+    """Chunks of one joint, output joint, activation input or row-major
+    column: the same counts and scores."""
     dims, spec = case_spec("batch2-k5-stride2")
     x = GraphTensor.random(dims, seed=7)
     slot_count = default_slot_count(dims)
     want = run_model(spec, x, fmt, slot_count=slot_count)
     monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(hesim, "_CHUNK_BYTES", 1)
     ctx = SimContext(slot_count, max_level=costmodel.depth(spec), log_ops=True)
     res = run_model(spec, x, fmt, ctx=ctx)
     assert res.counter == want.counter

@@ -35,6 +35,23 @@ def ring_adjacency(J):
     return AdjacencySet.from_edges(J, [[(i, (i + 1) % J) for i in range(J)]])
 
 
+def only_stacks_inputs(monkeypatch, fm):
+    """Make ``SimContext.rotate`` raise and ``hesim.stack`` accept only the
+    ciphertexts of ``fm``: a layer's input rotations happen inside its fold."""
+    inputs, real_stack = {id(ct) for ct in fm.cts}, hesim.stack
+
+    def inputs_only(cts):
+        cts = list(cts)
+        assert all(id(ct) in inputs for ct in cts), "stacked a ciphertext that is not a layer input"
+        return real_stack(cts)
+
+    def no_rotate(*args):
+        raise AssertionError("SimContext.rotate called for a tap or diagonal")
+
+    monkeypatch.setattr(hesim, "stack", inputs_only)
+    monkeypatch.setattr(SimContext, "rotate", no_rotate)
+
+
 def packed(x, ctx, fmt):
     if fmt == AMA:
         cts, layout = ama_pack(x, ctx)
@@ -104,6 +121,21 @@ class TestSpatial:
         with ctx.layer("m"):
             rowmajor_spatial(packed(x, ctx, ROWMAJOR), merged, ctx=ctx)
         assert ctx.counter.layer("m")["rot"] == 2 * 6
+
+    def test_rowmajor_diagonals_are_rotated_inside_the_fold(self, monkeypatch):
+        """Row-major spatial mixing neither rotates nor stacks diagonal rows:
+        it stacks its input ciphertexts once and ``fold_steps`` pays one
+        rotation per input and nonzero diagonal."""
+        rng = np.random.default_rng(16)
+        x = GraphTensor.random((2, 3, 4, 4), seed=17)
+        merged = MergedSpatialMatrix.from_dense(rng.uniform(0.5, 1.5, (3, 2, 4, 4)), rng.normal(size=2))
+        ctx = SimContext(16, max_level=1)
+        fm = packed(x, ctx, ROWMAJOR)
+        only_stacks_inputs(monkeypatch, fm)
+        with ctx.layer("m"):
+            out = rowmajor_spatial(fm, merged, ctx=ctx)
+        np.testing.assert_allclose(unpack(out, ROWMAJOR), merged.apply(x.data), atol=1e-12)
+        assert ctx.counter.layer("m")["rot"] == len(fm.cts) * 6  # diagonals -3..3 but 0
 
     def test_level_exhausted(self):
         merged = MergedSpatialMatrix.from_dense(np.eye(4)[None, None], np.zeros(1))
@@ -208,24 +240,28 @@ class TestTemporalConv:
         x = GraphTensor.random((1, 3, 8, 4), seed=13)
         ctx = SimContext(64, max_level=1)
         fm = packed(x, ctx, AMA)
-        inputs, real_stack = {id(ct) for ct in fm.cts}, hesim.stack
-
-        def inputs_only(cts):
-            cts = list(cts)
-            assert all(id(ct) in inputs for ct in cts), "stacked a ciphertext that is not a layer input"
-            return real_stack(cts)
-
-        def no_rotate(*args):
-            raise AssertionError("SimContext.rotate called for a tap")
-
-        monkeypatch.setattr(hesim, "stack", inputs_only)
-        monkeypatch.setattr(SimContext, "rotate", no_rotate)
+        only_stacks_inputs(monkeypatch, fm)
         with ctx.layer("t"):
             out = temporal_conv(fm, layer, ctx=ctx)
         np.testing.assert_allclose(unpack(out, AMA), self.conv(x.data, layer), atol=1e-12)
         lin = out.layout
         _, giant = costmodel._ama_fold_geometry(lin)
         assert ctx.counter.layer("t")["rot"] == lin.ct_count() * (layer.kernel - 1 + giant)
+
+    def test_rowmajor_taps_are_rotated_inside_the_fold(self, monkeypatch):
+        """A row-major layer neither rotates nor stacks tap rows: it stacks
+        its input ciphertexts once and ``fold_steps`` pays the K - 1 nonzero
+        tap rotations of each."""
+        rng = np.random.default_rng(14)
+        layer = TemporalConv(3, 5, 1, rng.normal(size=(3, 3, 5)), rng.normal(size=3), None)
+        x = GraphTensor.random((2, 3, 8, 4), seed=15)
+        ctx = SimContext(64, max_level=1)
+        fm = packed(x, ctx, ROWMAJOR)
+        only_stacks_inputs(monkeypatch, fm)
+        with ctx.layer("t"):
+            out = temporal_conv(fm, layer, ctx=ctx)
+        np.testing.assert_allclose(unpack(out, ROWMAJOR), self.conv(x.data, layer), atol=1e-12)
+        assert ctx.counter.layer("t")["rot"] == len(fm.cts) * (layer.kernel - 1)
 
     @staticmethod
     def conv(h, layer):
@@ -569,9 +605,10 @@ class TestSkipRules:
 
     @pytest.mark.parametrize("chunk_bytes", [engine._CHUNK_BYTES, 1])
     def test_rowmajor_rows_with_terms_in_some_chunks(self, monkeypatch, chunk_bytes):
-        # channel 1 reads only diagonal -1, so with one diagonal per chunk it
-        # is present in the first chunk and absent from the others
+        # channel 1 reads only diagonal -1 at joint 1, so with one joint per
+        # chunk it has a term in one chunk and none in the others
         monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(hesim, "_CHUNK_BYTES", chunk_bytes)
         mats = self.spatial_mats()
         mats[:, 1, 1, 0] = 0.5
         merged = MergedSpatialMatrix.from_dense(mats, np.zeros(2))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hegcn.hesim import BlockCirculant, HocCounter, LevelError, SimContext, replay_counts, stack, unstack
+from hegcn import hesim
+from hegcn.hesim import BlockCirculant, Diagonals, HocCounter, LevelError, SimContext, replay_counts, stack, unstack
 
 
 def ctx(slots=8, levels=5, **kw):
@@ -226,19 +227,20 @@ class TestStacks:
         with pytest.raises(LevelError):
             c.pmult(low, 1.0)
         with pytest.raises(LevelError):
-            c.fold(low, np.ones((1, 3, 1)))
+            c.fold_steps(low, Diagonals([0], [np.ones((1, 3, 1))], (1, 8), 8))
 
     @pytest.mark.parametrize(
         "coef_shape, grid",
         [
             ((3, 4, 1), None),  # a scalar per term and row
-            ((3, 4, 1), (4, 2)),  # a scalar per term on a block grid
-            ((3, 4, 3), (2, 3)),  # periodic along the minor axis, tail past the grid
+            ((3, 4, 1), (4, 2)),  # a scalar per term on a frame grid
+            ((3, 4, 3), (2, 3)),  # one coefficient per column, tail past the grid
         ],
     )
     def test_fold_equals_the_loop_and_counts_the_mask(self, coef_shape, grid):
-        """The mask is the nonzero pattern of ``coef``: exactly the terms
-        that run in the per-ciphertext loop."""
+        """The terms that run are the nonzero pattern of ``coef``: exactly the
+        terms of the per-ciphertext loop.  ``coef`` is (rows, terms, 1 or
+        columns): one shift 0, each term one input."""
         rng = np.random.default_rng(2)
         vals = rng.uniform(-1, 1, (4, 8))
         n1, n2 = grid or (1, 8)
@@ -252,20 +254,20 @@ class TestStacks:
         terms = coef.any(axis=-1).sum(axis=-1)
         expect = {"rot": 0, "pmult": int(terms.sum()), "cmult": 0, "rescale": int(terms.sum())}
         expect["add"] = int(np.maximum(terms - 1, 0).sum())
-        for vec in (0.5, rng.uniform(-1, 1, (4, 1, n2))):
+        for vec in (0.5, rng.uniform(-1, 1, (1, 4, n1))):
             c, ref = ctx(slots=8, levels=3, log_ops=True), ctx(slots=8, levels=3, log_ops=True)
             with c.layer("fold"):
-                out = c.fold(c.encrypt(vals), coef, vec, grid)
+                out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals([0], [coef.transpose(2, 1, 0)], (n1, n2), 8), vec)
             plains = np.zeros((3, 4, 8))
-            on_grid = (coef[:, :, None] * np.broadcast_to(vec, (4, 1, n2))).repeat(n1, axis=2)
-            plains[:, :, : n1 * n2] = on_grid.reshape(3, 4, -1)
+            on_grid = coef[:, :, None, :] * np.broadcast_to(vec, (1, 4, n1))[0][None, :, :, None]  # (row, term, frame, column)
+            plains[:, :, : n1 * n2] = np.broadcast_to(on_grid, (3, 4, n1, n2)).reshape(3, 4, -1)
             with ref.layer("fold"):
                 runs = coef.any(axis=-1)[None, None]
                 want = per_ciphertext_folds(ref, ref.encrypt(vals), [0], plains[None, None], runs)
             assert c.counter.layer("fold") == expect == ref.counter.layer("fold")
             assert coalesce(c.oplog) == coalesce(ref.oplog)
             assert out.rows == 3 and out.level == 2
-            assert [w is None for w in want] == [True, False, False]
+            assert [w is None for w in want] == [True, False, False] == (~has_terms).tolist()
             for row, w in zip(unstack(out), want):
                 np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
             assert replay_counts(c.oplog) == c.counter
@@ -274,15 +276,16 @@ class TestStacks:
         """A term whose coefficients are all zero runs no PMult."""
         c = ctx(slots=8, levels=2)
         src = c.encrypt(np.ones((2, 8)))
-        out = c.fold(src, np.array([[[5.0], [0.0]]]))
+        out, _ = c.fold_steps(src, Diagonals([0], [np.array([[[5.0], [0.0]]])], (1, 8), 8))
         np.testing.assert_array_equal(out.slots, np.full((1, 8), 5.0))
         assert c.counter.totals()["pmult"] == 1 and c.counter.totals()["add"] == 0
 
     def test_fold_level_is_checked_first(self):
         c = ctx(slots=8, levels=1)
         low = c.pmult(c.encrypt(np.ones((3, 8))), 1.0)
+        op = Diagonals([0], [np.ones((1, 2, 5))], (4, 4), 16)  # neither covers nor fits
         with pytest.raises(LevelError):
-            c.fold(low, np.ones((2, 5)), grid=(4, 4))
+            c.fold_steps(low, op)
 
     @pytest.mark.parametrize(
         "rows, coef_shape, grid, match",
@@ -290,15 +293,15 @@ class TestStacks:
             (4, (1, 4, 1), (4, 4), "exceeds slot count"),
             (4, (1, 4), None, "is not"),  # not 3-D
             (4, (1, 4, 1, 1), None, "is not"),
-            (4, (1, 4, 2), (2, 4), "is not"),  # last axis neither 1 nor n2
-            (8, (1, 4, 1), None, "do not match"),  # two source sets
-            (3, (1, 4, 1), None, "do not match"),
+            (4, (2, 4, 1), (2, 4), "is not"),  # width neither 1 nor n2
+            (6, (1, 4, 1), None, "does not fit"),  # not whole source sets
+            (3, (1, 4, 1), None, "does not fit"),
         ],
     )
     def test_fold_typed_errors(self, rows, coef_shape, grid, match):
         c = ctx(slots=8, levels=2)
         with pytest.raises(ValueError, match=match):
-            c.fold(c.encrypt(np.ones((rows, 8))), np.ones(coef_shape), grid=grid)
+            c.fold_steps(c.encrypt(np.ones((rows, 8))), Diagonals([0], [np.ones(coef_shape)], grid or (1, 8), 8))
 
     def test_replay_of_batched_records(self):
         c = ctx(levels=4, log_ops=True)
@@ -306,7 +309,7 @@ class TestStacks:
             x = c.encrypt(self.rows(c, n=5))
             y = c.rotate(c.pmult(x, 0.5), 1)
             c.add(y, y)
-            c.fold(stack(unstack(x)[:2]), np.ones((2, 2, 1)))
+            c.fold_steps(stack(unstack(x)[:2]), Diagonals([0], [np.ones((1, 2, 2))], (1, 8), 8))
         with c.layer("b"):
             c.pmult(c.encrypt([1.0]), 2.0)
         assert any(r.get("count", 1) > 1 for r in c.oplog)
@@ -552,6 +555,17 @@ class TestFusedTaps:
         taps = [(rec["rotation_amount"], rec.get("count", 1)) for rec in c.oplog if rec["op"] == "rot" and rec["level_before"] == 3]
         assert taps == [(3, 4), (31, 4 if shared else 5)]
 
+    def test_tap_reads_are_kept_per_tap(self):
+        """The pairs each tap rotates are worked out once, when the operator
+        is built: nothing for a zero tap, every pair, or a (sets, inputs, 1) mask."""
+        coef = self.coef(shared=False)
+        op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), self.TAPS)
+        reads = coef.reshape(coef.shape[:3] + (self.I, len(self.TAPS), self.N1)).any(axis=(0, 2, 5))
+        assert op.rotated[0] is None
+        for k in (1, 2, 3):  # input 0 is not read at 3 or 35, input 1 of set 0 not at -1
+            np.testing.assert_array_equal(op.rotated[k][..., 0], reads[..., k])
+        assert BlockCirculant([0], np.ones((1, 1, 1, 4, 4)), (4, 8), [0, 3]).rotated == (None, True)
+
     def test_counts_do_not_depend_on_log_ops(self):
         vals = np.random.default_rng(10).uniform(-1, 1, (self.U * self.I, 32))
         op = BlockCirculant(self.AMOUNTS, self.coef(shared=True), (self.N1, self.N2), self.TAPS)
@@ -575,6 +589,168 @@ class TestFusedTaps:
         with pytest.raises(ValueError, match=match):
             op = BlockCirculant(self.AMOUNTS, self.coef(shared=False), (self.N1, self.N2), taps)
             c.fold_steps(c.encrypt(np.ones((rows, 32))), op)
+
+
+def per_ciphertext_diagonals(c, src, shifts, tables, vec, grid) -> list:
+    """The schedule a ``Diagonals`` stands for, one ciphertext at a time.
+
+    Per distinct amount mod slot_count, in first-appearance order: rotate
+    once each input some term of the amount reads, PMult each (term, row)
+    whose coefficients are not all zero by its slot plaintext, Add the
+    products of each row, and Add that partial into the row's running sum.
+    Returns the running sums, None for a row without terms.
+    """
+    N, (n1, n2) = c.slot_count, grid
+    C, V = tables[0].shape[1:]
+    U = src.rows // C
+    srcs = unstack(src)
+    vec = np.broadcast_to(vec, (len(shifts), C, n1))
+    sums = [None] * (U * V)
+    for a in dict.fromkeys(s % N for s in shifts):
+        at = [i for i, s in enumerate(shifts) if s % N == a]
+        coef = {i: np.broadcast_to(tables[i], (n2, C, V)) for i in at}
+        read = [any(coef[i][:, ci].any() for i in at) for ci in range(C)]
+        rotated = {(u, ci): c.rotate(srcs[u * C + ci], a) for u in range(U) for ci in range(C) if read[ci]}
+        products = {}
+        for u in range(U):
+            for v in range(V):
+                for i in at:
+                    for ci in range(C):
+                        if coef[i][:, ci, v].any():
+                            pt = np.zeros(N)
+                            pt[: n1 * n2] = np.outer(vec[i, ci], coef[i][:, ci, v]).ravel()
+                            products.setdefault(u * V + v, []).append(c.pmult(rotated[u, ci], pt))
+        partials = {r: functools.reduce(c.add, terms) for r, terms in products.items()}
+        for r, ct in partials.items():
+            sums[r] = ct if sums[r] is None else c.add(sums[r], ct)
+    return sums
+
+
+class TestDiagonals:
+    """``fold_steps`` of a ``Diagonals`` against the per-ciphertext diagonal
+    method: 32 slots, a grid of 3 frames by 8 columns (8 slots past it),
+    U = 2 source sets of C = 3 inputs, V = 3 rows."""
+
+    U, C, V, N1, N2 = 2, 3, 3, 3, 8
+    # 0; 1 and 33 equal mod 32; a whole frame; reads past the grid and past
+    # slot 31; a negative shift that wraps below slot 0
+    SHIFTS = [0, 1, -2, 33, 8, 12, -9]
+    WIDTHS = [8, 8, 8, 1, 1, 8, 8]  # width 1: one coefficient for every column
+
+    def tables(self, seed=11):
+        rng = np.random.default_rng(seed)
+        out = []
+        for w in self.WIDTHS:
+            t = np.where(rng.uniform(size=(w, self.C, 1)) < 0.5, rng.uniform(-1, 1, (w, self.C, self.V)), 0.0)
+            t[..., 0] = 0.0  # row 0 has no term
+            out.append(t)
+        out[0][5] = 0.0  # column 5 reads fewer terms than the widest column
+        out[2][5] = 0.0
+        out[5][5] = 0.0
+        out[6][5] = 0.0
+        out[1][7, 1, 1] = 0.6  # shift 1 at the last column reads the next frame's column 0
+        out[2][0, 2, 2] = -0.3  # shift -2 at column 0 reads the previous frame
+        out[4][0, 0] = 0.0  # input 0 is never read at 8: not rotated by it
+        out[4][0, 1:, 1] = [0.2, -0.5]
+        out[3][0, 2, 2] = 0.0  # row 2 at 33 = 1 mod 32 reads only through shift 1
+        return out
+
+    def run(self, c, vals, tables, vec):
+        op = Diagonals(self.SHIFTS, tables, (self.N1, self.N2), 32)
+        with c.layer("diag"):
+            return op, *c.fold_steps(c.encrypt(vals), op, vec)
+
+    @pytest.mark.parametrize("vec_kind", ["one", "per-term"])
+    def test_equals_the_per_ciphertext_schedule(self, vec_kind):
+        rng = np.random.default_rng(12)
+        vals = rng.uniform(-1, 1, (self.U * self.C, 32))
+        vec = 1.0 if vec_kind == "one" else rng.uniform(-1, 1, (len(self.SHIFTS), self.C, self.N1))
+        tables = self.tables()
+        c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
+        op, out, has_terms = self.run(c, vals, tables, vec)
+        with ref.layer("diag"):
+            want = per_ciphertext_diagonals(ref, ref.encrypt(vals), self.SHIFTS, tables, vec, (self.N1, self.N2))
+        live = (op.coef != 0).any(axis=1).sum(axis=1)
+        assert op.coef.shape[0] == self.N2 and live[5] < live.max()  # padded term slots
+        assert has_terms.tolist() == [w is not None for w in want] == [False, True, True] * self.U
+        assert out.rows == self.U * self.V and out.level == 2
+        for row, w in zip(unstack(out), want):
+            np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
+        assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
+        assert replay_counts(c.oplog) == c.counter
+        # one rotation per distinct nonzero amount, counting the inputs read at it
+        rots = [(rec["rotation_amount"], rec.get("count", 1)) for rec in c.oplog if rec["op"] == "rot"]
+        assert rots == [(1, 6), (30, 6), (8, 4), (12, 6), (23, 6)]
+
+    def test_a_zero_operator_gives_zero_rows(self):
+        c = ctx(slots=32, levels=2, log_ops=True)
+        op = Diagonals([3], [np.zeros((1, 2, 4))], (4, 8), 32)
+        out, has_terms = c.fold_steps(c.encrypt(np.ones((2, 32))), op)
+        assert not has_terms.any() and not out.slots.any() and out.rows == 4
+        assert c.oplog == [rec for rec in c.oplog if rec["op"] == "encrypt"] and op.totals == {}
+
+    def test_quantize_rounds_the_fused_sum_once(self):
+        q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
+        src = q.encrypt(np.random.default_rng(13).uniform(-1, 1, (self.U * self.C, 32)))
+        op = Diagonals(self.SHIFTS, self.tables(), (self.N1, self.N2), 32)
+        got = q.fold_steps(src, op, 0.3)[0].slots
+        want = exact.fold_steps(exact.encrypt(src.slots), op, 0.3)[0].slots
+        np.testing.assert_array_equal(got, np.round(want * 2.0**33) / 2.0**33)
+
+    def test_counts_do_not_depend_on_log_ops(self):
+        vals = np.random.default_rng(14).uniform(-1, 1, (self.U * self.C, 32))
+        quiet, logged = ctx(slots=32, levels=3, log_ops=False), ctx(slots=32, levels=3, log_ops=True)
+        for c in (quiet, logged):
+            self.run(c, vals, self.tables(), 0.5)
+        assert quiet.oplog == [] and quiet.counter.totals()["rot"] > 0
+        assert quiet.counter == logged.counter == replay_counts(logged.oplog)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
+    def test_chunks_of_columns_change_nothing(self, monkeypatch, chunk_bytes):
+        vals = np.random.default_rng(15).uniform(-1, 1, (self.U * self.C, 32))
+        want = self.run(ctx(slots=32, levels=3), vals, self.tables(), 0.5)[1]
+        monkeypatch.setattr(hesim, "_CHUNK_BYTES", chunk_bytes)
+        got = self.run(ctx(slots=32, levels=3), vals, self.tables(), 0.5)[1]
+        np.testing.assert_allclose(got.slots, want.slots, rtol=0, atol=1e-12)
+
+    def test_random_geometries_equal_the_per_ciphertext_schedule(self):
+        """Drawn slot counts, grids up to one frame of every slot, shifts
+        up to two turns either way, widths, U and vec."""
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            N = int(2 ** rng.integers(2, 7))
+            n2 = int(rng.integers(1, N + 1))
+            n1 = int(rng.integers(1, N // n2 + 1))
+            C, V, U, S = (int(n) for n in rng.integers(1, [4, 4, 3, 5]))
+            shifts = rng.integers(-2 * N, 2 * N, S).tolist()
+            widths = [n2 if rng.uniform() < 0.6 else 1 for _ in range(S)]
+            tables = [np.where(rng.uniform(size=(w, C, V)) < 0.4, rng.uniform(-1, 1, (w, C, V)), 0.0) for w in widths]
+            vec = 1.0 if rng.uniform() < 0.5 else rng.uniform(-1, 1, (S, C, n1))
+            vals = rng.uniform(-1, 1, (U * C, N))
+            c, ref = ctx(slots=N, levels=3, log_ops=True), ctx(slots=N, levels=3, log_ops=True)
+            out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals(shifts, tables, (n1, n2), N), vec)
+            want = per_ciphertext_diagonals(ref, ref.encrypt(vals), shifts, tables, vec, (n1, n2))
+            assert has_terms.tolist() == [w is not None for w in want]
+            for row, w in zip(unstack(out), want):
+                np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
+            assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
+
+    @pytest.mark.parametrize(
+        "shifts, shapes, grid, slots, match",
+        [
+            ([0], [(1, 2, 3)], (8, 8), 32, "exceeds slot count"),
+            ([0, 1], [(1, 2, 3), (1, 3, 3)], (4, 8), 32, "like the first"),
+            ([0], [(4, 2, 3)], (4, 8), 32, "is not"),  # width neither 1 nor n2
+            ([0, 1], [(1, 2, 3)], (4, 8), 32, "tables for 2 shifts"),
+            ([], [], (4, 8), 32, "tables for 0 shifts"),
+            ([0], [(1, 2, 3)], (4, 8), 64, "does not cover"),  # built for other slots
+            ([0], [(1, 3, 3)], (4, 8), 32, "does not fit"),  # 4 sources, 3 inputs
+        ],
+    )
+    def test_typed_errors(self, shifts, shapes, grid, slots, match):
+        c = ctx(slots=32, levels=2)
+        with pytest.raises(ValueError, match=match):
+            c.fold_steps(c.encrypt(np.ones((4, 32))), Diagonals(shifts, [np.ones(s) for s in shapes], grid, slots))
 
 
 @settings(max_examples=50, deadline=None)
