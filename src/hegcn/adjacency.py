@@ -7,10 +7,10 @@ partition adjacency.  Because the 1x1 convolution weight is a scalar per
 whole spatial step costs a single plaintext-multiplication depth.
 
 The merged layer keeps its factors: P weight slabs, P normalized
-partitions and one batch-norm fold (``fold_bn``); kernels read single
-entries from them.  For rotation-free encrypted evaluation the shared
-support is decomposed into "patterned sparse" pieces with at most one
-nonzero per column.  The number of pieces m equals the maximum column
+partitions and one batch-norm fold (``fold_bn``); kernels read the factors,
+never the dense matrices.  For rotation-free encrypted evaluation the
+shared support is decomposed into "patterned sparse" pieces with at most
+one nonzero per column.  The number of pieces m equals the maximum column
 population, so sparser adjacencies need fewer plaintext multiplications.
 """
 
@@ -242,10 +242,6 @@ class MergedSpatialMatrix:
     @property
     def J(self) -> int:
         return self.parts.shape[1]
-
-    def entries(self, c, o, k, j) -> np.ndarray:
-        """Matrix entries [c_in, c_out, row k, column j] over broadcast index arrays."""
-        return sum(w[c, o] * n[k, j] for w, n in zip(self.weights, self.parts))
 
     def diagonal(self, d: int) -> np.ndarray:
         """Entries [c_in, c_out, k, k + d] as a (J, C_in, C_out) array over

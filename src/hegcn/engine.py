@@ -11,23 +11,28 @@ cost model:
   every layer costs exactly one plaintext-multiplication level.
 
 Execution is batched; the schedule and its counts are those of a
-per-ciphertext loop.  Every conv kernel is one ``SimContext.fold_steps`` of
-a prebuilt operator per layer (or per chunk of output joints), applied to a
-stack of its input ciphertexts.  An AMA channel fold is a
-``hesim.BlockCirculant`` built from one coefficient table over (step, row,
-term, output block), gathered in one vectorized step from the giant steps
-``_giant_steps`` lists: one operator per layer for temporal convs, applied
-to every chunk of joints, and one per chunk of output joints for spatial
-ones; a temporal operator carries the tap rotations (the baby steps) too.
-A row-major conv is one ``hesim.Diagonals`` per layer, built one diagonal
-or tap table at a time and applied to every sample's input channels at
-once.  Rows are joints (AMA temporal), output joints (AMA spatial) or
-output channels (row-major), terms are the rotated inputs a row sums, and a
-term is skipped exactly where its coefficients are all zero.  AMA rows run
-in chunks whose source stack stays under ``_CHUNK_BYTES``; a ``Diagonals``
-gathers and multiplies chunks of grid columns under the same bound.  Every
-count, including the input, tap and giant-step rotations and the adds of
-partial sums, comes from hesim.
+per-ciphertext loop.  Every conv kernel is one prebuilt operator per layer,
+applied by ``SimContext.fold_steps`` to stacks of its input ciphertexts.
+An AMA channel fold is a ``hesim.BlockCirculant`` built from one
+coefficient table over (step, row, term, output block), gathered in one
+vectorized step from the giant steps ``_giant_steps`` lists.  A temporal
+operator carries the tap rotations (the baby steps) and the tap masks, and
+is applied to every chunk of joints; within each block it multiplies only
+the positions some tap mask keeps (half of them after a stride 2).  A
+spatial operator holds the P weight slabs, with terms (partition, group):
+the factored form of the merged sum_p N_p * W_p.  Each chunk of output
+joints mixes the ciphertexts its pieces read with their partition entries
+and applies the layer's operator to the mixes (``hesim.Mixed``), which
+counts what the merged coefficients would.  A row-major conv is one
+``hesim.Diagonals`` per layer, built one diagonal or tap table at a time and
+applied to every sample's input channels at once.  Rows are joints (AMA
+temporal), output joints (AMA spatial) or output channels (row-major),
+terms are the rotated inputs a row sums, and a term is skipped exactly
+where its coefficients, merged over the partitions, are all zero.  AMA rows
+run in chunks whose source stack stays under ``_CHUNK_BYTES``; a
+``Diagonals`` gathers and multiplies chunks of grid columns under the same
+bound.  Every count, including the input, tap and giant-step rotations and
+the adds of partial sums, comes from hesim.
 
 Values at padding slots, masked-out strided frames and replica copies are
 allowed to go stale; every consumer reads only through masks or anchor
@@ -119,11 +124,11 @@ def _zero_fill(ctx: SimContext, rows: list, level: int) -> SimCiphertext:
     return hesim.stack(rows)
 
 
-def _fold(ctx, src, op, vec=1.0) -> SimCiphertext:
+def _fold(ctx, src, op) -> SimCiphertext:
     """A prebuilt operator ``op`` applied as one ``SimContext.fold_steps``;
     a row no term reaches is an encrypted zero.
     """
-    acc, has_terms = ctx.fold_steps(src, op, vec)
+    acc, has_terms = ctx.fold_steps(src, op)
     if has_terms.all():
         return acc
     return _zero_fill(ctx, [ct if h else None for ct, h in zip(hesim.unstack(acc), has_terms)], acc.level)
@@ -185,6 +190,15 @@ def ama_spatial(
     action (columns indexed by output joint); it is recomputed from the
     merged pattern when not supplied.  Rows of the fold are output joints,
     each reading the input joint its pieces name.
+
+    The fold is evaluated factored, as the merged form N_p * W_p allows:
+    the P weight slabs are one block-circulant operator for the layer, with
+    terms (partition, group).  Each chunk of output joints mixes the m * G
+    ciphertexts its pieces read with the (P, m) partition entries of each
+    output joint, and applies that operator to the mixes in one product
+    (``hesim.Mixed``).  The counts are those of the merged coefficients,
+    one ciphertext at a time: a (piece, group) term runs where sum_p
+    N_p[k, j] * W_p[c, o] is not zero.
     """
     ctx = ctx or fm.cts[0].ctx
     lin = fm.layout
@@ -203,21 +217,23 @@ def ama_spatial(
     lout = packing.ama_layout((B, merged.c_out, T, J), lin.slot_count)
     cap, G, H = lin.capacity, lin.cts_per_joint, lout.cts_per_joint
     amounts, out_chan, c_read, serves = _giant_steps(lin, lout)
+    P = len(merged.weights)
+    # weights over (step, h, partition, g, block), zero where the step does not serve
+    w = merged.weights[np.arange(P)[:, None, None], c_read[:, None, None], out_chan[:, None, None, :]]
+    w = np.where(serves[:, None, None], w, 0.0)
+    op = hesim.BlockCirculant(amounts, w.reshape(len(amounts), 1, H, P * G, cap), (cap, lin.pad_bt))
     # input joint of (output joint, piece); -1 where the piece has no entry
     # (a zero matrix has no pieces: one empty piece gives every output zero)
     reads = np.array([p.rows for p in pieces] or [[-1] * J], dtype=np.int64).T
     m = reads.shape[1]
+    # partition entries N_p[k, j] of (output joint k, partition, piece)
+    mix = np.where(reads >= 0, merged.parts[:, np.arange(J)[:, None], np.maximum(reads, 0)], 0.0).transpose(1, 0, 2)
     bias_rows = _bias_rows_ama(lout, merged.bias)
 
     out_cts = []
     for ks in _chunks(np.arange(J), m * G * lin.slot_count * 8):
-        # coefficients over (step, output joint, h, piece, g, block)
-        jin = reads[ks][:, None, :, None, None]
-        index = (c_read[:, None, None, None], out_chan[:, None, None], ks[:, None, None, None, None], np.maximum(jin, 0))
-        vals = np.where(serves[:, None, None, None] & (jin >= 0), merged.entries(*index), 0.0)
-        op = hesim.BlockCirculant(amounts, vals.reshape(len(amounts), len(ks), H, m * G, cap), (cap, lin.pad_bt))
         src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for k in ks for j in np.maximum(reads[k], 0) for g in range(G)])
-        acc = _fold(ctx, src, op)
+        acc = _fold(ctx, src, hesim.Mixed(op, mix[ks]))
         if _has_bias(merged.bias):
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(ks), 1)))
         out_cts += hesim.unstack(acc)
@@ -235,8 +251,8 @@ def _rowmajor_fold(ctx, fm, shifts, tables, bias, vec=1.0) -> list[SimCiphertext
     its source sets.
     """
     lin = fm.layout
-    op = hesim.Diagonals(shifts, tables, (lin.T, lin.J), lin.slot_count)
-    acc = _fold(ctx, hesim.stack(fm.cts), op, vec)
+    op = hesim.Diagonals(shifts, tables, (lin.T, lin.J), lin.slot_count, vec)
+    acc = _fold(ctx, hesim.stack(fm.cts), op)
     if _has_bias(bias):
         bias_rows = np.where(np.arange(lin.slot_count) < lin.T * lin.J, np.asarray(bias)[:, None], 0.0)
         acc = _add_bias(ctx, acc, np.tile(bias_rows, (lin.B, 1)))
@@ -357,14 +373,14 @@ def _temporal_ama(fm, W, bias, taps, masks, ctx):
     w = W[out_chan[:, None, None], c_read[:, None, :, None], np.arange(K)[:, None]]
     w = np.where(serves[:, None, :, None], w, 0.0)
     coef = w.reshape(len(amounts), 1, G, G * K, lin.capacity)
-    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), [eps * fm.t_stride for _, eps in taps])
     vec = np.tile(np.array([masks[kappa] for kappa, _ in taps])[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
+    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), [eps * fm.t_stride for _, eps in taps], vec)
     bias_rows = _bias_rows_ama(lin, bias)
 
     out_cts = []
     for js in _chunks(range(J), G * K * lin.slot_count * 8):
         src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for j in js for g in range(G)])
-        acc = _fold(ctx, src, op, vec)
+        acc = _fold(ctx, src, op)
         if _has_bias(bias):
             acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(js), 1)))
         out_cts += hesim.unstack(acc)
@@ -416,11 +432,12 @@ def poly_activation(
 def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> EncryptedFeatureMap:
     """Mean over valid frames and all joints; output anchored per channel.
 
-    AMA: joint ciphertexts are summed first (J-1 adds per group), a
-    rotate-and-add halving tree folds the valid frames, then one masked
-    PMult scales by 1/(frames*joints) and cleans every non-anchor slot.
-    Row-major: mask-scale first, then a full-slot halving fold leaves the
-    mean replicated in every slot.
+    AMA: the stack of every joint's G group ciphertexts is summed over the
+    joints (J-1 adds per group), a rotate-and-add halving tree folds the
+    valid frames, then one masked PMult scales by 1/(frames*joints) and
+    cleans every non-anchor slot.  Row-major: mask-scale first, then a
+    full-slot halving fold leaves the mean replicated in every slot; each
+    step runs on a stack of ciphertexts.
     """
     ctx = ctx or fm.cts[0].ctx
     lin = fm.layout
@@ -435,13 +452,10 @@ def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> E
         G, pad, cap = lin.cts_per_joint, lin.pad_bt, lin.capacity
         mask = np.zeros(lin.slot_count)  # the anchor slot of every (block, sample)
         mask[np.arange(cap)[:, None] * pad + np.arange(lin.B) * lin.T] = 1.0 / count
-        out_cts = []
-        for g in range(G):
-            acc = _accumulate(ctx, [fm.cts[lin.ama_ct_index(j, g)] for j in range(lin.J)])
-            steps = int(math.log2(tv)) if tv > 1 else 0
-            for i in range(steps):
-                acc = ctx.add(acc, ctx.rotate(acc, sigma * (tv >> (i + 1))))
-            out_cts.append(ctx.pmult(acc, mask))
+        acc = _accumulate(ctx, [hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for g in range(G)]) for j in range(lin.J)])
+        for i in range(int(math.log2(tv))):
+            acc = ctx.add(acc, ctx.rotate(acc, sigma * (tv >> (i + 1))))
+        out_cts = hesim.unstack(ctx.pmult(acc, mask))
         return EncryptedFeatureMap(out_cts, lin, sigma, tv, pooled=True, label=fm.label)
 
     # row-major
@@ -450,11 +464,11 @@ def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> E
     valid = (q < lin.T * lin.J) & (t % sigma == 0) & (t // sigma < tv)
     mask = np.where(valid, 1.0 / count, 0.0)
     out_cts = []
-    for ct in fm.cts:
-        acc = ctx.pmult(ct, mask)
+    for cts in _chunks(fm.cts, ctx.slot_count * 8):
+        acc = ctx.pmult(hesim.stack(cts), mask)
         for i in range(int(math.log2(lin.slot_count))):
             acc = ctx.add(acc, ctx.rotate(acc, lin.slot_count >> (i + 1)))
-        out_cts.append(acc)
+        out_cts += hesim.unstack(acc)
     return EncryptedFeatureMap(out_cts, lin, sigma, tv, pooled=True, label=fm.label)
 
 

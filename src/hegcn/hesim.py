@@ -19,17 +19,23 @@ multiply-accumulate: it applies a prebuilt operator, the baby-step/giant-step
 product of Halevi and Shoup (CRYPTO 2018), to a stack of input ciphertexts.
 A ``BlockCirculant`` (AMA) holds the tap rotations of the inputs (the baby
 steps) and many folds rotated by whole blocks (the giant steps) as one
-block-circulant matrix.  A ``Diagonals`` (row-major) holds the diagonal or
-tap rotations as the baby steps, with one giant step of 0, and keeps its
-coefficients per grid column, compressed to the shifts each column reads.
-Each operator is built once per layer, precomputes its counter totals and
-op records, and is applied as one gathered buffer and one batched matrix
-product; ``fold_steps`` adds its totals to the counter once and writes its
-records only when ``log_ops`` is on.  The counts are those of the schedule
-one ciphertext at a time: a rotation per input and amount some term reads,
-and a PMult per term that runs (its coefficients are not all zero), with
-the Adds that sum them.  ``stack`` and ``unstack`` are bookkeeping and
-count nothing.
+block-circulant matrix.  A ``Mixed`` applies one shared ``BlockCirculant`` to
+linear mixes of each source set's inputs: the factored form of a fold whose
+coefficients are sums of products, as in an AMA spatial conv, where the
+shared matrix holds the weight slabs and the mix the partition entries.  A
+``Diagonals`` (row-major) holds the diagonal or tap rotations as the baby
+steps, with one giant step of 0, and keeps its coefficients per grid column,
+compressed to the shifts each column reads.  Each operator is built once per
+layer (a ``Mixed`` once per chunk of source sets, around its layer's
+operator), holds the plaintext factors that scale its terms, precomputes its
+counter totals and op records, and is applied as one batched matrix product
+(a ``BlockCirculant`` skips the within-block positions its factors zero);
+``fold_steps`` adds its totals to the counter once and writes its records
+only when ``log_ops`` is on.  The counts are those of the schedule one
+ciphertext at a time: a rotation per input and amount some term reads, and
+a PMult per term that runs (its coefficients, for a ``Mixed`` the combined
+ones, are not all zero), with the Adds that sum them.  ``stack`` and
+``unstack`` are bookkeeping and count nothing.
 """
 
 from __future__ import annotations
@@ -68,9 +74,7 @@ class HocCounter:
     """Exact homomorphic operation counts, kept per layer label.
 
     Totals are always derived from the per-layer map, so the invariant
-    "total == sum over layers" holds by construction.  ``merge`` is
-    associative and commutative, so counters of separate evaluations
-    combine in any order.
+    "total == sum over layers" holds by construction.
     """
 
     def __init__(self):
@@ -97,15 +101,6 @@ class HocCounter:
             for op in OPS:
                 out[op] += counts[op]
         return out
-
-    def merge(self, other: "HocCounter") -> "HocCounter":
-        merged = HocCounter()
-        for src in (self, other):
-            for label, counts in src.per_layer.items():
-                for op in OPS:
-                    if counts[op]:
-                        merged.bump(label, op, counts[op])
-        return merged
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HocCounter):
@@ -169,6 +164,46 @@ def unstack(ct: SimCiphertext) -> list[SimCiphertext]:
     return [ct.ctx._new_ct(row, ct.level) for row in ct.slots]
 
 
+def _giant_step_records(amounts, runs) -> tuple[list, np.ndarray]:
+    """The giant-step records of a fold whose (S, sets, V, T) ``runs`` mark
+    the terms that run in each step, and the (sets*V) rows some step reaches.
+
+    Per step: its PMults, its Adds of products, one rotation by the step's
+    amount (mod slot count, none when 0) per row with terms, and one Add per
+    row that already holds a partial sum.
+    """
+    S, sets, V, _ = runs.shape
+    terms = runs.sum(axis=-1).reshape(S, sets * V)
+    rows = terms > 0
+    merges = np.zeros_like(rows)
+    merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
+    records = []
+    for rotation, pmults, adds, n_rows, n_merges in zip(
+        amounts.tolist(),
+        terms.sum(axis=1).tolist(),
+        np.maximum(terms - 1, 0).sum(axis=1).tolist(),
+        rows.sum(axis=1).tolist(),
+        merges.sum(axis=1).tolist(),
+    ):
+        records += [
+            ("pmult", pmults, 0, 1, {}),
+            ("add", adds, 1, 1, {}),
+            ("rot", n_rows if rotation else 0, 1, 1, {"rotation_amount": rotation}),
+            ("add", n_merges, 1, 1, {}),
+        ]
+    return records, rows.any(axis=0)
+
+
+def _tally(records) -> tuple[tuple, dict]:
+    """The records that count something, and their totals per counter."""
+    records = tuple(rec for rec in records if rec[1])
+    totals = dict.fromkeys(OPS, 0)
+    for op, n, *_ in records:
+        totals[op] += n
+    totals["rescale"] = totals["pmult"]
+    return records, {op: n for op, n in totals.items() if n}
+
+
 class BlockCirculant:
     """The baby-step/giant-step operator of one AMA channel fold, built once
     and applied by ``SimContext.fold_steps`` to any number of source stacks.
@@ -180,9 +215,10 @@ class BlockCirculant:
     slots, a multiple of n2 (a shift by whole blocks).  ``coef`` has shape
     (S, sets, V, T, n1): step, source set (one set shared by all, or one per
     set), row, term and the block a coefficient lands on after its step's
-    rotation.  Block b of row v of source set u is
+    rotation.  ``vec`` broadcasts to (T, n1, n2) and scales each term's
+    slots after its tap rotation.  Block b of row v of source set u is
 
-        sum over steps s, terms t of  coef[s, u, v, t, b] * src[u, t][b']
+        sum over steps s, terms t of  coef[s, u, v, t, b] * (vec[t] * src[u, t])[b']
 
     with b' = (b + amounts[s] / n2) mod n1 and src[u, t] input i of set u
     rotated by tap k, for t = (i, k): the baby-step/giant-step matrix-vector
@@ -191,33 +227,42 @@ class BlockCirculant:
     Repeated amounts add up.
 
     ``matrix`` is that (sets, V*n1, T*n1) matrix, rows (row, block) and
-    columns (term, source block).  ``rotated`` holds, per tap, the
-    (sets, T / K, 1) mask of the inputs it rotates (the pairs some
-    coefficient reads), True when that is all of them and None when none
-    or the tap is 0; ``has_terms`` marks the (sets*V) rows some step
-    reaches.  ``records`` lists the op log of one source set in the
-    schedule's order: one rotation per distinct nonzero tap amount of the
-    inputs some pair of it reads, then per giant step its PMults, its Adds
-    of products, one rotation per row with terms (none when the amount is 0
-    mod n1*n2) and one Add per row that already holds a partial sum.  Each
-    record is (op, count, levels spent before, levels spent after, extra
-    fields); ``totals`` sums them per counter.  The arrays are read-only
-    and ``fold_steps`` changes nothing, so one operator serves any number
-    of source stacks.
+    columns (term, source block); ``coef`` and ``amounts`` (mod slot count)
+    are kept for ``Mixed``.  A giant step moves whole blocks, so position p
+    of every block of the product reads position p of the blocks of the
+    terms only, and is zero where ``vec`` is zero for every term.  ``live``
+    is the slice of within-block positions from the first such nonzero
+    position to the last, in the largest step that meets them all (every
+    position when ``vec`` is nonzero everywhere); ``apply`` copies, scales
+    and multiplies only those columns, and the product is an exact zero at
+    the others.  ``vec`` is kept as (inputs, K, n1 or 1, live) factors, one
+    block for all when they are the same in every block, and None when
+    every factor is 1.
+
+    ``has_terms`` marks the (sets*V) rows some step reaches.  ``records``
+    lists the op log of one source set in the schedule's order: one rotation
+    per distinct nonzero tap amount of the inputs some pair of it reads, then
+    per giant step its PMults, its Adds of products, one rotation per row
+    with terms (none when the amount is 0 mod n1*n2) and one Add per row that
+    already holds a partial sum.  Each record is (op, count, levels spent
+    before, levels spent after, extra fields); ``totals`` sums them per
+    counter.  The arrays are read-only and ``fold_steps`` changes nothing,
+    so one operator serves any number of source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "taps", "sets", "rows", "terms", "inputs", "matrix", "rotated", "has_terms", "records", "totals")
+    __slots__ = ("grid", "slot_count", "taps", "amounts", "sets", "rows", "terms", "inputs", "coef", "matrix", "vec", "live", "has_terms", "records", "totals")
 
-    def __init__(self, amounts, coef, grid, taps=(0,)):
+    def __init__(self, amounts, coef, grid, taps=(0,), vec=1.0):
         n1, n2 = grid
+        N = n1 * n2
         amounts = np.asarray(amounts, dtype=np.int64)
-        coef = np.asarray(coef, dtype=np.float64)
+        coef = np.asarray(coef, dtype=np.float64).view()
         if coef.ndim != 5 or coef.shape[4] != n1 or coef.shape[0] != len(amounts):
             raise ValueError(f"coef of shape {coef.shape} is not ({len(amounts)}, sets, rows, terms, {n1})")
         if np.any(amounts % n2):
             raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
         S, sets, V, T = coef.shape[:4]
-        taps = tuple(int(a) % (n1 * n2) for a in taps)
+        taps = tuple(int(a) % N for a in taps)
         if not taps or T % len(taps):
             raise ValueError(f"{T} terms are not (input, tap) pairs of {len(taps)} taps")
         # sum the steps per block shift k (block b reads source block b + k), then
@@ -231,74 +276,108 @@ class BlockCirculant:
         E = np.concatenate((D, D), axis=-1)
         su, sv, st, sb, sk = E.strides
         mat = np.lib.stride_tricks.as_strided(E[..., n1:], (sets, V, n1, T, n1), (su, sv, sb - sk, st, sk)).copy()
-        # per step: terms per row, rows with terms, and those already holding a partial
         runs = coef.any(axis=-1)  # (S, sets, V, T): the terms that run
-        terms = runs.sum(axis=-1).reshape(S, sets * V)
-        rows = terms > 0
-        merges = np.zeros_like(rows)
-        merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
         reads = runs.any(axis=(0, 2)).reshape(sets, T // len(taps), len(taps))
         records = []
         for a in dict.fromkeys(taps):  # distinct amounts, in first-appearance order
             inputs = reads[:, :, [k for k, b in enumerate(taps) if b == a]].any(axis=-1).sum()
             records.append(("rot", int(inputs) if a else 0, 0, 0, {"rotation_amount": a}))
-        for rotation, pmults, adds, n_rows, n_merges in zip(
-            (amounts % (n1 * n2)).tolist(),
-            terms.sum(axis=1).tolist(),
-            np.maximum(terms - 1, 0).sum(axis=1).tolist(),
-            rows.sum(axis=1).tolist(),
-            merges.sum(axis=1).tolist(),
-        ):
-            records += [
-                ("pmult", pmults, 0, 1, {}),
-                ("add", adds, 1, 1, {}),
-                ("rot", n_rows if rotation else 0, 1, 1, {"rotation_amount": rotation}),
-                ("add", n_merges, 1, 1, {}),
-            ]
-        records = [rec for rec in records if rec[1]]
-        totals = dict.fromkeys(OPS, 0)
-        for op, n, *_ in records:
-            totals[op] += n
-        totals["rescale"] = totals["pmult"]
-        # per tap, the (sets, inputs, 1) pairs it rotates: None when none, True when all
-        rotated = reads & np.array([a != 0 for a in taps])
-        rotated.flags.writeable = False
-        self.rotated = tuple(None if not r.any() else True if r.all() else r[..., None] for r in np.moveaxis(rotated, -1, 0))
-        self.grid = (int(n1), int(n2))
-        self.slot_count = int(n1 * n2)
-        self.taps = taps
+        steps, self.has_terms = _giant_step_records(amounts % N, runs)
+        self.records, self.totals = _tally(records + steps)
+        # (T, n1 or 1, n2): a factor the same in every block is kept once
+        vec = np.asarray(vec, dtype=np.float64)
+        vec = vec.reshape((1,) * (3 - vec.ndim) + vec.shape)
+        vec = np.broadcast_to(vec, (T, vec.shape[1], n2))
+        nonzero = np.flatnonzero(vec.any(axis=(0, 1)))
+        step = int(np.gcd.reduce(np.diff(nonzero))) if len(nonzero) > 1 else 1
+        self.live = slice(int(nonzero[0]), int(nonzero[-1]) + 1, step) if len(nonzero) else slice(0)
+        vec = vec[..., self.live].reshape(T // len(taps), len(taps), vec.shape[1], len(range(n2)[self.live]))
+        self.vec = None if (vec == 1).all() else np.ascontiguousarray(vec)
+        self.grid, self.slot_count = (int(n1), int(n2)), int(N)
+        self.taps, self.amounts = taps, amounts % N
         self.sets, self.rows, self.terms, self.inputs = sets, V, T, T // len(taps)
-        self.matrix = mat.reshape(sets, V * n1, T * n1)
-        self.has_terms = rows.any(axis=0)
-        self.records = tuple(records)
-        self.totals = {op: n for op, n in totals.items() if n}
-        for arr in (self.matrix, self.has_terms):
+        self.coef, self.matrix = coef, mat.reshape(sets, V * n1, T * n1)
+        for arr in (self.amounts, self.coef, self.matrix, self.vec, self.has_terms):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The (U, rows, slot_count) products of the (U, inputs, slot_count) sources."""
+        U, I, N = x.shape
+        n1, n2 = self.grid
+        K = len(self.taps)
+        L = len(range(n2)[self.live])
+        if self.taps == (0,) and L == n2:  # the sources are the terms
+            z = x if self.vec is None else x.reshape(U, I, 1, n1, n2) * self.vec
+        else:
+            # z[u, i, k] is input i of set u rotated by tap k, at the live
+            # positions: columns (term, source block), like the operator's.
+            # Each tap reads a window of the inputs wrapped the nearer way round.
+            reach = [a - N if a > N // 2 else a for a in self.taps]
+            pre, post = max(0, -min(reach)), max(0, max(reach))
+            wrapped = np.concatenate((x[..., N - pre :], x, x[..., :post]), axis=-1)
+            z = np.empty((U, I, K, n1, L))
+            for k, a in enumerate(reach):
+                z[:, :, k] = wrapped[..., pre + a : pre + a + N].reshape(U, I, n1, n2)[..., self.live]
+            if self.vec is not None:
+                z *= self.vec
+        prod = self.matrix @ z.reshape(U, self.terms * n1, L)
+        if L == n2:
+            return prod.reshape(U, self.rows, N)
+        out = np.zeros((U, self.rows * n1, n2))
+        out[..., self.live] = prod
+        return out.reshape(U, self.rows, N)
+
+
+class Mixed:
+    """A shared ``BlockCirculant`` applied to linear mixes of each source
+    set's inputs: the factored form of a fold whose coefficients are sums
+    of products, such as an AMA spatial conv's sum over partitions p of
+    N_p[k, j] * W_p[c, o].
+
+    ``op`` has the single tap 0, one set of coefficients and T = P * G
+    terms (part, group); ``mix`` (sets, P, M) holds per source set the
+    scalar of each (part, piece).  A source set is M * G inputs (piece,
+    group), and ``op`` is applied to its P * G mixes
+
+        y[u, p, g] = sum over m of  mix[u, p, m] * src[u, (m, g)]
+
+    The counts are those of the fold the mix stands for, one ciphertext at
+    a time, whose terms are the (piece, group) inputs: term (m, g) of set u
+    has, at step s, row v and block b, the combined coefficient
+
+        sum over p of  mix[u, p, m] * op.coef[s, 0, v, (p, g), b]
+
+    summed in the order of p, and runs when that is not zero at some block;
+    a sum that cancels runs nothing.  ``records``, ``totals`` and
+    ``has_terms`` are those of a ``BlockCirculant`` of the combined table,
+    worked out from that support without building its matrix.
+    """
+
+    __slots__ = ("op", "mix", "slot_count", "sets", "rows", "inputs", "has_terms", "records", "totals")
+
+    def __init__(self, op: BlockCirculant, mix):
+        mix = np.array(mix, dtype=np.float64)
+        S, shared, V, T, n1 = op.coef.shape
+        if op.taps != (0,) or shared != 1 or mix.ndim != 3 or T % mix.shape[1]:
+            raise ValueError(f"mix of shape {mix.shape} does not fit an operator of {shared} sets of {T} terms and taps {op.taps}")
+        sets, P, M = mix.shape
+        G = T // P
+        w = op.coef[:, 0].reshape(S, V, P, G, n1)
+        combined = np.zeros((S, sets, V, M, G, n1))
+        for p in np.flatnonzero(mix.any(axis=(0, 2))):  # a part no set reads adds only zeros
+            combined += mix[None, :, None, p, :, None, None] * w[:, None, :, p, None]
+        records, self.has_terms = _giant_step_records(op.amounts, combined.any(axis=-1).reshape(S, sets, V, M * G))
+        self.records, self.totals = _tally(records)
+        self.op, self.mix, self.slot_count = op, mix, op.slot_count
+        self.sets, self.rows, self.inputs = sets, V, M * G
+        for arr in (self.mix, self.has_terms):
             arr.flags.writeable = False
 
-    def apply(self, x: np.ndarray, vec) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count) sources."""
-        U, inputs, N = x.shape
-        n1, n2 = self.grid
-        T, K = self.terms, len(self.taps)
-        unscaled = np.ndim(vec) == 0 and vec == 1
-        vec = np.broadcast_to(vec, (T, n1, n2))
-        if self.taps == (0,):
-            z = x if unscaled else x.reshape(U, T, n1, n2) * vec
-        else:
-            # z[u, i, k] is input i of set u rotated by tap k: columns (term,
-            # source block), like the operator's
-            z = np.empty((U, inputs, K, N))
-            for k, a in enumerate(self.taps):
-                dst, where = z[:, :, k], self.rotated[k]
-                if where is not True:  # a zero tap, or a pair no coefficient reads
-                    dst[...] = x
-                if where is not None:
-                    np.copyto(dst[..., : N - a], x[..., a:], where=where)
-                    np.copyto(dst[..., N - a :], x[..., :a], where=where)
-            if not unscaled:
-                z4 = z.reshape(U, T, n1, n2)
-                np.multiply(z4, vec, out=z4)
-        return (self.matrix @ z.reshape(U, T * n1, n2)).reshape(U, self.rows, N)
+        U, _, N = x.shape
+        return self.op.apply((self.mix @ x.reshape(U, self.mix.shape[2], -1)).reshape(U, -1, N))
 
 
 class Diagonals:
@@ -316,14 +395,15 @@ class Diagonals:
 
         sum over i, c of  tables[i][k, c, v] * vec[i, c, t] * src[u, c][(t*n2 + k + shifts[i]) mod slot_count]
 
-    with ``vec`` the factor ``fold_steps`` is given.  The tables are read
+    with ``vec`` broadcast to (shifts, inputs, n1).  The tables are read
     one at a time and kept per column, compressed to the shifts with a
     nonzero coefficient there: ``coef`` (columns, rows, S * inputs) holds
     the coefficients of a column's S shift slots, input-minor, ``steps``
     and ``offsets`` (columns, S) the shift of each slot and the slot it
-    reads at frame 0, counted from ``span[0]``.  A slot past a column's live
-    shifts has zero coefficients.  There is one column when every table
-    has width 1.
+    reads at frame 0, counted from ``span[0]``, and ``vec`` (columns,
+    S * inputs, n1) their frame factors (None when all are 1).  A slot past
+    a column's live shifts has zero coefficients.  There is one column when
+    every table has width 1.
 
     ``records`` lists the op log of one source set per distinct amount mod
     slot_count, in first-appearance order: one rotation per input some term
@@ -335,9 +415,9 @@ class Diagonals:
     nothing, so one operator serves any number of source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "shifts", "span", "coef", "steps", "offsets", "has_terms", "records", "totals")
+    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "shifts", "span", "coef", "steps", "offsets", "vec", "has_terms", "records", "totals")
 
-    def __init__(self, shifts, tables, grid, slot_count):
+    def __init__(self, shifts, tables, grid, slot_count, vec=1.0):
         n1, n2 = grid
         N = int(slot_count)
         if n1 * n2 > N:
@@ -383,23 +463,20 @@ class Diagonals:
                 ("add", int((seen & (per_row > 0)).sum()), 1, 1, {}),
             ]
             seen |= per_row > 0
-        records = [rec for rec in records if rec[1]]
-        totals = dict.fromkeys(OPS, 0)
-        for op, n, *_ in records:
-            totals[op] += n
-        totals["rescale"] = totals["pmult"]
+        self.records, self.totals = _tally(records)
+        vec = np.broadcast_to(np.asarray(vec, dtype=np.float64), (len(amounts), C, n1))
+        self.vec = None if (vec == 1).all() else vec[at].reshape(cols, S * C, n1)
         self.grid, self.slot_count = (int(n1), int(n2)), N
         self.sets, self.rows, self.inputs, self.shifts = 1, V, C, len(amounts)
         # the whole frames the shifts read, from slot lo to hi
         self.span = (lo, -(-(n1 * n2 + max([0] + reach)) // n2) * n2)
         self.coef, self.steps, self.offsets = coef.reshape(cols, V, S * C), at, offsets
         self.has_terms = seen
-        self.records = tuple(records)
-        self.totals = {op: n for op, n in totals.items() if n}
-        for arr in (self.coef, self.steps, self.offsets, self.has_terms):
-            arr.flags.writeable = False
+        for arr in (self.coef, self.steps, self.offsets, self.vec, self.has_terms):
+            if arr is not None:
+                arr.flags.writeable = False
 
-    def apply(self, x: np.ndarray, vec) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count)
         sources: the frames the shifts read, copied once column-major, are
         gathered into one buffer per chunk of columns, then one batched GEMM."""
@@ -413,9 +490,6 @@ class Diagonals:
         su, sk, sc, sf = ys.strides
         # view[u, k, f, c, t] = ys[u, k, c, f + t]: column k of every input from frame f on
         view = np.lib.stride_tricks.as_strided(ys, (U, n2, F - n1 + 1, C, n1), (su, sk, sf, sc, sf))
-        scaled = not (np.ndim(vec) == 0 and vec == 1)
-        if scaled:  # the factors of every term slot: (columns, L, n1)
-            vec = np.broadcast_to(vec, (self.shifts, C, n1))[self.steps].reshape(cols, L, n1)
         by_column = np.empty((U, n2, V, n1))
         size = max(1, _CHUNK_BYTES // (U * L * n1 * 8))
         for k0 in range(0, n2, size):
@@ -423,8 +497,8 @@ class Diagonals:
             sel = ks if cols > 1 else [0]
             read = ks[:, None] + self.offsets[sel]  # the slot each shift slot reads at frame 0
             z = view[:, read % n2, read // n2].reshape(U, len(ks), L, n1)
-            if scaled:
-                z *= vec[sel]
+            if self.vec is not None:
+                z *= self.vec[sel]
             np.matmul(self.coef[sel], z, out=by_column[:, k0 : k0 + len(ks)])
         out = np.zeros((U, V, N))
         out[..., : n1 * n2].reshape(U, V, n1, n2)[...] = by_column.transpose(0, 2, 3, 1)
@@ -613,18 +687,16 @@ class SimContext:
         self._log("mod_switch", ct.level, target_level, ct.rows)
         return out
 
-    def fold_steps(self, src: SimCiphertext, op, vec=1.0) -> tuple[SimCiphertext, np.ndarray]:
-        """Apply a prebuilt operator, a ``BlockCirculant`` or ``Diagonals``:
-        many rotated, plaintext-multiplied and summed terms as one fused
-        multiply-accumulate.
+    def fold_steps(self, src: SimCiphertext, op) -> tuple[SimCiphertext, np.ndarray]:
+        """Apply a prebuilt operator, a ``BlockCirculant``, ``Mixed`` or
+        ``Diagonals``: many rotated, plaintext-multiplied and summed terms as
+        one fused multiply-accumulate.
 
         ``src`` is a stack of U x ``op.inputs`` ciphertexts, u-major: U
         source sets.  The operator holds one set of coefficients for every
-        source set, or one per set.  ``vec`` scales each term's slots after
-        its rotation and before the product: it broadcasts to (T, n1, n2)
-        for a ``BlockCirculant`` of T (input, tap) terms and to (shifts,
-        inputs, n1) for ``Diagonals``.  Row (u, v) of the result, u-major,
-        is ``op``'s row v applied to source set u.
+        source set, or one per set, and the factors that scale each term's
+        slots after its rotation.  Row (u, v) of the result, u-major, is
+        ``op``'s row v applied to source set u.
 
         Counts what the operator's schedule, one ciphertext at a time, would:
         every rotation of an input some term reads, one PMult per term whose
@@ -651,7 +723,7 @@ class SimContext:
         if self.log_ops:
             for name, n, before, after, extra in op.records:
                 self._log(name, src.level - before, src.level - after, n * scale, **extra)
-        out = op.apply(src.slots.reshape(U, op.inputs, N), vec).reshape(U * op.rows, N)
+        out = op.apply(src.slots.reshape(U, op.inputs, N)).reshape(U * op.rows, N)
         if self.quantize:
             out = self._quantize(out)
         return self._new_ct(out, src.level - 1), np.tile(op.has_terms, scale)

@@ -12,6 +12,7 @@ from hegcn.adjacency import (
     chain_skeleton_25,
     decompose,
     diagonal_offsets,
+    fold_bn,
     merge_spatial,
     normalize,
     sym_normalize,
@@ -180,17 +181,19 @@ class TestFactoredForm:
     @pytest.mark.parametrize("with_bn", [False, True])
     @pytest.mark.parametrize("P", [1, 2, 3])
     def test_entries_equal_dense_indexing(self, P, with_bn):
+        """Entry [c, o, k, j] of the dense view is sum_p weights[p, c, o] *
+        parts[p, k, j], the batch-norm scale folded into the weight slabs."""
         rng = np.random.default_rng(10 * P + with_bn)
         J, c_in, c_out = 5, 3, 4
         parts = [(rng.uniform(size=(J, J)) > 0.6) + np.eye(J) * (p == 0) for p in range(P)]
-        bn = random_bn(rng, c_out) if with_bn else None
-        merged = merge_spatial(AdjacencySet(parts), rng.normal(size=(P, c_in, c_out)), rng.normal(size=c_out), bn)
-        dense = merged.matrices
+        weights, bn = rng.normal(size=(P, c_in, c_out)), random_bn(rng, c_out) if with_bn else None
+        merged = merge_spatial(AdjacencySet(parts), weights, rng.normal(size=c_out), bn)
+        scale = fold_bn(None, bn, c_out)[0]
+        np.testing.assert_array_equal(merged.weights, weights * scale)
         idx = self.indices(rng, c_in, c_out, J)
-        assert merged.entries(*idx).shape == (4, 2, 3, 5)
-        np.testing.assert_allclose(merged.entries(*idx), dense[idx], rtol=0, atol=1e-14)
-        full = np.ix_(range(c_in), range(c_out), range(J), range(J))
-        np.testing.assert_allclose(merged.entries(*full), dense, rtol=0, atol=1e-14)
+        want = sum(w[idx[0], idx[1]] * scale[idx[1]] * n[idx[2], idx[3]] for w, n in zip(weights, AdjacencySet(parts).normalized()))
+        assert want.shape == (4, 2, 3, 5)
+        np.testing.assert_allclose(merged.matrices[idx], want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("P", [1, 3])
     def test_diagonal_is_the_dense_diagonal(self, P):
@@ -212,7 +215,11 @@ class TestFactoredForm:
         mats = np.where(rng.uniform(size=(3, 4, 5, 5)) > 0.5, rng.normal(size=(3, 4, 5, 5)), 0.0)
         merged = MergedSpatialMatrix.from_dense(mats, np.zeros(4))
         idx = self.indices(rng, 3, 4, 5)
-        np.testing.assert_array_equal(merged.entries(*idx), mats[idx])
+        # part k*J + j is one-hot at (k, j) and carries the weights mats[:, :, k, j]
+        flat = idx[2] * 5 + idx[3]
+        np.testing.assert_array_equal(merged.weights[flat, idx[0], idx[1]], mats[idx])
+        np.testing.assert_array_equal(merged.parts[flat, idx[2], idx[3]], np.ones(flat.shape))
+        assert merged.parts.sum() == 25
         np.testing.assert_array_equal(merged.matrices, mats)
         np.testing.assert_array_equal(merged.pattern, (mats != 0).any(axis=(0, 1)))
 

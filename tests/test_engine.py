@@ -137,6 +137,93 @@ class TestSpatial:
         np.testing.assert_allclose(unpack(out, ROWMAJOR), merged.apply(x.data), atol=1e-12)
         assert ctx.counter.layer("m")["rot"] == len(fm.cts) * 6  # diagonals -3..3 but 0
 
+    def cancelling_layer(self, cancel=True):
+        """A P = 3 layer on 4 joints: partitions 1 and 2 meet only at (2, 3),
+        with equal entries and opposite weight slabs, so the merged entry
+        there is exactly zero for every channel pair although both parts
+        are not."""
+        rng = np.random.default_rng(22)
+        c_in, c_out, J = 5, 3, 4
+        parts = np.zeros((3, J, J))
+        parts[0] = np.diag(rng.uniform(0.5, 1.5, J))
+        parts[1][[0, 1, 2, 3], [1, 2, 3, 0]] = rng.uniform(0.5, 1.5, J)
+        parts[2][[0, 1, 2, 3], [2, 0, 3, 1]] = rng.uniform(0.5, 1.5, J)
+        parts[1:, 2, 3] = 0.5
+        weights = rng.normal(size=(3, c_in, c_out))
+        weights[2] = -weights[1] * (1.0 if cancel else 1.5)
+        return MergedSpatialMatrix(weights, parts, np.zeros(c_out))
+
+    def per_joint_schedule(self, ctx, fm, merged):
+        """The fold one output joint at a time, from the merged entries
+        sum_p W_p[c, o] * N_p[k, j] gathered per (step, h, piece, g, block)."""
+        lin = fm.layout
+        lout = engine.packing.ama_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
+        amounts, out_chan, c_read, serves = engine._giant_steps(lin, lout)
+        reads = np.array([p.rows for p in decompose(merged.pattern.T)]).T
+        G, H, cap = lin.cts_per_joint, lout.cts_per_joint, lin.capacity
+        for k in range(lin.J):
+            jin = reads[k][None, None, :, None, None]
+            c, o, j = c_read[:, None, None], out_chan[:, None, None], np.maximum(jin, 0)
+            entries = sum(w[c, o] * n[k, j] for w, n in zip(merged.weights, merged.parts))
+            coef = np.where(serves[:, None, None] & (jin >= 0), entries, 0.0)
+            op = hesim.BlockCirculant(amounts, coef.reshape(len(amounts), 1, H, -1, cap), (cap, lin.pad_bt))
+            engine._fold(ctx, hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for j in np.maximum(reads[k], 0) for g in range(G)]), op)
+
+    @pytest.mark.parametrize("chunk_bytes", [engine._CHUNK_BYTES, 1])
+    def test_a_partition_sum_that_cancels_is_not_counted(self, monkeypatch, chunk_bytes):
+        """Counters and op-log histogram equal those of the fold of the
+        merged entries, one output joint at a time: the (output joint 2,
+        input joint 3) terms, whose partition sum cancels, run nothing."""
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
+        x = GraphTensor.random((1, 5, 4, 4), seed=23)
+
+        def run(merged, schedule):
+            ctx = SimContext(16, max_level=1, log_ops=True)
+            fm = packed(x, ctx, AMA)
+            with ctx.layer("s"):
+                out = schedule(ctx, fm, merged)
+            hist = {}
+            for rec in ctx.oplog:
+                key = (rec["op"], rec["level_before"], rec.get("rotation_amount"))
+                hist[key] = hist.get(key, 0) + rec.get("count", 1)
+            return out, ctx.counter, hist
+
+        def spatial(ctx, fm, merged):
+            return ama_spatial(fm, merged, ctx=ctx)
+
+        merged = self.cancelling_layer()
+        assert merged.pattern[2, 3] and not merged.matrices[:, :, 2, 3].any()
+        out, counter, hist = run(merged, spatial)
+        _, want_counter, want_hist = run(merged, self.per_joint_schedule)
+        np.testing.assert_allclose(unpack(out, AMA), merged.apply(x.data), atol=1e-12)
+        assert counter == want_counter and hist == want_hist
+        _, uncancelled, _ = run(self.cancelling_layer(cancel=False), spatial)
+        assert counter.layer("s")["pmult"] < uncancelled.layer("s")["pmult"]
+
+    def test_ama_builds_one_operator_per_layer(self, monkeypatch):
+        """Every chunk of output joints mixes its inputs and applies the
+        layer's one block-circulant operator: none is built per joint."""
+        built, applied = [], []
+        build, apply = hesim.BlockCirculant, SimContext.fold_steps
+
+        def counted_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def counted_apply(ctx, src, op):
+            applied.append(op)
+            return apply(ctx, src, op)
+
+        monkeypatch.setattr(hesim, "BlockCirculant", counted_build)
+        monkeypatch.setattr(SimContext, "fold_steps", counted_apply)
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)  # one output joint per chunk
+        merged = self.cancelling_layer()
+        x = GraphTensor.random((1, 5, 4, 4), seed=24)
+        ctx = SimContext(16, max_level=1)
+        out = ama_spatial(packed(x, ctx, AMA), merged, ctx=ctx)
+        np.testing.assert_allclose(unpack(out, AMA), merged.apply(x.data), atol=1e-12)
+        assert len(built) == 1 and len(applied) == x.dims[3] and all(op.op is built[0] for op in applied)
+
     def test_level_exhausted(self):
         merged = MergedSpatialMatrix.from_dense(np.eye(4)[None, None], np.zeros(1))
         x = GraphTensor.zeros((1, 1, 4, 4))
@@ -218,9 +305,9 @@ class TestTemporalConv:
             built.append(build(*args))
             return built[-1]
 
-        def counted_apply(ctx, src, op, vec=1.0):
+        def counted_apply(ctx, src, op):
             applied.append(op)
-            return apply(ctx, src, op, vec)
+            return apply(ctx, src, op)
 
         monkeypatch.setattr(hesim, "BlockCirculant", counted_build)
         monkeypatch.setattr(SimContext, "fold_steps", counted_apply)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hegcn import hesim
-from hegcn.hesim import BlockCirculant, Diagonals, HocCounter, LevelError, SimContext, replay_counts, stack, unstack
+from hegcn.hesim import BlockCirculant, Diagonals, LevelError, Mixed, SimContext, replay_counts, stack, unstack
 
 
 def ctx(slots=8, levels=5, **kw):
@@ -257,7 +257,7 @@ class TestStacks:
         for vec in (0.5, rng.uniform(-1, 1, (1, 4, n1))):
             c, ref = ctx(slots=8, levels=3, log_ops=True), ctx(slots=8, levels=3, log_ops=True)
             with c.layer("fold"):
-                out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals([0], [coef.transpose(2, 1, 0)], (n1, n2), 8), vec)
+                out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals([0], [coef.transpose(2, 1, 0)], (n1, n2), 8, vec))
             plains = np.zeros((3, 4, 8))
             on_grid = coef[:, :, None, :] * np.broadcast_to(vec, (1, 4, n1))[0][None, :, :, None]  # (row, term, frame, column)
             plains[:, :, : n1 * n2] = np.broadcast_to(on_grid, (3, 4, n1, n2)).reshape(3, 4, -1)
@@ -394,7 +394,7 @@ class TestFoldSteps:
         coef, grid = self.coef(shared), (self.N1, self.N2)
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         with c.layer("steps"):
-            out, has_terms = c.fold_steps(c.encrypt(vals), BlockCirculant(self.AMOUNTS, coef, grid), vec)
+            out, has_terms = c.fold_steps(c.encrypt(vals), BlockCirculant(self.AMOUNTS, coef, grid, (0,), vec))
         with ref.layer("steps"):
             want = per_ciphertext_folds(ref, ref.encrypt(vals), self.AMOUNTS, self.plains(coef, vec), coef.any(axis=-1))
         assert has_terms.tolist() == [w is not None for w in want]
@@ -407,13 +407,43 @@ class TestFoldSteps:
         assert any(rec.get("count", 1) > 1 for rec in c.oplog)
         assert replay_counts(c.oplog) == c.counter
 
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_positions_vec_zeroes_are_exact_zeros(self, quantize):
+        """Within-block positions that ``vec`` zeroes for every term and
+        that lie outside the evenly spaced run through the others are not
+        copied or multiplied; the product is an exact zero wherever ``vec``
+        zeroes every term, and the other slots and the counts are those of
+        the per-step schedule."""
+        rng = np.random.default_rng(17)
+        vals = rng.uniform(-1, 1, (self.U * self.T, 32))
+        coef, grid = self.coef(shared=False), (self.N1, self.N2)
+        for nonzero, live in (([1, 3, 5], slice(1, 6, 2)), ([2, 3, 6], slice(2, 7, 1))):
+            vec = np.zeros((self.T, self.N1, self.N2))
+            vec[..., nonzero] = rng.uniform(-1, 1, (self.T, self.N1, 3))
+            vec[:, 2, nonzero[1]] = 0.0  # zero at one block only: the position stays live
+            self.check_positions(vals, coef, grid, vec, live, quantize)
+
+    def check_positions(self, vals, coef, grid, vec, live, quantize):
+        op = BlockCirculant(self.AMOUNTS, coef, grid, (0,), vec)
+        assert op.live == live
+        c, ref = (ctx(slots=32, levels=3, log_ops=True, quantize=quantize) for _ in range(2))
+        with c.layer("steps"):
+            out, has_terms = c.fold_steps(c.encrypt(vals), op)
+        with ref.layer("steps"):
+            want = per_ciphertext_folds(ref, ref.encrypt(vals), self.AMOUNTS, self.plains(coef, vec), coef.any(axis=-1))
+        assert not out.slots.reshape(-1, self.N1, self.N2)[..., ~vec.any(axis=(0, 1))].any()
+        assert has_terms.tolist() == [w is not None for w in want]
+        for row, w in zip(unstack(out), want):
+            np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-9 if quantize else 1e-12)
+        assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
+
     def test_quantize_rounds_the_fused_sum_once(self):
         q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
         src = q.encrypt(np.random.default_rng(5).uniform(-1, 1, (self.U * self.T, 32)))
         coef, grid = self.coef(shared=False), (self.N1, self.N2)
-        op = BlockCirculant(self.AMOUNTS, coef, grid)
-        got = q.fold_steps(src, op, 0.3)[0].slots
-        want = exact.fold_steps(exact.encrypt(src.slots), op, 0.3)[0].slots
+        op = BlockCirculant(self.AMOUNTS, coef, grid, (0,), 0.3)
+        got = q.fold_steps(src, op)[0].slots
+        want = exact.fold_steps(exact.encrypt(src.slots), op)[0].slots
         np.testing.assert_array_equal(got, np.round(want * 2.0**33) / 2.0**33)
 
     def test_level_is_checked_first(self):
@@ -465,9 +495,9 @@ class TestBlockCirculant:
         rng = np.random.default_rng(6)
         srcs = [rng.uniform(-1, 1, (U * self.T, 32)) for _ in range(2)]
         reused, fresh = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
-        op = BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid)
-        got = [reused.fold_steps(reused.encrypt(vals), op, 0.7) for vals in srcs]
-        want = [fresh.fold_steps(fresh.encrypt(vals), BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid), 0.7) for vals in srcs]
+        op = BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid, (0,), 0.7)
+        got = [reused.fold_steps(reused.encrypt(vals), op) for vals in srcs]
+        want = [fresh.fold_steps(fresh.encrypt(vals), BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid, (0,), 0.7)) for vals in srcs]
         for (out, has), (ref, ref_has) in zip(got, want):
             assert out.rows == U * coef.shape[2]
             np.testing.assert_array_equal(out.slots, ref.slots)
@@ -531,23 +561,26 @@ class TestFusedTaps:
             for i in range(self.I)
             for k in range(K)
         ]
-        return c.fold_steps(stack(terms), BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), vec)
+        return c.fold_steps(stack(terms), BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), (0,), vec))
 
     @pytest.mark.parametrize("shared", [True, False])
-    @pytest.mark.parametrize("vec_kind", ["one", "per-term"])
+    @pytest.mark.parametrize("vec_kind", ["one", "per-term", "sparse"])
     def test_equals_rotate_stack_and_fold(self, shared, vec_kind):
         rng = np.random.default_rng(9)
         vals = rng.uniform(-1, 1, (self.U * self.I, 32))
         vec = 1.0 if vec_kind == "one" else rng.uniform(-1, 1, (self.I * len(self.TAPS), 1, self.N2))
+        if vec_kind == "sparse":  # only positions 1, 4 and 7 of each block
+            vec[..., [0, 2, 3, 5, 6]] = 0.0
         coef = self.coef(shared)
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
-        op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), self.TAPS)
+        op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), self.TAPS, vec)
         with c.layer("taps"):
-            out, has_terms = c.fold_steps(c.encrypt(vals), op, vec)
+            out, has_terms = c.fold_steps(c.encrypt(vals), op)
         with ref.layer("taps"):
             want, want_terms = self.explicit(ref, vals, coef, vec)
         np.testing.assert_allclose(out.slots, want.slots, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(has_terms, want_terms)
+        assert op.live == (slice(1, 8, 3) if vec_kind == "sparse" else slice(0, self.N2, 1))
         assert out.level == want.level == 2
         assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
         assert replay_counts(c.oplog) == c.counter
@@ -556,23 +589,23 @@ class TestFusedTaps:
         assert taps == [(3, 4), (31, 4 if shared else 5)]
 
     def test_tap_reads_are_kept_per_tap(self):
-        """The pairs each tap rotates are worked out once, when the operator
-        is built: nothing for a zero tap, every pair, or a (sets, inputs, 1) mask."""
+        """Each tap's rotation record is worked out once, when the operator
+        is built, and counts the inputs some coefficient reads at its amount:
+        3 and 35 share one record, and a zero tap has none."""
         coef = self.coef(shared=False)
         op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), self.TAPS)
-        reads = coef.reshape(coef.shape[:3] + (self.I, len(self.TAPS), self.N1)).any(axis=(0, 2, 5))
-        assert op.rotated[0] is None
-        for k in (1, 2, 3):  # input 0 is not read at 3 or 35, input 1 of set 0 not at -1
-            np.testing.assert_array_equal(op.rotated[k][..., 0], reads[..., k])
-        assert BlockCirculant([0], np.ones((1, 1, 1, 4, 4)), (4, 8), [0, 3]).rotated == (None, True)
+        reads = coef.reshape(coef.shape[:3] + (self.I, len(self.TAPS), self.N1)).any(axis=(0, 2, 5))  # (sets, inputs, taps)
+        taps = [(extra["rotation_amount"], n) for name, n, before, _, extra in op.records if name == "rot" and before == 0]
+        assert taps == [(3, int((reads[..., 1] | reads[..., 3]).sum())), (31, int(reads[..., 2].sum()))]
+        assert op.live == slice(0, self.N2, 1) and op.vec is None
 
     def test_counts_do_not_depend_on_log_ops(self):
         vals = np.random.default_rng(10).uniform(-1, 1, (self.U * self.I, 32))
-        op = BlockCirculant(self.AMOUNTS, self.coef(shared=True), (self.N1, self.N2), self.TAPS)
+        op = BlockCirculant(self.AMOUNTS, self.coef(shared=True), (self.N1, self.N2), self.TAPS, 0.5)
         quiet, logged = ctx(slots=32, levels=3, log_ops=False), ctx(slots=32, levels=3, log_ops=True)
         for c in (quiet, logged):
             with c.layer("taps"):
-                c.fold_steps(c.encrypt(vals), op, 0.5)
+                c.fold_steps(c.encrypt(vals), op)
         assert quiet.oplog == [] and quiet.counter.totals()["rot"] > 0
         assert quiet.counter == logged.counter == replay_counts(logged.oplog)
 
@@ -589,6 +622,78 @@ class TestFusedTaps:
         with pytest.raises(ValueError, match=match):
             op = BlockCirculant(self.AMOUNTS, self.coef(shared=False), (self.N1, self.N2), taps)
             c.fold_steps(c.encrypt(np.ones((rows, 32))), op)
+
+
+class TestMixed:
+    """``fold_steps`` of a ``Mixed`` against a ``BlockCirculant`` of the
+    combined table it stands for: 32 slots read as 4 blocks of 8, U = 2
+    source sets of M = 3 pieces by G = 2 groups, P parts, V = 2 rows."""
+
+    U, M, G, V, N1, N2 = 2, 3, 2, 2, 4, 8
+    AMOUNTS = [0, 8, 32, -16, 8]
+
+    def operands(self, P, shared, seed=18):
+        """The per-part operator's coefficients and a mix in which piece 1 of
+        set 0 cancels: parts 1 and 2 carry opposite slabs and equal entries."""
+        rng = np.random.default_rng(seed + P)
+        shape = (len(self.AMOUNTS), 1, self.V, P, self.G, self.N1)
+        coef = np.where(rng.uniform(size=shape[:5] + (1,)) < 0.7, rng.uniform(-1, 1, shape), 0.0)
+        mix = rng.uniform(-1, 1, (1 if shared else self.U, P, self.M))
+        mix[0, :, 2] = 0.0  # piece 2 of set 0 reads nothing
+        if P == 3:
+            coef[:, :, :, 2] = -coef[:, :, :, 1]
+            mix[0, :, 1] = [0.0, 0.5, 0.5]
+        return coef.reshape(shape[:3] + (P * self.G, self.N1)), mix
+
+    def combined(self, coef, mix):
+        """(S, sets, V, M*G, n1): sum over p of mix[u, p, m] * coef[s, 0, v, (p, g), b]."""
+        S, _, V, T, n1 = coef.shape
+        sets, P, M = mix.shape
+        G = T // P
+        out = np.zeros((S, sets, V, M, G, n1))
+        for s, u, v, m, g, b in np.ndindex(out.shape):
+            out[s, u, v, m, g, b] = sum(mix[u, p, m] * coef[s, 0, v, p * G + g, b] for p in range(P))
+        return out.reshape(S, sets, V, M * G, n1)
+
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_equals_the_combined_operator(self, P, shared):
+        coef, mix = self.operands(P, shared)
+        grid = (self.N1, self.N2)
+        combined = self.combined(coef, mix)
+        if P == 3:  # the cancelling term runs nothing, although its parts are nonzero
+            assert not combined[:, 0, :, self.G : 2 * self.G].any() and coef[..., self.G :, :].any()
+        vals = np.random.default_rng(20).uniform(-1, 1, (self.U * self.M * self.G, 32))
+        c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
+        op = Mixed(BlockCirculant(self.AMOUNTS, coef, grid), mix)
+        assert op.inputs == self.M * self.G and op.sets == len(mix)
+        with c.layer("mixed"):
+            out, has_terms = c.fold_steps(c.encrypt(vals), op)
+        with ref.layer("mixed"):
+            want, want_terms = ref.fold_steps(ref.encrypt(vals), BlockCirculant(self.AMOUNTS, combined, grid))
+        np.testing.assert_allclose(out.slots, want.slots, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(has_terms, want_terms)
+        assert c.counter == ref.counter and c.oplog == ref.oplog
+        assert c.counter.totals()["pmult"] > 0 and replay_counts(c.oplog) == c.counter
+
+    def test_a_mix_of_zeros_runs_nothing(self):
+        coef, _ = self.operands(1, shared=True)
+        op = Mixed(BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), np.zeros((2, 1, self.M)))
+        assert op.totals == {} and op.records == () and not op.has_terms.any()
+
+    @pytest.mark.parametrize(
+        "taps, sets, mix_shape",
+        [
+            ((0, 3), 1, (2, 1, 3)),  # an operator with taps
+            ((0,), 2, (2, 1, 3)),  # an operator with coefficients per set
+            ((0,), 1, (2, 3, 3)),  # 2 terms are not parts of 3
+            ((0,), 1, (1, 3)),  # not (sets, parts, pieces)
+        ],
+    )
+    def test_typed_errors(self, taps, sets, mix_shape):
+        op = BlockCirculant([0], np.ones((1, sets, 1, 2, 4)), (4, 8), taps)
+        with pytest.raises(ValueError, match="does not fit"):
+            Mixed(op, np.ones(mix_shape))
 
 
 def per_ciphertext_diagonals(c, src, shifts, tables, vec, grid) -> list:
@@ -656,9 +761,9 @@ class TestDiagonals:
         return out
 
     def run(self, c, vals, tables, vec):
-        op = Diagonals(self.SHIFTS, tables, (self.N1, self.N2), 32)
+        op = Diagonals(self.SHIFTS, tables, (self.N1, self.N2), 32, vec)
         with c.layer("diag"):
-            return op, *c.fold_steps(c.encrypt(vals), op, vec)
+            return op, *c.fold_steps(c.encrypt(vals), op)
 
     @pytest.mark.parametrize("vec_kind", ["one", "per-term"])
     def test_equals_the_per_ciphertext_schedule(self, vec_kind):
@@ -692,9 +797,9 @@ class TestDiagonals:
     def test_quantize_rounds_the_fused_sum_once(self):
         q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
         src = q.encrypt(np.random.default_rng(13).uniform(-1, 1, (self.U * self.C, 32)))
-        op = Diagonals(self.SHIFTS, self.tables(), (self.N1, self.N2), 32)
-        got = q.fold_steps(src, op, 0.3)[0].slots
-        want = exact.fold_steps(exact.encrypt(src.slots), op, 0.3)[0].slots
+        op = Diagonals(self.SHIFTS, self.tables(), (self.N1, self.N2), 32, 0.3)
+        got = q.fold_steps(src, op)[0].slots
+        want = exact.fold_steps(exact.encrypt(src.slots), op)[0].slots
         np.testing.assert_array_equal(got, np.round(want * 2.0**33) / 2.0**33)
 
     def test_counts_do_not_depend_on_log_ops(self):
@@ -728,7 +833,7 @@ class TestDiagonals:
             vec = 1.0 if rng.uniform() < 0.5 else rng.uniform(-1, 1, (S, C, n1))
             vals = rng.uniform(-1, 1, (U * C, N))
             c, ref = ctx(slots=N, levels=3, log_ops=True), ctx(slots=N, levels=3, log_ops=True)
-            out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals(shifts, tables, (n1, n2), N), vec)
+            out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals(shifts, tables, (n1, n2), N, vec))
             want = per_ciphertext_diagonals(ref, ref.encrypt(vals), shifts, tables, vec, (n1, n2))
             assert has_terms.tolist() == [w is not None for w in want]
             for row, w in zip(unstack(out), want):
@@ -800,15 +905,6 @@ class TestCounterAndLog:
         by_layer = [c.counter.layer("a"), c.counter.layer("b")]
         for op in totals:
             assert totals[op] == sum(lc[op] for lc in by_layer)
-
-    def test_merge_is_order_independent(self):
-        a, b = HocCounter(), HocCounter()
-        a.bump("x", "rot", 3)
-        a.bump("y", "add", 1)
-        b.bump("x", "pmult", 2)
-        b.bump("z", "rot", 5)
-        assert a.merge(b) == b.merge(a)
-        assert a.merge(b).totals()["rot"] == 8
 
     def test_replay_reproduces_counter_exactly(self):
         c = ctx(levels=4)
