@@ -243,16 +243,6 @@ class MergedSpatialMatrix:
     def J(self) -> int:
         return self.parts.shape[1]
 
-    def diagonal(self, d: int) -> np.ndarray:
-        """Entries [c_in, c_out, k, k + d] as a (J, C_in, C_out) array over
-        rows k; zero where column k + d lies past either end of the row."""
-        k = np.arange(max(0, -d), min(self.J, self.J - d))  # the rows the diagonal crosses
-        n = self.parts[:, k, k + d]
-        k, n = k[n.any(axis=0)], n[:, n.any(axis=0)]
-        out = np.zeros((self.J, self.c_in, self.c_out))
-        out[k] = np.einsum("pk,pco->kco", n, self.weights)
-        return out
-
     @property
     def matrices(self) -> np.ndarray:
         """Dense read-only (C_in, C_out, J, J) view of the factors, for oracles."""

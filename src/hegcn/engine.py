@@ -24,15 +24,18 @@ the factored form of the merged sum_p N_p * W_p.  Each chunk of output
 joints mixes the ciphertexts its pieces read with their partition entries
 and applies the layer's operator to the mixes (``hesim.Mixed``), which
 counts what the merged coefficients would.  A row-major conv is one
-``hesim.Diagonals`` per layer, built one diagonal or tap table at a time and
-applied to every sample's input channels at once.  Rows are joints (AMA
-temporal), output joints (AMA spatial) or output channels (row-major),
-terms are the rotated inputs a row sums, and a term is skipped exactly
-where its coefficients, merged over the partitions, are all zero.  AMA rows
-run in chunks whose source stack stays under ``_CHUNK_BYTES``; a
-``Diagonals`` gathers and multiplies chunks of grid columns under the same
-bound.  Every count, including the input, tap and giant-step rotations and
-the adds of partial sums, comes from hesim.
+operator per layer, applied to every sample's input channels at once: a
+temporal one a ``hesim.Diagonals`` of its taps, a spatial one a
+``hesim.MixedDiagonals`` of the factors, which mixes the joints of every
+frame row by each partition and applies the weight slabs as one GEMM, the
+row-major counterpart of ``hesim.Mixed``.  Rows are joints (AMA temporal),
+output joints (AMA spatial) or output channels (row-major), terms are the
+rotated inputs a row sums, and a term is skipped exactly where its
+coefficients, merged over the partitions, are all zero.  AMA rows run in
+chunks whose source stack stays under ``_CHUNK_BYTES``; a ``Diagonals``
+gathers and multiplies chunks of grid columns under the same bound, at the
+frames some tap mask keeps.  Every count, including the input, tap and
+giant-step rotations and the adds of partial sums, comes from hesim.
 
 Values at padding slots, masked-out strided frames and replica copies are
 allowed to go stale; every consumer reads only through masks or anchor
@@ -240,22 +243,16 @@ def ama_spatial(
     return EncryptedFeatureMap(out_cts, lout, fm.t_stride, fm.t_valid, label=fm.label)
 
 
-def _rowmajor_fold(ctx, fm, shifts, tables, bias, vec=1.0) -> list[SimCiphertext]:
-    """Row-major mixing: output channel o of sample b sums, over the
-    (shift, input channel) terms, the input rotated by the shift times a
-    plaintext on the T x J grid, then adds ``bias[o]`` on the grid.
-
-    ``tables`` yields the (1 or J, C_in, C_out) coefficient table of each
-    shift, and ``vec`` the (shift, C_in, T) frame factors the plaintexts
-    share.  One ``hesim.Diagonals`` holds the layer; every sample is one of
-    its source sets.
-    """
+def _rowmajor_fold(ctx, fm, op, bias) -> list[SimCiphertext]:
+    """Row-major mixing: the prebuilt ``op`` applied to every sample's input
+    channels at once, each sample one of its source sets, then ``bias[o]``
+    added on the T x J grid of output channel o."""
     lin = fm.layout
-    op = hesim.Diagonals(shifts, tables, (lin.T, lin.J), lin.slot_count, vec)
     acc = _fold(ctx, hesim.stack(fm.cts), op)
     if _has_bias(bias):
-        bias_rows = np.where(np.arange(lin.slot_count) < lin.T * lin.J, np.asarray(bias)[:, None], 0.0)
-        acc = _add_bias(ctx, acc, np.tile(bias_rows, (lin.B, 1)))
+        # one row per (sample, output channel) over the grid; encrypt zeroes the tail
+        rows = np.tile(np.asarray(bias, dtype=np.float64), lin.B)[:, None]
+        acc = _add_bias(ctx, acc, np.broadcast_to(rows, (len(rows), lin.T * lin.J)))
     return hesim.unstack(acc)
 
 
@@ -268,7 +265,11 @@ def rowmajor_spatial(
 
     One rotation per nonzero generalized diagonal of the shared pattern
     (offset 0 free), shared across all output channels of an input
-    ciphertext; wrap positions are zeroed by the fused masks.
+    ciphertext; reads past either end of a frame row are zero.  The layer
+    is one ``hesim.MixedDiagonals`` of the factors: the joints are mixed
+    by each partition, then the weight slabs are one GEMM, counted as the
+    merged coefficients sum_p N_p * W_p would be.  A zero matrix has no
+    diagonals and gives every output zero.
     """
     ctx = ctx or fm.cts[0].ctx
     lin = fm.layout
@@ -279,12 +280,8 @@ def rowmajor_spatial(
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before spatial conv")
 
-    offsets = diagonal_offsets(merged.pattern)
-    # diagonal d reads joint k + d at joint k of every frame row; reads past
-    # either end of the row are wraps and stay zero.  A zero matrix has no
-    # diagonals: one zero table gives every output zero.
-    tables = map(merged.diagonal, offsets) if offsets else [np.zeros((1, merged.c_in, merged.c_out))]
-    out_cts = _rowmajor_fold(ctx, fm, offsets or [0], tables, merged.bias)
+    op = hesim.MixedDiagonals(merged.weights, merged.parts, diagonal_offsets(merged.pattern), (lin.T, lin.J), lin.slot_count)
+    out_cts = _rowmajor_fold(ctx, fm, op, merged.bias)
     lout = packing.rowmajor_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
     return EncryptedFeatureMap(out_cts, lout, fm.t_stride, fm.t_valid, label=fm.label)
 
@@ -390,15 +387,15 @@ def _temporal_ama(fm, W, bias, taps, masks, ctx):
 def _temporal_rowmajor(fm, W, bias, taps, masks, ctx):
     """One ``hesim.Diagonals`` of the K taps: terms are (tap, input channel), rows output channels."""
     lin = fm.layout
-    out_cts = _rowmajor_fold(
-        ctx,
-        fm,
+    op = hesim.Diagonals(
         [eps * fm.t_stride * lin.J for _, eps in taps],
         (W[None, :, :, kappa].transpose(0, 2, 1) for kappa, _ in taps),
-        bias,
+        (lin.T, lin.J),
+        lin.slot_count,
         # masks were built over one T-row; each frame row spans J slots
         np.array([masks[kappa][: lin.T] for kappa, _ in taps])[:, None],
     )
+    out_cts = _rowmajor_fold(ctx, fm, op, bias)
     return EncryptedFeatureMap(out_cts, lin, fm.t_stride, fm.t_valid, label=fm.label)
 
 
@@ -494,16 +491,16 @@ def fully_connected(
 
     if lin.kind == AMA:
         G, pad, cap = lin.cts_per_joint, lin.pad_bt, lin.capacity
-        # (group, class) plaintexts: a channel's weight at the anchor slot of
-        # every sample in its first block copy
-        plains = np.zeros((G, classes, lin.slot_count))
-        for g in range(G):
-            chans = np.array(lin.group_channels(g))
-            anchors = np.arange(len(chans))[:, None] * pad + np.arange(lin.B) * lin.T
-            plains[g][:, anchors] = weights[chans].T[:, :, None]
+        # per group, a channel's weight at the anchor slot of every sample in
+        # its first block copy; one class at a time, written over the last
+        # class's in one buffer (a PMult keeps no reference to its plaintext)
+        anchors = [np.arange(lin.group_size(g))[:, None] * pad + np.arange(lin.B) * lin.T for g in range(G)]
+        plains = np.zeros((G, lin.slot_count))
         score_cts = []
         for s in range(classes):
-            terms = [ctx.pmult(fm.cts[g], plains[g, s]) for g in range(G)]
+            for g in range(G):
+                plains[g, anchors[g]] = weights[lin.group_channels(g), s, None]
+            terms = [ctx.pmult(fm.cts[g], plains[g]) for g in range(G)]
             acc = _accumulate(ctx, terms)
             for i in range(int(math.log2(cap))):
                 acc = ctx.add(acc, ctx.rotate(acc, pad * (cap >> (i + 1))))

@@ -22,20 +22,25 @@ steps) and many folds rotated by whole blocks (the giant steps) as one
 block-circulant matrix.  A ``Mixed`` applies one shared ``BlockCirculant`` to
 linear mixes of each source set's inputs: the factored form of a fold whose
 coefficients are sums of products, as in an AMA spatial conv, where the
-shared matrix holds the weight slabs and the mix the partition entries.  A
-``Diagonals`` (row-major) holds the diagonal or tap rotations as the baby
-steps, with one giant step of 0, and keeps its coefficients per grid column,
-compressed to the shifts each column reads.  Each operator is built once per
-layer (a ``Mixed`` once per chunk of source sets, around its layer's
-operator), holds the plaintext factors that scale its terms, precomputes its
-counter totals and op records, and is applied as one batched matrix product
-(a ``BlockCirculant`` skips the within-block positions its factors zero);
-``fold_steps`` adds its totals to the counter once and writes its records
-only when ``log_ops`` is on.  The counts are those of the schedule one
-ciphertext at a time: a rotation per input and amount some term reads, and
-a PMult per term that runs (its coefficients, for a ``Mixed`` the combined
-ones, are not all zero), with the Adds that sum them.  ``stack`` and
-``unstack`` are bookkeeping and count nothing.
+shared matrix holds the weight slabs and the mix the partition entries.  The
+row-major operators are the diagonal method with one giant step of 0: a
+``Diagonals`` (temporal conv) holds the tap rotations as the baby steps, with
+one coefficient per (tap, input, output) for every column, and a
+``MixedDiagonals`` (spatial conv) rotates by the diagonals of the joint
+pattern and is applied factored, like a ``Mixed``: the joints of every frame
+row are mixed by each partition, then the weight slabs are one GEMM.  Both
+count with one per-amount rule (``_diagonal_records``).  Each operator is
+built once per layer (a ``Mixed`` once per chunk of source sets, around its
+layer's operator), holds the plaintext factors that scale its terms,
+precomputes its counter totals and op records, and is applied as one batched
+matrix product (a ``BlockCirculant`` skips the within-block positions its
+factors zero); ``fold_steps`` adds its totals to the counter once and writes
+its records only when ``log_ops`` is on.  The counts are those of the
+schedule one ciphertext at a time: a rotation per input and amount some term
+reads, and a PMult per term that runs (its coefficients, for a ``Mixed`` the
+combined ones and for a ``MixedDiagonals`` the merged ones, are not all
+zero), with the Adds that sum them.  ``stack`` and ``unstack`` are
+bookkeeping and count nothing.
 """
 
 from __future__ import annotations
@@ -380,42 +385,74 @@ class Mixed:
         return self.op.apply((self.mix @ x.reshape(U, self.mix.shape[2], -1)).reshape(U, -1, N))
 
 
+def _diagonal_records(amounts, runs) -> tuple[list, np.ndarray]:
+    """The op log of the diagonal method whose (D, inputs, rows) ``runs``
+    mark the products that run for each of D diagonals or taps, rotated by
+    ``amounts`` (mod slot count), and the rows some product reaches.
+
+    Per distinct amount, in first-appearance order: one rotation per input
+    some product of the amount reads (none for amount 0), one PMult per
+    product, ``products - 1`` Adds per row, and one Add per row with
+    products that already holds a partial sum of an earlier amount.
+    """
+    distinct = list(dict.fromkeys(amounts))
+    at = np.array([distinct.index(a) for a in amounts], dtype=np.int64)
+    reads = np.zeros((len(distinct), runs.shape[1]), bool)
+    np.logical_or.at(reads, at, runs.any(axis=2))
+    per_row = np.zeros((len(distinct), runs.shape[2]), np.int64)
+    np.add.at(per_row, at, runs.sum(axis=1))
+    rows = per_row > 0
+    merges = np.zeros_like(rows)
+    merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
+    records = []
+    for a, inputs, pmults, adds, n_merges in zip(
+        distinct,
+        reads.sum(axis=1).tolist(),
+        per_row.sum(axis=1).tolist(),
+        np.maximum(per_row - 1, 0).sum(axis=1).tolist(),
+        merges.sum(axis=1).tolist(),
+    ):
+        records += [
+            ("rot", inputs if a else 0, 0, 0, {"rotation_amount": a}),
+            ("pmult", pmults, 0, 1, {}),
+            ("add", adds, 1, 1, {}),
+            ("add", n_merges, 1, 1, {}),
+        ]
+    return records, rows.any(axis=0)
+
+
 class Diagonals:
-    """The diagonal-method operator of one row-major conv, built once and
-    applied by ``SimContext.fold_steps`` to any number of source sets.
+    """The diagonal-method operator of one row-major temporal conv, built
+    once and applied by ``SimContext.fold_steps`` to any number of source
+    sets.
 
     The slots are read as a ``grid`` (n1, n2) of n1 frames by n2 columns,
     n1 * n2 <= ``slot_count``; past it every plaintext is zero.  Shift i
     rotates the inputs by ``shifts[i]`` slots: the baby steps of the
     diagonal method of Halevi and Shoup (CRYPTO 2018), whose single giant
-    step is 0.  ``tables`` yields one (1 or n2, inputs, rows) coefficient
-    table per shift; a single column holds the coefficients of every column.
-    The terms are the (shift, input) pairs, and row v of source set u at
-    slot (t, k) is
+    step is 0.  ``tables`` yields one (1, inputs, rows) coefficient table
+    per shift, the same in every column.  The terms are the (shift, input)
+    pairs, and row v of source set u at slot (t, k) is
 
-        sum over i, c of  tables[i][k, c, v] * vec[i, c, t] * src[u, c][(t*n2 + k + shifts[i]) mod slot_count]
+        sum over i, c of  tables[i][0, c, v] * vec[i, c, t] * src[u, c][(t*n2 + k + shifts[i]) mod slot_count]
 
-    with ``vec`` broadcast to (shifts, inputs, n1).  The tables are read
-    one at a time and kept per column, compressed to the shifts with a
-    nonzero coefficient there: ``coef`` (columns, rows, S * inputs) holds
-    the coefficients of a column's S shift slots, input-minor, ``steps``
-    and ``offsets`` (columns, S) the shift of each slot and the slot it
-    reads at frame 0, counted from ``span[0]``, and ``vec`` (columns,
-    S * inputs, n1) their frame factors (None when all are 1).  A slot past
-    a column's live shifts has zero coefficients.  There is one column when
-    every table has width 1.
+    with ``vec`` broadcast to (shifts, inputs, n1).  ``coef`` (rows,
+    shifts * inputs) holds the coefficients, input-minor, and ``offsets``
+    the slot each shift reads at frame 0, counted from ``span[0]``.  A
+    frame where ``vec`` is zero for every term is zero in every row:
+    ``frames`` is the evenly spaced run of frames through the others (half
+    of them after a stride 2), the only ones ``apply`` gathers and
+    multiplies, and ``vec`` (shifts * inputs, frames) their factors (None
+    when all are 1).
 
-    ``records`` lists the op log of one source set per distinct amount mod
-    slot_count, in first-appearance order: one rotation per input some term
-    of the amount reads (none for amount 0), one PMult per (term, row) whose
-    coefficients are not all zero, ``terms - 1`` Adds per row, and one Add
-    per row with terms that already holds a partial sum of an earlier
-    amount.  ``totals`` sums them per counter; ``has_terms`` marks the rows
-    some term reaches.  The arrays are read-only and ``fold_steps`` changes
-    nothing, so one operator serves any number of source stacks.
+    ``records`` is the op log of one source set (``_diagonal_records``): a
+    product runs where its coefficient is not zero.  ``totals`` sums it
+    per counter; ``has_terms`` marks the rows some term reaches.  The
+    arrays are read-only and ``fold_steps`` changes nothing, so one
+    operator serves any number of source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "shifts", "span", "coef", "steps", "offsets", "vec", "has_terms", "records", "totals")
+    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "span", "coef", "offsets", "frames", "vec", "has_terms", "records", "totals")
 
     def __init__(self, shifts, tables, grid, slot_count, vec=1.0):
         n1, n2 = grid
@@ -425,83 +462,144 @@ class Diagonals:
         amounts = [int(a) % N for a in shifts]
         reach = [a - N if a > N // 2 else a for a in amounts]  # the nearer way round
         lo = min([0] + reach) // n2 * n2  # the first slot read, rounded down to a whole frame
-        pieces, per_amount = [], {}  # per shift its live columns; per amount (inputs read, terms per row)
-        shape = None  # (inputs, rows), from the first table
-        for i, table in enumerate(tables):
+        coef = []
+        for table in tables:
             table = np.asarray(table, dtype=np.float64)
-            shape = shape or table.shape[1:]
-            if table.ndim != 3 or table.shape[0] not in (1, n2) or table.shape[1:] != shape:
-                raise ValueError(f"coef of shape {table.shape} is not (1 or {n2}, inputs, rows) like the first")
-            live = np.flatnonzero(table.reshape(len(table), -1).any(axis=1))
-            vals = table[live]
-            runs = (vals != 0).any(axis=0)  # (inputs, rows): the products that run
-            reads, per_row = per_amount.setdefault(amounts[i], (np.zeros(shape[0], bool), np.zeros(shape[1], np.int64)))
-            reads |= runs.any(axis=1)
-            per_row += runs.sum(axis=0)
-            pieces.append((i, live, vals.transpose(0, 2, 1), len(table)))  # (live columns, rows, inputs)
-        if len(pieces) != len(amounts) or not pieces:
-            raise ValueError(f"{len(pieces)} coefficient tables for {len(amounts)} shifts")
-        C, V = shape
-        cols = max(width for *_, width in pieces)
-        # a width-1 table is live in every column when the others have n2
-        pieces = [(i, np.arange(cols) if len(live) and width < cols else live, vals) for i, live, vals, width in pieces]
-        S = max(1, int(np.bincount(np.concatenate([live for _, live, _ in pieces]), minlength=cols).max()))
-        coef = np.zeros((cols, V, S, C))
-        at, offsets = np.zeros((cols, S), np.int64), np.full((cols, S), -lo)
-        filled = np.zeros(cols, np.int64)
-        for i, live, vals in pieces:
-            slot = filled[live]
-            coef[live, :, slot] = vals
-            at[live, slot], offsets[live, slot] = i, reach[i] - lo
-            filled[live] += 1
-        records, seen = [], np.zeros(V, bool)
-        for a, (reads, per_row) in per_amount.items():
-            records += [
-                ("rot", int(reads.sum()) if a else 0, 0, 0, {"rotation_amount": a}),
-                ("pmult", int(per_row.sum()), 0, 1, {}),
-                ("add", int(np.maximum(per_row - 1, 0).sum()), 1, 1, {}),
-                ("add", int((seen & (per_row > 0)).sum()), 1, 1, {}),
-            ]
-            seen |= per_row > 0
+            if table.ndim != 3 or len(table) != 1 or (coef and table.shape[1:] != coef[0].shape):
+                raise ValueError(f"coef of shape {table.shape} is not (1, inputs, rows) like the first")
+            coef.append(table[0])
+        if len(coef) != len(amounts) or not coef:
+            raise ValueError(f"{len(coef)} coefficient tables for {len(amounts)} shifts")
+        coef = np.stack(coef)  # (shifts, inputs, rows)
+        S, C, V = coef.shape
+        records, self.has_terms = _diagonal_records(amounts, coef != 0)
         self.records, self.totals = _tally(records)
-        vec = np.broadcast_to(np.asarray(vec, dtype=np.float64), (len(amounts), C, n1))
-        self.vec = None if (vec == 1).all() else vec[at].reshape(cols, S * C, n1)
+        vec = np.broadcast_to(np.asarray(vec, dtype=np.float64), (S, C, n1)).reshape(S * C, n1)
+        kept = np.flatnonzero(vec.any(axis=0))
+        step = int(np.gcd.reduce(np.diff(kept))) if len(kept) > 1 else 1
+        self.frames = slice(int(kept[0]), int(kept[-1]) + 1, step) if len(kept) else slice(0)
+        self.vec = None if (vec == 1).all() else np.ascontiguousarray(vec[:, self.frames])
         self.grid, self.slot_count = (int(n1), int(n2)), N
-        self.sets, self.rows, self.inputs, self.shifts = 1, V, C, len(amounts)
+        self.sets, self.rows, self.inputs = 1, V, C
         # the whole frames the shifts read, from slot lo to hi
         self.span = (lo, -(-(n1 * n2 + max([0] + reach)) // n2) * n2)
-        self.coef, self.steps, self.offsets = coef.reshape(cols, V, S * C), at, offsets
-        self.has_terms = seen
-        for arr in (self.coef, self.steps, self.offsets, self.vec, self.has_terms):
+        self.coef = coef.transpose(2, 0, 1).reshape(V, S * C)
+        self.offsets = np.array(reach) - lo
+        for arr in (self.coef, self.offsets, self.vec, self.has_terms):
             if arr is not None:
                 arr.flags.writeable = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count)
         sources: the frames the shifts read, copied once column-major, are
-        gathered into one buffer per chunk of columns, then one batched GEMM."""
+        gathered at the kept ``frames`` into one buffer per chunk of columns,
+        then one batched GEMM."""
         U, C, N = x.shape
         n1, n2 = self.grid
-        cols, V, L = self.coef.shape
+        V, L = self.coef.shape
         lo, hi = self.span
+        frames = range(n1)[self.frames]
         xs = np.concatenate((x[..., N + lo :], x[..., : min(hi, N)], x[..., : max(hi - N, 0)]), axis=-1)
         F = xs.shape[-1] // n2
         ys = xs.reshape(U, C, F, n2).transpose(0, 3, 1, 2).copy()  # (U, column, input, frame)
         su, sk, sc, sf = ys.strides
-        # view[u, k, f, c, t] = ys[u, k, c, f + t]: column k of every input from frame f on
-        view = np.lib.stride_tricks.as_strided(ys, (U, n2, F - n1 + 1, C, n1), (su, sk, sf, sc, sf))
-        by_column = np.empty((U, n2, V, n1))
-        size = max(1, _CHUNK_BYTES // (U * L * n1 * 8))
+        # view[u, k, f, c, t] = ys[u, k, c, f + frames[t]]: column k of every input at the kept frames from f on
+        view = np.lib.stride_tricks.as_strided(ys[..., frames.start :], (U, n2, F - n1 + 1, C, len(frames)), (su, sk, sf, sc, sf * frames.step))
+        by_column = np.empty((U, n2, V, len(frames)))
+        size = max(1, _CHUNK_BYTES // (U * L * max(len(frames), 1) * 8))
         for k0 in range(0, n2, size):
             ks = np.arange(k0, min(k0 + size, n2))
-            sel = ks if cols > 1 else [0]
-            read = ks[:, None] + self.offsets[sel]  # the slot each shift slot reads at frame 0
-            z = view[:, read % n2, read // n2].reshape(U, len(ks), L, n1)
+            read = ks[:, None] + self.offsets  # the slot each shift reads at frame 0
+            z = view[:, read % n2, read // n2].reshape(U, len(ks), L, len(frames))
             if self.vec is not None:
-                z *= self.vec[sel]
-            np.matmul(self.coef[sel], z, out=by_column[:, k0 : k0 + len(ks)])
+                z *= self.vec
+            np.matmul(self.coef, z, out=by_column[:, k0 : k0 + len(ks)])
         out = np.zeros((U, V, N))
-        out[..., : n1 * n2].reshape(U, V, n1, n2)[...] = by_column.transpose(0, 2, 3, 1)
+        out[..., : n1 * n2].reshape(U, V, n1, n2)[:, :, self.frames] = by_column.transpose(0, 2, 3, 1)
+        return out
+
+
+class MixedDiagonals:
+    """The diagonal-method operator of one row-major spatial conv, applied
+    factored: joints mixed per partition, then one GEMM of the weight slabs.
+
+    The slots are read as a ``grid`` (n1, n2) of n1 frames by n2 joints,
+    n1 * n2 <= ``slot_count``; past it every output is zero.  Input c
+    reaches row v from joint j to joint k through the merged coefficient
+
+        M[k, j, c, v] = sum over p of  parts[p, k, j] * weights[p, c, v]
+
+    of the (P, inputs, rows) ``weights`` and (P, n2, n2) ``parts``, on the
+    diagonals d = j - k listed in ``offsets`` (entries off them are
+    ignored).  Row v of source set u at slot (t, k) is
+
+        sum over d, c of  M[k, k + d, c, v] * src[u, c][t*n2 + k + d]   (0 <= k + d < n2)
+
+    the diagonal method of Halevi and Shoup (CRYPTO 2018), whose baby steps
+    rotate the inputs by the diagonals.  ``apply`` computes it factored:
+    ``mix`` (n2, P' * n2) mixes the joints of every frame row by each part
+    some kept entry reads, x * N_p^T, and ``slabs`` (rows, P' * inputs) is
+    their weight slabs as one GEMM over (part, input) terms.
+
+    The counts are those of the diagonal method one ciphertext at a time
+    with the merged coefficients (``_diagonal_records``): a (diagonal,
+    input, row) product runs where M, summed in the order of p, is not
+    zero at some joint, so a sum that cancels exactly runs nothing.  They
+    are worked out in one pass over the live (diagonal, joint) entries,
+    where some part is nonzero, from the distinct vectors of part entries
+    they carry (a few on a skeleton), without building any per-diagonal
+    table.
+    """
+
+    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "mix", "slabs", "has_terms", "records", "totals")
+
+    def __init__(self, weights, parts, offsets, grid, slot_count):
+        n1, n2 = grid
+        N = int(slot_count)
+        if n1 * n2 > N:
+            raise ValueError(f"grid {n1}x{n2} exceeds slot count {N}")
+        weights = np.asarray(weights, dtype=np.float64)
+        parts = np.asarray(parts, dtype=np.float64)
+        if weights.ndim != 3 or not len(weights) or parts.shape != (len(weights), n2, n2):
+            raise ValueError(f"weights of shape {weights.shape} and parts of shape {parts.shape} are not (P, inputs, rows) and (P, {n2}, {n2})")
+        P, C, V = weights.shape
+        offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
+        # the live (diagonal, joint k) entries: k + d inside the row and some part nonzero there
+        reads = np.arange(n2) + offsets[:, None]
+        d, k = np.nonzero((reads >= 0) & (reads < n2))
+        j = k + offsets[d]
+        n = parts[:, k, j]
+        live = n.any(axis=0)
+        d, k, j, n = d[live], k[live], j[live], n[:, live]
+        # merged coefficients of each distinct part vector, summed in the order of p
+        vectors, which = np.unique(n.T, axis=0, return_inverse=True)
+        merged = vectors[:, 0, None, None] * weights[0]
+        for p in range(1, P):
+            merged += vectors[:, p, None, None] * weights[p]
+        hits = np.zeros((len(offsets), len(vectors)))  # the vectors each diagonal's entries carry
+        hits[d, which.reshape(-1)] = 1.0
+        runs = (hits @ (merged != 0).reshape(len(vectors), C * V)).reshape(len(offsets), C, V) > 0
+        records, self.has_terms = _diagonal_records((offsets % N).tolist(), runs)
+        self.records, self.totals = _tally(records)
+        mix = np.zeros_like(parts)
+        mix[:, k, j] = n
+        used = mix.any(axis=(1, 2)) & weights.any(axis=(1, 2))  # the other parts add only zeros
+        self.mix = mix[used].transpose(2, 0, 1).reshape(n2, -1)
+        self.slabs = weights[used].transpose(2, 0, 1).reshape(V, -1)
+        self.grid, self.slot_count = (int(n1), int(n2)), N
+        self.sets, self.rows, self.inputs = 1, V, C
+        for arr in (self.mix, self.slabs, self.has_terms):
+            arr.flags.writeable = False
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The (U, rows, slot_count) products of the (U, inputs, slot_count) sources."""
+        U, C, N = x.shape
+        n1, n2 = self.grid
+        parts = self.mix.shape[1] // n2
+        mixed = x[..., : n1 * n2].reshape(U * C * n1, n2) @ self.mix  # (u, c, t) by (p, k)
+        terms = mixed.reshape(U, C, n1, parts, n2).transpose(0, 3, 1, 2, 4).reshape(U, parts * C, n1 * n2)
+        out = np.zeros((U, self.rows, N))
+        np.matmul(self.slabs, terms, out=out[..., : n1 * n2])
         return out
 
 
@@ -585,12 +683,13 @@ class SimContext:
             rec.update(extra)
             self.oplog.append(rec)
 
-    def _as_plaintext(self, pt) -> np.ndarray:
-        """Scalars broadcast; shorter vectors are zero-padded (mask semantics)."""
+    def _as_plaintext(self, pt) -> np.ndarray | float:
+        """Scalars stay one float that broadcasts (the same slots as a full
+        vector of it); shorter vectors are zero-padded (mask semantics)."""
         if type(pt) is np.ndarray and pt.dtype == np.float64 and pt.shape == (self.slot_count,):
             return pt
         if np.isscalar(pt):
-            return np.full(self.slot_count, float(pt))
+            return float(pt)
         arr = np.asarray(pt, dtype=np.float64).ravel()
         if arr.size > self.slot_count:
             raise ValueError(f"plaintext length {arr.size} exceeds slot count {self.slot_count}")

@@ -207,26 +207,32 @@ def giant_step_coverage(cap: int, n: int) -> dict[int, np.ndarray]:
 
     Block position p of a ciphertext rotated by ``delta`` blocks exposes the
     channel stored at block (p + delta) mod cap, and blocks tile with period
-    ``n`` (the group's channel count).  Every position must receive each of
-    the n channels through exactly one rotation.  When n divides cap the
-    rotations 0..n-1 cover uniformly; ragged tilings need a few extra, which
-    the greedy scan picks deterministically.
+    ``n`` (the group's channel count, 1 <= n <= cap).  Every position must
+    receive each of the n channels through exactly one rotation: scanning
+    delta = 0, 1, ... in turn, a rotation serves p when it brings a channel
+    p has not received yet.  When n divides cap the rotations 0..n-1 cover
+    uniformly; ragged tilings need a few extra.
 
-    Returns {delta: bool mask over positions where delta is the provider}.
+    The scan has a closed form, computed here for all positions at once.
+    Position p reads r = min(n, cap - p) consecutive blocks, and so r
+    distinct channels, through deltas 0..r-1.  When r < n the next delta
+    wraps to block 0, and block i (channel i) comes at delta cap - p + i:
+    it serves p for each channel i its first r blocks did not bring.
+
+    Returns {delta: bool mask over positions where delta is the provider},
+    keyed in the order the scan over positions, then deltas, first meets
+    each delta.
     """
-    sel: dict[int, np.ndarray] = {}
-    for p in range(cap):
-        seen: set[int] = set()
-        delta = 0
-        while len(seen) < n:
-            q = ((p + delta) % cap) % n
-            if q not in seen:
-                seen.add(q)
-                if delta not in sel:
-                    sel[delta] = np.zeros(cap, dtype=bool)
-                sel[delta][p] = True
-            delta += 1
-    return sel
+    p = np.arange(cap)
+    reach = np.minimum(n, cap - p)
+    serves = np.arange(max(2 * n - 1, 0))[:, None] < reach  # (delta, position)
+    ragged = p[reach < n]
+    i = np.arange(n)[:, None]
+    new = (i - ragged) % n >= reach[ragged]  # channel i not among the first blocks of p
+    serves[(cap - ragged + i)[new], np.broadcast_to(ragged, new.shape)[new]] = True
+    deltas = np.flatnonzero(serves.any(axis=1))
+    first = serves[deltas].argmax(axis=1)
+    return {d: serves[d] for d in deltas[np.lexsort((deltas, first))].tolist()}
 
 
 def _tile(vec: np.ndarray, slot_count: int) -> np.ndarray:

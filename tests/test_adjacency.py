@@ -195,21 +195,6 @@ class TestFactoredForm:
         assert want.shape == (4, 2, 3, 5)
         np.testing.assert_allclose(merged.matrices[idx], want, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("P", [1, 3])
-    def test_diagonal_is_the_dense_diagonal(self, P):
-        """diagonal(d)[k, c, o] is the dense entry [c, o, k, k + d], zero
-        past either end of row k."""
-        rng = np.random.default_rng(P)
-        J, c_in, c_out = 5, 3, 4
-        parts = [(rng.uniform(size=(J, J)) > 0.5) + np.eye(J) * (p == 0) for p in range(P)]
-        merged = merge_spatial(AdjacencySet(parts), rng.normal(size=(P, c_in, c_out)), rng.normal(size=c_out))
-        dense = merged.matrices
-        for d in range(-J + 1, J):
-            want = np.zeros((J, c_in, c_out))
-            for k in range(max(0, -d), min(J, J - d)):
-                want[k] = dense[:, :, k, k + d]
-            np.testing.assert_allclose(merged.diagonal(d), want, rtol=0, atol=1e-14)
-
     def test_from_dense_entries_are_the_matrices(self):
         rng = np.random.default_rng(3)
         mats = np.where(rng.uniform(size=(3, 4, 5, 5)) > 0.5, rng.normal(size=(3, 4, 5, 5)), 0.0)

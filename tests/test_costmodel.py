@@ -164,7 +164,8 @@ class TestExactAnalytic:
 
 class TestFoldDeltas:
     """The cost model's closed-form giant steps against the engine's
-    greedy coverage scan, which stays the reference."""
+    ``packing.giant_step_coverage`` (itself checked against the greedy scan
+    in ``test_packing``)."""
 
     @pytest.mark.parametrize("cap", [2**k for k in range(8)] + [12, 24, 40])
     def test_closed_form_matches_coverage_scan(self, cap):

@@ -164,6 +164,42 @@ def test_ama_never_calls_per_step_fold(monkeypatch, case):
     check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), AMA, slot_count)
 
 
+@pytest.mark.parametrize("case", ["acceptance", "ragged-k3-stride2"])
+def test_rowmajor_spatial_builds_no_per_diagonal_table(monkeypatch, case):
+    """Each row-major spatial conv is one ``hesim.MixedDiagonals`` of the
+    factors: ``MergedSpatialMatrix`` has no per-diagonal view, its dense
+    view raises, and the only ``hesim.Diagonals`` are the temporal convs',
+    whose tables have one column.  Every gate still holds."""
+
+    def dense(self):
+        raise AssertionError("a kernel read MergedSpatialMatrix.matrices")
+
+    built = {"MixedDiagonals": 0, "Diagonals": 0}
+
+    def counted(name):
+        build = getattr(hesim, name)
+
+        def wrapped(*args):
+            built[name] += 1
+            if name == "Diagonals":
+                args = (args[0], [np.asarray(t) for t in args[1]]) + args[2:]
+                assert all(len(t) == 1 for t in args[1]), "a row-major operator with a table per column"
+            return build(*args)
+
+        return wrapped
+
+    assert not hasattr(MergedSpatialMatrix, "diagonal")
+    spec, slot_count = gated_case(case)
+    monkeypatch.setattr(MergedSpatialMatrix, "matrices", property(dense))
+    for name in built:
+        monkeypatch.setattr(hesim, name, counted(name))
+    check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), ROWMAJOR, slot_count)
+    assert built == {
+        "MixedDiagonals": sum(isinstance(layer, SpatialConv) for layer in spec.layers),
+        "Diagonals": sum(isinstance(layer, TemporalConv) for layer in spec.layers),
+    }
+
+
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(spec=small_models())
 def test_random_shapes_match_oracle_and_counts(spec):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hegcn import hesim
-from hegcn.hesim import BlockCirculant, Diagonals, LevelError, Mixed, SimContext, replay_counts, stack, unstack
+from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, diagonal_offsets, merge_spatial
+from hegcn.hesim import BlockCirculant, Diagonals, LevelError, Mixed, MixedDiagonals, SimContext, replay_counts, stack, unstack
 
 
 def ctx(slots=8, levels=5, **kw):
@@ -75,6 +76,20 @@ class TestPMult:
         np.testing.assert_array_equal(out.slots[:3], [2, 4, 6])
         assert out.level == 4
         assert c.counter.totals()["pmult"] == 1 and c.counter.totals()["rescale"] == 1
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_scalar_equals_the_full_vector(self, quantize):
+        """A scalar plaintext multiplies as the float itself: the same slots,
+        counters and records as the full vector of it, on a stack too."""
+        vals = np.random.default_rng(5).uniform(-3, 3, (3, 8))
+        runs = []
+        for pt in (0.37, np.full(8, 0.37)):
+            c = ctx(quantize=quantize, log_ops=True)
+            with c.layer("p"):
+                runs.append((c.pmult(c.encrypt(vals), pt), c))
+        (got, c), (want, ref) = runs
+        np.testing.assert_array_equal(got.slots, want.slots)
+        assert got.level == want.level and c.counter == ref.counter and c.oplog == ref.oplog
 
     def test_ones_still_consumes_a_level(self):
         c = ctx()
@@ -234,7 +249,7 @@ class TestStacks:
         [
             ((3, 4, 1), None),  # a scalar per term and row
             ((3, 4, 1), (4, 2)),  # a scalar per term on a frame grid
-            ((3, 4, 3), (2, 3)),  # one coefficient per column, tail past the grid
+            ((3, 4, 1), (2, 3)),  # a scalar per term, tail past the grid
         ],
     )
     def test_fold_equals_the_loop_and_counts_the_mask(self, coef_shape, grid):
@@ -734,26 +749,23 @@ def per_ciphertext_diagonals(c, src, shifts, tables, vec, grid) -> list:
 class TestDiagonals:
     """``fold_steps`` of a ``Diagonals`` against the per-ciphertext diagonal
     method: 32 slots, a grid of 3 frames by 8 columns (8 slots past it),
-    U = 2 source sets of C = 3 inputs, V = 3 rows."""
+    U = 2 source sets of C = 3 inputs, V = 3 rows.  Every table has width 1,
+    as a temporal conv's taps do; coefficients per joint are the
+    ``MixedDiagonals`` of a spatial conv (``TestMixedDiagonals``)."""
 
     U, C, V, N1, N2 = 2, 3, 3, 3, 8
     # 0; 1 and 33 equal mod 32; a whole frame; reads past the grid and past
     # slot 31; a negative shift that wraps below slot 0
     SHIFTS = [0, 1, -2, 33, 8, 12, -9]
-    WIDTHS = [8, 8, 8, 1, 1, 8, 8]  # width 1: one coefficient for every column
 
     def tables(self, seed=11):
         rng = np.random.default_rng(seed)
         out = []
-        for w in self.WIDTHS:
-            t = np.where(rng.uniform(size=(w, self.C, 1)) < 0.5, rng.uniform(-1, 1, (w, self.C, self.V)), 0.0)
+        for _ in self.SHIFTS:
+            t = np.where(rng.uniform(size=(1, self.C, 1)) < 0.5, rng.uniform(-1, 1, (1, self.C, self.V)), 0.0)
             t[..., 0] = 0.0  # row 0 has no term
             out.append(t)
-        out[0][5] = 0.0  # column 5 reads fewer terms than the widest column
-        out[2][5] = 0.0
-        out[5][5] = 0.0
-        out[6][5] = 0.0
-        out[1][7, 1, 1] = 0.6  # shift 1 at the last column reads the next frame's column 0
+        out[1][0, 1, 1] = 0.6  # shift 1 at the last column reads the next frame's column 0
         out[2][0, 2, 2] = -0.3  # shift -2 at column 0 reads the previous frame
         out[4][0, 0] = 0.0  # input 0 is never read at 8: not rotated by it
         out[4][0, 1:, 1] = [0.2, -0.5]
@@ -765,18 +777,20 @@ class TestDiagonals:
         with c.layer("diag"):
             return op, *c.fold_steps(c.encrypt(vals), op)
 
-    @pytest.mark.parametrize("vec_kind", ["one", "per-term"])
+    @pytest.mark.parametrize("vec_kind", ["one", "per-term", "strided"])
     def test_equals_the_per_ciphertext_schedule(self, vec_kind):
         rng = np.random.default_rng(12)
         vals = rng.uniform(-1, 1, (self.U * self.C, 32))
         vec = 1.0 if vec_kind == "one" else rng.uniform(-1, 1, (len(self.SHIFTS), self.C, self.N1))
+        if vec_kind == "strided":  # frame 1 is zero for every term: only frames 0 and 2 are multiplied
+            vec[..., 1] = 0.0
         tables = self.tables()
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         op, out, has_terms = self.run(c, vals, tables, vec)
         with ref.layer("diag"):
             want = per_ciphertext_diagonals(ref, ref.encrypt(vals), self.SHIFTS, tables, vec, (self.N1, self.N2))
-        live = (op.coef != 0).any(axis=1).sum(axis=1)
-        assert op.coef.shape[0] == self.N2 and live[5] < live.max()  # padded term slots
+        assert op.coef.shape == (self.V, len(self.SHIFTS) * self.C)
+        assert op.frames == (slice(0, 3, 2) if vec_kind == "strided" else slice(0, 3, 1))
         assert has_terms.tolist() == [w is not None for w in want] == [False, True, True] * self.U
         assert out.rows == self.U * self.V and out.level == 2
         for row, w in zip(unstack(out), want):
@@ -785,7 +799,7 @@ class TestDiagonals:
         assert replay_counts(c.oplog) == c.counter
         # one rotation per distinct nonzero amount, counting the inputs read at it
         rots = [(rec["rotation_amount"], rec.get("count", 1)) for rec in c.oplog if rec["op"] == "rot"]
-        assert rots == [(1, 6), (30, 6), (8, 4), (12, 6), (23, 6)]
+        assert rots == [(1, 4), (30, 4), (8, 4), (12, 4), (23, 6)]
 
     def test_a_zero_operator_gives_zero_rows(self):
         c = ctx(slots=32, levels=2, log_ops=True)
@@ -820,7 +834,7 @@ class TestDiagonals:
 
     def test_random_geometries_equal_the_per_ciphertext_schedule(self):
         """Drawn slot counts, grids up to one frame of every slot, shifts
-        up to two turns either way, widths, U and vec."""
+        up to two turns either way, U and vec, some frames of it zero."""
         rng = np.random.default_rng(16)
         for _ in range(40):
             N = int(2 ** rng.integers(2, 7))
@@ -828,9 +842,10 @@ class TestDiagonals:
             n1 = int(rng.integers(1, N // n2 + 1))
             C, V, U, S = (int(n) for n in rng.integers(1, [4, 4, 3, 5]))
             shifts = rng.integers(-2 * N, 2 * N, S).tolist()
-            widths = [n2 if rng.uniform() < 0.6 else 1 for _ in range(S)]
-            tables = [np.where(rng.uniform(size=(w, C, V)) < 0.4, rng.uniform(-1, 1, (w, C, V)), 0.0) for w in widths]
+            tables = [np.where(rng.uniform(size=(1, C, V)) < 0.4, rng.uniform(-1, 1, (1, C, V)), 0.0) for _ in range(S)]
             vec = 1.0 if rng.uniform() < 0.5 else rng.uniform(-1, 1, (S, C, n1))
+            if np.ndim(vec):  # frames zero for every term are left out of the product
+                vec[..., rng.uniform(size=n1) < 0.3] = 0.0
             vals = rng.uniform(-1, 1, (U * C, N))
             c, ref = ctx(slots=N, levels=3, log_ops=True), ctx(slots=N, levels=3, log_ops=True)
             out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals(shifts, tables, (n1, n2), N, vec))
@@ -845,7 +860,7 @@ class TestDiagonals:
         [
             ([0], [(1, 2, 3)], (8, 8), 32, "exceeds slot count"),
             ([0, 1], [(1, 2, 3), (1, 3, 3)], (4, 8), 32, "like the first"),
-            ([0], [(4, 2, 3)], (4, 8), 32, "is not"),  # width neither 1 nor n2
+            ([0], [(8, 2, 3)], (4, 8), 32, "is not"),  # one coefficient per column
             ([0, 1], [(1, 2, 3)], (4, 8), 32, "tables for 2 shifts"),
             ([], [], (4, 8), 32, "tables for 0 shifts"),
             ([0], [(1, 2, 3)], (4, 8), 64, "does not cover"),  # built for other slots
@@ -856,6 +871,145 @@ class TestDiagonals:
         c = ctx(slots=32, levels=2)
         with pytest.raises(ValueError, match=match):
             c.fold_steps(c.encrypt(np.ones((4, 32))), Diagonals(shifts, [np.ones(s) for s in shapes], grid, slots))
+
+
+def dense_diagonals(dense, offsets) -> list:
+    """Per diagonal d the (J, C_in, C_out) table of the dense merged entries
+    [c, o, k, k + d] over rows k, zero where column k + d lies past either
+    end of the row: the coefficients the diagonal method multiplies."""
+    C, V, J, _ = dense.shape
+    tables = []
+    for d in offsets:
+        table = np.zeros((J, C, V))
+        for k in range(max(0, -d), min(J, J - d)):
+            table[k] = dense[:, :, k, k + d]
+        tables.append(table)
+    return tables
+
+
+class TestMixedDiagonals:
+    """``fold_steps`` of a ``MixedDiagonals`` against ``per_ciphertext_diagonals``
+    of the per-diagonal tables of the dense merged matrices: the diagonal
+    method of a row-major spatial conv with the merged coefficients, one
+    ciphertext at a time."""
+
+    def run(self, merged, T, N, U=1, log_ops=True, seed=0):
+        """Counters, coalesced op log, rows with terms and slots against the
+        schedule; returns the operator and the counts of its layer."""
+        J, C, V = merged.J, merged.c_in, merged.c_out
+        offsets = diagonal_offsets(merged.pattern)
+        vals = np.random.default_rng(seed).uniform(-1, 1, (U * C, N))
+        c, ref = ctx(slots=N, levels=2, log_ops=log_ops), ctx(slots=N, levels=2, log_ops=True)
+        op = MixedDiagonals(merged.weights, merged.parts, offsets, (T, J), N)
+        with c.layer("s"):
+            out, has_terms = c.fold_steps(c.encrypt(vals), op)
+        # no diagonals: one zero table, so that no product runs
+        tables = dense_diagonals(merged.matrices, offsets) or [np.zeros((1, C, V))]
+        with ref.layer("s"):
+            want = per_ciphertext_diagonals(ref, ref.encrypt(vals), offsets or [0], tables, 1.0, (T, J))
+        assert out.rows == U * V and out.level == 1
+        assert has_terms.tolist() == [w is not None for w in want]
+        for row, w in zip(unstack(out), want):
+            np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
+        assert c.counter == ref.counter
+        if log_ops:
+            assert coalesce(c.oplog) == coalesce(ref.oplog) and replay_counts(c.oplog) == c.counter
+        else:
+            assert c.oplog == []
+        return op, c.counter.layer("s")
+
+    def test_random_graphs_equal_the_per_ciphertext_schedule(self):
+        """Drawn joints, frames, slot counts (some under 2J - 1, where two
+        diagonals share a rotation amount), partitions, sparse weights,
+        source sets and ``log_ops``."""
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            J, T, P, C, V = (int(n) for n in rng.integers(1, [8, 4, 4, 4, 4]))
+            N = int(2 ** rng.integers(int(np.ceil(np.log2(T * J))), int(np.ceil(np.log2(T * J))) + 2))
+            parts = np.where(rng.uniform(size=(P, J, J)) < 0.4, rng.uniform(0.1, 1, (P, J, J)), 0.0)
+            weights = np.where(rng.uniform(size=(P, C, V)) < 0.6, rng.normal(size=(P, C, V)), 0.0)
+            self.run(MergedSpatialMatrix(weights, parts, np.zeros(V)), T, N, int(rng.integers(1, 3)), bool(rng.integers(2)), int(rng.integers(99)))
+
+    def cancelling(self, P, cancel=True):
+        """A layer on 5 joints whose diagonal 4 (entry (0, 4) alone) has, for
+        P = 3, parts 1 and 2 equal there and opposite weight slabs: the merged
+        entry is exactly zero for every channel pair although both parts are
+        not.  Without ``cancel`` part 2 is half as large there."""
+        rng = np.random.default_rng(41)
+        J, C, V = 5, 3, 4
+        parts = np.zeros((P, J, J))
+        parts[0] = np.where(rng.uniform(size=(J, J)) < 0.5, rng.uniform(0.1, 1, (J, J)), 0.0) + np.eye(J)
+        parts[0, 0, 4] = 0.0
+        weights = rng.normal(size=(P, C, V))
+        if P == 3:
+            parts[1] = np.triu(rng.uniform(0.1, 1, (J, J)), 1)
+            parts[2] = np.tril(rng.uniform(0.1, 1, (J, J)), -1)
+            parts[1, 0, 4] = 0.5
+            parts[2, 0, 4] = 0.5 if cancel else 0.25
+            weights[2] = -weights[1]
+        return MergedSpatialMatrix(weights, parts, np.zeros(V))
+
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_a_partition_sum_that_cancels_is_not_counted(self, P):
+        """Two source sets; for P = 3 diagonal 4 runs nothing and is not rotated."""
+        merged = self.cancelling(P)
+        op, counts = self.run(merged, T=3, N=16, U=2)
+        amounts = [rec[4]["rotation_amount"] for rec in op.records if rec[0] == "rot"]
+        assert (4 in diagonal_offsets(merged.pattern)) == (P == 3) and 4 not in amounts
+        if P == 3:
+            assert not merged.matrices[:, :, 0, 4].any() and merged.parts[1:, 0, 4].all()
+            _, uncancelled = self.run(self.cancelling(P, cancel=False), T=3, N=16, U=2)
+            assert counts["pmult"] < uncancelled["pmult"] and counts["rot"] < uncancelled["rot"]
+
+    def test_a_zero_matrix_gives_zero_rows(self):
+        """No diagonals (zero parts), or diagonals whose products are all zero."""
+        for parts, weights in ((np.zeros((1, 4, 4)), np.ones((1, 2, 3))), (np.ones((2, 4, 4)), np.zeros((2, 2, 3)))):
+            op, counts = self.run(MergedSpatialMatrix(weights, parts, np.zeros(3)), T=2, N=8, U=2)
+            assert op.totals == {} and op.records == () and not op.has_terms.any()
+
+    @pytest.mark.parametrize("log_ops", [False, True])
+    def test_from_dense(self, log_ops):
+        """J * J one-hot parts, each carrying its own dense weights."""
+        rng = np.random.default_rng(42)
+        mats = np.where(rng.uniform(size=(3, 2, 6, 6)) < 0.3, rng.normal(size=(3, 2, 6, 6)), 0.0)
+        op, counts = self.run(MergedSpatialMatrix.from_dense(mats, np.zeros(2)), T=2, N=16, U=2, log_ops=log_ops)
+        assert op.mix.shape == (6, int((mats != 0).any(axis=(0, 1)).sum()) * 6)  # a part no entry reads is dropped
+        assert counts["rot"] > 0
+
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_products_are_the_dense_diagonals(self, P):
+        """Input c at (frame t, joint j) reaches row v at joint k of frame t
+        by the dense entry [c, v, k, j], through the diagonal j - k, and
+        nothing else."""
+        rng = np.random.default_rng(P)
+        J, C, V, T, N = 5, 3, 4, 2, 16
+        parts = [(rng.uniform(size=(J, J)) > 0.5) + np.eye(J) * (p == 0) for p in range(P)]
+        merged = merge_spatial(AdjacencySet(parts), rng.normal(size=(P, C, V)), rng.normal(size=V))
+        op = MixedDiagonals(merged.weights, merged.parts, diagonal_offsets(merged.pattern), (T, J), N)
+        x = np.zeros((C, T, J, C, N))  # source set (c, t, j): input c one-hot at slot t*J + j
+        for c, t, j in np.ndindex(C, T, J):
+            x[c, t, j, c, t * J + j] = 1.0
+        out = op.apply(x.reshape(C * T * J, C, N)).reshape(C, T, J, V, N)
+        for c, t, j in np.ndindex(C, T, J):
+            want = np.zeros((V, N))
+            want[:, t * J : (t + 1) * J] = merged.matrices[c, :, :, j]
+            np.testing.assert_allclose(out[c, t, j], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "weights, parts, grid, slots, match",
+        [
+            ((1, 2, 3), (1, 4, 4), (8, 4), 16, "exceeds slot count"),
+            ((1, 2, 3), (2, 4, 4), (2, 4), 16, "are not"),  # a weight slab per part
+            ((2, 3), (1, 4, 4), (2, 4), 16, "are not"),
+            ((1, 2, 3), (1, 4, 4), (2, 5), 16, "are not"),  # parts of 4 joints on rows of 5
+            ((1, 2, 3), (1, 4, 4), (2, 4), 32, "does not cover"),  # built for other slots
+            ((1, 3, 3), (1, 4, 4), (2, 4), 16, "does not fit"),  # 4 sources, 3 inputs
+        ],
+    )
+    def test_typed_errors(self, weights, parts, grid, slots, match):
+        c = ctx(slots=16, levels=2)
+        with pytest.raises(ValueError, match=match):
+            c.fold_steps(c.encrypt(np.ones((4, 16))), MixedDiagonals(np.ones(weights), np.ones(parts), [0, 1], grid, slots))
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,6 +12,7 @@ from hegcn.packing import (
     ama_layout,
     ama_pack,
     ama_unpack,
+    giant_step_coverage,
     next_pow2,
     rowmajor_layout,
     rowmajor_pack,
@@ -187,3 +188,33 @@ def test_tensor_file_header_is_json_line(tmp_path):
     with open(path, "rb") as fp:
         header = json.loads(fp.readline())
     assert header == {"dims": [1, 1, 2, 2], "dtype": "f64", "order": "bctj"}
+
+
+def scanned_giant_step_coverage(cap, n):
+    """Reference: the greedy scan, one position at a time, deltas in turn
+    (the channels a position has received are the bits of ``seen``)."""
+    served = {}  # delta -> the positions it serves, keyed as the scan meets it
+    for p in range(cap):
+        seen, delta, block = 0, 0, p
+        while seen != (1 << n) - 1:
+            bit = 1 << block % n
+            if not seen & bit:
+                seen |= bit
+                served.setdefault(delta, []).append(p)
+            delta += 1
+            block = (block + 1) % cap
+    masks = {delta: np.zeros(cap, dtype=bool) for delta in served}
+    for delta, ps in served.items():
+        masks[delta][ps] = True
+    return masks
+
+
+def test_giant_step_coverage_matches_the_greedy_scan():
+    """Same deltas in the same key order, same masks, for every cap up to
+    64 and every group size up to it, ragged ones included."""
+    for cap in range(1, 65):
+        for n in range(1, cap + 1):
+            got, want = giant_step_coverage(cap, n), scanned_giant_step_coverage(cap, n)
+            assert list(got) == list(want), (cap, n)
+            for delta, mask in want.items():
+                assert got[delta].dtype == bool and np.array_equal(got[delta], mask), (cap, n, delta)
