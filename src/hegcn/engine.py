@@ -11,31 +11,34 @@ cost model:
   every layer costs exactly one plaintext-multiplication level.
 
 Execution is batched; the schedule and its counts are those of a
-per-ciphertext loop.  Every conv kernel is one prebuilt operator per layer,
-applied by ``SimContext.fold_steps`` to stacks of its input ciphertexts.
-An AMA channel fold is a ``hesim.BlockCirculant`` built from one
-coefficient table over (step, row, term, output block), gathered in one
-vectorized step from the giant steps ``_giant_steps`` lists.  A temporal
-operator carries the tap rotations (the baby steps) and the tap masks, and
-is applied to every chunk of joints; within each block it multiplies only
-the positions some tap mask keeps (half of them after a stride 2).  A
-spatial operator holds the P weight slabs, with terms (partition, group):
-the factored form of the merged sum_p N_p * W_p.  Each chunk of output
-joints mixes the ciphertexts its pieces read with their partition entries
-and applies the layer's operator to the mixes (``hesim.Mixed``), which
-counts what the merged coefficients would.  A row-major conv is one
-operator per layer, applied to every sample's input channels at once: a
-temporal one a ``hesim.Diagonals`` of its taps, a spatial one a
-``hesim.MixedDiagonals`` of the factors, which mixes the joints of every
-frame row by each partition and applies the weight slabs as one GEMM, the
-row-major counterpart of ``hesim.Mixed``.  Rows are joints (AMA temporal),
-output joints (AMA spatial) or output channels (row-major), terms are the
-rotated inputs a row sums, and a term is skipped exactly where its
-coefficients, merged over the partitions, are all zero.  AMA rows run in
-chunks whose source stack stays under ``_CHUNK_BYTES``; a ``Diagonals``
-gathers and multiplies chunks of grid columns under the same bound, at the
-frames some tap mask keeps.  Every count, including the input, tap and
-giant-step rotations and the adds of partial sums, comes from hesim.
+per-ciphertext loop.  A feature map is one stack of ciphertexts in layout
+order, and every kernel reads it whole or by slice or index array and
+writes one output stack: no kernel stacks, unstacks or creates a
+ciphertext per row.  Every conv layer is one prebuilt operator applied by
+one ``SimContext.fold_steps`` to the input stack; the operator runs its
+sources in chunks under ``_CHUNK_BYTES``.  An AMA channel fold is a
+``hesim.BlockCirculant`` built from one coefficient table over (step, row,
+term, output block), gathered in one vectorized step from the giant steps
+``_giant_steps`` lists.  A temporal operator carries the tap rotations (the
+baby steps) and the tap masks, each joint's inputs one source set; within
+each block it multiplies only the positions some tap mask keeps (half of
+them after a stride 2).  A spatial operator holds the P weight slabs, with
+terms (partition, group): the factored form of the merged sum_p N_p * W_p.
+One ``hesim.Mixed`` per layer holds the input joint of every (output
+joint, piece) and the partition entries; it gathers and mixes the
+ciphertexts of each chunk of output joints and applies the layer's
+operator to the mixes, and counts what the merged coefficients would.  A
+row-major conv is one operator per layer, applied to every sample's input
+channels at once: a temporal one a ``hesim.Diagonals`` of its taps, a
+spatial one a ``hesim.MixedDiagonals`` of the factors, which mixes the
+joints of every frame row by each partition and applies the weight slabs
+as one GEMM, the row-major counterpart of ``hesim.Mixed``.  Rows are
+joints (AMA temporal), output joints (AMA spatial) or output channels
+(row-major), terms are the rotated inputs a row sums, and a term is
+skipped exactly where its coefficients, merged over the partitions, are
+all zero.  Biases and activation constants are encrypted once per layer
+as broadcast rows.  Every count, including the input, tap and giant-step
+rotations and the adds of partial sums, comes from hesim.
 
 Values at padding slots, masked-out strided frames and replica copies are
 allowed to go stale; every consumer reads only through masks or anchor
@@ -52,7 +55,7 @@ import numpy as np
 
 from hegcn import costmodel, hesim, packing
 from hegcn.adjacency import MergedSpatialMatrix, decompose, diagonal_offsets, fold_bn, merge_spatial
-from hegcn.hesim import _CHUNK_BYTES, SimCiphertext, SimContext  # one chunk bound, shared with hesim.Diagonals
+from hegcn.hesim import _CHUNK_BYTES, SimCiphertext, SimContext  # one chunk bound, shared with the hesim operators
 from hegcn.model import (
     Activation,
     FullyConnected,
@@ -74,15 +77,19 @@ class DepthBudgetError(Exception):
 
 @dataclass
 class EncryptedFeatureMap:
-    """Ciphertext list plus the layout metadata needed to keep evaluating.
+    """One stack of ciphertexts, in layout order, plus the layout metadata
+    needed to keep evaluating.
 
-    ``t_stride`` and ``t_valid`` track strided temporal downsampling: valid
-    frames sit at physical positions that are multiples of the stride, the
-    rest of the lattice is stale.  ``pooled`` feature maps hold one value
-    per channel at block anchor slots.
+    ``ct`` holds the ``layout.ct_count()`` ciphertexts of the map (AMA:
+    joint-major, ``PackingLayout.ama_ct_index``; row-major: (sample,
+    channel)), or after pooling the pooled ones.  ``t_stride`` and
+    ``t_valid`` track strided temporal downsampling: valid frames sit at
+    physical positions that are multiples of the stride, the rest of the
+    lattice is stale.  ``pooled`` feature maps hold one value per channel at
+    block anchor slots.
     """
 
-    cts: list[SimCiphertext]
+    ct: SimCiphertext
     layout: PackingLayout
     t_stride: int = 1
     t_valid: int = 0
@@ -92,13 +99,10 @@ class EncryptedFeatureMap:
     def __post_init__(self):
         if self.t_valid == 0:
             self.t_valid = self.layout.T
-        levels = {ct.level for ct in self.cts}
-        if len(levels) > 1:
-            raise ValueError(f"feature map has mixed levels: {sorted(levels)}")
 
     @property
     def level(self) -> int:
-        return self.cts[0].level
+        return self.ct.level
 
 
 def default_slot_count(dims) -> int:
@@ -110,31 +114,16 @@ def default_slot_count(dims) -> int:
 # ----------------------------------------------------------------------
 # shared helpers
 
-def _chunks(items, item_bytes: int) -> list:
-    """Consecutive runs of ``items``, each under ``_CHUNK_BYTES`` (at least one item)."""
-    size = max(1, _CHUNK_BYTES // max(item_bytes, 1))
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _zero_fill(ctx: SimContext, rows: list, level: int) -> SimCiphertext:
-    """``rows`` as one stack; a row that received no term (None) becomes an
-    encrypted zero, encrypted once for all such rows and switched to ``level``."""
-    empty = [r for r, ct in enumerate(rows) if ct is None]
-    if empty:
-        zeros = ctx.mod_switch(ctx.encrypt(np.zeros((len(empty), ctx.slot_count))), level)
-        for r, ct in zip(empty, hesim.unstack(zeros)):
-            rows[r] = ct
-    return hesim.stack(rows)
-
-
 def _fold(ctx, src, op) -> SimCiphertext:
     """A prebuilt operator ``op`` applied as one ``SimContext.fold_steps``;
-    a row no term reaches is an encrypted zero.
+    the rows no term reaches are encrypted zeros, encrypted once for all of
+    them and switched to the output level.
     """
     acc, has_terms = ctx.fold_steps(src, op)
     if has_terms.all():
         return acc
-    return _zero_fill(ctx, [ct if h else None for ct, h in zip(hesim.unstack(acc), has_terms)], acc.level)
+    empty = np.flatnonzero(~has_terms)
+    return acc.put(empty, ctx.mod_switch(ctx.encrypt(np.zeros((len(empty), ctx.slot_count))), acc.level))
 
 
 def _giant_steps(lin: PackingLayout, lout: PackingLayout):
@@ -155,22 +144,18 @@ def _giant_steps(lin: PackingLayout, lout: PackingLayout):
     return deltas * lin.pad_bt, lout.block_channels(), reads, serves
 
 
-def _accumulate(ctx: SimContext, terms: list[SimCiphertext]) -> SimCiphertext | None:
-    acc = None
-    for t in terms:
-        acc = t if acc is None else ctx.add(acc, t)
-    return acc
-
-
 def _add_bias(ctx, ct, bias_slots) -> SimCiphertext:
-    """ct + an encrypted bias; a stack takes one bias row per ciphertext."""
+    """ct + an encrypted bias; a stack takes one bias row per ciphertext
+    (a broadcast of the distinct rows is encrypted once)."""
     bct = ctx.encrypt(bias_slots)
     return ctx.add(ct, ctx.mod_switch(bct, ct.level))
 
 
-def _bias_rows_ama(layout: PackingLayout, bias: np.ndarray) -> np.ndarray:
-    """Per-slot bias of every output group, uniform within each channel block."""
-    return np.repeat(np.asarray(bias)[layout.block_channels()], layout.pad_bt, axis=1)
+def _bias_ama(layout: PackingLayout, bias: np.ndarray) -> np.ndarray:
+    """Per-slot bias of every ciphertext, (J, G, slots): uniform within each
+    channel block, the same for every joint."""
+    rows = np.repeat(np.asarray(bias)[layout.block_channels()], layout.pad_bt, axis=1)
+    return np.broadcast_to(rows, (layout.J,) + rows.shape)
 
 
 def _has_bias(bias) -> bool:
@@ -195,15 +180,16 @@ def ama_spatial(
     each reading the input joint its pieces name.
 
     The fold is evaluated factored, as the merged form N_p * W_p allows:
-    the P weight slabs are one block-circulant operator for the layer, with
-    terms (partition, group).  Each chunk of output joints mixes the m * G
-    ciphertexts its pieces read with the (P, m) partition entries of each
-    output joint, and applies that operator to the mixes in one product
-    (``hesim.Mixed``).  The counts are those of the merged coefficients,
-    one ciphertext at a time: a (piece, group) term runs where sum_p
-    N_p[k, j] * W_p[c, o] is not zero.
+    the P weight slabs are one block-circulant operator, with terms
+    (partition, group), and the layer is one ``hesim.Mixed`` around it,
+    which holds the input joint of every (output joint, piece) and the
+    (P, m) partition entries of each output joint.  It gathers and mixes
+    the m * G ciphertexts of each chunk of output joints and applies the
+    operator to the mixes.  The counts are those of the merged
+    coefficients, one ciphertext at a time: a (piece, group) term runs
+    where sum_p N_p[k, j] * W_p[c, o] is not zero.
     """
-    ctx = ctx or fm.cts[0].ctx
+    ctx = ctx or fm.ct.ctx
     lin = fm.layout
     if lin.kind != AMA:
         raise ValueError("ama_spatial needs an AMA-packed feature map")
@@ -228,32 +214,26 @@ def ama_spatial(
     # input joint of (output joint, piece); -1 where the piece has no entry
     # (a zero matrix has no pieces: one empty piece gives every output zero)
     reads = np.array([p.rows for p in pieces] or [[-1] * J], dtype=np.int64).T
-    m = reads.shape[1]
-    # partition entries N_p[k, j] of (output joint k, partition, piece)
+    # partition entries N_p[k, j] of (output joint k, partition, piece); a
+    # piece without an entry reads joint 0 with zeros
     mix = np.where(reads >= 0, merged.parts[:, np.arange(J)[:, None], np.maximum(reads, 0)], 0.0).transpose(1, 0, 2)
-    bias_rows = _bias_rows_ama(lout, merged.bias)
-
-    out_cts = []
-    for ks in _chunks(np.arange(J), m * G * lin.slot_count * 8):
-        src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for k in ks for j in np.maximum(reads[k], 0) for g in range(G)])
-        acc = _fold(ctx, src, hesim.Mixed(op, mix[ks]))
-        if _has_bias(merged.bias):
-            acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(ks), 1)))
-        out_cts += hesim.unstack(acc)
-    return EncryptedFeatureMap(out_cts, lout, fm.t_stride, fm.t_valid, label=fm.label)
+    acc = _fold(ctx, fm.ct, hesim.Mixed(op, mix, np.maximum(reads, 0), J))
+    if _has_bias(merged.bias):
+        acc = _add_bias(ctx, acc, _bias_ama(lout, merged.bias))
+    return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid, label=fm.label)
 
 
-def _rowmajor_fold(ctx, fm, op, bias) -> list[SimCiphertext]:
+def _rowmajor_fold(ctx, fm, op, bias) -> SimCiphertext:
     """Row-major mixing: the prebuilt ``op`` applied to every sample's input
     channels at once, each sample one of its source sets, then ``bias[o]``
     added on the T x J grid of output channel o."""
     lin = fm.layout
-    acc = _fold(ctx, hesim.stack(fm.cts), op)
+    acc = _fold(ctx, fm.ct, op)
     if _has_bias(bias):
         # one row per (sample, output channel) over the grid; encrypt zeroes the tail
-        rows = np.tile(np.asarray(bias, dtype=np.float64), lin.B)[:, None]
-        acc = _add_bias(ctx, acc, np.broadcast_to(rows, (len(rows), lin.T * lin.J)))
-    return hesim.unstack(acc)
+        bias = np.asarray(bias, dtype=np.float64)
+        acc = _add_bias(ctx, acc, np.broadcast_to(bias[:, None], (lin.B, len(bias), lin.T * lin.J)))
+    return acc
 
 
 def rowmajor_spatial(
@@ -271,7 +251,7 @@ def rowmajor_spatial(
     merged coefficients sum_p N_p * W_p would be.  A zero matrix has no
     diagonals and gives every output zero.
     """
-    ctx = ctx or fm.cts[0].ctx
+    ctx = ctx or fm.ct.ctx
     lin = fm.layout
     if lin.kind != ROWMAJOR:
         raise ValueError("rowmajor_spatial needs a row-major feature map")
@@ -281,9 +261,9 @@ def rowmajor_spatial(
         raise hesim.LevelError("level exhausted before spatial conv")
 
     op = hesim.MixedDiagonals(merged.weights, merged.parts, diagonal_offsets(merged.pattern), (lin.T, lin.J), lin.slot_count)
-    out_cts = _rowmajor_fold(ctx, fm, op, merged.bias)
+    acc = _rowmajor_fold(ctx, fm, op, merged.bias)
     lout = packing.rowmajor_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
-    return EncryptedFeatureMap(out_cts, lout, fm.t_stride, fm.t_valid, label=fm.label)
+    return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid, label=fm.label)
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +303,7 @@ def temporal_conv(
     spatial layer.  Stride 2 is a masked decimation: the layout keeps its
     padding and odd frames simply go stale.
     """
-    ctx = ctx or fm.cts[0].ctx
+    ctx = ctx or fm.ct.ctx
     lin = fm.layout
     if layer.kernel % 2 == 0:
         raise ValueError("kernel must be odd")
@@ -356,15 +336,15 @@ def temporal_conv(
 
 
 def _temporal_ama(fm, W, bias, taps, masks, ctx):
-    """Rows of the fold are joints (in chunks), terms are (input group, tap).
+    """Rows of the fold are joints, terms are (input group, tap).
 
     Block weights do not depend on the joint, so the block-circulant
-    operator, taps included, is built once per layer and applied to every
-    chunk of joints; a chunk's source stack holds only its G inputs per
-    joint, and ``fold_steps`` rotates them by the taps.
+    operator, taps included, is built once per layer and applied to the
+    whole feature map, each joint's G inputs one source set; ``fold_steps``
+    rotates them by the taps, in chunks of joints.
     """
     lin = fm.layout
-    J, G, K = lin.J, lin.cts_per_joint, len(taps)
+    G, K = lin.cts_per_joint, len(taps)
     amounts, out_chan, c_read, serves = _giant_steps(lin, lin)
     # W over (step, h, g, tap, block)
     w = W[out_chan[:, None, None], c_read[:, None, :, None], np.arange(K)[:, None]]
@@ -372,16 +352,10 @@ def _temporal_ama(fm, W, bias, taps, masks, ctx):
     coef = w.reshape(len(amounts), 1, G, G * K, lin.capacity)
     vec = np.tile(np.array([masks[kappa] for kappa, _ in taps])[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
     op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), [eps * fm.t_stride for _, eps in taps], vec)
-    bias_rows = _bias_rows_ama(lin, bias)
-
-    out_cts = []
-    for js in _chunks(range(J), G * K * lin.slot_count * 8):
-        src = hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for j in js for g in range(G)])
-        acc = _fold(ctx, src, op)
-        if _has_bias(bias):
-            acc = _add_bias(ctx, acc, np.tile(bias_rows, (len(js), 1)))
-        out_cts += hesim.unstack(acc)
-    return EncryptedFeatureMap(out_cts, lin, fm.t_stride, fm.t_valid, label=fm.label)
+    acc = _fold(ctx, fm.ct, op)
+    if _has_bias(bias):
+        acc = _add_bias(ctx, acc, _bias_ama(lin, bias))
+    return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid, label=fm.label)
 
 
 def _temporal_rowmajor(fm, W, bias, taps, masks, ctx):
@@ -395,8 +369,7 @@ def _temporal_rowmajor(fm, W, bias, taps, masks, ctx):
         # masks were built over one T-row; each frame row spans J slots
         np.array([masks[kappa][: lin.T] for kappa, _ in taps])[:, None],
     )
-    out_cts = _rowmajor_fold(ctx, fm, op, bias)
-    return EncryptedFeatureMap(out_cts, lin, fm.t_stride, fm.t_valid, label=fm.label)
+    return EncryptedFeatureMap(_rowmajor_fold(ctx, fm, op, bias), lin, fm.t_stride, fm.t_valid, label=fm.label)
 
 
 # ----------------------------------------------------------------------
@@ -410,33 +383,27 @@ def poly_activation(
     c: float,
     ctx: SimContext | None = None,
 ) -> EncryptedFeatureMap:
-    """a*x^2 + b*x + c per slot: one CMult, two PMults, two Adds, two levels."""
-    ctx = ctx or fm.cts[0].ctx
+    """a*x^2 + b*x + c per slot: one CMult, two PMults, two Adds, two levels,
+    each one op on the whole stack; the constant is one encrypted row."""
+    ctx = ctx or fm.ct.ctx
     if fm.level < 2:
         raise hesim.LevelError(f"activation needs level >= 2, have {fm.level}")
-    out_cts = []
-    for cts in _chunks(fm.cts, ctx.slot_count * 8):
-        x = hesim.stack(cts)
-        quad = ctx.pmult(ctx.cmult(x, x), float(a))
-        poly = ctx.add(quad, ctx.mod_switch(ctx.pmult(x, float(b)), quad.level))
-        const = ctx.mod_switch(ctx.encrypt(np.full((x.rows, ctx.slot_count), float(c))), poly.level)
-        out_cts += hesim.unstack(ctx.add(poly, const))
-    return EncryptedFeatureMap(
-        out_cts, fm.layout, fm.t_stride, fm.t_valid, fm.pooled, fm.label
-    )
+    x = fm.ct
+    poly = ctx.add(ctx.pmult(ctx.cmult(x, x), float(a)), ctx.mod_switch(ctx.pmult(x, float(b)), x.level - 2))
+    const = ctx.mod_switch(ctx.encrypt(np.broadcast_to(float(c), (x.rows, ctx.slot_count))), poly.level)
+    return EncryptedFeatureMap(ctx.add(poly, const), fm.layout, fm.t_stride, fm.t_valid, fm.pooled, fm.label)
 
 
 def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> EncryptedFeatureMap:
     """Mean over valid frames and all joints; output anchored per channel.
 
-    AMA: the stack of every joint's G group ciphertexts is summed over the
-    joints (J-1 adds per group), a rotate-and-add halving tree folds the
-    valid frames, then one masked PMult scales by 1/(frames*joints) and
-    cleans every non-anchor slot.  Row-major: mask-scale first, then a
-    full-slot halving fold leaves the mean replicated in every slot; each
-    step runs on a stack of ciphertexts.
+    AMA: the J joint stacks of G group ciphertexts are summed (J-1 adds per
+    group), a rotate-and-add halving tree folds the valid frames, then one
+    masked PMult scales by 1/(frames*joints) and cleans every non-anchor
+    slot.  Row-major: mask-scale first, then a full-slot halving fold leaves
+    the mean replicated in every slot.  Each step is one op on the stack.
     """
-    ctx = ctx or fm.cts[0].ctx
+    ctx = ctx or fm.ct.ctx
     lin = fm.layout
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before pooling")
@@ -446,27 +413,22 @@ def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> E
     count = tv * lin.J
 
     if lin.kind == AMA:
-        G, pad, cap = lin.cts_per_joint, lin.pad_bt, lin.capacity
+        pad, cap = lin.pad_bt, lin.capacity
         mask = np.zeros(lin.slot_count)  # the anchor slot of every (block, sample)
         mask[np.arange(cap)[:, None] * pad + np.arange(lin.B) * lin.T] = 1.0 / count
-        acc = _accumulate(ctx, [hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for g in range(G)]) for j in range(lin.J)])
+        acc = ctx.sum_parts(fm.ct, lin.J)
         for i in range(int(math.log2(tv))):
             acc = ctx.add(acc, ctx.rotate(acc, sigma * (tv >> (i + 1))))
-        out_cts = hesim.unstack(ctx.pmult(acc, mask))
-        return EncryptedFeatureMap(out_cts, lin, sigma, tv, pooled=True, label=fm.label)
+        return EncryptedFeatureMap(ctx.pmult(acc, mask), lin, sigma, tv, pooled=True, label=fm.label)
 
     # row-major
     q = np.arange(lin.slot_count)
     t = q // lin.J
     valid = (q < lin.T * lin.J) & (t % sigma == 0) & (t // sigma < tv)
-    mask = np.where(valid, 1.0 / count, 0.0)
-    out_cts = []
-    for cts in _chunks(fm.cts, ctx.slot_count * 8):
-        acc = ctx.pmult(hesim.stack(cts), mask)
-        for i in range(int(math.log2(lin.slot_count))):
-            acc = ctx.add(acc, ctx.rotate(acc, lin.slot_count >> (i + 1)))
-        out_cts += hesim.unstack(acc)
-    return EncryptedFeatureMap(out_cts, lin, sigma, tv, pooled=True, label=fm.label)
+    acc = ctx.pmult(fm.ct, np.where(valid, 1.0 / count, 0.0))
+    for i in range(int(math.log2(lin.slot_count))):
+        acc = ctx.add(acc, ctx.rotate(acc, lin.slot_count >> (i + 1)))
+    return EncryptedFeatureMap(acc, lin, sigma, tv, pooled=True, label=fm.label)
 
 
 def fully_connected(
@@ -475,14 +437,16 @@ def fully_connected(
     bias: np.ndarray,
     ctx: SimContext | None = None,
 ) -> list[SimCiphertext]:
-    """Class scores from a pooled feature map; one ciphertext per class (AMA)
-    or per sample (row-major)."""
-    ctx = ctx or fm.cts[0].ctx
+    """Class scores from a pooled feature map: stacks of one ciphertext per
+    class (AMA, in chunks of classes) or one stack of one per sample
+    (row-major).  Every plaintext table stays under ``_CHUNK_BYTES``."""
+    ctx = ctx or fm.ct.ctx
     if not fm.pooled:
         raise ValueError("fully_connected expects a pooled feature map")
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before the classifier")
     lin = fm.layout
+    N = lin.slot_count
     weights = np.asarray(weights, dtype=np.float64)
     bias = np.zeros(weights.shape[1]) if bias is None else np.asarray(bias, dtype=np.float64)
     classes = weights.shape[1]
@@ -491,52 +455,46 @@ def fully_connected(
 
     if lin.kind == AMA:
         G, pad, cap = lin.cts_per_joint, lin.pad_bt, lin.capacity
-        # per group, a channel's weight at the anchor slot of every sample in
-        # its first block copy; one class at a time, written over the last
-        # class's in one buffer (a PMult keeps no reference to its plaintext)
+        # per (group, class), a channel's weight at the anchor slot of every
+        # sample in its first block copy: G PMults and G - 1 Adds per class.
+        # Chunks of classes are written over the last one's in one buffer (a
+        # PMult keeps no reference to its plaintext).
         anchors = [np.arange(lin.group_size(g))[:, None] * pad + np.arange(lin.B) * lin.T for g in range(G)]
-        plains = np.zeros((G, lin.slot_count))
+        size = max(1, _CHUNK_BYTES // (G * N * 8))
+        plains = np.zeros((G, min(size, classes), N))
         score_cts = []
-        for s in range(classes):
+        for s in range(0, classes, size):
+            cls = np.arange(s, min(s + size, classes))
             for g in range(G):
-                plains[g, anchors[g]] = weights[lin.group_channels(g), s, None]
-            terms = [ctx.pmult(fm.cts[g], plains[g]) for g in range(G)]
-            acc = _accumulate(ctx, terms)
+                plains[g][: len(cls), anchors[g]] = weights[lin.group_channels(g)][:, cls].T[..., None]
+            acc = ctx.sum_parts(ctx.pmult(fm.ct.repeat(len(cls)), plains[:, : len(cls)]), G)
             for i in range(int(math.log2(cap))):
                 acc = ctx.add(acc, ctx.rotate(acc, pad * (cap >> (i + 1))))
-            acc = _add_bias(ctx, acc, np.full(lin.slot_count, bias[s]))
-            score_cts.append(acc)
+            score_cts.append(_add_bias(ctx, acc, np.broadcast_to(bias[cls, None], (len(cls), N))))
         return score_cts
 
     # row-major: pooled means are replicated, so one fused plaintext per
-    # input ciphertext carries the whole weight row and no rotation is needed
-    score_cts = []
-    for b in range(lin.B):
-        terms = []
-        for c in range(lin.C):
-            plain = np.zeros(lin.slot_count)
-            plain[:classes] = weights[c]
-            terms.append(ctx.pmult(fm.cts[b * lin.C + c], plain))
-        acc = _accumulate(ctx, terms)
-        plain_bias = np.zeros(lin.slot_count)
-        plain_bias[:classes] = bias
-        acc = _add_bias(ctx, acc, plain_bias)
-        score_cts.append(acc)
-    return score_cts
+    # input ciphertext carries the whole weight row and no rotation is
+    # needed; input channels in chunks, each plaintext shared by the samples
+    B, C = lin.B, lin.C
+    size = max(1, _CHUNK_BYTES // (N * 8))
+    acc = None
+    for c in range(0, C, size):
+        cs = np.arange(c, min(c + size, C))
+        # rows (channel, sample); pmult zero-pads each distinct weight row once
+        terms = ctx.pmult(fm.ct.take((np.arange(B) * C + cs[:, None]).ravel()), np.broadcast_to(weights[cs, None], (len(cs), B, classes)))
+        part = ctx.sum_parts(terms, len(cs))
+        acc = part if acc is None else ctx.add(acc, part)
+    return [_add_bias(ctx, acc, np.broadcast_to(bias, (B, classes)))]
 
 
 def extract_scores(score_cts, fm_layout: PackingLayout, classes: int) -> np.ndarray:
     """Decrypt class scores into a (B, classes) array."""
-    B = fm_layout.B
-    out = np.zeros((B, classes))
+    B, N = fm_layout.B, fm_layout.slot_count
+    slots = np.concatenate([ct.slots.reshape(ct.rows, N) for ct in score_cts])
     if fm_layout.kind == AMA:
-        for s, ct in enumerate(score_cts):
-            for b in range(B):
-                out[b, s] = ct.slots[b * fm_layout.T]
-    else:
-        for b, ct in enumerate(score_cts):
-            out[b] = ct.slots[:classes]
-    return out
+        return slots[:classes, np.arange(B) * fm_layout.T].T.copy()
+    return slots[:B, :classes].copy()
 
 
 # ----------------------------------------------------------------------
@@ -604,13 +562,13 @@ def run_model(
 
     with ctx.layer("pack"):
         if fmt == AMA:
-            cts, layout = packing.ama_pack(x, ctx)
+            ct, layout = packing.ama_pack(x, ctx)
         else:
-            cts, layout = packing.rowmajor_pack(x, ctx)
-    fm = EncryptedFeatureMap(cts, layout)
+            ct, layout = packing.rowmajor_pack(x, ctx)
+    fm = EncryptedFeatureMap(ct, layout)
 
     trace = []
-    ct_counts = {"pack": len(fm.cts)}
+    ct_counts = {"pack": ct.rows}
     score_cts = None
     classes = None
     for label, layer in zip(spec.labels(), spec.layers):
@@ -633,7 +591,7 @@ def run_model(
                 raise ValueError(f"unknown layer {layer!r}")
         after = fm.level if score_cts is None else score_cts[0].level
         trace.append({"layer": label, "before": before, "after": after, "consumed": before - after})
-        ct_counts[label] = len(fm.cts) if score_cts is None else len(score_cts)
+        ct_counts[label] = fm.ct.rows if score_cts is None else sum(ct.rows for ct in score_cts)
     trace.append({"layer": "headroom", "before": None, "after": None, "consumed": 1})
 
     if score_cts is None:
@@ -726,12 +684,12 @@ def dense_matmul_case(fmt: str, B: int, C: int, J: int, T: int = 4, seed: int = 
     label = "matmul"
     with ctx.layer(label):
         if fmt == AMA:
-            cts, layout = packing.ama_pack(x, ctx)
-            fm = ama_spatial(EncryptedFeatureMap(cts, layout), merged, ctx=ctx)
-            got = packing.ama_unpack(fm.cts, fm.layout).data
+            ct, layout = packing.ama_pack(x, ctx)
+            fm = ama_spatial(EncryptedFeatureMap(ct, layout), merged, ctx=ctx)
+            got = packing.ama_unpack(fm.ct, fm.layout).data
         else:
-            cts, layout = packing.rowmajor_pack(x, ctx)
-            fm = rowmajor_spatial(EncryptedFeatureMap(cts, layout), merged, ctx=ctx)
-            got = packing.rowmajor_unpack(fm.cts, fm.layout).data
+            ct, layout = packing.rowmajor_pack(x, ctx)
+            fm = rowmajor_spatial(EncryptedFeatureMap(ct, layout), merged, ctx=ctx)
+            got = packing.rowmajor_unpack(fm.ct, fm.layout).data
     err = float(np.max(np.abs(got - merged.apply(x.data))))
     return ctx.counter.layer(label), err

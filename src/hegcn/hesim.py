@@ -12,53 +12,59 @@ Level discipline:
   * additions require equal levels (use ``mod_switch`` to align);
   * rotation by zero is the identity and is neither counted nor logged.
 
-Batching: a ciphertext may hold an (n, slots) stack of n ciphertexts at one
-level.  Every op on a stack counts n and writes one log record with a
-``count`` field (left out when n = 1).  ``fold_steps`` is the one fused
-multiply-accumulate: it applies a prebuilt operator, the baby-step/giant-step
-product of Halevi and Shoup (CRYPTO 2018), to a stack of input ciphertexts.
-A ``BlockCirculant`` (AMA) holds the tap rotations of the inputs (the baby
-steps) and many folds rotated by whole blocks (the giant steps) as one
-block-circulant matrix.  A ``Mixed`` applies one shared ``BlockCirculant`` to
-linear mixes of each source set's inputs: the factored form of a fold whose
-coefficients are sums of products, as in an AMA spatial conv, where the
-shared matrix holds the weight slabs and the mix the partition entries.  The
-row-major operators are the diagonal method with one giant step of 0: a
-``Diagonals`` (temporal conv) holds the tap rotations as the baby steps, with
-one coefficient per (tap, input, output) for every column, and a
-``MixedDiagonals`` (spatial conv) rotates by the diagonals of the joint
-pattern and is applied factored, like a ``Mixed``: the joints of every frame
-row are mixed by each partition, then the weight slabs are one GEMM.  Both
-count with one per-amount rule (``_diagonal_records``).  Each operator is
-built once per layer (a ``Mixed`` once per chunk of source sets, around its
-layer's operator), holds the plaintext factors that scale its terms,
-precomputes its counter totals and op records, and is applied as one batched
-matrix product (a ``BlockCirculant`` skips the within-block positions its
-factors zero); ``fold_steps`` adds its totals to the counter once and writes
-its records only when ``log_ops`` is on.  The counts are those of the
-schedule one ciphertext at a time: a rotation per input and amount some term
-reads, and a PMult per term that runs (its coefficients, for a ``Mixed`` the
-combined ones and for a ``MixedDiagonals`` the merged ones, are not all
-zero), with the Adds that sum them.  ``stack`` and ``unstack`` are
-bookkeeping and count nothing.
+Batching: a ciphertext may hold a stack of n ciphertexts at one level,
+(n, slots) or with more leading axes.  Every op on a stack counts n and
+writes one log record with a ``count`` field (left out when n = 1): a
+whole feature map is one stack, and a layer is a few ops on it.  An
+encryption of rows broadcast along some axes keeps one copy of the
+distinct rows; a PMult takes one plaintext for all rows or one per row;
+``sum_parts`` adds the equal consecutive parts of a stack.  ``take``,
+``put``, ``stack`` and ``unstack`` are bookkeeping and count nothing.
+
+``fold_steps`` is the one fused multiply-accumulate: it applies a prebuilt
+operator, the baby-step/giant-step product of Halevi and Shoup (CRYPTO
+2018), to a stack of input ciphertexts.  A ``BlockCirculant`` (AMA) holds
+the tap rotations of the inputs (the baby steps) and many folds rotated by
+whole blocks (the giant steps) as one block-circulant matrix.  A ``Mixed``
+applies one shared ``BlockCirculant`` to linear mixes of a layer's inputs:
+the factored form of a fold whose coefficients are sums of products, as in
+an AMA spatial conv, where the shared matrix holds the weight slabs, the
+mix the partition entries and a read index the input joint of every
+(output joint, piece).  The row-major operators are the diagonal method
+with one giant step of 0: a ``Diagonals`` (temporal conv) holds the tap
+rotations as the baby steps, with one coefficient per (tap, input, output)
+for every column, and a ``MixedDiagonals`` (spatial conv) rotates by the
+diagonals of the joint pattern and is applied factored, like a ``Mixed``:
+the joints of every frame row are mixed by each partition, then the weight
+slabs are one GEMM.  Both count with one per-amount rule
+(``_diagonal_counts``).  Each operator is built once per layer, holds the
+plaintext factors that scale its terms, works out its counter totals with
+vectorized sums when it is built and its op records only when they are
+first read, and is applied as batched matrix products over chunks of its
+sources that stay under ``_CHUNK_BYTES`` (a ``BlockCirculant`` skips the
+within-block positions its factors zero); ``fold_steps`` adds its totals
+to the counter once and writes its records only when ``log_ops`` is on.
+The counts are those of the schedule one ciphertext at a time: a rotation
+per input and amount some term reads, and a PMult per term that runs (its
+coefficients, for a ``Mixed`` the combined ones and for a
+``MixedDiagonals`` the merged ones, are not all zero), with the Adds that
+sum them.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from contextlib import contextmanager
 
 import numpy as np
 
-#: Upper bound on the bytes of one chunk's source stack, plaintext table or
-#: gathered buffer.  Kernels and ``Diagonals`` run in chunks that stay below
-#: it (at least one item each).  Measured on the reference model (slot
-#: 8192): 2 MB and 256 KB run equally fast, 256 KB keeps the run's peak
-#: memory lower and the activation's elementwise ops in cache.  A
-#: ``Diagonals`` item is one grid column with all its frames: splitting the
-#: frames to stay under the bound made a 128-channel temporal layer at slot
-#: 8192 2.2x slower.
+#: Upper bound on the bytes of one chunk's gathered sources, mixes, tap-rotated
+#: terms or plaintext table.  The operators and the classifier head run in
+#: chunks that stay below it (at least one item each).  Measured on the
+#: reference model (slot 8192): 2 MB and 256 KB run equally fast, 256 KB
+#: keeps the run's peak memory lower.  A ``Diagonals`` item is one grid
+#: column with all its frames: splitting the frames to stay under the bound
+#: made a 128-channel temporal layer at slot 8192 2.2x slower.
 _CHUNK_BYTES = 256 << 10
 
 #: Counter names, in the order they appear in reports.  Rescale is
@@ -123,8 +129,10 @@ class SimCiphertext:
     """Immutable slot vector with a remaining-level budget and an opaque id.
 
     ``slots`` is one vector of ``slot_count`` values, or a stack of shape
-    (n, slot_count): n ciphertexts at one level that every operation treats
-    row by row and counts n times.
+    (..., slot_count): the n ciphertexts of its leading axes, in row-major
+    order, at one level, that every operation treats row by row and counts
+    n times.  A stack may be a read-only broadcast view, such as an
+    encryption of one row repeated n times.
     """
 
     __slots__ = ("slots", "level", "id", "ctx")
@@ -139,8 +147,30 @@ class SimCiphertext:
 
     @property
     def rows(self) -> int:
-        """Ciphertexts held: 1 for a single vector, n for an (n, slots) stack."""
-        return 1 if self.slots.ndim == 1 else self.slots.shape[0]
+        """Ciphertexts held: 1 for a single vector, n for a stack of n."""
+        return 1 if self.slots.ndim == 1 else self.slots.size // self.slots.shape[-1]
+
+    def take(self, index) -> "SimCiphertext":
+        """The rows ``index`` (a slice or an index array) as one stack.
+
+        Bookkeeping, not an HE operation: nothing is counted or logged.
+        """
+        return self.ctx._new_ct(self.slots.reshape(self.rows, -1)[index], self.level)
+
+    def repeat(self, n: int) -> "SimCiphertext":
+        """The stack with each row repeated n times in a row, as a read-only
+        broadcast view (bookkeeping, nothing counted)."""
+        slots = self.slots.reshape(self.rows, 1, -1)
+        return self.ctx._new_ct(np.broadcast_to(slots, (self.rows, n, slots.shape[-1])), self.level)
+
+    def put(self, index, rows: "SimCiphertext") -> "SimCiphertext":
+        """A copy of the stack with the rows ``index`` replaced by those of
+        ``rows``, at the same level (bookkeeping, nothing counted)."""
+        if rows.level != self.level:
+            raise LevelError(f"cannot put rows at level {rows.level} into a stack at level {self.level}")
+        slots = np.array(self.slots.reshape(self.rows, -1))
+        slots[index] = rows.slots.reshape(rows.rows, -1)
+        return self.ctx._new_ct(slots, self.level)
 
     def __repr__(self) -> str:
         shape = "x".join(map(str, self.slots.shape))
@@ -166,50 +196,129 @@ def unstack(ct: SimCiphertext) -> list[SimCiphertext]:
     """The rows of a stack as single ciphertexts (views, nothing counted)."""
     if ct.slots.ndim == 1:
         return [ct]
-    return [ct.ctx._new_ct(row, ct.level) for row in ct.slots]
+    return [ct.ctx._new_ct(row, ct.level) for row in ct.slots.reshape(ct.rows, -1)]
 
 
-def _giant_step_records(amounts, runs) -> tuple[list, np.ndarray]:
-    """The giant-step records of a fold whose (S, sets, V, T) ``runs`` mark
-    the terms that run in each step, and the (sets*V) rows some step reaches.
+def _padded(values: np.ndarray, slot_count: int, transform=None) -> np.ndarray:
+    """(..., k) values as (..., slot_count) slots, zero past k, with
+    ``transform`` applied to the slots.  Leading axes along which ``values``
+    is a broadcast (stride 0) stay broadcast: the distinct rows are padded
+    once and the result is a read-only view of them."""
+    if values.shape[-1] > slot_count:
+        raise ValueError(f"{values.shape[-1]} values exceed slot count {slot_count}")
+    lead = values.shape[:-1]
+    distinct = values[tuple(slice(0, 1) if s == 0 else slice(None) for s in values.strides[:-1])]
+    slots = np.zeros(distinct.shape[:-1] + (slot_count,))
+    slots[..., : values.shape[-1]] = distinct
+    if transform is not None:
+        slots = transform(slots)
+    return slots if distinct.shape[:-1] == lead else np.broadcast_to(slots, lead + (slot_count,))
+
+
+def _rowwise(ufunc, x: np.ndarray, y) -> np.ndarray:
+    """``ufunc`` of a slot array and a float, a slot vector or a slot array
+    holding the same rows, in the shape of ``x``; a ``y`` with more leading
+    axes (a broadcast stack) is met by viewing ``x`` in its shape."""
+    if type(y) is float or x.shape == y.shape or y.ndim == 1:
+        return ufunc(x, y)
+    if y.ndim > x.ndim:
+        return ufunc(x.reshape(y.shape), y).reshape(x.shape)
+    return ufunc(x, y.reshape(x.shape))
+
+
+#: Record layouts, one tuple per step of an operator's schedule: (op, levels
+#: spent before, levels spent after, carries the step's rotation amount).
+_TAP = (("rot", 0, 0, True),)
+_GIANT_STEP = (("pmult", 0, 1, False), ("add", 1, 1, False), ("rot", 1, 1, True), ("add", 1, 1, False))
+_DIAGONAL = (("rot", 0, 0, True), ("pmult", 0, 1, False), ("add", 1, 1, False), ("add", 1, 1, False))
+
+
+def _merges(rows: np.ndarray) -> np.ndarray:
+    """Per step of (steps, R) ``rows``, the rows that already hold a partial sum of an earlier step."""
+    merges = np.zeros(len(rows), np.int64)
+    merges[1:] = (rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]).sum(axis=1)
+    return merges
+
+
+def _giant_step_counts(amounts: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_GIANT_STEP`` counts of a fold whose (S, R) ``terms`` count the
+    terms that run in each step and row, and the R rows some step reaches.
 
     Per step: its PMults, its Adds of products, one rotation by the step's
     amount (mod slot count, none when 0) per row with terms, and one Add per
     row that already holds a partial sum.
     """
-    S, sets, V, _ = runs.shape
-    terms = runs.sum(axis=-1).reshape(S, sets * V)
     rows = terms > 0
-    merges = np.zeros_like(rows)
-    merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
-    records = []
-    for rotation, pmults, adds, n_rows, n_merges in zip(
-        amounts.tolist(),
-        terms.sum(axis=1).tolist(),
-        np.maximum(terms - 1, 0).sum(axis=1).tolist(),
-        rows.sum(axis=1).tolist(),
-        merges.sum(axis=1).tolist(),
-    ):
-        records += [
-            ("pmult", pmults, 0, 1, {}),
-            ("add", adds, 1, 1, {}),
-            ("rot", n_rows if rotation else 0, 1, 1, {"rotation_amount": rotation}),
-            ("add", n_merges, 1, 1, {}),
-        ]
-    return records, rows.any(axis=0)
+    counts = np.stack(
+        (terms.sum(axis=1), np.maximum(terms - 1, 0).sum(axis=1), np.where(amounts != 0, rows.sum(axis=1), 0), _merges(rows)),
+        axis=1,
+    )
+    return counts, rows.any(axis=0)
 
 
-def _tally(records) -> tuple[tuple, dict]:
-    """The records that count something, and their totals per counter."""
-    records = tuple(rec for rec in records if rec[1])
-    totals = dict.fromkeys(OPS, 0)
-    for op, n, *_ in records:
-        totals[op] += n
-    totals["rescale"] = totals["pmult"]
-    return records, {op: n for op, n in totals.items() if n}
+def _diagonal_counts(amounts, runs: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct amounts (mod slot count, in first-appearance order) of
+    the diagonal method whose (D, inputs, rows) ``runs`` mark the products
+    that run for each of D diagonals or taps, their ``_DIAGONAL`` counts,
+    and the rows some product reaches.
+
+    Per distinct amount: one rotation per input some product of the amount
+    reads (none for amount 0), one PMult per product, ``products - 1`` Adds
+    per row, and one Add per row with products that already holds a partial
+    sum of an earlier amount.
+    """
+    distinct = list(dict.fromkeys(amounts))
+    member = np.array(amounts)[None, :] == np.array(distinct)[:, None]  # (distinct amounts, D)
+    reads = (member @ runs.any(axis=2)) > 0
+    per_row = (member.astype(np.float64) @ runs.sum(axis=1)).astype(np.int64)
+    rows = per_row > 0
+    counts = np.stack(
+        (
+            np.where(np.array(distinct) != 0, reads.sum(axis=1), 0),
+            per_row.sum(axis=1),
+            np.maximum(per_row - 1, 0).sum(axis=1),
+            _merges(rows),
+        ),
+        axis=1,
+    )
+    return distinct, counts, rows.any(axis=0)
 
 
-class BlockCirculant:
+class _Counted:
+    """What a prebuilt operator counts: ``totals`` per counter, worked out
+    from per-step count tables when the operator is built, and ``records``,
+    the op log of one source set in the schedule's order, expanded from the
+    same tables only when first read.  Each record is (op, count, levels
+    spent before, levels spent after, extra fields); steps that count
+    nothing write none."""
+
+    __slots__ = ("totals", "_tables", "_records")
+
+    def _count(self, *tables) -> None:
+        """``tables`` are (layout, amounts, counts): per step one amount and
+        one row of counts, one per record of the layout."""
+        totals = dict.fromkeys(OPS, 0)
+        for layout, _, counts in tables:
+            for (op, *_), n in zip(layout, counts.sum(axis=0).tolist()):
+                totals[op] += n
+        totals["rescale"] = totals["pmult"]
+        self.totals = {op: n for op, n in totals.items() if n}
+        self._tables, self._records = tables, None
+
+    @property
+    def records(self) -> tuple:
+        if self._records is None:
+            self._records = tuple(
+                (op, n, before, after, {"rotation_amount": a} if rotates else {})
+                for layout, amounts, counts in self._tables
+                for a, row in zip(amounts, counts.tolist())
+                for (op, before, after, rotates), n in zip(layout, row)
+                if n
+            )
+        return self._records
+
+
+class BlockCirculant(_Counted):
     """The baby-step/giant-step operator of one AMA channel fold, built once
     and applied by ``SimContext.fold_steps`` to any number of source stacks.
 
@@ -244,18 +353,16 @@ class BlockCirculant:
     block for all when they are the same in every block, and None when
     every factor is 1.
 
-    ``has_terms`` marks the (sets*V) rows some step reaches.  ``records``
-    lists the op log of one source set in the schedule's order: one rotation
-    per distinct nonzero tap amount of the inputs some pair of it reads, then
-    per giant step its PMults, its Adds of products, one rotation per row
-    with terms (none when the amount is 0 mod n1*n2) and one Add per row that
-    already holds a partial sum.  Each record is (op, count, levels spent
-    before, levels spent after, extra fields); ``totals`` sums them per
-    counter.  The arrays are read-only and ``fold_steps`` changes nothing,
-    so one operator serves any number of source stacks.
+    ``has_terms`` marks the (sets*V) rows some step reaches.  The records of
+    one source set are one rotation per distinct nonzero tap amount of the
+    inputs some pair of it reads, then per giant step its PMults, its Adds
+    of products, one rotation per row with terms (none when the amount is 0
+    mod n1*n2) and one Add per row that already holds a partial sum.  The
+    arrays are read-only and ``fold_steps`` changes nothing, so one operator
+    serves any number of source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "taps", "amounts", "sets", "rows", "terms", "inputs", "coef", "matrix", "vec", "live", "has_terms", "records", "totals")
+    __slots__ = ("grid", "slot_count", "taps", "amounts", "sets", "rows", "terms", "inputs", "coef", "matrix", "vec", "live", "has_terms")
 
     def __init__(self, amounts, coef, grid, taps=(0,), vec=1.0):
         n1, n2 = grid
@@ -282,13 +389,13 @@ class BlockCirculant:
         su, sv, st, sb, sk = E.strides
         mat = np.lib.stride_tricks.as_strided(E[..., n1:], (sets, V, n1, T, n1), (su, sv, sb - sk, st, sk)).copy()
         runs = coef.any(axis=-1)  # (S, sets, V, T): the terms that run
+        # the inputs each distinct tap amount rotates: some pair at one of its taps is read
         reads = runs.any(axis=(0, 2)).reshape(sets, T // len(taps), len(taps))
-        records = []
-        for a in dict.fromkeys(taps):  # distinct amounts, in first-appearance order
-            inputs = reads[:, :, [k for k, b in enumerate(taps) if b == a]].any(axis=-1).sum()
-            records.append(("rot", int(inputs) if a else 0, 0, 0, {"rotation_amount": a}))
-        steps, self.has_terms = _giant_step_records(amounts % N, runs)
-        self.records, self.totals = _tally(records + steps)
+        distinct = list(dict.fromkeys(taps))
+        member = np.array(taps)[:, None] == np.array(distinct)  # (K, distinct amounts)
+        rotated = ((reads @ member) > 0).sum(axis=(0, 1)) * (np.array(distinct) != 0)
+        steps, self.has_terms = _giant_step_counts(amounts % N, runs.sum(axis=-1).reshape(S, sets * V))
+        self._count((_TAP, distinct, rotated[:, None]), (_GIANT_STEP, (amounts % N).tolist(), steps))
         # (T, n1 or 1, n2): a factor the same in every block is kept once
         vec = np.asarray(vec, dtype=np.float64)
         vec = vec.reshape((1,) * (3 - vec.ndim) + vec.shape)
@@ -306,8 +413,20 @@ class BlockCirculant:
             if arr is not None:
                 arr.flags.writeable = False
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The (U, rows, slot_count) products of the (U, inputs, slot_count) sources."""
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (U, rows, slot_count) products of the (U, inputs, slot_count)
+        sources, written to ``out`` when given: source sets in chunks whose
+        tap-rotated terms stay under ``_CHUNK_BYTES`` (at least one set)."""
+        U, I, N = x.shape
+        if out is None:
+            out = np.empty((U, self.rows, N))
+        size = max(1, _CHUNK_BYTES // (I * len(self.taps) * N * 8))
+        for u in range(0, U, size):
+            us = slice(u, u + size)
+            self._product(x[us], self.matrix if self.sets == 1 else self.matrix[us], out[us])
+        return out
+
+    def _product(self, x: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
         U, I, N = x.shape
         n1, n2 = self.grid
         K = len(self.taps)
@@ -326,102 +445,95 @@ class BlockCirculant:
                 z[:, :, k] = wrapped[..., pre + a : pre + a + N].reshape(U, I, n1, n2)[..., self.live]
             if self.vec is not None:
                 z *= self.vec
-        prod = self.matrix @ z.reshape(U, self.terms * n1, L)
+        blocks = out.reshape(U, self.rows * n1, n2)
         if L == n2:
-            return prod.reshape(U, self.rows, N)
-        out = np.zeros((U, self.rows * n1, n2))
-        out[..., self.live] = prod
-        return out.reshape(U, self.rows, N)
+            np.matmul(matrix, z.reshape(U, self.terms * n1, L), out=blocks)
+        else:
+            blocks[...] = 0.0
+            blocks[..., self.live] = matrix @ z.reshape(U, self.terms * n1, L)
 
 
-class Mixed:
-    """A shared ``BlockCirculant`` applied to linear mixes of each source
-    set's inputs: the factored form of a fold whose coefficients are sums
-    of products, such as an AMA spatial conv's sum over partitions p of
+class Mixed(_Counted):
+    """A shared ``BlockCirculant`` applied to linear mixes of the inputs of
+    one layer: the factored form of a fold whose coefficients are sums of
+    products, such as an AMA spatial conv's sum over partitions p of
     N_p[k, j] * W_p[c, o].
 
     ``op`` has the single tap 0, one set of coefficients and T = P * G
-    terms (part, group); ``mix`` (sets, P, M) holds per source set the
-    scalar of each (part, piece).  A source set is M * G inputs (piece,
-    group), and ``op`` is applied to its P * G mixes
+    terms (part, group).  A source set is ``units`` * G inputs (unit,
+    group).  Output set k of ``reads.shape[0]`` reads M units, ``reads``
+    (sets, M), and ``mix`` (sets, P, M) holds the scalar of each of its
+    (part, piece); ``op`` is applied to its P * G mixes
 
-        y[u, p, g] = sum over m of  mix[u, p, m] * src[u, (m, g)]
+        y[k, p, g] = sum over m of  mix[k, p, m] * src[(reads[k, m], g)]
+
+    and the result is the ``sets`` * V rows of every source set, set-major.
+    ``apply`` gathers and mixes the output sets in chunks whose gathered
+    inputs stay under ``_CHUNK_BYTES`` (at least one set).
 
     The counts are those of the fold the mix stands for, one ciphertext at
-    a time, whose terms are the (piece, group) inputs: term (m, g) of set u
+    a time, whose terms are the (piece, group) inputs: term (m, g) of set k
     has, at step s, row v and block b, the combined coefficient
 
-        sum over p of  mix[u, p, m] * op.coef[s, 0, v, (p, g), b]
+        sum over p of  mix[k, p, m] * op.coef[s, 0, v, (p, g), b]
 
     summed in the order of p, and runs when that is not zero at some block;
-    a sum that cancels runs nothing.  ``records``, ``totals`` and
-    ``has_terms`` are those of a ``BlockCirculant`` of the combined table,
-    worked out from that support without building its matrix.
+    a sum that cancels runs nothing.  The combined coefficients depend on
+    the (set, piece) only through its vector of P mix entries, so they are
+    worked out once per distinct vector (a few on a skeleton), without the
+    (steps, sets, rows, pieces, groups, blocks) table.  ``records``,
+    ``totals`` and ``has_terms`` are those of a ``BlockCirculant`` of the
+    combined table whose rows are all output sets' rows: for
+    ``fold_steps`` the operator has one set of coefficients (``sets`` 1)
+    serving every source set, and ``rows`` = sets * V.
     """
 
-    __slots__ = ("op", "mix", "slot_count", "sets", "rows", "inputs", "has_terms", "records", "totals")
+    __slots__ = ("op", "mix", "reads", "slot_count", "units", "sets", "rows", "inputs", "has_terms")
 
-    def __init__(self, op: BlockCirculant, mix):
+    def __init__(self, op: BlockCirculant, mix, reads, units: int):
         mix = np.array(mix, dtype=np.float64)
+        reads = np.array(reads, dtype=np.int64)
         S, shared, V, T, n1 = op.coef.shape
         if op.taps != (0,) or shared != 1 or mix.ndim != 3 or T % mix.shape[1]:
             raise ValueError(f"mix of shape {mix.shape} does not fit an operator of {shared} sets of {T} terms and taps {op.taps}")
         sets, P, M = mix.shape
+        if reads.shape != (sets, M) or reads.size and not 0 <= reads.min() <= reads.max() < units:
+            raise ValueError(f"reads of shape {reads.shape} do not fit a mix of shape {mix.shape} over {units} units")
         G = T // P
         w = op.coef[:, 0].reshape(S, V, P, G, n1)
-        combined = np.zeros((S, sets, V, M, G, n1))
-        for p in np.flatnonzero(mix.any(axis=(0, 2))):  # a part no set reads adds only zeros
-            combined += mix[None, :, None, p, :, None, None] * w[:, None, :, p, None]
-        records, self.has_terms = _giant_step_records(op.amounts, combined.any(axis=-1).reshape(S, sets, V, M * G))
-        self.records, self.totals = _tally(records)
-        self.op, self.mix, self.slot_count = op, mix, op.slot_count
-        self.sets, self.rows, self.inputs = sets, V, M * G
-        for arr in (self.mix, self.has_terms):
+        vectors, which = np.unique(mix.transpose(0, 2, 1).reshape(sets * M, P), axis=0, return_inverse=True)
+        combined = np.zeros((len(vectors), S, V, G, n1))
+        for p in np.flatnonzero(vectors.any(axis=0)):  # a part no set reads adds only zeros
+            combined += vectors[:, p, None, None, None, None] * w[None, :, :, p]
+        runs = combined.any(axis=-1).sum(axis=-1)  # (vectors, S, V): the groups each runs
+        # hits[k, q]: the pieces of set k with vector q
+        hits = np.bincount(np.arange(sets * M) // M * len(vectors) + which.reshape(-1), minlength=sets * len(vectors))
+        terms = hits.reshape(sets, -1) @ runs.reshape(len(vectors), S * V)
+        steps, self.has_terms = _giant_step_counts(op.amounts, terms.reshape(sets, S, V).transpose(1, 0, 2).reshape(S, sets * V))
+        self._count((_GIANT_STEP, op.amounts.tolist(), steps))
+        self.op, self.mix, self.reads, self.slot_count = op, mix, reads, op.slot_count
+        self.units, self.sets, self.rows, self.inputs = int(units), 1, sets * V, int(units) * G
+        for arr in (self.mix, self.reads, self.has_terms):
             arr.flags.writeable = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count) sources."""
         U, _, N = x.shape
-        return self.op.apply((self.mix @ x.reshape(U, self.mix.shape[2], -1)).reshape(U, -1, N))
+        sets, P, M = self.mix.shape
+        G, V = self.inputs // self.units, self.op.rows
+        units = x.reshape(U, self.units, G, N)
+        out = np.empty((U, sets, V, N))
+        size = max(1, _CHUNK_BYTES // (M * G * N * 8))
+        for u in range(U):
+            for k in range(0, sets, size):
+                ks = slice(k, k + size)
+                src = units[u, self.reads[ks]]  # (sets, M, G, N)
+                mixed = self.mix[ks] @ src.reshape(len(src), M, G * N)
+                self.op.apply(mixed.reshape(len(src), P * G, N), out[u, ks])
+        return out.reshape(U, sets * V, N)
 
 
-def _diagonal_records(amounts, runs) -> tuple[list, np.ndarray]:
-    """The op log of the diagonal method whose (D, inputs, rows) ``runs``
-    mark the products that run for each of D diagonals or taps, rotated by
-    ``amounts`` (mod slot count), and the rows some product reaches.
-
-    Per distinct amount, in first-appearance order: one rotation per input
-    some product of the amount reads (none for amount 0), one PMult per
-    product, ``products - 1`` Adds per row, and one Add per row with
-    products that already holds a partial sum of an earlier amount.
-    """
-    distinct = list(dict.fromkeys(amounts))
-    at = np.array([distinct.index(a) for a in amounts], dtype=np.int64)
-    reads = np.zeros((len(distinct), runs.shape[1]), bool)
-    np.logical_or.at(reads, at, runs.any(axis=2))
-    per_row = np.zeros((len(distinct), runs.shape[2]), np.int64)
-    np.add.at(per_row, at, runs.sum(axis=1))
-    rows = per_row > 0
-    merges = np.zeros_like(rows)
-    merges[1:] = rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]
-    records = []
-    for a, inputs, pmults, adds, n_merges in zip(
-        distinct,
-        reads.sum(axis=1).tolist(),
-        per_row.sum(axis=1).tolist(),
-        np.maximum(per_row - 1, 0).sum(axis=1).tolist(),
-        merges.sum(axis=1).tolist(),
-    ):
-        records += [
-            ("rot", inputs if a else 0, 0, 0, {"rotation_amount": a}),
-            ("pmult", pmults, 0, 1, {}),
-            ("add", adds, 1, 1, {}),
-            ("add", n_merges, 1, 1, {}),
-        ]
-    return records, rows.any(axis=0)
-
-
-class Diagonals:
+class Diagonals(_Counted):
     """The diagonal-method operator of one row-major temporal conv, built
     once and applied by ``SimContext.fold_steps`` to any number of source
     sets.
@@ -445,14 +557,14 @@ class Diagonals:
     multiplies, and ``vec`` (shifts * inputs, frames) their factors (None
     when all are 1).
 
-    ``records`` is the op log of one source set (``_diagonal_records``): a
-    product runs where its coefficient is not zero.  ``totals`` sums it
-    per counter; ``has_terms`` marks the rows some term reaches.  The
-    arrays are read-only and ``fold_steps`` changes nothing, so one
-    operator serves any number of source stacks.
+    The records of one source set are those of ``_diagonal_counts``: a
+    product runs where its coefficient is not zero.  ``has_terms`` marks
+    the rows some term reaches.  The arrays are read-only and
+    ``fold_steps`` changes nothing, so one operator serves any number of
+    source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "span", "coef", "offsets", "frames", "vec", "has_terms", "records", "totals")
+    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "span", "coef", "offsets", "frames", "vec", "has_terms")
 
     def __init__(self, shifts, tables, grid, slot_count, vec=1.0):
         n1, n2 = grid
@@ -472,8 +584,8 @@ class Diagonals:
             raise ValueError(f"{len(coef)} coefficient tables for {len(amounts)} shifts")
         coef = np.stack(coef)  # (shifts, inputs, rows)
         S, C, V = coef.shape
-        records, self.has_terms = _diagonal_records(amounts, coef != 0)
-        self.records, self.totals = _tally(records)
+        distinct, counts, self.has_terms = _diagonal_counts(amounts, coef != 0)
+        self._count((_DIAGONAL, distinct, counts))
         vec = np.broadcast_to(np.asarray(vec, dtype=np.float64), (S, C, n1)).reshape(S * C, n1)
         kept = np.flatnonzero(vec.any(axis=0))
         step = int(np.gcd.reduce(np.diff(kept))) if len(kept) > 1 else 1
@@ -519,7 +631,7 @@ class Diagonals:
         return out
 
 
-class MixedDiagonals:
+class MixedDiagonals(_Counted):
     """The diagonal-method operator of one row-major spatial conv, applied
     factored: joints mixed per partition, then one GEMM of the weight slabs.
 
@@ -536,13 +648,14 @@ class MixedDiagonals:
         sum over d, c of  M[k, k + d, c, v] * src[u, c][t*n2 + k + d]   (0 <= k + d < n2)
 
     the diagonal method of Halevi and Shoup (CRYPTO 2018), whose baby steps
-    rotate the inputs by the diagonals.  ``apply`` computes it factored:
-    ``mix`` (n2, P' * n2) mixes the joints of every frame row by each part
-    some kept entry reads, x * N_p^T, and ``slabs`` (rows, P' * inputs) is
-    their weight slabs as one GEMM over (part, input) terms.
+    rotate the inputs by the diagonals.  ``apply`` computes it factored, in
+    chunks of frames whose mixes stay under ``_CHUNK_BYTES`` (at least one
+    frame): ``mix`` (n2, P' * n2) mixes the joints of every frame row by
+    each part some kept entry reads, x * N_p^T, and ``slabs`` (rows, P' *
+    inputs) is their weight slabs as one GEMM over (part, input) terms.
 
     The counts are those of the diagonal method one ciphertext at a time
-    with the merged coefficients (``_diagonal_records``): a (diagonal,
+    with the merged coefficients (``_diagonal_counts``): a (diagonal,
     input, row) product runs where M, summed in the order of p, is not
     zero at some joint, so a sum that cancels exactly runs nothing.  They
     are worked out in one pass over the live (diagonal, joint) entries,
@@ -551,7 +664,7 @@ class MixedDiagonals:
     table.
     """
 
-    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "mix", "slabs", "has_terms", "records", "totals")
+    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "mix", "slabs", "has_terms")
 
     def __init__(self, weights, parts, offsets, grid, slot_count):
         n1, n2 = grid
@@ -579,8 +692,8 @@ class MixedDiagonals:
         hits = np.zeros((len(offsets), len(vectors)))  # the vectors each diagonal's entries carry
         hits[d, which.reshape(-1)] = 1.0
         runs = (hits @ (merged != 0).reshape(len(vectors), C * V)).reshape(len(offsets), C, V) > 0
-        records, self.has_terms = _diagonal_records((offsets % N).tolist(), runs)
-        self.records, self.totals = _tally(records)
+        distinct, counts, self.has_terms = _diagonal_counts((offsets % N).tolist(), runs)
+        self._count((_DIAGONAL, distinct, counts))
         mix = np.zeros_like(parts)
         mix[:, k, j] = n
         used = mix.any(axis=(1, 2)) & weights.any(axis=(1, 2))  # the other parts add only zeros
@@ -596,10 +709,15 @@ class MixedDiagonals:
         U, C, N = x.shape
         n1, n2 = self.grid
         parts = self.mix.shape[1] // n2
-        mixed = x[..., : n1 * n2].reshape(U * C * n1, n2) @ self.mix  # (u, c, t) by (p, k)
-        terms = mixed.reshape(U, C, n1, parts, n2).transpose(0, 3, 1, 2, 4).reshape(U, parts * C, n1 * n2)
-        out = np.zeros((U, self.rows, N))
-        np.matmul(self.slabs, terms, out=out[..., : n1 * n2])
+        out = np.empty((U, self.rows, N))
+        out[..., n1 * n2 :] = 0.0
+        size = max(1, _CHUNK_BYTES // (U * C * max(parts, 1) * n2 * 8))
+        for t in range(0, n1, size):
+            f = min(size, n1 - t)
+            cols = slice(t * n2, (t + f) * n2)
+            mixed = np.ascontiguousarray(x[..., cols]).reshape(U * C * f, n2) @ self.mix  # (u, c, t) by (p, k)
+            terms = mixed.reshape(U, C, f, parts, n2).transpose(0, 3, 1, 2, 4).reshape(U, parts * C, f * n2)
+            np.matmul(self.slabs, terms, out=out[..., cols])
         return out
 
 
@@ -683,19 +801,27 @@ class SimContext:
             rec.update(extra)
             self.oplog.append(rec)
 
-    def _as_plaintext(self, pt) -> np.ndarray | float:
+    def _as_plaintext(self, pt, rows: int) -> np.ndarray | float:
         """Scalars stay one float that broadcasts (the same slots as a full
-        vector of it); shorter vectors are zero-padded (mask semantics)."""
+        vector of it); shorter vectors are zero-padded (mask semantics).  An
+        array of two or more axes holds one plaintext per row of a stack of
+        ``rows``, along its leading axes."""
         if type(pt) is np.ndarray and pt.dtype == np.float64 and pt.shape == (self.slot_count,):
             return pt
         if np.isscalar(pt):
             return float(pt)
-        arr = np.asarray(pt, dtype=np.float64).ravel()
-        if arr.size > self.slot_count:
-            raise ValueError(f"plaintext length {arr.size} exceeds slot count {self.slot_count}")
-        if arr.size < self.slot_count:
-            arr = np.concatenate([arr, np.zeros(self.slot_count - arr.size)])
-        return arr
+        arr = np.asarray(pt, dtype=np.float64)
+        if arr.ndim < 2:
+            arr = arr.reshape(-1)
+        elif arr.size // max(arr.shape[-1], 1) != rows:
+            raise ValueError(f"plaintexts of shape {arr.shape} do not fit a stack of {rows} ciphertexts")
+        return arr if arr.shape[-1] == self.slot_count else _padded(arr, self.slot_count)
+
+    def _same_rows(self, what: str, a: SimCiphertext, b: SimCiphertext) -> None:
+        if a.level != b.level:
+            raise LevelError(f"level mismatch: {a.level} vs {b.level}")
+        if a.rows != b.rows or a.slots.shape[-1] != b.slots.shape[-1]:
+            raise ValueError(f"cannot {what} shapes {a.slots.shape} and {b.slots.shape}")
 
     # ------------------------------------------------------------------
     # scheme operations
@@ -703,18 +829,16 @@ class SimContext:
     def encrypt(self, values) -> SimCiphertext:
         """Fresh ciphertext at max_level; missing tail slots are zero.
 
-        A 2-D array of shape (n, k) encrypts a stack of n ciphertexts.
+        An array of shape (..., k) with two or more axes encrypts a stack of
+        the ciphertexts along its leading axes.  Where ``values`` is a
+        broadcast along a leading axis (stride 0), each distinct row is
+        encrypted once and the stack is a read-only view of them, logged
+        like every row it holds.
         """
         arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 2:
-            arr = arr.ravel()
-        if arr.shape[-1] > self.slot_count:
-            raise ValueError(f"{arr.shape[-1]} values exceed slot count {self.slot_count}")
-        slots = np.zeros(arr.shape[:-1] + (self.slot_count,))
-        slots[..., : arr.shape[-1]] = arr
-        if self.quantize:
-            slots = self._quantize(slots)
-        ct = self._new_ct(slots, self.max_level)
+        if arr.ndim < 2:
+            arr = arr.reshape(-1)
+        ct = self._new_ct(_padded(arr, self.slot_count, self._quantize if self.quantize else None), self.max_level)
         self._log("encrypt", self.max_level, self.max_level, ct.rows)
         return ct
 
@@ -722,22 +846,32 @@ class SimContext:
         return np.array(ct.slots)
 
     def add(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
-        if a.level != b.level:
-            raise LevelError(f"level mismatch: {a.level} vs {b.level}")
-        if a.slots.shape != b.slots.shape:
-            raise ValueError(f"cannot add shapes {a.slots.shape} and {b.slots.shape}")
-        out = self._new_ct(a.slots + b.slots, a.level)
+        """Slot-wise sum of two ciphertexts or stacks of the same rows, in
+        the shape of ``a``."""
+        self._same_rows("add", a, b)
+        out = self._new_ct(_rowwise(np.add, a.slots, b.slots), a.level)
         self._record("add", a.level, out.level, out.rows)
+        return out
+
+    def sum_parts(self, ct: SimCiphertext, n: int) -> SimCiphertext:
+        """The stack cut into n equal consecutive parts, added part by part
+        in order: n - 1 Adds per row of the result, logged as one record."""
+        if n < 1 or ct.rows % n:
+            raise ValueError(f"a stack of {ct.rows} ciphertexts does not cut into {n} parts")
+        out = self._new_ct(ct.slots.reshape(n, ct.rows // n, -1).sum(axis=0), ct.level)
+        if n > 1:
+            self._record("add", ct.level, out.level, (n - 1) * out.rows)
         return out
 
     def pmult(self, ct: SimCiphertext, pt) -> SimCiphertext:
         """Plaintext multiplication with the implicit rescale (level - 1).
 
-        A stack is multiplied row by row by the same plaintext.
+        A stack is multiplied row by row by the same plaintext, or by one
+        plaintext per row; either way it counts one PMult per row.
         """
         if ct.level < 1:
             raise LevelError("level exhausted: pmult needs level >= 1")
-        slots = ct.slots * self._as_plaintext(pt)
+        slots = _rowwise(np.multiply, ct.slots, self._as_plaintext(pt, ct.rows))
         if self.quantize:
             slots = self._quantize(slots)
         out = self._new_ct(slots, ct.level - 1)
@@ -745,13 +879,10 @@ class SimContext:
         return out
 
     def cmult(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
-        if a.level != b.level:
-            raise LevelError(f"level mismatch: {a.level} vs {b.level}")
+        self._same_rows("multiply", a, b)
         if a.level < 1:
             raise LevelError("level exhausted: cmult needs level >= 1")
-        if a.slots.shape != b.slots.shape:
-            raise ValueError(f"cannot multiply shapes {a.slots.shape} and {b.slots.shape}")
-        slots = a.slots * b.slots
+        slots = _rowwise(np.multiply, a.slots, b.slots)
         if self.quantize:
             slots = self._quantize(slots)
         out = self._new_ct(slots, a.level - 1)
@@ -787,15 +918,19 @@ class SimContext:
         return out
 
     def fold_steps(self, src: SimCiphertext, op) -> tuple[SimCiphertext, np.ndarray]:
-        """Apply a prebuilt operator, a ``BlockCirculant``, ``Mixed`` or
-        ``Diagonals``: many rotated, plaintext-multiplied and summed terms as
-        one fused multiply-accumulate.
+        """Apply a prebuilt operator, a ``BlockCirculant``, ``Mixed``,
+        ``Diagonals`` or ``MixedDiagonals``: many rotated,
+        plaintext-multiplied and summed terms as one fused
+        multiply-accumulate.
 
         ``src`` is a stack of U x ``op.inputs`` ciphertexts, u-major: U
-        source sets.  The operator holds one set of coefficients for every
-        source set, or one per set, and the factors that scale each term's
-        slots after its rotation.  Row (u, v) of the result, u-major, is
-        ``op``'s row v applied to source set u.
+        source sets, such as the joints of an AMA feature map (G inputs
+        each), its whole stack (a ``Mixed`` reads any units of it) or the
+        samples of a row-major one.  The operator holds one set of
+        coefficients for every source set (``op.sets`` 1), or one per set,
+        and the factors that scale each term's slots after its rotation; it
+        runs the sets in chunks of its own.  Row (u, v) of the result,
+        u-major, is ``op``'s row v applied to source set u.
 
         Counts what the operator's schedule, one ciphertext at a time, would:
         every rotation of an input some term reads, one PMult per term whose
@@ -803,8 +938,8 @@ class SimContext:
         the rotations and Adds of partial sums.  The operator's totals are
         added once; with ``log_ops`` its records are written in its order.
         Returns the (U*V, slot_count) stack and which rows got a term; a row
-        without terms is zero and was computed by no operation.  With
-        ``quantize`` the fused sum is rounded once.
+        without terms was computed by no operation.  With ``quantize`` the
+        fused sum is rounded once.
         """
         if src.level < 1:
             raise LevelError("level exhausted: fold_steps needs level >= 1")
@@ -828,13 +963,7 @@ class SimContext:
         return self._new_ct(out, src.level - 1), np.tile(op.has_terms, scale)
 
     # ------------------------------------------------------------------
-    # log export / replay
-
-    def export_oplog(self, fp) -> None:
-        """Write the operation log as JSON lines."""
-        for rec in self.oplog:
-            fp.write(json.dumps(rec, sort_keys=True))
-            fp.write("\n")
+    # parameter check
 
     def validate_against_params(self, params) -> None:
         """Check max_level * scale_bits against a modulus budget Q (in bits)."""

@@ -12,6 +12,9 @@ by block strides act on a periodic vector.
 
 Row-major packing is the baseline: one ciphertext per (batch, channel)
 holding the T x J feature map flattened row by row.
+
+Both packings encrypt all their ciphertexts as one stack, in layout order,
+and the unpacking functions read such a stack.
 """
 
 from __future__ import annotations
@@ -235,30 +238,28 @@ def giant_step_coverage(cap: int, n: int) -> dict[int, np.ndarray]:
     return {d: serves[d] for d in deltas[np.lexsort((deltas, first))].tolist()}
 
 
-def _tile(vec: np.ndarray, slot_count: int) -> np.ndarray:
-    reps = math.ceil(slot_count / vec.size)
-    return np.tile(vec, reps)[:slot_count]
+def ama_pack(x: GraphTensor, ctx: SimContext) -> tuple[SimCiphertext, PackingLayout]:
+    """Pack per joint: flatten, pad, concatenate channel blocks, stack copies.
 
-
-def ama_pack(x: GraphTensor, ctx: SimContext) -> tuple[list[SimCiphertext], PackingLayout]:
-    """Pack per joint: flatten, pad, concatenate channel blocks, stack copies."""
+    Returns one encrypted stack of the J * G ciphertexts in layout order
+    (``PackingLayout.ama_ct_index``).
+    """
     layout = ama_layout(x.dims, ctx.slot_count)
     B, C, T, J = x.dims
-    pad = layout.pad_bt
-    blocks = np.zeros((C, J, pad))
+    pad, G, N = layout.pad_bt, layout.cts_per_joint, ctx.slot_count
+    blocks = np.zeros((J, C, pad))
     # batch-major flattening: b outer, t inner
-    blocks[:, :, : B * T] = x.data.transpose(1, 3, 0, 2).reshape(C, J, B * T)
-    cts = []
-    for j in range(J):
-        for g in range(layout.cts_per_joint):
-            chans = layout.group_channels(g)
-            group_vec = blocks[chans.start : chans.stop, j, :].ravel()
-            cts.append(ctx.encrypt(_tile(group_vec, ctx.slot_count)))
-    return cts, layout
+    blocks[:, :, : B * T] = x.data.transpose(3, 1, 0, 2).reshape(J, C, B * T)
+    slots = np.empty((J, G, N))
+    for g in range(G):
+        chans = layout.group_channels(g)
+        group = blocks[:, chans.start : chans.stop].reshape(J, -1)
+        slots[:, g] = np.tile(group, (1, -(-N // group.shape[1])))[:, :N]
+    return ctx.encrypt(slots.reshape(J * G, N)), layout
 
 
 def ama_unpack(
-    cts: list[SimCiphertext],
+    ct: SimCiphertext,
     layout: PackingLayout,
     check_replicas: bool = True,
     tol: float = 1e-9,
@@ -268,55 +269,45 @@ def ama_unpack(
     Reads the first copy of every channel block.  With ``check_replicas``
     the stacked copies must agree within ``tol``.
     """
-    _check_layout(cts, layout, AMA)
+    _check_layout(ct, layout, AMA)
     B, C, T, J = layout.B, layout.C, layout.T, layout.J
-    pad = layout.pad_bt
+    pad, G, N = layout.pad_bt, layout.cts_per_joint, layout.slot_count
+    slots = ct.slots.reshape(J, G, N)
     out = np.empty((B, C, T, J))
-    for j in range(J):
-        for g in range(layout.cts_per_joint):
-            ct = cts[layout.ama_ct_index(j, g)]
-            chans = layout.group_channels(g)
-            period = len(chans) * pad
-            if check_replicas and period < layout.slot_count:
-                tiled = _tile(ct.slots[:period], layout.slot_count)
-                drift = np.max(np.abs(ct.slots - tiled))
-                if drift > tol:
-                    raise PackingError(
-                        f"replica divergence in ct {ct.id}: max drift {drift:.3e} > {tol:.1e}"
-                    )
-            for p, c in enumerate(chans):
-                block = ct.slots[p * pad : p * pad + B * T]
-                out[:, c, :, j] = block.reshape(B, T)
+    for g in range(G):
+        chans = layout.group_channels(g)
+        period = len(chans) * pad
+        rows = slots[:, g]
+        if check_replicas and period < N:
+            drift = np.abs(rows - np.tile(rows[:, :period], (1, -(-N // period)))[:, :N]).max(axis=1)
+            j = int(drift.argmax())
+            if drift[j] > tol:
+                raise PackingError(
+                    f"replica divergence in row {layout.ama_ct_index(j, g)} of {ct.id}: max drift {drift[j]:.3e} > {tol:.1e}"
+                )
+        blocks = rows[:, :period].reshape(J, len(chans), pad)[..., : B * T]
+        out[:, chans.start : chans.stop] = blocks.reshape(J, len(chans), B, T).transpose(2, 1, 3, 0)
     return GraphTensor(out)
 
 
-def rowmajor_pack(x: GraphTensor, ctx: SimContext) -> tuple[list[SimCiphertext], PackingLayout]:
-    """One ciphertext per (b, c): slots[t*J + j] = x[b, c, t, j]."""
+def rowmajor_pack(x: GraphTensor, ctx: SimContext) -> tuple[SimCiphertext, PackingLayout]:
+    """One ciphertext per (b, c), slots[t*J + j] = x[b, c, t, j], encrypted
+    as one stack in (b, c) order."""
     layout = rowmajor_layout(x.dims, ctx.slot_count)
     B, C, T, J = x.dims
-    cts = []
-    for b in range(B):
-        for c in range(C):
-            cts.append(ctx.encrypt(x.data[b, c].ravel()))
-    return cts, layout
+    return ctx.encrypt(x.data.reshape(B * C, T * J)), layout
 
 
-def rowmajor_unpack(cts: list[SimCiphertext], layout: PackingLayout) -> GraphTensor:
-    _check_layout(cts, layout, ROWMAJOR)
+def rowmajor_unpack(ct: SimCiphertext, layout: PackingLayout) -> GraphTensor:
+    _check_layout(ct, layout, ROWMAJOR)
     B, C, T, J = layout.B, layout.C, layout.T, layout.J
-    out = np.empty((B, C, T, J))
-    for b in range(B):
-        for c in range(C):
-            ct = cts[b * C + c]
-            out[b, c] = ct.slots[: T * J].reshape(T, J)
-    return GraphTensor(out)
+    return GraphTensor(ct.slots.reshape(B * C, -1)[:, : T * J].reshape(B, C, T, J).copy())
 
 
-def _check_layout(cts, layout: PackingLayout, kind: str) -> None:
+def _check_layout(ct: SimCiphertext, layout: PackingLayout, kind: str) -> None:
     if layout.kind != kind:
         raise PackingError(f"layout kind {layout.kind!r} does not match {kind!r}")
-    if len(cts) != layout.ct_count():
-        raise PackingError(f"expected {layout.ct_count()} ciphertexts, got {len(cts)}")
-    for ct in cts:
-        if len(ct.slots) != layout.slot_count:
-            raise PackingError("ciphertext slot count does not match layout")
+    if ct.rows != layout.ct_count():
+        raise PackingError(f"expected {layout.ct_count()} ciphertexts, got {ct.rows}")
+    if ct.slots.shape[-1] != layout.slot_count:
+        raise PackingError("ciphertext slot count does not match layout")

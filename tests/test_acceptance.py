@@ -183,9 +183,9 @@ def test_criterion_06_sparsity_payoff():
     oracle = merged.apply(x.data)
     ctx = SimContext(128, max_level=1)
     with ctx.layer("sconv"):
-        cts, layout = engine.packing.ama_pack(x, ctx)
-        out = engine.ama_spatial(engine.EncryptedFeatureMap(cts, layout), merged, ctx=ctx)
-    np.testing.assert_allclose(engine.packing.ama_unpack(out.cts, out.layout).data, oracle, atol=1e-12)
+        ct, layout = engine.packing.ama_pack(x, ctx)
+        out = engine.ama_spatial(engine.EncryptedFeatureMap(ct, layout), merged, ctx=ctx)
+    np.testing.assert_allclose(engine.packing.ama_unpack(out.ct, out.layout).data, oracle, atol=1e-12)
     ama_counts = ctx.counter.layer("sconv")
     # single channel, one ciphertext per joint: total PMult = V = 73 and the
     # busiest output column costs exactly m = 3 of them
@@ -194,10 +194,10 @@ def test_criterion_06_sparsity_payoff():
 
     ctx_r = SimContext(128, max_level=1)
     with ctx_r.layer("sconv"):
-        cts, layout = engine.packing.rowmajor_pack(x, ctx_r)
-        out_r = engine.rowmajor_spatial(engine.EncryptedFeatureMap(cts, layout), merged, ctx=ctx_r)
+        ct, layout = engine.packing.rowmajor_pack(x, ctx_r)
+        out_r = engine.rowmajor_spatial(engine.EncryptedFeatureMap(ct, layout), merged, ctx=ctx_r)
     np.testing.assert_allclose(
-        engine.packing.rowmajor_unpack(out_r.cts, out_r.layout).data, oracle, atol=1e-12
+        engine.packing.rowmajor_unpack(out_r.ct, out_r.layout).data, oracle, atol=1e-12
     )
     rm_counts = ctx_r.counter.layer("sconv")
     assert rm_counts["pmult"] == 19  # one per nonzero diagonal, per output channel
@@ -209,8 +209,8 @@ def test_criterion_06_sparsity_payoff():
     merged2 = MergedSpatialMatrix.from_dense(denser[None, None], np.zeros(1))
     ctx2 = SimContext(128, max_level=1)
     with ctx2.layer("sconv"):
-        cts, layout = engine.packing.ama_pack(x, ctx2)
-        engine.ama_spatial(engine.EncryptedFeatureMap(cts, layout), merged2, ctx=ctx2)
+        ct, layout = engine.packing.ama_pack(x, ctx2)
+        engine.ama_spatial(engine.EncryptedFeatureMap(ct, layout), merged2, ctx=ctx2)
     assert ctx2.counter.layer("sconv")["pmult"] == 75 >= ama_counts["pmult"]
     report(6, "sparsity payoff (3 vs 19 multiplications per output channel)")
 

@@ -35,35 +35,43 @@ def ring_adjacency(J):
     return AdjacencySet.from_edges(J, [[(i, (i + 1) % J) for i in range(J)]])
 
 
-def only_stacks_inputs(monkeypatch, fm):
-    """Make ``SimContext.rotate`` raise and ``hesim.stack`` accept only the
-    ciphertexts of ``fm``: a layer's input rotations happen inside its fold."""
-    inputs, real_stack = {id(ct) for ct in fm.cts}, hesim.stack
+def only_stacks_inputs(monkeypatch, fm) -> list:
+    """Make ``SimContext.rotate``, ``hesim.stack`` and ``hesim.unstack``
+    raise and ``SimContext.fold_steps`` accept only the stack of ``fm``: a
+    layer folds its input stack itself, and the input rotations happen
+    inside the fold.  Returns the operators folded, in order."""
+    real_fold, folded = SimContext.fold_steps, []
 
-    def inputs_only(cts):
-        cts = list(cts)
-        assert all(id(ct) in inputs for ct in cts), "stacked a ciphertext that is not a layer input"
-        return real_stack(cts)
+    def input_only(ctx, src, op):
+        assert src is fm.ct, "folded a stack that is not the layer input"
+        folded.append(op)
+        return real_fold(ctx, src, op)
 
-    def no_rotate(*args):
-        raise AssertionError("SimContext.rotate called for a tap or diagonal")
+    def forbidden(name):
+        def fail(*args):
+            raise AssertionError(f"{name} called for a tap, diagonal or row")
 
-    monkeypatch.setattr(hesim, "stack", inputs_only)
-    monkeypatch.setattr(SimContext, "rotate", no_rotate)
+        return fail
+
+    monkeypatch.setattr(hesim, "stack", forbidden("hesim.stack"))
+    monkeypatch.setattr(hesim, "unstack", forbidden("hesim.unstack"))
+    monkeypatch.setattr(SimContext, "rotate", forbidden("SimContext.rotate"))
+    monkeypatch.setattr(SimContext, "fold_steps", input_only)
+    return folded
 
 
 def packed(x, ctx, fmt):
     if fmt == AMA:
-        cts, layout = ama_pack(x, ctx)
+        ct, layout = ama_pack(x, ctx)
     else:
-        cts, layout = rowmajor_pack(x, ctx)
-    return EncryptedFeatureMap(cts, layout)
+        ct, layout = rowmajor_pack(x, ctx)
+    return EncryptedFeatureMap(ct, layout)
 
 
 def unpack(fm, fmt):
     if fmt == AMA:
-        return ama_unpack(fm.cts, fm.layout).data
-    return rowmajor_unpack(fm.cts, fm.layout).data
+        return ama_unpack(fm.ct, fm.layout).data
+    return rowmajor_unpack(fm.ct, fm.layout).data
 
 
 class TestSpatial:
@@ -124,18 +132,19 @@ class TestSpatial:
 
     def test_rowmajor_diagonals_are_rotated_inside_the_fold(self, monkeypatch):
         """Row-major spatial mixing neither rotates nor stacks diagonal rows:
-        it stacks its input ciphertexts once and ``fold_steps`` pays one
-        rotation per input and nonzero diagonal."""
+        it folds its input stack once and ``fold_steps`` pays one rotation
+        per input and nonzero diagonal."""
         rng = np.random.default_rng(16)
         x = GraphTensor.random((2, 3, 4, 4), seed=17)
         merged = MergedSpatialMatrix.from_dense(rng.uniform(0.5, 1.5, (3, 2, 4, 4)), rng.normal(size=2))
         ctx = SimContext(16, max_level=1)
         fm = packed(x, ctx, ROWMAJOR)
-        only_stacks_inputs(monkeypatch, fm)
+        folded = only_stacks_inputs(monkeypatch, fm)
         with ctx.layer("m"):
             out = rowmajor_spatial(fm, merged, ctx=ctx)
         np.testing.assert_allclose(unpack(out, ROWMAJOR), merged.apply(x.data), atol=1e-12)
-        assert ctx.counter.layer("m")["rot"] == len(fm.cts) * 6  # diagonals -3..3 but 0
+        assert ctx.counter.layer("m")["rot"] == fm.ct.rows * 6  # diagonals -3..3 but 0
+        assert len(folded) == 1
 
     def cancelling_layer(self, cancel=True):
         """A P = 3 layer on 4 joints: partitions 1 and 2 meet only at (2, 3),
@@ -167,14 +176,14 @@ class TestSpatial:
             entries = sum(w[c, o] * n[k, j] for w, n in zip(merged.weights, merged.parts))
             coef = np.where(serves[:, None, None] & (jin >= 0), entries, 0.0)
             op = hesim.BlockCirculant(amounts, coef.reshape(len(amounts), 1, H, -1, cap), (cap, lin.pad_bt))
-            engine._fold(ctx, hesim.stack([fm.cts[lin.ama_ct_index(j, g)] for j in np.maximum(reads[k], 0) for g in range(G)]), op)
+            engine._fold(ctx, fm.ct.take([lin.ama_ct_index(j, g) for j in np.maximum(reads[k], 0) for g in range(G)]), op)
 
-    @pytest.mark.parametrize("chunk_bytes", [engine._CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("chunk_bytes", [hesim._CHUNK_BYTES, 1])
     def test_a_partition_sum_that_cancels_is_not_counted(self, monkeypatch, chunk_bytes):
         """Counters and op-log histogram equal those of the fold of the
         merged entries, one output joint at a time: the (output joint 2,
         input joint 3) terms, whose partition sum cancels, run nothing."""
-        monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(hesim, "_CHUNK_BYTES", chunk_bytes)
         x = GraphTensor.random((1, 5, 4, 4), seed=23)
 
         def run(merged, schedule):
@@ -201,10 +210,11 @@ class TestSpatial:
         assert counter.layer("s")["pmult"] < uncancelled.layer("s")["pmult"]
 
     def test_ama_builds_one_operator_per_layer(self, monkeypatch):
-        """Every chunk of output joints mixes its inputs and applies the
-        layer's one block-circulant operator: none is built per joint."""
-        built, applied = [], []
-        build, apply = hesim.BlockCirculant, SimContext.fold_steps
+        """The layer is one ``Mixed`` around one block-circulant operator,
+        applied by one fold: every chunk of output joints mixes its inputs
+        and applies that operator, and none is built per joint."""
+        built, applied, chunks = [], [], []
+        build, apply, product = hesim.BlockCirculant, SimContext.fold_steps, hesim.BlockCirculant.apply
 
         def counted_build(*args):
             built.append(build(*args))
@@ -214,22 +224,28 @@ class TestSpatial:
             applied.append(op)
             return apply(ctx, src, op)
 
+        def counted_product(op, x, out=None):
+            chunks.append((op, len(x)))
+            return product(op, x, out)
+
+        monkeypatch.setattr(hesim.BlockCirculant, "apply", counted_product)
         monkeypatch.setattr(hesim, "BlockCirculant", counted_build)
         monkeypatch.setattr(SimContext, "fold_steps", counted_apply)
-        monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)  # one output joint per chunk
+        monkeypatch.setattr(hesim, "_CHUNK_BYTES", 1)  # one output joint per chunk
         merged = self.cancelling_layer()
         x = GraphTensor.random((1, 5, 4, 4), seed=24)
         ctx = SimContext(16, max_level=1)
         out = ama_spatial(packed(x, ctx, AMA), merged, ctx=ctx)
         np.testing.assert_allclose(unpack(out, AMA), merged.apply(x.data), atol=1e-12)
-        assert len(built) == 1 and len(applied) == x.dims[3] and all(op.op is built[0] for op in applied)
+        assert len(built) == 1 and len(applied) == 1 and applied[0].op is built[0]
+        assert chunks == [(built[0], 1)] * x.dims[3]
 
     def test_level_exhausted(self):
         merged = MergedSpatialMatrix.from_dense(np.eye(4)[None, None], np.zeros(1))
         x = GraphTensor.zeros((1, 1, 4, 4))
         ctx = SimContext(16, max_level=1)
         fm = packed(x, ctx, AMA)
-        low = EncryptedFeatureMap([ctx.mod_switch(ct, 0) for ct in fm.cts], fm.layout)
+        low = EncryptedFeatureMap(ctx.mod_switch(fm.ct, 0), fm.layout)
         with pytest.raises(LevelError):
             ama_spatial(low, merged, ctx=ctx)
 
@@ -297,9 +313,10 @@ class TestTemporalConv:
         assert ctx.counter.layer("t")["rot"] == n_cts * (K - 1) + n_cts * giant
 
     def test_ama_builds_one_operator_per_layer(self, monkeypatch):
-        """Every chunk of joints applies the layer's one block-circulant operator."""
-        built, applied = [], []
-        build, apply = hesim.BlockCirculant, SimContext.fold_steps
+        """The layer's one block-circulant operator is applied by one fold
+        to every joint, in chunks of joints."""
+        built, applied, chunks = [], [], []
+        build, apply, product = hesim.BlockCirculant, SimContext.fold_steps, hesim.BlockCirculant._product
 
         def counted_build(*args):
             built.append(build(*args))
@@ -309,46 +326,55 @@ class TestTemporalConv:
             applied.append(op)
             return apply(ctx, src, op)
 
+        def counted_product(op, x, matrix, out):
+            chunks.append((op, len(x)))
+            return product(op, x, matrix, out)
+
+        monkeypatch.setattr(hesim.BlockCirculant, "_product", counted_product)
         monkeypatch.setattr(hesim, "BlockCirculant", counted_build)
         monkeypatch.setattr(SimContext, "fold_steps", counted_apply)
-        monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)  # one joint per chunk
+        monkeypatch.setattr(hesim, "_CHUNK_BYTES", 1)  # one joint per chunk
         rng = np.random.default_rng(5)
         layer = TemporalConv(3, 3, 1, rng.normal(size=(3, 3, 3)), rng.normal(size=3), None)
         x = GraphTensor.random((1, 3, 8, 4), seed=6)
         ctx = SimContext(64, max_level=1)
-        temporal_conv(packed(x, ctx, AMA), layer, ctx=ctx)
-        assert len(built) == 1 and len(applied) == x.dims[3] and all(op is built[0] for op in applied)
+        out = temporal_conv(packed(x, ctx, AMA), layer, ctx=ctx)
+        np.testing.assert_allclose(unpack(out, AMA), self.conv(x.data, layer), atol=1e-12)
+        assert len(built) == 1 and len(applied) == 1 and applied[0] is built[0]
+        assert chunks == [(built[0], 1)] * x.dims[3]
 
     def test_ama_taps_are_rotated_inside_the_fold(self, monkeypatch):
-        """An AMA layer neither rotates nor stacks tap rows: it stacks only its
-        input ciphertexts and ``fold_steps`` pays the tap rotations."""
+        """An AMA layer neither rotates nor stacks tap rows: it folds its
+        input stack once and ``fold_steps`` pays the tap rotations."""
         rng = np.random.default_rng(12)
         layer = TemporalConv(3, 5, 1, rng.normal(size=(3, 3, 5)), rng.normal(size=3), None)
         x = GraphTensor.random((1, 3, 8, 4), seed=13)
         ctx = SimContext(64, max_level=1)
         fm = packed(x, ctx, AMA)
-        only_stacks_inputs(monkeypatch, fm)
+        folded = only_stacks_inputs(monkeypatch, fm)
         with ctx.layer("t"):
             out = temporal_conv(fm, layer, ctx=ctx)
         np.testing.assert_allclose(unpack(out, AMA), self.conv(x.data, layer), atol=1e-12)
         lin = out.layout
         _, giant = costmodel._ama_fold_geometry(lin)
         assert ctx.counter.layer("t")["rot"] == lin.ct_count() * (layer.kernel - 1 + giant)
+        assert len(folded) == 1
 
     def test_rowmajor_taps_are_rotated_inside_the_fold(self, monkeypatch):
-        """A row-major layer neither rotates nor stacks tap rows: it stacks
-        its input ciphertexts once and ``fold_steps`` pays the K - 1 nonzero
-        tap rotations of each."""
+        """A row-major layer neither rotates nor stacks tap rows: it folds
+        its input stack once and ``fold_steps`` pays the K - 1 nonzero tap
+        rotations of each input."""
         rng = np.random.default_rng(14)
         layer = TemporalConv(3, 5, 1, rng.normal(size=(3, 3, 5)), rng.normal(size=3), None)
         x = GraphTensor.random((2, 3, 8, 4), seed=15)
         ctx = SimContext(64, max_level=1)
         fm = packed(x, ctx, ROWMAJOR)
-        only_stacks_inputs(monkeypatch, fm)
+        folded = only_stacks_inputs(monkeypatch, fm)
         with ctx.layer("t"):
             out = temporal_conv(fm, layer, ctx=ctx)
         np.testing.assert_allclose(unpack(out, ROWMAJOR), self.conv(x.data, layer), atol=1e-12)
-        assert ctx.counter.layer("t")["rot"] == len(fm.cts) * (layer.kernel - 1)
+        assert ctx.counter.layer("t")["rot"] == fm.ct.rows * (layer.kernel - 1)
+        assert len(folded) == 1
 
     @staticmethod
     def conv(h, layer):
@@ -409,7 +435,7 @@ class TestActivation:
         x = GraphTensor.random((1, 2, 4, 3), seed=8)
         ctx = SimContext(16, max_level=2)
         fm = packed(x, ctx, AMA)
-        n = len(fm.cts)
+        n = fm.ct.rows
         with ctx.layer("act"):
             poly_activation(fm, 0.3, 0.5, 0.7, ctx=ctx)
         counts = ctx.counter.layer("act")
@@ -744,3 +770,50 @@ class TestOddShapes:
         ref = plaintext_reference(spec, x)
         for fmt in (AMA, ROWMAJOR):
             np.testing.assert_allclose(run_model(spec, x, fmt).scores, ref, atol=1e-9)
+
+
+@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+def test_acceptance_model_runs_on_stacks(monkeypatch, fmt):
+    """Every layer of the acceptance model @1024 reads and writes whole
+    stacks: ``hesim.stack`` and ``hesim.unstack`` are never called, and the
+    ciphertext objects a layer creates do not grow with its ciphertexts.
+    At B = 2 every layer holds twice the ciphertexts (row-major B * C; AMA
+    G groups of half the capacity), yet creates as many objects as at B = 1.
+    The AMA classifier is the exception: its classes run in chunks whose
+    plaintext tables (G x slots per class) stay under the chunk bound, and
+    its rotation tree is log2(capacity) deep, so it is checked per chunk."""
+    from collections import Counter
+
+    from hegcn.model import acceptance_stgcn3
+
+    def forbidden(*args):
+        raise AssertionError("hesim.stack or hesim.unstack called on the run path")
+
+    monkeypatch.setattr(hesim, "stack", forbidden)
+    monkeypatch.setattr(hesim, "unstack", forbidden)
+    created, init = Counter(), hesim.SimCiphertext.__init__
+
+    def counted_init(ct, slots, level, id, ctx):
+        created[ctx.current_layer] += 1
+        init(ct, slots, level, id, ctx)
+
+    monkeypatch.setattr(hesim.SimCiphertext, "__init__", counted_init)
+    spec = acceptance_stgcn3()
+    objects, cts = {}, {}
+    for B in (1, 2):
+        batch = ModelSpec((B,) + spec.input_dims[1:], spec.layers, name=spec.name)
+        x = GraphTensor.random(batch.input_dims, seed=43)
+        created.clear()
+        res = run_model(batch, x, fmt, slot_count=1024)
+        np.testing.assert_allclose(res.scores, plaintext_reference(batch, x), rtol=0, atol=1e-9)
+        diff = costmodel.reconcile(res.per_layer(), costmodel.analytic_layer_counts(batch, fmt, 1024))
+        assert diff["max_abs_diff"] == 0
+        objects[B], cts[B] = dict(created), res.ct_counts
+    head = spec.labels()[-1]
+    assert all(cts[2][label] == 2 * cts[1][label] for label in spec.labels()[:-2])
+    if fmt == AMA:
+        G = {B: engine.packing.ama_layout((B, spec.layers[-1].c_in, 32, 25), 1024).cts_per_joint for B in (1, 2)}
+        classes = spec.layers[-1].classes
+        chunks = {B: -(-classes // max(1, hesim._CHUNK_BYTES // (G[B] * 1024 * 8))) for B in (1, 2)}
+        assert objects[2].pop(head) <= objects[1].pop(head) // chunks[1] * chunks[2]
+    assert objects[1] == objects[2]

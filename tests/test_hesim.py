@@ -1,5 +1,4 @@
 import functools
-import io
 import json
 
 import numpy as np
@@ -46,6 +45,20 @@ class TestEncryptDecrypt:
     def test_slot_count_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             SimContext(slot_count=6, max_level=1)
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_broadcast_rows_are_encrypted_once(self, quantize):
+        """Rows broadcast along a leading axis encrypt as a read-only view of
+        the distinct rows: the same slots and log as the full array."""
+        rows = np.random.default_rng(3).uniform(-1, 1, (2, 5))
+        views, fulls = [], []
+        for out, values in ((views, np.broadcast_to(rows, (3, 2, 5))), (fulls, np.array(np.broadcast_to(rows, (3, 2, 5))))):
+            c = ctx(quantize=quantize, log_ops=True)
+            out += [c.encrypt(values), c.oplog]
+        (view, log), (full, want_log) = views, fulls
+        np.testing.assert_array_equal(view.slots, full.slots)
+        assert view.rows == 6 and view.slots.strides[0] == 0 and not view.slots.flags.writeable
+        assert log == want_log and log[0]["count"] == 6
 
 
 class TestAdd:
@@ -227,6 +240,30 @@ class TestStacks:
         assert [ct.level for ct in back] == [s.level] * 3
         for a, b in zip(singles, back):
             np.testing.assert_array_equal(a.slots, b.slots)
+
+    def test_one_plaintext_per_row(self):
+        """A PMult by one plaintext per row, given along the leading axes of
+        any shape that holds the rows, equals the row-by-row PMults."""
+        c = ctx(levels=4, log_ops=True)
+        vals = self.rows(c, n=6)
+        plains = np.random.default_rng(4).uniform(-1, 1, (3, 2, 5))
+        out = c.pmult(c.encrypt(vals), plains)
+        for row, v, p in zip(unstack(out), vals, plains.reshape(6, 5)):
+            np.testing.assert_array_equal(row.slots, c.pmult(c.encrypt(v), p).slots)
+        assert c.oplog[1]["op"] == "pmult" and c.oplog[1]["count"] == 6
+        with pytest.raises(ValueError, match="do not fit"):
+            c.pmult(c.encrypt(vals), plains[:2])
+
+    def test_sum_parts_equals_the_adds_in_order(self):
+        c, ref = ctx(log_ops=True), ctx(log_ops=True)
+        vals = self.rows(c, n=6) * 1e8
+        got = c.sum_parts(c.encrypt(vals), 3)
+        parts = [ref.encrypt(vals[i : i + 2]) for i in range(0, 6, 2)]
+        want = ref.add(ref.add(parts[0], parts[1]), parts[2])
+        np.testing.assert_array_equal(got.slots, want.slots)
+        assert c.counter == ref.counter and got.rows == 2
+        with pytest.raises(ValueError, match="does not cut"):
+            c.sum_parts(got, 3)
 
     def test_stack_rejects_mixed_levels(self):
         c = ctx(levels=4)
@@ -642,7 +679,9 @@ class TestFusedTaps:
 class TestMixed:
     """``fold_steps`` of a ``Mixed`` against a ``BlockCirculant`` of the
     combined table it stands for: 32 slots read as 4 blocks of 8, U = 2
-    source sets of M = 3 pieces by G = 2 groups, P parts, V = 2 rows."""
+    sets of M = 3 pieces by G = 2 groups, P parts, V = 2 rows.  A shared mix
+    is one output set applied to U source sets of M units; a mix per set is
+    U output sets, each reading its own M units of one source set."""
 
     U, M, G, V, N1, N2 = 2, 3, 2, 2, 4, 8
     AMOUNTS = [0, 8, 32, -16, 8]
@@ -680,8 +719,9 @@ class TestMixed:
             assert not combined[:, 0, :, self.G : 2 * self.G].any() and coef[..., self.G :, :].any()
         vals = np.random.default_rng(20).uniform(-1, 1, (self.U * self.M * self.G, 32))
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
-        op = Mixed(BlockCirculant(self.AMOUNTS, coef, grid), mix)
-        assert op.inputs == self.M * self.G and op.sets == len(mix)
+        units = self.M * len(mix)
+        op = Mixed(BlockCirculant(self.AMOUNTS, coef, grid), mix, np.arange(units).reshape(len(mix), self.M), units)
+        assert op.inputs == units * self.G and op.rows == len(mix) * self.V and op.sets == 1
         with c.layer("mixed"):
             out, has_terms = c.fold_steps(c.encrypt(vals), op)
         with ref.layer("mixed"):
@@ -693,7 +733,7 @@ class TestMixed:
 
     def test_a_mix_of_zeros_runs_nothing(self):
         coef, _ = self.operands(1, shared=True)
-        op = Mixed(BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), np.zeros((2, 1, self.M)))
+        op = Mixed(BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), np.zeros((2, 1, self.M)), np.zeros((2, self.M)), 1)
         assert op.totals == {} and op.records == () and not op.has_terms.any()
 
     @pytest.mark.parametrize(
@@ -708,7 +748,32 @@ class TestMixed:
     def test_typed_errors(self, taps, sets, mix_shape):
         op = BlockCirculant([0], np.ones((1, sets, 1, 2, 4)), (4, 8), taps)
         with pytest.raises(ValueError, match="does not fit"):
-            Mixed(op, np.ones(mix_shape))
+            Mixed(op, np.ones(mix_shape), np.zeros((mix_shape[0], mix_shape[-1])), 1)
+
+    @pytest.mark.parametrize("reads, units", [(np.zeros((2, 2)), 1), (np.zeros((1, 3)), 1), (np.full((2, 3), 2), 2), (np.full((2, 3), -1), 2)])
+    def test_reads_must_fit(self, reads, units):
+        """One read per (output set, piece), each a unit of the source."""
+        op = BlockCirculant([0], np.ones((1, 1, 1, 2, 4)), (4, 8))
+        with pytest.raises(ValueError, match="do not fit"):
+            Mixed(op, np.ones((2, 1, 3)), reads, units)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
+    def test_chunks_of_output_sets_change_nothing(self, monkeypatch, chunk_bytes):
+        """Output sets gathered and mixed one at a time or all at once: the
+        same slots, counters and records."""
+        coef, mix = self.operands(3, shared=False)
+        vals = np.random.default_rng(21).uniform(-1, 1, (self.U * self.M * self.G, 32))
+        reads = np.arange(self.U * self.M)[::-1].reshape(self.U, self.M)  # units read out of order
+        runs = []
+        for size in (chunk_bytes, hesim._CHUNK_BYTES):
+            monkeypatch.setattr(hesim, "_CHUNK_BYTES", size)
+            c = ctx(slots=32, levels=3, log_ops=True)
+            out, has_terms = c.fold_steps(c.encrypt(vals), Mixed(BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), mix, reads, self.U * self.M))
+            runs.append((out.slots, has_terms, c.counter, c.oplog))
+        (got, got_terms, counter, log), (want, want_terms, want_counter, want_log) = runs
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_terms, want_terms)
+        assert counter == want_counter and log == want_log
 
 
 def per_ciphertext_diagonals(c, src, shifts, tables, vec, grid) -> list:
@@ -1071,13 +1136,11 @@ class TestCounterAndLog:
             c.rotate(z, 0)  # free, must not appear in the log
         assert replay_counts(c.oplog) == c.counter
 
-    def test_oplog_jsonl_schema(self):
+    def test_oplog_record_schema(self):
         c = ctx()
         x = c.encrypt([1])
         c.rotate(x, 3)
-        buf = io.StringIO()
-        c.export_oplog(buf)
-        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        records = json.loads(json.dumps(c.oplog))  # plain JSON values
         assert {r["op"] for r in records} == {"encrypt", "rot"}
         rot = next(r for r in records if r["op"] == "rot")
         assert set(rot) == {"op", "layer", "level_before", "level_after", "rotation_amount"}

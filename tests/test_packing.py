@@ -28,23 +28,23 @@ class TestAmaPack:
     def test_single_channel_replicates(self):
         # one 2-frame block padded to 2 then stacked twice to fill 4 slots
         c = ctx(4)
-        cts, layout = ama_pack(GraphTensor(np.array([5.0, 7.0]).reshape(1, 1, 2, 1)), c)
-        assert len(cts) == 1
-        np.testing.assert_array_equal(cts[0].slots, [5, 7, 5, 7])
+        ct, layout = ama_pack(GraphTensor(np.array([5.0, 7.0]).reshape(1, 1, 2, 1)), c)
+        assert ct.rows == 1
+        np.testing.assert_array_equal(ct.slots[0], [5, 7, 5, 7])
         assert layout.replication == 2
 
     def test_two_channels_concatenate(self):
         c = ctx(4)
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-        cts, layout = ama_pack(GraphTensor(x), c)
-        np.testing.assert_array_equal(cts[0].slots, [1, 2, 3, 4])
+        ct, layout = ama_pack(GraphTensor(x), c)
+        np.testing.assert_array_equal(ct.slots[0], [1, 2, 3, 4])
         assert layout.channels_per_ct == 2
 
     def test_pads_to_power_of_two(self):
         c = ctx(8)
-        cts, layout = ama_pack(GraphTensor(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1)), c)
+        ct, layout = ama_pack(GraphTensor(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1)), c)
         assert layout.pad_bt == 4
-        np.testing.assert_array_equal(cts[0].slots, [1, 2, 3, 0, 1, 2, 3, 0])
+        np.testing.assert_array_equal(ct.slots[0], [1, 2, 3, 0, 1, 2, 3, 0])
 
     def test_block_too_large(self):
         c = ctx(4)
@@ -54,59 +54,59 @@ class TestAmaPack:
     def test_ct_count_formula(self):
         c = ctx(16)
         x = GraphTensor.random((1, 6, 4, 3), seed=1)  # pad 4, U = min(4, 6) = 4
-        cts, layout = ama_pack(x, c)
+        ct, layout = ama_pack(x, c)
         assert layout.channels_per_ct == 4
         assert layout.cts_per_joint == 2
-        assert len(cts) == 3 * 2
+        assert ct.rows == 3 * 2
 
     def test_batch_major_flattening(self):
         c = ctx(8)
         x = np.arange(8.0).reshape(2, 1, 4, 1)  # b outer, t inner
-        cts, _ = ama_pack(GraphTensor(x), c)
-        np.testing.assert_array_equal(cts[0].slots, np.arange(8.0))
+        ct, _ = ama_pack(GraphTensor(x), c)
+        np.testing.assert_array_equal(ct.slots[0], np.arange(8.0))
 
 
 class TestAmaUnpack:
     def test_round_trip(self):
         c = ctx(64)
         x = GraphTensor.random((2, 3, 5, 4), seed=3)
-        cts, layout = ama_pack(x, c)
-        np.testing.assert_array_equal(ama_unpack(cts, layout).data, x.data)
+        ct, layout = ama_pack(x, c)
+        np.testing.assert_array_equal(ama_unpack(ct, layout).data, x.data)
 
     def test_zero_tensor(self):
         c = ctx(16)
         x = GraphTensor.zeros((1, 2, 4, 2))
-        cts, layout = ama_pack(x, c)
-        np.testing.assert_array_equal(ama_unpack(cts, layout).data, x.data)
+        ct, layout = ama_pack(x, c)
+        np.testing.assert_array_equal(ama_unpack(ct, layout).data, x.data)
 
     def test_replica_divergence_detected(self):
         c = ctx(8)
         x = GraphTensor(np.array([1.0, 2.0]).reshape(1, 1, 2, 1))
-        cts, layout = ama_pack(x, c)
-        slots = np.array(cts[0].slots)
-        slots[5] += 1e-3  # corrupt the second copy
+        ct, layout = ama_pack(x, c)
+        slots = np.array(ct.slots)
+        slots[0, 5] += 1e-3  # corrupt the second copy
         corrupted = c.encrypt(slots)
         with pytest.raises(PackingError, match="replica divergence"):
-            ama_unpack([corrupted], layout)
+            ama_unpack(corrupted, layout)
 
     def test_layout_mismatch(self):
         c = ctx(16)
-        cts, layout = ama_pack(GraphTensor.random((1, 2, 4, 2), seed=0), c)
+        ct, layout = ama_pack(GraphTensor.random((1, 2, 4, 2), seed=0), c)
         with pytest.raises(PackingError):
-            ama_unpack(cts[:-1], layout)
+            ama_unpack(ct.take(slice(0, -1)), layout)
 
 
 class TestRowMajor:
     def test_flatten_rows(self):
         c = ctx(8)
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        cts, _ = rowmajor_pack(GraphTensor(x), c)
-        np.testing.assert_array_equal(cts[0].slots, [1, 2, 3, 4, 0, 0, 0, 0])
+        ct, _ = rowmajor_pack(GraphTensor(x), c)
+        np.testing.assert_array_equal(ct.slots[0], [1, 2, 3, 4, 0, 0, 0, 0])
 
     def test_count_is_batch_times_channels(self):
         c = ctx(16)
-        cts, _ = rowmajor_pack(GraphTensor.random((2, 3, 2, 2), seed=1), c)
-        assert len(cts) == 6
+        ct, _ = rowmajor_pack(GraphTensor.random((2, 3, 2, 2), seed=1), c)
+        assert ct.rows == 6
 
     def test_wasted_slots_accounting(self):
         layout = rowmajor_layout((1, 64, 256, 25), 8192)
@@ -119,8 +119,8 @@ class TestRowMajor:
     def test_round_trip(self):
         c = ctx(32)
         x = GraphTensor.random((2, 2, 4, 5), seed=7)
-        cts, layout = rowmajor_pack(x, c)
-        np.testing.assert_array_equal(rowmajor_unpack(cts, layout).data, x.data)
+        ct, layout = rowmajor_pack(x, c)
+        np.testing.assert_array_equal(rowmajor_unpack(ct, layout).data, x.data)
 
 
 def test_round_trip_grid():
@@ -130,12 +130,12 @@ def test_round_trip_grid():
         slots = next_pow2(max(next_pow2(B * T) * 2, T * J))
         c = SimContext(slots, max_level=1)
         x = GraphTensor(rng.uniform(-1, 1, (B, C, T, J)))
-        a_cts, a_layout = ama_pack(x, c)
-        assert len(a_cts) == J * a_layout.cts_per_joint
-        np.testing.assert_array_equal(ama_unpack(a_cts, a_layout).data, x.data)
-        r_cts, r_layout = rowmajor_pack(x, c)
-        assert len(r_cts) == B * C
-        np.testing.assert_array_equal(rowmajor_unpack(r_cts, r_layout).data, x.data)
+        a_ct, a_layout = ama_pack(x, c)
+        assert a_ct.rows == J * a_layout.cts_per_joint
+        np.testing.assert_array_equal(ama_unpack(a_ct, a_layout).data, x.data)
+        r_ct, r_layout = rowmajor_pack(x, c)
+        assert r_ct.rows == B * C
+        np.testing.assert_array_equal(rowmajor_unpack(r_ct, r_layout).data, x.data)
 
 
 def test_ama_ct_count_constant_in_batch_while_capacity_permits():
