@@ -90,8 +90,9 @@ class AdjacencySet:
         return self._union
 
     @classmethod
-    def from_edges(cls, J: int, partitions, add_self_loop: bool = True) -> "AdjacencySet":
-        """Build from per-partition edge lists; edges are undirected pairs."""
+    def from_edges(cls, J: int, partitions) -> "AdjacencySet":
+        """Build from per-partition edge lists; edges are undirected pairs,
+        and partition 0 also gets the self loops."""
         mats = []
         for p, edges in enumerate(partitions):
             m = np.zeros((J, J))
@@ -100,7 +101,7 @@ class AdjacencySet:
                     raise ValueError(f"edge ({i},{j}) outside 0..{J - 1}")
                 m[i, j] = 1.0
                 m[j, i] = 1.0
-            if add_self_loop and p == 0:
+            if p == 0:
                 m += np.eye(J)
             mats.append(m)
         return cls(mats)

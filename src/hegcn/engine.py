@@ -13,32 +13,34 @@ cost model:
 Execution is batched; the schedule and its counts are those of a
 per-ciphertext loop.  A feature map is one stack of ciphertexts in layout
 order, and every kernel reads it whole or by slice or index array and
-writes one output stack: no kernel stacks, unstacks or creates a
-ciphertext per row.  Every conv layer is one prebuilt operator applied by
-one ``SimContext.fold_steps`` to the input stack; the operator runs its
-sources in chunks under ``_CHUNK_BYTES``.  An AMA channel fold is a
+writes one output stack: no kernel creates a ciphertext per row.  Every
+kernel counts in the context of its input stack (``fm.ct.ctx``).  Every
+conv layer is one prebuilt operator applied by one
+``SimContext.fold_steps`` to the input stack; the operator runs its
+sources in chunks under ``hesim._CHUNK_BYTES``.  An AMA channel fold is a
 ``hesim.BlockCirculant`` built from one coefficient table over (step, row,
-term, output block), gathered in one vectorized step from the giant steps
-``_giant_steps`` lists.  A temporal operator carries the tap rotations (the
-baby steps) and the tap masks, each joint's inputs one source set; within
-each block it multiplies only the positions some tap mask keeps (half of
-them after a stride 2).  A spatial operator holds the P weight slabs, with
-terms (partition, group): the factored form of the merged sum_p N_p * W_p.
-One ``hesim.Mixed`` per layer holds the input joint of every (output
-joint, piece) and the partition entries; it gathers and mixes the
-ciphertexts of each chunk of output joints and applies the layer's
-operator to the mixes, and counts what the merged coefficients would.  A
-row-major conv is one operator per layer, applied to every sample's input
-channels at once: a temporal one a ``hesim.Diagonals`` of its taps, a
-spatial one a ``hesim.MixedDiagonals`` of the factors, which mixes the
-joints of every frame row by each partition and applies the weight slabs
-as one GEMM, the row-major counterpart of ``hesim.Mixed``.  Rows are
-joints (AMA temporal), output joints (AMA spatial) or output channels
-(row-major), terms are the rotated inputs a row sums, and a term is
-skipped exactly where its coefficients, merged over the partitions, are
-all zero.  Biases and activation constants are encrypted once per layer
-as broadcast rows.  Every count, including the input, tap and giant-step
-rotations and the adds of partial sums, comes from hesim.
+term, output block), the same for every joint, gathered in one vectorized
+step from the giant steps ``_giant_steps`` lists.  A temporal operator
+carries the tap rotations (the baby steps) and the tap masks, each joint's
+inputs one source set; within each block it multiplies only the positions
+some tap mask keeps (half of them after a stride 2).  A spatial operator
+holds the P weight slabs, with terms (partition, group): the factored form
+of the merged sum_p N_p * W_p.  One ``hesim.Mixed`` per layer holds the
+input joint of every (output joint, piece) and the partition entries; it
+gathers and mixes the ciphertexts of each chunk of output joints and
+applies the layer's operator to the mixes, and counts what the merged
+coefficients would.  A row-major conv is one operator per layer, applied
+to every sample's input channels at once: a temporal one a
+``hesim.Diagonals`` of its taps, a spatial one a ``hesim.MixedDiagonals``
+of the factors, which mixes the joints of every frame row by each
+partition and applies the weight slabs as one GEMM, the row-major
+counterpart of ``hesim.Mixed``.  Rows are joints (AMA temporal), output
+joints (AMA spatial) or output channels (row-major), terms are the rotated
+inputs a row sums, and a term is skipped exactly where its coefficients,
+merged over the partitions, are all zero.  Biases and activation constants
+are encrypted once per layer as broadcast rows.  Every count, including
+the input, tap and giant-step rotations and the adds of partial sums,
+comes from hesim.
 
 Values at padding slots, masked-out strided frames and replica copies are
 allowed to go stale; every consumer reads only through masks or anchor
@@ -55,7 +57,7 @@ import numpy as np
 
 from hegcn import costmodel, hesim, packing
 from hegcn.adjacency import MergedSpatialMatrix, decompose, diagonal_offsets, fold_bn, merge_spatial
-from hegcn.hesim import _CHUNK_BYTES, SimCiphertext, SimContext  # one chunk bound, shared with the hesim operators
+from hegcn.hesim import SimCiphertext, SimContext
 from hegcn.model import (
     Activation,
     FullyConnected,
@@ -94,7 +96,6 @@ class EncryptedFeatureMap:
     t_stride: int = 1
     t_valid: int = 0
     pooled: bool = False
-    label: str = ""
 
     def __post_init__(self):
         if self.t_valid == 0:
@@ -114,11 +115,12 @@ def default_slot_count(dims) -> int:
 # ----------------------------------------------------------------------
 # shared helpers
 
-def _fold(ctx, src, op) -> SimCiphertext:
+def _fold(src, op) -> SimCiphertext:
     """A prebuilt operator ``op`` applied as one ``SimContext.fold_steps``;
     the rows no term reaches are encrypted zeros, encrypted once for all of
     them and switched to the output level.
     """
+    ctx = src.ctx
     acc, has_terms = ctx.fold_steps(src, op)
     if has_terms.all():
         return acc
@@ -144,11 +146,11 @@ def _giant_steps(lin: PackingLayout, lout: PackingLayout):
     return deltas * lin.pad_bt, lout.block_channels(), reads, serves
 
 
-def _add_bias(ctx, ct, bias_slots) -> SimCiphertext:
+def _add_bias(ct, bias_slots) -> SimCiphertext:
     """ct + an encrypted bias; a stack takes one bias row per ciphertext
     (a broadcast of the distinct rows is encrypted once)."""
-    bct = ctx.encrypt(bias_slots)
-    return ctx.add(ct, ctx.mod_switch(bct, ct.level))
+    ctx = ct.ctx
+    return ctx.add(ct, ctx.mod_switch(ctx.encrypt(bias_slots), ct.level))
 
 
 def _bias_ama(layout: PackingLayout, bias: np.ndarray) -> np.ndarray:
@@ -166,18 +168,13 @@ def _has_bias(bias) -> bool:
 # spatial convolution
 
 
-def ama_spatial(
-    fm: EncryptedFeatureMap,
-    merged: MergedSpatialMatrix,
-    pieces=None,
-    ctx: SimContext | None = None,
-) -> EncryptedFeatureMap:
+def ama_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> EncryptedFeatureMap:
     """Rotation-free joint mixing: one PMult per (piece, group, giant step).
 
-    ``pieces`` is the shared patterned decomposition of the joint-mixing
-    action (columns indexed by output joint); it is recomputed from the
-    merged pattern when not supplied.  Rows of the fold are output joints,
-    each reading the input joint its pieces name.
+    The pieces are the shared patterned decomposition of the joint-mixing
+    action (columns indexed by output joint), taken from the merged
+    pattern.  Rows of the fold are output joints, each reading the input
+    joint its pieces name.
 
     The fold is evaluated factored, as the merged form N_p * W_p allows:
     the P weight slabs are one block-circulant operator, with terms
@@ -189,7 +186,6 @@ def ama_spatial(
     coefficients, one ciphertext at a time: a (piece, group) term runs
     where sum_p N_p[k, j] * W_p[c, o] is not zero.
     """
-    ctx = ctx or fm.ct.ctx
     lin = fm.layout
     if lin.kind != AMA:
         raise ValueError("ama_spatial needs an AMA-packed feature map")
@@ -197,10 +193,9 @@ def ama_spatial(
         raise ValueError(f"feature map carries {lin.C} channels, merged matrix wants {merged.c_in}")
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before spatial conv")
-    if pieces is None:
-        # column k of the action matrix feeds output joint k, so the merged
-        # pattern (output-joint rows) is transposed before decomposing
-        pieces = decompose(merged.pattern.T)
+    # column k of the action matrix feeds output joint k, so the merged
+    # pattern (output-joint rows) is transposed before decomposing
+    pieces = decompose(merged.pattern.T)
 
     B, T, J = lin.B, lin.T, lin.J
     lout = packing.ama_layout((B, merged.c_out, T, J), lin.slot_count)
@@ -210,37 +205,33 @@ def ama_spatial(
     # weights over (step, h, partition, g, block), zero where the step does not serve
     w = merged.weights[np.arange(P)[:, None, None], c_read[:, None, None], out_chan[:, None, None, :]]
     w = np.where(serves[:, None, None], w, 0.0)
-    op = hesim.BlockCirculant(amounts, w.reshape(len(amounts), 1, H, P * G, cap), (cap, lin.pad_bt))
+    op = hesim.BlockCirculant(amounts, w.reshape(len(amounts), H, P * G, cap), (cap, lin.pad_bt))
     # input joint of (output joint, piece); -1 where the piece has no entry
     # (a zero matrix has no pieces: one empty piece gives every output zero)
     reads = np.array([p.rows for p in pieces] or [[-1] * J], dtype=np.int64).T
     # partition entries N_p[k, j] of (output joint k, partition, piece); a
     # piece without an entry reads joint 0 with zeros
     mix = np.where(reads >= 0, merged.parts[:, np.arange(J)[:, None], np.maximum(reads, 0)], 0.0).transpose(1, 0, 2)
-    acc = _fold(ctx, fm.ct, hesim.Mixed(op, mix, np.maximum(reads, 0), J))
+    acc = _fold(fm.ct, hesim.Mixed(op, mix, np.maximum(reads, 0), J))
     if _has_bias(merged.bias):
-        acc = _add_bias(ctx, acc, _bias_ama(lout, merged.bias))
-    return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid, label=fm.label)
+        acc = _add_bias(acc, _bias_ama(lout, merged.bias))
+    return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid)
 
 
-def _rowmajor_fold(ctx, fm, op, bias) -> SimCiphertext:
+def _rowmajor_fold(fm, op, bias) -> SimCiphertext:
     """Row-major mixing: the prebuilt ``op`` applied to every sample's input
     channels at once, each sample one of its source sets, then ``bias[o]``
     added on the T x J grid of output channel o."""
     lin = fm.layout
-    acc = _fold(ctx, fm.ct, op)
+    acc = _fold(fm.ct, op)
     if _has_bias(bias):
         # one row per (sample, output channel) over the grid; encrypt zeroes the tail
         bias = np.asarray(bias, dtype=np.float64)
-        acc = _add_bias(ctx, acc, np.broadcast_to(bias[:, None], (lin.B, len(bias), lin.T * lin.J)))
+        acc = _add_bias(acc, np.broadcast_to(bias[:, None], (lin.B, len(bias), lin.T * lin.J)))
     return acc
 
 
-def rowmajor_spatial(
-    fm: EncryptedFeatureMap,
-    merged: MergedSpatialMatrix,
-    ctx: SimContext | None = None,
-) -> EncryptedFeatureMap:
+def rowmajor_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> EncryptedFeatureMap:
     """Diagonal-method joint mixing on the flattened T x J grid.
 
     One rotation per nonzero generalized diagonal of the shared pattern
@@ -251,7 +242,6 @@ def rowmajor_spatial(
     merged coefficients sum_p N_p * W_p would be.  A zero matrix has no
     diagonals and gives every output zero.
     """
-    ctx = ctx or fm.ct.ctx
     lin = fm.layout
     if lin.kind != ROWMAJOR:
         raise ValueError("rowmajor_spatial needs a row-major feature map")
@@ -261,9 +251,9 @@ def rowmajor_spatial(
         raise hesim.LevelError("level exhausted before spatial conv")
 
     op = hesim.MixedDiagonals(merged.weights, merged.parts, diagonal_offsets(merged.pattern), (lin.T, lin.J), lin.slot_count)
-    acc = _rowmajor_fold(ctx, fm, op, merged.bias)
+    acc = _rowmajor_fold(fm, op, merged.bias)
     lout = packing.rowmajor_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
-    return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid, label=fm.label)
+    return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid)
 
 
 # ----------------------------------------------------------------------
@@ -271,31 +261,27 @@ def rowmajor_spatial(
 
 
 def _temporal_tap_mask(
-    pad: int, B: int, T: int, sigma_in: int, tv_in: int, stride: int, eps: int
+    pad: int, B: int, T: int, sigma_in: int, tv_in: int, stride: int, eps: np.ndarray
 ) -> np.ndarray:
-    """Validity of tap offset eps at every within-block position.
+    """Validity of each of the (K,) tap offsets ``eps`` at every within-block
+    position, (K, pad).
 
     A position carries output frame l' when it lies on the output stride
-    lattice; the tap contributes when the read frame s*l' + eps is a valid
+    lattice; a tap contributes when the read frame s*l' + eps is a valid
     input frame.  Everything else (padding tail, off-lattice frames) is
     zeroed.
     """
     sigma_out = sigma_in * stride
     tv_out = math.ceil(tv_in / stride)
     tau = np.arange(pad)
-    brow = tau // T
     t = tau % T
-    on_lattice = (tau < B * T) & (brow < B) & (t % sigma_out == 0)
+    on_lattice = (tau < B * T) & (t % sigma_out == 0)
     lprime = t // sigma_out
-    lread = lprime * stride + eps
+    lread = lprime * stride + eps[:, None]
     return on_lattice & (lprime < tv_out) & (lread >= 0) & (lread < tv_in)
 
 
-def temporal_conv(
-    fm: EncryptedFeatureMap,
-    layer: TemporalConv,
-    ctx: SimContext | None = None,
-) -> EncryptedFeatureMap:
+def temporal_conv(fm: EncryptedFeatureMap, layer: TemporalConv) -> EncryptedFeatureMap:
     """K-tap zero-padded temporal convolution with optional stride 2.
 
     Tap rotations are baby steps shared per input ciphertext (K-1 counted
@@ -303,7 +289,6 @@ def temporal_conv(
     spatial layer.  Stride 2 is a masked decimation: the layout keeps its
     padding and odd frames simply go stale.
     """
-    ctx = ctx or fm.ct.ctx
     lin = fm.layout
     if layer.kernel % 2 == 0:
         raise ValueError("kernel must be odd")
@@ -316,26 +301,19 @@ def temporal_conv(
     scale, bias = fold_bn(layer.bias, layer.bn, layer.channels)
     W = layer.weights * scale[:, None, None]
 
-    K = layer.kernel
-    half = (K - 1) // 2
-    taps = [(kappa, kappa - half) for kappa in range(K)]
-    masks = {
-        kappa: _temporal_tap_mask(
-            lin.pad_bt, lin.B, lin.T, fm.t_stride, fm.t_valid, layer.stride, eps
-        ).astype(float)
-        for kappa, eps in taps
-    }
+    eps = np.arange(layer.kernel) - (layer.kernel - 1) // 2  # the frame offset of every tap
+    masks = _temporal_tap_mask(lin.pad_bt, lin.B, lin.T, fm.t_stride, fm.t_valid, layer.stride, eps).astype(float)
 
     if lin.kind == AMA:
-        out_fm = _temporal_ama(fm, W, bias, taps, masks, ctx)
+        out_fm = _temporal_ama(fm, W, bias, eps, masks)
     else:
-        out_fm = _temporal_rowmajor(fm, W, bias, taps, masks, ctx)
+        out_fm = _temporal_rowmajor(fm, W, bias, eps, masks)
     out_fm.t_stride = fm.t_stride * layer.stride
     out_fm.t_valid = math.ceil(fm.t_valid / layer.stride)
     return out_fm
 
 
-def _temporal_ama(fm, W, bias, taps, masks, ctx):
+def _temporal_ama(fm, W, bias, eps, masks):
     """Rows of the fold are joints, terms are (input group, tap).
 
     Block weights do not depend on the joint, so the block-circulant
@@ -344,57 +322,45 @@ def _temporal_ama(fm, W, bias, taps, masks, ctx):
     rotates them by the taps, in chunks of joints.
     """
     lin = fm.layout
-    G, K = lin.cts_per_joint, len(taps)
+    G, K = lin.cts_per_joint, len(eps)
     amounts, out_chan, c_read, serves = _giant_steps(lin, lin)
     # W over (step, h, g, tap, block)
     w = W[out_chan[:, None, None], c_read[:, None, :, None], np.arange(K)[:, None]]
     w = np.where(serves[:, None, :, None], w, 0.0)
-    coef = w.reshape(len(amounts), 1, G, G * K, lin.capacity)
-    vec = np.tile(np.array([masks[kappa] for kappa, _ in taps])[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
-    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), [eps * fm.t_stride for _, eps in taps], vec)
-    acc = _fold(ctx, fm.ct, op)
+    coef = w.reshape(len(amounts), G, G * K, lin.capacity)
+    vec = np.tile(masks[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
+    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), eps * fm.t_stride, vec)
+    acc = _fold(fm.ct, op)
     if _has_bias(bias):
-        acc = _add_bias(ctx, acc, _bias_ama(lin, bias))
-    return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid, label=fm.label)
+        acc = _add_bias(acc, _bias_ama(lin, bias))
+    return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid)
 
 
-def _temporal_rowmajor(fm, W, bias, taps, masks, ctx):
+def _temporal_rowmajor(fm, W, bias, eps, masks):
     """One ``hesim.Diagonals`` of the K taps: terms are (tap, input channel), rows output channels."""
     lin = fm.layout
-    op = hesim.Diagonals(
-        [eps * fm.t_stride * lin.J for _, eps in taps],
-        (W[None, :, :, kappa].transpose(0, 2, 1) for kappa, _ in taps),
-        (lin.T, lin.J),
-        lin.slot_count,
-        # masks were built over one T-row; each frame row spans J slots
-        np.array([masks[kappa][: lin.T] for kappa, _ in taps])[:, None],
-    )
-    return EncryptedFeatureMap(_rowmajor_fold(ctx, fm, op, bias), lin, fm.t_stride, fm.t_valid, label=fm.label)
+    # masks were built over one T-row; each frame row spans J slots
+    op = hesim.Diagonals(eps * fm.t_stride * lin.J, W.transpose(2, 1, 0), (lin.T, lin.J), lin.slot_count, masks[:, None, : lin.T])
+    return EncryptedFeatureMap(_rowmajor_fold(fm, op, bias), lin, fm.t_stride, fm.t_valid)
 
 
 # ----------------------------------------------------------------------
 # activation, pooling, classifier head
 
 
-def poly_activation(
-    fm: EncryptedFeatureMap,
-    a: float,
-    b: float,
-    c: float,
-    ctx: SimContext | None = None,
-) -> EncryptedFeatureMap:
+def poly_activation(fm: EncryptedFeatureMap, a: float, b: float, c: float) -> EncryptedFeatureMap:
     """a*x^2 + b*x + c per slot: one CMult, two PMults, two Adds, two levels,
     each one op on the whole stack; the constant is one encrypted row."""
-    ctx = ctx or fm.ct.ctx
+    ctx = fm.ct.ctx
     if fm.level < 2:
         raise hesim.LevelError(f"activation needs level >= 2, have {fm.level}")
     x = fm.ct
     poly = ctx.add(ctx.pmult(ctx.cmult(x, x), float(a)), ctx.mod_switch(ctx.pmult(x, float(b)), x.level - 2))
     const = ctx.mod_switch(ctx.encrypt(np.broadcast_to(float(c), (x.rows, ctx.slot_count))), poly.level)
-    return EncryptedFeatureMap(ctx.add(poly, const), fm.layout, fm.t_stride, fm.t_valid, fm.pooled, fm.label)
+    return EncryptedFeatureMap(ctx.add(poly, const), fm.layout, fm.t_stride, fm.t_valid, fm.pooled)
 
 
-def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> EncryptedFeatureMap:
+def global_avg_pool(fm: EncryptedFeatureMap) -> EncryptedFeatureMap:
     """Mean over valid frames and all joints; output anchored per channel.
 
     AMA: the J joint stacks of G group ciphertexts are summed (J-1 adds per
@@ -403,7 +369,7 @@ def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> E
     slot.  Row-major: mask-scale first, then a full-slot halving fold leaves
     the mean replicated in every slot.  Each step is one op on the stack.
     """
-    ctx = ctx or fm.ct.ctx
+    ctx = fm.ct.ctx
     lin = fm.layout
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before pooling")
@@ -419,7 +385,7 @@ def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> E
         acc = ctx.sum_parts(fm.ct, lin.J)
         for i in range(int(math.log2(tv))):
             acc = ctx.add(acc, ctx.rotate(acc, sigma * (tv >> (i + 1))))
-        return EncryptedFeatureMap(ctx.pmult(acc, mask), lin, sigma, tv, pooled=True, label=fm.label)
+        return EncryptedFeatureMap(ctx.pmult(acc, mask), lin, sigma, tv, pooled=True)
 
     # row-major
     q = np.arange(lin.slot_count)
@@ -428,19 +394,14 @@ def global_avg_pool(fm: EncryptedFeatureMap, ctx: SimContext | None = None) -> E
     acc = ctx.pmult(fm.ct, np.where(valid, 1.0 / count, 0.0))
     for i in range(int(math.log2(lin.slot_count))):
         acc = ctx.add(acc, ctx.rotate(acc, lin.slot_count >> (i + 1)))
-    return EncryptedFeatureMap(acc, lin, sigma, tv, pooled=True, label=fm.label)
+    return EncryptedFeatureMap(acc, lin, sigma, tv, pooled=True)
 
 
-def fully_connected(
-    fm: EncryptedFeatureMap,
-    weights: np.ndarray,
-    bias: np.ndarray,
-    ctx: SimContext | None = None,
-) -> list[SimCiphertext]:
+def fully_connected(fm: EncryptedFeatureMap, weights: np.ndarray, bias: np.ndarray) -> list[SimCiphertext]:
     """Class scores from a pooled feature map: stacks of one ciphertext per
     class (AMA, in chunks of classes) or one stack of one per sample
-    (row-major).  Every plaintext table stays under ``_CHUNK_BYTES``."""
-    ctx = ctx or fm.ct.ctx
+    (row-major).  Every plaintext table stays under ``hesim._CHUNK_BYTES``."""
+    ctx = fm.ct.ctx
     if not fm.pooled:
         raise ValueError("fully_connected expects a pooled feature map")
     if fm.level < 1:
@@ -460,7 +421,7 @@ def fully_connected(
         # Chunks of classes are written over the last one's in one buffer (a
         # PMult keeps no reference to its plaintext).
         anchors = [np.arange(lin.group_size(g))[:, None] * pad + np.arange(lin.B) * lin.T for g in range(G)]
-        size = max(1, _CHUNK_BYTES // (G * N * 8))
+        size = max(1, hesim._CHUNK_BYTES // (G * N * 8))
         plains = np.zeros((G, min(size, classes), N))
         score_cts = []
         for s in range(0, classes, size):
@@ -470,14 +431,14 @@ def fully_connected(
             acc = ctx.sum_parts(ctx.pmult(fm.ct.repeat(len(cls)), plains[:, : len(cls)]), G)
             for i in range(int(math.log2(cap))):
                 acc = ctx.add(acc, ctx.rotate(acc, pad * (cap >> (i + 1))))
-            score_cts.append(_add_bias(ctx, acc, np.broadcast_to(bias[cls, None], (len(cls), N))))
+            score_cts.append(_add_bias(acc, np.broadcast_to(bias[cls, None], (len(cls), N))))
         return score_cts
 
     # row-major: pooled means are replicated, so one fused plaintext per
     # input ciphertext carries the whole weight row and no rotation is
     # needed; input channels in chunks, each plaintext shared by the samples
     B, C = lin.B, lin.C
-    size = max(1, _CHUNK_BYTES // (N * 8))
+    size = max(1, hesim._CHUNK_BYTES // (N * 8))
     acc = None
     for c in range(0, C, size):
         cs = np.arange(c, min(c + size, C))
@@ -485,7 +446,7 @@ def fully_connected(
         terms = ctx.pmult(fm.ct.take((np.arange(B) * C + cs[:, None]).ravel()), np.broadcast_to(weights[cs, None], (len(cs), B, classes)))
         part = ctx.sum_parts(terms, len(cs))
         acc = part if acc is None else ctx.add(acc, part)
-    return [_add_bias(ctx, acc, np.broadcast_to(bias, (B, classes)))]
+    return [_add_bias(acc, np.broadcast_to(bias, (B, classes)))]
 
 
 def extract_scores(score_cts, fm_layout: PackingLayout, classes: int) -> np.ndarray:
@@ -576,17 +537,17 @@ def run_model(
         with ctx.layer(label):
             if isinstance(layer, SpatialConv):
                 spatial = ama_spatial if fmt == AMA else rowmajor_spatial
-                fm = spatial(fm, merge_spatial(layer.adjacency, layer.weights, layer.bias, layer.bn), ctx=ctx)
+                fm = spatial(fm, merge_spatial(layer.adjacency, layer.weights, layer.bias, layer.bn))
             elif isinstance(layer, TemporalConv):
-                fm = temporal_conv(fm, layer, ctx=ctx)
+                fm = temporal_conv(fm, layer)
             elif isinstance(layer, Activation):
                 if not layer.pruned:
-                    fm = poly_activation(fm, layer.a, layer.b, layer.c, ctx=ctx)
+                    fm = poly_activation(fm, layer.a, layer.b, layer.c)
             elif isinstance(layer, GlobalAvgPool):
-                fm = global_avg_pool(fm, ctx=ctx)
+                fm = global_avg_pool(fm)
             elif isinstance(layer, FullyConnected):
                 classes = layer.classes
-                score_cts = fully_connected(fm, layer.weights, layer.bias, ctx=ctx)
+                score_cts = fully_connected(fm, layer.weights, layer.bias)
             else:
                 raise ValueError(f"unknown layer {layer!r}")
         after = fm.level if score_cts is None else score_cts[0].level
@@ -685,11 +646,11 @@ def dense_matmul_case(fmt: str, B: int, C: int, J: int, T: int = 4, seed: int = 
     with ctx.layer(label):
         if fmt == AMA:
             ct, layout = packing.ama_pack(x, ctx)
-            fm = ama_spatial(EncryptedFeatureMap(ct, layout), merged, ctx=ctx)
+            fm = ama_spatial(EncryptedFeatureMap(ct, layout), merged)
             got = packing.ama_unpack(fm.ct, fm.layout).data
         else:
             ct, layout = packing.rowmajor_pack(x, ctx)
-            fm = rowmajor_spatial(EncryptedFeatureMap(ct, layout), merged, ctx=ctx)
+            fm = rowmajor_spatial(EncryptedFeatureMap(ct, layout), merged)
             got = packing.rowmajor_unpack(fm.ct, fm.layout).data
     err = float(np.max(np.abs(got - merged.apply(x.data))))
     return ctx.counter.layer(label), err

@@ -19,7 +19,7 @@ whole feature map is one stack, and a layer is a few ops on it.  An
 encryption of rows broadcast along some axes keeps one copy of the
 distinct rows; a PMult takes one plaintext for all rows or one per row;
 ``sum_parts`` adds the equal consecutive parts of a stack.  ``take``,
-``put``, ``stack`` and ``unstack`` are bookkeeping and count nothing.
+``put`` and ``repeat`` are bookkeeping and count nothing.
 
 ``fold_steps`` is the one fused multiply-accumulate: it applies a prebuilt
 operator, the baby-step/giant-step product of Halevi and Shoup (CRYPTO
@@ -42,8 +42,10 @@ plaintext factors that scale its terms, works out its counter totals with
 vectorized sums when it is built and its op records only when they are
 first read, and is applied as batched matrix products over chunks of its
 sources that stay under ``_CHUNK_BYTES`` (a ``BlockCirculant`` skips the
-within-block positions its factors zero); ``fold_steps`` adds its totals
-to the counter once and writes its records only when ``log_ops`` is on.
+within-block positions its factors zero).  It holds one set of
+coefficients, which serves every source set of the stack it is applied to:
+``fold_steps`` adds its totals, times the source sets, to the counter once
+and writes its records only when ``log_ops`` is on.
 The counts are those of the schedule one ciphertext at a time: a rotation
 per input and amount some term reads, and a PMult per term that runs (its
 coefficients, for a ``Mixed`` the combined ones and for a
@@ -177,28 +179,6 @@ class SimCiphertext:
         return f"SimCiphertext(id={self.id}, level={self.level}, slots={shape})"
 
 
-def stack(cts) -> SimCiphertext:
-    """One stack of the given ciphertexts and stacks, in order.
-
-    Bookkeeping, not an HE operation: nothing is counted or logged.
-    """
-    cts = list(cts)
-    if not cts:
-        raise ValueError("stack needs at least one ciphertext")
-    levels = {ct.level for ct in cts}
-    if len(levels) > 1:
-        raise LevelError(f"cannot stack ciphertexts at levels {sorted(levels)}")
-    slots = np.concatenate([ct.slots.reshape(ct.rows, -1) for ct in cts])
-    return cts[0].ctx._new_ct(slots, cts[0].level)
-
-
-def unstack(ct: SimCiphertext) -> list[SimCiphertext]:
-    """The rows of a stack as single ciphertexts (views, nothing counted)."""
-    if ct.slots.ndim == 1:
-        return [ct]
-    return [ct.ctx._new_ct(row, ct.level) for row in ct.slots.reshape(ct.rows, -1)]
-
-
 def _padded(values: np.ndarray, slot_count: int, transform=None) -> np.ndarray:
     """(..., k) values as (..., slot_count) slots, zero past k, with
     ``transform`` applied to the slots.  Leading axes along which ``values``
@@ -320,81 +300,80 @@ class _Counted:
 
 class BlockCirculant(_Counted):
     """The baby-step/giant-step operator of one AMA channel fold, built once
-    and applied by ``SimContext.fold_steps`` to any number of source stacks.
+    and applied by ``SimContext.fold_steps`` to any number of source sets.
 
     The slots are read as a ``grid`` (n1, n2): n1 blocks of n2 slots.  The
     baby steps rotate each input ciphertext by every one of the K ``taps``
     (slot amounts); the T terms are the (input, tap) pairs, input-major, so
     a source set is T / K inputs.  Giant step s rotates by ``amounts[s]``
     slots, a multiple of n2 (a shift by whole blocks).  ``coef`` has shape
-    (S, sets, V, T, n1): step, source set (one set shared by all, or one per
-    set), row, term and the block a coefficient lands on after its step's
-    rotation.  ``vec`` broadcasts to (T, n1, n2) and scales each term's
-    slots after its tap rotation.  Block b of row v of source set u is
+    (S, V, T, n1): step, row, term and the block a coefficient lands on
+    after its step's rotation, one set of coefficients for every source
+    set.  ``vec`` broadcasts to (T, n1, n2) and scales each term's slots
+    after its tap rotation.  Block b of row v of source set u is
 
-        sum over steps s, terms t of  coef[s, u, v, t, b] * (vec[t] * src[u, t])[b']
+        sum over steps s, terms t of  coef[s, v, t, b] * (vec[t] * src[u, t])[b']
 
     with b' = (b + amounts[s] / n2) mod n1 and src[u, t] input i of set u
     rotated by tap k, for t = (i, k): the baby-step/giant-step matrix-vector
     product of Halevi and Shoup (CRYPTO 2018), where all giant steps
-    together are one (V*n1, T*n1) block-circulant matrix per source set.
-    Repeated amounts add up.
+    together are one (V*n1, T*n1) block-circulant matrix.  Repeated amounts
+    add up.
 
-    ``matrix`` is that (sets, V*n1, T*n1) matrix, rows (row, block) and
-    columns (term, source block); ``coef`` and ``amounts`` (mod slot count)
-    are kept for ``Mixed``.  A giant step moves whole blocks, so position p
-    of every block of the product reads position p of the blocks of the
-    terms only, and is zero where ``vec`` is zero for every term.  ``live``
-    is the slice of within-block positions from the first such nonzero
-    position to the last, in the largest step that meets them all (every
-    position when ``vec`` is nonzero everywhere); ``apply`` copies, scales
-    and multiplies only those columns, and the product is an exact zero at
-    the others.  ``vec`` is kept as (inputs, K, n1 or 1, live) factors, one
-    block for all when they are the same in every block, and None when
-    every factor is 1.
+    ``matrix`` is that matrix, rows (row, block) and columns (term, source
+    block); ``coef`` and ``amounts`` (mod slot count) are kept for
+    ``Mixed``.  A giant step moves whole blocks, so position p of every
+    block of the product reads position p of the blocks of the terms only,
+    and is zero where ``vec`` is zero for every term.  ``live`` is the
+    slice of within-block positions from the first such nonzero position to
+    the last, in the largest step that meets them all (every position when
+    ``vec`` is nonzero everywhere); ``apply`` copies, scales and multiplies
+    only those columns, and the product is an exact zero at the others.
+    ``vec`` is kept as (inputs, K, n1 or 1, live) factors, one block for all
+    when they are the same in every block, and None when every factor is 1.
 
-    ``has_terms`` marks the (sets*V) rows some step reaches.  The records of
-    one source set are one rotation per distinct nonzero tap amount of the
-    inputs some pair of it reads, then per giant step its PMults, its Adds
-    of products, one rotation per row with terms (none when the amount is 0
+    ``has_terms`` marks the V rows some step reaches.  The records of one
+    source set are one rotation per distinct nonzero tap amount of the
+    inputs some pair reads, then per giant step its PMults, its Adds of
+    products, one rotation per row with terms (none when the amount is 0
     mod n1*n2) and one Add per row that already holds a partial sum.  The
     arrays are read-only and ``fold_steps`` changes nothing, so one operator
     serves any number of source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "taps", "amounts", "sets", "rows", "terms", "inputs", "coef", "matrix", "vec", "live", "has_terms")
+    __slots__ = ("grid", "slot_count", "taps", "amounts", "rows", "terms", "inputs", "coef", "matrix", "vec", "live", "has_terms")
 
     def __init__(self, amounts, coef, grid, taps=(0,), vec=1.0):
         n1, n2 = grid
         N = n1 * n2
         amounts = np.asarray(amounts, dtype=np.int64)
         coef = np.asarray(coef, dtype=np.float64).view()
-        if coef.ndim != 5 or coef.shape[4] != n1 or coef.shape[0] != len(amounts):
-            raise ValueError(f"coef of shape {coef.shape} is not ({len(amounts)}, sets, rows, terms, {n1})")
+        if coef.ndim != 4 or coef.shape[3] != n1 or coef.shape[0] != len(amounts):
+            raise ValueError(f"coef of shape {coef.shape} is not ({len(amounts)}, rows, terms, {n1})")
         if np.any(amounts % n2):
             raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
-        S, sets, V, T = coef.shape[:4]
+        S, V, T = coef.shape[:3]
         taps = tuple(int(a) % N for a in taps)
         if not taps or T % len(taps):
             raise ValueError(f"{T} terms are not (input, tap) pairs of {len(taps)} taps")
         # sum the steps per block shift k (block b reads source block b + k), then
-        # copy the sums once into E[u, v, t, b, k], doubled along k, so that
-        # mat[u, v, b, t, c] = E[u, v, t, b, (c - b) % n1] = E[u, v, t, b, n1 - b + c]
+        # copy the sums once into E[v, t, b, k], doubled along k, so that
+        # mat[v, b, t, c] = E[v, t, b, (c - b) % n1] = E[v, t, b, n1 - b + c]
         # is a strided view
-        D = np.zeros((n1, sets, V, T, n1))
+        D = np.zeros((n1, V, T, n1))
         for k, c in zip((amounts // n2 % n1).tolist(), coef):
             D[k] += c
-        D = D.transpose(1, 2, 3, 4, 0)
+        D = D.transpose(1, 2, 3, 0)
         E = np.concatenate((D, D), axis=-1)
-        su, sv, st, sb, sk = E.strides
-        mat = np.lib.stride_tricks.as_strided(E[..., n1:], (sets, V, n1, T, n1), (su, sv, sb - sk, st, sk)).copy()
-        runs = coef.any(axis=-1)  # (S, sets, V, T): the terms that run
+        sv, st, sb, sk = E.strides
+        mat = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)).copy()
+        runs = coef.any(axis=-1)  # (S, V, T): the terms that run
         # the inputs each distinct tap amount rotates: some pair at one of its taps is read
-        reads = runs.any(axis=(0, 2)).reshape(sets, T // len(taps), len(taps))
+        reads = runs.any(axis=(0, 1)).reshape(T // len(taps), len(taps))
         distinct = list(dict.fromkeys(taps))
         member = np.array(taps)[:, None] == np.array(distinct)  # (K, distinct amounts)
-        rotated = ((reads @ member) > 0).sum(axis=(0, 1)) * (np.array(distinct) != 0)
-        steps, self.has_terms = _giant_step_counts(amounts % N, runs.sum(axis=-1).reshape(S, sets * V))
+        rotated = ((reads @ member) > 0).sum(axis=0) * (np.array(distinct) != 0)
+        steps, self.has_terms = _giant_step_counts(amounts % N, runs.sum(axis=-1))
         self._count((_TAP, distinct, rotated[:, None]), (_GIANT_STEP, (amounts % N).tolist(), steps))
         # (T, n1 or 1, n2): a factor the same in every block is kept once
         vec = np.asarray(vec, dtype=np.float64)
@@ -407,8 +386,8 @@ class BlockCirculant(_Counted):
         self.vec = None if (vec == 1).all() else np.ascontiguousarray(vec)
         self.grid, self.slot_count = (int(n1), int(n2)), int(N)
         self.taps, self.amounts = taps, amounts % N
-        self.sets, self.rows, self.terms, self.inputs = sets, V, T, T // len(taps)
-        self.coef, self.matrix = coef, mat.reshape(sets, V * n1, T * n1)
+        self.rows, self.terms, self.inputs = V, T, T // len(taps)
+        self.coef, self.matrix = coef, mat.reshape(V * n1, T * n1)
         for arr in (self.amounts, self.coef, self.matrix, self.vec, self.has_terms):
             if arr is not None:
                 arr.flags.writeable = False
@@ -422,11 +401,11 @@ class BlockCirculant(_Counted):
             out = np.empty((U, self.rows, N))
         size = max(1, _CHUNK_BYTES // (I * len(self.taps) * N * 8))
         for u in range(0, U, size):
-            us = slice(u, u + size)
-            self._product(x[us], self.matrix if self.sets == 1 else self.matrix[us], out[us])
+            self._product(x[u : u + size], out[u : u + size])
         return out
 
-    def _product(self, x: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
+    def _product(self, x: np.ndarray, out: np.ndarray) -> None:
+        """One chunk: one ``matmul`` of the matrix broadcast over its sets."""
         U, I, N = x.shape
         n1, n2 = self.grid
         K = len(self.taps)
@@ -447,10 +426,10 @@ class BlockCirculant(_Counted):
                 z *= self.vec
         blocks = out.reshape(U, self.rows * n1, n2)
         if L == n2:
-            np.matmul(matrix, z.reshape(U, self.terms * n1, L), out=blocks)
+            np.matmul(self.matrix, z.reshape(U, self.terms * n1, L), out=blocks)
         else:
             blocks[...] = 0.0
-            blocks[..., self.live] = matrix @ z.reshape(U, self.terms * n1, L)
+            blocks[..., self.live] = self.matrix @ z.reshape(U, self.terms * n1, L)
 
 
 class Mixed(_Counted):
@@ -459,11 +438,11 @@ class Mixed(_Counted):
     products, such as an AMA spatial conv's sum over partitions p of
     N_p[k, j] * W_p[c, o].
 
-    ``op`` has the single tap 0, one set of coefficients and T = P * G
-    terms (part, group).  A source set is ``units`` * G inputs (unit,
-    group).  Output set k of ``reads.shape[0]`` reads M units, ``reads``
-    (sets, M), and ``mix`` (sets, P, M) holds the scalar of each of its
-    (part, piece); ``op`` is applied to its P * G mixes
+    ``op`` has the single tap 0 and T = P * G terms (part, group).  A
+    source set is ``units`` * G inputs (unit, group).  Output set k of
+    ``reads.shape[0]`` reads M units, ``reads`` (sets, M), and ``mix``
+    (sets, P, M) holds the scalar of each of its (part, piece); ``op`` is
+    applied to its P * G mixes
 
         y[k, p, g] = sum over m of  mix[k, p, m] * src[(reads[k, m], g)]
 
@@ -475,7 +454,7 @@ class Mixed(_Counted):
     a time, whose terms are the (piece, group) inputs: term (m, g) of set k
     has, at step s, row v and block b, the combined coefficient
 
-        sum over p of  mix[k, p, m] * op.coef[s, 0, v, (p, g), b]
+        sum over p of  mix[k, p, m] * op.coef[s, v, (p, g), b]
 
     summed in the order of p, and runs when that is not zero at some block;
     a sum that cancels runs nothing.  The combined coefficients depend on
@@ -483,24 +462,23 @@ class Mixed(_Counted):
     worked out once per distinct vector (a few on a skeleton), without the
     (steps, sets, rows, pieces, groups, blocks) table.  ``records``,
     ``totals`` and ``has_terms`` are those of a ``BlockCirculant`` of the
-    combined table whose rows are all output sets' rows: for
-    ``fold_steps`` the operator has one set of coefficients (``sets`` 1)
-    serving every source set, and ``rows`` = sets * V.
+    combined table whose rows are all output sets' rows, ``rows`` = sets *
+    V, serving every source set.
     """
 
-    __slots__ = ("op", "mix", "reads", "slot_count", "units", "sets", "rows", "inputs", "has_terms")
+    __slots__ = ("op", "mix", "reads", "slot_count", "units", "rows", "inputs", "has_terms")
 
     def __init__(self, op: BlockCirculant, mix, reads, units: int):
         mix = np.array(mix, dtype=np.float64)
         reads = np.array(reads, dtype=np.int64)
-        S, shared, V, T, n1 = op.coef.shape
-        if op.taps != (0,) or shared != 1 or mix.ndim != 3 or T % mix.shape[1]:
-            raise ValueError(f"mix of shape {mix.shape} does not fit an operator of {shared} sets of {T} terms and taps {op.taps}")
+        S, V, T, n1 = op.coef.shape
+        if op.taps != (0,) or mix.ndim != 3 or T % mix.shape[1]:
+            raise ValueError(f"mix of shape {mix.shape} does not fit an operator of {T} terms and taps {op.taps}")
         sets, P, M = mix.shape
         if reads.shape != (sets, M) or reads.size and not 0 <= reads.min() <= reads.max() < units:
             raise ValueError(f"reads of shape {reads.shape} do not fit a mix of shape {mix.shape} over {units} units")
         G = T // P
-        w = op.coef[:, 0].reshape(S, V, P, G, n1)
+        w = op.coef.reshape(S, V, P, G, n1)
         vectors, which = np.unique(mix.transpose(0, 2, 1).reshape(sets * M, P), axis=0, return_inverse=True)
         combined = np.zeros((len(vectors), S, V, G, n1))
         for p in np.flatnonzero(vectors.any(axis=0)):  # a part no set reads adds only zeros
@@ -512,7 +490,7 @@ class Mixed(_Counted):
         steps, self.has_terms = _giant_step_counts(op.amounts, terms.reshape(sets, S, V).transpose(1, 0, 2).reshape(S, sets * V))
         self._count((_GIANT_STEP, op.amounts.tolist(), steps))
         self.op, self.mix, self.reads, self.slot_count = op, mix, reads, op.slot_count
-        self.units, self.sets, self.rows, self.inputs = int(units), 1, sets * V, int(units) * G
+        self.units, self.rows, self.inputs = int(units), sets * V, int(units) * G
         for arr in (self.mix, self.reads, self.has_terms):
             arr.flags.writeable = False
 
@@ -542,14 +520,14 @@ class Diagonals(_Counted):
     n1 * n2 <= ``slot_count``; past it every plaintext is zero.  Shift i
     rotates the inputs by ``shifts[i]`` slots: the baby steps of the
     diagonal method of Halevi and Shoup (CRYPTO 2018), whose single giant
-    step is 0.  ``tables`` yields one (1, inputs, rows) coefficient table
+    step is 0.  ``coef`` (shifts, inputs, rows) holds one coefficient table
     per shift, the same in every column.  The terms are the (shift, input)
     pairs, and row v of source set u at slot (t, k) is
 
-        sum over i, c of  tables[i][0, c, v] * vec[i, c, t] * src[u, c][(t*n2 + k + shifts[i]) mod slot_count]
+        sum over i, c of  coef[i, c, v] * vec[i, c, t] * src[u, c][(t*n2 + k + shifts[i]) mod slot_count]
 
-    with ``vec`` broadcast to (shifts, inputs, n1).  ``coef`` (rows,
-    shifts * inputs) holds the coefficients, input-minor, and ``offsets``
+    with ``vec`` broadcast to (shifts, inputs, n1).  ``coef`` is kept as
+    (rows, shifts * inputs), input-minor, and ``offsets``
     the slot each shift reads at frame 0, counted from ``span[0]``.  A
     frame where ``vec`` is zero for every term is zero in every row:
     ``frames`` is the evenly spaced run of frames through the others (half
@@ -564,9 +542,9 @@ class Diagonals(_Counted):
     source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "span", "coef", "offsets", "frames", "vec", "has_terms")
+    __slots__ = ("grid", "slot_count", "rows", "inputs", "span", "coef", "offsets", "frames", "vec", "has_terms")
 
-    def __init__(self, shifts, tables, grid, slot_count, vec=1.0):
+    def __init__(self, shifts, coef, grid, slot_count, vec=1.0):
         n1, n2 = grid
         N = int(slot_count)
         if n1 * n2 > N:
@@ -574,15 +552,11 @@ class Diagonals(_Counted):
         amounts = [int(a) % N for a in shifts]
         reach = [a - N if a > N // 2 else a for a in amounts]  # the nearer way round
         lo = min([0] + reach) // n2 * n2  # the first slot read, rounded down to a whole frame
-        coef = []
-        for table in tables:
-            table = np.asarray(table, dtype=np.float64)
-            if table.ndim != 3 or len(table) != 1 or (coef and table.shape[1:] != coef[0].shape):
-                raise ValueError(f"coef of shape {table.shape} is not (1, inputs, rows) like the first")
-            coef.append(table[0])
-        if len(coef) != len(amounts) or not coef:
+        coef = np.asarray(coef, dtype=np.float64)
+        if coef.ndim != 3:
+            raise ValueError(f"coef of shape {coef.shape} is not (shifts, inputs, rows)")
+        if len(coef) != len(amounts) or not amounts:
             raise ValueError(f"{len(coef)} coefficient tables for {len(amounts)} shifts")
-        coef = np.stack(coef)  # (shifts, inputs, rows)
         S, C, V = coef.shape
         distinct, counts, self.has_terms = _diagonal_counts(amounts, coef != 0)
         self._count((_DIAGONAL, distinct, counts))
@@ -592,7 +566,7 @@ class Diagonals(_Counted):
         self.frames = slice(int(kept[0]), int(kept[-1]) + 1, step) if len(kept) else slice(0)
         self.vec = None if (vec == 1).all() else np.ascontiguousarray(vec[:, self.frames])
         self.grid, self.slot_count = (int(n1), int(n2)), N
-        self.sets, self.rows, self.inputs = 1, V, C
+        self.rows, self.inputs = V, C
         # the whole frames the shifts read, from slot lo to hi
         self.span = (lo, -(-(n1 * n2 + max([0] + reach)) // n2) * n2)
         self.coef = coef.transpose(2, 0, 1).reshape(V, S * C)
@@ -664,7 +638,7 @@ class MixedDiagonals(_Counted):
     table.
     """
 
-    __slots__ = ("grid", "slot_count", "sets", "rows", "inputs", "mix", "slabs", "has_terms")
+    __slots__ = ("grid", "slot_count", "rows", "inputs", "mix", "slabs", "has_terms")
 
     def __init__(self, weights, parts, offsets, grid, slot_count):
         n1, n2 = grid
@@ -700,7 +674,7 @@ class MixedDiagonals(_Counted):
         self.mix = mix[used].transpose(2, 0, 1).reshape(n2, -1)
         self.slabs = weights[used].transpose(2, 0, 1).reshape(V, -1)
         self.grid, self.slot_count = (int(n1), int(n2)), N
-        self.sets, self.rows, self.inputs = 1, V, C
+        self.rows, self.inputs = V, C
         for arr in (self.mix, self.slabs, self.has_terms):
             arr.flags.writeable = False
 
@@ -927,16 +901,17 @@ class SimContext:
         source sets, such as the joints of an AMA feature map (G inputs
         each), its whole stack (a ``Mixed`` reads any units of it) or the
         samples of a row-major one.  The operator holds one set of
-        coefficients for every source set (``op.sets`` 1), or one per set,
-        and the factors that scale each term's slots after its rotation; it
-        runs the sets in chunks of its own.  Row (u, v) of the result,
-        u-major, is ``op``'s row v applied to source set u.
+        coefficients for every source set and the factors that scale each
+        term's slots after its rotation; it runs the sets in chunks of its
+        own.  Row (u, v) of the result, u-major, is ``op``'s row v applied
+        to source set u.
 
         Counts what the operator's schedule, one ciphertext at a time, would:
         every rotation of an input some term reads, one PMult per term whose
         coefficients are not all zero, the Adds of each row's products, and
-        the rotations and Adds of partial sums.  The operator's totals are
-        added once; with ``log_ops`` its records are written in its order.
+        the rotations and Adds of partial sums.  The operator's totals, times
+        U, are added once; with ``log_ops`` its records are written in its
+        order, each counting U times its count.
         Returns the (U*V, slot_count) stack and which rows got a term; a row
         without terms was computed by no operation.  With ``quantize`` the
         fused sum is rounded once.
@@ -946,33 +921,20 @@ class SimContext:
         N = self.slot_count
         if op.slot_count != N:
             raise ValueError(f"operator of {op.slot_count} slots does not cover slot count {N}")
-        U = src.rows // op.inputs
-        if src.rows % op.inputs or op.sets not in (1, U):
-            raise ValueError(f"coef of {op.sets} sets of {op.inputs} inputs does not fit {src.rows} source ciphertexts")
-        scale = U if op.sets == 1 else 1  # shared coefficients: every step runs on each source set
+        if src.rows % op.inputs:
+            raise ValueError(f"a stack of {src.rows} source ciphertexts does not fit sets of {op.inputs} inputs")
+        U = src.rows // op.inputs  # every step runs on each source set
         if op.totals:
             counts = self.counter.counts_of(self._layer)
             for name, n in op.totals.items():
-                counts[name] += n * scale
+                counts[name] += n * U
         if self.log_ops:
             for name, n, before, after, extra in op.records:
-                self._log(name, src.level - before, src.level - after, n * scale, **extra)
+                self._log(name, src.level - before, src.level - after, n * U, **extra)
         out = op.apply(src.slots.reshape(U, op.inputs, N)).reshape(U * op.rows, N)
         if self.quantize:
             out = self._quantize(out)
-        return self._new_ct(out, src.level - 1), np.tile(op.has_terms, scale)
-
-    # ------------------------------------------------------------------
-    # parameter check
-
-    def validate_against_params(self, params) -> None:
-        """Check max_level * scale_bits against a modulus budget Q (in bits)."""
-        budget = self.max_level * self.scale_bits
-        if budget > params.modulus_bits:
-            raise ValueError(
-                f"max_level {self.max_level} x scale_bits {self.scale_bits} = "
-                f"{budget} bits exceeds modulus budget Q={params.modulus_bits}"
-            )
+        return self._new_ct(out, src.level - 1), np.tile(op.has_terms, U)
 
 
 def replay_counts(oplog) -> HocCounter:

@@ -59,9 +59,9 @@ class GraphTensor:
         return self.data.shape
 
     @classmethod
-    def random(cls, dims, seed=0, scale=1.0) -> "GraphTensor":
-        rng = np.random.default_rng(seed)
-        return cls(rng.uniform(-scale, scale, size=tuple(dims)))
+    def random(cls, dims, seed=0) -> "GraphTensor":
+        """Values drawn uniformly from [-1, 1)."""
+        return cls(np.random.default_rng(seed).uniform(-1.0, 1.0, size=tuple(dims)))
 
     @classmethod
     def zeros(cls, dims) -> "GraphTensor":
@@ -258,16 +258,11 @@ def ama_pack(x: GraphTensor, ctx: SimContext) -> tuple[SimCiphertext, PackingLay
     return ctx.encrypt(slots.reshape(J * G, N)), layout
 
 
-def ama_unpack(
-    ct: SimCiphertext,
-    layout: PackingLayout,
-    check_replicas: bool = True,
-    tol: float = 1e-9,
-) -> GraphTensor:
+def ama_unpack(ct: SimCiphertext, layout: PackingLayout) -> GraphTensor:
     """Exact inverse of ama_pack on occupied slots.
 
-    Reads the first copy of every channel block.  With ``check_replicas``
-    the stacked copies must agree within ``tol``.
+    Reads the first copy of every channel block; the stacked copies must
+    agree with it within 1e-9.
     """
     _check_layout(ct, layout, AMA)
     B, C, T, J = layout.B, layout.C, layout.T, layout.J
@@ -278,12 +273,12 @@ def ama_unpack(
         chans = layout.group_channels(g)
         period = len(chans) * pad
         rows = slots[:, g]
-        if check_replicas and period < N:
+        if period < N:
             drift = np.abs(rows - np.tile(rows[:, :period], (1, -(-N // period)))[:, :N]).max(axis=1)
             j = int(drift.argmax())
-            if drift[j] > tol:
+            if drift[j] > 1e-9:
                 raise PackingError(
-                    f"replica divergence in row {layout.ama_ct_index(j, g)} of {ct.id}: max drift {drift[j]:.3e} > {tol:.1e}"
+                    f"replica divergence in row {layout.ama_ct_index(j, g)} of {ct.id}: max drift {drift[j]:.3e} > 1e-9"
                 )
         blocks = rows[:, :period].reshape(J, len(chans), pad)[..., : B * T]
         out[:, chans.start : chans.stop] = blocks.reshape(J, len(chans), B, T).transpose(2, 1, 3, 0)

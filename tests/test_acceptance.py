@@ -184,7 +184,7 @@ def test_criterion_06_sparsity_payoff():
     ctx = SimContext(128, max_level=1)
     with ctx.layer("sconv"):
         ct, layout = engine.packing.ama_pack(x, ctx)
-        out = engine.ama_spatial(engine.EncryptedFeatureMap(ct, layout), merged, ctx=ctx)
+        out = engine.ama_spatial(engine.EncryptedFeatureMap(ct, layout), merged)
     np.testing.assert_allclose(engine.packing.ama_unpack(out.ct, out.layout).data, oracle, atol=1e-12)
     ama_counts = ctx.counter.layer("sconv")
     # single channel, one ciphertext per joint: total PMult = V = 73 and the
@@ -195,7 +195,7 @@ def test_criterion_06_sparsity_payoff():
     ctx_r = SimContext(128, max_level=1)
     with ctx_r.layer("sconv"):
         ct, layout = engine.packing.rowmajor_pack(x, ctx_r)
-        out_r = engine.rowmajor_spatial(engine.EncryptedFeatureMap(ct, layout), merged, ctx=ctx_r)
+        out_r = engine.rowmajor_spatial(engine.EncryptedFeatureMap(ct, layout), merged)
     np.testing.assert_allclose(
         engine.packing.rowmajor_unpack(out_r.ct, out_r.layout).data, oracle, atol=1e-12
     )
@@ -210,7 +210,7 @@ def test_criterion_06_sparsity_payoff():
     ctx2 = SimContext(128, max_level=1)
     with ctx2.layer("sconv"):
         ct, layout = engine.packing.ama_pack(x, ctx2)
-        engine.ama_spatial(engine.EncryptedFeatureMap(ct, layout), merged2, ctx=ctx2)
+        engine.ama_spatial(engine.EncryptedFeatureMap(ct, layout), merged2)
     assert ctx2.counter.layer("sconv")["pmult"] == 75 >= ama_counts["pmult"]
     report(6, "sparsity payoff (3 vs 19 multiplications per output channel)")
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hegcn import costmodel, engine, hesim
+from hegcn import costmodel, hesim
 from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, merge_spatial
 from hegcn.engine import default_slot_count, plaintext_reference, run_model, spatial_reference
 from hegcn.hesim import SimContext, replay_counts
@@ -169,7 +169,8 @@ def test_rowmajor_spatial_builds_no_per_diagonal_table(monkeypatch, case):
     """Each row-major spatial conv is one ``hesim.MixedDiagonals`` of the
     factors: ``MergedSpatialMatrix`` has no per-diagonal view, its dense
     view raises, and the only ``hesim.Diagonals`` are the temporal convs',
-    whose tables have one column.  Every gate still holds."""
+    whose (shifts, inputs, rows) coefficients have no column axis.  Every
+    gate still holds."""
 
     def dense(self):
         raise AssertionError("a kernel read MergedSpatialMatrix.matrices")
@@ -182,8 +183,7 @@ def test_rowmajor_spatial_builds_no_per_diagonal_table(monkeypatch, case):
         def wrapped(*args):
             built[name] += 1
             if name == "Diagonals":
-                args = (args[0], [np.asarray(t) for t in args[1]]) + args[2:]
-                assert all(len(t) == 1 for t in args[1]), "a row-major operator with a table per column"
+                assert np.ndim(args[1]) == 3, "a row-major operator with a table per column"
             return build(*args)
 
         return wrapped
@@ -212,13 +212,12 @@ def test_random_shapes_match_oracle_and_counts(spec):
 
 @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
 def test_one_item_chunks_change_nothing(monkeypatch, fmt):
-    """Chunks of one joint, output joint, activation input or row-major
-    column: the same counts and scores."""
+    """Chunks of one joint, output joint, row-major column or classifier
+    class or input channel: the same counts and scores."""
     dims, spec = case_spec("batch2-k5-stride2")
     x = GraphTensor.random(dims, seed=7)
     slot_count = default_slot_count(dims)
     want = run_model(spec, x, fmt, slot_count=slot_count)
-    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
     monkeypatch.setattr(hesim, "_CHUNK_BYTES", 1)
     ctx = SimContext(slot_count, max_level=costmodel.depth(spec), log_ops=True)
     res = run_model(spec, x, fmt, ctx=ctx)

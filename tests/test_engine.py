@@ -36,10 +36,10 @@ def ring_adjacency(J):
 
 
 def only_stacks_inputs(monkeypatch, fm) -> list:
-    """Make ``SimContext.rotate``, ``hesim.stack`` and ``hesim.unstack``
-    raise and ``SimContext.fold_steps`` accept only the stack of ``fm``: a
-    layer folds its input stack itself, and the input rotations happen
-    inside the fold.  Returns the operators folded, in order."""
+    """Make ``SimContext.rotate`` raise and ``SimContext.fold_steps``
+    accept only the stack of ``fm``: a layer folds its input stack itself,
+    and the input rotations happen inside the fold.  Returns the operators
+    folded, in order."""
     real_fold, folded = SimContext.fold_steps, []
 
     def input_only(ctx, src, op):
@@ -47,15 +47,10 @@ def only_stacks_inputs(monkeypatch, fm) -> list:
         folded.append(op)
         return real_fold(ctx, src, op)
 
-    def forbidden(name):
-        def fail(*args):
-            raise AssertionError(f"{name} called for a tap, diagonal or row")
+    def forbidden(*args):
+        raise AssertionError("SimContext.rotate called for a tap, diagonal or row")
 
-        return fail
-
-    monkeypatch.setattr(hesim, "stack", forbidden("hesim.stack"))
-    monkeypatch.setattr(hesim, "unstack", forbidden("hesim.unstack"))
-    monkeypatch.setattr(SimContext, "rotate", forbidden("SimContext.rotate"))
+    monkeypatch.setattr(SimContext, "rotate", forbidden)
     monkeypatch.setattr(SimContext, "fold_steps", input_only)
     return folded
 
@@ -85,7 +80,7 @@ class TestSpatial:
         oracle = merged.apply(x.data)
         for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
             ctx = SimContext(16, max_level=2)
-            out = op(packed(x, ctx, fmt), merged, ctx=ctx)
+            out = op(packed(x, ctx, fmt), merged)
             np.testing.assert_allclose(unpack(out, fmt), oracle, atol=1e-12)
             assert out.level == 1
 
@@ -94,7 +89,7 @@ class TestSpatial:
         x = GraphTensor.random((1, 1, 4, 4), seed=3)
         for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
             ctx = SimContext(16, max_level=1)
-            out = op(packed(x, ctx, fmt), merged, ctx=ctx)
+            out = op(packed(x, ctx, fmt), merged)
             np.testing.assert_allclose(unpack(out, fmt), x.data, atol=1e-12)
 
     def test_rotations_do_not_depend_on_matrix_density(self):
@@ -108,7 +103,7 @@ class TestSpatial:
         ):
             ctx = SimContext(32, max_level=1)
             with ctx.layer("m"):
-                ama_spatial(packed(x, ctx, AMA), MergedSpatialMatrix.from_dense(mats, np.zeros(2)), ctx=ctx)
+                ama_spatial(packed(x, ctx, AMA), MergedSpatialMatrix.from_dense(mats, np.zeros(2)))
             counts[name] = ctx.counter.layer("m")["rot"]
         assert counts["diag"] == counts["dense"]
 
@@ -117,7 +112,7 @@ class TestSpatial:
         x = GraphTensor.random((1, 1, 4, 4), seed=5)
         ctx = SimContext(8, max_level=1)
         with ctx.layer("m"):
-            out = ama_spatial(packed(x, ctx, AMA), merged, ctx=ctx)
+            out = ama_spatial(packed(x, ctx, AMA), merged)
         assert ctx.counter.layer("m")["rot"] == 0
         np.testing.assert_allclose(unpack(out, AMA), 0.5 * x.data, atol=1e-12)
 
@@ -127,7 +122,7 @@ class TestSpatial:
         merged = MergedSpatialMatrix.from_dense(np.full((2, 2, 4, 4), 0.3), np.zeros(2))
         ctx = SimContext(16, max_level=1)
         with ctx.layer("m"):
-            rowmajor_spatial(packed(x, ctx, ROWMAJOR), merged, ctx=ctx)
+            rowmajor_spatial(packed(x, ctx, ROWMAJOR), merged)
         assert ctx.counter.layer("m")["rot"] == 2 * 6
 
     def test_rowmajor_diagonals_are_rotated_inside_the_fold(self, monkeypatch):
@@ -141,7 +136,7 @@ class TestSpatial:
         fm = packed(x, ctx, ROWMAJOR)
         folded = only_stacks_inputs(monkeypatch, fm)
         with ctx.layer("m"):
-            out = rowmajor_spatial(fm, merged, ctx=ctx)
+            out = rowmajor_spatial(fm, merged)
         np.testing.assert_allclose(unpack(out, ROWMAJOR), merged.apply(x.data), atol=1e-12)
         assert ctx.counter.layer("m")["rot"] == fm.ct.rows * 6  # diagonals -3..3 but 0
         assert len(folded) == 1
@@ -175,8 +170,8 @@ class TestSpatial:
             c, o, j = c_read[:, None, None], out_chan[:, None, None], np.maximum(jin, 0)
             entries = sum(w[c, o] * n[k, j] for w, n in zip(merged.weights, merged.parts))
             coef = np.where(serves[:, None, None] & (jin >= 0), entries, 0.0)
-            op = hesim.BlockCirculant(amounts, coef.reshape(len(amounts), 1, H, -1, cap), (cap, lin.pad_bt))
-            engine._fold(ctx, fm.ct.take([lin.ama_ct_index(j, g) for j in np.maximum(reads[k], 0) for g in range(G)]), op)
+            op = hesim.BlockCirculant(amounts, coef.reshape(len(amounts), H, -1, cap), (cap, lin.pad_bt))
+            engine._fold(fm.ct.take([lin.ama_ct_index(j, g) for j in np.maximum(reads[k], 0) for g in range(G)]), op)
 
     @pytest.mark.parametrize("chunk_bytes", [hesim._CHUNK_BYTES, 1])
     def test_a_partition_sum_that_cancels_is_not_counted(self, monkeypatch, chunk_bytes):
@@ -198,7 +193,7 @@ class TestSpatial:
             return out, ctx.counter, hist
 
         def spatial(ctx, fm, merged):
-            return ama_spatial(fm, merged, ctx=ctx)
+            return ama_spatial(fm, merged)
 
         merged = self.cancelling_layer()
         assert merged.pattern[2, 3] and not merged.matrices[:, :, 2, 3].any()
@@ -235,7 +230,7 @@ class TestSpatial:
         merged = self.cancelling_layer()
         x = GraphTensor.random((1, 5, 4, 4), seed=24)
         ctx = SimContext(16, max_level=1)
-        out = ama_spatial(packed(x, ctx, AMA), merged, ctx=ctx)
+        out = ama_spatial(packed(x, ctx, AMA), merged)
         np.testing.assert_allclose(unpack(out, AMA), merged.apply(x.data), atol=1e-12)
         assert len(built) == 1 and len(applied) == 1 and applied[0].op is built[0]
         assert chunks == [(built[0], 1)] * x.dims[3]
@@ -247,14 +242,14 @@ class TestSpatial:
         fm = packed(x, ctx, AMA)
         low = EncryptedFeatureMap(ctx.mod_switch(fm.ct, 0), fm.layout)
         with pytest.raises(LevelError):
-            ama_spatial(low, merged, ctx=ctx)
+            ama_spatial(low, merged)
 
     def test_layout_mismatch_rejected(self):
         merged = MergedSpatialMatrix.from_dense(np.eye(4)[None, None], np.zeros(1))
         x = GraphTensor.zeros((1, 1, 4, 4))
         ctx = SimContext(16, max_level=1)
         with pytest.raises(ValueError, match="AMA"):
-            ama_spatial(packed(x, ctx, ROWMAJOR), merged, ctx=ctx)
+            ama_spatial(packed(x, ctx, ROWMAJOR), merged)
 
     def test_nonsymmetric_matrix_orientation(self):
         # strictly upper-triangular mixing pins row/column orientation
@@ -264,7 +259,7 @@ class TestSpatial:
         oracle = merged.apply(x.data)
         for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
             ctx = SimContext(16, max_level=1)
-            out = op(packed(x, ctx, fmt), merged, ctx=ctx)
+            out = op(packed(x, ctx, fmt), merged)
             np.testing.assert_allclose(unpack(out, fmt), oracle, atol=1e-12)
 
 
@@ -284,7 +279,7 @@ class TestTemporalConv:
         x = GraphTensor.random((1, 1, 8, 2), seed=1)
         for fmt in (AMA, ROWMAJOR):
             ctx = SimContext(32, max_level=1)
-            out = temporal_conv(packed(x, ctx, fmt), layer, ctx=ctx)
+            out = temporal_conv(packed(x, ctx, fmt), layer)
             np.testing.assert_allclose(unpack(out, fmt), 1.7 * x.data, atol=1e-12)
 
     def test_moving_average_matches_convolution_oracle(self):
@@ -296,7 +291,7 @@ class TestTemporalConv:
         expect = np.stack([padded[i : i + 3].mean() for i in range(8)]).reshape(1, 1, 8, 1)
         for fmt in (AMA, ROWMAJOR):
             ctx = SimContext(16, max_level=1)
-            out = temporal_conv(packed(x, ctx, fmt), layer, ctx=ctx)
+            out = temporal_conv(packed(x, ctx, fmt), layer)
             np.testing.assert_allclose(unpack(out, fmt), expect, atol=1e-12)
 
     def test_tap_rotations_shared_per_ciphertext(self):
@@ -306,7 +301,7 @@ class TestTemporalConv:
         x = GraphTensor.random((1, C, 16, 2), seed=2)
         ctx = SimContext(64, max_level=1)
         with ctx.layer("t"):
-            temporal_conv(packed(x, ctx, AMA), layer, ctx=ctx)
+            temporal_conv(packed(x, ctx, AMA), layer)
         lin = engine.packing.ama_layout(x.dims, 64)
         n_cts = lin.ct_count()
         _, giant = costmodel._ama_fold_geometry(lin)
@@ -326,9 +321,9 @@ class TestTemporalConv:
             applied.append(op)
             return apply(ctx, src, op)
 
-        def counted_product(op, x, matrix, out):
+        def counted_product(op, x, out):
             chunks.append((op, len(x)))
-            return product(op, x, matrix, out)
+            return product(op, x, out)
 
         monkeypatch.setattr(hesim.BlockCirculant, "_product", counted_product)
         monkeypatch.setattr(hesim, "BlockCirculant", counted_build)
@@ -338,7 +333,7 @@ class TestTemporalConv:
         layer = TemporalConv(3, 3, 1, rng.normal(size=(3, 3, 3)), rng.normal(size=3), None)
         x = GraphTensor.random((1, 3, 8, 4), seed=6)
         ctx = SimContext(64, max_level=1)
-        out = temporal_conv(packed(x, ctx, AMA), layer, ctx=ctx)
+        out = temporal_conv(packed(x, ctx, AMA), layer)
         np.testing.assert_allclose(unpack(out, AMA), self.conv(x.data, layer), atol=1e-12)
         assert len(built) == 1 and len(applied) == 1 and applied[0] is built[0]
         assert chunks == [(built[0], 1)] * x.dims[3]
@@ -353,7 +348,7 @@ class TestTemporalConv:
         fm = packed(x, ctx, AMA)
         folded = only_stacks_inputs(monkeypatch, fm)
         with ctx.layer("t"):
-            out = temporal_conv(fm, layer, ctx=ctx)
+            out = temporal_conv(fm, layer)
         np.testing.assert_allclose(unpack(out, AMA), self.conv(x.data, layer), atol=1e-12)
         lin = out.layout
         _, giant = costmodel._ama_fold_geometry(lin)
@@ -371,7 +366,7 @@ class TestTemporalConv:
         fm = packed(x, ctx, ROWMAJOR)
         folded = only_stacks_inputs(monkeypatch, fm)
         with ctx.layer("t"):
-            out = temporal_conv(fm, layer, ctx=ctx)
+            out = temporal_conv(fm, layer)
         np.testing.assert_allclose(unpack(out, ROWMAJOR), self.conv(x.data, layer), atol=1e-12)
         assert ctx.counter.layer("t")["rot"] == fm.ct.rows * (layer.kernel - 1)
         assert len(folded) == 1
@@ -405,21 +400,21 @@ class TestTemporalConv:
         x = GraphTensor.zeros((1, 1, 4, 1))
         ctx = SimContext(8, max_level=1)
         with pytest.raises(ValueError, match="exceeds"):
-            temporal_conv(packed(x, ctx, AMA), layer, ctx=ctx)
+            temporal_conv(packed(x, ctx, AMA), layer)
 
 
 class TestActivation:
     def test_linear_coeffs_keep_values_but_cost_two_levels(self):
         x = GraphTensor.random((1, 2, 4, 2), seed=5)
         ctx = SimContext(16, max_level=4)
-        out = poly_activation(packed(x, ctx, AMA), 0.0, 1.0, 0.0, ctx=ctx)
+        out = poly_activation(packed(x, ctx, AMA), 0.0, 1.0, 0.0)
         np.testing.assert_allclose(unpack(out, AMA), x.data, atol=1e-12)
         assert out.level == 2
 
     def test_square(self):
         x = GraphTensor(np.array([-2.0, 3.0]).reshape(1, 1, 2, 1))
         ctx = SimContext(4, max_level=2)
-        out = poly_activation(packed(x, ctx, AMA), 1.0, 0.0, 0.0, ctx=ctx)
+        out = poly_activation(packed(x, ctx, AMA), 1.0, 0.0, 0.0)
         np.testing.assert_allclose(unpack(out, AMA), [[[[4.0], [9.0]]]], atol=1e-12)
 
     def test_random_coeffs_match_slotwise_oracle(self):
@@ -428,7 +423,7 @@ class TestActivation:
         x = GraphTensor.random((2, 3, 4, 3), seed=7)
         for fmt in (AMA, ROWMAJOR):
             ctx = SimContext(64, max_level=2)
-            out = poly_activation(packed(x, ctx, fmt), a, b, c, ctx=ctx)
+            out = poly_activation(packed(x, ctx, fmt), a, b, c)
             np.testing.assert_allclose(unpack(out, fmt), a * x.data**2 + b * x.data + c, atol=1e-12)
 
     def test_op_shape_per_ciphertext(self):
@@ -437,7 +432,7 @@ class TestActivation:
         fm = packed(x, ctx, AMA)
         n = fm.ct.rows
         with ctx.layer("act"):
-            poly_activation(fm, 0.3, 0.5, 0.7, ctx=ctx)
+            poly_activation(fm, 0.3, 0.5, 0.7)
         counts = ctx.counter.layer("act")
         assert counts == {"rot": 0, "pmult": 2 * n, "cmult": n, "add": 2 * n, "rescale": 3 * n}
 
@@ -445,7 +440,7 @@ class TestActivation:
         x = GraphTensor.zeros((1, 1, 2, 1))
         ctx = SimContext(4, max_level=1)
         with pytest.raises(LevelError):
-            poly_activation(packed(x, ctx, AMA), 1, 1, 1, ctx=ctx)
+            poly_activation(packed(x, ctx, AMA), 1, 1, 1)
 
 
 class TestPoolingAndHead:
@@ -453,24 +448,24 @@ class TestPoolingAndHead:
         x = GraphTensor(np.full((1, 2, 4, 3), 2.5))
         for fmt in (AMA, ROWMAJOR):
             ctx = SimContext(16, max_level=2)
-            pooled = global_avg_pool(packed(x, ctx, fmt), ctx=ctx)
-            scores = fully_connected(pooled, np.eye(2), np.zeros(2), ctx=ctx)
+            pooled = global_avg_pool(packed(x, ctx, fmt))
+            scores = fully_connected(pooled, np.eye(2), np.zeros(2))
             got = engine.extract_scores(scores, pooled.layout, 2)
             np.testing.assert_allclose(got, [[2.5, 2.5]], atol=1e-12)
 
     def test_mean_of_ramp(self):
         x = GraphTensor(np.arange(1.0, 5.0).reshape(1, 1, 4, 1))
         ctx = SimContext(8, max_level=2)
-        pooled = global_avg_pool(packed(x, ctx, AMA), ctx=ctx)
-        scores = fully_connected(pooled, np.eye(1), np.zeros(1), ctx=ctx)
+        pooled = global_avg_pool(packed(x, ctx, AMA))
+        scores = fully_connected(pooled, np.eye(1), np.zeros(1))
         assert engine.extract_scores(scores, pooled.layout, 1)[0, 0] == pytest.approx(2.5)
 
     def test_random_fm_matches_mean_oracle(self):
         x = GraphTensor.random((2, 4, 8, 3), seed=9)
         for fmt in (AMA, ROWMAJOR):
             ctx = SimContext(64, max_level=2)
-            pooled = global_avg_pool(packed(x, ctx, fmt), ctx=ctx)
-            scores = fully_connected(pooled, np.eye(4), np.zeros(4), ctx=ctx)
+            pooled = global_avg_pool(packed(x, ctx, fmt))
+            scores = fully_connected(pooled, np.eye(4), np.zeros(4))
             got = engine.extract_scores(scores, pooled.layout, 4)
             np.testing.assert_allclose(got, x.data.mean(axis=(2, 3)), atol=1e-12)
 
@@ -479,8 +474,8 @@ class TestPoolingAndHead:
         W = np.zeros((3, 1))
         W[1, 0] = 1.0
         ctx = SimContext(16, max_level=2)
-        pooled = global_avg_pool(packed(x, ctx, AMA), ctx=ctx)
-        scores = fully_connected(pooled, W, np.zeros(1), ctx=ctx)
+        pooled = global_avg_pool(packed(x, ctx, AMA))
+        scores = fully_connected(pooled, W, np.zeros(1))
         got = engine.extract_scores(scores, pooled.layout, 1)
         assert got[0, 0] == pytest.approx(x.data[0, 1].mean())
 
@@ -490,8 +485,8 @@ class TestPoolingAndHead:
         W, bias = rng.normal(size=(4, 5)), rng.normal(size=5)
         for fmt in (AMA, ROWMAJOR):
             ctx = SimContext(32, max_level=2)
-            pooled = global_avg_pool(packed(x, ctx, fmt), ctx=ctx)
-            scores = fully_connected(pooled, W, bias, ctx=ctx)
+            pooled = global_avg_pool(packed(x, ctx, fmt))
+            scores = fully_connected(pooled, W, bias)
             got = engine.extract_scores(scores, pooled.layout, 5)
             np.testing.assert_allclose(got, x.data.mean(axis=(2, 3)) @ W + bias, atol=1e-12)
 
@@ -499,16 +494,16 @@ class TestPoolingAndHead:
         # channels / U groups per class
         x = GraphTensor.random((1, 8, 4, 2), seed=13)
         ctx = SimContext(16, max_level=2)  # pad 4, capacity 4 -> 2 groups
-        pooled = global_avg_pool(packed(x, ctx, AMA), ctx=ctx)
+        pooled = global_avg_pool(packed(x, ctx, AMA))
         with ctx.layer("fc"):
-            fully_connected(pooled, np.ones((8, 60)), np.zeros(60), ctx=ctx)
+            fully_connected(pooled, np.ones((8, 60)), np.zeros(60))
         assert ctx.counter.layer("fc")["pmult"] == 2 * 60
 
     def test_fc_requires_pooled(self):
         x = GraphTensor.zeros((1, 2, 4, 2))
         ctx = SimContext(16, max_level=2)
         with pytest.raises(ValueError, match="pooled"):
-            fully_connected(packed(x, ctx, AMA), np.eye(2), np.zeros(2), ctx=ctx)
+            fully_connected(packed(x, ctx, AMA), np.eye(2), np.zeros(2))
 
 
 class TestMatmulBenchmark:
@@ -683,7 +678,7 @@ class TestSkipRules:
         ctx = SimContext(self.slots[fmt], max_level=2, log_ops=True)
         fm = packed(x, ctx, fmt)
         with ctx.layer("l"):
-            out = op(fm, *args, ctx=ctx)
+            out = op(fm, *args)
         assert replay_counts(ctx.oplog) == ctx.counter
         zeros = [r for r in ctx.oplog if r["op"] == "encrypt" and r["layer"] == "l"]
         return x.data, unpack(out, fmt), ctx.counter.layer("l"), sum(r.get("count", 1) for r in zeros)
@@ -716,11 +711,10 @@ class TestSkipRules:
         assert counts == {"rot": 6, "pmult": 8, "cmult": 0, "add": 7, "rescale": 8}
         assert zeros == 1
 
-    @pytest.mark.parametrize("chunk_bytes", [engine._CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("chunk_bytes", [hesim._CHUNK_BYTES, 1])
     def test_rowmajor_rows_with_terms_in_some_chunks(self, monkeypatch, chunk_bytes):
         # channel 1 reads only diagonal -1 at joint 1, so with one joint per
         # chunk it has a term in one chunk and none in the others
-        monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
         monkeypatch.setattr(hesim, "_CHUNK_BYTES", chunk_bytes)
         mats = self.spatial_mats()
         mats[:, 1, 1, 0] = 0.5
@@ -760,7 +754,7 @@ class TestOddShapes:
         mats = rng.uniform(0.5, 1.5, size=(C, C, 3, 3))
         merged = MergedSpatialMatrix.from_dense(mats, rng.normal(size=C))
         ctx = SimContext(32, max_level=2)  # capacity 8, C does not divide it
-        out = ama_spatial(packed(x, ctx, AMA), merged, ctx=ctx)
+        out = ama_spatial(packed(x, ctx, AMA), merged)
         np.testing.assert_allclose(unpack(out, AMA), merged.apply(x.data), atol=1e-12)
 
     def test_full_model_with_ragged_widths(self):
@@ -775,8 +769,8 @@ class TestOddShapes:
 @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
 def test_acceptance_model_runs_on_stacks(monkeypatch, fmt):
     """Every layer of the acceptance model @1024 reads and writes whole
-    stacks: ``hesim.stack`` and ``hesim.unstack`` are never called, and the
-    ciphertext objects a layer creates do not grow with its ciphertexts.
+    stacks: the ciphertext objects a layer creates do not grow with its
+    ciphertexts.
     At B = 2 every layer holds twice the ciphertexts (row-major B * C; AMA
     G groups of half the capacity), yet creates as many objects as at B = 1.
     The AMA classifier is the exception: its classes run in chunks whose
@@ -786,11 +780,6 @@ def test_acceptance_model_runs_on_stacks(monkeypatch, fmt):
 
     from hegcn.model import acceptance_stgcn3
 
-    def forbidden(*args):
-        raise AssertionError("hesim.stack or hesim.unstack called on the run path")
-
-    monkeypatch.setattr(hesim, "stack", forbidden)
-    monkeypatch.setattr(hesim, "unstack", forbidden)
     created, init = Counter(), hesim.SimCiphertext.__init__
 
     def counted_init(ct, slots, level, id, ctx):

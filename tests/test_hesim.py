@@ -8,11 +8,30 @@ from hypothesis import strategies as st
 
 from hegcn import hesim
 from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, diagonal_offsets, merge_spatial
-from hegcn.hesim import BlockCirculant, Diagonals, LevelError, Mixed, MixedDiagonals, SimContext, replay_counts, stack, unstack
+from hegcn.hesim import BlockCirculant, Diagonals, LevelError, Mixed, MixedDiagonals, SimContext, replay_counts
 
 
 def ctx(slots=8, levels=5, **kw):
     return SimContext(slot_count=slots, max_level=levels, **kw)
+
+
+def stack(cts):
+    """One stack of the given ciphertexts and stacks, in order: the
+    reference schedules' bookkeeping, nothing counted or logged."""
+    cts = list(cts)
+    if not cts:
+        raise ValueError("stack needs at least one ciphertext")
+    levels = {ct.level for ct in cts}
+    if len(levels) > 1:
+        raise LevelError(f"cannot stack ciphertexts at levels {sorted(levels)}")
+    return cts[0].ctx._new_ct(np.concatenate([ct.slots.reshape(ct.rows, -1) for ct in cts]), cts[0].level)
+
+
+def unstack(ct) -> list:
+    """The rows of a stack as single ciphertexts (views, nothing counted)."""
+    if ct.slots.ndim == 1:
+        return [ct]
+    return [ct.ctx._new_ct(row, ct.level) for row in ct.slots.reshape(ct.rows, -1)]
 
 
 class TestEncryptDecrypt:
@@ -279,7 +298,7 @@ class TestStacks:
         with pytest.raises(LevelError):
             c.pmult(low, 1.0)
         with pytest.raises(LevelError):
-            c.fold_steps(low, Diagonals([0], [np.ones((1, 3, 1))], (1, 8), 8))
+            c.fold_steps(low, Diagonals([0], np.ones((1, 3, 1)), (1, 8), 8))
 
     @pytest.mark.parametrize(
         "coef_shape, grid",
@@ -309,13 +328,12 @@ class TestStacks:
         for vec in (0.5, rng.uniform(-1, 1, (1, 4, n1))):
             c, ref = ctx(slots=8, levels=3, log_ops=True), ctx(slots=8, levels=3, log_ops=True)
             with c.layer("fold"):
-                out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals([0], [coef.transpose(2, 1, 0)], (n1, n2), 8, vec))
+                out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals([0], coef.transpose(2, 1, 0), (n1, n2), 8, vec))
             plains = np.zeros((3, 4, 8))
             on_grid = coef[:, :, None, :] * np.broadcast_to(vec, (1, 4, n1))[0][None, :, :, None]  # (row, term, frame, column)
             plains[:, :, : n1 * n2] = np.broadcast_to(on_grid, (3, 4, n1, n2)).reshape(3, 4, -1)
             with ref.layer("fold"):
-                runs = coef.any(axis=-1)[None, None]
-                want = per_ciphertext_folds(ref, ref.encrypt(vals), [0], plains[None, None], runs)
+                want = per_ciphertext_folds(ref, ref.encrypt(vals), [0], plains[None], coef.any(axis=-1)[None])
             assert c.counter.layer("fold") == expect == ref.counter.layer("fold")
             assert coalesce(c.oplog) == coalesce(ref.oplog)
             assert out.rows == 3 and out.level == 2
@@ -328,14 +346,14 @@ class TestStacks:
         """A term whose coefficients are all zero runs no PMult."""
         c = ctx(slots=8, levels=2)
         src = c.encrypt(np.ones((2, 8)))
-        out, _ = c.fold_steps(src, Diagonals([0], [np.array([[[5.0], [0.0]]])], (1, 8), 8))
+        out, _ = c.fold_steps(src, Diagonals([0], np.array([[[5.0], [0.0]]]), (1, 8), 8))
         np.testing.assert_array_equal(out.slots, np.full((1, 8), 5.0))
         assert c.counter.totals()["pmult"] == 1 and c.counter.totals()["add"] == 0
 
     def test_fold_level_is_checked_first(self):
         c = ctx(slots=8, levels=1)
         low = c.pmult(c.encrypt(np.ones((3, 8))), 1.0)
-        op = Diagonals([0], [np.ones((1, 2, 5))], (4, 4), 16)  # neither covers nor fits
+        op = Diagonals([0], np.ones((1, 2, 5)), (4, 4), 16)  # neither covers nor fits
         with pytest.raises(LevelError):
             c.fold_steps(low, op)
 
@@ -345,7 +363,7 @@ class TestStacks:
             (4, (1, 4, 1), (4, 4), "exceeds slot count"),
             (4, (1, 4), None, "is not"),  # not 3-D
             (4, (1, 4, 1, 1), None, "is not"),
-            (4, (2, 4, 1), (2, 4), "is not"),  # width neither 1 nor n2
+            (4, (4,), (2, 4), "is not"),  # one axis
             (6, (1, 4, 1), None, "does not fit"),  # not whole source sets
             (3, (1, 4, 1), None, "does not fit"),
         ],
@@ -353,7 +371,7 @@ class TestStacks:
     def test_fold_typed_errors(self, rows, coef_shape, grid, match):
         c = ctx(slots=8, levels=2)
         with pytest.raises(ValueError, match=match):
-            c.fold_steps(c.encrypt(np.ones((rows, 8))), Diagonals([0], [np.ones(coef_shape)], grid or (1, 8), 8))
+            c.fold_steps(c.encrypt(np.ones((rows, 8))), Diagonals([0], np.ones(coef_shape), grid or (1, 8), 8))
 
     def test_replay_of_batched_records(self):
         c = ctx(levels=4, log_ops=True)
@@ -361,7 +379,7 @@ class TestStacks:
             x = c.encrypt(self.rows(c, n=5))
             y = c.rotate(c.pmult(x, 0.5), 1)
             c.add(y, y)
-            c.fold_steps(stack(unstack(x)[:2]), Diagonals([0], [np.ones((1, 2, 2))], (1, 8), 8))
+            c.fold_steps(x.take(slice(0, 2)), Diagonals([0], np.ones((1, 2, 2)), (1, 8), 8))
         with c.layer("b"):
             c.pmult(c.encrypt([1.0]), 2.0)
         assert any(r.get("count", 1) > 1 for r in c.oplog)
@@ -384,13 +402,14 @@ def coalesce(oplog) -> list[dict]:
 def per_ciphertext_folds(c, src, amounts, plains, runs) -> list:
     """The schedule ``fold_steps`` stands for, one ciphertext at a time.
 
-    ``plains`` holds the (S, U or 1, V, T, slot_count) slot plaintexts and
-    ``runs`` the (S, U or 1, V, T) terms that run.  Per step: PMult every
+    ``plains`` holds the (S, V, T, slot_count) slot plaintexts and ``runs``
+    the (S, V, T) terms that run, the same for every source set of T
+    inputs.  Per step: PMult every
     term that runs by its plaintext, Add the products of each row, rotate
     each row's partial by the step's amount, and Add it into the row's
     running sum.  Returns the running sums, None for a row without terms.
     """
-    S, sets, V, T = runs.shape
+    S, V, T = runs.shape
     U = src.rows // T
     srcs = unstack(src)
     sums = [None] * (U * V)
@@ -399,9 +418,8 @@ def per_ciphertext_folds(c, src, amounts, plains, runs) -> list:
         for u in range(U):
             for v in range(V):
                 for t in range(T):
-                    if runs[s, min(u, sets - 1), v, t]:
-                        pt = plains[s, min(u, sets - 1), v, t]
-                        products.setdefault(u * V + v, []).append(c.pmult(srcs[u * T + t], pt))
+                    if runs[s, v, t]:
+                        products.setdefault(u * V + v, []).append(c.pmult(srcs[u * T + t], plains[s, v, t]))
         partials = {r: functools.reduce(c.add, terms) for r, terms in products.items()}
         rotated = {r: c.rotate(ct, amount) for r, ct in partials.items()}
         for r, ct in rotated.items():
@@ -418,32 +436,31 @@ class TestFoldSteps:
     # 0, a repeat, a full turn, a negative amount, a step without terms
     AMOUNTS = [0, 8, 32, -16, 8, 24, 16]
 
-    def coef(self, shared, seed=3):
+    def coef(self, seed=3):
         rng = np.random.default_rng(seed)
-        shape = (len(self.AMOUNTS), 1 if shared else self.U, self.V, self.T, self.N1)
-        coef = np.where(rng.uniform(size=shape[:4] + (1,)) < 0.6, rng.uniform(-1, 1, shape), 0.0)
-        coef[:, :, 0] = 0.0  # output 0 of every set: no term in any step
-        coef[1::2, -1, 2] = 0.0  # output 2 of the last set: terms in some steps only
+        shape = (len(self.AMOUNTS), self.V, self.T, self.N1)
+        coef = np.where(rng.uniform(size=shape[:3] + (1,)) < 0.6, rng.uniform(-1, 1, shape), 0.0)
+        coef[:, 0] = 0.0  # output 0: no term in any step
+        coef[1::2, 2] = 0.0  # output 2: terms in some steps only
         coef[5] = 0.0
-        coef[2, :, 1, 0] = [0.0, 0.3, 0.0, -0.2]  # zeros at some blocks of a term that runs
+        coef[2, 1, 0] = [0.0, 0.3, 0.0, -0.2]  # zeros at some blocks of a term that runs
         return coef
 
     def plains(self, coef, vec):
-        """Slot plaintexts per (step, set, row, term): a coefficient lands on
-        block b after the step's rotation, so before it sits at block b + shift."""
+        """Slot plaintexts per (step, row, term): a coefficient lands on block
+        b after the step's rotation, so before it sits at block b + shift."""
         vec = np.broadcast_to(vec, (self.T, self.N1, self.N2))
-        out = np.zeros(coef.shape[:4] + (self.N1, self.N2))
+        out = np.zeros(coef.shape[:3] + (self.N1, self.N2))
         for s, amount in enumerate(self.AMOUNTS):
             out[s] = np.roll(coef[s], amount // self.N2, axis=-1)[..., None] * vec
-        return out.reshape(coef.shape[:4] + (-1,))
+        return out.reshape(coef.shape[:3] + (-1,))
 
-    @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("vec_kind", ["scalar", "per-term"])
-    def test_equals_the_per_step_schedule(self, shared, vec_kind):
+    def test_equals_the_per_step_schedule(self, vec_kind):
         rng = np.random.default_rng(4)
         vals = rng.uniform(-1, 1, (self.U * self.T, 32))
         vec = 0.5 if vec_kind == "scalar" else rng.uniform(-1, 1, (self.T, 1, self.N2))
-        coef, grid = self.coef(shared), (self.N1, self.N2)
+        coef, grid = self.coef(), (self.N1, self.N2)
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         with c.layer("steps"):
             out, has_terms = c.fold_steps(c.encrypt(vals), BlockCirculant(self.AMOUNTS, coef, grid, (0,), vec))
@@ -468,7 +485,7 @@ class TestFoldSteps:
         the per-step schedule."""
         rng = np.random.default_rng(17)
         vals = rng.uniform(-1, 1, (self.U * self.T, 32))
-        coef, grid = self.coef(shared=False), (self.N1, self.N2)
+        coef, grid = self.coef(), (self.N1, self.N2)
         for nonzero, live in (([1, 3, 5], slice(1, 6, 2)), ([2, 3, 6], slice(2, 7, 1))):
             vec = np.zeros((self.T, self.N1, self.N2))
             vec[..., nonzero] = rng.uniform(-1, 1, (self.T, self.N1, 3))
@@ -492,7 +509,7 @@ class TestFoldSteps:
     def test_quantize_rounds_the_fused_sum_once(self):
         q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
         src = q.encrypt(np.random.default_rng(5).uniform(-1, 1, (self.U * self.T, 32)))
-        coef, grid = self.coef(shared=False), (self.N1, self.N2)
+        coef, grid = self.coef(), (self.N1, self.N2)
         op = BlockCirculant(self.AMOUNTS, coef, grid, (0,), 0.3)
         got = q.fold_steps(src, op)[0].slots
         want = exact.fold_steps(exact.encrypt(src.slots), op)[0].slots
@@ -501,16 +518,16 @@ class TestFoldSteps:
     def test_level_is_checked_first(self):
         c = ctx(slots=32, levels=1)
         low = c.pmult(c.encrypt(np.ones((4, 32))), 1.0)
-        op = BlockCirculant([5], np.ones((1, 3, 1, 4, 5)), (5, 5))  # neither covers nor fits
+        op = BlockCirculant([5], np.ones((1, 1, 3, 5)), (5, 5))  # neither covers nor fits
         with pytest.raises(LevelError):
             c.fold_steps(low, op)
 
     @pytest.mark.parametrize(
         "amount, coef_shape, grid, match",
         [
-            (8, (1, 1, 1, 4, 2), (2, 8), "does not cover"),
-            (8, (1, 3, 1, 2, 4), (4, 8), "does not fit"),  # neither 1 nor U = 2 sets
-            (8, (1, 1, 1, 3, 4), (4, 8), "does not fit"),  # 4 sources, 3 terms
+            (8, (1, 1, 4, 2), (2, 8), "does not cover"),
+            (8, (1, 1, 8, 4), (4, 8), "does not fit"),  # 4 sources, fewer than one set of 8 terms
+            (8, (1, 1, 3, 4), (4, 8), "does not fit"),  # 4 sources, 3 terms
         ],
     )
     def test_typed_errors(self, amount, coef_shape, grid, match):
@@ -525,25 +542,24 @@ class TestBlockCirculant:
 
     N1, N2, T = TestFoldSteps.N1, TestFoldSteps.N2, TestFoldSteps.T
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_gather_equals_the_per_step_scatter(self, shared):
-        coef = TestFoldSteps().coef(shared)
-        sets, V = coef.shape[1:3]
+    def test_gather_equals_the_per_step_scatter(self):
+        coef = TestFoldSteps().coef()
+        V = coef.shape[1]
         # block b of a row reads source block b + a / n2 in step a: scatter each step's coefficients
-        want = np.zeros((sets, V, self.N1, self.N1, self.T))  # (set, row, block, source block, term)
+        want = np.zeros((V, self.N1, self.N1, self.T))  # (row, block, source block, term)
         b = np.arange(self.N1)
         for a, c in zip(np.array(TestFoldSteps.AMOUNTS) // self.N2, coef):
-            want[:, :, b, (b + a) % self.N1] += c.swapaxes(-1, -2)
+            want[:, b, (b + a) % self.N1] += c.swapaxes(-1, -2)
         op = BlockCirculant(TestFoldSteps.AMOUNTS, coef, (self.N1, self.N2))
-        got = op.matrix.reshape(sets, V, self.N1, self.T, self.N1)  # (set, row, block, term, source block)
+        got = op.matrix.reshape(V, self.N1, self.T, self.N1)  # (row, block, term, source block)
         assert np.array_equal(got, want.swapaxes(-1, -2))
         assert not op.matrix.flags.writeable
 
     @pytest.mark.parametrize("U", [1, 2])
     def test_one_operator_applies_to_many_stacks(self, U):
-        """Applied twice, one shared-coefficient operator counts, logs and
-        computes what two freshly built ones do."""
-        coef, grid = TestFoldSteps().coef(shared=True), (self.N1, self.N2)
+        """Applied twice, one operator counts, logs and computes what two
+        freshly built ones do."""
+        coef, grid = TestFoldSteps().coef(), (self.N1, self.N2)
         rng = np.random.default_rng(6)
         srcs = [rng.uniform(-1, 1, (U * self.T, 32)) for _ in range(2)]
         reused, fresh = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
@@ -551,7 +567,7 @@ class TestBlockCirculant:
         got = [reused.fold_steps(reused.encrypt(vals), op) for vals in srcs]
         want = [fresh.fold_steps(fresh.encrypt(vals), BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid, (0,), 0.7)) for vals in srcs]
         for (out, has), (ref, ref_has) in zip(got, want):
-            assert out.rows == U * coef.shape[2]
+            assert out.rows == U * coef.shape[1]
             np.testing.assert_array_equal(out.slots, ref.slots)
             np.testing.assert_array_equal(has, ref_has)
         assert reused.counter == fresh.counter and reused.oplog == fresh.oplog
@@ -559,10 +575,10 @@ class TestBlockCirculant:
     @pytest.mark.parametrize(
         "amount, coef_shape, grid, match",
         [
-            (4, (1, 1, 1, 4, 4), (4, 8), "not a multiple of the block length"),
-            (8, (1, 1, 1, 4, 8), (4, 8), "is not"),  # last axis not n1
-            (8, (1, 1, 4, 4), (4, 8), "is not"),  # not 5-D
-            (8, (2, 1, 1, 4, 4), (4, 8), "is not"),  # one step per amount
+            (4, (1, 1, 4, 4), (4, 8), "not a multiple of the block length"),
+            (8, (1, 1, 4, 8), (4, 8), "is not"),  # last axis not n1
+            (8, (1, 4, 4), (4, 8), "is not"),  # not 4-D
+            (8, (2, 1, 4, 4), (4, 8), "is not"),  # one step per amount
         ],
     )
     def test_typed_errors(self, amount, coef_shape, grid, match):
@@ -582,48 +598,45 @@ class TestFusedTaps:
     # a zero tap, and 3 and 35 equal mod 32: one rotation serves both
     TAPS = [0, 3, -1, 35]
 
-    def coef(self, shared):
+    def coef(self):
         rng = np.random.default_rng(8)
         K = len(self.TAPS)
-        shape = (len(self.AMOUNTS), 1 if shared else self.U, self.V, self.I * K, self.N1)
-        coef = np.where(rng.uniform(size=shape[:4] + (1,)) < 0.8, rng.uniform(-1, 1, shape), 0.0).reshape(shape[:3] + (self.I, K, self.N1))
-        coef[:, :, :, 1, 2] = 0.0  # input 1 is never read at tap -1: not rotated by 31
-        coef[:, :, :, 0, [1, 3]] = 0.0  # input 0 is never read at 3 = 35 mod 32
-        coef[:, :, :, 2, 1] = 0.0  # input 2 at tap 3 is not read, at tap 35 it is
-        coef[:, :, :, 2, 3, 0] = 0.7
-        if not shared:
-            coef[:, 1, :, 1, 2, 1] = 0.4  # set 1 reads input 1 at tap -1 after all
+        shape = (len(self.AMOUNTS), self.V, self.I * K, self.N1)
+        coef = np.where(rng.uniform(size=shape[:3] + (1,)) < 0.8, rng.uniform(-1, 1, shape), 0.0).reshape(shape[:2] + (self.I, K, self.N1))
+        coef[:, :, 1, 2] = 0.0  # input 1 is never read at tap -1: not rotated by 31
+        coef[:, :, 0, [1, 3]] = 0.0  # input 0 is never read at 3 = 35 mod 32
+        coef[:, :, 2, 1] = 0.0  # input 2 at tap 3 is not read, at tap 35 it is
+        coef[:, :, 2, 3, 0] = 0.7
         return coef.reshape(shape)
 
     def explicit(self, c, vals, coef, vec):
         """The baby steps one rotation at a time, then the giant steps fused."""
         K, N = len(self.TAPS), self.N1 * self.N2
-        read = np.broadcast_to(coef.any(axis=(0, 2, 4)).reshape(-1, self.I, K), (self.U, self.I, K))
+        read = coef.any(axis=(0, 1, 3)).reshape(self.I, K)
         inputs = unstack(c.encrypt(vals))  # u-major
         taps = [a % N for a in self.TAPS]
         rotated = {}
         for a in dict.fromkeys(taps):
             for u in range(self.U):
                 for i in range(self.I):
-                    if any(read[u, i, k] for k in range(K) if taps[k] == a):
+                    if any(read[i, k] for k in range(K) if taps[k] == a):
                         rotated[u, i, a] = c.rotate(inputs[u * self.I + i], a)
         terms = [
-            rotated[u, i, taps[k]] if read[u, i, k] and taps[k] else inputs[u * self.I + i]
+            rotated[u, i, taps[k]] if read[i, k] and taps[k] else inputs[u * self.I + i]
             for u in range(self.U)
             for i in range(self.I)
             for k in range(K)
         ]
         return c.fold_steps(stack(terms), BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), (0,), vec))
 
-    @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("vec_kind", ["one", "per-term", "sparse"])
-    def test_equals_rotate_stack_and_fold(self, shared, vec_kind):
+    def test_equals_rotate_stack_and_fold(self, vec_kind):
         rng = np.random.default_rng(9)
         vals = rng.uniform(-1, 1, (self.U * self.I, 32))
         vec = 1.0 if vec_kind == "one" else rng.uniform(-1, 1, (self.I * len(self.TAPS), 1, self.N2))
         if vec_kind == "sparse":  # only positions 1, 4 and 7 of each block
             vec[..., [0, 2, 3, 5, 6]] = 0.0
-        coef = self.coef(shared)
+        coef = self.coef()
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), self.TAPS, vec)
         with c.layer("taps"):
@@ -638,22 +651,22 @@ class TestFusedTaps:
         assert replay_counts(c.oplog) == c.counter
         # one record per distinct nonzero tap amount (at the input level), counting the inputs read at it
         taps = [(rec["rotation_amount"], rec.get("count", 1)) for rec in c.oplog if rec["op"] == "rot" and rec["level_before"] == 3]
-        assert taps == [(3, 4), (31, 4 if shared else 5)]
+        assert taps == [(3, 4), (31, 4)]
 
     def test_tap_reads_are_kept_per_tap(self):
         """Each tap's rotation record is worked out once, when the operator
         is built, and counts the inputs some coefficient reads at its amount:
         3 and 35 share one record, and a zero tap has none."""
-        coef = self.coef(shared=False)
+        coef = self.coef()
         op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), self.TAPS)
-        reads = coef.reshape(coef.shape[:3] + (self.I, len(self.TAPS), self.N1)).any(axis=(0, 2, 5))  # (sets, inputs, taps)
+        reads = coef.reshape(coef.shape[:2] + (self.I, len(self.TAPS), self.N1)).any(axis=(0, 1, 4))  # (inputs, taps)
         taps = [(extra["rotation_amount"], n) for name, n, before, _, extra in op.records if name == "rot" and before == 0]
         assert taps == [(3, int((reads[..., 1] | reads[..., 3]).sum())), (31, int(reads[..., 2].sum()))]
         assert op.live == slice(0, self.N2, 1) and op.vec is None
 
     def test_counts_do_not_depend_on_log_ops(self):
         vals = np.random.default_rng(10).uniform(-1, 1, (self.U * self.I, 32))
-        op = BlockCirculant(self.AMOUNTS, self.coef(shared=True), (self.N1, self.N2), self.TAPS, 0.5)
+        op = BlockCirculant(self.AMOUNTS, self.coef(), (self.N1, self.N2), self.TAPS, 0.5)
         quiet, logged = ctx(slots=32, levels=3, log_ops=False), ctx(slots=32, levels=3, log_ops=True)
         for c in (quiet, logged):
             with c.layer("taps"):
@@ -666,13 +679,13 @@ class TestFusedTaps:
         [
             ([0, 1, 2, 3, 4], 6, "not \\(input, tap\\) pairs"),  # 12 terms, 5 taps
             ([0, 1, 2, 3], 5, "does not fit"),  # 5 rows, 3 inputs per set
-            ([0, 1, 2, 3], 9, "does not fit"),  # 3 sets, coefficients for 2
+            ([0, 1], 9, "does not fit"),  # 9 rows, 6 inputs per set of 2 taps
         ],
     )
     def test_typed_errors(self, taps, rows, match):
         c = ctx(slots=32, levels=2)
         with pytest.raises(ValueError, match=match):
-            op = BlockCirculant(self.AMOUNTS, self.coef(shared=False), (self.N1, self.N2), taps)
+            op = BlockCirculant(self.AMOUNTS, self.coef(), (self.N1, self.N2), taps)
             c.fold_steps(c.encrypt(np.ones((rows, 32))), op)
 
 
@@ -690,24 +703,25 @@ class TestMixed:
         """The per-part operator's coefficients and a mix in which piece 1 of
         set 0 cancels: parts 1 and 2 carry opposite slabs and equal entries."""
         rng = np.random.default_rng(seed + P)
-        shape = (len(self.AMOUNTS), 1, self.V, P, self.G, self.N1)
-        coef = np.where(rng.uniform(size=shape[:5] + (1,)) < 0.7, rng.uniform(-1, 1, shape), 0.0)
+        shape = (len(self.AMOUNTS), self.V, P, self.G, self.N1)
+        coef = np.where(rng.uniform(size=shape[:4] + (1,)) < 0.7, rng.uniform(-1, 1, shape), 0.0)
         mix = rng.uniform(-1, 1, (1 if shared else self.U, P, self.M))
         mix[0, :, 2] = 0.0  # piece 2 of set 0 reads nothing
         if P == 3:
-            coef[:, :, :, 2] = -coef[:, :, :, 1]
+            coef[:, :, 2] = -coef[:, :, 1]
             mix[0, :, 1] = [0.0, 0.5, 0.5]
-        return coef.reshape(shape[:3] + (P * self.G, self.N1)), mix
+        return coef.reshape(shape[:2] + (P * self.G, self.N1)), mix
 
     def combined(self, coef, mix):
-        """(S, sets, V, M*G, n1): sum over p of mix[u, p, m] * coef[s, 0, v, (p, g), b]."""
-        S, _, V, T, n1 = coef.shape
+        """(S, sets*V, sets*M*G, n1): the rows of output set k read its own
+        M*G inputs, term (m, g) by sum over p of mix[k, p, m] * coef[s, v, (p, g), b]."""
+        S, V, T, n1 = coef.shape
         sets, P, M = mix.shape
         G = T // P
-        out = np.zeros((S, sets, V, M, G, n1))
-        for s, u, v, m, g, b in np.ndindex(out.shape):
-            out[s, u, v, m, g, b] = sum(mix[u, p, m] * coef[s, 0, v, p * G + g, b] for p in range(P))
-        return out.reshape(S, sets, V, M * G, n1)
+        out = np.zeros((S, sets, V, sets, M, G, n1))
+        for s, k, v, m, g, b in np.ndindex(S, sets, V, M, G, n1):
+            out[s, k, v, k, m, g, b] = sum(mix[k, p, m] * coef[s, v, p * G + g, b] for p in range(P))
+        return out.reshape(S, sets * V, sets * M * G, n1)
 
     @pytest.mark.parametrize("P", [1, 3])
     @pytest.mark.parametrize("shared", [True, False])
@@ -716,12 +730,12 @@ class TestMixed:
         grid = (self.N1, self.N2)
         combined = self.combined(coef, mix)
         if P == 3:  # the cancelling term runs nothing, although its parts are nonzero
-            assert not combined[:, 0, :, self.G : 2 * self.G].any() and coef[..., self.G :, :].any()
+            assert not combined[:, : self.V, self.G : 2 * self.G].any() and coef[..., self.G :, :].any()
         vals = np.random.default_rng(20).uniform(-1, 1, (self.U * self.M * self.G, 32))
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         units = self.M * len(mix)
         op = Mixed(BlockCirculant(self.AMOUNTS, coef, grid), mix, np.arange(units).reshape(len(mix), self.M), units)
-        assert op.inputs == units * self.G and op.rows == len(mix) * self.V and op.sets == 1
+        assert op.inputs == units * self.G and op.rows == len(mix) * self.V
         with c.layer("mixed"):
             out, has_terms = c.fold_steps(c.encrypt(vals), op)
         with ref.layer("mixed"):
@@ -737,23 +751,23 @@ class TestMixed:
         assert op.totals == {} and op.records == () and not op.has_terms.any()
 
     @pytest.mark.parametrize(
-        "taps, sets, mix_shape",
+        "taps, rows, mix_shape",
         [
             ((0, 3), 1, (2, 1, 3)),  # an operator with taps
-            ((0,), 2, (2, 1, 3)),  # an operator with coefficients per set
+            ((0,), 2, (2, 1, 1, 3)),  # not (sets, parts, pieces), for an operator of 2 rows
             ((0,), 1, (2, 3, 3)),  # 2 terms are not parts of 3
             ((0,), 1, (1, 3)),  # not (sets, parts, pieces)
         ],
     )
-    def test_typed_errors(self, taps, sets, mix_shape):
-        op = BlockCirculant([0], np.ones((1, sets, 1, 2, 4)), (4, 8), taps)
+    def test_typed_errors(self, taps, rows, mix_shape):
+        op = BlockCirculant([0], np.ones((1, rows, 2, 4)), (4, 8), taps)
         with pytest.raises(ValueError, match="does not fit"):
             Mixed(op, np.ones(mix_shape), np.zeros((mix_shape[0], mix_shape[-1])), 1)
 
     @pytest.mark.parametrize("reads, units", [(np.zeros((2, 2)), 1), (np.zeros((1, 3)), 1), (np.full((2, 3), 2), 2), (np.full((2, 3), -1), 2)])
     def test_reads_must_fit(self, reads, units):
         """One read per (output set, piece), each a unit of the source."""
-        op = BlockCirculant([0], np.ones((1, 1, 1, 2, 4)), (4, 8))
+        op = BlockCirculant([0], np.ones((1, 1, 2, 4)), (4, 8))
         with pytest.raises(ValueError, match="do not fit"):
             Mixed(op, np.ones((2, 1, 3)), reads, units)
 
@@ -814,9 +828,10 @@ def per_ciphertext_diagonals(c, src, shifts, tables, vec, grid) -> list:
 class TestDiagonals:
     """``fold_steps`` of a ``Diagonals`` against the per-ciphertext diagonal
     method: 32 slots, a grid of 3 frames by 8 columns (8 slots past it),
-    U = 2 source sets of C = 3 inputs, V = 3 rows.  Every table has width 1,
-    as a temporal conv's taps do; coefficients per joint are the
-    ``MixedDiagonals`` of a spatial conv (``TestMixedDiagonals``)."""
+    U = 2 source sets of C = 3 inputs, V = 3 rows.  Each shift has one
+    (inputs, rows) table, the same in every column, as a temporal conv's
+    taps do; coefficients per joint are the ``MixedDiagonals`` of a spatial
+    conv (``TestMixedDiagonals``)."""
 
     U, C, V, N1, N2 = 2, 3, 3, 3, 8
     # 0; 1 and 33 equal mod 32; a whole frame; reads past the grid and past
@@ -824,6 +839,7 @@ class TestDiagonals:
     SHIFTS = [0, 1, -2, 33, 8, 12, -9]
 
     def tables(self, seed=11):
+        """The (shifts, inputs, rows) coefficients."""
         rng = np.random.default_rng(seed)
         out = []
         for _ in self.SHIFTS:
@@ -835,7 +851,7 @@ class TestDiagonals:
         out[4][0, 0] = 0.0  # input 0 is never read at 8: not rotated by it
         out[4][0, 1:, 1] = [0.2, -0.5]
         out[3][0, 2, 2] = 0.0  # row 2 at 33 = 1 mod 32 reads only through shift 1
-        return out
+        return np.concatenate(out)
 
     def run(self, c, vals, tables, vec):
         op = Diagonals(self.SHIFTS, tables, (self.N1, self.N2), 32, vec)
@@ -853,7 +869,7 @@ class TestDiagonals:
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         op, out, has_terms = self.run(c, vals, tables, vec)
         with ref.layer("diag"):
-            want = per_ciphertext_diagonals(ref, ref.encrypt(vals), self.SHIFTS, tables, vec, (self.N1, self.N2))
+            want = per_ciphertext_diagonals(ref, ref.encrypt(vals), self.SHIFTS, tables[:, None], vec, (self.N1, self.N2))
         assert op.coef.shape == (self.V, len(self.SHIFTS) * self.C)
         assert op.frames == (slice(0, 3, 2) if vec_kind == "strided" else slice(0, 3, 1))
         assert has_terms.tolist() == [w is not None for w in want] == [False, True, True] * self.U
@@ -868,7 +884,7 @@ class TestDiagonals:
 
     def test_a_zero_operator_gives_zero_rows(self):
         c = ctx(slots=32, levels=2, log_ops=True)
-        op = Diagonals([3], [np.zeros((1, 2, 4))], (4, 8), 32)
+        op = Diagonals([3], np.zeros((1, 2, 4)), (4, 8), 32)
         out, has_terms = c.fold_steps(c.encrypt(np.ones((2, 32))), op)
         assert not has_terms.any() and not out.slots.any() and out.rows == 4
         assert c.oplog == [rec for rec in c.oplog if rec["op"] == "encrypt"] and op.totals == {}
@@ -913,7 +929,7 @@ class TestDiagonals:
                 vec[..., rng.uniform(size=n1) < 0.3] = 0.0
             vals = rng.uniform(-1, 1, (U * C, N))
             c, ref = ctx(slots=N, levels=3, log_ops=True), ctx(slots=N, levels=3, log_ops=True)
-            out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals(shifts, tables, (n1, n2), N, vec))
+            out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals(shifts, np.concatenate(tables), (n1, n2), N, vec))
             want = per_ciphertext_diagonals(ref, ref.encrypt(vals), shifts, tables, vec, (n1, n2))
             assert has_terms.tolist() == [w is not None for w in want]
             for row, w in zip(unstack(out), want):
@@ -923,19 +939,20 @@ class TestDiagonals:
     @pytest.mark.parametrize(
         "shifts, shapes, grid, slots, match",
         [
-            ([0], [(1, 2, 3)], (8, 8), 32, "exceeds slot count"),
-            ([0, 1], [(1, 2, 3), (1, 3, 3)], (4, 8), 32, "like the first"),
-            ([0], [(8, 2, 3)], (4, 8), 32, "is not"),  # one coefficient per column
-            ([0, 1], [(1, 2, 3)], (4, 8), 32, "tables for 2 shifts"),
-            ([], [], (4, 8), 32, "tables for 0 shifts"),
-            ([0], [(1, 2, 3)], (4, 8), 64, "does not cover"),  # built for other slots
-            ([0], [(1, 3, 3)], (4, 8), 32, "does not fit"),  # 4 sources, 3 inputs
+            ([0], (1, 2, 3), (8, 8), 32, "exceeds slot count"),
+            ([0], (2, 3), (4, 8), 32, "is not"),  # no shift axis
+            ([0], (1, 8, 2, 3), (4, 8), 32, "is not"),  # one coefficient per column
+            ([0, 1], (1, 2, 3), (4, 8), 32, "tables for 2 shifts"),
+            ([], (0, 2, 3), (4, 8), 32, "tables for 0 shifts"),
+            ([0], (1, 2, 3), (4, 8), 64, "does not cover"),  # built for other slots
+            ([0], (1, 3, 3), (4, 8), 32, "does not fit"),  # 4 sources, 3 inputs
         ],
     )
     def test_typed_errors(self, shifts, shapes, grid, slots, match):
+        """``shapes`` is the shape of the coefficients."""
         c = ctx(slots=32, levels=2)
         with pytest.raises(ValueError, match=match):
-            c.fold_steps(c.encrypt(np.ones((4, 32))), Diagonals(shifts, [np.ones(s) for s in shapes], grid, slots))
+            c.fold_steps(c.encrypt(np.ones((4, 32))), Diagonals(shifts, np.ones(shapes), grid, slots))
 
 
 def dense_diagonals(dense, offsets) -> list:
@@ -1145,12 +1162,3 @@ class TestCounterAndLog:
         rot = next(r for r in records if r["op"] == "rot")
         assert set(rot) == {"op", "layer", "level_before", "level_after", "rotation_amount"}
         assert rot["rotation_amount"] == 3
-
-
-def test_budget_validation_against_params():
-    from hegcn.costmodel import select_params
-
-    params = select_params(21)  # Q = 740
-    SimContext(16, max_level=21, scale_bits=33).validate_against_params(params)
-    with pytest.raises(ValueError, match="exceeds"):
-        SimContext(16, max_level=23, scale_bits=33).validate_against_params(params)
