@@ -37,10 +37,15 @@ partition and applies the weight slabs as one GEMM, the row-major
 counterpart of ``hesim.Mixed``.  Rows are joints (AMA temporal), output
 joints (AMA spatial) or output channels (row-major), terms are the rotated
 inputs a row sums, and a term is skipped exactly where its coefficients,
-merged over the partitions, are all zero.  Biases and activation constants
-are encrypted once per layer as broadcast rows.  Every count, including
-the input, tap and giant-step rotations and the adds of partial sums,
-comes from hesim.
+merged over the partitions, are all zero.  The same ``fold_steps`` call
+writes the rows no term reaches as encrypted zeros and adds the layer's
+bias, given as broadcast rows of the output stack (``_bias_rows``) and
+encrypted once, in place.  The elementwise kernels are one fused hesim op
+each: an activation is one ``SimContext.poly``, and the rotate-and-sum
+trees of pooling and of the AMA classifier are one
+``SimContext.rotate_sum``; each counts and logs what its chain of single
+ops did, in that chain's order.  Every count, including the input, tap and
+giant-step rotations and the adds of partial sums, comes from hesim.
 
 Values at padding slots, masked-out strided frames and replica copies are
 allowed to go stale; every consumer reads only through masks or anchor
@@ -115,17 +120,15 @@ def default_slot_count(dims) -> int:
 # ----------------------------------------------------------------------
 # shared helpers
 
-def _fold(src, op) -> SimCiphertext:
-    """A prebuilt operator ``op`` applied as one ``SimContext.fold_steps``;
-    the rows no term reaches are encrypted zeros, encrypted once for all of
-    them and switched to the output level.
-    """
-    ctx = src.ctx
-    acc, has_terms = ctx.fold_steps(src, op)
-    if has_terms.all():
-        return acc
-    empty = np.flatnonzero(~has_terms)
-    return acc.put(empty, ctx.mod_switch(ctx.encrypt(np.zeros((len(empty), ctx.slot_count))), acc.level))
+def _bias_rows(layout: PackingLayout, bias: np.ndarray) -> np.ndarray:
+    """A conv layer's per-channel ``bias`` as the rows of its output stack,
+    broadcast views that ``SimContext.fold_steps`` encrypts once: AMA (J, G,
+    slots), uniform within each channel block and the same for every joint;
+    row-major (B, C, T*J), one value per (sample, channel) over the grid."""
+    if layout.kind == AMA:
+        rows = np.repeat(bias[layout.block_channels()], layout.pad_bt, axis=1)
+        return np.broadcast_to(rows, (layout.J,) + rows.shape)
+    return np.broadcast_to(bias[:, None], (layout.B, layout.C, layout.T * layout.J))
 
 
 def _giant_steps(lin: PackingLayout, lout: PackingLayout):
@@ -151,17 +154,6 @@ def _add_bias(ct, bias_slots) -> SimCiphertext:
     (a broadcast of the distinct rows is encrypted once)."""
     ctx = ct.ctx
     return ctx.add(ct, ctx.mod_switch(ctx.encrypt(bias_slots), ct.level))
-
-
-def _bias_ama(layout: PackingLayout, bias: np.ndarray) -> np.ndarray:
-    """Per-slot bias of every ciphertext, (J, G, slots): uniform within each
-    channel block, the same for every joint."""
-    rows = np.repeat(np.asarray(bias)[layout.block_channels()], layout.pad_bt, axis=1)
-    return np.broadcast_to(rows, (layout.J,) + rows.shape)
-
-
-def _has_bias(bias) -> bool:
-    return bias is not None and np.any(np.abs(np.asarray(bias)) > 0)
 
 
 # ----------------------------------------------------------------------
@@ -212,23 +204,8 @@ def ama_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> Encrypt
     # partition entries N_p[k, j] of (output joint k, partition, piece); a
     # piece without an entry reads joint 0 with zeros
     mix = np.where(reads >= 0, merged.parts[:, np.arange(J)[:, None], np.maximum(reads, 0)], 0.0).transpose(1, 0, 2)
-    acc = _fold(fm.ct, hesim.Mixed(op, mix, np.maximum(reads, 0), J))
-    if _has_bias(merged.bias):
-        acc = _add_bias(acc, _bias_ama(lout, merged.bias))
+    acc, _ = fm.ct.ctx.fold_steps(fm.ct, hesim.Mixed(op, mix, np.maximum(reads, 0), J), _bias_rows(lout, merged.bias))
     return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid)
-
-
-def _rowmajor_fold(fm, op, bias) -> SimCiphertext:
-    """Row-major mixing: the prebuilt ``op`` applied to every sample's input
-    channels at once, each sample one of its source sets, then ``bias[o]``
-    added on the T x J grid of output channel o."""
-    lin = fm.layout
-    acc = _fold(fm.ct, op)
-    if _has_bias(bias):
-        # one row per (sample, output channel) over the grid; encrypt zeroes the tail
-        bias = np.asarray(bias, dtype=np.float64)
-        acc = _add_bias(acc, np.broadcast_to(bias[:, None], (lin.B, len(bias), lin.T * lin.J)))
-    return acc
 
 
 def rowmajor_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> EncryptedFeatureMap:
@@ -251,8 +228,8 @@ def rowmajor_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> En
         raise hesim.LevelError("level exhausted before spatial conv")
 
     op = hesim.MixedDiagonals(merged.weights, merged.parts, diagonal_offsets(merged.pattern), (lin.T, lin.J), lin.slot_count)
-    acc = _rowmajor_fold(fm, op, merged.bias)
     lout = packing.rowmajor_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
+    acc, _ = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lout, merged.bias))
     return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid)
 
 
@@ -330,9 +307,7 @@ def _temporal_ama(fm, W, bias, eps, masks):
     coef = w.reshape(len(amounts), G, G * K, lin.capacity)
     vec = np.tile(masks[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
     op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), eps * fm.t_stride, vec)
-    acc = _fold(fm.ct, op)
-    if _has_bias(bias):
-        acc = _add_bias(acc, _bias_ama(lin, bias))
+    acc, _ = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
     return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid)
 
 
@@ -341,7 +316,8 @@ def _temporal_rowmajor(fm, W, bias, eps, masks):
     lin = fm.layout
     # masks were built over one T-row; each frame row spans J slots
     op = hesim.Diagonals(eps * fm.t_stride * lin.J, W.transpose(2, 1, 0), (lin.T, lin.J), lin.slot_count, masks[:, None, : lin.T])
-    return EncryptedFeatureMap(_rowmajor_fold(fm, op, bias), lin, fm.t_stride, fm.t_valid)
+    acc, _ = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
+    return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid)
 
 
 # ----------------------------------------------------------------------
@@ -349,15 +325,9 @@ def _temporal_rowmajor(fm, W, bias, eps, masks):
 
 
 def poly_activation(fm: EncryptedFeatureMap, a: float, b: float, c: float) -> EncryptedFeatureMap:
-    """a*x^2 + b*x + c per slot: one CMult, two PMults, two Adds, two levels,
-    each one op on the whole stack; the constant is one encrypted row."""
-    ctx = fm.ct.ctx
-    if fm.level < 2:
-        raise hesim.LevelError(f"activation needs level >= 2, have {fm.level}")
-    x = fm.ct
-    poly = ctx.add(ctx.pmult(ctx.cmult(x, x), float(a)), ctx.mod_switch(ctx.pmult(x, float(b)), x.level - 2))
-    const = ctx.mod_switch(ctx.encrypt(np.broadcast_to(float(c), (x.rows, ctx.slot_count))), poly.level)
-    return EncryptedFeatureMap(ctx.add(poly, const), fm.layout, fm.t_stride, fm.t_valid, fm.pooled)
+    """a*x^2 + b*x + c per slot: one ``SimContext.poly`` on the whole stack,
+    counted as one CMult, two PMults and two Adds per ciphertext, two levels."""
+    return EncryptedFeatureMap(fm.ct.ctx.poly(fm.ct, (a, b, c)), fm.layout, fm.t_stride, fm.t_valid, fm.pooled)
 
 
 def global_avg_pool(fm: EncryptedFeatureMap) -> EncryptedFeatureMap:
@@ -367,7 +337,8 @@ def global_avg_pool(fm: EncryptedFeatureMap) -> EncryptedFeatureMap:
     group), a rotate-and-add halving tree folds the valid frames, then one
     masked PMult scales by 1/(frames*joints) and cleans every non-anchor
     slot.  Row-major: mask-scale first, then a full-slot halving fold leaves
-    the mean replicated in every slot.  Each step is one op on the stack.
+    the mean replicated in every slot.  Each step is one op on the stack,
+    and each tree one ``SimContext.rotate_sum``.
     """
     ctx = fm.ct.ctx
     lin = fm.layout
@@ -382,18 +353,15 @@ def global_avg_pool(fm: EncryptedFeatureMap) -> EncryptedFeatureMap:
         pad, cap = lin.pad_bt, lin.capacity
         mask = np.zeros(lin.slot_count)  # the anchor slot of every (block, sample)
         mask[np.arange(cap)[:, None] * pad + np.arange(lin.B) * lin.T] = 1.0 / count
-        acc = ctx.sum_parts(fm.ct, lin.J)
-        for i in range(int(math.log2(tv))):
-            acc = ctx.add(acc, ctx.rotate(acc, sigma * (tv >> (i + 1))))
+        acc = ctx.rotate_sum(ctx.sum_parts(fm.ct, lin.J), [sigma * (tv >> (i + 1)) for i in range(int(math.log2(tv)))])
         return EncryptedFeatureMap(ctx.pmult(acc, mask), lin, sigma, tv, pooled=True)
 
     # row-major
     q = np.arange(lin.slot_count)
     t = q // lin.J
     valid = (q < lin.T * lin.J) & (t % sigma == 0) & (t // sigma < tv)
-    acc = ctx.pmult(fm.ct, np.where(valid, 1.0 / count, 0.0))
-    for i in range(int(math.log2(lin.slot_count))):
-        acc = ctx.add(acc, ctx.rotate(acc, lin.slot_count >> (i + 1)))
+    halvings = [lin.slot_count >> (i + 1) for i in range(int(math.log2(lin.slot_count)))]
+    acc = ctx.rotate_sum(ctx.pmult(fm.ct, np.where(valid, 1.0 / count, 0.0)), halvings)
     return EncryptedFeatureMap(acc, lin, sigma, tv, pooled=True)
 
 
@@ -421,6 +389,7 @@ def fully_connected(fm: EncryptedFeatureMap, weights: np.ndarray, bias: np.ndarr
         # Chunks of classes are written over the last one's in one buffer (a
         # PMult keeps no reference to its plaintext).
         anchors = [np.arange(lin.group_size(g))[:, None] * pad + np.arange(lin.B) * lin.T for g in range(G)]
+        halvings = [pad * (cap >> (i + 1)) for i in range(int(math.log2(cap)))]
         size = max(1, hesim._CHUNK_BYTES // (G * N * 8))
         plains = np.zeros((G, min(size, classes), N))
         score_cts = []
@@ -428,9 +397,7 @@ def fully_connected(fm: EncryptedFeatureMap, weights: np.ndarray, bias: np.ndarr
             cls = np.arange(s, min(s + size, classes))
             for g in range(G):
                 plains[g][: len(cls), anchors[g]] = weights[lin.group_channels(g)][:, cls].T[..., None]
-            acc = ctx.sum_parts(ctx.pmult(fm.ct.repeat(len(cls)), plains[:, : len(cls)]), G)
-            for i in range(int(math.log2(cap))):
-                acc = ctx.add(acc, ctx.rotate(acc, pad * (cap >> (i + 1))))
+            acc = ctx.rotate_sum(ctx.sum_parts(ctx.pmult(fm.ct.repeat(len(cls)), plains[:, : len(cls)]), G), halvings)
             score_cts.append(_add_bias(acc, np.broadcast_to(bias[cls, None], (len(cls), N))))
         return score_cts
 

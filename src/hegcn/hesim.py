@@ -18,8 +18,8 @@ writes one log record with a ``count`` field (left out when n = 1): a
 whole feature map is one stack, and a layer is a few ops on it.  An
 encryption of rows broadcast along some axes keeps one copy of the
 distinct rows; a PMult takes one plaintext for all rows or one per row;
-``sum_parts`` adds the equal consecutive parts of a stack.  ``take``,
-``put`` and ``repeat`` are bookkeeping and count nothing.
+``sum_parts`` adds the equal consecutive parts of a stack.  ``take`` and
+``repeat`` are bookkeeping and count nothing.
 
 ``fold_steps`` is the one fused multiply-accumulate: it applies a prebuilt
 operator, the baby-step/giant-step product of Halevi and Shoup (CRYPTO
@@ -51,6 +51,16 @@ per input and amount some term reads, and a PMult per term that runs (its
 coefficients, for a ``Mixed`` the combined ones and for a
 ``MixedDiagonals`` the merged ones, are not all zero), with the Adds that
 sum them.
+
+The fused epilogues do the elementwise work between the folds, each as one
+op that writes one output buffer it owns, in row chunks under
+``_CHUNK_BYTES``: ``poly`` evaluates a degree-2 activation, ``rotate_sum``
+a rotate-and-sum tree, and ``fold_steps`` with ``bias=`` writes a conv
+layer's rows without terms as encrypted zeros and adds its bias in place.
+Each stands for a chain of the ops above and counts and logs exactly what
+that chain does, record for record and in the chain's order; it keeps the
+chain's float operations and their order, with ``quantize`` rounding
+where the chain's ops round, so its slots are the chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -134,7 +144,8 @@ class SimCiphertext:
     (..., slot_count): the n ciphertexts of its leading axes, in row-major
     order, at one level, that every operation treats row by row and counts
     n times.  A stack may be a read-only broadcast view, such as an
-    encryption of one row repeated n times.
+    encryption of one row repeated n times, or the one value per row that a
+    rotate-and-sum over every slot leaves.
     """
 
     __slots__ = ("slots", "level", "id", "ctx")
@@ -165,18 +176,15 @@ class SimCiphertext:
         slots = self.slots.reshape(self.rows, 1, -1)
         return self.ctx._new_ct(np.broadcast_to(slots, (self.rows, n, slots.shape[-1])), self.level)
 
-    def put(self, index, rows: "SimCiphertext") -> "SimCiphertext":
-        """A copy of the stack with the rows ``index`` replaced by those of
-        ``rows``, at the same level (bookkeeping, nothing counted)."""
-        if rows.level != self.level:
-            raise LevelError(f"cannot put rows at level {rows.level} into a stack at level {self.level}")
-        slots = np.array(self.slots.reshape(self.rows, -1))
-        slots[index] = rows.slots.reshape(rows.rows, -1)
-        return self.ctx._new_ct(slots, self.level)
-
     def __repr__(self) -> str:
         shape = "x".join(map(str, self.slots.shape))
         return f"SimCiphertext(id={self.id}, level={self.level}, slots={shape})"
+
+
+def _compact(values: np.ndarray) -> np.ndarray:
+    """``values`` with one element along each axis where it is a broadcast
+    (stride 0): the distinct values, which broadcast back to its shape."""
+    return values[tuple(slice(0, 1) if s == 0 else slice(None) for s in values.strides)]
 
 
 def _padded(values: np.ndarray, slot_count: int, transform=None) -> np.ndarray:
@@ -750,9 +758,12 @@ class SimContext:
     def _new_ct(self, slots, level) -> SimCiphertext:
         return SimCiphertext(slots, level, f"ct{next(self._ids):06d}", self)
 
-    def _quantize(self, values: np.ndarray) -> np.ndarray:
+    def _quantize(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``values`` rounded to the fixed-point grid, written to ``out`` when given."""
         scale = float(2**self.scale_bits)
-        return np.round(values * scale) / scale
+        out = np.multiply(values, scale, out=out)
+        np.round(out, out=out)
+        return np.divide(out, scale, out=out)
 
     def _record(self, op: str, level_before: int, level_after: int, n: int = 1, **extra) -> None:
         """Count ``n`` applications of ``op``; log them as one record."""
@@ -774,6 +785,13 @@ class SimContext:
                 rec["count"] = n
             rec.update(extra)
             self.oplog.append(rec)
+
+    def _log_fresh(self, n: int, level: int) -> None:
+        """Log what ``encrypt`` and ``mod_switch`` log for n rows encrypted
+        and switched to ``level``."""
+        self._log("encrypt", self.max_level, self.max_level, n)
+        if level != self.max_level:
+            self._log("mod_switch", self.max_level, level, n)
 
     def _as_plaintext(self, pt, rows: int) -> np.ndarray | float:
         """Scalars stay one float that broadcasts (the same slots as a full
@@ -891,7 +909,7 @@ class SimContext:
         self._log("mod_switch", ct.level, target_level, ct.rows)
         return out
 
-    def fold_steps(self, src: SimCiphertext, op) -> tuple[SimCiphertext, np.ndarray]:
+    def fold_steps(self, src: SimCiphertext, op, bias=None) -> tuple[SimCiphertext, np.ndarray]:
         """Apply a prebuilt operator, a ``BlockCirculant``, ``Mixed``,
         ``Diagonals`` or ``MixedDiagonals``: many rotated,
         plaintext-multiplied and summed terms as one fused
@@ -915,6 +933,14 @@ class SimContext:
         Returns the (U*V, slot_count) stack and which rows got a term; a row
         without terms was computed by no operation.  With ``quantize`` the
         fused sum is rounded once.
+
+        ``bias``, rows that hold the U*V output rows along their leading axes
+        (a broadcast of distinct rows, as ``encrypt`` takes), makes the result
+        a conv layer's output: the rows without terms are then encrypted
+        zeros, encrypted once for all of them and switched to the output
+        level, and the bias rows are encrypted, switched to the output level
+        and added in place, unless the bias is zero in every slot.  The
+        records are those of that chain, in its order, after the operator's.
         """
         if src.level < 1:
             raise LevelError("level exhausted: fold_steps needs level >= 1")
@@ -924,6 +950,13 @@ class SimContext:
         if src.rows % op.inputs:
             raise ValueError(f"a stack of {src.rows} source ciphertexts does not fit sets of {op.inputs} inputs")
         U = src.rows // op.inputs  # every step runs on each source set
+        rows, level = U * op.rows, src.level - 1
+        if bias is not None:
+            bias = np.asarray(bias, dtype=np.float64)
+            if bias.ndim < 2:
+                bias = bias.reshape(1, -1)
+            if not bias.shape[-1] or bias.size // bias.shape[-1] != rows or bias.shape[-1] > N:
+                raise ValueError(f"bias rows of shape {bias.shape} do not fit the output of shape {(rows, N)}")
         if op.totals:
             counts = self.counter.counts_of(self._layer)
             for name, n in op.totals.items():
@@ -931,10 +964,122 @@ class SimContext:
         if self.log_ops:
             for name, n, before, after, extra in op.records:
                 self._log(name, src.level - before, src.level - after, n * U, **extra)
-        out = op.apply(src.slots.reshape(U, op.inputs, N)).reshape(U * op.rows, N)
+        out = op.apply(src.slots.reshape(U, op.inputs, N)).reshape(rows, N)
         if self.quantize:
-            out = self._quantize(out)
-        return self._new_ct(out, src.level - 1), np.tile(op.has_terms, U)
+            self._quantize(out, out)
+        has_terms = np.tile(op.has_terms, U)
+        if bias is not None:
+            empty = np.flatnonzero(~has_terms)
+            if len(empty):
+                self._log_fresh(len(empty), level)
+                out[empty] = 0.0
+            compact = _compact(bias)
+            if np.any(np.abs(compact) > 0):
+                self._log_fresh(rows, level)
+                self._record("add", level, level, rows)
+                if self.quantize:
+                    bias = np.broadcast_to(self._quantize(compact), bias.shape)
+                # the encrypted rows are the bias then zeros: x + 0.0 turns -0.0 into 0.0
+                k, view = bias.shape[-1], out.reshape(bias.shape[:-1] + (N,))
+                np.add(view[..., :k], bias, out=view[..., :k])
+                np.add(view[..., k:], 0.0, out=view[..., k:])
+        return self._new_ct(out, level), has_terms
+
+    # ------------------------------------------------------------------
+    # fused epilogues: one pass over one output buffer, in row chunks
+
+    def poly(self, ct: SimCiphertext, coeffs) -> SimCiphertext:
+        """a*x^2 + b*x + c of every slot, for ``coeffs`` (a, b, c), as one op.
+
+        Counts and logs, in order, what the chain CMult x*x, PMult by a,
+        PMult x by b, mod-switch, Add, encrypt c, mod-switch, Add does: one
+        CMult, two PMults and two Adds per row, two levels.  Each row chunk
+        under ``_CHUNK_BYTES`` is computed in the output buffer with the
+        chain's float operations in its order, x*x, times a, x*b, +, +c;
+        with ``quantize`` each product is rounded and c is rounded as
+        ``encrypt`` rounds it, so the slots are the chain's.
+        """
+        coeffs = tuple(coeffs)
+        if len(coeffs) != 3:
+            raise ValueError(f"poly evaluates degree 2 from coefficients (a, b, c), got {len(coeffs)}")
+        if ct.level < 2:
+            raise LevelError(f"level exhausted: poly needs level >= 2, have {ct.level}")
+        a, b, c = map(float, coeffs)
+        n, L = ct.rows, ct.level
+        self._record("cmult", L, L - 1, n)
+        self._record("pmult", L - 1, L - 2, n)
+        self._record("pmult", L, L - 1, n)
+        self._log("mod_switch", L - 1, L - 2, n)
+        self._record("add", L - 2, L - 2, n)
+        self._log_fresh(n, L - 2)
+        self._record("add", L - 2, L - 2, n)
+        quantize = self._quantize if self.quantize else None
+        if quantize:
+            c = float(quantize(np.full(1, c))[0])
+        x = ct.slots.reshape(n, -1)
+        out = np.empty(x.shape)
+        size = max(1, _CHUNK_BYTES // (x.shape[1] * 8))
+        bx = np.empty((min(size, n), x.shape[1]))
+        for r in range(0, n, size):
+            xs, o = x[r : r + size], out[r : r + size]
+            t = bx[: len(xs)]
+            np.multiply(xs, xs, out=o)
+            if quantize:
+                quantize(o, o)
+            o *= a
+            np.multiply(xs, b, out=t)
+            if quantize:
+                quantize(o, o)
+                quantize(t, t)
+            o += t
+            o += c
+        return self._new_ct(out.reshape(ct.slots.shape), L - 2)
+
+    def rotate_sum(self, ct: SimCiphertext, amounts) -> SimCiphertext:
+        """The rotate-and-sum tree acc = acc + rotate(acc, k) for each k of
+        ``amounts`` in turn, from acc = ``ct``, as one op (HElib's
+        rotate-and-sum; Halevi and Shoup, CRYPTO 2014).
+
+        Counts and logs what that loop does, in its order: per amount one
+        Rot per row (none for an amount of 0 mod slot count, which adds acc
+        to itself) and one Add per row.  Each row chunk under
+        ``_CHUNK_BYTES`` is summed with the loop's float operations, acc +
+        rot(acc).  A sum whose amount is half the period of acc (N at first)
+        halves that period, so a halving tree computes one period only; when
+        the period ends at one slot the result is a read-only broadcast of
+        one value per row.
+        """
+        N = self.slot_count
+        amounts = [int(k) % N for k in amounts]
+        if not amounts:
+            return ct
+        n, L = ct.rows, ct.level
+        for k in amounts:
+            if k:
+                self._record("rot", L, L, n, rotation_amount=k)
+            self._record("add", L, L, n)
+        steps, period = [], N  # (shift within the period, period, period after)
+        for k in amounts:
+            r = k % period
+            steps.append((r, period, period // 2 if 2 * r == period else period))
+            period = steps[-1][2]
+        x = ct.slots.reshape(n, N)
+        size = max(1, _CHUNK_BYTES // (N * 8))
+        work = np.empty((2, min(size, n), N))
+        out = np.empty((n, 1 if period == 1 else N))
+        for i in range(0, n, size):
+            acc = x[i : i + size]
+            for j, (r, p, q) in enumerate(steps):
+                nxt = work[j % 2, : len(acc)]
+                m = min(q, p - r)  # slot i < m reads i + r, the rest i + r - p
+                np.add(acc[:, :m], acc[:, r : r + m], out=nxt[:, :m])
+                if m < q:
+                    np.add(acc[:, m:q], acc[:, : q - m], out=nxt[:, m:q])
+                acc = nxt
+            out[i : i + size].reshape(len(acc), -1, period)[...] = acc[:, None, :period]
+        if period == 1:
+            out = np.broadcast_to(out.reshape(ct.slots.shape[:-1] + (1,)), ct.slots.shape)
+        return self._new_ct(out.reshape(ct.slots.shape), L)
 
 
 def replay_counts(oplog) -> HocCounter:

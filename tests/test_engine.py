@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,10 +43,10 @@ def only_stacks_inputs(monkeypatch, fm) -> list:
     folded, in order."""
     real_fold, folded = SimContext.fold_steps, []
 
-    def input_only(ctx, src, op):
+    def input_only(ctx, src, op, bias=None):
         assert src is fm.ct, "folded a stack that is not the layer input"
         folded.append(op)
-        return real_fold(ctx, src, op)
+        return real_fold(ctx, src, op, bias)
 
     def forbidden(*args):
         raise AssertionError("SimContext.rotate called for a tap, diagonal or row")
@@ -171,7 +172,8 @@ class TestSpatial:
             entries = sum(w[c, o] * n[k, j] for w, n in zip(merged.weights, merged.parts))
             coef = np.where(serves[:, None, None] & (jin >= 0), entries, 0.0)
             op = hesim.BlockCirculant(amounts, coef.reshape(len(amounts), H, -1, cap), (cap, lin.pad_bt))
-            engine._fold(fm.ct.take([lin.ama_ct_index(j, g) for j in np.maximum(reads[k], 0) for g in range(G)]), op)
+            src = fm.ct.take([lin.ama_ct_index(j, g) for j in np.maximum(reads[k], 0) for g in range(G)])
+            ctx.fold_steps(src, op, np.zeros((op.rows, 1)))  # a zero bias: rows without terms as encrypted zeros
 
     @pytest.mark.parametrize("chunk_bytes", [hesim._CHUNK_BYTES, 1])
     def test_a_partition_sum_that_cancels_is_not_counted(self, monkeypatch, chunk_bytes):
@@ -215,9 +217,9 @@ class TestSpatial:
             built.append(build(*args))
             return built[-1]
 
-        def counted_apply(ctx, src, op):
+        def counted_apply(ctx, src, op, bias=None):
             applied.append(op)
-            return apply(ctx, src, op)
+            return apply(ctx, src, op, bias)
 
         def counted_product(op, x, out=None):
             chunks.append((op, len(x)))
@@ -317,9 +319,9 @@ class TestTemporalConv:
             built.append(build(*args))
             return built[-1]
 
-        def counted_apply(ctx, src, op):
+        def counted_apply(ctx, src, op, bias=None):
             applied.append(op)
-            return apply(ctx, src, op)
+            return apply(ctx, src, op, bias)
 
         def counted_product(op, x, out):
             chunks.append((op, len(x)))
@@ -504,6 +506,49 @@ class TestPoolingAndHead:
         ctx = SimContext(16, max_level=2)
         with pytest.raises(ValueError, match="pooled"):
             fully_connected(packed(x, ctx, AMA), np.eye(2), np.zeros(2))
+
+
+class TestEpilogues:
+    @pytest.mark.parametrize("kernel", ["poly_activation", "global_avg_pool"])
+    def test_peak_memory_is_one_output_stack(self, kernel):
+        """An activation, and row-major pooling (a mask PMult, then the
+        halving tree), on a 100 x 8192 stack hold one output stack plus their
+        row chunks: the traced peak stays below one stack, two
+        ``_CHUNK_BYTES`` and a slack of eight slot vectors (the pooling mask
+        and its index arrays)."""
+        N, rows = 8192, 100
+        ctx = SimContext(N, max_level=4, log_ops=False)
+        layout = engine.packing.rowmajor_layout((1, rows, 64, 128), N)
+        fm = EncryptedFeatureMap(ctx.encrypt(np.random.default_rng(0).uniform(-1, 1, (rows, N))), layout)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = poly_activation(fm, 0.1, 0.5, 0.2) if kernel == "poly_activation" else global_avg_pool(fm)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.ct.rows == rows
+        assert peak < rows * N * 8 + 2 * hesim._CHUNK_BYTES + 8 * N * 8, peak
+
+    @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+    def test_no_rotation_or_cmult_outside_the_fused_ops(self, monkeypatch, fmt):
+        """The acceptance model runs with ``SimContext.rotate`` and
+        ``SimContext.cmult`` raising: every rotation happens inside a fold or
+        a rotate-and-sum tree and every CMult inside ``poly``, the scores
+        match the oracle and the counts reconcile with the analytic mirror."""
+        from hegcn.model import acceptance_stgcn3
+
+        def forbidden(*args):
+            raise AssertionError("SimContext.rotate or SimContext.cmult called")
+
+        monkeypatch.setattr(SimContext, "rotate", forbidden)
+        monkeypatch.setattr(SimContext, "cmult", forbidden)
+        spec = acceptance_stgcn3()
+        x = GraphTensor.random(spec.input_dims, seed=43)
+        res = run_model(spec, x, fmt, slot_count=1024)
+        np.testing.assert_allclose(res.scores, plaintext_reference(spec, x), rtol=0, atol=1e-9)
+        assert costmodel.reconcile(res.per_layer(), costmodel.analytic_layer_counts(spec, fmt, 1024))["max_abs_diff"] == 0
+        assert res.counter.totals()["rot"] > 0 and res.counter.totals()["cmult"] > 0
 
 
 class TestMatmulBenchmark:

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ def stack(cts):
     if len(levels) > 1:
         raise LevelError(f"cannot stack ciphertexts at levels {sorted(levels)}")
     return cts[0].ctx._new_ct(np.concatenate([ct.slots.reshape(ct.rows, -1) for ct in cts]), cts[0].level)
+
+
+def put(ct, index, rows):
+    """A copy of the stack with the rows ``index`` replaced by those of
+    ``rows``, at its level (bookkeeping, nothing counted or logged)."""
+    assert rows.level == ct.level
+    slots = np.array(ct.slots.reshape(ct.rows, -1))
+    slots[index] = rows.slots.reshape(rows.rows, -1)
+    return ct.ctx._new_ct(slots, ct.level)
 
 
 def unstack(ct) -> list:
@@ -1092,6 +1102,160 @@ class TestMixedDiagonals:
         c = ctx(slots=16, levels=2)
         with pytest.raises(ValueError, match=match):
             c.fold_steps(c.encrypt(np.ones((4, 16))), MixedDiagonals(np.ones(weights), np.ones(parts), [0, 1], grid, slots))
+
+
+def poly_chain(c, x, coeffs):
+    """The per-op chain ``SimContext.poly`` replaces: CMult, PMult a, PMult
+    b, mod-switch, Add, encrypt c, mod-switch, Add."""
+    a, b, k = map(float, coeffs)
+    poly = c.add(c.pmult(c.cmult(x, x), a), c.mod_switch(c.pmult(x, b), x.level - 2))
+    const = c.mod_switch(c.encrypt(np.broadcast_to(k, (x.rows, c.slot_count))), poly.level)
+    return c.add(poly, const)
+
+
+def rotate_sum_loop(c, x, amounts):
+    """The loop ``SimContext.rotate_sum`` replaces."""
+    acc = x
+    for k in amounts:
+        acc = c.add(acc, c.rotate(acc, k))
+    return acc
+
+
+def bias_chain(c, src, op, bias):
+    """The chain ``fold_steps(bias=)`` replaces: the fold, its rows without
+    terms put as encrypted zeros, then a bias that is not all zero added."""
+    acc, has_terms = c.fold_steps(src, op)
+    if not has_terms.all():
+        empty = np.flatnonzero(~has_terms)
+        acc = put(acc, empty, c.mod_switch(c.encrypt(np.zeros((len(empty), c.slot_count))), acc.level))
+    if np.any(np.abs(bias) > 0):
+        acc = c.add(acc, c.mod_switch(c.encrypt(bias), acc.level))
+    return acc
+
+
+class TestEpilogues:
+    """``poly``, ``rotate_sum`` and ``fold_steps(bias=)`` against the per-op
+    chains they replace: bit-identical slots, equal counters and the same
+    op log, record for record, in row chunks smaller than the input."""
+
+    N = 16
+
+    @pytest.fixture(autouse=True)
+    def two_rows_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(hesim, "_CHUNK_BYTES", 2 * self.N * 8)
+
+    def values(self, kind, seed=0):
+        rng = np.random.default_rng(seed)
+        if kind == "single":
+            return rng.uniform(-2, 2, self.N)
+        if kind == "stack":
+            return rng.uniform(-2, 2, (5, self.N))
+        return np.broadcast_to(rng.uniform(-2, 2, (2, self.N)), (3, 2, self.N))  # 6 rows, 2 distinct
+
+    def both(self, fn, want_fn, quantize, slots=N):
+        """``fn`` and ``want_fn`` each run in a fresh logged context; their
+        results must agree bit for bit, with equal counters and op logs."""
+        runs = []
+        for f in (fn, want_fn):
+            c = ctx(slots=slots, quantize=quantize, log_ops=True)
+            with c.layer("e"):
+                runs.append((f(c), c))
+        (got, c), (want, ref) = runs
+        assert got.slots.shape == want.slots.shape and got.level == want.level
+        np.testing.assert_array_equal(got.slots, want.slots)
+        assert np.ascontiguousarray(got.slots).tobytes() == np.ascontiguousarray(want.slots).tobytes()
+        assert c.counter == ref.counter and c.oplog == ref.oplog
+        assert replay_counts(c.oplog) == c.counter
+        return got, c
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("kind", ["single", "stack", "broadcast"])
+    def test_poly_equals_the_chain(self, kind, quantize):
+        vals, coeffs = self.values(kind), (0.3, -1.7, 0.1)
+        got, c = self.both(lambda c: c.poly(c.encrypt(vals), coeffs), lambda c: poly_chain(c, c.encrypt(vals), coeffs), quantize)
+        rows = 1 if vals.ndim == 1 else vals.size // self.N
+        assert got.level == 3 and c.counter.layer("e") == {"rot": 0, "pmult": 2 * rows, "cmult": rows, "add": 2 * rows, "rescale": 3 * rows}
+
+    HALF = [8, 4, 2, 1]
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("kind", ["single", "stack", "broadcast"])
+    @pytest.mark.parametrize(
+        "amounts",
+        [
+            [8, 4, 2, 1],  # a halving tree down to one slot: one value per row
+            [8, 4],  # a halving tree that stops at a period of 4
+            [3, -2, 0, 16, 5],  # a negative amount and two of 0 mod N
+            [8, 0, -4, 1],  # -4 is half the period 8 left by the first step
+        ],
+        ids=["to-one-slot", "to-period-4", "negative-and-zero", "zero-in-halving"],
+    )
+    def test_rotate_sum_equals_the_loop(self, amounts, kind, quantize):
+        vals = self.values(kind, seed=1)
+        got, c = self.both(lambda c: c.rotate_sum(c.encrypt(vals), amounts), lambda c: rotate_sum_loop(c, c.encrypt(vals), amounts), quantize)
+        rows = 1 if vals.ndim == 1 else vals.size // self.N
+        assert c.counter.layer("e")["add"] == len(amounts) * rows
+        assert c.counter.layer("e")["rot"] == sum(k % self.N != 0 for k in amounts) * rows
+
+    def test_rotate_sum_by_nothing_is_the_input(self):
+        c = ctx(slots=self.N, log_ops=True)
+        x = c.encrypt(self.values("stack"))
+        assert c.rotate_sum(x, []) is x and len(c.oplog) == 1
+
+    def operator(self, seed=2):
+        """A ``Diagonals`` of one input, two shifts and three rows, row 0 without terms."""
+        rng = np.random.default_rng(seed)
+        coef = rng.uniform(-1, 1, (2, 1, 3))
+        coef[:, :, 0] = 0.0
+        return Diagonals([0, 3], coef, (4, 4), self.N, rng.uniform(-1, 1, (2, 1, 4)))
+
+    def bias(self, kind, rows, seed=3):
+        rng = np.random.default_rng(seed)
+        if kind == "per-row":
+            return rng.uniform(-1, 1, (rows, self.N - 3))  # the tail pads with zeros
+        if kind == "broadcast":
+            return np.broadcast_to(rng.uniform(-1, 1, (3, self.N)), (rows // 3, 3, self.N))
+        if kind == "per-channel":  # one value per row over the first N - 4 slots, as row-major biases
+            return np.broadcast_to(rng.uniform(-1, 1, (3, 1)), (rows // 3, 3, self.N - 4))
+        return np.zeros((rows, self.N))
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("bias_kind", ["per-row", "broadcast", "per-channel", "zero"])
+    @pytest.mark.parametrize("kind", ["single", "stack", "broadcast"])
+    def test_fold_with_bias_equals_the_chain(self, kind, bias_kind, quantize):
+        vals, op = self.values(kind, seed=4), self.operator()
+        rows = 3 * (1 if vals.ndim == 1 else vals.size // self.N)
+        bias = self.bias(bias_kind, rows)
+        got, c = self.both(lambda c: c.fold_steps(c.encrypt(vals), op, bias)[0], lambda c: bias_chain(c, c.encrypt(vals), op, bias), quantize)
+        want = ctx(slots=self.N, quantize=quantize).encrypt(bias).slots.reshape(rows, self.N)
+        # the rows without terms hold the bias, not zero
+        np.testing.assert_array_equal(got.slots[::3], want[::3])
+        assert (bias_kind == "zero") == (not got.slots[::3].any())
+
+    def test_fold_with_bias_on_a_block_circulant(self):
+        """A ``BlockCirculant`` whose rows 0 and 3 have no terms, with a bias
+        broadcast over its two source sets."""
+        vals = np.random.default_rng(5).uniform(-1, 1, (8, 32))
+        op = BlockCirculant(TestFoldSteps.AMOUNTS, TestFoldSteps().coef(), (4, 8), (0,), 0.5)
+        bias = np.broadcast_to(np.random.default_rng(6).uniform(-1, 1, (3, 32)), (2, 3, 32))
+        got, _ = self.both(lambda c: c.fold_steps(c.encrypt(vals), op, bias)[0], lambda c: bias_chain(c, c.encrypt(vals), op, bias), False, 32)
+        np.testing.assert_array_equal(got.slots[[0, 3]], bias.reshape(6, 32)[[0, 3]])
+
+    def test_typed_errors(self):
+        c = ctx(slots=self.N, levels=3, log_ops=True)
+        x = c.encrypt(self.values("stack"))
+        low = c.mod_switch(x, 1)
+        del c.oplog[:]
+        with pytest.raises(LevelError, match="level >= 2"):
+            c.poly(low, (1.0, 2.0, 3.0))
+        for coeffs in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
+            with pytest.raises(ValueError, match=f"got {len(coeffs)}"):
+                c.poly(x, coeffs)
+        op = self.operator()
+        for shape, shown in (((14, 16), "(14, 16)"), ((15, 17), "(15, 17)"), ((16,), "(1, 16)")):
+            with pytest.raises(ValueError, match=re.escape(f"bias rows of shape {shown} do not fit the output of shape (15, 16)")):
+                c.fold_steps(x, op, np.ones(shape))
+        assert c.oplog == [] and c.counter.totals() == dict.fromkeys(hesim.OPS, 0)
 
 
 @settings(max_examples=50, deadline=None)
