@@ -293,6 +293,12 @@ def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[st
     polynomial activation's fixed 1 CMult / 2 PMult / 2 Add shape, masked
     pooling and the anchored classifier head.  Bias additions count one Add
     per output ciphertext when the folded bias is nonzero.
+
+    The formulas assume that no weight column is exactly zero: the engine's
+    operators run no term whose coefficients are all zero, so a conv layer
+    whose weights zero a whole term (in row-major one weight, in AMA the
+    weights of a term's channel blocks), or an AMA head with a zero (class,
+    group) column, counts fewer PMults and Adds than these.
     """
     if fmt not in (AMA, ROWMAJOR):
         raise ValueError(f"unknown format {fmt!r}")

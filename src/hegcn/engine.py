@@ -12,36 +12,41 @@ cost model:
 
 Execution is batched; the schedule and its counts are those of a
 per-ciphertext loop.  A feature map is one stack of ciphertexts in layout
-order, and every kernel reads it whole or by slice or index array and
-writes one output stack: no kernel creates a ciphertext per row.  Every
-kernel counts in the context of its input stack (``fm.ct.ctx``).  Every
-conv layer is one prebuilt operator applied by one
-``SimContext.fold_steps`` to the input stack; the operator runs its
-sources in chunks under ``hesim._CHUNK_BYTES``.  An AMA channel fold is a
-``hesim.BlockCirculant`` built from one coefficient table over (step, row,
-term, output block), the same for every joint, gathered in one vectorized
-step from the giant steps ``_giant_steps`` lists.  A temporal operator
-carries the tap rotations (the baby steps) and the tap masks, each joint's
-inputs one source set; within each block it multiplies only the positions
-some tap mask keeps (half of them after a stride 2).  A spatial operator
-holds the P weight slabs, with terms (partition, group): the factored form
-of the merged sum_p N_p * W_p.  One ``hesim.Mixed`` per layer holds the
-input joint of every (output joint, piece) and the partition entries; it
-gathers and mixes the ciphertexts of each chunk of output joints and
-applies the layer's operator to the mixes, and counts what the merged
-coefficients would.  A row-major conv is one operator per layer, applied
-to every sample's input channels at once: a temporal one a
-``hesim.Diagonals`` of its taps, a spatial one a ``hesim.MixedDiagonals``
-of the factors, which mixes the joints of every frame row by each
-partition and applies the weight slabs as one GEMM, the row-major
-counterpart of ``hesim.Mixed``.  Rows are joints (AMA temporal), output
-joints (AMA spatial) or output channels (row-major), terms are the rotated
+order, and every kernel reads it whole and writes one output stack: no
+kernel creates a ciphertext per row.  Every kernel counts in the context
+of its input stack (``fm.ct.ctx``).  Every linear layer, the classifier
+head included, is one prebuilt operator applied by one
+``SimContext.fold_steps`` to the input stack; the operators run their
+sources in chunks of their own, and the engine has no chunk loop.  An AMA
+channel fold is a ``hesim.BlockCirculant`` built from one coefficient
+table over (step, row, term, output block), the same for every joint,
+gathered in one vectorized step from the giant steps ``_giant_steps``
+lists.  A temporal operator carries the tap rotations (the baby steps) and
+the tap masks, each joint's inputs one source set; within each block it
+multiplies only the positions some tap mask keeps (half of them after a
+stride 2).  A spatial operator holds the P weight slabs, with terms
+(partition, group): the factored form of the merged sum_p N_p * W_p.  One
+``hesim.Mixed`` per layer holds the input joint of every (output joint,
+piece) and the partition entries; it gathers and mixes the ciphertexts of
+each chunk of output joints and applies the layer's operator to the mixes,
+and counts what the merged coefficients would.  A row-major conv is one
+operator per layer, applied to every sample's input channels at once: a
+temporal one a ``hesim.Diagonals`` of its taps, a spatial one a
+``hesim.MixedDiagonals`` of the factors, which mixes the joints of every
+frame row by each partition and applies the weight slabs as one GEMM, the
+row-major counterpart of ``hesim.Mixed``.  The classifier head is an AMA
+``hesim.BlockCirculant`` with the single giant step 0, rows classes and
+terms the pooled group ciphertexts, whose blocks one rotate-and-sum then
+adds, or a row-major ``hesim.Diagonals`` with the single shift 0 and the
+weight rows as per-frame factors; its bias is one Add (``_add_bias``).
+Rows are joints (AMA temporal), output joints (AMA spatial), output
+channels (row-major conv) or classes (AMA head), terms are the rotated
 inputs a row sums, and a term is skipped exactly where its coefficients,
-merged over the partitions, are all zero.  The same ``fold_steps`` call
-writes the rows no term reaches as encrypted zeros and adds the layer's
-bias, given as broadcast rows of the output stack (``_bias_rows``) and
-encrypted once, in place.  The elementwise kernels are one fused hesim op
-each: an activation is one ``SimContext.poly``, and the rotate-and-sum
+merged over the partitions, are all zero.  A conv layer's ``fold_steps``
+call also writes the rows no term reaches as encrypted zeros and adds the
+layer's bias, given as broadcast rows of the output stack (``_bias_rows``)
+and encrypted once, in place.  The elementwise kernels are one fused hesim
+op each: an activation is one ``SimContext.poly``, and the rotate-and-sum
 trees of pooling and of the AMA classifier are one
 ``SimContext.rotate_sum``; each counts and logs what its chain of single
 ops did, in that chain's order.  Every count, including the input, tap and
@@ -365,10 +370,25 @@ def global_avg_pool(fm: EncryptedFeatureMap) -> EncryptedFeatureMap:
     return EncryptedFeatureMap(acc, lin, sigma, tv, pooled=True)
 
 
-def fully_connected(fm: EncryptedFeatureMap, weights: np.ndarray, bias: np.ndarray) -> list[SimCiphertext]:
-    """Class scores from a pooled feature map: stacks of one ciphertext per
-    class (AMA, in chunks of classes) or one stack of one per sample
-    (row-major).  Every plaintext table stays under ``hesim._CHUNK_BYTES``."""
+def fully_connected(fm: EncryptedFeatureMap, weights: np.ndarray, bias: np.ndarray) -> SimCiphertext:
+    """Class scores from a pooled feature map: one operator, one
+    ``fold_steps`` and the bias add, like a conv layer.
+
+    AMA: a ``hesim.BlockCirculant`` with the single giant step 0, rows
+    classes and terms the G pooled group ciphertexts; a channel's weight
+    sits on its first block copy (replica blocks weigh 0) and the factor
+    keeps only the anchor slot of every sample, so each block holds its
+    channel's share of the score.  A rotate-and-sum over the blocks adds
+    them: one ciphertext per class, the score of sample s at slot s*T.  A
+    (class, group) term whose weights are all zero runs nothing.
+
+    Row-major: the pooled means are replicated in every slot, so a
+    ``hesim.Diagonals`` with the one shift 0, read as a grid of one frame
+    per class, weighs every input channel by its weight row as the per-frame
+    factor and needs no rotation: one ciphertext per sample, the score of
+    class k at slot k.  Its coefficients are ones, so every (sample,
+    channel) PMult counts.
+    """
     ctx = fm.ct.ctx
     if not fm.pooled:
         raise ValueError("fully_connected expects a pooled feature map")
@@ -383,43 +403,27 @@ def fully_connected(fm: EncryptedFeatureMap, weights: np.ndarray, bias: np.ndarr
         raise ValueError(f"weights expect {weights.shape[0]} channels, feature map has {lin.C}")
 
     if lin.kind == AMA:
-        G, pad, cap = lin.cts_per_joint, lin.pad_bt, lin.capacity
-        # per (group, class), a channel's weight at the anchor slot of every
-        # sample in its first block copy: G PMults and G - 1 Adds per class.
-        # Chunks of classes are written over the last one's in one buffer (a
-        # PMult keeps no reference to its plaintext).
-        anchors = [np.arange(lin.group_size(g))[:, None] * pad + np.arange(lin.B) * lin.T for g in range(G)]
-        halvings = [pad * (cap >> (i + 1)) for i in range(int(math.log2(cap)))]
-        size = max(1, hesim._CHUNK_BYTES // (G * N * 8))
-        plains = np.zeros((G, min(size, classes), N))
-        score_cts = []
-        for s in range(0, classes, size):
-            cls = np.arange(s, min(s + size, classes))
-            for g in range(G):
-                plains[g][: len(cls), anchors[g]] = weights[lin.group_channels(g)][:, cls].T[..., None]
-            acc = ctx.rotate_sum(ctx.sum_parts(ctx.pmult(fm.ct.repeat(len(cls)), plains[:, : len(cls)]), G), halvings)
-            score_cts.append(_add_bias(acc, np.broadcast_to(bias[cls, None], (len(cls), N))))
-        return score_cts
+        pad, cap = lin.pad_bt, lin.capacity
+        first = np.arange(cap) < np.array([lin.group_size(g) for g in range(lin.cts_per_joint)])[:, None]
+        coef = np.where(first[..., None], weights[lin.block_channels()], 0.0).transpose(2, 0, 1)  # (class, group, block)
+        anchors = np.zeros(pad)
+        anchors[np.arange(lin.B) * lin.T] = 1.0
+        op = hesim.BlockCirculant([0], coef[None], (cap, pad), vec=anchors)
+        acc, _ = ctx.fold_steps(fm.ct, op)
+        acc = ctx.rotate_sum(acc, [pad * (cap >> (i + 1)) for i in range(int(math.log2(cap)))])
+        return _add_bias(acc, np.broadcast_to(bias[:, None], (classes, N)))
 
-    # row-major: pooled means are replicated, so one fused plaintext per
-    # input ciphertext carries the whole weight row and no rotation is
-    # needed; input channels in chunks, each plaintext shared by the samples
-    B, C = lin.B, lin.C
-    size = max(1, hesim._CHUNK_BYTES // (N * 8))
-    acc = None
-    for c in range(0, C, size):
-        cs = np.arange(c, min(c + size, C))
-        # rows (channel, sample); pmult zero-pads each distinct weight row once
-        terms = ctx.pmult(fm.ct.take((np.arange(B) * C + cs[:, None]).ravel()), np.broadcast_to(weights[cs, None], (len(cs), B, classes)))
-        part = ctx.sum_parts(terms, len(cs))
-        acc = part if acc is None else ctx.add(acc, part)
-    return [_add_bias(acc, np.broadcast_to(bias, (B, classes)))]
+    op = hesim.Diagonals([0], np.ones((1, lin.C, 1)), (classes, 1), N, weights[None])
+    acc, _ = ctx.fold_steps(fm.ct, op)
+    return _add_bias(acc, np.broadcast_to(bias, (lin.B, classes)))
 
 
-def extract_scores(score_cts, fm_layout: PackingLayout, classes: int) -> np.ndarray:
-    """Decrypt class scores into a (B, classes) array."""
+def extract_scores(score_ct: SimCiphertext, fm_layout: PackingLayout, classes: int) -> np.ndarray:
+    """Decrypt the head's class scores into a (B, classes) array, reading
+    only the score slots: AMA the anchor of every sample in each class's
+    ciphertext, row-major the first ``classes`` slots of each sample's."""
     B, N = fm_layout.B, fm_layout.slot_count
-    slots = np.concatenate([ct.slots.reshape(ct.rows, N) for ct in score_cts])
+    slots = score_ct.slots.reshape(score_ct.rows, N)
     if fm_layout.kind == AMA:
         return slots[:classes, np.arange(B) * fm_layout.T].T.copy()
     return slots[:B, :classes].copy()
@@ -471,9 +475,11 @@ def run_model(
     ctx: SimContext | None = None,
     slot_count: int | None = None,
     quantize: bool = False,
-    log_ops: bool = False,
 ) -> RunResult:
-    """Execute the whole encrypted pipeline and decrypt the class scores."""
+    """Execute the whole encrypted pipeline and decrypt the class scores.
+
+    Without ``ctx`` the run makes its own context, which keeps no op log;
+    pass a ``SimContext`` with ``log_ops=True`` to read the log."""
     if fmt not in (AMA, ROWMAJOR):
         raise ValueError(f"format must be {AMA!r} or {ROWMAJOR!r}")
     if x.dims != spec.input_dims:
@@ -484,7 +490,7 @@ def run_model(
             slot_count or default_slot_count(spec.input_dims),
             max_level=depth_total,
             quantize=quantize,
-            log_ops=log_ops,
+            log_ops=False,
         )
     check_depth_budget(spec, ctx.max_level)
 
@@ -497,10 +503,10 @@ def run_model(
 
     trace = []
     ct_counts = {"pack": ct.rows}
-    score_cts = None
+    score_ct, out = None, ct
     classes = None
     for label, layer in zip(spec.labels(), spec.layers):
-        before = fm.level if score_cts is None else score_cts[0].level
+        before = out.level
         with ctx.layer(label):
             if isinstance(layer, SpatialConv):
                 spatial = ama_spatial if fmt == AMA else rowmajor_spatial
@@ -514,17 +520,17 @@ def run_model(
                 fm = global_avg_pool(fm)
             elif isinstance(layer, FullyConnected):
                 classes = layer.classes
-                score_cts = fully_connected(fm, layer.weights, layer.bias)
+                score_ct = fully_connected(fm, layer.weights, layer.bias)
             else:
                 raise ValueError(f"unknown layer {layer!r}")
-        after = fm.level if score_cts is None else score_cts[0].level
-        trace.append({"layer": label, "before": before, "after": after, "consumed": before - after})
-        ct_counts[label] = fm.ct.rows if score_cts is None else sum(ct.rows for ct in score_cts)
+        out = fm.ct if score_ct is None else score_ct
+        trace.append({"layer": label, "before": before, "after": out.level, "consumed": before - out.level})
+        ct_counts[label] = out.rows
     trace.append({"layer": "headroom", "before": None, "after": None, "consumed": 1})
 
-    if score_cts is None:
+    if score_ct is None:
         raise ValueError("model has no fully-connected head; nothing to score")
-    scores = extract_scores(score_cts, fm.layout, classes)
+    scores = extract_scores(score_ct, fm.layout, classes)
     return RunResult(scores, fmt, ctx.counter, trace, depth_total, ct_counts)
 
 

@@ -18,8 +18,7 @@ writes one log record with a ``count`` field (left out when n = 1): a
 whole feature map is one stack, and a layer is a few ops on it.  An
 encryption of rows broadcast along some axes keeps one copy of the
 distinct rows; a PMult takes one plaintext for all rows or one per row;
-``sum_parts`` adds the equal consecutive parts of a stack.  ``take`` and
-``repeat`` are bookkeeping and count nothing.
+``sum_parts`` adds the equal consecutive parts of a stack.
 
 ``fold_steps`` is the one fused multiply-accumulate: it applies a prebuilt
 operator, the baby-step/giant-step product of Halevi and Shoup (CRYPTO
@@ -71,7 +70,7 @@ from contextlib import contextmanager
 import numpy as np
 
 #: Upper bound on the bytes of one chunk's gathered sources, mixes, tap-rotated
-#: terms or plaintext table.  The operators and the classifier head run in
+#: terms or epilogue rows.  The operators and the fused epilogues run in
 #: chunks that stay below it (at least one item each).  Measured on the
 #: reference model (slot 8192): 2 MB and 256 KB run equally fast, 256 KB
 #: keeps the run's peak memory lower.  A ``Diagonals`` item is one grid
@@ -162,19 +161,6 @@ class SimCiphertext:
     def rows(self) -> int:
         """Ciphertexts held: 1 for a single vector, n for a stack of n."""
         return 1 if self.slots.ndim == 1 else self.slots.size // self.slots.shape[-1]
-
-    def take(self, index) -> "SimCiphertext":
-        """The rows ``index`` (a slice or an index array) as one stack.
-
-        Bookkeeping, not an HE operation: nothing is counted or logged.
-        """
-        return self.ctx._new_ct(self.slots.reshape(self.rows, -1)[index], self.level)
-
-    def repeat(self, n: int) -> "SimCiphertext":
-        """The stack with each row repeated n times in a row, as a read-only
-        broadcast view (bookkeeping, nothing counted)."""
-        slots = self.slots.reshape(self.rows, 1, -1)
-        return self.ctx._new_ct(np.broadcast_to(slots, (self.rows, n, slots.shape[-1])), self.level)
 
     def __repr__(self) -> str:
         shape = "x".join(map(str, self.slots.shape))

@@ -9,7 +9,6 @@ parameters per candidate, then selects the best trade-off.
 
 from __future__ import annotations
 
-import inspect
 import json
 import subprocess
 from dataclasses import dataclass
@@ -17,6 +16,14 @@ from dataclasses import dataclass
 from hegcn import costmodel
 from hegcn.costmodel import HeParams, select_params
 from hegcn.model import ModelSpec
+
+
+#: Bits of modulus each level spends and the security target of the
+#: parameters picked per candidate.
+SCALE_BITS = 33
+SECURITY_BITS = 80
+#: Seconds an external evaluator may take per variant.
+EVALUATOR_TIMEOUT_S = 600.0
 
 
 class EvaluatorError(Exception):
@@ -90,9 +97,8 @@ class CommandEvaluator:
     """Spawn a command per variant; it reads the model JSON document on
     stdin and must print ``{"accuracy": x}`` on stdout."""
 
-    def __init__(self, argv: list[str], timeout: float = 600.0):
+    def __init__(self, argv: list[str]):
         self.argv = list(argv)
-        self.timeout = timeout
 
     def __call__(self, spec: ModelSpec, pruned_indices, stage: str = "search") -> float:
         payload = json.dumps(
@@ -109,7 +115,7 @@ class CommandEvaluator:
                 self.argv,
                 input=payload.encode(),
                 capture_output=True,
-                timeout=self.timeout,
+                timeout=EVALUATOR_TIMEOUT_S,
                 check=True,
             )
             return float(json.loads(proc.stdout.decode())["accuracy"])
@@ -119,35 +125,15 @@ class CommandEvaluator:
             ) from exc
 
 
-def _takes_stage(evaluator) -> bool:
-    """Whether ``evaluator`` accepts a ``stage`` keyword, read from its signature.
-
-    Callables without an inspectable signature are assumed to follow the
-    three-argument protocol of the built-in evaluators.
-    """
-    try:
-        params = inspect.signature(evaluator).parameters.values()
-    except (TypeError, ValueError):
-        return True
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD
-        or (p.name == "stage" and p.kind is not inspect.Parameter.POSITIONAL_ONLY)
-        for p in params
-    )
-
-
 def _call_evaluator(evaluator, variant: ModelSpec, pruned, stage: str) -> float:
-    """Invoke an evaluator once; plain two-argument callables get no stage.
+    """Invoke an evaluator once as ``evaluator(variant, pruned, stage=stage)``.
 
     Any fault inside the evaluator, a ``TypeError`` included, is raised as
     an :class:`EvaluatorError` naming the variant and is never retried
     under a different stage.
     """
-    takes_stage = _takes_stage(evaluator)
     try:
-        if takes_stage:
-            return evaluator(variant, pruned, stage=stage)
-        return evaluator(variant, pruned)
+        return evaluator(variant, pruned, stage=stage)
     except EvaluatorError:
         raise
     except Exception as exc:
@@ -173,14 +159,10 @@ def rank_activations(spec: ModelSpec, evaluator) -> list[int]:
     return [idx for idx, _ in scored]
 
 
-def search(
-    spec: ModelSpec,
-    evaluator,
-    max_prune: int,
-    scale_bits: int = 33,
-    security_bits: int = 80,
-) -> tuple[list[PruneResult], PruneResult]:
-    """Evaluate pruning 0..max_prune activations off the initial ranking.
+def search(spec: ModelSpec, evaluator, max_prune: int) -> tuple[list[PruneResult], PruneResult]:
+    """Evaluate pruning 0..max_prune activations off the initial ranking,
+    with HE parameters picked at ``SCALE_BITS`` per level and
+    ``SECURITY_BITS`` of security.
 
     Returns all candidates plus the pick: among variants whose polynomial
     degree is minimal (smallest parameters, hence cheapest operations),
@@ -197,7 +179,7 @@ def search(
         variant = spec.prune_activations(pruned) if pruned else spec
         acc = _call_evaluator(evaluator, variant, pruned, "search")
         levels = costmodel.depth(variant)
-        params = select_params(levels, scale_bits, security_bits)
+        params = select_params(levels, SCALE_BITS, SECURITY_BITS)
         results.append(PruneResult(variant_key(pruned) or "baseline", pruned, acc, levels, params))
     best_degree = min(r.params.poly_degree for r in results)
     candidates = [r for r in results if r.params.poly_degree == best_degree]

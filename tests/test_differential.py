@@ -18,7 +18,7 @@ from hegcn import costmodel, hesim
 from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, merge_spatial
 from hegcn.engine import default_slot_count, plaintext_reference, run_model, spatial_reference
 from hegcn.hesim import SimContext, replay_counts
-from hegcn.model import ModelSpec, SpatialConv, TemporalConv, acceptance_stgcn3, random_stgcn
+from hegcn.model import FullyConnected, ModelSpec, SpatialConv, TemporalConv, acceptance_stgcn3, random_stgcn
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor, ama_layout
 
 
@@ -168,9 +168,9 @@ def test_ama_never_calls_per_step_fold(monkeypatch, case):
 def test_rowmajor_spatial_builds_no_per_diagonal_table(monkeypatch, case):
     """Each row-major spatial conv is one ``hesim.MixedDiagonals`` of the
     factors: ``MergedSpatialMatrix`` has no per-diagonal view, its dense
-    view raises, and the only ``hesim.Diagonals`` are the temporal convs',
-    whose (shifts, inputs, rows) coefficients have no column axis.  Every
-    gate still holds."""
+    view raises, and the only ``hesim.Diagonals`` are the temporal convs'
+    and the classifier head's, whose (shifts, inputs, rows) coefficients
+    have no column axis.  Every gate still holds."""
 
     def dense(self):
         raise AssertionError("a kernel read MergedSpatialMatrix.matrices")
@@ -196,7 +196,33 @@ def test_rowmajor_spatial_builds_no_per_diagonal_table(monkeypatch, case):
     check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), ROWMAJOR, slot_count)
     assert built == {
         "MixedDiagonals": sum(isinstance(layer, SpatialConv) for layer in spec.layers),
-        "Diagonals": sum(isinstance(layer, TemporalConv) for layer in spec.layers),
+        "Diagonals": sum(isinstance(layer, (TemporalConv, FullyConnected)) for layer in spec.layers),
+    }
+
+
+@pytest.mark.parametrize("case", ["acceptance", "ragged-k3-stride2"])
+def test_ama_builds_one_block_circulant_per_linear_layer(monkeypatch, case):
+    """Every AMA linear layer is one ``hesim.BlockCirculant``: one per conv
+    layer (a spatial one inside its ``hesim.Mixed``) and one for the
+    classifier head.  Every gate still holds."""
+    built = {"BlockCirculant": 0, "Mixed": 0}
+
+    def counted(name):
+        build = getattr(hesim, name)
+
+        def wrapped(*args, **kwargs):
+            built[name] += 1
+            return build(*args, **kwargs)
+
+        return wrapped
+
+    spec, slot_count = gated_case(case)
+    for name in built:
+        monkeypatch.setattr(hesim, name, counted(name))
+    check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), AMA, slot_count)
+    assert built == {
+        "BlockCirculant": sum(isinstance(layer, (SpatialConv, TemporalConv, FullyConnected)) for layer in spec.layers),
+        "Mixed": sum(isinstance(layer, SpatialConv) for layer in spec.layers),
     }
 
 

@@ -74,13 +74,6 @@ class TestRankActivations:
         assert isinstance(info.value.__cause__, TypeError)
         assert str(info.value.__cause__) == "bug inside the evaluator"
 
-    def test_two_argument_evaluator_gets_no_stage(self):
-        drop_one = {0: 0.74, 1: 0.70, 2: 0.73, 3: 0.71}
-        spec = three_act_spec()
-        assert rank_activations(spec, lambda s, pruned: drop_one[pruned[0]]) == [0, 2, 3, 1]
-        results, _ = search(spec, lambda s, pruned: 0.7 - 0.01 * len(pruned), 1)
-        assert [r.accuracy for r in results] == [0.7, 0.69]
-
 
 class TestSearch:
     def paper_like_table(self, ranking_first: int):
