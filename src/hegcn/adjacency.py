@@ -28,8 +28,7 @@ VALID_EPS = 1e-12
 def sym_normalize(a_tilde: np.ndarray) -> np.ndarray:
     """D^{-1/2} A~ D^{-1/2}; zero-degree nodes map to zero rows.
 
-    Partition matrices need not touch every node, so zero degrees are legal
-    here; ``normalize`` adds the self-loop first and never hits that case.
+    Partition matrices need not touch every node, so zero degrees are legal.
     """
     a_tilde = np.asarray(a_tilde, dtype=np.float64)
     if a_tilde.ndim != 2 or a_tilde.shape[0] != a_tilde.shape[1]:
@@ -37,16 +36,6 @@ def sym_normalize(a_tilde: np.ndarray) -> np.ndarray:
     deg = a_tilde.sum(axis=1)
     d = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     return a_tilde * d[:, None] * d[None, :]
-
-
-def normalize(adj: np.ndarray) -> np.ndarray:
-    """Add the self-loop and symmetrically normalize: D~^{-1/2}(A+I)D~^{-1/2}."""
-    adj = np.asarray(adj, dtype=np.float64)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-    if np.any(adj < 0):
-        raise ValueError("adjacency entries must be nonnegative")
-    return sym_normalize(adj + np.eye(adj.shape[0]))
 
 
 @dataclass
@@ -119,10 +108,6 @@ class AdjacencySet:
             parts.append({"edges": [list(e) for e in edges]})
         return json.dumps({"J": self.J, "partitions": parts}, sort_keys=True)
 
-    @classmethod
-    def from_dense_csv(cls, path) -> "AdjacencySet":
-        return cls([np.loadtxt(path, delimiter=",") + 0.0])
-
 
 @dataclass
 class PatternedSparseMatrix:
@@ -145,11 +130,6 @@ class PatternedSparseMatrix:
     def J(self) -> int:
         return len(self.rows)
 
-    def entry(self, k: int):
-        if self.rows[k] < 0:
-            return None
-        return int(self.rows[k]), float(self.values[k])
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.J, self.J))
         for k in range(self.J):
@@ -158,7 +138,7 @@ class PatternedSparseMatrix:
         return dense
 
 
-def decompose(M: np.ndarray, tol: float = VALID_EPS) -> list[PatternedSparseMatrix]:
+def decompose(M: np.ndarray) -> list[PatternedSparseMatrix]:
     """Split M into m patterned pieces, m = max nonzeros in any column.
 
     Column k's nonzeros, sorted by row index, go to pieces 1, 2, ... in
@@ -169,7 +149,7 @@ def decompose(M: np.ndarray, tol: float = VALID_EPS) -> list[PatternedSparseMatr
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     J = M.shape[0]
-    hot = np.abs(M) > tol
+    hot = np.abs(M) > VALID_EPS
     m = int(hot.sum(axis=0).max()) if J else 0
     pieces = [
         PatternedSparseMatrix(np.full(J, -1, dtype=np.int64), np.zeros(J)) for _ in range(m)
@@ -251,18 +231,10 @@ class MergedSpatialMatrix:
         dense.flags.writeable = False
         return dense
 
-    def max_column_nonzeros(self) -> int:
-        """m of the decomposition, taken over the shared pattern."""
-        return int(self.pattern.sum(axis=0).max())
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Plaintext spatial conv on (B, C_in, T, J); returns (B, C_out, T, J)."""
         out = np.einsum("iokj,bitj->botk", self.matrices, x)
         return out + self.bias[None, :, None, None]
-
-    def to_json(self) -> str:
-        doc = {"c_in": self.c_in, "c_out": self.c_out, "J": self.J, "bias": self.bias.tolist()}
-        return json.dumps({**doc, "matrices": self.matrices.tolist()}, sort_keys=True)
 
 
 def merge_spatial(
@@ -293,11 +265,11 @@ def chain_skeleton_25() -> AdjacencySet:
     return AdjacencySet.from_edges(25, [edges])
 
 
-def diagonal_offsets(pattern: np.ndarray, tol: float = VALID_EPS) -> list[int]:
+def diagonal_offsets(pattern: np.ndarray) -> list[int]:
     """Nonzero generalized-diagonal offsets d = column - row of a matrix.
 
     These are the rotation amounts a row-major diagonal-method matrix
     multiplication needs; the offset-0 diagonal rotates for free.
     """
-    rows, cols = np.nonzero(np.abs(np.asarray(pattern)) > tol)
+    rows, cols = np.nonzero(np.abs(np.asarray(pattern)) > VALID_EPS)
     return sorted(set((cols - rows).tolist()))

@@ -29,7 +29,8 @@ import numpy as np
 from hegcn import costmodel, engine, prune
 from hegcn.costmodel import HocFormulaInput, ParamSelectionError
 from hegcn.engine import DepthBudgetError
-from hegcn.model import ModelSpec, SpatialConv, TemporalConv
+from hegcn.hesim import SCALE_BITS
+from hegcn.model import FullyConnected, ModelSpec, SpatialConv, TemporalConv
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor
 
 EXIT_OK = 0
@@ -49,6 +50,12 @@ def _load_model(path: str) -> ModelSpec:
         return ModelSpec.from_json_file(path)
     except Exception as exc:
         raise ConfigError(f"could not parse model {path}: {exc}") from exc
+
+
+def _require_head(spec: ModelSpec) -> None:
+    """Scores and class counts need a model that ends in its classifier."""
+    if not spec.layers or not isinstance(spec.layers[-1], FullyConnected):
+        raise ConfigError(f"model {spec.name!r} has no fully-connected head")
 
 
 def _load_input(spec: ModelSpec, args) -> GraphTensor:
@@ -82,19 +89,15 @@ def _write_hoc_csv(path, rows) -> None:
 
 def cmd_infer(args) -> int:
     spec = _load_model(args.model)
+    _require_head(spec)
     x = _load_input(spec, args)
     os.makedirs(args.out, exist_ok=True)
     formats = [AMA, ROWMAJOR] if args.format == "both" else [args.format]
 
-    results = {}
-    for fmt in formats:
-        try:
-            results[fmt] = engine.run_model(
-                spec, x, fmt, slot_count=args.slot_count, quantize=args.quantize
-            )
-        except DepthBudgetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DEPTH
+    results = {
+        fmt: engine.run_model(spec, x, fmt, slot_count=args.slot_count, quantize=args.quantize)
+        for fmt in formats
+    }
 
     rows = []
     scores_doc, levels_doc = {}, {}
@@ -135,13 +138,13 @@ def _model_formula_input(spec: ModelSpec, slot_count: int) -> HocFormulaInput:
     spatial = [l for l in spec.layers if isinstance(l, SpatialConv)]
     temporal = [l for l in spec.layers if isinstance(l, TemporalConv)]
     acts = len([l for l in spec.layers if l.kind == "activation" and not l.pruned])
-    classes = next(l.classes for l in spec.layers if l.kind == "fully_connected")
+    classes = spec.layers[-1].classes
     # the aggregate comparison rows plug the network's nominal width (the
     # first block's output channels), not the widest layer
     base = spatial[0].c_out
     union = spatial[0].adjacency.structural_union()
 
-    return HocFormulaInput.from_config(
+    return HocFormulaInput(
         slot_count=slot_count,
         B=B,
         C=base,
@@ -160,6 +163,7 @@ def _model_formula_input(spec: ModelSpec, slot_count: int) -> HocFormulaInput:
 
 def cmd_compare(args) -> int:
     spec = _load_model(args.model)
+    _require_head(spec)
     os.makedirs(args.out, exist_ok=True)
     slot = args.slot_count or engine.default_slot_count(spec.input_dims)
 
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_par = sub.add_parser("params", help="HE parameter selection")
     p_par.add_argument("--levels", type=int, required=True)
-    p_par.add_argument("--scale-bits", type=int, default=33, dest="scale_bits")
+    p_par.add_argument("--scale-bits", type=int, default=SCALE_BITS, dest="scale_bits")
     p_par.add_argument("--security-bits", type=int, default=80, dest="security_bits")
     p_par.set_defaults(func=cmd_params)
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from hegcn import packing
 from hegcn.adjacency import diagonal_offsets, fold_bn
+from hegcn.hesim import SCALE_BITS
 from hegcn.model import (
     Activation,
     FullyConnected,
@@ -103,68 +104,45 @@ class HocFormulaInput:
     """Symbol table for the aggregate formulas.
 
     B batch, C channels, O output channels, T frames, J joints, K temporal
-    kernel, U channels per AMA ciphertext, N_a / N_r ciphertext counts,
-    S_p / T_e / A layer counts, V valid merged-matrix elements, D nonzero
-    generalized diagonals, C_s classes, R polynomial degree (2 * slots),
-    samples per run.
+    kernel, S_p / T_e / A layer counts, V valid merged-matrix elements, D
+    nonzero generalized diagonals, C_s classes, samples per run; U, N_a,
+    N_r and R follow from the slot count.
     """
 
+    slot_count: int
     B: int
     C: int
     O: int
     T: int
     J: int
     K: int
-    U: int
-    N_a: float
-    N_r: float
     S_p: int
     T_e: int
     A: int
     V: float
     D: int
     C_s: int
-    R: int
     samples: int = 1
 
-    @classmethod
-    def from_config(
-        cls,
-        slot_count: int,
-        B: int,
-        C: int,
-        O: int,
-        T: int,
-        J: int,
-        K: int,
-        S_p: int,
-        T_e: int,
-        A: int,
-        V: float,
-        D: int,
-        C_s: int,
-        samples: int = 1,
-    ) -> "HocFormulaInput":
-        U = min(slot_count // next_pow2(B * T), C)
-        return cls(
-            B=B,
-            C=C,
-            O=O,
-            T=T,
-            J=J,
-            K=K,
-            U=U,
-            N_a=J * math.ceil(C / U),
-            N_r=B * C * samples,
-            S_p=S_p,
-            T_e=T_e,
-            A=A,
-            V=V,
-            D=D,
-            C_s=C_s,
-            R=2 * slot_count,
-            samples=samples,
-        )
+    @property
+    def U(self) -> int:
+        """Channels per AMA ciphertext."""
+        return min(self.slot_count // next_pow2(self.B * self.T), self.C)
+
+    @property
+    def N_a(self) -> int:
+        """AMA ciphertext count."""
+        return self.J * math.ceil(self.C / self.U)
+
+    @property
+    def N_r(self) -> int:
+        """Row-major ciphertext count."""
+        return self.B * self.C * self.samples
+
+    @property
+    def R(self) -> int:
+        """Polynomial degree, 2 * slots."""
+        return 2 * self.slot_count
 
 
 def framework_hoc(method: str, inp: HocFormulaInput) -> dict[str, float]:
@@ -304,7 +282,7 @@ def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[st
         raise ValueError(f"unknown format {fmt!r}")
     B, C, T, J = spec.input_dims
     out: dict[str, dict[str, int]] = {}
-    c_cur, tv, sigma = C, T, 1
+    c_cur, tv = C, T
     for label, layer in zip(spec.labels(), spec.layers):
         counts = _zero()
         if isinstance(layer, SpatialConv):
@@ -342,7 +320,6 @@ def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[st
                 counts["pmult"] = n_cts * c_cur * K
                 counts["add"] = counts["pmult"] - n_cts + (n_cts if bias_on else 0)
             tv = math.ceil(tv / layer.stride)
-            sigma *= layer.stride
         elif isinstance(layer, Activation):
             if not layer.pruned:
                 n_cts = (
@@ -459,7 +436,7 @@ SECURITY_TABLE: dict[int, list[tuple[int, list[int]]]] = {
 }
 
 
-def select_params(levels: int, scale_bits: int = 33, security_bits: int = 80) -> HeParams:
+def select_params(levels: int, scale_bits: int = SCALE_BITS, security_bits: int = 80) -> HeParams:
     """Smallest polynomial degree, then smallest modulus covering the levels.
 
     Each level consumes ``scale_bits`` of modulus; the menu entries already

@@ -272,8 +272,6 @@ def temporal_conv(fm: EncryptedFeatureMap, layer: TemporalConv) -> EncryptedFeat
     padding and odd frames simply go stale.
     """
     lin = fm.layout
-    if layer.kernel % 2 == 0:
-        raise ValueError("kernel must be odd")
     if layer.kernel > fm.t_valid:
         raise ValueError(f"kernel {layer.kernel} exceeds {fm.t_valid} valid frames")
     if fm.level < 1:
@@ -478,12 +476,17 @@ def run_model(
 ) -> RunResult:
     """Execute the whole encrypted pipeline and decrypt the class scores.
 
-    Without ``ctx`` the run makes its own context, which keeps no op log;
-    pass a ``SimContext`` with ``log_ops=True`` to read the log."""
+    Without ``ctx`` the run makes its own context from ``slot_count`` and
+    ``quantize``, which keeps no op log; pass a ``SimContext`` with
+    ``log_ops=True`` to read the log, and set neither argument then."""
     if fmt not in (AMA, ROWMAJOR):
         raise ValueError(f"format must be {AMA!r} or {ROWMAJOR!r}")
     if x.dims != spec.input_dims:
         raise ValueError(f"input dims {x.dims} do not match model {spec.input_dims}")
+    if not spec.layers or not isinstance(spec.layers[-1], FullyConnected):
+        raise ValueError("model has no fully-connected head; nothing to score")
+    if ctx is not None and (slot_count is not None or quantize):
+        raise ValueError("slot_count and quantize are the context's when ctx is given")
     depth_total = costmodel.depth(spec)
     if ctx is None:
         ctx = SimContext(
@@ -527,9 +530,6 @@ def run_model(
         trace.append({"layer": label, "before": before, "after": out.level, "consumed": before - out.level})
         ct_counts[label] = out.rows
     trace.append({"layer": "headroom", "before": None, "after": None, "consumed": 1})
-
-    if score_ct is None:
-        raise ValueError("model has no fully-connected head; nothing to score")
     scores = extract_scores(score_ct, fm.layout, classes)
     return RunResult(scores, fmt, ctx.counter, trace, depth_total, ct_counts)
 

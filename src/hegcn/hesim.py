@@ -64,7 +64,6 @@ where the chain's ops round, so its slots are the chain's bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -82,6 +81,10 @@ _CHUNK_BYTES = 256 << 10
 #: bookkeeping for the modulus chain, not a separately scheduled operation,
 #: and does not enter the homomorphic-operation-count total.
 OPS = ("rot", "pmult", "cmult", "add", "rescale")
+
+#: Bits of the fixed-point scale: ``quantize`` rounds to the grid
+#: ``2**-SCALE_BITS``, and each level spends this many bits of modulus.
+SCALE_BITS = 33
 
 
 class LevelError(Exception):
@@ -137,7 +140,7 @@ class HocCounter:
 
 
 class SimCiphertext:
-    """Immutable slot vector with a remaining-level budget and an opaque id.
+    """Immutable slot vector with a remaining-level budget.
 
     ``slots`` is one vector of ``slot_count`` values, or a stack of shape
     (..., slot_count): the n ciphertexts of its leading axes, in row-major
@@ -147,14 +150,13 @@ class SimCiphertext:
     rotate-and-sum over every slot leaves.
     """
 
-    __slots__ = ("slots", "level", "id", "ctx")
+    __slots__ = ("slots", "level", "ctx")
 
-    def __init__(self, slots: np.ndarray, level: int, id: str, ctx: "SimContext"):
+    def __init__(self, slots: np.ndarray, level: int, ctx: "SimContext"):
         slots = np.asarray(slots, dtype=np.float64)
         slots.flags.writeable = False
         self.slots = slots
         self.level = int(level)
-        self.id = id
         self.ctx = ctx
 
     @property
@@ -164,7 +166,7 @@ class SimCiphertext:
 
     def __repr__(self) -> str:
         shape = "x".join(map(str, self.slots.shape))
-        return f"SimCiphertext(id={self.id}, level={self.level}, slots={shape})"
+        return f"SimCiphertext(level={self.level}, slots={shape})"
 
 
 def _compact(values: np.ndarray) -> np.ndarray:
@@ -694,7 +696,7 @@ class SimContext:
 
     ``slot_count`` is half the CKKS polynomial degree and must be a power of
     two.  With ``quantize=True`` values are rounded to the fixed-point grid
-    ``2**-scale_bits`` at encryption and after every multiplication (a
+    ``2**-SCALE_BITS`` at encryption and after every multiplication (a
     ``fold_steps`` rounds its fused sum once), emulating rescaling of a
     scaled integer representation.
     """
@@ -703,7 +705,6 @@ class SimContext:
         self,
         slot_count: int,
         max_level: int,
-        scale_bits: int = 33,
         quantize: bool = False,
         log_ops: bool = True,
     ):
@@ -713,13 +714,11 @@ class SimContext:
             raise ValueError("max_level must be nonnegative")
         self.slot_count = int(slot_count)
         self.max_level = int(max_level)
-        self.scale_bits = int(scale_bits)
         self.quantize = bool(quantize)
         self.log_ops = bool(log_ops)
         self.counter = HocCounter()
         self.oplog: list[dict] = []
         self._layer = "global"
-        self._ids = itertools.count()
 
     # ------------------------------------------------------------------
     # layer labelling
@@ -742,11 +741,11 @@ class SimContext:
     # internals
 
     def _new_ct(self, slots, level) -> SimCiphertext:
-        return SimCiphertext(slots, level, f"ct{next(self._ids):06d}", self)
+        return SimCiphertext(slots, level, self)
 
     def _quantize(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``values`` rounded to the fixed-point grid, written to ``out`` when given."""
-        scale = float(2**self.scale_bits)
+        scale = float(2**SCALE_BITS)
         out = np.multiply(values, scale, out=out)
         np.round(out, out=out)
         return np.divide(out, scale, out=out)

@@ -112,9 +112,6 @@ class FullyConnected:
         self.bias = np.asarray(self.bias, dtype=np.float64)
 
 
-Layer = SpatialConv | TemporalConv | Activation | GlobalAvgPool | FullyConnected
-
-
 @dataclass
 class ModelSpec:
     """Input dims plus an ordered, shape-checked layer list."""
@@ -130,17 +127,21 @@ class ModelSpec:
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        for layer, (c, t_valid, pooled) in zip(self.layers, self.shape_walk()[:-1]):
+        """Shape-check the stack.  Pooling ends the graph part: after a
+        ``GlobalAvgPool`` only one ``FullyConnected`` head may follow, and
+        nothing follows the head.  A stack without a head is valid."""
+        head = None
+        for i, (layer, (c, t_valid, pooled)) in enumerate(zip(self.layers, self.shape_walk()[:-1])):
+            if head is not None:
+                raise ValueError(f"{self.labels()[i]} follows the fully-connected head {self.labels()[head]}")
+            if pooled and not isinstance(layer, FullyConnected):
+                raise ValueError(f"{self.labels()[i]} after pooling: only a fully-connected head may follow it")
             if isinstance(layer, SpatialConv):
-                if pooled:
-                    raise ValueError("spatial conv after pooling")
                 if layer.c_in != c:
                     raise ValueError(f"spatial conv expects {layer.c_in} channels, gets {c}")
                 if layer.adjacency.J != self.input_dims[3]:
                     raise ValueError("adjacency size does not match joint count")
             elif isinstance(layer, TemporalConv):
-                if pooled:
-                    raise ValueError("temporal conv after pooling")
                 if layer.channels != c:
                     raise ValueError(f"temporal conv expects {layer.channels} channels, gets {c}")
                 if layer.kernel > t_valid:
@@ -150,6 +151,7 @@ class ModelSpec:
                     raise ValueError("fully-connected layer requires pooled features")
                 if layer.c_in != c:
                     raise ValueError(f"fully-connected expects {layer.c_in} channels, gets {c}")
+                head = i
 
     def shape_walk(self) -> list[tuple[int, int, bool]]:
         """(channels, valid frames, pooled?) before each layer and at the end."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class GraphTensor:
 
 @dataclass
 class PackingLayout:
-    """Bijection between occupied slots and (b, c, t, j) coordinates.
+    """Slot geometry of a packed (B, C, T, J) tensor.
 
     ``pad_bt`` is the padded channel-block length (AMA) or the padded row
     length T*J (row-major).  ``capacity`` is the number of block positions
@@ -109,7 +109,6 @@ class PackingLayout:
     pad_bt: int
     channels_per_ct: int
     cts_per_joint: int
-    replication: int
 
     @property
     def capacity(self) -> int:
@@ -120,13 +119,6 @@ class PackingLayout:
         if self.kind == AMA:
             return self.J * self.cts_per_joint
         return self.B * self.C
-
-    @property
-    def wasted_slots(self) -> int:
-        """Zero-filled tail of a row-major ciphertext."""
-        if self.kind != ROWMAJOR:
-            return 0
-        return self.slot_count - self.T * self.J
 
     # ---- AMA geometry -------------------------------------------------
 
@@ -150,40 +142,6 @@ class PackingLayout:
     def ama_ct_index(self, j: int, g: int) -> int:
         return j * self.cts_per_joint + g
 
-    # ---- slot maps -----------------------------------------------------
-
-    def slot_of(self, b: int, c: int, t: int, j: int) -> tuple[int, int]:
-        """(ciphertext index, slot) of a tensor coordinate's first copy."""
-        if self.kind == AMA:
-            g, p = divmod(c, self.channels_per_ct)
-            return self.ama_ct_index(j, g), p * self.pad_bt + b * self.T + t
-        return b * self.C + c, t * self.J + j
-
-    def coord_of(self, ct_index: int, slot: int):
-        """Inverse slot map; returns None for padding or replica slots."""
-        if self.kind == AMA:
-            j, g = divmod(ct_index, self.cts_per_joint)
-            n = self.group_size(g)
-            beta, off = divmod(slot, self.pad_bt)
-            if beta >= n:  # replica copy or dead space
-                return None
-            b, t = divmod(off, self.T)
-            if b >= self.B or t >= self.T or off >= self.B * self.T:
-                return None
-            return (b, g * self.channels_per_ct + beta, t, j)
-        b, c = divmod(ct_index, self.C)
-        t, j = divmod(slot, self.J)
-        if t >= self.T:
-            return None
-        return (b, c, t, j)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PackingLayout":
-        return cls(**json.loads(text))
-
 
 def ama_layout(dims, slot_count: int) -> PackingLayout:
     B, C, T, J = dims
@@ -193,16 +151,14 @@ def ama_layout(dims, slot_count: int) -> PackingLayout:
             f"channel block of {B}x{T} pads to {pad_bt} slots, exceeding slot count {slot_count}"
         )
     U = min(slot_count // pad_bt, C)
-    cts_per_joint = math.ceil(C / U)
-    replication = slot_count // (U * pad_bt) if C <= U else 1
-    return PackingLayout(AMA, slot_count, B, C, T, J, pad_bt, U, cts_per_joint, replication)
+    return PackingLayout(AMA, slot_count, B, C, T, J, pad_bt, U, math.ceil(C / U))
 
 
 def rowmajor_layout(dims, slot_count: int) -> PackingLayout:
     B, C, T, J = dims
     if T * J > slot_count:
         raise PackingError(f"T*J = {T * J} exceeds slot count {slot_count}")
-    return PackingLayout(ROWMAJOR, slot_count, B, C, T, J, next_pow2(T * J), 1, 0, 1)
+    return PackingLayout(ROWMAJOR, slot_count, B, C, T, J, next_pow2(T * J), 1, 0)
 
 
 def giant_step_coverage(cap: int, n: int) -> dict[int, np.ndarray]:
@@ -278,7 +234,7 @@ def ama_unpack(ct: SimCiphertext, layout: PackingLayout) -> GraphTensor:
             j = int(drift.argmax())
             if drift[j] > 1e-9:
                 raise PackingError(
-                    f"replica divergence in row {layout.ama_ct_index(j, g)} of {ct.id}: max drift {drift[j]:.3e} > 1e-9"
+                    f"replica divergence in row {layout.ama_ct_index(j, g)}: max drift {drift[j]:.3e} > 1e-9"
                 )
         blocks = rows[:, :period].reshape(J, len(chans), pad)[..., : B * T]
         out[:, chans.start : chans.stop] = blocks.reshape(J, len(chans), B, T).transpose(2, 1, 3, 0)

@@ -18,10 +18,6 @@ from hegcn.costmodel import HeParams, select_params
 from hegcn.model import ModelSpec
 
 
-#: Bits of modulus each level spends and the security target of the
-#: parameters picked per candidate.
-SCALE_BITS = 33
-SECURITY_BITS = 80
 #: Seconds an external evaluator may take per variant.
 EVALUATOR_TIMEOUT_S = 600.0
 
@@ -160,9 +156,9 @@ def rank_activations(spec: ModelSpec, evaluator) -> list[int]:
 
 
 def search(spec: ModelSpec, evaluator, max_prune: int) -> tuple[list[PruneResult], PruneResult]:
-    """Evaluate pruning 0..max_prune activations off the initial ranking,
-    with HE parameters picked at ``SCALE_BITS`` per level and
-    ``SECURITY_BITS`` of security.
+    """Evaluate pruning 0..max_prune activations off the initial ranking;
+    each candidate gets the HE parameters ``select_params`` picks for its
+    depth at its default scale and security target.
 
     Returns all candidates plus the pick: among variants whose polynomial
     degree is minimal (smallest parameters, hence cheapest operations),
@@ -179,7 +175,7 @@ def search(spec: ModelSpec, evaluator, max_prune: int) -> tuple[list[PruneResult
         variant = spec.prune_activations(pruned) if pruned else spec
         acc = _call_evaluator(evaluator, variant, pruned, "search")
         levels = costmodel.depth(variant)
-        params = select_params(levels, SCALE_BITS, SECURITY_BITS)
+        params = select_params(levels)
         results.append(PruneResult(variant_key(pruned) or "baseline", pruned, acc, levels, params))
     best_degree = min(r.params.poly_degree for r in results)
     candidates = [r for r in results if r.params.poly_degree == best_degree]

@@ -232,7 +232,7 @@ def test_criterion_07_hoc_reduction():
     ama = costmodel.totals_of(analytic_layer_counts(spec, AMA, slot))
     rm = costmodel.totals_of(analytic_layer_counts(spec, ROWMAJOR, slot))
 
-    inp = HocFormulaInput.from_config(
+    inp = HocFormulaInput(
         slot_count=slot, B=1, C=64, O=64, T=256, J=25, K=9,
         S_p=3, T_e=3, A=6, V=73.0, D=49, C_s=60,
     )

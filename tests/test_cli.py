@@ -7,7 +7,8 @@ import pytest
 
 from hegcn.adjacency import AdjacencySet
 from hegcn.cli import EXIT_CONFIG, EXIT_DEPTH, EXIT_OK, EXIT_PARAMS, main
-from hegcn.model import random_stgcn
+from hegcn.engine import plaintext_reference
+from hegcn.model import ModelSpec, acceptance_stgcn3, random_stgcn
 from hegcn.packing import GraphTensor
 
 
@@ -85,6 +86,52 @@ class TestInfer:
         monkeypatch.setattr(cli.engine, "run_model", tight_ctx_run)
         rc = main(["infer", "--model", model_path, "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == EXIT_DEPTH
+
+    def test_quantize_stays_close_to_oracle_with_unchanged_counts(self, tmp_path):
+        """``--quantize`` rounds to the 2^-33 grid in both packings: scores move
+        off the unquantized ones but stay within 1e-4 of the oracle, and every
+        count is the same."""
+        spec = acceptance_stgcn3()
+        path = tmp_path / "acceptance.json"
+        spec.to_json_file(path)
+        want = plaintext_reference(spec, GraphTensor.random(spec.input_dims, seed=5))
+        outs = {}
+        for flags in ([], ["--quantize"]):
+            out = tmp_path / ("quantized" if flags else "exact")
+            rc = main(["infer", "--model", str(path), "--seed", "5", "--format", "both",
+                       "--slot-count", "1024", "--out", str(out), *flags])
+            assert rc == EXIT_OK
+            outs[bool(flags)] = out
+        exact, quantized = (json.loads((outs[q] / "scores.json").read_text()) for q in (False, True))
+        for fmt in ("ama", "rowmajor"):
+            assert np.max(np.abs(np.array(quantized[fmt]) - want)) <= 1e-4
+            assert quantized[fmt] != exact[fmt]
+        assert (outs[True] / "hoc.csv").read_text() == (outs[False] / "hoc.csv").read_text()
+
+
+class TestHeadless:
+    """A model without a classifier: ``infer`` and ``compare`` need one and
+    exit 2 before any work; ``hoc`` counts its layers."""
+
+    @pytest.fixture()
+    def headless_path(self, model_path, tmp_path):
+        spec = ModelSpec.from_json_file(model_path)
+        path = tmp_path / "headless.json"
+        ModelSpec(spec.input_dims, spec.layers[:-1], name="headless").to_json_file(path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["infer", "--seed", "1"], ["compare"]])
+    def test_exits_2(self, headless_path, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        rc = main([command[0], "--model", headless_path, *command[1:], "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "no fully-connected head" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hoc_counts_every_layer(self, headless_path, capsys):
+        assert main(["hoc", "--model", headless_path, "--format", "ama"]) == EXIT_OK
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert rows[-1]["layer"].endswith("-global_avg_pool")
 
 
 class TestParams:

@@ -110,7 +110,7 @@ class TestFrameworkRows:
             S_p=3, T_e=3, A=6, V=73.0, D=49, C_s=60,
         )
         defaults.update(kw)
-        return HocFormulaInput.from_config(**defaults)
+        return HocFormulaInput(**defaults)
 
     def test_u_capped_at_channels(self):
         inp = self.inp(C=8, O=8)

@@ -692,6 +692,26 @@ class TestRunModel:
         res = run_model(spec, x, AMA, quantize=True)
         assert np.max(np.abs(res.scores - ref)) <= 1e-4
 
+    def test_ctx_excludes_slot_count_and_quantize(self):
+        """Both build the run's own context, so next to a ``ctx`` they are
+        rejected, before anything is packed, instead of ignored."""
+        spec = self.small_spec()
+        x = GraphTensor.random(spec.input_dims, seed=12)
+        for kw in ({"slot_count": 128}, {"quantize": True}):
+            ctx = SimContext(64, max_level=costmodel.depth(spec), log_ops=True)
+            with pytest.raises(ValueError, match="ctx"):
+                run_model(spec, x, AMA, ctx=ctx, **kw)
+            assert ctx.oplog == []
+
+    def test_headless_model_rejected_before_packing(self):
+        spec = self.small_spec()
+        headless = ModelSpec(spec.input_dims, spec.layers[:-1])
+        x = GraphTensor.random(spec.input_dims, seed=13)
+        ctx = SimContext(64, max_level=costmodel.depth(headless), log_ops=True)
+        with pytest.raises(ValueError, match="no fully-connected head"):
+            run_model(headless, x, AMA, ctx=ctx)
+        assert ctx.oplog == []
+
     def test_oplog_replay_matches_counter(self):
         from hegcn.hesim import replay_counts
 
@@ -854,9 +874,9 @@ def test_acceptance_model_runs_on_stacks(monkeypatch, fmt):
 
     created, init = Counter(), hesim.SimCiphertext.__init__
 
-    def counted_init(ct, slots, level, id, ctx):
+    def counted_init(ct, slots, level, ctx):
         created[ctx.current_layer] += 1
-        init(ct, slots, level, id, ctx)
+        init(ct, slots, level, ctx)
 
     monkeypatch.setattr(hesim.SimCiphertext, "__init__", counted_init)
     spec = acceptance_stgcn3()

@@ -66,7 +66,7 @@ class TestEncryptDecrypt:
             ctx(slots=4).encrypt([1] * 5)
 
     def test_quantize_rounds_to_scale_grid(self):
-        c = ctx(quantize=True, scale_bits=33)
+        c = ctx(quantize=True)
         got = c.decrypt(c.encrypt([0.1]))[0]
         expected = round(0.1 * 2**33) / 2**33  # 0.09999999997671694
         assert got == expected
@@ -1282,7 +1282,7 @@ def test_homomorphism_matches_plain_slot_ops(vals, k, scalar):
 
 
 def test_quantized_error_within_depth_bound():
-    c = ctx(slots=4, levels=4, quantize=True, scale_bits=33)
+    c = ctx(slots=4, levels=4, quantize=True)
     rng = np.random.default_rng(0)
     v = rng.uniform(-1, 1, 4)
     w = rng.uniform(-1, 1, 4)

@@ -34,6 +34,47 @@ def test_fc_requires_pooling_first():
         ModelSpec((1, 2, 4, 3), [FullyConnected(2, 5, np.zeros((2, 5)))])
 
 
+#: Layers the head rule rejects: (name, insert position counted from the end
+#: of the stack or None to append, layer, its JSON entry).  The encrypted run,
+#: the oracle and the cost model disagree on each of these stacks.  Both
+#: models below have 10 classes.
+MISPLACED = [
+    ("activation-before-head", -1, Activation(0.05, 1.0, 0.08), {"type": "activation", "a": 0.05, "b": 1.0, "c": 0.08}),
+    ("activation-after-head", None, Activation(0.05, 1.0, 0.08), {"type": "activation", "a": 0.05, "b": 1.0, "c": 0.08}),
+    ("second-pool", -1, GlobalAvgPool(), {"type": "global_avg_pool"}),
+    ("second-head", None, FullyConnected(10, 10, np.zeros((10, 10))), {"type": "fully_connected", "c_in": 10, "classes": 10}),
+]
+
+
+@pytest.mark.parametrize("name,at,layer,entry", MISPLACED, ids=[m[0] for m in MISPLACED])
+def test_only_one_head_follows_pooling(tmp_path, name, at, layer, entry):
+    """After pooling exactly one fully-connected head may follow, and nothing
+    follows it; the error names the misplaced layer's label."""
+    import json
+
+    spec = acceptance_stgcn3()
+    pos = len(spec.layers) if at is None else len(spec.layers) + at
+    layers = spec.layers[:pos] + [layer] + spec.layers[pos:]
+    with pytest.raises(ValueError, match=f"^{pos:02d}-{layer.kind} "):
+        ModelSpec(spec.input_dims, layers)
+
+    doc = {
+        "seed": 3,
+        "input": {"B": 1, "C": 2, "T": 8, "J": 3},
+        "layers": [
+            {"type": "spatial_conv", "c_in": 2, "c_out": 3, "adjacency": {"J": 3, "partitions": [{"edges": [[0, 1]]}]}},
+            {"type": "global_avg_pool"},
+            {"type": "fully_connected", "c_in": 3, "classes": 10},
+        ],
+    }
+    pos = len(doc["layers"]) if at is None else len(doc["layers"]) + at
+    doc["layers"].insert(pos, entry)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{pos:02d}-{entry['type']} "):
+        ModelSpec.from_json_file(path)
+
+
 def test_activation_levels():
     assert Activation(1, 1, 1).levels == 2
     assert Activation(1, 1, 1, pruned=True).levels == 0

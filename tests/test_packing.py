@@ -8,7 +8,6 @@ from hegcn.packing import (
     AMA,
     GraphTensor,
     PackingError,
-    PackingLayout,
     ama_layout,
     ama_pack,
     ama_unpack,
@@ -28,10 +27,9 @@ class TestAmaPack:
     def test_single_channel_replicates(self):
         # one 2-frame block padded to 2 then stacked twice to fill 4 slots
         c = ctx(4)
-        ct, layout = ama_pack(GraphTensor(np.array([5.0, 7.0]).reshape(1, 1, 2, 1)), c)
+        ct, _ = ama_pack(GraphTensor(np.array([5.0, 7.0]).reshape(1, 1, 2, 1)), c)
         assert ct.rows == 1
         np.testing.assert_array_equal(ct.slots[0], [5, 7, 5, 7])
-        assert layout.replication == 2
 
     def test_two_channels_concatenate(self):
         c = ctx(4)
@@ -108,10 +106,6 @@ class TestRowMajor:
         ct, _ = rowmajor_pack(GraphTensor.random((2, 3, 2, 2), seed=1), c)
         assert ct.rows == 6
 
-    def test_wasted_slots_accounting(self):
-        layout = rowmajor_layout((1, 64, 256, 25), 8192)
-        assert layout.wasted_slots == 1792
-
     def test_overflow(self):
         with pytest.raises(PackingError):
             rowmajor_layout((1, 1, 16, 16), 128)
@@ -148,28 +142,6 @@ def test_ama_ct_count_constant_in_batch_while_capacity_permits():
         rm_counts.append(rowmajor_layout((B, C, T, J), slots).ct_count())
     assert ama_counts == [3, 3, 3]  # U stays >= C
     assert rm_counts == [4, 8, 16]  # B * C
-
-
-def test_slot_map_is_bijective_on_occupied_slots():
-    slots = 32
-    layout = ama_layout((2, 3, 3, 2), slots)
-    seen = {}
-    for ct_i in range(layout.ct_count()):
-        for s in range(slots):
-            coord = layout.coord_of(ct_i, s)
-            if coord is None:
-                continue
-            assert coord not in seen, "duplicate coordinate in first-copy map"
-            seen[coord] = (ct_i, s)
-            assert layout.slot_of(*coord) == (ct_i, s)
-    B, C, T, J = 2, 3, 3, 2
-    assert len(seen) == B * C * T * J
-
-
-def test_layout_json_round_trip():
-    layout = ama_layout((1, 4, 8, 5), 64)
-    clone = PackingLayout.from_json(layout.to_json())
-    assert clone == layout
 
 
 def test_tensor_file_round_trip(tmp_path):
