@@ -26,12 +26,12 @@ import sys
 
 import numpy as np
 
-from hegcn import costmodel, engine, prune
+from hegcn import costmodel, engine, packing, prune
 from hegcn.costmodel import HocFormulaInput, ParamSelectionError
 from hegcn.engine import DepthBudgetError
-from hegcn.hesim import SCALE_BITS
+from hegcn.hesim import OPS, SCALE_BITS
 from hegcn.model import FullyConnected, ModelSpec, SpatialConv, TemporalConv
-from hegcn.packing import AMA, ROWMAJOR, GraphTensor
+from hegcn.packing import AMA, ROWMAJOR, GraphTensor, PackingError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,11 +77,20 @@ def _write_json(path, obj) -> None:
         fp.write("\n")
 
 
-def _write_hoc_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fp:
-        writer = csv.DictWriter(fp, fieldnames=["layer", "op", "format", "count"])
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_hoc_csv(out, counts) -> None:
+    """``counts``, {format: {layer: {op: count}}}, as one CSV row per
+    (format, layer, op) to ``out``, a path or an open text stream."""
+    if isinstance(out, str):
+        with open(out, "w", newline="") as fp:
+            return _write_hoc_csv(fp, counts)
+    writer = csv.DictWriter(out, fieldnames=["layer", "op", "format", "count"])
+    writer.writeheader()
+    writer.writerows(
+        {"layer": label, "op": op, "format": fmt, "count": ops[op]}
+        for fmt, per_layer in counts.items()
+        for label, ops in per_layer.items()
+        for op in OPS
+    )
 
 
 # ----------------------------------------------------------------------
@@ -91,18 +100,25 @@ def cmd_infer(args) -> int:
     spec = _load_model(args.model)
     _require_head(spec)
     x = _load_input(spec, args)
-    os.makedirs(args.out, exist_ok=True)
     formats = [AMA, ROWMAJOR] if args.format == "both" else [args.format]
+    slot = args.slot_count
+    if slot is not None:
+        if slot < 1 or slot & (slot - 1):
+            raise ConfigError(f"--slot-count {slot} is not a power of two")
+        for fmt in formats:  # every layer keeps the input's (B, T, J), so its layout decides
+            try:
+                (packing.ama_layout if fmt == AMA else packing.rowmajor_layout)(spec.input_dims, slot)
+            except PackingError as exc:
+                raise ConfigError(f"--slot-count {slot} does not fit the {fmt} packing: {exc}") from exc
+    os.makedirs(args.out, exist_ok=True)
 
     results = {
-        fmt: engine.run_model(spec, x, fmt, slot_count=args.slot_count, quantize=args.quantize)
+        fmt: engine.run_model(spec, x, fmt, slot_count=slot, quantize=args.quantize)
         for fmt in formats
     }
 
-    rows = []
     scores_doc, levels_doc = {}, {}
     for fmt, res in results.items():
-        rows.extend(res.csv_rows())
         scores_doc[fmt] = res.scores.tolist()
         levels_doc[fmt] = {
             "trace": res.level_trace,
@@ -111,7 +127,7 @@ def cmd_infer(args) -> int:
         }
     _write_json(os.path.join(args.out, "scores.json"), scores_doc)
     _write_json(os.path.join(args.out, "levels.json"), levels_doc)
-    _write_hoc_csv(os.path.join(args.out, "hoc.csv"), rows)
+    _write_hoc_csv(os.path.join(args.out, "hoc.csv"), {fmt: res.per_layer() for fmt, res in results.items()})
 
     if len(results) == 2:
         diff = float(
@@ -139,6 +155,8 @@ def _model_formula_input(spec: ModelSpec, slot_count: int) -> HocFormulaInput:
     temporal = [l for l in spec.layers if isinstance(l, TemporalConv)]
     acts = len([l for l in spec.layers if l.kind == "activation" and not l.pruned])
     classes = spec.layers[-1].classes
+    if not spatial:
+        raise ConfigError(f"model {spec.name!r} has no spatial conv, whose adjacency and width the framework rows need")
     # the aggregate comparison rows plug the network's nominal width (the
     # first block's output channels), not the widest layer
     base = spatial[0].c_out
@@ -273,19 +291,10 @@ def cmd_hoc(args) -> int:
     spec = _load_model(args.model)
     slot = args.slot_count or engine.default_slot_count(spec.input_dims)
     formats = [AMA, ROWMAJOR] if args.format == "both" else [args.format]
-    rows = []
-    for fmt in formats:
-        per_layer = costmodel.analytic_layer_counts(spec, fmt, slot)
-        for label, counts in per_layer.items():
-            for op in ("rot", "pmult", "cmult", "add", "rescale"):
-                rows.append({"layer": label, "op": op, "format": fmt, "count": counts[op]})
+    counts = {fmt: costmodel.analytic_layer_counts(spec, fmt, slot) for fmt in formats}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_hoc_csv(os.path.join(args.out, "hoc_analytic.csv"), rows)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=["layer", "op", "format", "count"])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_hoc_csv(os.path.join(args.out, "hoc_analytic.csv") if args.out else sys.stdout, counts)
     return EXIT_OK
 
 

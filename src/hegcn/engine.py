@@ -61,7 +61,7 @@ paths are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,7 +209,7 @@ def ama_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> Encrypt
     # partition entries N_p[k, j] of (output joint k, partition, piece); a
     # piece without an entry reads joint 0 with zeros
     mix = np.where(reads >= 0, merged.parts[:, np.arange(J)[:, None], np.maximum(reads, 0)], 0.0).transpose(1, 0, 2)
-    acc, _ = fm.ct.ctx.fold_steps(fm.ct, hesim.Mixed(op, mix, np.maximum(reads, 0), J), _bias_rows(lout, merged.bias))
+    acc = fm.ct.ctx.fold_steps(fm.ct, hesim.Mixed(op, mix, np.maximum(reads, 0), J), _bias_rows(lout, merged.bias))
     return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid)
 
 
@@ -234,7 +234,7 @@ def rowmajor_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> En
 
     op = hesim.MixedDiagonals(merged.weights, merged.parts, diagonal_offsets(merged.pattern), (lin.T, lin.J), lin.slot_count)
     lout = packing.rowmajor_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
-    acc, _ = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lout, merged.bias))
+    acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lout, merged.bias))
     return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid)
 
 
@@ -310,7 +310,7 @@ def _temporal_ama(fm, W, bias, eps, masks):
     coef = w.reshape(len(amounts), G, G * K, lin.capacity)
     vec = np.tile(masks[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
     op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), eps * fm.t_stride, vec)
-    acc, _ = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
+    acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
     return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid)
 
 
@@ -319,7 +319,7 @@ def _temporal_rowmajor(fm, W, bias, eps, masks):
     lin = fm.layout
     # masks were built over one T-row; each frame row spans J slots
     op = hesim.Diagonals(eps * fm.t_stride * lin.J, W.transpose(2, 1, 0), (lin.T, lin.J), lin.slot_count, masks[:, None, : lin.T])
-    acc, _ = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
+    acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
     return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid)
 
 
@@ -407,12 +407,12 @@ def fully_connected(fm: EncryptedFeatureMap, weights: np.ndarray, bias: np.ndarr
         anchors = np.zeros(pad)
         anchors[np.arange(lin.B) * lin.T] = 1.0
         op = hesim.BlockCirculant([0], coef[None], (cap, pad), vec=anchors)
-        acc, _ = ctx.fold_steps(fm.ct, op)
+        acc = ctx.fold_steps(fm.ct, op)
         acc = ctx.rotate_sum(acc, [pad * (cap >> (i + 1)) for i in range(int(math.log2(cap)))])
         return _add_bias(acc, np.broadcast_to(bias[:, None], (classes, N)))
 
     op = hesim.Diagonals([0], np.ones((1, lin.C, 1)), (classes, 1), N, weights[None])
-    acc, _ = ctx.fold_steps(fm.ct, op)
+    acc = ctx.fold_steps(fm.ct, op)
     return _add_bias(acc, np.broadcast_to(bias, (lin.B, classes)))
 
 
@@ -434,22 +434,13 @@ def extract_scores(score_ct: SimCiphertext, fm_layout: PackingLayout, classes: i
 @dataclass
 class RunResult:
     scores: np.ndarray
-    fmt: str
     counter: hesim.HocCounter
     level_trace: list[dict]
     depth_total: int
-    ct_counts: dict[str, int] = field(default_factory=dict)
+    ct_counts: dict[str, int]
 
     def per_layer(self) -> dict[str, dict[str, int]]:
-        return {label: dict(counts) for label, counts in self.counter.per_layer.items()}
-
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for label in self.counter.per_layer:
-            counts = self.counter.layer(label)
-            for op in hesim.OPS:
-                rows.append({"layer": label, "op": op, "format": self.fmt, "count": counts[op]})
-        return rows
+        return self.counter.per_layer()
 
 
 def check_depth_budget(spec: ModelSpec, max_level: int) -> None:
@@ -531,7 +522,7 @@ def run_model(
         ct_counts[label] = out.rows
     trace.append({"layer": "headroom", "before": None, "after": None, "consumed": 1})
     scores = extract_scores(score_ct, fm.layout, classes)
-    return RunResult(scores, fmt, ctx.counter, trace, depth_total, ct_counts)
+    return RunResult(scores, ctx.counter, trace, depth_total, ct_counts)
 
 
 def _batch_norm(h: np.ndarray, bn: dict | None) -> np.ndarray:

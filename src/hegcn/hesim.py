@@ -1,8 +1,10 @@
 """Slot-level simulator for a CKKS-style leveled HE scheme.
 
 Ciphertexts are immutable vectors of float64 "slots" with a remaining
-multiplicative level.  Every homomorphic operation is counted exactly and
-optionally logged, so schedules can be audited operation by operation.  No
+multiplicative level.  Every operation, ``encrypt`` and ``mod_switch``
+included, is counted exactly in one ``HocCounter`` histogram per layer, by
+its levels before and after and its rotation amount, and optionally
+logged, so schedules can be audited operation by operation.  No
 cryptographic noise is simulated: correctness statements made with this
 module are about packing and scheduling algebra, not security.
 
@@ -37,14 +39,15 @@ diagonals of the joint pattern and is applied factored, like a ``Mixed``:
 the joints of every frame row are mixed by each partition, then the weight
 slabs are one GEMM.  Both count with one per-amount rule
 (``_diagonal_counts``).  Each operator is built once per layer, holds the
-plaintext factors that scale its terms, works out its counter totals with
-vectorized sums when it is built and its op records only when they are
-first read, and is applied as batched matrix products over chunks of its
-sources that stay under ``_CHUNK_BYTES`` (a ``BlockCirculant`` skips the
-within-block positions its factors zero).  It holds one set of
-coefficients, which serves every source set of the stack it is applied to:
-``fold_steps`` adds its totals, times the source sets, to the counter once
-and writes its records only when ``log_ops`` is on.
+plaintext factors that scale its terms, works out its histogram of counts
+(by op, levels spent and rotation amount) from vectorized count tables
+when it is built and its op records only when they are first read, and is
+applied as batched matrix products over chunks of its sources that stay
+under ``_CHUNK_BYTES`` (a ``BlockCirculant`` skips the within-block
+positions its factors zero).  It holds one set of coefficients, which
+serves every source set of the stack it is applied to: ``fold_steps`` adds
+its histogram, times the source sets, to the counter, or, with ``log_ops``,
+records each of its records in the schedule's order.
 The counts are those of the schedule one ciphertext at a time: a rotation
 per input and amount some term reads, and a PMult per term that runs (its
 coefficients, for a ``Mixed`` the combined ones and for a
@@ -91,47 +94,53 @@ class LevelError(Exception):
     """An operation violated the level discipline of the scheme."""
 
 
-def _zero_counts():
-    return dict.fromkeys(OPS, 0)
+def _marginal(*hists) -> dict[str, int]:
+    """The per-op counts of histograms: each op's ciphertexts summed over
+    levels and amounts, and one rescale per PMult and CMult."""
+    counts = dict.fromkeys(OPS, 0)
+    for hist in hists:
+        for key, n in hist.items():
+            if key[0] in counts:
+                counts[key[0]] += n
+    counts["rescale"] = counts["pmult"] + counts["cmult"]
+    return counts
 
 
 class HocCounter:
-    """Exact homomorphic operation counts, kept per layer label.
+    """Exact homomorphic operation counts: per layer label, a histogram of
+    the ciphertexts each (op, level before, level after, rotation amount or
+    None) was applied to, ``encrypt`` and ``mod_switch`` included.
 
-    Totals are always derived from the per-layer map, so the invariant
-    "total == sum over layers" holds by construction.
+    The per-op counts are its marginals (``_marginal``), so "total == sum
+    over layers" holds by construction.
     """
 
     def __init__(self):
-        self.per_layer: dict[str, dict[str, int]] = {}
+        self.histograms: dict[str, dict[tuple, int]] = {}
 
-    def bump(self, layer: str, op: str, n: int = 1) -> None:
-        if op not in OPS:
-            raise ValueError(f"unknown op {op!r}")
-        self.counts_of(layer)[op] += n
-
-    def counts_of(self, layer: str) -> dict[str, int]:
-        """The live per-op counts of ``layer``, created at zero on first use."""
-        counts = self.per_layer.get(layer)
-        if counts is None:
-            counts = self.per_layer[layer] = _zero_counts()
-        return counts
+    def add(self, label: str, counts) -> None:
+        """Add ``counts``, (key, ciphertexts) pairs, to the histogram of ``label``."""
+        hist = self.histograms.get(label)
+        if hist is None:
+            hist = self.histograms[label] = {}
+        for key, n in counts:
+            hist[key] = hist.get(key, 0) + n
 
     def layer(self, label: str) -> dict[str, int]:
-        return dict(self.per_layer.get(label, _zero_counts()))
+        return _marginal(self.histograms.get(label, {}))
+
+    def per_layer(self) -> dict[str, dict[str, int]]:
+        """The per-op counts of each layer that counted any, in run order."""
+        marginals = {label: _marginal(hist) for label, hist in self.histograms.items()}
+        return {label: counts for label, counts in marginals.items() if any(counts.values())}
 
     def totals(self) -> dict[str, int]:
-        out = _zero_counts()
-        for counts in self.per_layer.values():
-            for op in OPS:
-                out[op] += counts[op]
-        return out
+        return _marginal(*self.histograms.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HocCounter):
             return NotImplemented
-        labels = set(self.per_layer) | set(other.per_layer)
-        return all(self.layer(lb) == other.layer(lb) for lb in labels)
+        return self.histograms == other.histograms
 
     def __repr__(self) -> str:
         t = self.totals()
@@ -261,24 +270,27 @@ def _diagonal_counts(amounts, runs: np.ndarray) -> tuple[list, np.ndarray, np.nd
 
 
 class _Counted:
-    """What a prebuilt operator counts: ``totals`` per counter, worked out
-    from per-step count tables when the operator is built, and ``records``,
-    the op log of one source set in the schedule's order, expanded from the
-    same tables only when first read.  Each record is (op, count, levels
-    spent before, levels spent after, extra fields); steps that count
-    nothing write none."""
+    """What a prebuilt operator counts for one source set: its
+    ``histogram``, the ciphertexts per (op, levels spent before, levels
+    spent after, rotation amount or None), worked out from per-step count
+    tables when the operator is built, and ``records``, its op log in the
+    schedule's order, expanded from the same tables only when first read.
+    Each record is (op, count, levels spent before, levels spent after,
+    extra fields); steps that count nothing write none."""
 
-    __slots__ = ("totals", "_tables", "_records")
+    __slots__ = ("histogram", "_tables", "_records")
 
     def _count(self, *tables) -> None:
         """``tables`` are (layout, amounts, counts): per step one amount and
         one row of counts, one per record of the layout."""
-        totals = dict.fromkeys(OPS, 0)
-        for layout, _, counts in tables:
-            for (op, *_), n in zip(layout, counts.sum(axis=0).tolist()):
-                totals[op] += n
-        totals["rescale"] = totals["pmult"]
-        self.totals = {op: n for op, n in totals.items() if n}
+        hist = {}
+        for layout, amounts, counts in tables:
+            for (op, before, after, rotates), column in zip(layout, counts.T.tolist()):
+                for amount, n in zip(amounts, column) if rotates else ((None, sum(column)),):
+                    if n:
+                        key = (op, before, after, amount)
+                        hist[key] = hist.get(key, 0) + n
+        self.histogram = hist
         self._tables, self._records = tables, None
 
     @property
@@ -457,7 +469,7 @@ class Mixed(_Counted):
     the (set, piece) only through its vector of P mix entries, so they are
     worked out once per distinct vector (a few on a skeleton), without the
     (steps, sets, rows, pieces, groups, blocks) table.  ``records``,
-    ``totals`` and ``has_terms`` are those of a ``BlockCirculant`` of the
+    ``histogram`` and ``has_terms`` are those of a ``BlockCirculant`` of the
     combined table whose rows are all output sets' rows, ``rows`` = sets *
     V, serving every source set.
     """
@@ -750,15 +762,9 @@ class SimContext:
         np.round(out, out=out)
         return np.divide(out, scale, out=out)
 
-    def _record(self, op: str, level_before: int, level_after: int, n: int = 1, **extra) -> None:
-        """Count ``n`` applications of ``op``; log them as one record."""
-        counts = self.counter.counts_of(self._layer)
-        counts[op] += n
-        if op in ("pmult", "cmult"):
-            counts["rescale"] += n
-        self._log(op, level_before, level_after, n, **extra)
-
-    def _log(self, op: str, level_before: int, level_after: int, n: int = 1, **extra) -> None:
+    def _record(self, op: str, level_before: int, level_after: int, n: int = 1, rotation_amount: int | None = None) -> None:
+        """Count ``n`` applications of ``op``; with ``log_ops``, log them as one record."""
+        self.counter.add(self._layer, (((op, level_before, level_after, rotation_amount), n),))
         if self.log_ops:
             rec = {
                 "op": op,
@@ -768,15 +774,16 @@ class SimContext:
             }
             if n > 1:
                 rec["count"] = n
-            rec.update(extra)
+            if rotation_amount is not None:
+                rec["rotation_amount"] = rotation_amount
             self.oplog.append(rec)
 
-    def _log_fresh(self, n: int, level: int) -> None:
-        """Log what ``encrypt`` and ``mod_switch`` log for n rows encrypted
-        and switched to ``level``."""
-        self._log("encrypt", self.max_level, self.max_level, n)
+    def _record_fresh(self, n: int, level: int) -> None:
+        """Record what ``encrypt`` and ``mod_switch`` record for n rows
+        encrypted and switched to ``level``."""
+        self._record("encrypt", self.max_level, self.max_level, n)
         if level != self.max_level:
-            self._log("mod_switch", self.max_level, level, n)
+            self._record("mod_switch", self.max_level, level, n)
 
     def _as_plaintext(self, pt, rows: int) -> np.ndarray | float:
         """Scalars stay one float that broadcasts (the same slots as a full
@@ -816,7 +823,7 @@ class SimContext:
         if arr.ndim < 2:
             arr = arr.reshape(-1)
         ct = self._new_ct(_padded(arr, self.slot_count, self._quantize if self.quantize else None), self.max_level)
-        self._log("encrypt", self.max_level, self.max_level, ct.rows)
+        self._record("encrypt", self.max_level, self.max_level, ct.rows)
         return ct
 
     def decrypt(self, ct: SimCiphertext) -> np.ndarray:
@@ -891,10 +898,10 @@ class SimContext:
         if target_level == ct.level:
             return ct
         out = self._new_ct(ct.slots, target_level)
-        self._log("mod_switch", ct.level, target_level, ct.rows)
+        self._record("mod_switch", ct.level, target_level, ct.rows)
         return out
 
-    def fold_steps(self, src: SimCiphertext, op, bias=None) -> tuple[SimCiphertext, np.ndarray]:
+    def fold_steps(self, src: SimCiphertext, op, bias=None) -> SimCiphertext:
         """Apply a prebuilt operator, a ``BlockCirculant``, ``Mixed``,
         ``Diagonals`` or ``MixedDiagonals``: many rotated,
         plaintext-multiplied and summed terms as one fused
@@ -912,12 +919,12 @@ class SimContext:
         Counts what the operator's schedule, one ciphertext at a time, would:
         every rotation of an input some term reads, one PMult per term whose
         coefficients are not all zero, the Adds of each row's products, and
-        the rotations and Adds of partial sums.  The operator's totals, times
-        U, are added once; with ``log_ops`` its records are written in its
-        order, each counting U times its count.
-        Returns the (U*V, slot_count) stack and which rows got a term; a row
-        without terms was computed by no operation.  With ``quantize`` the
-        fused sum is rounded once.
+        the rotations and Adds of partial sums.  The operator's histogram,
+        times U, is added to the counter; with ``log_ops`` its records are
+        recorded instead, in its order, each counting U times its count.
+        Returns the (U*V, slot_count) stack; a row without terms
+        (``op.has_terms``) was computed by no operation.  With ``quantize``
+        the fused sum is rounded once.
 
         ``bias``, rows that hold the U*V output rows along their leading axes
         (a broadcast of distinct rows, as ``encrypt`` takes), makes the result
@@ -942,25 +949,24 @@ class SimContext:
                 bias = bias.reshape(1, -1)
             if not bias.shape[-1] or bias.size // bias.shape[-1] != rows or bias.shape[-1] > N:
                 raise ValueError(f"bias rows of shape {bias.shape} do not fit the output of shape {(rows, N)}")
-        if op.totals:
-            counts = self.counter.counts_of(self._layer)
-            for name, n in op.totals.items():
-                counts[name] += n * U
+        L = src.level
         if self.log_ops:
             for name, n, before, after, extra in op.records:
-                self._log(name, src.level - before, src.level - after, n * U, **extra)
+                self._record(name, L - before, L - after, n * U, **extra)
+        elif op.histogram:
+            shifted = (((name, L - before, L - after, amount), n * U) for (name, before, after, amount), n in op.histogram.items())
+            self.counter.add(self._layer, shifted)
         out = op.apply(src.slots.reshape(U, op.inputs, N)).reshape(rows, N)
         if self.quantize:
             self._quantize(out, out)
-        has_terms = np.tile(op.has_terms, U)
         if bias is not None:
-            empty = np.flatnonzero(~has_terms)
+            empty = np.flatnonzero(~np.tile(op.has_terms, U))
             if len(empty):
-                self._log_fresh(len(empty), level)
+                self._record_fresh(len(empty), level)
                 out[empty] = 0.0
             compact = _compact(bias)
             if np.any(np.abs(compact) > 0):
-                self._log_fresh(rows, level)
+                self._record_fresh(rows, level)
                 self._record("add", level, level, rows)
                 if self.quantize:
                     bias = np.broadcast_to(self._quantize(compact), bias.shape)
@@ -968,7 +974,7 @@ class SimContext:
                 k, view = bias.shape[-1], out.reshape(bias.shape[:-1] + (N,))
                 np.add(view[..., :k], bias, out=view[..., :k])
                 np.add(view[..., k:], 0.0, out=view[..., k:])
-        return self._new_ct(out, level), has_terms
+        return self._new_ct(out, level)
 
     # ------------------------------------------------------------------
     # fused epilogues: one pass over one output buffer, in row chunks
@@ -994,9 +1000,9 @@ class SimContext:
         self._record("cmult", L, L - 1, n)
         self._record("pmult", L - 1, L - 2, n)
         self._record("pmult", L, L - 1, n)
-        self._log("mod_switch", L - 1, L - 2, n)
+        self._record("mod_switch", L - 1, L - 2, n)
         self._record("add", L - 2, L - 2, n)
-        self._log_fresh(n, L - 2)
+        self._record_fresh(n, L - 2)
         self._record("add", L - 2, L - 2, n)
         quantize = self._quantize if self.quantize else None
         if quantize:
@@ -1068,18 +1074,10 @@ class SimContext:
 
 
 def replay_counts(oplog) -> HocCounter:
-    """Rebuild a HocCounter from an operation log.
-
-    Only the four scheduled operations count; pmult/cmult records imply one
-    rescale each, mirroring the live accounting.  A record of a batched op
-    carries ``count`` (absent means one).
-    """
+    """Rebuild a HocCounter from an operation log: each record adds its
+    ``count`` (absent means one) at its (op, levels, rotation amount)."""
     counter = HocCounter()
     for rec in oplog:
-        op = rec["op"]
-        if op in ("add", "rot", "pmult", "cmult"):
-            n = rec.get("count", 1)
-            counter.bump(rec["layer"], op, n)
-            if op in ("pmult", "cmult"):
-                counter.bump(rec["layer"], "rescale", n)
+        key = (rec["op"], rec["level_before"], rec["level_after"], rec.get("rotation_amount"))
+        counter.add(rec["layer"], ((key, rec.get("count", 1)),))
     return counter

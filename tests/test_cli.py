@@ -8,7 +8,7 @@ import pytest
 from hegcn.adjacency import AdjacencySet
 from hegcn.cli import EXIT_CONFIG, EXIT_DEPTH, EXIT_OK, EXIT_PARAMS, main
 from hegcn.engine import plaintext_reference
-from hegcn.model import ModelSpec, acceptance_stgcn3, random_stgcn
+from hegcn.model import FullyConnected, GlobalAvgPool, ModelSpec, acceptance_stgcn3, random_stgcn
 from hegcn.packing import GraphTensor
 
 
@@ -109,6 +109,21 @@ class TestInfer:
         assert (outs[True] / "hoc.csv").read_text() == (outs[False] / "hoc.csv").read_text()
 
 
+    @pytest.mark.parametrize("slot_count, message", [(1000, "is not a power of two"), (16, "does not fit the ama packing")])
+    def test_unusable_slot_count_exits_2(self, tmp_path, capsys, slot_count, message):
+        """The acceptance model, (1, 8, 32, 25): 1000 slots are no power of
+        two, and 16 hold no AMA channel block of 32 frames; both are refused
+        before any run."""
+        path = tmp_path / "acceptance.json"
+        acceptance_stgcn3().to_json_file(path)
+        out = tmp_path / "o"
+        rc = main(["infer", "--model", str(path), "--seed", "1", "--format", "both",
+                   "--slot-count", str(slot_count), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestHeadless:
     """A model without a classifier: ``infer`` and ``compare`` need one and
     exit 2 before any work; ``hoc`` counts its layers."""
@@ -204,6 +219,16 @@ class TestCompareAndHoc:
         doc = json.loads((out / "compare.json").read_text())
         ama = doc["total_hoc"]["ama"]
         assert 100.0 * (1 - ama / ama) == 0.0
+
+    def test_compare_without_spatial_conv_exits_2(self, tmp_path, capsys):
+        """A valid model of a pool and a head on the input has no adjacency
+        for the framework rows."""
+        w = np.random.default_rng(0).normal(size=(2, 5))
+        path = tmp_path / "pool-head.json"
+        ModelSpec((1, 2, 4, 3), [GlobalAvgPool(), FullyConnected(2, 5, w)], name="pool-head").to_json_file(path)
+        rc = main(["compare", "--model", str(path), "--out", str(tmp_path / "cmp")])
+        assert rc == EXIT_CONFIG
+        assert "no spatial conv" in capsys.readouterr().err
 
     def test_hoc_csv(self, model_path, tmp_path, capsys):
         rc = main(["hoc", "--model", model_path, "--format", "both"])

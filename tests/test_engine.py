@@ -892,3 +892,24 @@ def test_acceptance_model_runs_on_stacks(monkeypatch, fmt):
         objects[B], cts[B] = dict(created), res.ct_counts
     assert all(cts[2][label] == 2 * cts[1][label] for label in spec.labels()[:-2])
     assert objects[1] == objects[2]
+
+
+@pytest.mark.parametrize("name, amounts", [("reference-ama-8192", 47), ("reference-rowmajor-8192", 39), ("acceptance-ama-1024", 39), ("acceptance-rowmajor-1024", 30)])
+def test_unlogged_counter_holds_the_logged_histogram(name, amounts):
+    """``run_model``'s own context keeps no log, yet its counter holds, per
+    layer, the levels and rotation amounts of every op: projected onto
+    (op, level_before, rotation_amount), it is the gated test's histogram
+    of a logged run of the same input, and it names the distinct rotation
+    amounts, one Galois key each."""
+    from test_gated_counts import RUNS, gated_run, histogram
+
+    _, fmt, slot_count = RUNS[name]
+    spec, x, _, oplog = gated_run(name)
+    counter = run_model(spec, x, fmt, slot_count=slot_count).counter
+    records = [
+        {"layer": label, "op": op, "level_before": before, "count": n, **({} if amount is None else {"rotation_amount": amount})}
+        for label, hist in counter.histograms.items()
+        for (op, before, _, amount), n in hist.items()
+    ]
+    assert histogram(records) == histogram(oplog)
+    assert len({key[3] for hist in counter.histograms.values() for key in hist if key[0] == "rot"}) == amounts

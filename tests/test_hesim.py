@@ -343,8 +343,9 @@ class TestStacks:
         expect["add"] = int(np.maximum(terms - 1, 0).sum())
         for vec in (0.5, rng.uniform(-1, 1, (1, 4, n1))):
             c, ref = ctx(slots=8, levels=3, log_ops=True), ctx(slots=8, levels=3, log_ops=True)
+            op = Diagonals([0], coef.transpose(2, 1, 0), (n1, n2), 8, vec)
             with c.layer("fold"):
-                out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals([0], coef.transpose(2, 1, 0), (n1, n2), 8, vec))
+                out = c.fold_steps(c.encrypt(vals), op)
             plains = np.zeros((3, 4, 8))
             on_grid = coef[:, :, None, :] * np.broadcast_to(vec, (1, 4, n1))[0][None, :, :, None]  # (row, term, frame, column)
             plains[:, :, : n1 * n2] = np.broadcast_to(on_grid, (3, 4, n1, n2)).reshape(3, 4, -1)
@@ -353,7 +354,7 @@ class TestStacks:
             assert c.counter.layer("fold") == expect == ref.counter.layer("fold")
             assert coalesce(c.oplog) == coalesce(ref.oplog)
             assert out.rows == 3 and out.level == 2
-            assert [w is None for w in want] == [True, False, False] == (~has_terms).tolist()
+            assert [w is None for w in want] == [True, False, False] == (~op.has_terms).tolist()
             for row, w in zip(unstack(out), want):
                 np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
             assert replay_counts(c.oplog) == c.counter
@@ -362,7 +363,7 @@ class TestStacks:
         """A term whose coefficients are all zero runs no PMult."""
         c = ctx(slots=8, levels=2)
         src = c.encrypt(np.ones((2, 8)))
-        out, _ = c.fold_steps(src, Diagonals([0], np.array([[[5.0], [0.0]]]), (1, 8), 8))
+        out = c.fold_steps(src, Diagonals([0], np.array([[[5.0], [0.0]]]), (1, 8), 8))
         np.testing.assert_array_equal(out.slots, np.full((1, 8), 5.0))
         assert c.counter.totals()["pmult"] == 1 and c.counter.totals()["add"] == 0
 
@@ -478,10 +479,12 @@ class TestFoldSteps:
         vec = 0.5 if vec_kind == "scalar" else rng.uniform(-1, 1, (self.T, 1, self.N2))
         coef, grid = self.coef(), (self.N1, self.N2)
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
+        op = BlockCirculant(self.AMOUNTS, coef, grid, (0,), vec)
         with c.layer("steps"):
-            out, has_terms = c.fold_steps(c.encrypt(vals), BlockCirculant(self.AMOUNTS, coef, grid, (0,), vec))
+            out = c.fold_steps(c.encrypt(vals), op)
         with ref.layer("steps"):
             want = per_ciphertext_folds(ref, ref.encrypt(vals), self.AMOUNTS, self.plains(coef, vec), coef.any(axis=-1))
+        has_terms = np.tile(op.has_terms, self.U)
         assert has_terms.tolist() == [w is not None for w in want]
         assert not has_terms[0] and not has_terms[3] and has_terms[5]
         assert out.rows == self.U * self.V and out.level == 2
@@ -513,11 +516,11 @@ class TestFoldSteps:
         assert op.live == live
         c, ref = (ctx(slots=32, levels=3, log_ops=True, quantize=quantize) for _ in range(2))
         with c.layer("steps"):
-            out, has_terms = c.fold_steps(c.encrypt(vals), op)
+            out = c.fold_steps(c.encrypt(vals), op)
         with ref.layer("steps"):
             want = per_ciphertext_folds(ref, ref.encrypt(vals), self.AMOUNTS, self.plains(coef, vec), coef.any(axis=-1))
         assert not out.slots.reshape(-1, self.N1, self.N2)[..., ~vec.any(axis=(0, 1))].any()
-        assert has_terms.tolist() == [w is not None for w in want]
+        assert np.tile(op.has_terms, self.U).tolist() == [w is not None for w in want]
         for row, w in zip(unstack(out), want):
             np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-9 if quantize else 1e-12)
         assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
@@ -527,8 +530,8 @@ class TestFoldSteps:
         src = q.encrypt(np.random.default_rng(5).uniform(-1, 1, (self.U * self.T, 32)))
         coef, grid = self.coef(), (self.N1, self.N2)
         op = BlockCirculant(self.AMOUNTS, coef, grid, (0,), 0.3)
-        got = q.fold_steps(src, op)[0].slots
-        want = exact.fold_steps(exact.encrypt(src.slots), op)[0].slots
+        got = q.fold_steps(src, op).slots
+        want = exact.fold_steps(exact.encrypt(src.slots), op).slots
         np.testing.assert_array_equal(got, np.round(want * 2.0**33) / 2.0**33)
 
     def test_level_is_checked_first(self):
@@ -581,11 +584,12 @@ class TestBlockCirculant:
         reused, fresh = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         op = BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid, (0,), 0.7)
         got = [reused.fold_steps(reused.encrypt(vals), op) for vals in srcs]
-        want = [fresh.fold_steps(fresh.encrypt(vals), BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid, (0,), 0.7)) for vals in srcs]
-        for (out, has), (ref, ref_has) in zip(got, want):
+        ops = [BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid, (0,), 0.7) for _ in srcs]
+        want = [fresh.fold_steps(fresh.encrypt(vals), new) for vals, new in zip(srcs, ops)]
+        for out, ref, new in zip(got, want, ops):
             assert out.rows == U * coef.shape[1]
             np.testing.assert_array_equal(out.slots, ref.slots)
-            np.testing.assert_array_equal(has, ref_has)
+            np.testing.assert_array_equal(op.has_terms, new.has_terms)
         assert reused.counter == fresh.counter and reused.oplog == fresh.oplog
 
     @pytest.mark.parametrize(
@@ -643,7 +647,8 @@ class TestFusedTaps:
             for i in range(self.I)
             for k in range(K)
         ]
-        return c.fold_steps(stack(terms), BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), (0,), vec))
+        op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), (0,), vec)
+        return c.fold_steps(stack(terms), op), op.has_terms
 
     @pytest.mark.parametrize("vec_kind", ["one", "per-term", "sparse"])
     def test_equals_rotate_stack_and_fold(self, vec_kind):
@@ -656,11 +661,11 @@ class TestFusedTaps:
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), self.TAPS, vec)
         with c.layer("taps"):
-            out, has_terms = c.fold_steps(c.encrypt(vals), op)
+            out = c.fold_steps(c.encrypt(vals), op)
         with ref.layer("taps"):
             want, want_terms = self.explicit(ref, vals, coef, vec)
         np.testing.assert_allclose(out.slots, want.slots, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(has_terms, want_terms)
+        np.testing.assert_array_equal(op.has_terms, want_terms)
         assert op.live == (slice(1, 8, 3) if vec_kind == "sparse" else slice(0, self.N2, 1))
         assert out.level == want.level == 2
         assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
@@ -752,19 +757,20 @@ class TestMixed:
         units = self.M * len(mix)
         op = Mixed(BlockCirculant(self.AMOUNTS, coef, grid), mix, np.arange(units).reshape(len(mix), self.M), units)
         assert op.inputs == units * self.G and op.rows == len(mix) * self.V
+        want_op = BlockCirculant(self.AMOUNTS, combined, grid)
         with c.layer("mixed"):
-            out, has_terms = c.fold_steps(c.encrypt(vals), op)
+            out = c.fold_steps(c.encrypt(vals), op)
         with ref.layer("mixed"):
-            want, want_terms = ref.fold_steps(ref.encrypt(vals), BlockCirculant(self.AMOUNTS, combined, grid))
+            want = ref.fold_steps(ref.encrypt(vals), want_op)
         np.testing.assert_allclose(out.slots, want.slots, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(has_terms, want_terms)
+        np.testing.assert_array_equal(op.has_terms, want_op.has_terms)
         assert c.counter == ref.counter and c.oplog == ref.oplog
         assert c.counter.totals()["pmult"] > 0 and replay_counts(c.oplog) == c.counter
 
     def test_a_mix_of_zeros_runs_nothing(self):
         coef, _ = self.operands(1, shared=True)
         op = Mixed(BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), np.zeros((2, 1, self.M)), np.zeros((2, self.M)), 1)
-        assert op.totals == {} and op.records == () and not op.has_terms.any()
+        assert op.histogram == {} and op.records == () and not op.has_terms.any()
 
     @pytest.mark.parametrize(
         "taps, rows, mix_shape",
@@ -798,8 +804,9 @@ class TestMixed:
         for size in (chunk_bytes, hesim._CHUNK_BYTES):
             monkeypatch.setattr(hesim, "_CHUNK_BYTES", size)
             c = ctx(slots=32, levels=3, log_ops=True)
-            out, has_terms = c.fold_steps(c.encrypt(vals), Mixed(BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), mix, reads, self.U * self.M))
-            runs.append((out.slots, has_terms, c.counter, c.oplog))
+            op = Mixed(BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), mix, reads, self.U * self.M)
+            out = c.fold_steps(c.encrypt(vals), op)
+            runs.append((out.slots, op.has_terms, c.counter, c.oplog))
         (got, got_terms, counter, log), (want, want_terms, want_counter, want_log) = runs
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_terms, want_terms)
@@ -872,7 +879,7 @@ class TestDiagonals:
     def run(self, c, vals, tables, vec):
         op = Diagonals(self.SHIFTS, tables, (self.N1, self.N2), 32, vec)
         with c.layer("diag"):
-            return op, *c.fold_steps(c.encrypt(vals), op)
+            return op, c.fold_steps(c.encrypt(vals), op)
 
     @pytest.mark.parametrize("vec_kind", ["one", "per-term", "strided"])
     def test_equals_the_per_ciphertext_schedule(self, vec_kind):
@@ -883,12 +890,12 @@ class TestDiagonals:
             vec[..., 1] = 0.0
         tables = self.tables()
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
-        op, out, has_terms = self.run(c, vals, tables, vec)
+        op, out = self.run(c, vals, tables, vec)
         with ref.layer("diag"):
             want = per_ciphertext_diagonals(ref, ref.encrypt(vals), self.SHIFTS, tables[:, None], vec, (self.N1, self.N2))
         assert op.coef.shape == (self.V, len(self.SHIFTS) * self.C)
         assert op.frames == (slice(0, 3, 2) if vec_kind == "strided" else slice(0, 3, 1))
-        assert has_terms.tolist() == [w is not None for w in want] == [False, True, True] * self.U
+        assert np.tile(op.has_terms, self.U).tolist() == [w is not None for w in want] == [False, True, True] * self.U
         assert out.rows == self.U * self.V and out.level == 2
         for row, w in zip(unstack(out), want):
             np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
@@ -901,16 +908,16 @@ class TestDiagonals:
     def test_a_zero_operator_gives_zero_rows(self):
         c = ctx(slots=32, levels=2, log_ops=True)
         op = Diagonals([3], np.zeros((1, 2, 4)), (4, 8), 32)
-        out, has_terms = c.fold_steps(c.encrypt(np.ones((2, 32))), op)
-        assert not has_terms.any() and not out.slots.any() and out.rows == 4
-        assert c.oplog == [rec for rec in c.oplog if rec["op"] == "encrypt"] and op.totals == {}
+        out = c.fold_steps(c.encrypt(np.ones((2, 32))), op)
+        assert not op.has_terms.any() and not out.slots.any() and out.rows == 4
+        assert c.oplog == [rec for rec in c.oplog if rec["op"] == "encrypt"] and op.histogram == {}
 
     def test_quantize_rounds_the_fused_sum_once(self):
         q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
         src = q.encrypt(np.random.default_rng(13).uniform(-1, 1, (self.U * self.C, 32)))
         op = Diagonals(self.SHIFTS, self.tables(), (self.N1, self.N2), 32, 0.3)
-        got = q.fold_steps(src, op)[0].slots
-        want = exact.fold_steps(exact.encrypt(src.slots), op)[0].slots
+        got = q.fold_steps(src, op).slots
+        want = exact.fold_steps(exact.encrypt(src.slots), op).slots
         np.testing.assert_array_equal(got, np.round(want * 2.0**33) / 2.0**33)
 
     def test_counts_do_not_depend_on_log_ops(self):
@@ -945,9 +952,10 @@ class TestDiagonals:
                 vec[..., rng.uniform(size=n1) < 0.3] = 0.0
             vals = rng.uniform(-1, 1, (U * C, N))
             c, ref = ctx(slots=N, levels=3, log_ops=True), ctx(slots=N, levels=3, log_ops=True)
-            out, has_terms = c.fold_steps(c.encrypt(vals), Diagonals(shifts, np.concatenate(tables), (n1, n2), N, vec))
+            op = Diagonals(shifts, np.concatenate(tables), (n1, n2), N, vec)
+            out = c.fold_steps(c.encrypt(vals), op)
             want = per_ciphertext_diagonals(ref, ref.encrypt(vals), shifts, tables, vec, (n1, n2))
-            assert has_terms.tolist() == [w is not None for w in want]
+            assert np.tile(op.has_terms, U).tolist() == [w is not None for w in want]
             for row, w in zip(unstack(out), want):
                 np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
             assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
@@ -1000,13 +1008,13 @@ class TestMixedDiagonals:
         c, ref = ctx(slots=N, levels=2, log_ops=log_ops), ctx(slots=N, levels=2, log_ops=True)
         op = MixedDiagonals(merged.weights, merged.parts, offsets, (T, J), N)
         with c.layer("s"):
-            out, has_terms = c.fold_steps(c.encrypt(vals), op)
+            out = c.fold_steps(c.encrypt(vals), op)
         # no diagonals: one zero table, so that no product runs
         tables = dense_diagonals(merged.matrices, offsets) or [np.zeros((1, C, V))]
         with ref.layer("s"):
             want = per_ciphertext_diagonals(ref, ref.encrypt(vals), offsets or [0], tables, 1.0, (T, J))
         assert out.rows == U * V and out.level == 1
-        assert has_terms.tolist() == [w is not None for w in want]
+        assert np.tile(op.has_terms, U).tolist() == [w is not None for w in want]
         for row, w in zip(unstack(out), want):
             np.testing.assert_allclose(row.slots, 0.0 if w is None else w.slots, rtol=0, atol=1e-12)
         assert c.counter == ref.counter
@@ -1063,7 +1071,7 @@ class TestMixedDiagonals:
         """No diagonals (zero parts), or diagonals whose products are all zero."""
         for parts, weights in ((np.zeros((1, 4, 4)), np.ones((1, 2, 3))), (np.ones((2, 4, 4)), np.zeros((2, 2, 3)))):
             op, counts = self.run(MergedSpatialMatrix(weights, parts, np.zeros(3)), T=2, N=8, U=2)
-            assert op.totals == {} and op.records == () and not op.has_terms.any()
+            assert op.histogram == {} and op.records == () and not op.has_terms.any()
 
     @pytest.mark.parametrize("log_ops", [False, True])
     def test_from_dense(self, log_ops):
@@ -1130,7 +1138,8 @@ def rotate_sum_loop(c, x, amounts):
 def bias_chain(c, src, op, bias):
     """The chain ``fold_steps(bias=)`` replaces: the fold, its rows without
     terms put as encrypted zeros, then a bias that is not all zero added."""
-    acc, has_terms = c.fold_steps(src, op)
+    acc = c.fold_steps(src, op)
+    has_terms = np.tile(op.has_terms, src.rows // op.inputs)
     if not has_terms.all():
         empty = np.flatnonzero(~has_terms)
         acc = put(acc, empty, c.mod_switch(c.encrypt(np.zeros((len(empty), c.slot_count))), acc.level))
@@ -1232,7 +1241,7 @@ class TestEpilogues:
         vals, op = self.values(kind, seed=4), self.operator()
         rows = 3 * (1 if vals.ndim == 1 else vals.size // self.N)
         bias = self.bias(bias_kind, rows)
-        got, c = self.both(lambda c: c.fold_steps(c.encrypt(vals), op, bias)[0], lambda c: bias_chain(c, c.encrypt(vals), op, bias), quantize)
+        got, c = self.both(lambda c: c.fold_steps(c.encrypt(vals), op, bias), lambda c: bias_chain(c, c.encrypt(vals), op, bias), quantize)
         want = ctx(slots=self.N, quantize=quantize).encrypt(bias).slots.reshape(rows, self.N)
         # the rows without terms hold the bias, not zero
         np.testing.assert_array_equal(got.slots[::3], want[::3])
@@ -1244,7 +1253,7 @@ class TestEpilogues:
         vals = np.random.default_rng(5).uniform(-1, 1, (8, 32))
         op = BlockCirculant(TestFoldSteps.AMOUNTS, TestFoldSteps().coef(), (4, 8), (0,), 0.5)
         bias = np.broadcast_to(np.random.default_rng(6).uniform(-1, 1, (3, 32)), (2, 3, 32))
-        got, _ = self.both(lambda c: c.fold_steps(c.encrypt(vals), op, bias)[0], lambda c: bias_chain(c, c.encrypt(vals), op, bias), False, 32)
+        got, _ = self.both(lambda c: c.fold_steps(c.encrypt(vals), op, bias), lambda c: bias_chain(c, c.encrypt(vals), op, bias), False, 32)
         np.testing.assert_array_equal(got.slots[[0, 3]], bias.reshape(6, 32)[[0, 3]])
 
     def test_typed_errors(self):
