@@ -93,6 +93,20 @@ def _write_hoc_csv(out, counts) -> None:
     )
 
 
+def _check_slot_count(spec: ModelSpec, slot: int | None, formats) -> None:
+    """A ``--slot-count`` that was given is a power of two whose ring holds
+    the input layout of every packing in ``formats``."""
+    if slot is None:
+        return
+    if slot < 1 or slot & (slot - 1):
+        raise ConfigError(f"--slot-count {slot} is not a power of two")
+    for fmt in formats:  # every layer keeps the input's (B, T, J), so its layout decides
+        try:
+            (packing.ama_layout if fmt == AMA else packing.rowmajor_layout)(spec.input_dims, slot)
+        except PackingError as exc:
+            raise ConfigError(f"--slot-count {slot} does not fit the {fmt} packing: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
 
 
@@ -102,14 +116,7 @@ def cmd_infer(args) -> int:
     x = _load_input(spec, args)
     formats = [AMA, ROWMAJOR] if args.format == "both" else [args.format]
     slot = args.slot_count
-    if slot is not None:
-        if slot < 1 or slot & (slot - 1):
-            raise ConfigError(f"--slot-count {slot} is not a power of two")
-        for fmt in formats:  # every layer keeps the input's (B, T, J), so its layout decides
-            try:
-                (packing.ama_layout if fmt == AMA else packing.rowmajor_layout)(spec.input_dims, slot)
-            except PackingError as exc:
-                raise ConfigError(f"--slot-count {slot} does not fit the {fmt} packing: {exc}") from exc
+    _check_slot_count(spec, slot, formats)
     os.makedirs(args.out, exist_ok=True)
 
     results = {
@@ -182,6 +189,7 @@ def _model_formula_input(spec: ModelSpec, slot_count: int) -> HocFormulaInput:
 def cmd_compare(args) -> int:
     spec = _load_model(args.model)
     _require_head(spec)
+    _check_slot_count(spec, args.slot_count, (AMA, ROWMAJOR))
     os.makedirs(args.out, exist_ok=True)
     slot = args.slot_count or engine.default_slot_count(spec.input_dims)
 
@@ -289,8 +297,9 @@ def cmd_prune(args) -> int:
 
 def cmd_hoc(args) -> int:
     spec = _load_model(args.model)
-    slot = args.slot_count or engine.default_slot_count(spec.input_dims)
     formats = [AMA, ROWMAJOR] if args.format == "both" else [args.format]
+    _check_slot_count(spec, args.slot_count, formats)
+    slot = args.slot_count or engine.default_slot_count(spec.input_dims)
     counts = {fmt: costmodel.analytic_layer_counts(spec, fmt, slot) for fmt in formats}
     if args.out:
         os.makedirs(args.out, exist_ok=True)

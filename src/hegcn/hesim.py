@@ -16,11 +16,11 @@ Level discipline:
 
 Batching: a ciphertext may hold a stack of n ciphertexts at one level,
 (n, slots) or with more leading axes.  Every op on a stack counts n and
-writes one log record with a ``count`` field (left out when n = 1): a
-whole feature map is one stack, and a layer is a few ops on it.  An
-encryption of rows broadcast along some axes keeps one copy of the
-distinct rows; a PMult takes one plaintext for all rows or one per row;
-``sum_parts`` adds the equal consecutive parts of a stack.
+writes one log record with a ``count`` field (left out when n = 1, and 0
+for a stack of no rows): a whole feature map is one stack, and a layer is
+a few ops on it.  An encryption of rows broadcast along some axes keeps
+one copy of the distinct rows; a PMult takes one plaintext for all rows or
+one per row; ``sum_parts`` adds the equal consecutive parts of a stack.
 
 ``fold_steps`` is the one fused multiply-accumulate: it applies a prebuilt
 operator, the baby-step/giant-step product of Halevi and Shoup (CRYPTO
@@ -63,10 +63,28 @@ Each stands for a chain of the ops above and counts and logs exactly what
 that chain does, record for record and in the chain's order; it keeps the
 chain's float operations and their order, with ``quantize`` rounding
 where the chain's ops round, so its slots are the chain's bit for bit.
+
+Memory: the first ``SimContext`` of a process sets glibc's mmap threshold
+to 64 MiB and its trim threshold to 128 MiB (``_keep_freed_memory``), so
+that freed slot stacks, chunk temporaries and operator matrices stay in
+the heap and the next op reuses them.  By default glibc maps each block
+over 128 KiB (a threshold it raises only as large blocks are freed) on its
+own and unmaps it when it is freed, and the next op faults its pages in
+again: a reference AMA run (slot 8192) faulted about 8,200 pages, 32 MB,
+per run, and an acceptance run (slot 1024) about 400 (AMA) and 1,400
+(row-major); with the thresholds set a steady-state run faults 0-8.  It
+is a per-process policy on glibc only, deliberately not an option, and
+it defers to the user: where libc has no ``mallopt``, or ``GLIBC_TUNABLES``
+or a ``MALLOC_*_`` variable is set, nothing is changed.  A buffer pool
+(SEAL's ``MemoryPoolHandle``) would give the same reuse, but would have to
+reach every kernel, because the faults are spread over all of them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -80,6 +98,14 @@ import numpy as np
 #: made a 128-channel temporal layer at slot 8192 2.2x slower.
 _CHUNK_BYTES = 256 << 10
 
+#: glibc's ``mallopt`` parameters (malloc.h) and the values the first
+#: ``SimContext`` of a process sets with them: a block of up to 64 MiB comes
+#: from the heap, not from an mmap of its own, and the heap gives memory back
+#: to the system only when more than 128 MiB are free at its top.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 64 << 20
+_TRIM_THRESHOLD = 128 << 20
+
 #: Counter names, in the order they appear in reports.  Rescale is
 #: bookkeeping for the modulus chain, not a separately scheduled operation,
 #: and does not enter the homomorphic-operation-count total.
@@ -88,6 +114,26 @@ OPS = ("rot", "pmult", "cmult", "add", "rescale")
 #: Bits of the fixed-point scale: ``quantize`` rounds to the grid
 #: ``2**-SCALE_BITS``, and each level spends this many bits of modulus.
 SCALE_BITS = 33
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Make glibc keep freed slot memory in the process (see the module
+    docstring), once per process; True when both thresholds were set.
+
+    Nothing is set where libc has no ``mallopt`` or where the environment
+    already tunes malloc (``GLIBC_TUNABLES`` or a ``MALLOC_*_`` variable).
+    The trim threshold is set only once the mmap threshold was accepted:
+    set alone, it would pin the mmap threshold at its starting value.
+    """
+    if "GLIBC_TUNABLES" in os.environ or any(k.startswith("MALLOC_") and k.endswith("_") for k in os.environ):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no process image to search (Windows)
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
 class LevelError(Exception):
@@ -269,6 +315,14 @@ def _diagonal_counts(amounts, runs: np.ndarray) -> tuple[list, np.ndarray, np.nd
     return distinct, counts, rows.any(axis=0)
 
 
+def _scaled_columns(vec: np.ndarray):
+    """The columns (last axis) of the factors ``vec`` where some factor is
+    not 1, and the factors there, or None when every factor is 1:
+    multiplying by 1.0 is exact, so the other columns are left as they are."""
+    cols = np.flatnonzero((vec != 1).any(axis=tuple(range(vec.ndim - 1))))
+    return cols, np.ascontiguousarray(vec[..., cols]) if len(cols) else None
+
+
 class _Counted:
     """What a prebuilt operator counts for one source set: its
     ``histogram``, the ciphertexts per (op, levels spent before, levels
@@ -337,8 +391,14 @@ class BlockCirculant(_Counted):
     the last, in the largest step that meets them all (every position when
     ``vec`` is nonzero everywhere); ``apply`` copies, scales and multiplies
     only those columns, and the product is an exact zero at the others.
-    ``vec`` is kept as (inputs, K, n1 or 1, live) factors, one block for all
-    when they are the same in every block, and None when every factor is 1.
+    Within them, ``scaled`` are the positions where some factor is not 1:
+    for a temporal tap mask the edge frames of each sample, where a tap
+    reads past the sequence and carries a 0 (the AMA head's anchors are all
+    1, so it scales none).  ``vec`` is kept as the (inputs, K, n1 or 1,
+    scaled) factors there, one block for all when they are the same in
+    every block, and None when every factor is 1.  ``apply`` multiplies the
+    gathered terms at ``scaled`` only: a factor of 1 leaves a slot as it
+    is, bit for bit.
 
     ``has_terms`` marks the V rows some step reaches.  The records of one
     source set are one rotation per distinct nonzero tap amount of the
@@ -349,7 +409,7 @@ class BlockCirculant(_Counted):
     serves any number of source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "taps", "amounts", "rows", "terms", "inputs", "coef", "matrix", "vec", "live", "has_terms")
+    __slots__ = ("grid", "slot_count", "taps", "amounts", "rows", "terms", "inputs", "coef", "matrix", "vec", "scaled", "live", "has_terms")
 
     def __init__(self, amounts, coef, grid, taps=(0,), vec=1.0):
         n1, n2 = grid
@@ -391,12 +451,12 @@ class BlockCirculant(_Counted):
         step = int(np.gcd.reduce(np.diff(nonzero))) if len(nonzero) > 1 else 1
         self.live = slice(int(nonzero[0]), int(nonzero[-1]) + 1, step) if len(nonzero) else slice(0)
         vec = vec[..., self.live].reshape(T // len(taps), len(taps), vec.shape[1], len(range(n2)[self.live]))
-        self.vec = None if (vec == 1).all() else np.ascontiguousarray(vec)
+        self.scaled, self.vec = _scaled_columns(vec)
         self.grid, self.slot_count = (int(n1), int(n2)), int(N)
         self.taps, self.amounts = taps, amounts % N
         self.rows, self.terms, self.inputs = V, T, T // len(taps)
         self.coef, self.matrix = coef, mat.reshape(V * n1, T * n1)
-        for arr in (self.amounts, self.coef, self.matrix, self.vec, self.has_terms):
+        for arr in (self.amounts, self.coef, self.matrix, self.vec, self.scaled, self.has_terms):
             if arr is not None:
                 arr.flags.writeable = False
 
@@ -418,8 +478,8 @@ class BlockCirculant(_Counted):
         n1, n2 = self.grid
         K = len(self.taps)
         L = len(range(n2)[self.live])
-        if self.taps == (0,) and L == n2:  # the sources are the terms
-            z = x if self.vec is None else x.reshape(U, I, 1, n1, n2) * self.vec
+        if self.taps == (0,) and L == n2 and self.vec is None:  # the sources are the terms
+            z = x
         else:
             # z[u, i, k] is input i of set u rotated by tap k, at the live
             # positions: columns (term, source block), like the operator's.
@@ -431,7 +491,7 @@ class BlockCirculant(_Counted):
             for k, a in enumerate(reach):
                 z[:, :, k] = wrapped[..., pre + a : pre + a + N].reshape(U, I, n1, n2)[..., self.live]
             if self.vec is not None:
-                z *= self.vec
+                z[..., self.scaled] *= self.vec
         blocks = out.reshape(U, self.rows * n1, n2)
         if L == n2:
             np.matmul(self.matrix, z.reshape(U, self.terms * n1, L), out=blocks)
@@ -540,8 +600,13 @@ class Diagonals(_Counted):
     frame where ``vec`` is zero for every term is zero in every row:
     ``frames`` is the evenly spaced run of frames through the others (half
     of them after a stride 2), the only ones ``apply`` gathers and
-    multiplies, and ``vec`` (shifts * inputs, frames) their factors (None
-    when all are 1).
+    multiplies.  Among them, ``scaled`` are the frames where some factor is
+    not 1: for a temporal tap mask the edge frames, where a tap reads past
+    the sequence and carries a 0, and for the row-major head every class
+    whose weight row is not all ones.  ``vec`` (shifts * inputs, scaled)
+    holds their factors (None when all are 1), and ``apply`` multiplies
+    the gathered terms at those frames only: a factor of 1 leaves a slot
+    as it is, bit for bit.
 
     The records of one source set are those of ``_diagonal_counts``: a
     product runs where its coefficient is not zero.  ``has_terms`` marks
@@ -550,7 +615,7 @@ class Diagonals(_Counted):
     source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "rows", "inputs", "span", "coef", "offsets", "frames", "vec", "has_terms")
+    __slots__ = ("grid", "slot_count", "rows", "inputs", "span", "coef", "offsets", "frames", "vec", "scaled", "has_terms")
 
     def __init__(self, shifts, coef, grid, slot_count, vec=1.0):
         n1, n2 = grid
@@ -572,14 +637,14 @@ class Diagonals(_Counted):
         kept = np.flatnonzero(vec.any(axis=0))
         step = int(np.gcd.reduce(np.diff(kept))) if len(kept) > 1 else 1
         self.frames = slice(int(kept[0]), int(kept[-1]) + 1, step) if len(kept) else slice(0)
-        self.vec = None if (vec == 1).all() else np.ascontiguousarray(vec[:, self.frames])
+        self.scaled, self.vec = _scaled_columns(vec[:, self.frames])
         self.grid, self.slot_count = (int(n1), int(n2)), N
         self.rows, self.inputs = V, C
         # the whole frames the shifts read, from slot lo to hi
         self.span = (lo, -(-(n1 * n2 + max([0] + reach)) // n2) * n2)
         self.coef = coef.transpose(2, 0, 1).reshape(V, S * C)
         self.offsets = np.array(reach) - lo
-        for arr in (self.coef, self.offsets, self.vec, self.has_terms):
+        for arr in (self.coef, self.offsets, self.vec, self.scaled, self.has_terms):
             if arr is not None:
                 arr.flags.writeable = False
 
@@ -606,7 +671,7 @@ class Diagonals(_Counted):
             read = ks[:, None] + self.offsets  # the slot each shift reads at frame 0
             z = view[:, read % n2, read // n2].reshape(U, len(ks), L, len(frames))
             if self.vec is not None:
-                z *= self.vec
+                z[..., self.scaled] *= self.vec
             np.matmul(self.coef, z, out=by_column[:, k0 : k0 + len(ks)])
         out = np.zeros((U, V, N))
         out[..., : n1 * n2].reshape(U, V, n1, n2)[:, :, self.frames] = by_column.transpose(0, 2, 3, 1)
@@ -731,6 +796,7 @@ class SimContext:
         self.counter = HocCounter()
         self.oplog: list[dict] = []
         self._layer = "global"
+        _keep_freed_memory()
 
     # ------------------------------------------------------------------
     # layer labelling
@@ -772,7 +838,7 @@ class SimContext:
                 "level_before": level_before,
                 "level_after": level_after,
             }
-            if n > 1:
+            if n != 1:
                 rec["count"] = n
             if rotation_amount is not None:
                 rec["rotation_amount"] = rotation_amount

@@ -230,6 +230,19 @@ class TestCompareAndHoc:
         assert rc == EXIT_CONFIG
         assert "no spatial conv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["hoc", "compare"])
+    @pytest.mark.parametrize("slot_count, message", [(1000, "is not a power of two"), (16, "does not fit the ama packing")])
+    def test_unusable_slot_count_exits_2(self, tmp_path, capsys, command, slot_count, message):
+        """The acceptance model: ``hoc`` and ``compare`` refuse the slot
+        counts ``infer`` refuses, before they count anything."""
+        path = tmp_path / "acceptance.json"
+        acceptance_stgcn3().to_json_file(path)
+        out = tmp_path / "o"
+        rc = main([command, "--model", str(path), "--slot-count", str(slot_count), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hoc_csv(self, model_path, tmp_path, capsys):
         rc = main(["hoc", "--model", model_path, "--format", "both"])
         assert rc == EXIT_OK

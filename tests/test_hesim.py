@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from hegcn import hesim
 from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, diagonal_offsets, merge_spatial
+from hegcn.engine import _temporal_tap_mask, run_model
 from hegcn.hesim import BlockCirculant, Diagonals, LevelError, Mixed, MixedDiagonals, SimContext, replay_counts
+from hegcn.model import acceptance_stgcn3
+from hegcn.packing import AMA, ROWMAJOR, GraphTensor
 
 
 def ctx(slots=8, levels=5, **kw):
@@ -1341,3 +1344,107 @@ class TestCounterAndLog:
         rot = next(r for r in records if r["op"] == "rot")
         assert set(rot) == {"op", "layer", "level_before", "level_after", "rotation_amount"}
         assert rot["rotation_amount"] == 3
+
+    def test_an_empty_stack_replays_as_zero(self):
+        """An op on a stack of no rows counts 0 and logs ``count`` 0, so the
+        replay equals the counter."""
+        c = ctx(slots=8, levels=3, log_ops=True)
+        x = c.encrypt(np.zeros((0, 8)))
+        c.add(x, x)
+        assert c.counter.totals()["add"] == 0
+        assert [rec["count"] for rec in c.oplog] == [0, 0]
+        assert replay_counts(c.oplog) == c.counter
+
+
+class TestScaledColumns:
+    """``BlockCirculant`` and ``Diagonals`` multiply the gathered terms by
+    their factors only at the columns where some factor is not 1; the slots
+    equal those of multiplying every column, bit for bit."""
+
+    @staticmethod
+    def every_column(vec):
+        return np.arange(vec.shape[-1]), np.ascontiguousarray(vec)
+
+    def check(self, monkeypatch, make_op, rows, slots, columns):
+        """Apply the operator to random rows both ways; the built one must
+        scale some of its ``columns`` but not all."""
+        vals = np.random.default_rng(31).uniform(-1, 1, (rows, slots))
+        op = make_op()
+        assert op.vec is not None and 0 < len(op.scaled) < columns
+        with monkeypatch.context() as m:
+            m.setattr(hesim, "_scaled_columns", self.every_column)
+            every = make_op()
+
+        def fold(o):
+            c = ctx(slots=slots, levels=2)
+            return c.fold_steps(c.encrypt(vals), o).slots
+
+        assert np.array_equal(fold(op), fold(every))
+
+    def test_temporal_tap_mask_on_a_block_circulant(self, monkeypatch):
+        """AMA: 3 taps, 2 samples of 8 frames per block, stride 2: the
+        boundary frames of each sample carry a 0, the others all 1."""
+        G, B, T, n1 = 2, 2, 8, 4
+        eps = np.array([-1, 0, 1])
+        masks = _temporal_tap_mask(B * T, B, T, 1, T, 2, eps).astype(float)
+        coef = np.random.default_rng(32).uniform(-1, 1, (2, G, G * len(eps), n1))
+        vec = np.tile(masks[:, None, :], (G, 1, 1))
+        self.check(monkeypatch, lambda: BlockCirculant([0, B * T], coef, (n1, B * T), eps, vec), 3 * G, n1 * B * T, B * T // 2)
+
+    def test_temporal_tap_mask_on_diagonals(self, monkeypatch):
+        """Row-major: 3 taps over 8 frames of 4 joints, zero at the first and last frame."""
+        C, V, T, J = 3, 2, 8, 4
+        eps = np.array([-1, 0, 1])
+        masks = _temporal_tap_mask(T, 1, T, 1, T, 1, eps).astype(float)
+        coef = np.random.default_rng(33).uniform(-1, 1, (len(eps), C, V))
+        self.check(monkeypatch, lambda: Diagonals(eps * J, coef, (T, J), 32, masks[:, None, :]), 2 * C, 32, T)
+
+    def test_ama_head_anchors(self, monkeypatch):
+        """The AMA head's anchors, the first frame of each of 2 samples, one
+        of them weighted 0.5 instead of 1."""
+        classes, G, cap, B, T = 3, 2, 4, 2, 4
+        coef = np.random.default_rng(34).uniform(-1, 1, (1, classes, G, cap))
+        anchors = np.zeros(B * T)
+        anchors[np.arange(B) * T] = [1.0, 0.5]
+        self.check(monkeypatch, lambda: BlockCirculant([0], coef, (cap, B * T), vec=anchors), 2 * G, cap * B * T, B)
+
+    def test_rowmajor_head_weights(self, monkeypatch):
+        """The row-major head's weights as per-class factors: classes 0 and
+        2 weigh every channel by 1, the others by 0 or other values."""
+        C, classes = 4, 5
+        weights = np.random.default_rng(35).uniform(-1, 1, (C, classes))
+        weights[:, [0, 2]] = 1.0
+        weights[1, 3] = 0.0
+        self.check(monkeypatch, lambda: Diagonals([0], np.ones((1, C, 1)), (classes, 1), 8, weights[None]), 2 * C, 8, classes)
+
+
+class TestAllocatorPolicy:
+    """The first ``SimContext`` of a process makes glibc keep freed memory
+    in the heap, unless the environment tunes malloc itself."""
+
+    @pytest.mark.parametrize("var", ["GLIBC_TUNABLES", "MALLOC_TOP_PAD_"])
+    def test_defers_to_the_environment(self, monkeypatch, var):
+        monkeypatch.setenv(var, "0")
+        assert hesim._keep_freed_memory.__wrapped__() is False
+
+    def test_steady_state_runs_fault_no_pages(self):
+        """After two warm-up runs of the acceptance model in both packings,
+        three more fault almost no page in: every buffer reuses freed heap
+        memory.  Without the policy they fault about 400 (AMA) and 1,400
+        (row-major) pages each."""
+        resource = pytest.importorskip("resource")
+        SimContext(8, 1)  # sets the policy, unless an earlier context did
+        if not hesim._keep_freed_memory():
+            pytest.skip("libc has no mallopt, or the environment tunes malloc")
+        spec = acceptance_stgcn3()
+        x = GraphTensor.random(spec.input_dims, seed=43)
+
+        def runs(n):
+            for _ in range(n):
+                for fmt in (AMA, ROWMAJOR):
+                    run_model(spec, x, fmt, slot_count=1024)
+
+        runs(2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        runs(3)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
