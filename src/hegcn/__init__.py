@@ -7,7 +7,8 @@ The package splits into:
 * :mod:`hegcn.packing` -- adjacency-matrix-aware (AMA) and row-major tensor
   packings with exact inverses.
 * :mod:`hegcn.adjacency` -- normalized graph adjacencies, 1x1-conv merging and
-  patterned sparse decomposition (at most one nonzero per column).
+  patterned sparse decomposition (the rows of pieces with at most one
+  nonzero per column).
 * :mod:`hegcn.engine` -- encrypted spatial/temporal graph convolution pipeline
   plus a dense plaintext reference implementation.
 * :mod:`hegcn.costmodel` -- analytic operation-count formulas, multiplicative

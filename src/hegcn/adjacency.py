@@ -10,7 +10,8 @@ The merged layer keeps its factors: P weight slabs, P normalized
 partitions and one batch-norm fold (``fold_bn``); kernels read the factors,
 never the dense matrices.  For rotation-free encrypted evaluation the
 shared support is decomposed into "patterned sparse" pieces with at most
-one nonzero per column.  The number of pieces m equals the maximum column
+one nonzero per column, given by the row of each piece's entry in every
+column (``decompose``).  The number of pieces m equals the maximum column
 population, so sparser adjacencies need fewer plaintext multiplications.
 """
 
@@ -109,56 +110,24 @@ class AdjacencySet:
         return json.dumps({"J": self.J, "partitions": parts}, sort_keys=True)
 
 
-@dataclass
-class PatternedSparseMatrix:
-    """J x J matrix with at most one nonzero per column.
-
-    ``rows[k]`` is the row index of column k's entry (-1 when the column is
-    empty) and ``values[k]`` the entry itself.
-    """
-
-    rows: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.rows.shape != self.values.shape or self.rows.ndim != 1:
-            raise ValueError("rows and values must be equal-length vectors")
-
-    @property
-    def J(self) -> int:
-        return len(self.rows)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.J, self.J))
-        for k in range(self.J):
-            if self.rows[k] >= 0:
-                dense[self.rows[k], k] = self.values[k]
-        return dense
-
-
-def decompose(M: np.ndarray) -> list[PatternedSparseMatrix]:
+def decompose(M: np.ndarray) -> np.ndarray:
     """Split M into m patterned pieces, m = max nonzeros in any column.
 
-    Column k's nonzeros, sorted by row index, go to pieces 1, 2, ... in
-    order, so the piece list reconstructs M exactly and any sparser matrix
-    never needs more pieces.  The zero matrix decomposes to an empty list.
+    Returns the (m, J) piece rows: ``rows[i, k]`` is the row of piece i's
+    entry in column k, -1 where that column of the piece is empty, and the
+    entry itself is ``M[rows[i, k], k]``.  Column k's nonzeros, sorted by
+    row index, go to pieces 0, 1, ... in order, so the pieces reconstruct
+    M exactly and any sparser matrix never needs more pieces.  The zero
+    matrix decomposes to no pieces, shape (0, J).
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    J = M.shape[0]
     hot = np.abs(M) > VALID_EPS
-    m = int(hot.sum(axis=0).max()) if J else 0
-    pieces = [
-        PatternedSparseMatrix(np.full(J, -1, dtype=np.int64), np.zeros(J)) for _ in range(m)
-    ]
-    for k in range(J):
-        for i, row in enumerate(np.nonzero(hot[:, k])[0]):
-            pieces[i].rows[k] = row
-            pieces[i].values[k] = M[row, k]
-    return pieces
+    rows = np.full((int(hot.sum(axis=0).max(initial=0)), len(M)), -1, dtype=np.int64)
+    i, k = np.nonzero(hot)
+    rows[np.cumsum(hot, axis=0)[i, k] - 1, k] = i
+    return rows
 
 
 def fold_bn(bias, bn: dict | None, n: int) -> tuple[np.ndarray, np.ndarray]:

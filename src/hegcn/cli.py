@@ -64,7 +64,10 @@ def _load_input(spec: ModelSpec, args) -> GraphTensor:
     if args.input:
         if not os.path.exists(args.input):
             raise ConfigError(f"input tensor not found: {args.input}")
-        x = GraphTensor.load(args.input)
+        try:
+            x = GraphTensor.load(args.input)
+        except Exception as exc:
+            raise ConfigError(f"could not read input tensor {args.input}: {exc}") from exc
         if x.dims != spec.input_dims:
             raise ConfigError(f"input dims {x.dims} do not match model {spec.input_dims}")
         return x
@@ -190,6 +193,10 @@ def cmd_compare(args) -> int:
     spec = _load_model(args.model)
     _require_head(spec)
     _check_slot_count(spec, args.slot_count, (AMA, ROWMAJOR))
+    parts = args.batch.split(",") if args.batch else []
+    if not all(b.strip().isdecimal() and int(b) > 0 for b in parts):
+        raise ConfigError(f"--batch must be a comma list of positive integers, got {args.batch!r}")
+    batches = [int(b) for b in parts]
     os.makedirs(args.out, exist_ok=True)
     slot = args.slot_count or engine.default_slot_count(spec.input_dims)
 
@@ -225,7 +232,6 @@ def cmd_compare(args) -> int:
         "pmult_add_ratio_vs_rowmajor": (ama["pmult"] + ama["add"]) / (rm["pmult"] + rm["add"]),
     }
 
-    batches = [int(b) for b in args.batch.split(",")] if args.batch else []
     if batches:
         B0, C, T, J = spec.input_dims
 
@@ -256,6 +262,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_params(args) -> int:
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be at least 1, got {args.levels}")
     try:
         params = costmodel.select_params(args.levels, args.scale_bits, args.security_bits)
     except ParamSelectionError as exc:
@@ -267,6 +275,9 @@ def cmd_params(args) -> int:
 
 def cmd_prune(args) -> int:
     spec = _load_model(args.model)
+    activations = len(spec.activation_indices())
+    if not 0 <= args.max_prune <= activations:
+        raise ConfigError(f"--max-prune must lie in 0..{activations}, the model's activations, got {args.max_prune}")
     if bool(args.stub) == bool(args.evaluator_cmd):
         raise ConfigError("need exactly one of --stub or --evaluator-cmd")
     if args.stub:

@@ -18,18 +18,19 @@ of its input stack (``fm.ct.ctx``).  Every linear layer, the classifier
 head included, is one prebuilt operator applied by one
 ``SimContext.fold_steps`` to the input stack; the operators run their
 sources in chunks of their own, and the engine has no chunk loop.  An AMA
-channel fold is a ``hesim.BlockCirculant`` built from one coefficient
-table over (step, row, term, output block), the same for every joint,
-gathered in one vectorized step from the giant steps ``_giant_steps``
-lists.  A temporal operator carries the tap rotations (the baby steps) and
-the tap masks, each joint's inputs one source set; within each block it
-multiplies only the positions some tap mask keeps (half of them after a
-stride 2).  A spatial operator holds the P weight slabs, with terms
-(partition, group): the factored form of the merged sum_p N_p * W_p.  One
-``hesim.Mixed`` per layer holds the input joint of every (output joint,
-piece) and the partition entries; it gathers and mixes the ciphertexts of
-each chunk of output joints and applies the layer's operator to the mixes,
-and counts what the merged coefficients would.  A row-major conv is one
+channel fold is built from one coefficient table over (step, row, term,
+output block), the same for every joint, gathered in one vectorized step
+from the giant steps ``_giant_steps`` lists.  A temporal conv is a
+``hesim.BlockCirculant`` that carries the tap rotations (the baby steps)
+and the tap masks, each joint's inputs one source set; within each block
+it multiplies only the positions some tap mask keeps (half of them after a
+stride 2).  A spatial conv is one ``hesim.Mixed``, built straight from the
+factors of the merged sum_p N_p * W_p: its block-circulant matrix holds
+the P weight slabs, with terms (partition, group), and it holds the input
+joint of every (output joint, piece), the rows of the pieces ``decompose``
+finds, and the partition entries; it gathers and mixes the ciphertexts of
+each chunk of output joints, multiplies the mixes by the matrix, and
+counts what the merged coefficients would.  A row-major conv is one
 operator per layer, applied to every sample's input channels at once: a
 temporal one a ``hesim.Diagonals`` of its taps, a spatial one a
 ``hesim.MixedDiagonals`` of the factors, which mixes the joints of every
@@ -174,14 +175,14 @@ def ama_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> Encrypt
     joint its pieces name.
 
     The fold is evaluated factored, as the merged form N_p * W_p allows:
-    the P weight slabs are one block-circulant operator, with terms
-    (partition, group), and the layer is one ``hesim.Mixed`` around it,
-    which holds the input joint of every (output joint, piece) and the
-    (P, m) partition entries of each output joint.  It gathers and mixes
-    the m * G ciphertexts of each chunk of output joints and applies the
-    operator to the mixes.  The counts are those of the merged
-    coefficients, one ciphertext at a time: a (piece, group) term runs
-    where sum_p N_p[k, j] * W_p[c, o] is not zero.
+    the layer is one ``hesim.Mixed``, built straight from the factors.  Its
+    block-circulant matrix holds the P weight slabs, with terms (partition,
+    group), and it holds the input joint of every (output joint, piece) and
+    the (P, m) partition entries of each output joint.  It gathers and
+    mixes the m * G ciphertexts of each chunk of output joints and
+    multiplies the mixes by that matrix.  The counts are those of the
+    merged coefficients, one ciphertext at a time: a (piece, group) term
+    runs where sum_p N_p[k, j] * W_p[c, o] is not zero.
     """
     lin = fm.layout
     if lin.kind != AMA:
@@ -191,25 +192,25 @@ def ama_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> Encrypt
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before spatial conv")
     # column k of the action matrix feeds output joint k, so the merged
-    # pattern (output-joint rows) is transposed before decomposing
-    pieces = decompose(merged.pattern.T)
-
-    B, T, J = lin.B, lin.T, lin.J
-    lout = packing.ama_layout((B, merged.c_out, T, J), lin.slot_count)
+    # pattern (output-joint rows) is transposed before decomposing; reads[k]
+    # holds the input joint of (output joint k, piece), -1 where the piece
+    # has no entry (a zero matrix has no pieces: one empty piece gives every
+    # output zero)
+    J = lin.J
+    rows = decompose(merged.pattern.T)
+    reads = (rows if len(rows) else np.full((1, J), -1)).T
+    lout = packing.ama_layout((lin.B, merged.c_out, lin.T, J), lin.slot_count)
     cap, G, H = lin.capacity, lin.cts_per_joint, lout.cts_per_joint
     amounts, out_chan, c_read, serves = _giant_steps(lin, lout)
     P = len(merged.weights)
     # weights over (step, h, partition, g, block), zero where the step does not serve
     w = merged.weights[np.arange(P)[:, None, None], c_read[:, None, None], out_chan[:, None, None, :]]
-    w = np.where(serves[:, None, None], w, 0.0)
-    op = hesim.BlockCirculant(amounts, w.reshape(len(amounts), H, P * G, cap), (cap, lin.pad_bt))
-    # input joint of (output joint, piece); -1 where the piece has no entry
-    # (a zero matrix has no pieces: one empty piece gives every output zero)
-    reads = np.array([p.rows for p in pieces] or [[-1] * J], dtype=np.int64).T
+    w = np.where(serves[:, None, None], w, 0.0).reshape(len(amounts), H, P * G, cap)
     # partition entries N_p[k, j] of (output joint k, partition, piece); a
     # piece without an entry reads joint 0 with zeros
     mix = np.where(reads >= 0, merged.parts[:, np.arange(J)[:, None], np.maximum(reads, 0)], 0.0).transpose(1, 0, 2)
-    acc = fm.ct.ctx.fold_steps(fm.ct, hesim.Mixed(op, mix, np.maximum(reads, 0), J), _bias_rows(lout, merged.bias))
+    op = hesim.Mixed(amounts, w, (cap, lin.pad_bt), mix, np.maximum(reads, 0), J)
+    acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lout, merged.bias))
     return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid)
 
 

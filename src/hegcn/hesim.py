@@ -27,32 +27,34 @@ operator, the baby-step/giant-step product of Halevi and Shoup (CRYPTO
 2018), to a stack of input ciphertexts.  A ``BlockCirculant`` (AMA) holds
 the tap rotations of the inputs (the baby steps) and many folds rotated by
 whole blocks (the giant steps) as one block-circulant matrix.  A ``Mixed``
-applies one shared ``BlockCirculant`` to linear mixes of a layer's inputs:
-the factored form of a fold whose coefficients are sums of products, as in
-an AMA spatial conv, where the shared matrix holds the weight slabs, the
-mix the partition entries and a read index the input joint of every
-(output joint, piece).  The row-major operators are the diagonal method
-with one giant step of 0: a ``Diagonals`` (temporal conv) holds the tap
-rotations as the baby steps, with one coefficient per (tap, input, output)
-for every column, and a ``MixedDiagonals`` (spatial conv) rotates by the
-diagonals of the joint pattern and is applied factored, like a ``Mixed``:
-the joints of every frame row are mixed by each partition, then the weight
-slabs are one GEMM.  Both count with one per-amount rule
-(``_diagonal_counts``).  Each operator is built once per layer, holds the
-plaintext factors that scale its terms, works out its histogram of counts
-(by op, levels spent and rotation amount) from vectorized count tables
-when it is built and its op records only when they are first read, and is
-applied as batched matrix products over chunks of its sources that stay
-under ``_CHUNK_BYTES`` (a ``BlockCirculant`` skips the within-block
-positions its factors zero).  It holds one set of coefficients, which
-serves every source set of the stack it is applied to: ``fold_steps`` adds
-its histogram, times the source sets, to the counter, or, with ``log_ops``,
-records each of its records in the schedule's order.
-The counts are those of the schedule one ciphertext at a time: a rotation
-per input and amount some term reads, and a PMult per term that runs (its
-coefficients, for a ``Mixed`` the combined ones and for a
-``MixedDiagonals`` the merged ones, are not all zero), with the Adds that
-sum them.
+multiplies linear mixes of a layer's inputs by such a matrix, built by the
+same helper (``_block_circulant``): the factored form of a fold whose
+coefficients are sums of products, as in an AMA spatial conv, where the
+matrix holds the weight slabs, the mix the partition entries and a read
+index the input joint of every (output joint, piece).  The row-major
+operators are the diagonal method with one giant step of 0: a
+``Diagonals`` (temporal conv) holds the tap rotations as the baby steps,
+with one coefficient per (tap, input, output) for every column, and a
+``MixedDiagonals`` (spatial conv) rotates by the diagonals of the joint
+pattern and is applied factored, like a ``Mixed``: the joints of every
+frame row are mixed by each partition, then the weight slabs are one GEMM.
+Both count with one per-amount rule (``_diagonal_counts``), and each rule
+two operators share is one helper (``_input_rotations``,
+``_giant_step_counts``, ``_merge_parts``, ``_live_run``).  Each operator is
+built once per layer, holds the plaintext factors that scale its terms,
+works out its histogram of counts (by op, levels spent and rotation
+amount) from vectorized count tables when it is built and its op records
+only when they are first read, and is applied as batched matrix products
+over chunks of its sources that stay under ``_CHUNK_BYTES`` (a
+``BlockCirculant`` skips the within-block positions its factors zero).  It
+holds one set of coefficients, which serves every source set of the stack
+it is applied to: ``fold_steps`` adds its histogram, times the source
+sets, to the counter, or, with ``log_ops``, records each of its records in
+the schedule's order.  The counts are those of the schedule one ciphertext
+at a time: a rotation per input and amount some term reads, and a PMult
+per term that runs (its coefficients, for a ``Mixed`` the combined ones
+and for a ``MixedDiagonals`` the merged ones, are not all zero), with the
+Adds that sum them.
 
 The fused epilogues do the elementwise work between the folds, each as one
 op that writes one output buffer it owns, in row chunks under
@@ -287,32 +289,51 @@ def _giant_step_counts(amounts: np.ndarray, terms: np.ndarray) -> tuple[np.ndarr
     return counts, rows.any(axis=0)
 
 
-def _diagonal_counts(amounts, runs: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """The distinct amounts (mod slot count, in first-appearance order) of
-    the diagonal method whose (D, inputs, rows) ``runs`` mark the products
-    that run for each of D diagonals or taps, their ``_DIAGONAL`` counts,
-    and the rows some product reaches.
-
-    Per distinct amount: one rotation per input some product of the amount
-    reads (none for amount 0), one PMult per product, ``products - 1`` Adds
-    per row, and one Add per row with products that already holds a partial
-    sum of an earlier amount.
-    """
+def _input_rotations(amounts, reads: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct ``amounts`` (in first-appearance order), which amounts
+    each one is, and its input rotations: one per input the (amounts,
+    inputs) ``reads`` mark as read at one of them, none for amount 0."""
     distinct = list(dict.fromkeys(amounts))
-    member = np.array(amounts)[None, :] == np.array(distinct)[:, None]  # (distinct amounts, D)
-    reads = (member @ runs.any(axis=2)) > 0
+    member = np.array(amounts)[None, :] == np.array(distinct)[:, None]
+    rotated = ((member @ reads) > 0).sum(axis=1)
+    return distinct, member, np.where(np.array(distinct) != 0, rotated, 0)
+
+
+def _diagonal_counts(amounts, runs: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct amounts of the diagonal method whose (D, inputs, rows)
+    ``runs`` mark the products that run for each of D diagonals or taps,
+    their ``_DIAGONAL`` counts, and the rows some product reaches.
+
+    Per distinct amount: its input rotations (``_input_rotations``), one
+    PMult per product, ``products - 1`` Adds per row, and one Add per row
+    with products that already holds a partial sum of an earlier amount.
+    """
+    distinct, member, rotated = _input_rotations(amounts, runs.any(axis=2))
     per_row = (member.astype(np.float64) @ runs.sum(axis=1)).astype(np.int64)
     rows = per_row > 0
-    counts = np.stack(
-        (
-            np.where(np.array(distinct) != 0, reads.sum(axis=1), 0),
-            per_row.sum(axis=1),
-            np.maximum(per_row - 1, 0).sum(axis=1),
-            _merges(rows),
-        ),
-        axis=1,
-    )
+    counts = np.stack((rotated, per_row.sum(axis=1), np.maximum(per_row - 1, 0).sum(axis=1), _merges(rows)), axis=1)
     return distinct, counts, rows.any(axis=0)
+
+
+def _merge_parts(entries: np.ndarray, slabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vector of each item's (items, P) partition ``entries`` among the
+    distinct ones (a few on a skeleton), and per vector the merged sum over
+    p of entry[p] * ``slabs[p]`` in the order of p; a part no vector reads
+    adds only zeros and is skipped."""
+    vectors, which = np.unique(entries, axis=0, return_inverse=True)
+    merged = np.zeros((len(vectors),) + slabs.shape[1:])
+    for p in np.flatnonzero(vectors.any(axis=0)):
+        merged += vectors[:, p].reshape((-1,) + (1,) * (slabs.ndim - 1)) * slabs[p]
+    return which.reshape(-1), merged
+
+
+def _live_run(vec: np.ndarray) -> slice:
+    """The evenly spaced run of columns (last axis) of the factors ``vec``
+    from the first where some factor is not zero to the last, in the
+    largest step that meets them all: the columns an operator computes."""
+    kept = np.flatnonzero(vec.any(axis=tuple(range(vec.ndim - 1))))
+    step = int(np.gcd.reduce(np.diff(kept))) if len(kept) > 1 else 1
+    return slice(int(kept[0]), int(kept[-1]) + 1, step) if len(kept) else slice(0)
 
 
 def _scaled_columns(vec: np.ndarray):
@@ -321,6 +342,33 @@ def _scaled_columns(vec: np.ndarray):
     multiplying by 1.0 is exact, so the other columns are left as they are."""
     cols = np.flatnonzero((vec != 1).any(axis=tuple(range(vec.ndim - 1))))
     return cols, np.ascontiguousarray(vec[..., cols]) if len(cols) else None
+
+
+def _block_circulant(amounts, coef, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The giant steps ``amounts`` mod slot count, the (S, V, T, n1)
+    ``coef`` and the read-only (V*n1, T*n1) block-circulant matrix of
+    ``BlockCirculant``, rows (row, block) and columns (term, source block)."""
+    n1, n2 = grid
+    amounts = np.asarray(amounts, dtype=np.int64)
+    coef = np.asarray(coef, dtype=np.float64)
+    if coef.ndim != 4 or coef.shape[3] != n1 or coef.shape[0] != len(amounts):
+        raise ValueError(f"coef of shape {coef.shape} is not ({len(amounts)}, rows, terms, {n1})")
+    if np.any(amounts % n2):
+        raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
+    V, T = coef.shape[1:3]
+    # sum the steps per block shift k (block b reads source block b + k), then
+    # copy the sums once into E[v, t, b, k], doubled along k, so that
+    # mat[v, b, t, c] = E[v, t, b, (c - b) % n1] = E[v, t, b, n1 - b + c]
+    # is a strided view
+    D = np.zeros((n1, V, T, n1))
+    for k, c in zip((amounts // n2 % n1).tolist(), coef):
+        D[k] += c
+    D = D.transpose(1, 2, 3, 0)
+    E = np.concatenate((D, D), axis=-1)
+    sv, st, sb, sk = E.strides
+    mat = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)).copy().reshape(V * n1, T * n1)
+    mat.flags.writeable = False
+    return amounts % (n1 * n2), coef, mat
 
 
 class _Counted:
@@ -383,181 +431,151 @@ class BlockCirculant(_Counted):
     add up.
 
     ``matrix`` is that matrix, rows (row, block) and columns (term, source
-    block); ``coef`` and ``amounts`` (mod slot count) are kept for
-    ``Mixed``.  A giant step moves whole blocks, so position p of every
-    block of the product reads position p of the blocks of the terms only,
-    and is zero where ``vec`` is zero for every term.  ``live`` is the
-    slice of within-block positions from the first such nonzero position to
-    the last, in the largest step that meets them all (every position when
-    ``vec`` is nonzero everywhere); ``apply`` copies, scales and multiplies
-    only those columns, and the product is an exact zero at the others.
-    Within them, ``scaled`` are the positions where some factor is not 1:
-    for a temporal tap mask the edge frames of each sample, where a tap
-    reads past the sequence and carries a 0 (the AMA head's anchors are all
-    1, so it scales none).  ``vec`` is kept as the (inputs, K, n1 or 1,
-    scaled) factors there, one block for all when they are the same in
-    every block, and None when every factor is 1.  ``apply`` multiplies the
-    gathered terms at ``scaled`` only: a factor of 1 leaves a slot as it
-    is, bit for bit.
+    block), built by ``_block_circulant`` as for a ``Mixed``.  A giant step
+    moves whole blocks, so position p of every block of the product reads
+    position p of the blocks of the terms only, and is zero where ``vec``
+    is zero for every term.  ``live`` is the slice of within-block
+    positions from the first such nonzero position to the last, in the
+    largest step that meets them all (every position when ``vec`` is
+    nonzero everywhere); ``apply`` copies, scales and multiplies only those
+    columns, and the product is an exact zero at the others.  Within them,
+    ``scaled`` are the positions where some factor is not 1: for a temporal
+    tap mask the edge frames of each sample, where a tap reads past the
+    sequence and carries a 0 (the AMA head's anchors are all 1, so it
+    scales none).  ``vec`` is kept as the (inputs, K, n1 or 1, scaled)
+    factors there, one block for all when they are the same in every block,
+    and None when every factor is 1.  ``apply`` multiplies the gathered
+    terms at ``scaled`` only: a factor of 1 leaves a slot as it is, bit for
+    bit.
 
     ``has_terms`` marks the V rows some step reaches.  The records of one
     source set are one rotation per distinct nonzero tap amount of the
-    inputs some pair reads, then per giant step its PMults, its Adds of
-    products, one rotation per row with terms (none when the amount is 0
-    mod n1*n2) and one Add per row that already holds a partial sum.  The
-    arrays are read-only and ``fold_steps`` changes nothing, so one operator
-    serves any number of source stacks.
+    inputs some pair reads (``_input_rotations``), then per giant step its
+    PMults, its Adds of products, one rotation per row with terms (none
+    when the amount is 0 mod n1*n2) and one Add per row that already holds
+    a partial sum.  The arrays are read-only and ``fold_steps`` changes
+    nothing, so one operator serves any number of source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "taps", "amounts", "rows", "terms", "inputs", "coef", "matrix", "vec", "scaled", "live", "has_terms")
+    __slots__ = ("grid", "slot_count", "taps", "rows", "inputs", "matrix", "vec", "scaled", "live", "has_terms")
 
     def __init__(self, amounts, coef, grid, taps=(0,), vec=1.0):
         n1, n2 = grid
         N = n1 * n2
-        amounts = np.asarray(amounts, dtype=np.int64)
-        coef = np.asarray(coef, dtype=np.float64).view()
-        if coef.ndim != 4 or coef.shape[3] != n1 or coef.shape[0] != len(amounts):
-            raise ValueError(f"coef of shape {coef.shape} is not ({len(amounts)}, rows, terms, {n1})")
-        if np.any(amounts % n2):
-            raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
-        S, V, T = coef.shape[:3]
+        amounts, coef, self.matrix = _block_circulant(amounts, coef, grid)
+        V, T = coef.shape[1:3]
         taps = tuple(int(a) % N for a in taps)
-        if not taps or T % len(taps):
-            raise ValueError(f"{T} terms are not (input, tap) pairs of {len(taps)} taps")
-        # sum the steps per block shift k (block b reads source block b + k), then
-        # copy the sums once into E[v, t, b, k], doubled along k, so that
-        # mat[v, b, t, c] = E[v, t, b, (c - b) % n1] = E[v, t, b, n1 - b + c]
-        # is a strided view
-        D = np.zeros((n1, V, T, n1))
-        for k, c in zip((amounts // n2 % n1).tolist(), coef):
-            D[k] += c
-        D = D.transpose(1, 2, 3, 0)
-        E = np.concatenate((D, D), axis=-1)
-        sv, st, sb, sk = E.strides
-        mat = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)).copy()
+        K = len(taps)
+        if not taps or T % K:
+            raise ValueError(f"{T} terms are not (input, tap) pairs of {K} taps")
         runs = coef.any(axis=-1)  # (S, V, T): the terms that run
-        # the inputs each distinct tap amount rotates: some pair at one of its taps is read
-        reads = runs.any(axis=(0, 1)).reshape(T // len(taps), len(taps))
-        distinct = list(dict.fromkeys(taps))
-        member = np.array(taps)[:, None] == np.array(distinct)  # (K, distinct amounts)
-        rotated = ((reads @ member) > 0).sum(axis=0) * (np.array(distinct) != 0)
-        steps, self.has_terms = _giant_step_counts(amounts % N, runs.sum(axis=-1))
-        self._count((_TAP, distinct, rotated[:, None]), (_GIANT_STEP, (amounts % N).tolist(), steps))
-        # (T, n1 or 1, n2): a factor the same in every block is kept once
+        distinct, _, rotated = _input_rotations(taps, runs.any(axis=(0, 1)).reshape(T // K, K).T)
+        steps, self.has_terms = _giant_step_counts(amounts, runs.sum(axis=-1))
+        self._count((_TAP, distinct, rotated[:, None]), (_GIANT_STEP, amounts.tolist(), steps))
+        # (inputs, K, n1 or 1, n2): a factor the same in every block is kept once
         vec = np.asarray(vec, dtype=np.float64)
         vec = vec.reshape((1,) * (3 - vec.ndim) + vec.shape)
-        vec = np.broadcast_to(vec, (T, vec.shape[1], n2))
-        nonzero = np.flatnonzero(vec.any(axis=(0, 1)))
-        step = int(np.gcd.reduce(np.diff(nonzero))) if len(nonzero) > 1 else 1
-        self.live = slice(int(nonzero[0]), int(nonzero[-1]) + 1, step) if len(nonzero) else slice(0)
-        vec = vec[..., self.live].reshape(T // len(taps), len(taps), vec.shape[1], len(range(n2)[self.live]))
-        self.scaled, self.vec = _scaled_columns(vec)
+        vec = np.broadcast_to(vec, (T, vec.shape[1], n2)).reshape(T // K, K, vec.shape[1], n2)
+        self.live = _live_run(vec)
+        self.scaled, self.vec = _scaled_columns(vec[..., self.live])
         self.grid, self.slot_count = (int(n1), int(n2)), int(N)
-        self.taps, self.amounts = taps, amounts % N
-        self.rows, self.terms, self.inputs = V, T, T // len(taps)
-        self.coef, self.matrix = coef, mat.reshape(V * n1, T * n1)
-        for arr in (self.amounts, self.coef, self.matrix, self.vec, self.scaled, self.has_terms):
+        self.taps, self.rows, self.inputs = taps, V, T // K
+        for arr in (self.vec, self.scaled, self.has_terms):
             if arr is not None:
                 arr.flags.writeable = False
 
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count)
-        sources, written to ``out`` when given: source sets in chunks whose
-        tap-rotated terms stay under ``_CHUNK_BYTES`` (at least one set)."""
+        sources: source sets in chunks whose tap-rotated terms stay under
+        ``_CHUNK_BYTES`` (at least one set)."""
         U, I, N = x.shape
-        if out is None:
-            out = np.empty((U, self.rows, N))
+        out = np.empty((U, self.rows, N))
         size = max(1, _CHUNK_BYTES // (I * len(self.taps) * N * 8))
         for u in range(0, U, size):
             self._product(x[u : u + size], out[u : u + size])
         return out
 
     def _product(self, x: np.ndarray, out: np.ndarray) -> None:
-        """One chunk: one ``matmul`` of the matrix broadcast over its sets."""
+        """One chunk: one ``matmul`` of the matrix broadcast over its sets,
+        by z[u, i, k], input i of set u rotated by tap k (a window of the
+        inputs wrapped the nearer way round) at the live positions."""
         U, I, N = x.shape
         n1, n2 = self.grid
-        K = len(self.taps)
         L = len(range(n2)[self.live])
-        if self.taps == (0,) and L == n2 and self.vec is None:  # the sources are the terms
-            z = x
-        else:
-            # z[u, i, k] is input i of set u rotated by tap k, at the live
-            # positions: columns (term, source block), like the operator's.
-            # Each tap reads a window of the inputs wrapped the nearer way round.
-            reach = [a - N if a > N // 2 else a for a in self.taps]
-            pre, post = max(0, -min(reach)), max(0, max(reach))
-            wrapped = np.concatenate((x[..., N - pre :], x, x[..., :post]), axis=-1)
-            z = np.empty((U, I, K, n1, L))
-            for k, a in enumerate(reach):
-                z[:, :, k] = wrapped[..., pre + a : pre + a + N].reshape(U, I, n1, n2)[..., self.live]
-            if self.vec is not None:
-                z[..., self.scaled] *= self.vec
+        reach = [a - N if a > N // 2 else a for a in self.taps]
+        pre, post = max(0, -min(reach)), max(0, max(reach))
+        wrapped = np.concatenate((x[..., N - pre :], x, x[..., :post]), axis=-1)
+        z = np.empty((U, I, len(reach), n1, L))
+        for k, a in enumerate(reach):
+            z[:, :, k] = wrapped[..., pre + a : pre + a + N].reshape(U, I, n1, n2)[..., self.live]
+        if self.vec is not None:
+            z[..., self.scaled] *= self.vec
         blocks = out.reshape(U, self.rows * n1, n2)
         if L == n2:
-            np.matmul(self.matrix, z.reshape(U, self.terms * n1, L), out=blocks)
+            np.matmul(self.matrix, z.reshape(U, -1, L), out=blocks)
         else:
             blocks[...] = 0.0
-            blocks[..., self.live] = self.matrix @ z.reshape(U, self.terms * n1, L)
+            blocks[..., self.live] = self.matrix @ z.reshape(U, -1, L)
 
 
 class Mixed(_Counted):
-    """A shared ``BlockCirculant`` applied to linear mixes of the inputs of
-    one layer: the factored form of a fold whose coefficients are sums of
-    products, such as an AMA spatial conv's sum over partitions p of
-    N_p[k, j] * W_p[c, o].
+    """The block-circulant product of ``BlockCirculant``, with the single
+    tap 0, applied to linear mixes of the inputs of one layer: the factored
+    form of a fold whose coefficients are sums of products, such as an AMA
+    spatial conv's sum over partitions p of N_p[k, j] * W_p[c, o].
 
-    ``op`` has the single tap 0 and T = P * G terms (part, group).  A
-    source set is ``units`` * G inputs (unit, group).  Output set k of
-    ``reads.shape[0]`` reads M units, ``reads`` (sets, M), and ``mix``
-    (sets, P, M) holds the scalar of each of its (part, piece); ``op`` is
-    applied to its P * G mixes
+    ``amounts``, ``coef`` (S, V, P * G, n1) and ``grid`` are those of a
+    ``BlockCirculant`` whose T = P * G terms are (part, group); ``matrix``
+    is its block-circulant matrix (``_block_circulant``).  A source set is
+    ``units`` * G inputs (unit, group).  Output set k of ``reads.shape[0]``
+    reads M units, ``reads`` (sets, M), and ``mix`` (sets, P, M) holds the
+    scalar of each of its (part, piece); its P * G mixes
 
         y[k, p, g] = sum over m of  mix[k, p, m] * src[(reads[k, m], g)]
 
-    and the result is the ``sets`` * V rows of every source set, set-major.
-    ``apply`` gathers and mixes the output sets in chunks whose gathered
-    inputs stay under ``_CHUNK_BYTES`` (at least one set).
+    are multiplied by ``matrix``, and the result is the ``sets`` * V rows
+    of every source set, set-major.  ``apply`` gathers and mixes the output
+    sets, and multiplies the mixes, in chunks whose gathered inputs stay
+    under ``_CHUNK_BYTES`` (at least one set).
 
     The counts are those of the fold the mix stands for, one ciphertext at
     a time, whose terms are the (piece, group) inputs: term (m, g) of set k
     has, at step s, row v and block b, the combined coefficient
 
-        sum over p of  mix[k, p, m] * op.coef[s, v, (p, g), b]
+        sum over p of  mix[k, p, m] * coef[s, v, (p, g), b]
 
-    summed in the order of p, and runs when that is not zero at some block;
-    a sum that cancels runs nothing.  The combined coefficients depend on
-    the (set, piece) only through its vector of P mix entries, so they are
-    worked out once per distinct vector (a few on a skeleton), without the
-    (steps, sets, rows, pieces, groups, blocks) table.  ``records``,
-    ``histogram`` and ``has_terms`` are those of a ``BlockCirculant`` of the
-    combined table whose rows are all output sets' rows, ``rows`` = sets *
-    V, serving every source set.
+    which runs when it is not zero at some block (``_merge_parts``, once
+    per distinct vector of P mix entries, without the (steps, sets, rows,
+    pieces, groups, blocks) table).  ``records``, ``histogram`` and
+    ``has_terms`` are those of a ``BlockCirculant`` of the combined table
+    whose rows are all output sets' rows, ``rows`` = sets * V, serving
+    every source set.
     """
 
-    __slots__ = ("op", "mix", "reads", "slot_count", "units", "rows", "inputs", "has_terms")
+    __slots__ = ("grid", "slot_count", "matrix", "mix", "reads", "units", "rows", "inputs", "has_terms")
 
-    def __init__(self, op: BlockCirculant, mix, reads, units: int):
+    def __init__(self, amounts, coef, grid, mix, reads, units: int):
+        n1, n2 = grid
+        amounts, coef, self.matrix = _block_circulant(amounts, coef, grid)
         mix = np.array(mix, dtype=np.float64)
         reads = np.array(reads, dtype=np.int64)
-        S, V, T, n1 = op.coef.shape
-        if op.taps != (0,) or mix.ndim != 3 or T % mix.shape[1]:
-            raise ValueError(f"mix of shape {mix.shape} does not fit an operator of {T} terms and taps {op.taps}")
+        S, V, T = coef.shape[:3]
+        if mix.ndim != 3 or T % mix.shape[1]:
+            raise ValueError(f"mix of shape {mix.shape} does not fit an operator of {T} terms")
         sets, P, M = mix.shape
         if reads.shape != (sets, M) or reads.size and not 0 <= reads.min() <= reads.max() < units:
             raise ValueError(f"reads of shape {reads.shape} do not fit a mix of shape {mix.shape} over {units} units")
         G = T // P
-        w = op.coef.reshape(S, V, P, G, n1)
-        vectors, which = np.unique(mix.transpose(0, 2, 1).reshape(sets * M, P), axis=0, return_inverse=True)
-        combined = np.zeros((len(vectors), S, V, G, n1))
-        for p in np.flatnonzero(vectors.any(axis=0)):  # a part no set reads adds only zeros
-            combined += vectors[:, p, None, None, None, None] * w[None, :, :, p]
+        slabs = coef.reshape(S, V, P, G, n1).transpose(2, 0, 1, 3, 4)
+        which, combined = _merge_parts(mix.transpose(0, 2, 1).reshape(sets * M, P), slabs)
         runs = combined.any(axis=-1).sum(axis=-1)  # (vectors, S, V): the groups each runs
         # hits[k, q]: the pieces of set k with vector q
-        hits = np.bincount(np.arange(sets * M) // M * len(vectors) + which.reshape(-1), minlength=sets * len(vectors))
-        terms = hits.reshape(sets, -1) @ runs.reshape(len(vectors), S * V)
-        steps, self.has_terms = _giant_step_counts(op.amounts, terms.reshape(sets, S, V).transpose(1, 0, 2).reshape(S, sets * V))
-        self._count((_GIANT_STEP, op.amounts.tolist(), steps))
-        self.op, self.mix, self.reads, self.slot_count = op, mix, reads, op.slot_count
+        hits = np.bincount(np.arange(sets * M) // M * len(combined) + which, minlength=sets * len(combined))
+        terms = hits.reshape(sets, -1) @ runs.reshape(len(combined), S * V)
+        steps, self.has_terms = _giant_step_counts(amounts, terms.reshape(sets, S, V).transpose(1, 0, 2).reshape(S, sets * V))
+        self._count((_GIANT_STEP, amounts.tolist(), steps))
+        self.grid, self.slot_count = (int(n1), int(n2)), int(n1 * n2)
+        self.mix, self.reads = mix, reads
         self.units, self.rows, self.inputs = int(units), sets * V, int(units) * G
         for arr in (self.mix, self.reads, self.has_terms):
             arr.flags.writeable = False
@@ -565,18 +583,19 @@ class Mixed(_Counted):
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count) sources."""
         U, _, N = x.shape
-        sets, P, M = self.mix.shape
-        G, V = self.inputs // self.units, self.op.rows
+        sets, _, M = self.mix.shape
+        n2 = self.grid[1]
+        G = self.inputs // self.units
         units = x.reshape(U, self.units, G, N)
-        out = np.empty((U, sets, V, N))
+        out = np.empty((U, sets, len(self.matrix), n2))
         size = max(1, _CHUNK_BYTES // (M * G * N * 8))
         for u in range(U):
             for k in range(0, sets, size):
                 ks = slice(k, k + size)
                 src = units[u, self.reads[ks]]  # (sets, M, G, N)
                 mixed = self.mix[ks] @ src.reshape(len(src), M, G * N)
-                self.op.apply(mixed.reshape(len(src), P * G, N), out[u, ks])
-        return out.reshape(U, sets * V, N)
+                np.matmul(self.matrix, mixed.reshape(len(src), -1, n2), out=out[u, ks])
+        return out.reshape(U, self.rows, N)
 
 
 class Diagonals(_Counted):
@@ -634,9 +653,7 @@ class Diagonals(_Counted):
         distinct, counts, self.has_terms = _diagonal_counts(amounts, coef != 0)
         self._count((_DIAGONAL, distinct, counts))
         vec = np.broadcast_to(np.asarray(vec, dtype=np.float64), (S, C, n1)).reshape(S * C, n1)
-        kept = np.flatnonzero(vec.any(axis=0))
-        step = int(np.gcd.reduce(np.diff(kept))) if len(kept) > 1 else 1
-        self.frames = slice(int(kept[0]), int(kept[-1]) + 1, step) if len(kept) else slice(0)
+        self.frames = _live_run(vec)
         self.scaled, self.vec = _scaled_columns(vec[:, self.frames])
         self.grid, self.slot_count = (int(n1), int(n2)), N
         self.rows, self.inputs = V, C
@@ -707,7 +724,7 @@ class MixedDiagonals(_Counted):
     zero at some joint, so a sum that cancels exactly runs nothing.  They
     are worked out in one pass over the live (diagonal, joint) entries,
     where some part is nonzero, from the distinct vectors of part entries
-    they carry (a few on a skeleton), without building any per-diagonal
+    they carry (``_merge_parts``), without building any per-diagonal
     table.
     """
 
@@ -722,7 +739,7 @@ class MixedDiagonals(_Counted):
         parts = np.asarray(parts, dtype=np.float64)
         if weights.ndim != 3 or not len(weights) or parts.shape != (len(weights), n2, n2):
             raise ValueError(f"weights of shape {weights.shape} and parts of shape {parts.shape} are not (P, inputs, rows) and (P, {n2}, {n2})")
-        P, C, V = weights.shape
+        C, V = weights.shape[1:]
         offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
         # the live (diagonal, joint k) entries: k + d inside the row and some part nonzero there
         reads = np.arange(n2) + offsets[:, None]
@@ -731,14 +748,10 @@ class MixedDiagonals(_Counted):
         n = parts[:, k, j]
         live = n.any(axis=0)
         d, k, j, n = d[live], k[live], j[live], n[:, live]
-        # merged coefficients of each distinct part vector, summed in the order of p
-        vectors, which = np.unique(n.T, axis=0, return_inverse=True)
-        merged = vectors[:, 0, None, None] * weights[0]
-        for p in range(1, P):
-            merged += vectors[:, p, None, None] * weights[p]
-        hits = np.zeros((len(offsets), len(vectors)))  # the vectors each diagonal's entries carry
-        hits[d, which.reshape(-1)] = 1.0
-        runs = (hits @ (merged != 0).reshape(len(vectors), C * V)).reshape(len(offsets), C, V) > 0
+        which, merged = _merge_parts(n.T, weights)
+        hits = np.zeros((len(offsets), len(merged)))  # the vectors each diagonal's entries carry
+        hits[d, which] = 1.0
+        runs = (hits @ (merged != 0).reshape(len(merged), C * V)).reshape(len(offsets), C, V) > 0
         distinct, counts, self.has_terms = _diagonal_counts((offsets % N).tolist(), runs)
         self._count((_DIAGONAL, distinct, counts))
         mix = np.zeros_like(parts)

@@ -291,19 +291,21 @@ def test_criterion_08_batch_amortization():
 
 
 def test_criterion_09_decomposition_properties():
+    from test_adjacency import pieces_dense
+
     start = time.time()
     rng = np.random.default_rng(99)
     for _ in range(1000):
         J = int(rng.integers(1, 12))
         density = rng.uniform(0.05, 1.0)
         M = np.where(rng.uniform(size=(J, J)) < density, rng.uniform(0.5, 2.0, (J, J)), 0.0)
-        pieces = decompose(M)
+        pieces = pieces_dense(M, decompose(M))
         hot = np.abs(M) > 1e-12
         assert len(pieces) == int(hot.sum(axis=0).max())
-        recon = sum((p.to_dense() for p in pieces), np.zeros((J, J)))
+        recon = sum(pieces, np.zeros((J, J)))
         np.testing.assert_array_equal(recon, M)
         for p in pieces:
-            assert ((np.abs(p.to_dense()) > 0).sum(axis=0) <= 1).all()
+            assert ((np.abs(p) > 0).sum(axis=0) <= 1).all()
     elapsed = time.time() - start
     assert elapsed <= 30, f"criterion 9 took {elapsed:.0f}s (budget 30s)"
     report(9, "patterned decomposition properties (1000 matrices)")

@@ -57,6 +57,15 @@ class TestNormalize:
         np.testing.assert_allclose(normalize(a) @ np.ones(5), d @ at @ d @ np.ones(5))
 
 
+def pieces_dense(M, rows):
+    """The (m, J, J) dense pieces of M whose piece rows ``decompose`` returned."""
+    M = np.asarray(M, dtype=np.float64)
+    dense = np.zeros((len(rows),) + M.shape)
+    i, k = np.nonzero(rows >= 0)
+    dense[i, rows[i, k], k] = M[rows[i, k], k]
+    return dense
+
+
 class TestDecompose:
     def test_reference_sparse_example(self):
         # 4x4 with nonzeros at (1,1),(1,3),(1,4),(2,3),(3,2),(4,1),(4,2),(4,4)
@@ -65,32 +74,31 @@ class TestDecompose:
         M = np.zeros((4, 4))
         for i, j in [(1, 1), (1, 3), (1, 4), (2, 3), (3, 2), (4, 1), (4, 2), (4, 4)]:
             M[i - 1, j - 1] = 10 * i + j
-        pieces = decompose(M)
-        assert len(pieces) == 2
-        assert (pieces[0].rows[0], pieces[0].values[0]) == (0, 11.0)
-        assert (pieces[1].rows[0], pieces[1].values[0]) == (3, 41.0)
-        np.testing.assert_array_equal(sum(p.to_dense() for p in pieces), M)
+        rows = decompose(M)
+        assert len(rows) == 2
+        assert (rows[0, 0], M[rows[0, 0], 0]) == (0, 11.0)
+        assert (rows[1, 0], M[rows[1, 0], 0]) == (3, 41.0)
+        np.testing.assert_array_equal(pieces_dense(M, rows).sum(axis=0), M)
 
     def test_identity(self):
-        pieces = decompose(np.eye(4))
+        pieces = pieces_dense(np.eye(4), decompose(np.eye(4)))
         assert len(pieces) == 1
-        np.testing.assert_array_equal(pieces[0].to_dense(), np.eye(4))
+        np.testing.assert_array_equal(pieces[0], np.eye(4))
 
     def test_dense_reconstruction(self):
         rng = np.random.default_rng(1)
         M = rng.uniform(0.5, 1.5, (6, 6))
-        pieces = decompose(M)
+        pieces = pieces_dense(M, decompose(M))
         assert len(pieces) == 6
-        np.testing.assert_array_equal(sum(p.to_dense() for p in pieces), M)
+        np.testing.assert_array_equal(pieces.sum(axis=0), M)
 
     def test_zero_matrix(self):
-        assert decompose(np.zeros((3, 3))) == []
+        assert decompose(np.zeros((3, 3))).shape == (0, 3)
 
     def test_column_assignment_sorted_by_row(self):
         M = np.zeros((5, 5))
         M[[4, 1, 3], 2] = [1.0, 2.0, 3.0]
-        pieces = decompose(M)
-        assert [p.rows[2] for p in pieces] == [1, 3, 4]
+        assert decompose(M)[:, 2].tolist() == [1, 3, 4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,13 +108,13 @@ def test_decompose_properties_random(seed):
     J = int(rng.integers(1, 10))
     density = rng.uniform(0.05, 1.0)
     M = np.where(rng.uniform(size=(J, J)) < density, rng.uniform(0.5, 2.0, (J, J)), 0.0)
-    pieces = decompose(M)
+    pieces = pieces_dense(M, decompose(M))
     hot = np.abs(M) > 1e-12
     assert len(pieces) == hot.sum(axis=0).max()
-    recon = sum((p.to_dense() for p in pieces), np.zeros((J, J)))
+    recon = sum(pieces, np.zeros((J, J)))
     np.testing.assert_array_equal(recon, M)
     for p in pieces:
-        dense_hot = np.abs(p.to_dense()) > 0
+        dense_hot = np.abs(p) > 0
         assert dense_hot.sum(axis=0).max(initial=0) <= 1
 
 

@@ -61,6 +61,26 @@ class TestInfer:
                    "--out", str(tmp_path / "run")])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (np.random.default_rng(0).bytes(256), "could not read input tensor"),
+            (b'{"dtype": "f64", "order": "bctj"}\n', "'dims'"),
+            (b'{"dtype": "f64", "order": "bctj", "dims": [1, 2, 8, 4]}\n', "tensor payload is 0 bytes, expected 512"),
+        ],
+        ids=["random-bytes", "header-without-dims", "short-payload"],
+    )
+    def test_unreadable_input_exits_2(self, model_path, tmp_path, capsys, content, message):
+        """A tensor file that cannot be read is refused as an unreadable
+        model is, before any run."""
+        tensor = tmp_path / "x.tensor"
+        tensor.write_bytes(content)
+        out = tmp_path / "run"
+        rc = main(["infer", "--model", model_path, "--input", str(tensor), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_exits_2(self, tmp_path):
         rc = main(["infer", "--model", str(tmp_path / "nope.json"), "--seed", "1",
                    "--out", str(tmp_path / "o")])
@@ -161,6 +181,11 @@ class TestParams:
     def test_impossible_exits_4(self):
         assert main(["params", "--levels", "1000"]) == EXIT_PARAMS
 
+    @pytest.mark.parametrize("levels", ["0", "-3"])
+    def test_levels_below_one_exit_2(self, capsys, levels):
+        assert main(["params", "--levels", levels]) == EXIT_CONFIG
+        assert "--levels must be at least 1" in capsys.readouterr().err
+
 
 class TestPrune:
     def stub(self, tmp_path):
@@ -196,6 +221,19 @@ class TestPrune:
         rc = main(["prune", "--model", model_path, "--stub", str(path), "--max-prune", "1"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("past", [-1, 1], ids=["negative", "past-the-activations"])
+    def test_max_prune_out_of_range_exits_2(self, model_path, tmp_path, capsys, past):
+        """``--max-prune`` lies in 0..(the model's activations); outside
+        it the search is refused before it evaluates anything."""
+        activations = len(ModelSpec.from_json_file(model_path).activation_indices())
+        max_prune = -1 if past < 0 else activations + 1
+        out = tmp_path / "p"
+        rc = main(["prune", "--model", model_path, "--stub", self.stub(tmp_path),
+                   "--max-prune", str(max_prune), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert f"--max-prune must lie in 0..{activations}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompareAndHoc:
     def test_compare_emits_reductions_and_sweep(self, model_path, tmp_path):
@@ -212,6 +250,16 @@ class TestCompareAndHoc:
         with open(out / "amortized.csv") as fp:
             rows = list(csv.DictReader(fp))
         assert {r["format"] for r in rows} == {"ama", "rowmajor"}
+
+    @pytest.mark.parametrize("batch", ["x", "0", "-2", "1,,2", "2,0"])
+    def test_batch_must_be_positive_integers(self, model_path, tmp_path, capsys, batch):
+        """``--batch`` is a comma list of positive integers, checked before
+        any count."""
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--model", model_path, "--batch", batch, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "--batch must be a comma list of positive integers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identical_formats_reduce_zero_percent(self, model_path, tmp_path):
         out = tmp_path / "same"

@@ -202,9 +202,10 @@ def test_rowmajor_spatial_builds_no_per_diagonal_table(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["acceptance", "ragged-k3-stride2"])
 def test_ama_builds_one_block_circulant_per_linear_layer(monkeypatch, case):
-    """Every AMA linear layer is one ``hesim.BlockCirculant``: one per conv
-    layer (a spatial one inside its ``hesim.Mixed``) and one for the
-    classifier head.  Every gate still holds."""
+    """Every AMA linear layer is one operator: a ``hesim.BlockCirculant``
+    per temporal conv and for the classifier head, and a ``hesim.Mixed``
+    per spatial conv, which builds no ``BlockCirculant``.  Every gate still
+    holds."""
     built = {"BlockCirculant": 0, "Mixed": 0}
 
     def counted(name):
@@ -221,7 +222,7 @@ def test_ama_builds_one_block_circulant_per_linear_layer(monkeypatch, case):
         monkeypatch.setattr(hesim, name, counted(name))
     check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), AMA, slot_count)
     assert built == {
-        "BlockCirculant": sum(isinstance(layer, (SpatialConv, TemporalConv, FullyConnected)) for layer in spec.layers),
+        "BlockCirculant": sum(isinstance(layer, (TemporalConv, FullyConnected)) for layer in spec.layers),
         "Mixed": sum(isinstance(layer, SpatialConv) for layer in spec.layers),
     }
 

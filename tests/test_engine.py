@@ -169,7 +169,7 @@ class TestSpatial:
         lin = fm.layout
         lout = engine.packing.ama_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
         amounts, out_chan, c_read, serves = engine._giant_steps(lin, lout)
-        reads = np.array([p.rows for p in decompose(merged.pattern.T)]).T
+        reads = decompose(merged.pattern.T).T
         G, H, cap = lin.cts_per_joint, lout.cts_per_joint, lin.capacity
         for k in range(lin.J):
             jin = reads[k][None, None, :, None, None]
@@ -212,11 +212,11 @@ class TestSpatial:
         assert counter.layer("s")["pmult"] < uncancelled.layer("s")["pmult"]
 
     def test_ama_builds_one_operator_per_layer(self, monkeypatch):
-        """The layer is one ``Mixed`` around one block-circulant operator,
-        applied by one fold: every chunk of output joints mixes its inputs
-        and applies that operator, and none is built per joint."""
+        """The layer is one ``Mixed``, applied by one fold: every chunk of
+        output joints mixes its inputs and multiplies the mixes by the
+        operator's one block-circulant matrix, and none is built per joint."""
         built, applied, chunks = [], [], []
-        build, apply, product = hesim.BlockCirculant, SimContext.fold_steps, hesim.BlockCirculant.apply
+        build, apply, matmul = hesim.Mixed, SimContext.fold_steps, np.matmul
 
         def counted_build(*args):
             built.append(build(*args))
@@ -226,21 +226,46 @@ class TestSpatial:
             applied.append(op)
             return apply(ctx, src, op, bias)
 
-        def counted_product(op, x, out=None):
-            chunks.append((op, len(x)))
-            return product(op, x, out)
+        def counted_matmul(a, b, **kwargs):
+            chunks.append((a, len(b)))
+            return matmul(a, b, **kwargs)
 
-        monkeypatch.setattr(hesim.BlockCirculant, "apply", counted_product)
-        monkeypatch.setattr(hesim, "BlockCirculant", counted_build)
+        monkeypatch.setattr(hesim, "Mixed", counted_build)
         monkeypatch.setattr(SimContext, "fold_steps", counted_apply)
         monkeypatch.setattr(hesim, "_CHUNK_BYTES", 1)  # one output joint per chunk
         merged = self.cancelling_layer()
         x = GraphTensor.random((1, 5, 4, 4), seed=24)
         ctx = SimContext(16, max_level=1)
+        fm = packed(x, ctx, AMA)
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", counted_matmul)
+            out = ama_spatial(fm, merged)
+        np.testing.assert_allclose(unpack(out, AMA), merged.apply(x.data), atol=1e-12)
+        assert len(built) == 1 and len(applied) == 1 and applied[0] is built[0]
+        assert [(a is built[0].matrix, n) for a, n in chunks] == [(True, 1)] * x.dims[3]
+
+    def test_ama_counts_the_giant_steps_once_and_builds_no_block_circulant(self, monkeypatch):
+        """The layer's ``Mixed`` owns its block-circulant product: building
+        the layer works out the giant-step counts once, those of the merged
+        coefficients, and constructs no ``BlockCirculant``."""
+        calls = []
+        counts = hesim._giant_step_counts
+
+        def counted(*args):
+            calls.append(args)
+            return counts(*args)
+
+        def block_circulant(*args, **kwargs):
+            raise AssertionError("the AMA spatial layer built a hesim.BlockCirculant")
+
+        monkeypatch.setattr(hesim, "_giant_step_counts", counted)
+        monkeypatch.setattr(hesim, "BlockCirculant", block_circulant)
+        merged = self.cancelling_layer()
+        x = GraphTensor.random((1, 5, 4, 4), seed=24)
+        ctx = SimContext(16, max_level=1)
         out = ama_spatial(packed(x, ctx, AMA), merged)
         np.testing.assert_allclose(unpack(out, AMA), merged.apply(x.data), atol=1e-12)
-        assert len(built) == 1 and len(applied) == 1 and applied[0].op is built[0]
-        assert chunks == [(built[0], 1)] * x.dims[3]
+        assert len(calls) == 1
 
     def test_level_exhausted(self):
         merged = MergedSpatialMatrix.from_dense(np.eye(4)[None, None], np.zeros(1))
@@ -789,7 +814,7 @@ class TestSkipRules:
 
     def test_ama_spatial_zero_channel_and_joint_without_pieces(self):
         merged = self.spatial()
-        assert (decompose(merged.pattern.T)[0].rows == [0, 0, -1]).all()
+        assert decompose(merged.pattern.T)[0].tolist() == [0, 0, -1]
         x, got, counts, zeros = self.run(AMA, ama_spatial, merged)
         np.testing.assert_allclose(got, merged.apply(x), atol=1e-12)
         # joints 0 and 1 into channel 0: 3 pieces x 2 input groups

@@ -758,7 +758,7 @@ class TestMixed:
         vals = np.random.default_rng(20).uniform(-1, 1, (self.U * self.M * self.G, 32))
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
         units = self.M * len(mix)
-        op = Mixed(BlockCirculant(self.AMOUNTS, coef, grid), mix, np.arange(units).reshape(len(mix), self.M), units)
+        op = Mixed(self.AMOUNTS, coef, grid, mix, np.arange(units).reshape(len(mix), self.M), units)
         assert op.inputs == units * self.G and op.rows == len(mix) * self.V
         want_op = BlockCirculant(self.AMOUNTS, combined, grid)
         with c.layer("mixed"):
@@ -772,29 +772,26 @@ class TestMixed:
 
     def test_a_mix_of_zeros_runs_nothing(self):
         coef, _ = self.operands(1, shared=True)
-        op = Mixed(BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), np.zeros((2, 1, self.M)), np.zeros((2, self.M)), 1)
+        op = Mixed(self.AMOUNTS, coef, (self.N1, self.N2), np.zeros((2, 1, self.M)), np.zeros((2, self.M)), 1)
         assert op.histogram == {} and op.records == () and not op.has_terms.any()
 
     @pytest.mark.parametrize(
-        "taps, rows, mix_shape",
+        "rows, mix_shape",
         [
-            ((0, 3), 1, (2, 1, 3)),  # an operator with taps
-            ((0,), 2, (2, 1, 1, 3)),  # not (sets, parts, pieces), for an operator of 2 rows
-            ((0,), 1, (2, 3, 3)),  # 2 terms are not parts of 3
-            ((0,), 1, (1, 3)),  # not (sets, parts, pieces)
+            (2, (2, 1, 1, 3)),  # not (sets, parts, pieces), for an operator of 2 rows
+            (1, (2, 3, 3)),  # 2 terms are not parts of 3
+            (1, (1, 3)),  # not (sets, parts, pieces)
         ],
     )
-    def test_typed_errors(self, taps, rows, mix_shape):
-        op = BlockCirculant([0], np.ones((1, rows, 2, 4)), (4, 8), taps)
+    def test_typed_errors(self, rows, mix_shape):
         with pytest.raises(ValueError, match="does not fit"):
-            Mixed(op, np.ones(mix_shape), np.zeros((mix_shape[0], mix_shape[-1])), 1)
+            Mixed([0], np.ones((1, rows, 2, 4)), (4, 8), np.ones(mix_shape), np.zeros((mix_shape[0], mix_shape[-1])), 1)
 
     @pytest.mark.parametrize("reads, units", [(np.zeros((2, 2)), 1), (np.zeros((1, 3)), 1), (np.full((2, 3), 2), 2), (np.full((2, 3), -1), 2)])
     def test_reads_must_fit(self, reads, units):
         """One read per (output set, piece), each a unit of the source."""
-        op = BlockCirculant([0], np.ones((1, 1, 2, 4)), (4, 8))
         with pytest.raises(ValueError, match="do not fit"):
-            Mixed(op, np.ones((2, 1, 3)), reads, units)
+            Mixed([0], np.ones((1, 1, 2, 4)), (4, 8), np.ones((2, 1, 3)), reads, units)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
     def test_chunks_of_output_sets_change_nothing(self, monkeypatch, chunk_bytes):
@@ -807,7 +804,7 @@ class TestMixed:
         for size in (chunk_bytes, hesim._CHUNK_BYTES):
             monkeypatch.setattr(hesim, "_CHUNK_BYTES", size)
             c = ctx(slots=32, levels=3, log_ops=True)
-            op = Mixed(BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2)), mix, reads, self.U * self.M)
+            op = Mixed(self.AMOUNTS, coef, (self.N1, self.N2), mix, reads, self.U * self.M)
             out = c.fold_steps(c.encrypt(vals), op)
             runs.append((out.slots, op.has_terms, c.counter, c.oplog))
         (got, got_terms, counter, log), (want, want_terms, want_counter, want_log) = runs
