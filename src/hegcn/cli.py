@@ -29,7 +29,7 @@ import numpy as np
 from hegcn import costmodel, engine, packing, prune
 from hegcn.costmodel import HocFormulaInput, ParamSelectionError
 from hegcn.engine import DepthBudgetError
-from hegcn.hesim import OPS, SCALE_BITS
+from hegcn.hesim import HOC_OPS, OPS, SCALE_BITS
 from hegcn.model import FullyConnected, ModelSpec, SpatialConv, TemporalConv
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor, PackingError
 
@@ -61,6 +61,8 @@ def _require_head(spec: ModelSpec) -> None:
 def _load_input(spec: ModelSpec, args) -> GraphTensor:
     if bool(args.input) == (args.seed is not None):
         raise ConfigError("need exactly one of --input or --seed")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.input:
         if not os.path.exists(args.input):
             raise ConfigError(f"input tensor not found: {args.input}")
@@ -96,6 +98,15 @@ def _write_hoc_csv(out, counts) -> None:
     )
 
 
+def _check_layout(what: str, dims, slot: int, fmt: str) -> None:
+    """The ``fmt`` packing of a (B, C, T, J) tensor ``dims`` fits ``slot``
+    slots; else a ``ConfigError`` that names ``what`` does not fit."""
+    try:
+        (packing.ama_layout if fmt == AMA else packing.rowmajor_layout)(dims, slot)
+    except PackingError as exc:
+        raise ConfigError(f"{what} does not fit the {fmt} packing: {exc}") from exc
+
+
 def _check_slot_count(spec: ModelSpec, slot: int | None, formats) -> None:
     """A ``--slot-count`` that was given is a power of two whose ring holds
     the input layout of every packing in ``formats``."""
@@ -104,10 +115,7 @@ def _check_slot_count(spec: ModelSpec, slot: int | None, formats) -> None:
     if slot < 1 or slot & (slot - 1):
         raise ConfigError(f"--slot-count {slot} is not a power of two")
     for fmt in formats:  # every layer keeps the input's (B, T, J), so its layout decides
-        try:
-            (packing.ama_layout if fmt == AMA else packing.rowmajor_layout)(spec.input_dims, slot)
-        except PackingError as exc:
-            raise ConfigError(f"--slot-count {slot} does not fit the {fmt} packing: {exc}") from exc
+        _check_layout(f"--slot-count {slot}", spec.input_dims, slot, fmt)
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +205,11 @@ def cmd_compare(args) -> int:
     if not all(b.strip().isdecimal() and int(b) > 0 for b in parts):
         raise ConfigError(f"--batch must be a comma list of positive integers, got {args.batch!r}")
     batches = [int(b) for b in parts]
-    os.makedirs(args.out, exist_ok=True)
     slot = args.slot_count or engine.default_slot_count(spec.input_dims)
+    _, C, T, J = spec.input_dims
+    for b in batches:  # the row-major layout holds (T, J), the same at every batch
+        _check_layout(f"--batch {b}", (b, C, T, J), slot, AMA)
+    os.makedirs(args.out, exist_ok=True)
 
     ama = costmodel.totals_of(costmodel.analytic_layer_counts(spec, AMA, slot))
     rm = costmodel.totals_of(costmodel.analytic_layer_counts(spec, ROWMAJOR, slot))
@@ -233,7 +244,6 @@ def cmd_compare(args) -> int:
     }
 
     if batches:
-        B0, C, T, J = spec.input_dims
 
         def make_spec(b):
             return ModelSpec((b, C, T, J), spec.layers, name=spec.name)
@@ -245,7 +255,7 @@ def cmd_compare(args) -> int:
         summary["amortized_per_sample"] = sweep
         with open(os.path.join(args.out, "amortized.csv"), "w", newline="") as fp:
             writer = csv.DictWriter(
-                fp, fieldnames=["format", "batch", "rot", "pmult", "cmult", "add", "total"]
+                fp, fieldnames=["format", "batch", *HOC_OPS, "total"]
             )
             writer.writeheader()
             for fmt, rows in sweep.items():
@@ -264,6 +274,8 @@ def cmd_compare(args) -> int:
 def cmd_params(args) -> int:
     if args.levels < 1:
         raise ConfigError(f"--levels must be at least 1, got {args.levels}")
+    if args.scale_bits < 1:
+        raise ConfigError(f"--scale-bits must be at least 1, got {args.scale_bits}")
     try:
         params = costmodel.select_params(args.levels, args.scale_bits, args.security_bits)
     except ParamSelectionError as exc:

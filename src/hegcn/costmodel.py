@@ -25,7 +25,7 @@ import numpy as np
 
 from hegcn import packing
 from hegcn.adjacency import diagonal_offsets, fold_bn
-from hegcn.hesim import SCALE_BITS
+from hegcn.hesim import HOC_OPS, OPS, SCALE_BITS
 from hegcn.model import (
     Activation,
     FullyConnected,
@@ -208,7 +208,7 @@ def framework_hoc(method: str, inp: HocFormulaInput) -> dict[str, float]:
 
 
 def total_hoc(counts: dict[str, float]) -> float:
-    return sum(counts.get(op, 0) for op in ("rot", "pmult", "cmult", "add"))
+    return sum(counts.get(op, 0) for op in HOC_OPS)
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +216,7 @@ def total_hoc(counts: dict[str, float]) -> float:
 
 
 def _zero() -> dict[str, int]:
-    return {"rot": 0, "pmult": 0, "cmult": 0, "add": 0, "rescale": 0}
+    return dict.fromkeys(OPS, 0)
 
 
 def _folded_bias_nonzero(layer, channels: int) -> bool:
@@ -375,14 +375,13 @@ def reconcile(measured: dict[str, dict], analytic: dict[str, dict]) -> dict:
     Layers present on only one side diff against zero, so configuration
     mismatches surface instead of vanishing.
     """
-    ops = ("rot", "pmult", "cmult", "add")
     labels = sorted(set(measured) | set(analytic))
     diffs = {}
     worst = 0
     for label in labels:
         m = measured.get(label, {})
         a = analytic.get(label, {})
-        d = {op: int(m.get(op, 0)) - int(round(a.get(op, 0))) for op in ops}
+        d = {op: int(m.get(op, 0)) - int(round(a.get(op, 0))) for op in HOC_OPS}
         if any(d.values()):
             diffs[label] = d
         worst = max(worst, max(abs(v) for v in d.values()))
@@ -474,7 +473,7 @@ def amortized_sweep(make_spec, fmt: str, slot_count: int, batches) -> list[dict]
     for b in batches:
         spec = make_spec(b)
         totals = totals_of(analytic_layer_counts(spec, fmt, slot_count))
-        per_sample = {op: totals[op] / b for op in ("rot", "pmult", "cmult", "add")}
+        per_sample = {op: totals[op] / b for op in HOC_OPS}
         per_sample["total"] = sum(per_sample.values())
         rows.append({"batch": b, **per_sample})
     return rows

@@ -42,19 +42,19 @@ Both count with one per-amount rule (``_diagonal_counts``), and each rule
 two operators share is one helper (``_input_rotations``,
 ``_giant_step_counts``, ``_merge_parts``, ``_live_run``).  Each operator is
 built once per layer, holds the plaintext factors that scale its terms,
-works out its histogram of counts (by op, levels spent and rotation
-amount) from vectorized count tables when it is built and its op records
-only when they are first read, and is applied as batched matrix products
-over chunks of its sources that stay under ``_CHUNK_BYTES`` (a
-``BlockCirculant`` skips the within-block positions its factors zero).  It
-holds one set of coefficients, which serves every source set of the stack
-it is applied to: ``fold_steps`` adds its histogram, times the source
-sets, to the counter, or, with ``log_ops``, records each of its records in
-the schedule's order.  The counts are those of the schedule one ciphertext
-at a time: a rotation per input and amount some term reads, and a PMult
-per term that runs (its coefficients, for a ``Mixed`` the combined ones
-and for a ``MixedDiagonals`` the merged ones, are not all zero), with the
-Adds that sum them.
+builds its op records (op, count, levels spent and rotation amount) from
+vectorized count tables when it is built, and is applied as batched
+matrix products over chunks of its sources that stay under
+``_CHUNK_BYTES`` (a ``BlockCirculant`` skips the within-block positions
+its factors zero).  It holds one set of coefficients, which serves every
+source set of the stack it is applied to: ``fold_steps`` counts, and with
+``log_ops`` logs, its records in the schedule's order, each at the input's
+level and times the source sets, through ``SimContext._records``, the one
+path every op counts and logs through.  The counts are those of the
+schedule one ciphertext at a time: a rotation per input and amount some
+term reads, and a PMult per term that runs (its coefficients, for a
+``Mixed`` the combined ones and for a ``MixedDiagonals`` the merged ones,
+are not all zero), with the Adds that sum them.
 
 The fused epilogues do the elementwise work between the folds, each as one
 op that writes one output buffer it owns, in row chunks under
@@ -108,10 +108,13 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 64 << 20
 _TRIM_THRESHOLD = 128 << 20
 
+#: The homomorphic operations whose counts sum to the HOC total.
+HOC_OPS = ("rot", "pmult", "cmult", "add")
+
 #: Counter names, in the order they appear in reports.  Rescale is
 #: bookkeeping for the modulus chain, not a separately scheduled operation,
 #: and does not enter the homomorphic-operation-count total.
-OPS = ("rot", "pmult", "cmult", "add", "rescale")
+OPS = HOC_OPS + ("rescale",)
 
 #: Bits of the fixed-point scale: ``quantize`` rounds to the grid
 #: ``2**-SCALE_BITS``, and each level spends this many bits of modulus.
@@ -372,40 +375,23 @@ def _block_circulant(amounts, coef, grid) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 class _Counted:
-    """What a prebuilt operator counts for one source set: its
-    ``histogram``, the ciphertexts per (op, levels spent before, levels
-    spent after, rotation amount or None), worked out from per-step count
-    tables when the operator is built, and ``records``, its op log in the
-    schedule's order, expanded from the same tables only when first read.
-    Each record is (op, count, levels spent before, levels spent after,
-    extra fields); steps that count nothing write none."""
+    """What a prebuilt operator counts for one source set: ``records``, its
+    op log in the schedule's order, built with the operator.  Each record is
+    (op, count, levels spent before, levels spent after, rotation amount or
+    None); steps that count nothing write none."""
 
-    __slots__ = ("histogram", "_tables", "_records")
+    __slots__ = ("records",)
 
     def _count(self, *tables) -> None:
         """``tables`` are (layout, amounts, counts): per step one amount and
         one row of counts, one per record of the layout."""
-        hist = {}
-        for layout, amounts, counts in tables:
-            for (op, before, after, rotates), column in zip(layout, counts.T.tolist()):
-                for amount, n in zip(amounts, column) if rotates else ((None, sum(column)),):
-                    if n:
-                        key = (op, before, after, amount)
-                        hist[key] = hist.get(key, 0) + n
-        self.histogram = hist
-        self._tables, self._records = tables, None
-
-    @property
-    def records(self) -> tuple:
-        if self._records is None:
-            self._records = tuple(
-                (op, n, before, after, {"rotation_amount": a} if rotates else {})
-                for layout, amounts, counts in self._tables
-                for a, row in zip(amounts, counts.tolist())
-                for (op, before, after, rotates), n in zip(layout, row)
-                if n
-            )
-        return self._records
+        self.records = tuple(
+            (op, n, before, after, a if rotates else None)
+            for layout, amounts, counts in tables
+            for a, row in zip(amounts, counts.tolist())
+            for (op, before, after, rotates), n in zip(layout, row)
+            if n
+        )
 
 
 class BlockCirculant(_Counted):
@@ -546,10 +532,9 @@ class Mixed(_Counted):
 
     which runs when it is not zero at some block (``_merge_parts``, once
     per distinct vector of P mix entries, without the (steps, sets, rows,
-    pieces, groups, blocks) table).  ``records``, ``histogram`` and
-    ``has_terms`` are those of a ``BlockCirculant`` of the combined table
-    whose rows are all output sets' rows, ``rows`` = sets * V, serving
-    every source set.
+    pieces, groups, blocks) table).  ``records`` and ``has_terms`` are
+    those of a ``BlockCirculant`` of the combined table whose rows are all
+    output sets' rows, ``rows`` = sets * V, serving every source set.
     """
 
     __slots__ = ("grid", "slot_count", "matrix", "mix", "reads", "units", "rows", "inputs", "has_terms")
@@ -841,21 +826,27 @@ class SimContext:
         np.round(out, out=out)
         return np.divide(out, scale, out=out)
 
+    def _records(self, records) -> None:
+        """Count each record, (op, ciphertexts, level before, level after,
+        rotation amount or None), of the sequence ``records``; with
+        ``log_ops``, log each as one record.  No records leave the counter
+        as it was, without an empty histogram for the layer, as the log
+        that replays it has none."""
+        if not records:
+            return
+        self.counter.add(self._layer, (((op, before, after, amount), n) for op, n, before, after, amount in records))
+        if self.log_ops:
+            for op, n, before, after, amount in records:
+                rec = {"op": op, "layer": self._layer, "level_before": before, "level_after": after}
+                if n != 1:
+                    rec["count"] = n
+                if amount is not None:
+                    rec["rotation_amount"] = amount
+                self.oplog.append(rec)
+
     def _record(self, op: str, level_before: int, level_after: int, n: int = 1, rotation_amount: int | None = None) -> None:
         """Count ``n`` applications of ``op``; with ``log_ops``, log them as one record."""
-        self.counter.add(self._layer, (((op, level_before, level_after, rotation_amount), n),))
-        if self.log_ops:
-            rec = {
-                "op": op,
-                "layer": self._layer,
-                "level_before": level_before,
-                "level_after": level_after,
-            }
-            if n != 1:
-                rec["count"] = n
-            if rotation_amount is not None:
-                rec["rotation_amount"] = rotation_amount
-            self.oplog.append(rec)
+        self._records(((op, n, level_before, level_after, rotation_amount),))
 
     def _record_fresh(self, n: int, level: int) -> None:
         """Record what ``encrypt`` and ``mod_switch`` record for n rows
@@ -998,9 +989,9 @@ class SimContext:
         Counts what the operator's schedule, one ciphertext at a time, would:
         every rotation of an input some term reads, one PMult per term whose
         coefficients are not all zero, the Adds of each row's products, and
-        the rotations and Adds of partial sums.  The operator's histogram,
-        times U, is added to the counter; with ``log_ops`` its records are
-        recorded instead, in its order, each counting U times its count.
+        the rotations and Adds of partial sums: the operator's records, in
+        its order, each at the input's level and counting U times its count,
+        are counted and, with ``log_ops``, logged as one batch.
         Returns the (U*V, slot_count) stack; a row without terms
         (``op.has_terms``) was computed by no operation.  With ``quantize``
         the fused sum is rounded once.
@@ -1029,12 +1020,7 @@ class SimContext:
             if not bias.shape[-1] or bias.size // bias.shape[-1] != rows or bias.shape[-1] > N:
                 raise ValueError(f"bias rows of shape {bias.shape} do not fit the output of shape {(rows, N)}")
         L = src.level
-        if self.log_ops:
-            for name, n, before, after, extra in op.records:
-                self._record(name, L - before, L - after, n * U, **extra)
-        elif op.histogram:
-            shifted = (((name, L - before, L - after, amount), n * U) for (name, before, after, amount), n in op.histogram.items())
-            self.counter.add(self._layer, shifted)
+        self._records([(name, n * U, L - before, L - after, amount) for name, n, before, after, amount in op.records])
         out = op.apply(src.slots.reshape(U, op.inputs, N)).reshape(rows, N)
         if self.quantize:
             self._quantize(out, out)

@@ -11,8 +11,19 @@ A model is an ordered list of layers over a (B, C, T, J) input:
 * ``GlobalAvgPool`` -- mean over valid frames and all joints (one level);
 * ``FullyConnected`` -- class scores from pooled channels (one level).
 
-Weights can be generated from a seed or stored as a flat float64 blob next
-to the JSON manifest.
+File format: a layer class's dataclass fields are its schema.
+``to_json_file`` writes a JSON document of the layers and a flat
+little-endian float64 blob next to it.  A layer's JSON entry holds its
+``type`` (the class's ``kind``) and every field that is not an array, the
+adjacency as its own JSON; a conv with a bias says ``has_bias`` and one
+with batch norm ``bn_eps``.  Its arrays are slices of the blob named
+``layer<i>.<name>``, listed in the document's ``manifest`` (name, offset,
+shape) in the order ``weights``, ``bias``, ``bn.gamma``, ``bn.beta``,
+``bn.mean``, ``bn.var``.  ``from_json_file`` calls the class of each
+``type`` with the entry's non-array fields and the arrays of the blob, or,
+for a document that names a ``seed`` instead of a blob, arrays drawn from
+the seed; a field left out takes the class's default, and arrays are never
+read from a JSON entry.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -187,15 +198,12 @@ class ModelSpec:
     def prune_activations(self, indices) -> "ModelSpec":
         """Copy of the model with the given activation indices pruned."""
         indices = set(indices)
-        layers = []
-        act_i = 0
+        layers, act_i = [], 0
         for layer in self.layers:
             if isinstance(layer, Activation):
-                pruned = layer.pruned or act_i in indices
-                layers.append(Activation(layer.a, layer.b, layer.c, pruned))
+                layer = replace(layer, pruned=layer.pruned or act_i in indices)
                 act_i += 1
-            else:
-                layers.append(layer)
+            layers.append(layer)
         return ModelSpec(self.input_dims, layers, name=self.name)
 
     # ------------------------------------------------------------------
@@ -205,41 +213,23 @@ class ModelSpec:
         blob_path = os.path.splitext(path)[0] + ".weights.bin"
         manifest, blob = [], []
         offset = 0
-
-        def put(name, arr):
-            nonlocal offset
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            manifest.append({"name": name, "offset": offset, "shape": list(arr.shape)})
-            blob.append(arr.tobytes())
-            offset += arr.size
-
-        def put_bias_bn(i, layer, entry):
-            if layer.bias is not None:
-                put(f"layer{i}.bias", layer.bias)
-                entry["has_bias"] = True
-            if layer.bn is not None:
-                for key in ("gamma", "beta", "mean", "var"):
-                    put(f"layer{i}.bn.{key}", np.asarray(layer.bn[key]))
-                entry["bn_eps"] = float(layer.bn.get("eps", 1e-5))
-
         spec_layers = []
         for i, layer in enumerate(self.layers):
             entry = {"type": layer.kind}
-            if isinstance(layer, SpatialConv):
-                entry.update(c_in=layer.c_in, c_out=layer.c_out)
-                entry["adjacency"] = json.loads(layer.adjacency.to_json())
-                put(f"layer{i}.weights", layer.weights)
-                put_bias_bn(i, layer, entry)
-            elif isinstance(layer, TemporalConv):
-                entry.update(channels=layer.channels, kernel=layer.kernel, stride=layer.stride)
-                put(f"layer{i}.weights", layer.weights)
-                put_bias_bn(i, layer, entry)
-            elif isinstance(layer, Activation):
-                entry.update(a=layer.a, b=layer.b, c=layer.c, pruned=layer.pruned)
-            elif isinstance(layer, FullyConnected):
-                entry.update(c_in=layer.c_in, classes=layer.classes)
-                put(f"layer{i}.weights", layer.weights)
-                put(f"layer{i}.bias", layer.bias)
+            for f in fields(layer):
+                if f.name == "adjacency":
+                    entry[f.name] = json.loads(layer.adjacency.to_json())
+                elif f.name not in _ARRAYS:
+                    entry[f.name] = getattr(layer, f.name)
+            for name, arr in _blob_arrays(layer):
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                manifest.append({"name": f"layer{i}.{name}", "offset": offset, "shape": list(arr.shape)})
+                blob.append(arr.tobytes())
+                offset += arr.size
+            if getattr(layer, "bias", None) is not None and not isinstance(layer, FullyConnected):
+                entry["has_bias"] = True
+            if getattr(layer, "bn", None) is not None:
+                entry["bn_eps"] = float(layer.bn.get("eps", 1e-5))
             spec_layers.append(entry)
 
         B, C, T, J = self.input_dims
@@ -273,91 +263,68 @@ class ModelSpec:
         else:
             raise ValueError("model JSON needs either a weights blob or a seed")
 
-        def bn_of(i, entry):
-            if f"layer{i}.bn.gamma" not in arrays:
-                return None
-            return {
-                "gamma": arrays[f"layer{i}.bn.gamma"],
-                "beta": arrays[f"layer{i}.bn.beta"],
-                "mean": arrays[f"layer{i}.bn.mean"],
-                "var": arrays[f"layer{i}.bn.var"],
-                "eps": entry.get("bn_eps", 1e-5),
-            }
-
         layers = []
         for i, entry in enumerate(doc["layers"]):
-            kind = entry["type"]
-            if kind == "spatial_conv":
-                adj = AdjacencySet.from_json(json.dumps(entry["adjacency"]))
-                layers.append(
-                    SpatialConv(
-                        entry["c_in"],
-                        entry["c_out"],
-                        adj,
-                        arrays[f"layer{i}.weights"],
-                        arrays.get(f"layer{i}.bias"),
-                        bn_of(i, entry),
-                    )
-                )
-            elif kind == "temporal_conv":
-                layers.append(
-                    TemporalConv(
-                        entry["channels"],
-                        entry["kernel"],
-                        entry["stride"],
-                        arrays[f"layer{i}.weights"],
-                        arrays.get(f"layer{i}.bias"),
-                        bn_of(i, entry),
-                    )
-                )
-            elif kind == "activation":
-                layers.append(
-                    Activation(entry["a"], entry["b"], entry["c"], entry.get("pruned", False))
-                )
-            elif kind == "global_avg_pool":
-                layers.append(GlobalAvgPool())
-            elif kind == "fully_connected":
-                layers.append(
-                    FullyConnected(
-                        entry["c_in"],
-                        entry["classes"],
-                        arrays[f"layer{i}.weights"],
-                        arrays[f"layer{i}.bias"],
-                    )
-                )
-            else:
-                raise ValueError(f"unknown layer type {kind!r}")
+            layer_class = _KINDS.get(entry["type"])
+            if layer_class is None:
+                raise ValueError(f"unknown layer type {entry['type']!r}")
+            args = {f.name: entry[f.name] for f in fields(layer_class) if f.name not in _ARRAYS and f.name in entry}
+            if "adjacency" in args:
+                args["adjacency"] = AdjacencySet.from_json(json.dumps(args["adjacency"]))
+            for name in ("weights", "bias"):
+                if f"layer{i}.{name}" in arrays:
+                    args[name] = arrays[f"layer{i}.{name}"]
+            if f"layer{i}.bn.gamma" in arrays:
+                args["bn"] = {key: arrays[f"layer{i}.bn.{key}"] for key in _BN} | {"eps": entry.get("bn_eps", 1e-5)}
+            layers.append(layer_class(**args))
         inp = doc["input"]
         return cls((inp["B"], inp["C"], inp["T"], inp["J"]), layers, name=doc.get("name", "model"))
+
+
+#: Layer classes by ``kind``, the ``type`` of their JSON entries.
+_KINDS = {c.kind: c for c in (SpatialConv, TemporalConv, Activation, GlobalAvgPool, FullyConnected)}
+
+#: The layer fields that are arrays, kept in the weight blob, not in the JSON.
+_ARRAYS = ("weights", "bias", "bn")
+
+#: The batch-norm statistics, in blob order.
+_BN = ("gamma", "beta", "mean", "var")
+
+
+def _blob_arrays(layer) -> list[tuple[str, np.ndarray]]:
+    """(name, array) of each array ``layer`` keeps in the blob, in blob order."""
+    arrays = [(name, getattr(layer, name)) for name in ("weights", "bias") if getattr(layer, name, None) is not None]
+    if getattr(layer, "bn", None) is not None:
+        arrays += [(f"bn.{key}", layer.bn[key]) for key in _BN]
+    return arrays
 
 
 def _seeded_weights(doc: dict) -> dict[str, np.ndarray]:
     """Deterministic random weights for a blob-less model document.
 
     Fan-in-scaled normals, one RNG stream per document seed, drawn in layer
-    order so the result is reproducible across runs and platforms.
+    order so the result is reproducible across runs and platforms: per
+    layer with weights, its weights, then its bias (always for a
+    fully-connected head, for a conv when its entry says ``has_bias``).
     """
     rng = np.random.default_rng(int(doc["seed"]))
     arrays: dict[str, np.ndarray] = {}
     for i, entry in enumerate(doc["layers"]):
         kind = entry["type"]
-        if kind == "spatial_conv":
+        # (weight shape, fan-in, bias length)
+        if kind == SpatialConv.kind:
             p = len(entry["adjacency"]["partitions"])
-            c_in, c_out = entry["c_in"], entry["c_out"]
-            arrays[f"layer{i}.weights"] = rng.normal(
-                0, 1, (p, c_in, c_out)
-            ) / math.sqrt(p * c_in)
-            if entry.get("has_bias"):
-                arrays[f"layer{i}.bias"] = rng.normal(0, 0.1, c_out)
-        elif kind == "temporal_conv":
+            shape, fan_in, width = (p, entry["c_in"], entry["c_out"]), p * entry["c_in"], entry["c_out"]
+        elif kind == TemporalConv.kind:
             c, k = entry["channels"], entry["kernel"]
-            arrays[f"layer{i}.weights"] = rng.normal(0, 1, (c, c, k)) / math.sqrt(c * k)
-            if entry.get("has_bias"):
-                arrays[f"layer{i}.bias"] = rng.normal(0, 0.1, c)
-        elif kind == "fully_connected":
-            c_in, classes = entry["c_in"], entry["classes"]
-            arrays[f"layer{i}.weights"] = rng.normal(0, 1, (c_in, classes)) / math.sqrt(c_in)
-            arrays[f"layer{i}.bias"] = rng.normal(0, 0.1, classes)
+            shape, fan_in, width = (c, c, k), c * k, c
+        elif kind == FullyConnected.kind:
+            shape, fan_in, width = (entry["c_in"], entry["classes"]), entry["c_in"], entry["classes"]
+        else:
+            continue
+        arrays[f"layer{i}.weights"] = rng.normal(0, 1, shape) / math.sqrt(fan_in)
+        if entry.get("has_bias", kind == FullyConnected.kind):
+            arrays[f"layer{i}.bias"] = rng.normal(0, 0.1, width)
     return arrays
 
 

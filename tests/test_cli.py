@@ -91,6 +91,13 @@ class TestInfer:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    def test_negative_seed_exits_2(self, model_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["infer", "--model", model_path, "--seed", "-1", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_depth_budget_violation_exits_3(self, model_path, tmp_path, monkeypatch):
         import hegcn.cli as cli
         import hegcn.engine as eng
@@ -186,6 +193,12 @@ class TestParams:
         assert main(["params", "--levels", levels]) == EXIT_CONFIG
         assert "--levels must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale_bits", ["0", "-5"])
+    def test_scale_bits_below_one_exit_2(self, capsys, scale_bits):
+        assert main(["params", "--levels", "3", "--scale-bits", scale_bits]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--scale-bits must be at least 1" in captured.err and captured.out == ""
+
 
 class TestPrune:
     def stub(self, tmp_path):
@@ -260,6 +273,21 @@ class TestCompareAndHoc:
         assert rc == EXIT_CONFIG
         assert "--batch must be a comma list of positive integers" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("batch, rc", [("1,32", EXIT_OK), ("1,33", EXIT_CONFIG), ("1000", EXIT_CONFIG)])
+    def test_batch_must_fit_the_slot_count(self, tmp_path, capsys, batch, rc):
+        """The acceptance model at slot 1024 (T = 32): the AMA channel block
+        of a batch of 32 fills the slots, and a larger batch's does not fit;
+        the command exits 2 before it makes its output directory."""
+        path = tmp_path / "acceptance.json"
+        acceptance_stgcn3().to_json_file(path)
+        out = tmp_path / "o"
+        assert main(["compare", "--model", str(path), "--slot-count", "1024", "--batch", batch, "--out", str(out)]) == rc
+        if rc == EXIT_CONFIG:
+            assert f"--batch {batch.split(',')[-1]} does not fit the ama packing" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert [row["batch"] for row in json.loads((out / "compare.json").read_text())["amortized_per_sample"]["ama"]] == [1, 32]
 
     def test_identical_formats_reduce_zero_percent(self, model_path, tmp_path):
         out = tmp_path / "same"

@@ -938,3 +938,19 @@ def test_unlogged_counter_holds_the_logged_histogram(name, amounts):
     ]
     assert histogram(records) == histogram(oplog)
     assert len({key[3] for hist in counter.histograms.values() for key in hist if key[0] == "rot"}) == amounts
+
+
+@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+def test_the_op_log_leaves_the_counter_unchanged(fmt):
+    """Every op counts through one path, with or without ``log_ops``: the
+    counters of a logged and an unlogged run hold the same histograms, with
+    their keys in the same order."""
+    from hegcn.model import acceptance_stgcn3
+
+    spec = acceptance_stgcn3()
+    x = GraphTensor.random(spec.input_dims, seed=43)
+    hists = [
+        [(label, list(hist.items())) for label, hist in run_model(spec, x, fmt, ctx=SimContext(1024, costmodel.depth(spec), log_ops=log)).counter.histograms.items()]
+        for log in (False, True)
+    ]
+    assert hists[0] == hists[1]

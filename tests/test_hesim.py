@@ -684,7 +684,7 @@ class TestFusedTaps:
         coef = self.coef()
         op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), self.TAPS)
         reads = coef.reshape(coef.shape[:2] + (self.I, len(self.TAPS), self.N1)).any(axis=(0, 1, 4))  # (inputs, taps)
-        taps = [(extra["rotation_amount"], n) for name, n, before, _, extra in op.records if name == "rot" and before == 0]
+        taps = [(amount, n) for name, n, before, _, amount in op.records if name == "rot" and before == 0]
         assert taps == [(3, int((reads[..., 1] | reads[..., 3]).sum())), (31, int(reads[..., 2].sum()))]
         assert op.live == slice(0, self.N2, 1) and op.vec is None
 
@@ -773,7 +773,7 @@ class TestMixed:
     def test_a_mix_of_zeros_runs_nothing(self):
         coef, _ = self.operands(1, shared=True)
         op = Mixed(self.AMOUNTS, coef, (self.N1, self.N2), np.zeros((2, 1, self.M)), np.zeros((2, self.M)), 1)
-        assert op.histogram == {} and op.records == () and not op.has_terms.any()
+        assert op.records == () and not op.has_terms.any()
 
     @pytest.mark.parametrize(
         "rows, mix_shape",
@@ -910,7 +910,7 @@ class TestDiagonals:
         op = Diagonals([3], np.zeros((1, 2, 4)), (4, 8), 32)
         out = c.fold_steps(c.encrypt(np.ones((2, 32))), op)
         assert not op.has_terms.any() and not out.slots.any() and out.rows == 4
-        assert c.oplog == [rec for rec in c.oplog if rec["op"] == "encrypt"] and op.histogram == {}
+        assert c.oplog == [rec for rec in c.oplog if rec["op"] == "encrypt"] and op.records == ()
 
     def test_quantize_rounds_the_fused_sum_once(self):
         q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
@@ -1060,7 +1060,7 @@ class TestMixedDiagonals:
         """Two source sets; for P = 3 diagonal 4 runs nothing and is not rotated."""
         merged = self.cancelling(P)
         op, counts = self.run(merged, T=3, N=16, U=2)
-        amounts = [rec[4]["rotation_amount"] for rec in op.records if rec[0] == "rot"]
+        amounts = [rec[4] for rec in op.records if rec[0] == "rot"]
         assert (4 in diagonal_offsets(merged.pattern)) == (P == 3) and 4 not in amounts
         if P == 3:
             assert not merged.matrices[:, :, 0, 4].any() and merged.parts[1:, 0, 4].all()
@@ -1071,7 +1071,7 @@ class TestMixedDiagonals:
         """No diagonals (zero parts), or diagonals whose products are all zero."""
         for parts, weights in ((np.zeros((1, 4, 4)), np.ones((1, 2, 3))), (np.ones((2, 4, 4)), np.zeros((2, 2, 3)))):
             op, counts = self.run(MergedSpatialMatrix(weights, parts, np.zeros(3)), T=2, N=8, U=2)
-            assert op.histogram == {} and op.records == () and not op.has_terms.any()
+            assert op.records == () and not op.has_terms.any()
 
     @pytest.mark.parametrize("log_ops", [False, True])
     def test_from_dense(self, log_ops):

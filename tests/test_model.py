@@ -109,6 +109,90 @@ def test_json_round_trip_preserves_inference(tmp_path):
     )
 
 
+def pin_spec() -> ModelSpec:
+    """One layer of each kind, with small literal arrays."""
+    adj = AdjacencySet.from_edges(2, [[(0, 1)]])
+    bn = {"gamma": [1.0, 2.0], "beta": [0.0, 0.125], "mean": [0.5, -0.5], "var": [1.0, 4.0], "eps": 1e-3}
+    return ModelSpec(
+        (1, 1, 2, 2),
+        [
+            SpatialConv(1, 2, adj, [[[0.5, -1.0]]], [0.25, -0.5], {k: np.array(v) if k != "eps" else v for k, v in bn.items()}),
+            Activation(0.05, 1.0, 0.08, pruned=True),
+            TemporalConv(2, 1, 2, [[[1.0], [0.5]], [[-0.5], [2.0]]]),
+            GlobalAvgPool(),
+            FullyConnected(2, 3, [[1.0, 0.0, -1.0], [0.5, 0.25, 2.0]], [0.1, 0.2, 0.3]),
+        ],
+        name="pin",
+    )
+
+
+#: The document ``to_json_file`` writes for ``pin_spec()``.
+PIN_DOC = {
+    "name": "pin",
+    "input": {"B": 1, "C": 1, "T": 2, "J": 2},
+    "layers": [
+        {"type": "spatial_conv", "c_in": 1, "c_out": 2, "adjacency": {"J": 2, "partitions": [{"edges": [[0, 1]]}]},
+         "has_bias": True, "bn_eps": 0.001},
+        {"type": "activation", "a": 0.05, "b": 1.0, "c": 0.08, "pruned": True},
+        {"type": "temporal_conv", "channels": 2, "kernel": 1, "stride": 2},
+        {"type": "global_avg_pool"},
+        {"type": "fully_connected", "c_in": 2, "classes": 3},
+    ],
+    "weights": "pin.weights.bin",
+    "manifest": [
+        {"name": "layer0.weights", "offset": 0, "shape": [1, 1, 2]},
+        {"name": "layer0.bias", "offset": 2, "shape": [2]},
+        {"name": "layer0.bn.gamma", "offset": 4, "shape": [2]},
+        {"name": "layer0.bn.beta", "offset": 6, "shape": [2]},
+        {"name": "layer0.bn.mean", "offset": 8, "shape": [2]},
+        {"name": "layer0.bn.var", "offset": 10, "shape": [2]},
+        {"name": "layer2.weights", "offset": 12, "shape": [2, 2, 1]},
+        {"name": "layer4.weights", "offset": 16, "shape": [2, 3]},
+        {"name": "layer4.bias", "offset": 22, "shape": [3]},
+    ],
+}
+
+
+def assert_same_layers(got: ModelSpec, want: ModelSpec) -> None:
+    """Same dims, name and layer kinds, every scalar equal and every array equal."""
+    assert (got.input_dims, got.name) == (want.input_dims, want.name)
+    assert [type(l) for l in got.layers] == [type(l) for l in want.layers]
+    for g, w in zip(got.layers, want.layers):
+        for name, value in vars(w).items():
+            other = getattr(g, name)
+            if name == "adjacency":
+                assert other.J == value.J and np.array_equal(other.matrices, value.matrices)
+            elif name == "bn" and value is not None:
+                assert other.keys() == value.keys()
+                assert all(np.array_equal(other[k], value[k]) for k in value)
+            elif isinstance(value, np.ndarray):
+                assert np.array_equal(other, value), name
+            else:
+                assert other == value, name
+
+
+def test_model_file_format_is_pinned(tmp_path):
+    """The document and blob of one layer of each kind, byte for byte, and
+    their load: arrays come from the blob, never from a JSON entry."""
+    import json
+
+    spec = pin_spec()
+    path = tmp_path / "pin.json"
+    spec.to_json_file(path)
+    assert json.loads(path.read_text()) == PIN_DOC
+    blob = np.fromfile(tmp_path / "pin.weights.bin", dtype="<f8")
+    want = [0.5, -1.0, 0.25, -0.5, 1.0, 2.0, 0.0, 0.125, 0.5, -0.5, 1.0, 4.0, 1.0, 0.5, -0.5, 2.0,
+            1.0, 0.0, -1.0, 0.5, 0.25, 2.0, 0.1, 0.2, 0.3]
+    assert np.array_equal(blob, want)
+    assert_same_layers(ModelSpec.from_json_file(path), spec)
+
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["weights"] = [[[9.0, 9.0]]]
+    doc["layers"][4]["weights"] = [[9.0] * 3] * 2
+    path.write_text(json.dumps(doc))
+    assert_same_layers(ModelSpec.from_json_file(path), spec)
+
+
 def test_seed_based_weights_from_json(tmp_path):
     import json
 
