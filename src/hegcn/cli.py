@@ -118,6 +118,17 @@ def _check_slot_count(spec: ModelSpec, slot: int | None, formats) -> None:
         _check_layout(f"--slot-count {slot}", spec.input_dims, slot, fmt)
 
 
+def _make_out(out: str | None) -> None:
+    """Make the ``--out`` directory, when one is given, before any work; a
+    path that is a file, or that cannot be made, is a ``ConfigError``."""
+    if not out:
+        return
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out} is not a directory that can be made: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
 
 
@@ -128,7 +139,7 @@ def cmd_infer(args) -> int:
     formats = [AMA, ROWMAJOR] if args.format == "both" else [args.format]
     slot = args.slot_count
     _check_slot_count(spec, slot, formats)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
 
     results = {
         fmt: engine.run_model(spec, x, fmt, slot_count=slot, quantize=args.quantize)
@@ -209,7 +220,7 @@ def cmd_compare(args) -> int:
     _, C, T, J = spec.input_dims
     for b in batches:  # the row-major layout holds (T, J), the same at every batch
         _check_layout(f"--batch {b}", (b, C, T, J), slot, AMA)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
 
     ama = costmodel.totals_of(costmodel.analytic_layer_counts(spec, AMA, slot))
     rm = costmodel.totals_of(costmodel.analytic_layer_counts(spec, ROWMAJOR, slot))
@@ -301,13 +312,13 @@ def cmd_prune(args) -> int:
             raise ConfigError(f"could not parse stub table: {exc}") from exc
     else:
         evaluator = prune.CommandEvaluator(args.evaluator_cmd.split())
+    _make_out(args.out)
     try:
         results, best = prune.search(spec, evaluator, args.max_prune)
     except prune.EvaluatorError as exc:
         raise ConfigError(str(exc)) from exc
     doc = {"results": [r.to_dict() for r in results], "best": best.to_dict()}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "prune.json"), doc)
     for r in results:
         mark = "*" if r.variant_id == best.variant_id else " "
@@ -323,9 +334,8 @@ def cmd_hoc(args) -> int:
     formats = [AMA, ROWMAJOR] if args.format == "both" else [args.format]
     _check_slot_count(spec, args.slot_count, formats)
     slot = args.slot_count or engine.default_slot_count(spec.input_dims)
+    _make_out(args.out)
     counts = {fmt: costmodel.analytic_layer_counts(spec, fmt, slot) for fmt in formats}
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
     _write_hoc_csv(os.path.join(args.out, "hoc_analytic.csv") if args.out else sys.stdout, counts)
     return EXIT_OK
 

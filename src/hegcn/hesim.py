@@ -38,19 +38,25 @@ with one coefficient per (tap, input, output) for every column, and a
 ``MixedDiagonals`` (spatial conv) rotates by the diagonals of the joint
 pattern and is applied factored, like a ``Mixed``: the joints of every
 frame row are mixed by each partition, then the weight slabs are one GEMM.
-Both count with one per-amount rule (``_diagonal_counts``), and each rule
-two operators share is one helper (``_input_rotations``,
-``_giant_step_counts``, ``_merge_parts``, ``_live_run``).  Each operator is
-built once per layer, holds the plaintext factors that scale its terms,
-builds its op records (op, count, levels spent and rotation amount) from
-vectorized count tables when it is built, and is applied as batched
-matrix products over chunks of its sources that stay under
-``_CHUNK_BYTES`` (a ``BlockCirculant`` skips the within-block positions
-its factors zero).  It holds one set of coefficients, which serves every
-source set of the stack it is applied to: ``fold_steps`` counts, and with
-``log_ops`` logs, its records in the schedule's order, each at the input's
-level and times the source sets, through ``SimContext._records``, the one
-path every op counts and logs through.  The counts are those of the
+All four count with one schedule, built by their base's ``_schedule``:
+the baby steps, a rotation per input and distinct nonzero tap amount some
+term reads (``_input_rotations``), then per giant step its PMults, the
+Adds of each row's products, a rotation of each row's partial sum and an
+Add into the row's running sum (``_giant_step_counts``).  A row-major
+operator is its hoisted diagonal method: every input rotation first, then
+one PMult and one Add record for its single giant step of 0.  Each rule
+two operators share is one helper (``_merge_parts``, ``_live_run``,
+``_block_circulant``).  Each operator is built once per layer, holds the
+plaintext factors that scale its terms, builds its op records (op, count,
+levels spent and rotation amount) from vectorized count tables when it is
+built, and is applied as batched matrix products over chunks of its
+sources that stay under ``_CHUNK_BYTES`` (a ``BlockCirculant`` skips the
+within-block positions its factors zero).  It holds one set of
+coefficients, which serves every source set of the stack it is applied
+to: ``fold_steps`` counts, and with ``log_ops`` logs, its records in the
+schedule's order, each at the input's level and times the source sets,
+through ``SimContext._records``, the one path every op counts and logs
+through.  The counts are those of the
 schedule one ciphertext at a time: a rotation per input and amount some
 term reads, and a PMult per term that runs (its coefficients, for a
 ``Mixed`` the combined ones and for a ``MixedDiagonals`` the merged ones,
@@ -266,14 +272,6 @@ def _rowwise(ufunc, x: np.ndarray, y) -> np.ndarray:
 #: spent before, levels spent after, carries the step's rotation amount).
 _TAP = (("rot", 0, 0, True),)
 _GIANT_STEP = (("pmult", 0, 1, False), ("add", 1, 1, False), ("rot", 1, 1, True), ("add", 1, 1, False))
-_DIAGONAL = (("rot", 0, 0, True), ("pmult", 0, 1, False), ("add", 1, 1, False), ("add", 1, 1, False))
-
-
-def _merges(rows: np.ndarray) -> np.ndarray:
-    """Per step of (steps, R) ``rows``, the rows that already hold a partial sum of an earlier step."""
-    merges = np.zeros(len(rows), np.int64)
-    merges[1:] = (rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]).sum(axis=1)
-    return merges
 
 
 def _giant_step_counts(amounts: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,40 +280,23 @@ def _giant_step_counts(amounts: np.ndarray, terms: np.ndarray) -> tuple[np.ndarr
 
     Per step: its PMults, its Adds of products, one rotation by the step's
     amount (mod slot count, none when 0) per row with terms, and one Add per
-    row that already holds a partial sum.
+    row that already holds a partial sum of an earlier step.
     """
     rows = terms > 0
-    counts = np.stack(
-        (terms.sum(axis=1), np.maximum(terms - 1, 0).sum(axis=1), np.where(amounts != 0, rows.sum(axis=1), 0), _merges(rows)),
-        axis=1,
-    )
+    merges = np.zeros(len(rows), np.int64)
+    merges[1:] = (rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]).sum(axis=1)
+    counts = np.stack((terms.sum(axis=1), np.maximum(terms - 1, 0).sum(axis=1), np.where(amounts != 0, rows.sum(axis=1), 0), merges), axis=1)
     return counts, rows.any(axis=0)
 
 
-def _input_rotations(amounts, reads: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """The distinct ``amounts`` (in first-appearance order), which amounts
-    each one is, and its input rotations: one per input the (amounts,
-    inputs) ``reads`` mark as read at one of them, none for amount 0."""
+def _input_rotations(amounts, reads: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct ``amounts`` (in first-appearance order) and their input
+    rotations: one per input the (amounts, inputs) ``reads`` mark as read
+    at one of them, none for amount 0."""
     distinct = list(dict.fromkeys(amounts))
     member = np.array(amounts)[None, :] == np.array(distinct)[:, None]
     rotated = ((member @ reads) > 0).sum(axis=1)
-    return distinct, member, np.where(np.array(distinct) != 0, rotated, 0)
-
-
-def _diagonal_counts(amounts, runs: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """The distinct amounts of the diagonal method whose (D, inputs, rows)
-    ``runs`` mark the products that run for each of D diagonals or taps,
-    their ``_DIAGONAL`` counts, and the rows some product reaches.
-
-    Per distinct amount: its input rotations (``_input_rotations``), one
-    PMult per product, ``products - 1`` Adds per row, and one Add per row
-    with products that already holds a partial sum of an earlier amount.
-    """
-    distinct, member, rotated = _input_rotations(amounts, runs.any(axis=2))
-    per_row = (member.astype(np.float64) @ runs.sum(axis=1)).astype(np.int64)
-    rows = per_row > 0
-    counts = np.stack((rotated, per_row.sum(axis=1), np.maximum(per_row - 1, 0).sum(axis=1), _merges(rows)), axis=1)
-    return distinct, counts, rows.any(axis=0)
+    return distinct, np.where(np.array(distinct) != 0, rotated, 0)
 
 
 def _merge_parts(entries: np.ndarray, slabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,17 +355,28 @@ def _block_circulant(amounts, coef, grid) -> tuple[np.ndarray, np.ndarray, np.nd
     return amounts % (n1 * n2), coef, mat
 
 
-class _Counted:
-    """What a prebuilt operator counts for one source set: ``records``, its
-    op log in the schedule's order, built with the operator.  Each record is
-    (op, count, levels spent before, levels spent after, rotation amount or
-    None); steps that count nothing write none."""
+class _Operator:
+    """What every prebuilt operator holds: its ``grid`` (n1, n2), the
+    ``slot_count`` it is built for, the ``rows`` of one source set's output
+    and the ``inputs`` of one source set; ``has_terms``, the rows some term
+    reaches; and ``records``, what it counts for one source set, in the
+    schedule's order.  Each record is (op, count, levels spent before,
+    levels spent after, rotation amount or None); steps that count nothing
+    write none."""
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "has_terms", "grid", "slot_count", "rows", "inputs")
 
-    def _count(self, *tables) -> None:
-        """``tables`` are (layout, amounts, counts): per step one amount and
-        one row of counts, one per record of the layout."""
+    def _schedule(self, taps, reads, amounts, terms) -> None:
+        """Build ``records`` and ``has_terms`` from the one schedule of every
+        operator, the baby-step/giant-step product: a rotation per input and
+        distinct nonzero tap amount the (taps, inputs) ``reads`` mark
+        (``_input_rotations``), then per giant step of ``amounts`` the
+        ``_GIANT_STEP`` records of the (steps, rows) ``terms`` that run
+        (``_giant_step_counts``)."""
+        distinct, rotated = _input_rotations(taps, reads)
+        amounts = np.asarray(amounts, dtype=np.int64)
+        steps, self.has_terms = _giant_step_counts(amounts, terms)
+        tables = ((_TAP, distinct, rotated[:, None]), (_GIANT_STEP, amounts.tolist(), steps))
         self.records = tuple(
             (op, n, before, after, a if rotates else None)
             for layout, amounts, counts in tables
@@ -393,8 +385,17 @@ class _Counted:
             if n
         )
 
+    def _freeze(self, grid, slot_count, rows, inputs, *arrays) -> None:
+        """Set the fields every operator has and make ``has_terms`` and
+        ``arrays`` (None skipped) read-only."""
+        self.grid, self.slot_count = (int(grid[0]), int(grid[1])), int(slot_count)
+        self.rows, self.inputs = int(rows), int(inputs)
+        for arr in (self.has_terms,) + arrays:
+            if arr is not None:
+                arr.flags.writeable = False
 
-class BlockCirculant(_Counted):
+
+class BlockCirculant(_Operator):
     """The baby-step/giant-step operator of one AMA channel fold, built once
     and applied by ``SimContext.fold_steps`` to any number of source sets.
 
@@ -435,15 +436,15 @@ class BlockCirculant(_Counted):
     bit.
 
     ``has_terms`` marks the V rows some step reaches.  The records of one
-    source set are one rotation per distinct nonzero tap amount of the
-    inputs some pair reads (``_input_rotations``), then per giant step its
+    source set (``_schedule``) are one rotation per distinct nonzero tap
+    amount of the inputs some pair reads, then per giant step its
     PMults, its Adds of products, one rotation per row with terms (none
     when the amount is 0 mod n1*n2) and one Add per row that already holds
     a partial sum.  The arrays are read-only and ``fold_steps`` changes
     nothing, so one operator serves any number of source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "taps", "rows", "inputs", "matrix", "vec", "scaled", "live", "has_terms")
+    __slots__ = ("taps", "matrix", "vec", "scaled", "live")
 
     def __init__(self, amounts, coef, grid, taps=(0,), vec=1.0):
         n1, n2 = grid
@@ -455,20 +456,15 @@ class BlockCirculant(_Counted):
         if not taps or T % K:
             raise ValueError(f"{T} terms are not (input, tap) pairs of {K} taps")
         runs = coef.any(axis=-1)  # (S, V, T): the terms that run
-        distinct, _, rotated = _input_rotations(taps, runs.any(axis=(0, 1)).reshape(T // K, K).T)
-        steps, self.has_terms = _giant_step_counts(amounts, runs.sum(axis=-1))
-        self._count((_TAP, distinct, rotated[:, None]), (_GIANT_STEP, amounts.tolist(), steps))
+        self._schedule(taps, runs.any(axis=(0, 1)).reshape(T // K, K).T, amounts, runs.sum(axis=-1))
         # (inputs, K, n1 or 1, n2): a factor the same in every block is kept once
         vec = np.asarray(vec, dtype=np.float64)
         vec = vec.reshape((1,) * (3 - vec.ndim) + vec.shape)
         vec = np.broadcast_to(vec, (T, vec.shape[1], n2)).reshape(T // K, K, vec.shape[1], n2)
         self.live = _live_run(vec)
         self.scaled, self.vec = _scaled_columns(vec[..., self.live])
-        self.grid, self.slot_count = (int(n1), int(n2)), int(N)
-        self.taps, self.rows, self.inputs = taps, V, T // K
-        for arr in (self.vec, self.scaled, self.has_terms):
-            if arr is not None:
-                arr.flags.writeable = False
+        self.taps = taps
+        self._freeze(grid, N, V, T // K, self.vec, self.scaled)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count)
@@ -504,7 +500,7 @@ class BlockCirculant(_Counted):
             blocks[..., self.live] = self.matrix @ z.reshape(U, -1, L)
 
 
-class Mixed(_Counted):
+class Mixed(_Operator):
     """The block-circulant product of ``BlockCirculant``, with the single
     tap 0, applied to linear mixes of the inputs of one layer: the factored
     form of a fold whose coefficients are sums of products, such as an AMA
@@ -537,7 +533,7 @@ class Mixed(_Counted):
     output sets' rows, ``rows`` = sets * V, serving every source set.
     """
 
-    __slots__ = ("grid", "slot_count", "matrix", "mix", "reads", "units", "rows", "inputs", "has_terms")
+    __slots__ = ("matrix", "mix", "reads", "units")
 
     def __init__(self, amounts, coef, grid, mix, reads, units: int):
         n1, n2 = grid
@@ -557,13 +553,9 @@ class Mixed(_Counted):
         # hits[k, q]: the pieces of set k with vector q
         hits = np.bincount(np.arange(sets * M) // M * len(combined) + which, minlength=sets * len(combined))
         terms = hits.reshape(sets, -1) @ runs.reshape(len(combined), S * V)
-        steps, self.has_terms = _giant_step_counts(amounts, terms.reshape(sets, S, V).transpose(1, 0, 2).reshape(S, sets * V))
-        self._count((_GIANT_STEP, amounts.tolist(), steps))
-        self.grid, self.slot_count = (int(n1), int(n2)), int(n1 * n2)
-        self.mix, self.reads = mix, reads
-        self.units, self.rows, self.inputs = int(units), sets * V, int(units) * G
-        for arr in (self.mix, self.reads, self.has_terms):
-            arr.flags.writeable = False
+        self._schedule((), np.zeros((0, 0), bool), amounts, terms.reshape(sets, S, V).transpose(1, 0, 2).reshape(S, sets * V))
+        self.mix, self.reads, self.units = mix, reads, int(units)
+        self._freeze(grid, n1 * n2, sets * V, units * G, mix, reads)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count) sources."""
@@ -583,7 +575,7 @@ class Mixed(_Counted):
         return out.reshape(U, self.rows, N)
 
 
-class Diagonals(_Counted):
+class Diagonals(_Operator):
     """The diagonal-method operator of one row-major temporal conv, built
     once and applied by ``SimContext.fold_steps`` to any number of source
     sets.
@@ -612,14 +604,18 @@ class Diagonals(_Counted):
     the gathered terms at those frames only: a factor of 1 leaves a slot
     as it is, bit for bit.
 
-    The records of one source set are those of ``_diagonal_counts``: a
-    product runs where its coefficient is not zero.  ``has_terms`` marks
-    the rows some term reaches.  The arrays are read-only and
-    ``fold_steps`` changes nothing, so one operator serves any number of
-    source stacks.
+    The records of one source set (``_schedule``) are those of the hoisted
+    diagonal method: the shifts are the taps, an input is rotated by each
+    distinct nonzero amount where some coefficient of it is not zero, and
+    the one giant step of 0 holds, per row, a PMult for every nonzero
+    (shift, input) coefficient and the Adds of the products, so the
+    records are the rotations, then one PMult and one Add record.
+    ``has_terms`` marks the rows some term reaches.  The arrays are
+    read-only and ``fold_steps`` changes nothing, so one operator serves
+    any number of source stacks.
     """
 
-    __slots__ = ("grid", "slot_count", "rows", "inputs", "span", "coef", "offsets", "frames", "vec", "scaled", "has_terms")
+    __slots__ = ("span", "coef", "offsets", "frames", "vec", "scaled")
 
     def __init__(self, shifts, coef, grid, slot_count, vec=1.0):
         n1, n2 = grid
@@ -635,20 +631,16 @@ class Diagonals(_Counted):
         if len(coef) != len(amounts) or not amounts:
             raise ValueError(f"{len(coef)} coefficient tables for {len(amounts)} shifts")
         S, C, V = coef.shape
-        distinct, counts, self.has_terms = _diagonal_counts(amounts, coef != 0)
-        self._count((_DIAGONAL, distinct, counts))
+        runs = coef != 0  # (shifts, inputs, rows): the products that run
+        self._schedule(amounts, runs.any(axis=2), [0], runs.sum(axis=(0, 1))[None])
         vec = np.broadcast_to(np.asarray(vec, dtype=np.float64), (S, C, n1)).reshape(S * C, n1)
         self.frames = _live_run(vec)
         self.scaled, self.vec = _scaled_columns(vec[:, self.frames])
-        self.grid, self.slot_count = (int(n1), int(n2)), N
-        self.rows, self.inputs = V, C
         # the whole frames the shifts read, from slot lo to hi
         self.span = (lo, -(-(n1 * n2 + max([0] + reach)) // n2) * n2)
         self.coef = coef.transpose(2, 0, 1).reshape(V, S * C)
         self.offsets = np.array(reach) - lo
-        for arr in (self.coef, self.offsets, self.vec, self.scaled, self.has_terms):
-            if arr is not None:
-                arr.flags.writeable = False
+        self._freeze(grid, N, V, C, self.coef, self.offsets, self.vec, self.scaled)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count)
@@ -680,7 +672,7 @@ class Diagonals(_Counted):
         return out
 
 
-class MixedDiagonals(_Counted):
+class MixedDiagonals(_Operator):
     """The diagonal-method operator of one row-major spatial conv, applied
     factored: joints mixed per partition, then one GEMM of the weight slabs.
 
@@ -703,9 +695,10 @@ class MixedDiagonals(_Counted):
     each part some kept entry reads, x * N_p^T, and ``slabs`` (rows, P' *
     inputs) is their weight slabs as one GEMM over (part, input) terms.
 
-    The counts are those of the diagonal method one ciphertext at a time
-    with the merged coefficients (``_diagonal_counts``): a (diagonal,
-    input, row) product runs where M, summed in the order of p, is not
+    The counts are those of the hoisted diagonal method one ciphertext at a
+    time with the merged coefficients, counted by ``_schedule`` as for a
+    ``Diagonals`` with the diagonals as taps: a (diagonal, input, row)
+    product runs where M, summed in the order of p, is not
     zero at some joint, so a sum that cancels exactly runs nothing.  They
     are worked out in one pass over the live (diagonal, joint) entries,
     where some part is nonzero, from the distinct vectors of part entries
@@ -713,7 +706,7 @@ class MixedDiagonals(_Counted):
     table.
     """
 
-    __slots__ = ("grid", "slot_count", "rows", "inputs", "mix", "slabs", "has_terms")
+    __slots__ = ("mix", "slabs")
 
     def __init__(self, weights, parts, offsets, grid, slot_count):
         n1, n2 = grid
@@ -737,17 +730,13 @@ class MixedDiagonals(_Counted):
         hits = np.zeros((len(offsets), len(merged)))  # the vectors each diagonal's entries carry
         hits[d, which] = 1.0
         runs = (hits @ (merged != 0).reshape(len(merged), C * V)).reshape(len(offsets), C, V) > 0
-        distinct, counts, self.has_terms = _diagonal_counts((offsets % N).tolist(), runs)
-        self._count((_DIAGONAL, distinct, counts))
+        self._schedule((offsets % N).tolist(), runs.any(axis=2), [0], runs.sum(axis=(0, 1))[None])
         mix = np.zeros_like(parts)
         mix[:, k, j] = n
         used = mix.any(axis=(1, 2)) & weights.any(axis=(1, 2))  # the other parts add only zeros
         self.mix = mix[used].transpose(2, 0, 1).reshape(n2, -1)
         self.slabs = weights[used].transpose(2, 0, 1).reshape(V, -1)
-        self.grid, self.slot_count = (int(n1), int(n2)), N
-        self.rows, self.inputs = V, C
-        for arr in (self.mix, self.slabs, self.has_terms):
-            arr.flags.writeable = False
+        self._freeze(grid, N, V, C, self.mix, self.slabs)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count) sources."""

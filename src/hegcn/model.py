@@ -38,6 +38,14 @@ import numpy as np
 from hegcn.adjacency import AdjacencySet, chain_skeleton_25
 
 
+def _check_sizes(layer, *names) -> None:
+    """A ``ValueError`` that names the first of the size fields ``names`` of
+    ``layer`` below 1."""
+    for name in names:
+        if getattr(layer, name) < 1:
+            raise ValueError(f"{layer.kind} {name} must be at least 1, got {getattr(layer, name)}")
+
+
 @dataclass
 class SpatialConv:
     c_in: int
@@ -51,6 +59,7 @@ class SpatialConv:
     levels = 1
 
     def __post_init__(self):
+        _check_sizes(self, "c_in", "c_out")
         self.weights = np.asarray(self.weights, dtype=np.float64)
         expect = (self.adjacency.partitions, self.c_in, self.c_out)
         if self.weights.shape != expect:
@@ -72,6 +81,7 @@ class TemporalConv:
     levels = 1
 
     def __post_init__(self):
+        _check_sizes(self, "channels", "kernel")
         if self.kernel % 2 == 0:
             raise ValueError(f"temporal kernel must be odd, got {self.kernel}")
         if self.stride not in (1, 2):
@@ -115,6 +125,7 @@ class FullyConnected:
     levels = 1
 
     def __post_init__(self):
+        _check_sizes(self, "c_in", "classes")
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.shape != (self.c_in, self.classes):
             raise ValueError("fully-connected weights must be (c_in, classes)")
@@ -133,6 +144,8 @@ class ModelSpec:
 
     def __post_init__(self):
         self.input_dims = tuple(int(d) for d in self.input_dims)
+        if min(self.input_dims, default=0) < 1:
+            raise ValueError(f"input_dims must all be at least 1, got (B, C, T, J) = {self.input_dims}")
         self.validate()
 
     # ------------------------------------------------------------------

@@ -325,3 +325,52 @@ class TestCompareAndHoc:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "layer,op,format,count"
         assert len(lines) > 10
+
+
+@pytest.mark.parametrize("command", ["infer", "compare", "hoc", "prune"])
+def test_out_naming_a_file_exits_2(model_path, tmp_path, capsys, monkeypatch, command):
+    """``--out`` that names an existing file is refused with exit 2 before
+    any inference, count or search runs, and the file is left as it was."""
+    from hegcn import cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setattr(cli.engine, "run_model", refused)
+    monkeypatch.setattr(cli.costmodel, "analytic_layer_counts", refused)
+    monkeypatch.setattr(cli.prune, "search", refused)
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    args = {
+        "infer": ["--seed", "1"],
+        "compare": ["--batch", "1,2"],
+        "hoc": [],
+        "prune": ["--stub", TestPrune().stub(tmp_path), "--max-prune", "1"],
+    }[command]
+    assert main([command, "--model", model_path, *args, "--out", str(out)]) == EXIT_CONFIG
+    assert f"--out {out} is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["infer", "compare", "hoc"])
+@pytest.mark.parametrize("size, message", [("B=0", "input_dims"), ("B=-1", "input_dims"), ("c_out=0", "spatial_conv c_out"), ("classes=0", "fully_connected classes")])
+def test_sizes_below_one_exit_2(tmp_path, capsys, command, size, message):
+    """The acceptance model as a seeded document with a batch of 0 or -1,
+    its last spatial conv 0 wide (the layers after it made to fit), or a
+    head of 0 classes: each command exits 2 naming the field."""
+    acceptance_stgcn3().to_json_file(tmp_path / "acceptance.json")
+    doc = json.loads((tmp_path / "acceptance.json").read_text())
+    del doc["weights"], doc["manifest"]
+    doc["seed"] = 5
+    layers = doc["layers"]
+    if size.startswith("B="):
+        doc["input"]["B"] = int(size[2:])
+    elif size == "c_out=0":
+        layers[8]["c_out"] = layers[10]["channels"] = layers[13]["c_in"] = 0
+    else:
+        layers[13]["classes"] = 0
+    path = tmp_path / "sized.json"
+    path.write_text(json.dumps(doc))
+    args = ["--seed", "1"] if command == "infer" else []
+    assert main([command, "--model", str(path), *args, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"{message} must" in capsys.readouterr().err

@@ -954,3 +954,23 @@ def test_the_op_log_leaves_the_counter_unchanged(fmt):
         for log in (False, True)
     ]
     assert hists[0] == hists[1]
+
+
+@pytest.mark.parametrize("name", ["reference-ama-8192", "reference-rowmajor-8192", "acceptance-ama-1024", "acceptance-rowmajor-1024"])
+def test_gated_logs_replay_to_the_unlogged_counter(name):
+    """On each gated run the logged and the unlogged counters are equal and
+    the op log replays to them.  A row-major conv logs the hoisted diagonal
+    method: all its input rotations, then one PMult and one Add record,
+    before its bias epilogue."""
+    from test_gated_counts import RUNS, gated_run
+
+    _, fmt, slot_count = RUNS[name]
+    spec, x, res, oplog = gated_run(name)
+    quiet = run_model(spec, x, fmt, ctx=SimContext(slot_count, costmodel.depth(spec), log_ops=False))
+    assert res.counter == quiet.counter == replay_counts(oplog)
+    if fmt == ROWMAJOR:
+        for label in (label for label in spec.labels() if label.endswith("_conv")):
+            ops = [rec["op"] for rec in oplog if rec["layer"] == label]
+            k = ops.index("pmult")
+            assert set(ops[:k]) == {"rot"} and ops[k : k + 2] == ["pmult", "add"]
+            assert "rot" not in ops[k:] and "pmult" not in ops[k + 1 :]

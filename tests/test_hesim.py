@@ -814,38 +814,37 @@ class TestMixed:
 
 
 def per_ciphertext_diagonals(c, src, shifts, tables, vec, grid) -> list:
-    """The schedule a ``Diagonals`` stands for, one ciphertext at a time.
+    """The schedule a ``Diagonals`` stands for, one ciphertext at a time:
+    the hoisted diagonal method, baby steps and one giant step of 0.
 
-    Per distinct amount mod slot_count, in first-appearance order: rotate
-    once each input some term of the amount reads, PMult each (term, row)
-    whose coefficients are not all zero by its slot plaintext, Add the
-    products of each row, and Add that partial into the row's running sum.
-    Returns the running sums, None for a row without terms.
+    Per distinct amount mod slot_count, in first-appearance order, rotate
+    once each input some term of the amount reads; then PMult each (term,
+    row) whose coefficients are not all zero by its slot plaintext, and Add
+    the products of each row.  Returns the sums, None for a row without
+    terms.
     """
     N, (n1, n2) = c.slot_count, grid
     C, V = tables[0].shape[1:]
     U = src.rows // C
     srcs = unstack(src)
     vec = np.broadcast_to(vec, (len(shifts), C, n1))
-    sums = [None] * (U * V)
+    coef = [np.broadcast_to(t, (n2, C, V)) for t in tables]
+    rotated = {}
     for a in dict.fromkeys(s % N for s in shifts):
         at = [i for i, s in enumerate(shifts) if s % N == a]
-        coef = {i: np.broadcast_to(tables[i], (n2, C, V)) for i in at}
         read = [any(coef[i][:, ci].any() for i in at) for ci in range(C)]
-        rotated = {(u, ci): c.rotate(srcs[u * C + ci], a) for u in range(U) for ci in range(C) if read[ci]}
-        products = {}
-        for u in range(U):
-            for v in range(V):
-                for i in at:
-                    for ci in range(C):
-                        if coef[i][:, ci, v].any():
-                            pt = np.zeros(N)
-                            pt[: n1 * n2] = np.outer(vec[i, ci], coef[i][:, ci, v]).ravel()
-                            products.setdefault(u * V + v, []).append(c.pmult(rotated[u, ci], pt))
-        partials = {r: functools.reduce(c.add, terms) for r, terms in products.items()}
-        for r, ct in partials.items():
-            sums[r] = ct if sums[r] is None else c.add(sums[r], ct)
-    return sums
+        rotated.update({(u, ci, a): c.rotate(srcs[u * C + ci], a) for u in range(U) for ci in range(C) if read[ci]})
+    products = {}
+    for u in range(U):
+        for v in range(V):
+            for i, s in enumerate(shifts):
+                for ci in range(C):
+                    if coef[i][:, ci, v].any():
+                        pt = np.zeros(N)
+                        pt[: n1 * n2] = np.outer(vec[i, ci], coef[i][:, ci, v]).ravel()
+                        products.setdefault(u * V + v, []).append(c.pmult(rotated[u, ci, s % N], pt))
+    sums = {r: functools.reduce(c.add, terms) for r, terms in products.items()}
+    return [sums.get(r) for r in range(U * V)]
 
 
 class TestDiagonals:
@@ -904,6 +903,32 @@ class TestDiagonals:
         # one rotation per distinct nonzero amount, counting the inputs read at it
         rots = [(rec["rotation_amount"], rec.get("count", 1)) for rec in c.oplog if rec["op"] == "rot"]
         assert rots == [(1, 4), (30, 4), (8, 4), (12, 4), (23, 6)]
+
+    def test_the_op_log_is_pinned(self):
+        """Shifts 0, 3 and -3 of 2 inputs into 2 rows, row 0 without terms:
+        input 0 is read at 3 and input 1 at -3 = 13 mod 16, so each is
+        rotated once; then the one giant step of 0 multiplies the 4 nonzero
+        coefficients of row 1 and adds them, as one PMult and one Add
+        record."""
+        coef = np.zeros((3, 2, 2))
+        coef[0, :, 1] = [1.0, 0.5]  # shift 0
+        coef[1, 0, 1] = 2.0  # shift 3, input 0
+        coef[2, 1, 1] = -1.0  # shift -3, input 1
+        c = ctx(slots=16, levels=2, log_ops=True)
+        src = c.encrypt(np.arange(32.0).reshape(2, 16))
+        op = Diagonals([0, 3, -3], coef, (2, 8), 16)
+        with c.layer("t"):
+            out = c.fold_steps(src, op)
+        assert c.oplog[1:] == [
+            {"op": "rot", "layer": "t", "level_before": 2, "level_after": 2, "rotation_amount": 3},
+            {"op": "rot", "layer": "t", "level_before": 2, "level_after": 2, "rotation_amount": 13},
+            {"op": "pmult", "layer": "t", "level_before": 2, "level_after": 1, "count": 4},
+            {"op": "add", "layer": "t", "level_before": 1, "level_after": 1, "count": 3},
+        ]
+        assert op.has_terms.tolist() == [False, True]
+        x = src.slots
+        want = x[0] + 0.5 * x[1] + 2.0 * np.roll(x[0], -3) - np.roll(x[1], 3)
+        np.testing.assert_allclose(out.slots, [np.zeros(16), want], rtol=0, atol=1e-12)
 
     def test_a_zero_operator_gives_zero_rows(self):
         c = ctx(slots=32, levels=2, log_ops=True)
@@ -1066,6 +1091,32 @@ class TestMixedDiagonals:
             assert not merged.matrices[:, :, 0, 4].any() and merged.parts[1:, 0, 4].all()
             _, uncancelled = self.run(self.cancelling(P, cancel=False), T=3, N=16, U=2)
             assert counts["pmult"] < uncancelled["pmult"] and counts["rot"] < uncancelled["rot"]
+
+    def test_the_op_log_is_pinned(self):
+        """Two source sets of 2 inputs, 3 joints, one part with entries
+        (0, 0), (0, 1), (1, 1) and (2, 2), weights into row 0 only: diagonal
+        1 rotates both inputs of each set, diagonal -1 (listed, with no
+        entry) rotates nothing, and the one giant step of 0 multiplies 2
+        (diagonal, input) products per set into row 0 through each of the
+        diagonals 0 and 1, as one PMult and one Add record."""
+        parts = np.array([[[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+        weights = np.array([[[1.0, 0.0], [2.0, 0.0]]])
+        c = ctx(slots=8, levels=2, log_ops=True)
+        src = c.encrypt(np.arange(32.0).reshape(4, 8))
+        op = MixedDiagonals(weights, parts, [0, 1, -1], (2, 3), 8)
+        with c.layer("s"):
+            out = c.fold_steps(src, op)
+        assert c.oplog[1:] == [
+            {"op": "rot", "layer": "s", "level_before": 2, "level_after": 2, "count": 4, "rotation_amount": 1},
+            {"op": "pmult", "layer": "s", "level_before": 2, "level_after": 1, "count": 8},
+            {"op": "add", "layer": "s", "level_before": 1, "level_after": 1, "count": 6},
+        ]
+        assert op.has_terms.tolist() == [True, False]
+        x = src.slots.reshape(2, 2, 8)[..., :6].reshape(2, 2, 2, 3)  # (set, input, frame, joint)
+        mixed = x + np.pad(x[..., 1:2], ((0, 0), (0, 0), (0, 0), (0, 2)))  # joint 0 also reads joint 1
+        want = np.zeros((2, 2, 8))
+        want[:, 0, :6] = (mixed[:, 0] + 2.0 * mixed[:, 1]).reshape(2, 6)
+        np.testing.assert_allclose(out.slots, want.reshape(4, 8), rtol=0, atol=1e-12)
 
     def test_a_zero_matrix_gives_zero_rows(self):
         """No diagonals (zero parts), or diagonals whose products are all zero."""

@@ -29,6 +29,26 @@ def test_shape_validation_catches_channel_mismatch():
         )
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda adj: SpatialConv(0, 2, adj, np.zeros((1, 0, 2))), "spatial_conv c_in"),
+        (lambda adj: SpatialConv(2, 0, adj, np.zeros((1, 2, 0))), "spatial_conv c_out"),
+        (lambda adj: TemporalConv(0, 3, 1, np.zeros((0, 0, 3))), "temporal_conv channels"),
+        (lambda adj: TemporalConv(2, -1, 1, np.zeros((2, 2, 0))), "temporal_conv kernel"),
+        (lambda adj: FullyConnected(0, 3, np.zeros((0, 3))), "fully_connected c_in"),
+        (lambda adj: FullyConnected(2, 0, np.zeros((2, 0))), "fully_connected classes"),
+        (lambda adj: ModelSpec((0, 2, 4, 3), []), "input_dims"),
+        (lambda adj: ModelSpec((1, 2, -4, 3), []), "input_dims"),
+    ],
+)
+def test_sizes_below_one_are_refused(make, field):
+    """A width, kernel or input dimension below 1 is a ``ValueError`` that
+    names its field, even where the arrays fit it."""
+    with pytest.raises(ValueError, match=f"{field} must .*at least 1"):
+        make(AdjacencySet.from_edges(3, [[(0, 1), (1, 2)]]))
+
+
 def test_fc_requires_pooling_first():
     with pytest.raises(ValueError, match="pooled"):
         ModelSpec((1, 2, 4, 3), [FullyConnected(2, 5, np.zeros((2, 5)))])
