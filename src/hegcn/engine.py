@@ -147,10 +147,13 @@ def _giant_steps(lin: PackingLayout, lout: PackingLayout):
     """
     cap, G = lin.capacity, lin.cts_per_joint
     sizes = [lin.group_size(g) for g in range(G)]
-    cover = {n: packing.giant_step_coverage(cap, n) for n in set(sizes)}
-    deltas = np.array(sorted({d for sel in cover.values() for d in sel}))
-    never = np.zeros(cap, dtype=bool)
-    serves = np.array([[cover[n].get(d, never) for n in sizes] for d in deltas])
+    distinct = list(dict.fromkeys(sizes))
+    cover = [packing.giant_step_coverage(cap, n) for n in distinct]
+    deltas = np.array(sorted({d for sel in cover for d in sel}))
+    tables = np.zeros((len(distinct), len(deltas), cap), dtype=bool)  # per group size, what each step serves
+    for table, sel in zip(tables, cover):
+        table[np.searchsorted(deltas, list(sel))] = list(sel.values())
+    serves = tables[[distinct.index(n) for n in sizes]].transpose(1, 0, 2)
     reads = lin.block_channels()[np.arange(G)[:, None], (np.arange(cap) + deltas[:, None, None]) % cap]
     return deltas * lin.pad_bt, lout.block_channels(), reads, serves
 
@@ -527,34 +530,93 @@ def run_model(
 
 
 def _batch_norm(h: np.ndarray, bn: dict | None) -> np.ndarray:
-    """Inference batch norm over the channel axis of (B, C, T, J)."""
+    """Inference batch norm over the channel axis of (B, C, T, J), in place
+    on ``h``, which the caller owns: h * scale, then + shift."""
     if bn is None:
         return h
     scale = np.asarray(bn["gamma"]) / np.sqrt(np.asarray(bn["var"]) + bn.get("eps", 1e-5))
     shift = np.asarray(bn["beta"]) - np.asarray(bn["mean"]) * scale
-    return h * scale[None, :, None, None] + shift[None, :, None, None]
+    h *= scale[None, :, None, None]
+    h += shift[None, :, None, None]
+    return h
+
+
+def _bias_and_bn(out: np.ndarray, layer) -> np.ndarray:
+    """A conv's epilogue on its own (B, C_out, T, J) ``out``: + bias, then
+    batch norm as its own affine step."""
+    if layer.bias is not None:
+        out += layer.bias[None, :, None, None]
+    return _batch_norm(out, layer.bn)
 
 
 def spatial_reference(layer: SpatialConv, h: np.ndarray) -> np.ndarray:
     """Plaintext spatial conv on (B, C_in, T, J): sum over partitions p of
     W_p^T X N_p^T, then bias, then batch norm.
 
-    Reads the normalized partitions directly and never builds the merged
-    (C_in, C_out, J, J) matrices, so it checks ``merge_spatial`` instead of
-    sharing its code.
+    Per partition, one (B*C_in*T, J) x (J, J) product mixes the joints, then
+    one (C_out, C_in) x (C_in, T*J) GEMM per sample mixes the channels; the
+    partitions are summed in order.  Reads the normalized partitions
+    directly and never builds the merged (C_in, C_out, J, J) matrices, so
+    it checks ``merge_spatial`` instead of sharing its code.  ``h`` is only
+    read.
     """
-    out = 0.0
-    for w, n in zip(layer.weights, layer.adjacency.normalized()):
-        out = out + np.einsum("co,bctk->botk", w, h @ n.T, optimize=True)
-    if layer.bias is not None:
-        out = out + layer.bias[None, :, None, None]
-    return _batch_norm(out, layer.bn)
+    B, C, T, J = h.shape
+    mixed = np.empty((B * C * T, J))
+    out = np.empty((B, layer.c_out, T * J))
+    term = np.empty((layer.c_out, T * J))
+    for p, (w, n) in enumerate(zip(layer.weights, layer.adjacency.normalized())):
+        np.matmul(h.reshape(-1, J), n.T, out=mixed)
+        for b, x in enumerate(mixed.reshape(B, C, T * J)):
+            if p == 0:
+                np.matmul(w.T, x, out=out[b])
+            else:
+                np.matmul(w.T, x, out=term)
+                out[b] += term
+    return _bias_and_bn(out.reshape(B, layer.c_out, T, J), layer)
+
+
+def temporal_reference(layer: TemporalConv, h: np.ndarray) -> np.ndarray:
+    """Plaintext temporal conv on (B, C, T, J): SAME zero padding, stride
+    1 or 2, then bias, then batch norm.
+
+    Per sample, tap kappa is one (C_out, C_in) x (C_in, t_out*J) GEMM of
+    its weights and the time slab it reads.  The zero-padded frames are
+    split once into their ``stride`` phases, so that slab is a contiguous
+    run of frames of one phase; the taps are summed in order.  ``h`` is
+    only read.
+    """
+    B, C, T, J = h.shape
+    K, s, half = layer.kernel, layer.stride, (layer.kernel - 1) // 2
+    t_out = math.ceil(T / s)
+    taps = np.ascontiguousarray(layer.weights.transpose(2, 0, 1))  # (K, C_out, C_in)
+    padded = np.zeros((B, C, T + 2 * half, J))
+    padded[:, :, half : half + T] = h
+    phases = [np.ascontiguousarray(padded[:, :, r::s]) for r in range(s)]  # phase r: padded frames r, r + s, ...
+    del padded
+    out = np.empty((B, layer.channels, t_out * J))
+    term = np.empty((layer.channels, t_out * J))
+    for kappa, w in enumerate(taps):
+        first = kappa // s
+        slabs = phases[kappa % s][:, :, first : first + t_out].reshape(B, C, t_out * J)
+        for b in range(B):
+            if kappa == 0:
+                np.matmul(w, slabs[b], out=out[b])
+            else:
+                np.matmul(w, slabs[b], out=term)
+                out[b] += term
+    return _bias_and_bn(out.reshape(B, layer.channels, t_out, J), layer)
 
 
 def plaintext_reference(spec: ModelSpec, x: GraphTensor) -> np.ndarray:
     """Dense float64 forward pass; ground truth for every encrypted path.
 
-    Batch norm is applied as its own affine step, not folded into weights.
+    Each conv is a few large BLAS products on buffers of its own
+    (``spatial_reference``, ``temporal_reference``), and the epilogues run
+    in place with the float operations of their plain expressions, in that
+    order.  The oracle stays independent of what it checks: it calls no
+    ``hesim``, ``packing`` or ``adjacency`` kernel, folds nothing (batch
+    norm is its own affine step, ``_batch_norm``), builds no merged
+    matrices, and never writes into ``x.data`` or a layer's arrays.
     """
     if x.dims != spec.input_dims:
         raise ValueError(f"input dims {x.dims} do not match model {spec.input_dims}")
@@ -565,21 +627,17 @@ def plaintext_reference(spec: ModelSpec, x: GraphTensor) -> np.ndarray:
         if isinstance(layer, SpatialConv):
             h = spatial_reference(layer, h)
         elif isinstance(layer, TemporalConv):
-            B, C, T, J = h.shape
-            K, half = layer.kernel, (layer.kernel - 1) // 2
-            padded = np.zeros((B, C, T + 2 * half, J))
-            padded[:, :, half : half + T, :] = h
-            t_out = math.ceil(T / layer.stride)
-            out = np.zeros((B, layer.channels, t_out, J))
-            for kappa in range(K):
-                sl = padded[:, :, kappa : kappa + T : layer.stride, :][:, :, :t_out, :]
-                out += np.einsum("oc,bctj->botj", layer.weights[:, :, kappa], sl, optimize=True)
-            if layer.bias is not None:
-                out += layer.bias[None, :, None, None]
-            h = _batch_norm(out, layer.bn)
+            h = temporal_reference(layer, h)
         elif isinstance(layer, Activation):
             if not layer.pruned:
-                h = layer.a * h * h + layer.b * h + layer.c
+                # a*h*h + b*h + c, in place on the owned h, with that
+                # expression's float operations in its order
+                out = layer.a * h
+                out *= h
+                h *= layer.b
+                out += h
+                out += layer.c
+                h = out
         elif isinstance(layer, GlobalAvgPool):
             pooled = h.mean(axis=(2, 3))  # (B, C)
         elif isinstance(layer, FullyConnected):

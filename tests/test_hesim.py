@@ -565,17 +565,21 @@ class TestBlockCirculant:
     N1, N2, T = TestFoldSteps.N1, TestFoldSteps.N2, TestFoldSteps.T
 
     def test_gather_equals_the_per_step_scatter(self):
-        coef = TestFoldSteps().coef()
-        V = coef.shape[1]
-        # block b of a row reads source block b + a / n2 in step a: scatter each step's coefficients
-        want = np.zeros((V, self.N1, self.N1, self.T))  # (row, block, source block, term)
-        b = np.arange(self.N1)
-        for a, c in zip(np.array(TestFoldSteps.AMOUNTS) // self.N2, coef):
-            want[:, b, (b + a) % self.N1] += c.swapaxes(-1, -2)
-        op = BlockCirculant(TestFoldSteps.AMOUNTS, coef, (self.N1, self.N2))
-        got = op.matrix.reshape(V, self.N1, self.T, self.N1)  # (row, block, term, source block)
-        assert np.array_equal(got, want.swapaxes(-1, -2))
-        assert not op.matrix.flags.writeable
+        """Bit for bit, -0.0 coefficients included, whether steps share a
+        block shift (summed in step order onto zeros) or not."""
+        for amounts in (TestFoldSteps.AMOUNTS, [0, 8, -16, 56]):
+            coef = TestFoldSteps().coef()[: len(amounts)]
+            coef[coef < -0.5] = -0.0
+            V = coef.shape[1]
+            # block b of a row reads source block b + a / n2 in step a: scatter each step's coefficients
+            want = np.zeros((V, self.N1, self.N1, self.T))  # (row, block, source block, term)
+            b = np.arange(self.N1)
+            for a, c in zip(np.array(amounts) // self.N2, coef):
+                want[:, b, (b + a) % self.N1] += c.swapaxes(-1, -2)
+            op = BlockCirculant(amounts, coef, (self.N1, self.N2))
+            got = op.matrix.reshape(V, self.N1, self.T, self.N1)  # (row, block, term, source block)
+            assert got.tobytes() == np.ascontiguousarray(want.swapaxes(-1, -2)).tobytes()
+            assert not op.matrix.flags.writeable
 
     @pytest.mark.parametrize("U", [1, 2])
     def test_one_operator_applies_to_many_stacks(self, U):
