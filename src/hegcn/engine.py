@@ -147,13 +147,10 @@ def _giant_steps(lin: PackingLayout, lout: PackingLayout):
     """
     cap, G = lin.capacity, lin.cts_per_joint
     sizes = [lin.group_size(g) for g in range(G)]
-    distinct = list(dict.fromkeys(sizes))
-    cover = [packing.giant_step_coverage(cap, n) for n in distinct]
-    deltas = np.array(sorted({d for sel in cover for d in sel}))
-    tables = np.zeros((len(distinct), len(deltas), cap), dtype=bool)  # per group size, what each step serves
-    for table, sel in zip(tables, cover):
-        table[np.searchsorted(deltas, list(sel))] = list(sel.values())
-    serves = tables[[distinct.index(n) for n in sizes]].transpose(1, 0, 2)
+    cover = {n: packing.giant_step_coverage(cap, n) for n in set(sizes)}
+    deltas = np.array(sorted({d for sel in cover.values() for d in sel}))
+    never = np.zeros(cap, dtype=bool)
+    serves = np.array([[cover[n].get(d, never) for n in sizes] for d in deltas])
     reads = lin.block_channels()[np.arange(G)[:, None], (np.arange(cap) + deltas[:, None, None]) % cap]
     return deltas * lin.pad_bt, lout.block_channels(), reads, serves
 

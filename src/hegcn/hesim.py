@@ -346,21 +346,17 @@ def _block_circulant(amounts, coef, grid) -> tuple[np.ndarray, np.ndarray, np.nd
     if np.any(amounts % n2):
         raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
     V, T = coef.shape[1:3]
-    # sum the steps per block shift k (block b reads source block b + k), in
-    # step order, then copy the sums once into E[v, t, b, k], doubled along
-    # k, so that mat[v, b, t, c] = E[v, t, b, (c - b) % n1] = E[v, t, b, n1 - b + c]
-    # is a strided view; it is copied by adding 0.0, which turns a -0.0
-    # coefficient into the 0.0 + -0.0 of a sum
-    shifts = amounts // n2 % n1
+    # sum the steps per block shift k (block b reads source block b + k), then
+    # copy the sums once into E[v, t, b, k], doubled along k, so that
+    # mat[v, b, t, c] = E[v, t, b, (c - b) % n1] = E[v, t, b, n1 - b + c]
+    # is a strided view
     D = np.zeros((n1, V, T, n1))
-    if len(set(shifts.tolist())) == len(shifts):
-        D[shifts] = coef
-    else:
-        np.add.at(D, shifts, coef)
+    for k, c in zip((amounts // n2 % n1).tolist(), coef):
+        D[k] += c
     D = D.transpose(1, 2, 3, 0)
     E = np.concatenate((D, D), axis=-1)
     sv, st, sb, sk = E.strides
-    mat = np.add(np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)), 0.0, order="C").reshape(V * n1, T * n1)
+    mat = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)).copy().reshape(V * n1, T * n1)
     mat.flags.writeable = False
     return amounts % (n1 * n2), coef, mat
 
