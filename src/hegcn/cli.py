@@ -12,8 +12,8 @@ Subcommands:
   evaluator.
 * ``hoc``     -- per-layer analytic operation counts as CSV.
 
-Exit codes: 0 success, 2 configuration error, 3 depth-budget violation,
-4 no feasible HE parameters.
+Exit codes: 0 success, 2 configuration error or unpoolable frame count, 3
+depth-budget violation, 4 no feasible HE parameters.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from hegcn import costmodel, engine, packing, prune
 from hegcn.costmodel import HocFormulaInput, ParamSelectionError
-from hegcn.engine import DepthBudgetError
+from hegcn.engine import DepthBudgetError, PoolingError
 from hegcn.hesim import HOC_OPS, OPS, SCALE_BITS
 from hegcn.model import FullyConnected, ModelSpec, SpatialConv, TemporalConv
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor, PackingError
@@ -135,6 +135,7 @@ def _make_out(out: str | None) -> None:
 def cmd_infer(args) -> int:
     spec = _load_model(args.model)
     _require_head(spec)
+    engine.check_pooling(spec)
     x = _load_input(spec, args)
     formats = [AMA, ROWMAJOR] if args.format == "both" else [args.format]
     slot = args.slot_count
@@ -211,6 +212,7 @@ def _model_formula_input(spec: ModelSpec, slot_count: int) -> HocFormulaInput:
 def cmd_compare(args) -> int:
     spec = _load_model(args.model)
     _require_head(spec)
+    engine.check_pooling(spec)
     _check_slot_count(spec, args.slot_count, (AMA, ROWMAJOR))
     parts = args.batch.split(",") if args.batch else []
     if not all(b.strip().isdecimal() and int(b) > 0 for b in parts):
@@ -331,6 +333,7 @@ def cmd_prune(args) -> int:
 
 def cmd_hoc(args) -> int:
     spec = _load_model(args.model)
+    engine.check_pooling(spec)
     formats = [AMA, ROWMAJOR] if args.format == "both" else [args.format]
     _check_slot_count(spec, args.slot_count, formats)
     slot = args.slot_count or engine.default_slot_count(spec.input_dims)
@@ -393,7 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, PoolingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DepthBudgetError as exc:

@@ -32,14 +32,14 @@ finds, and the partition entries; it gathers and mixes the ciphertexts of
 each chunk of output joints, multiplies the mixes by the matrix, and
 counts what the merged coefficients would.  A row-major conv is one
 operator per layer, applied to every sample's input channels at once: a
-temporal one a ``hesim.Diagonals`` of its taps, a spatial one a
-``hesim.MixedDiagonals`` of the factors, which mixes the joints of every
-frame row by each partition and applies the weight slabs as one GEMM, the
-row-major counterpart of ``hesim.Mixed``.  The classifier head is an AMA
-``hesim.BlockCirculant`` with the single giant step 0, rows classes and
-terms the pooled group ciphertexts, whose blocks one rotate-and-sum then
-adds, or a row-major ``hesim.Diagonals`` with the single shift 0 and the
-weight rows as per-frame factors; its bias is one Add (``_add_bias``).
+temporal one a one-block ``hesim.BlockCirculant`` of its taps and masks,
+a spatial one a ``hesim.MixedDiagonals`` of the factors, which mixes the
+joints of every frame row by each partition and applies the weight slabs
+as one GEMM, the row-major counterpart of ``hesim.Mixed``.  The classifier
+head is a ``hesim.BlockCirculant`` with the single giant step 0: AMA, rows
+classes and terms the pooled group ciphertexts, whose blocks one
+rotate-and-sum then adds, or row-major, one block whose factors are the
+weight rows; its bias is one Add (``_add_bias``).
 Rows are joints (AMA temporal), output joints (AMA spatial), output
 channels (row-major conv) or classes (AMA head), terms are the rotated
 inputs a row sums, and a term is skipped exactly where its coefficients,
@@ -82,6 +82,14 @@ from hegcn.packing import AMA, ROWMAJOR, GraphTensor, PackingLayout, next_pow2
 
 class DepthBudgetError(Exception):
     """The model needs more multiplicative levels than the context offers."""
+
+    def __init__(self, message, layer=None):
+        super().__init__(message)
+        self.layer = layer
+
+
+class PoolingError(ValueError):
+    """Pooling would fold a valid frame count that is not a power of two."""
 
     def __init__(self, message, layer=None):
         super().__init__(message)
@@ -309,17 +317,19 @@ def _temporal_ama(fm, W, bias, eps, masks):
     w = W[out_chan[:, None, None], c_read[:, None, :, None], np.arange(K)[:, None]]
     w = np.where(serves[:, None, :, None], w, 0.0)
     coef = w.reshape(len(amounts), G, G * K, lin.capacity)
-    vec = np.tile(masks[:, None, :], (G, 1, 1))  # (g*tap, 1, pad)
-    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), eps * fm.t_stride, vec)
+    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), eps * fm.t_stride, masks[:, None, :])
     acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
     return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid)
 
 
 def _temporal_rowmajor(fm, W, bias, eps, masks):
-    """One ``hesim.Diagonals`` of the K taps: terms are (tap, input channel), rows output channels."""
+    """One ``hesim.BlockCirculant`` on one block of every slot with the
+    single giant step 0, the diagonal method: terms are (input channel,
+    tap), rows output channels, and each tap's mask scales every input."""
     lin = fm.layout
     # masks were built over one T-row; each frame row spans J slots
-    op = hesim.Diagonals(eps * fm.t_stride * lin.J, W.transpose(2, 1, 0), (lin.T, lin.J), lin.slot_count, masks[:, None, : lin.T])
+    vec = np.repeat(masks[:, None, : lin.T], lin.J, axis=-1)
+    op = hesim.BlockCirculant([0], W.reshape(1, len(W), -1, 1), (1, lin.slot_count), eps * fm.t_stride * lin.J, vec)
     acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
     return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid)
 
@@ -382,11 +392,11 @@ def fully_connected(fm: EncryptedFeatureMap, weights: np.ndarray, bias: np.ndarr
     (class, group) term whose weights are all zero runs nothing.
 
     Row-major: the pooled means are replicated in every slot, so a
-    ``hesim.Diagonals`` with the one shift 0, read as a grid of one frame
-    per class, weighs every input channel by its weight row as the per-frame
-    factor and needs no rotation: one ciphertext per sample, the score of
-    class k at slot k.  Its coefficients are ones, so every (sample,
-    channel) PMult counts.
+    ``hesim.BlockCirculant`` on one block of every slot, with the single
+    tap 0, weighs every input channel by its weight row as the factors of
+    the first ``classes`` slots (zero past them) and needs no rotation: one
+    ciphertext per sample, the score of class k at slot k.  Its
+    coefficients are ones, so every (sample, channel) PMult counts.
     """
     ctx = fm.ct.ctx
     if not fm.pooled:
@@ -412,7 +422,7 @@ def fully_connected(fm: EncryptedFeatureMap, weights: np.ndarray, bias: np.ndarr
         acc = ctx.rotate_sum(acc, [pad * (cap >> (i + 1)) for i in range(int(math.log2(cap)))])
         return _add_bias(acc, np.broadcast_to(bias[:, None], (classes, N)))
 
-    op = hesim.Diagonals([0], np.ones((1, lin.C, 1)), (classes, 1), N, weights[None])
+    op = hesim.BlockCirculant([0], np.ones((1, 1, lin.C, 1)), (1, N), vec=weights[:, None, None, :])
     acc = ctx.fold_steps(fm.ct, op)
     return _add_bias(acc, np.broadcast_to(bias, (lin.B, classes)))
 
@@ -458,6 +468,14 @@ def check_depth_budget(spec: ModelSpec, max_level: int) -> None:
             )
 
 
+def check_pooling(spec: ModelSpec) -> None:
+    """Static check; names the first pooling layer whose valid frame count
+    (``ModelSpec.shape_walk``) is not a power of two."""
+    for label, layer, (_, tv, _) in zip(spec.labels(), spec.layers, spec.shape_walk()):
+        if isinstance(layer, GlobalAvgPool) and tv & (tv - 1):
+            raise PoolingError(f"pooling at {label} expects a power-of-two valid frame count, got {tv}", layer=label)
+
+
 def run_model(
     spec: ModelSpec,
     x: GraphTensor,
@@ -488,6 +506,7 @@ def run_model(
             log_ops=False,
         )
     check_depth_budget(spec, ctx.max_level)
+    check_pooling(spec)
 
     with ctx.layer("pack"):
         if fmt == AMA:

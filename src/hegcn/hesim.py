@@ -24,43 +24,44 @@ one per row; ``sum_parts`` adds the equal consecutive parts of a stack.
 
 ``fold_steps`` is the one fused multiply-accumulate: it applies a prebuilt
 operator, the baby-step/giant-step product of Halevi and Shoup (CRYPTO
-2018), to a stack of input ciphertexts.  A ``BlockCirculant`` (AMA) holds
-the tap rotations of the inputs (the baby steps) and many folds rotated by
-whole blocks (the giant steps) as one block-circulant matrix.  A ``Mixed``
-multiplies linear mixes of a layer's inputs by such a matrix, built by the
-same helper (``_block_circulant``): the factored form of a fold whose
-coefficients are sums of products, as in an AMA spatial conv, where the
-matrix holds the weight slabs, the mix the partition entries and a read
-index the input joint of every (output joint, piece).  The row-major
-operators are the diagonal method with one giant step of 0: a
-``Diagonals`` (temporal conv) holds the tap rotations as the baby steps,
-with one coefficient per (tap, input, output) for every column, and a
-``MixedDiagonals`` (spatial conv) rotates by the diagonals of the joint
-pattern and is applied factored, like a ``Mixed``: the joints of every
-frame row are mixed by each partition, then the weight slabs are one GEMM.
-All four count with one schedule, built by their base's ``_schedule``:
-the baby steps, a rotation per input and distinct nonzero tap amount some
-term reads (``_input_rotations``), then per giant step its PMults, the
-Adds of each row's products, a rotation of each row's partial sum and an
-Add into the row's running sum (``_giant_step_counts``).  A row-major
-operator is its hoisted diagonal method: every input rotation first, then
-one PMult and one Add record for its single giant step of 0.  Each rule
-two operators share is one helper (``_merge_parts``, ``_live_run``,
+2018), to a stack of input ciphertexts.  A ``BlockCirculant`` holds the tap
+rotations of the inputs (the baby steps) and many folds rotated by whole
+blocks (the giant steps) as one block-circulant matrix: an AMA temporal
+conv or head, and on one block of every slot with the single giant step 0
+(the diagonal method) a row-major temporal conv or head, whose tap masks
+or weight rows are its per-slot factors.  A ``Mixed`` multiplies linear
+mixes of a layer's inputs by such a matrix, built by the same helper
+(``_block_circulant``): the factored form of a fold whose coefficients are
+sums of products, as in an AMA spatial conv, where the matrix holds the
+weight slabs, the mix the partition entries and a read index the input
+joint of every (output joint, piece).  A ``MixedDiagonals`` (row-major
+spatial conv) is the diagonal method too: it rotates by the diagonals of
+the joint pattern and is applied factored, like a ``Mixed``: the joints of
+every frame row are mixed by each partition, then the weight slabs are one
+GEMM.  All three count with one schedule, built by their base's
+``_schedule``: the baby steps, a rotation per input and distinct nonzero
+tap amount some term reads (``_input_rotations``), then per giant step its
+PMults, the Adds of each row's products, a rotation of each row's partial
+sum and an Add into the row's running sum (``_giant_step_counts``).  A
+row-major operator is its hoisted diagonal method: every input rotation
+first, then one PMult and one Add record for its single giant step of 0.
+Each rule two operators share is one helper (``_merge_parts``,
 ``_block_circulant``).  Each operator is built once per layer, holds the
 plaintext factors that scale its terms, builds its op records (op, count,
 levels spent and rotation amount) from vectorized count tables when it is
 built, and is applied as batched matrix products over chunks of its
-sources that stay under ``_CHUNK_BYTES`` (a ``BlockCirculant`` skips the
-within-block positions its factors zero).  It holds one set of
-coefficients, which serves every source set of the stack it is applied
+sources that stay under ``_CHUNK_BYTES`` (a ``BlockCirculant`` computes
+only the evenly spaced runs of positions its factors do not zero, and
+splits a source set too large for one GEMM along them).  It holds one set
+of coefficients, which serves every source set of the stack it is applied
 to: ``fold_steps`` counts, and with ``log_ops`` logs, its records in the
 schedule's order, each at the input's level and times the source sets,
 through ``SimContext._records``, the one path every op counts and logs
-through.  The counts are those of the
-schedule one ciphertext at a time: a rotation per input and amount some
-term reads, and a PMult per term that runs (its coefficients, for a
-``Mixed`` the combined ones and for a ``MixedDiagonals`` the merged ones,
-are not all zero), with the Adds that sum them.
+through.  The counts are those of the schedule one ciphertext at a time:
+a rotation per input and amount some term reads, and a PMult per term
+that runs (its coefficients, for a ``Mixed`` the combined ones and for a
+``MixedDiagonals`` the merged ones, are not all zero), with the Adds that
+sum them.
 
 The fused epilogues do the elementwise work between the folds, each as one
 op that writes one output buffer it owns, in row chunks under
@@ -101,10 +102,18 @@ import numpy as np
 #: terms or epilogue rows.  The operators and the fused epilogues run in
 #: chunks that stay below it (at least one item each).  Measured on the
 #: reference model (slot 8192): 2 MB and 256 KB run equally fast, 256 KB
-#: keeps the run's peak memory lower.  A ``Diagonals`` item is one grid
-#: column with all its frames: splitting the frames to stay under the bound
-#: made a 128-channel temporal layer at slot 8192 2.2x slower.
+#: keeps the run's peak memory lower.
 _CHUNK_BYTES = 256 << 10
+
+#: Upper bound on the tap-rotated terms of one GEMM of a ``BlockCirculant``
+#: whose chunk, a single source set, exceeds it: a row-major sample, up to
+#: 29.5 MB at slot 8192, is split along its live runs into parts under it
+#: (an AMA joint, at most 1.2 MB, never is).  Measured on the reference
+#: model's row-major temporal layers (slot 8192, one BLAS thread): parts of
+#: 256 KB, 28 positions of 1,152 terms per GEMM, took 41-45 ms per stride-2
+#: layer against 26-29 ms for 2 MB; 1 MB ran as fast as 2 MB, and 4 MB about
+#: 10% faster for 4 MB more peak memory.
+_GEMM_BYTES = 2 << 20
 
 #: glibc's ``mallopt`` parameters (malloc.h) and the values the first
 #: ``SimContext`` of a process sets with them: a block of up to 64 MiB comes
@@ -317,13 +326,40 @@ def _merge_parts(entries: np.ndarray, slabs: np.ndarray) -> tuple[np.ndarray, np
     return which, merged
 
 
-def _live_run(vec: np.ndarray) -> slice:
-    """The evenly spaced run of columns (last axis) of the factors ``vec``
-    from the first where some factor is not zero to the last, in the
-    largest step that meets them all: the columns an operator computes."""
-    kept = np.flatnonzero(vec.any(axis=tuple(range(vec.ndim - 1))))
-    step = int(np.gcd.reduce(np.diff(kept))) if len(kept) > 1 else 1
-    return slice(int(kept[0]), int(kept[-1]) + 1, step) if len(kept) else slice(0)
+def _live_run(vec: np.ndarray) -> tuple[int, int, int, int]:
+    """The positions (last axis) of the factors ``vec`` an operator
+    computes, as evenly spaced runs (start, step, width, count): run r
+    holds the width positions from start + r*step on.  Each stretch of
+    positions where some factor is not zero starts a run, in the largest
+    step that meets them all and the width of the widest stretch; where
+    such runs would touch or pass the last position, one run from the
+    first such position to the last.  No such position gives no run."""
+    nonzero = np.zeros(vec.shape[-1] + 2, dtype=bool)
+    nonzero[1:-1] = vec.any(axis=tuple(range(vec.ndim - 1)))
+    edges = np.flatnonzero(nonzero[1:] != nonzero[:-1])  # each stretch's first position, then the one past its last
+    if not len(edges):
+        return 0, 0, 0, 0
+    starts, width = edges[::2], int((edges[1::2] - edges[::2]).max())
+    step = int(np.gcd.reduce(np.diff(starts))) if len(starts) > 1 else width
+    if step <= width or starts[-1] + width > vec.shape[-1]:
+        width = int(edges[-1] - edges[0])
+        return int(edges[0]), width, width, 1
+    return int(starts[0]), step, width, int((starts[-1] - starts[0]) // step + 1)
+
+
+def _runs_view(a: np.ndarray, start: int, step: int, width: int, runs: int) -> np.ndarray:
+    """The positions (last axis) of ``a`` in the runs (start, step, width,
+    runs) of ``_live_run`` as a view (..., runs, width), without an axis of
+    one element (numpy copies a last axis of one element one element at a
+    time), sliced where it can (``as_strided`` costs 5 us)."""
+    if width == 1:
+        return a[..., start : start + (runs - 1) * step + 1 : step]
+    if runs == 1:
+        return a[..., start : start + width]
+    if start + runs * step <= a.shape[-1]:
+        return a[..., start : start + runs * step].reshape(a.shape[:-1] + (runs, step))[..., :width]
+    *lead, s = a.strides
+    return np.lib.stride_tricks.as_strided(a[..., start:], a.shape[:-1] + (runs, width), tuple(lead) + (step * s, s))
 
 
 def _scaled_columns(vec: np.ndarray):
@@ -349,14 +385,16 @@ def _block_circulant(amounts, coef, grid) -> tuple[np.ndarray, np.ndarray, np.nd
     # sum the steps per block shift k (block b reads source block b + k), then
     # copy the sums once into E[v, t, b, k], doubled along k, so that
     # mat[v, b, t, c] = E[v, t, b, (c - b) % n1] = E[v, t, b, n1 - b + c]
-    # is a strided view
+    # is a strided view; one block is its own circulant: mat is the sum
     D = np.zeros((n1, V, T, n1))
     for k, c in zip((amounts // n2 % n1).tolist(), coef):
         D[k] += c
-    D = D.transpose(1, 2, 3, 0)
-    E = np.concatenate((D, D), axis=-1)
-    sv, st, sb, sk = E.strides
-    mat = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)).copy().reshape(V * n1, T * n1)
+    if n1 == 1:
+        mat = D.reshape(V, T)
+    else:
+        E = np.concatenate((D.transpose(1, 2, 3, 0),) * 2, axis=-1)
+        sv, st, sb, sk = E.strides
+        mat = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)).copy().reshape(V * n1, T * n1)
     mat.flags.writeable = False
     return amounts % (n1 * n2), coef, mat
 
@@ -402,8 +440,10 @@ class _Operator:
 
 
 class BlockCirculant(_Operator):
-    """The baby-step/giant-step operator of one AMA channel fold, built once
-    and applied by ``SimContext.fold_steps`` to any number of source sets.
+    """The baby-step/giant-step operator of one channel fold, built once
+    and applied by ``SimContext.fold_steps`` to any number of source sets:
+    an AMA temporal conv or classifier head, or on one block of every slot
+    with the single giant step 0 (the diagonal method), a row-major one.
 
     The slots are read as a ``grid`` (n1, n2): n1 blocks of n2 slots.  The
     baby steps rotate each input ciphertext by every one of the K ``taps``
@@ -412,8 +452,12 @@ class BlockCirculant(_Operator):
     slots, a multiple of n2 (a shift by whole blocks).  ``coef`` has shape
     (S, V, T, n1): step, row, term and the block a coefficient lands on
     after its step's rotation, one set of coefficients for every source
-    set.  ``vec`` broadcasts to (T, n1, n2) and scales each term's slots
-    after its tap rotation.  Block b of row v of source set u is
+    set.  ``vec`` holds the factors that scale each term's slots after its
+    tap rotation, (inputs, K, n1, m) with numpy broadcasting over the
+    leading axes (the same mask on every input, say): the factors of the
+    first m <= n2 positions of a block, zero past them, as a short
+    plaintext is; a scalar scales every position.  Block b of row v of
+    source set u is
 
         sum over steps s, terms t of  coef[s, v, t, b] * (vec[t] * src[u, t])[b']
 
@@ -427,27 +471,28 @@ class BlockCirculant(_Operator):
     block), built by ``_block_circulant`` as for a ``Mixed``.  A giant step
     moves whole blocks, so position p of every block of the product reads
     position p of the blocks of the terms only, and is zero where ``vec``
-    is zero for every term.  ``live`` is the slice of within-block
-    positions from the first such nonzero position to the last, in the
-    largest step that meets them all (every position when ``vec`` is
-    nonzero everywhere); ``apply`` copies, scales and multiplies only those
-    columns, and the product is an exact zero at the others.  Within them,
-    ``scaled`` are the positions where some factor is not 1: for a temporal
-    tap mask the edge frames of each sample, where a tap reads past the
-    sequence and carries a 0 (the AMA head's anchors are all 1, so it
-    scales none).  ``vec`` is kept as the (inputs, K, n1 or 1, scaled)
-    factors there, one block for all when they are the same in every block,
-    and None when every factor is 1.  ``apply`` multiplies the gathered
-    terms at ``scaled`` only: a factor of 1 leaves a slot as it is, bit for
-    bit.
+    is zero for every term.  ``live`` holds the other positions as evenly
+    spaced runs (start, step, width, count; ``_live_run``), the only ones
+    ``apply`` copies, scales and multiplies: after a stride 2, single
+    positions two apart in an AMA block, frames of J slots 2J apart in a
+    row-major one.  Among them (counted run by run), ``scaled`` are those
+    where some factor is not 1: for a temporal tap mask the edge frames of
+    each sample, where a tap reads past the sequence and carries a 0, and
+    for the row-major head each class whose weight row is not all ones.
+    ``vec`` keeps the factors there, (inputs or 1, K or 1, n1 or 1,
+    scaled), or None when every factor is 1: ``apply`` multiplies the
+    gathered terms at ``scaled`` only, since a factor of 1 leaves a slot
+    as it is, bit for bit.
 
     ``has_terms`` marks the V rows some step reaches.  The records of one
     source set (``_schedule``) are one rotation per distinct nonzero tap
     amount of the inputs some pair reads, then per giant step its
     PMults, its Adds of products, one rotation per row with terms (none
     when the amount is 0 mod n1*n2) and one Add per row that already holds
-    a partial sum.  The arrays are read-only and ``fold_steps`` changes
-    nothing, so one operator serves any number of source stacks.
+    a partial sum: with the single giant step 0, the hoisted diagonal
+    method's input rotations, then one PMult and one Add record.  The
+    arrays are read-only and ``fold_steps`` changes nothing, so one
+    operator serves any number of source stacks.
     """
 
     __slots__ = ("taps", "matrix", "vec", "scaled", "live")
@@ -463,12 +508,15 @@ class BlockCirculant(_Operator):
             raise ValueError(f"{T} terms are not (input, tap) pairs of {K} taps")
         runs = coef.any(axis=-1)  # (S, V, T): the terms that run
         self._schedule(taps, runs.any(axis=(0, 1)).reshape(T // K, K).T, amounts, runs.sum(axis=-1))
-        # (inputs, K, n1 or 1, n2): a factor the same in every block is kept once
         vec = np.asarray(vec, dtype=np.float64)
-        vec = vec.reshape((1,) * (3 - vec.ndim) + vec.shape)
-        vec = np.broadcast_to(vec, (T, vec.shape[1], n2)).reshape(T // K, K, vec.shape[1], n2)
+        if vec.ndim == 0:  # a scalar scales every position
+            vec = np.broadcast_to(vec, n2)
+        vec = vec.reshape((1,) * (4 - vec.ndim) + vec.shape)
+        lead = (T // K, K, n1)
+        if vec.ndim != 4 or vec.shape[-1] > n2 or any(n not in (1, m) for n, m in zip(vec.shape, lead)):
+            raise ValueError(f"factors of shape {vec.shape} do not fit {lead + (n2,)}")
         self.live = _live_run(vec)
-        self.scaled, self.vec = _scaled_columns(vec[..., self.live])
+        self.scaled, self.vec = _scaled_columns(_runs_view(vec, *self.live).reshape(vec.shape[:-1] + (-1,)))
         self.taps = taps
         self._freeze(grid, N, V, T // K, self.vec, self.scaled)
 
@@ -484,26 +532,45 @@ class BlockCirculant(_Operator):
         return out
 
     def _product(self, x: np.ndarray, out: np.ndarray) -> None:
-        """One chunk: one ``matmul`` of the matrix broadcast over its sets,
-        by z[u, i, k], input i of set u rotated by tap k (a window of the
-        inputs wrapped the nearer way round) at the live positions."""
+        """One chunk of source sets: per part of the live runs, one
+        ``matmul`` of the matrix broadcast over the sets by z[u, i, k],
+        input i of set u rotated by tap k (a window of the inputs wrapped
+        the nearer way round) at the part's positions.  The runs are one
+        part, unless their terms exceed ``_GEMM_BYTES``: then a part is as
+        many whole runs as stay under it, or a piece of one run."""
         U, I, N = x.shape
         n1, n2 = self.grid
-        L = len(range(n2)[self.live])
+        start, step, width, count = self.live
+        K = len(self.taps)
+        blocks = out.reshape(U, self.rows * n1, n2)
+        if count * width < n2:
+            blocks[...] = 0.0
+        if not count:
+            return
         reach = [a - N if a > N // 2 else a for a in self.taps]
         pre, post = max(0, -min(reach)), max(0, max(reach))
-        wrapped = np.concatenate((x[..., N - pre :], x, x[..., :post]), axis=-1)
-        z = np.empty((U, I, len(reach), n1, L))
-        for k, a in enumerate(reach):
-            z[:, :, k] = wrapped[..., pre + a : pre + a + N].reshape(U, I, n1, n2)[..., self.live]
-        if self.vec is not None:
-            z[..., self.scaled] *= self.vec
-        blocks = out.reshape(U, self.rows * n1, n2)
-        if L == n2:
-            np.matmul(self.matrix, z.reshape(U, -1, L), out=blocks)
-        else:
-            blocks[...] = 0.0
-            blocks[..., self.live] = self.matrix @ z.reshape(U, -1, L)
+        wrapped = np.concatenate((x[..., N - pre :], x, x[..., :post]), axis=-1) if pre or post else x
+        run_bytes = U * I * K * n1 * width * 8
+        runs = max(1, _GEMM_BYTES // run_bytes)
+        piece = width if run_bytes <= _GEMM_BYTES else max(1, _GEMM_BYTES * width // run_bytes)
+        for r in range(0, count, runs):
+            nr = min(runs, count - r)
+            for w in range(0, width, piece):
+                nw = min(piece, width - w)
+                # the part: live positions first to first + n, from slot offset of every block
+                first, n, offset = r * width + w, nr * nw, start + r * step + w
+                z = np.empty((U, I, K, n1) + ((nr, nw) if nr > 1 and nw > 1 else (n,)))  # the shape _runs_view gives
+                for k, a in enumerate(reach):
+                    z[:, :, k] = _runs_view(wrapped[..., pre + a : pre + a + N].reshape(U, I, n1, n2), offset, step, nw, nr)
+                z = z.reshape(U, I, K, n1, n)
+                if self.vec is not None:  # the factors of the part's scaled positions
+                    i, j = (0, len(self.scaled)) if n == count * width else np.searchsorted(self.scaled, (first, first + n))
+                    z[..., self.scaled[i:j] - first] *= self.vec[..., i:j]
+                if n == n2:
+                    np.matmul(self.matrix, z.reshape(U, -1, n), out=blocks)
+                else:
+                    dst = _runs_view(out.reshape(U, self.rows, n1, n2), offset, step, nw, nr)
+                    dst[...] = (self.matrix @ z.reshape(U, -1, n)).reshape(dst.shape)
 
 
 class Mixed(_Operator):
@@ -581,103 +648,6 @@ class Mixed(_Operator):
         return out.reshape(U, self.rows, N)
 
 
-class Diagonals(_Operator):
-    """The diagonal-method operator of one row-major temporal conv, built
-    once and applied by ``SimContext.fold_steps`` to any number of source
-    sets.
-
-    The slots are read as a ``grid`` (n1, n2) of n1 frames by n2 columns,
-    n1 * n2 <= ``slot_count``; past it every plaintext is zero.  Shift i
-    rotates the inputs by ``shifts[i]`` slots: the baby steps of the
-    diagonal method of Halevi and Shoup (CRYPTO 2018), whose single giant
-    step is 0.  ``coef`` (shifts, inputs, rows) holds one coefficient table
-    per shift, the same in every column.  The terms are the (shift, input)
-    pairs, and row v of source set u at slot (t, k) is
-
-        sum over i, c of  coef[i, c, v] * vec[i, c, t] * src[u, c][(t*n2 + k + shifts[i]) mod slot_count]
-
-    with ``vec`` broadcast to (shifts, inputs, n1).  ``coef`` is kept as
-    (rows, shifts * inputs), input-minor, and ``offsets``
-    the slot each shift reads at frame 0, counted from ``span[0]``.  A
-    frame where ``vec`` is zero for every term is zero in every row:
-    ``frames`` is the evenly spaced run of frames through the others (half
-    of them after a stride 2), the only ones ``apply`` gathers and
-    multiplies.  Among them, ``scaled`` are the frames where some factor is
-    not 1: for a temporal tap mask the edge frames, where a tap reads past
-    the sequence and carries a 0, and for the row-major head every class
-    whose weight row is not all ones.  ``vec`` (shifts * inputs, scaled)
-    holds their factors (None when all are 1), and ``apply`` multiplies
-    the gathered terms at those frames only: a factor of 1 leaves a slot
-    as it is, bit for bit.
-
-    The records of one source set (``_schedule``) are those of the hoisted
-    diagonal method: the shifts are the taps, an input is rotated by each
-    distinct nonzero amount where some coefficient of it is not zero, and
-    the one giant step of 0 holds, per row, a PMult for every nonzero
-    (shift, input) coefficient and the Adds of the products, so the
-    records are the rotations, then one PMult and one Add record.
-    ``has_terms`` marks the rows some term reaches.  The arrays are
-    read-only and ``fold_steps`` changes nothing, so one operator serves
-    any number of source stacks.
-    """
-
-    __slots__ = ("span", "coef", "offsets", "frames", "vec", "scaled")
-
-    def __init__(self, shifts, coef, grid, slot_count, vec=1.0):
-        n1, n2 = grid
-        N = int(slot_count)
-        if n1 * n2 > N:
-            raise ValueError(f"grid {n1}x{n2} exceeds slot count {N}")
-        amounts = [int(a) % N for a in shifts]
-        reach = [a - N if a > N // 2 else a for a in amounts]  # the nearer way round
-        lo = min([0] + reach) // n2 * n2  # the first slot read, rounded down to a whole frame
-        coef = np.asarray(coef, dtype=np.float64)
-        if coef.ndim != 3:
-            raise ValueError(f"coef of shape {coef.shape} is not (shifts, inputs, rows)")
-        if len(coef) != len(amounts) or not amounts:
-            raise ValueError(f"{len(coef)} coefficient tables for {len(amounts)} shifts")
-        S, C, V = coef.shape
-        runs = coef != 0  # (shifts, inputs, rows): the products that run
-        self._schedule(amounts, runs.any(axis=2), [0], runs.sum(axis=(0, 1))[None])
-        vec = np.broadcast_to(np.asarray(vec, dtype=np.float64), (S, C, n1)).reshape(S * C, n1)
-        self.frames = _live_run(vec)
-        self.scaled, self.vec = _scaled_columns(vec[:, self.frames])
-        # the whole frames the shifts read, from slot lo to hi
-        self.span = (lo, -(-(n1 * n2 + max([0] + reach)) // n2) * n2)
-        self.coef = coef.transpose(2, 0, 1).reshape(V, S * C)
-        self.offsets = np.array(reach) - lo
-        self._freeze(grid, N, V, C, self.coef, self.offsets, self.vec, self.scaled)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The (U, rows, slot_count) products of the (U, inputs, slot_count)
-        sources: the frames the shifts read, copied once column-major, are
-        gathered at the kept ``frames`` into one buffer per chunk of columns,
-        then one batched GEMM."""
-        U, C, N = x.shape
-        n1, n2 = self.grid
-        V, L = self.coef.shape
-        lo, hi = self.span
-        frames = range(n1)[self.frames]
-        xs = np.concatenate((x[..., N + lo :], x[..., : min(hi, N)], x[..., : max(hi - N, 0)]), axis=-1)
-        F = xs.shape[-1] // n2
-        ys = xs.reshape(U, C, F, n2).transpose(0, 3, 1, 2).copy()  # (U, column, input, frame)
-        su, sk, sc, sf = ys.strides
-        # view[u, k, f, c, t] = ys[u, k, c, f + frames[t]]: column k of every input at the kept frames from f on
-        view = np.lib.stride_tricks.as_strided(ys[..., frames.start :], (U, n2, F - n1 + 1, C, len(frames)), (su, sk, sf, sc, sf * frames.step))
-        by_column = np.empty((U, n2, V, len(frames)))
-        size = max(1, _CHUNK_BYTES // (U * L * max(len(frames), 1) * 8))
-        for k0 in range(0, n2, size):
-            ks = np.arange(k0, min(k0 + size, n2))
-            read = ks[:, None] + self.offsets  # the slot each shift reads at frame 0
-            z = view[:, read % n2, read // n2].reshape(U, len(ks), L, len(frames))
-            if self.vec is not None:
-                z[..., self.scaled] *= self.vec
-            np.matmul(self.coef, z, out=by_column[:, k0 : k0 + len(ks)])
-        out = np.zeros((U, V, N))
-        out[..., : n1 * n2].reshape(U, V, n1, n2)[:, :, self.frames] = by_column.transpose(0, 2, 3, 1)
-        return out
-
-
 class MixedDiagonals(_Operator):
     """The diagonal-method operator of one row-major spatial conv, applied
     factored: joints mixed per partition, then one GEMM of the weight slabs.
@@ -702,8 +672,8 @@ class MixedDiagonals(_Operator):
     inputs) is their weight slabs as one GEMM over (part, input) terms.
 
     The counts are those of the hoisted diagonal method one ciphertext at a
-    time with the merged coefficients, counted by ``_schedule`` as for a
-    ``Diagonals`` with the diagonals as taps: a (diagonal, input, row)
+    time with the merged coefficients, counted by ``_schedule`` with the
+    diagonals as taps and the single giant step 0: a (diagonal, input, row)
     product runs where M, summed in the order of p, is not
     zero at some joint, so a sum that cancels exactly runs nothing.  They
     are worked out in one pass over the live (diagonal, joint) entries,
@@ -967,10 +937,9 @@ class SimContext:
         return out
 
     def fold_steps(self, src: SimCiphertext, op, bias=None) -> SimCiphertext:
-        """Apply a prebuilt operator, a ``BlockCirculant``, ``Mixed``,
-        ``Diagonals`` or ``MixedDiagonals``: many rotated,
-        plaintext-multiplied and summed terms as one fused
-        multiply-accumulate.
+        """Apply a prebuilt operator, a ``BlockCirculant``, ``Mixed`` or
+        ``MixedDiagonals``: many rotated, plaintext-multiplied and summed
+        terms as one fused multiply-accumulate.
 
         ``src`` is a stack of U x ``op.inputs`` ciphertexts, u-major: U
         source sets, such as the joints of an AMA feature map (G inputs

@@ -176,6 +176,28 @@ class TestHeadless:
         assert rows[-1]["layer"].endswith("-global_avg_pool")
 
 
+class TestPoolingFrames:
+    """The acceptance layers on 24 frames: after the stride 2, pooling sees
+    12 valid frames, which its halving tree cannot fold.  ``infer``,
+    ``compare`` and ``hoc`` exit 2 before any work and name the layer."""
+
+    @pytest.fixture()
+    def frames24_path(self, tmp_path):
+        spec = acceptance_stgcn3()
+        path = tmp_path / "frames24.json"
+        ModelSpec((1, 8, 24, 25), spec.layers, name="frames24").to_json_file(path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["infer", "--seed", "1", "--format", "both"], ["compare"], ["hoc"]])
+    def test_exits_2_naming_the_layer(self, frames24_path, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        rc = main([command[0], "--model", frames24_path, *command[1:], "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert "12-global_avg_pool" in captured.err and "got 12" in captured.err
+        assert not captured.out and not out.exists()
+
+
 class TestParams:
     def test_reference_levels(self, capsys):
         assert main(["params", "--levels", "21"]) == EXIT_OK

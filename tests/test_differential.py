@@ -149,54 +149,71 @@ def test_kernels_never_read_dense_matrices(monkeypatch, case, fmt):
     check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), fmt, slot_count)
 
 
+def counted_builds(monkeypatch, names, check=None):
+    """Wrap the ``hesim`` operator classes ``names`` to count their builds,
+    each build's arguments first passed to ``check(name, args, kwargs)``."""
+    built = dict.fromkeys(names, 0)
+
+    def counted(name):
+        build = getattr(hesim, name)
+
+        def wrapped(*args, **kwargs):
+            built[name] += 1
+            if check is not None:
+                check(name, args, kwargs)
+            return build(*args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(hesim, name, counted(name))
+    return built
+
+
 @pytest.mark.parametrize("case", ["acceptance", "ragged-k3-stride2"])
 def test_ama_never_calls_per_step_fold(monkeypatch, case):
     """The AMA channel fold runs every giant step in one ``fold_steps`` of a
-    ``BlockCirculant``: hesim has no per-step fold, and with the row-major
-    operator unavailable every gate still holds."""
+    ``BlockCirculant`` on the layout's blocks: hesim has no per-step fold,
+    the AMA path builds no row-major operator (no ``MixedDiagonals``, no
+    one-block ``BlockCirculant``), one ``BlockCirculant`` per temporal conv
+    and head, and every gate still holds."""
 
-    def diagonals(*args, **kwargs):
-        raise AssertionError("the AMA path built a hesim.Diagonals")
+    def check(name, args, kwargs):
+        assert name == "BlockCirculant" and args[2][0] > 1, "the AMA path built a row-major operator"
 
     assert not hasattr(SimContext, "fold")
     spec, slot_count = gated_case(case)
-    monkeypatch.setattr(hesim, "Diagonals", diagonals)
+    built = counted_builds(monkeypatch, ["BlockCirculant", "MixedDiagonals"], check)
     check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), AMA, slot_count)
+    assert built == {"BlockCirculant": sum(isinstance(layer, (TemporalConv, FullyConnected)) for layer in spec.layers), "MixedDiagonals": 0}
 
 
 @pytest.mark.parametrize("case", ["acceptance", "ragged-k3-stride2"])
 def test_rowmajor_spatial_builds_no_per_diagonal_table(monkeypatch, case):
     """Each row-major spatial conv is one ``hesim.MixedDiagonals`` of the
-    factors: ``MergedSpatialMatrix`` has no per-diagonal view, its dense
-    view raises, and the only ``hesim.Diagonals`` are the temporal convs'
-    and the classifier head's, whose (shifts, inputs, rows) coefficients
-    have no column axis.  Every gate still holds."""
+    factors: ``MergedSpatialMatrix`` has no per-diagonal view, and its
+    dense view raises.  The temporal convs and the classifier head are one
+    ``hesim.BlockCirculant`` each, on one block of every slot with the
+    single giant step 0, whose (1, rows, terms, 1) coefficients have no
+    column axis.  Every gate still holds."""
 
     def dense(self):
         raise AssertionError("a kernel read MergedSpatialMatrix.matrices")
 
-    built = {"MixedDiagonals": 0, "Diagonals": 0}
-
-    def counted(name):
-        build = getattr(hesim, name)
-
-        def wrapped(*args):
-            built[name] += 1
-            if name == "Diagonals":
-                assert np.ndim(args[1]) == 3, "a row-major operator with a table per column"
-            return build(*args)
-
-        return wrapped
+    def check(name, args, kwargs):
+        if name == "BlockCirculant":
+            amounts, coef, grid = args[:3]
+            assert list(amounts) == [0] and grid == (1, slot_count), "a row-major operator with blocks"
+            assert np.shape(coef)[0] == np.shape(coef)[-1] == 1, "a row-major operator with a table per column"
 
     assert not hasattr(MergedSpatialMatrix, "diagonal")
     spec, slot_count = gated_case(case)
     monkeypatch.setattr(MergedSpatialMatrix, "matrices", property(dense))
-    for name in built:
-        monkeypatch.setattr(hesim, name, counted(name))
+    built = counted_builds(monkeypatch, ["MixedDiagonals", "BlockCirculant"], check)
     check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), ROWMAJOR, slot_count)
     assert built == {
         "MixedDiagonals": sum(isinstance(layer, SpatialConv) for layer in spec.layers),
-        "Diagonals": sum(isinstance(layer, (TemporalConv, FullyConnected)) for layer in spec.layers),
+        "BlockCirculant": sum(isinstance(layer, (TemporalConv, FullyConnected)) for layer in spec.layers),
     }
 
 
@@ -206,20 +223,8 @@ def test_ama_builds_one_block_circulant_per_linear_layer(monkeypatch, case):
     per temporal conv and for the classifier head, and a ``hesim.Mixed``
     per spatial conv, which builds no ``BlockCirculant``.  Every gate still
     holds."""
-    built = {"BlockCirculant": 0, "Mixed": 0}
-
-    def counted(name):
-        build = getattr(hesim, name)
-
-        def wrapped(*args, **kwargs):
-            built[name] += 1
-            return build(*args, **kwargs)
-
-        return wrapped
-
     spec, slot_count = gated_case(case)
-    for name in built:
-        monkeypatch.setattr(hesim, name, counted(name))
+    built = counted_builds(monkeypatch, ["BlockCirculant", "Mixed"])
     check_gates(spec, GraphTensor.random(spec.input_dims, seed=7), AMA, slot_count)
     assert built == {
         "BlockCirculant": sum(isinstance(layer, (TemporalConv, FullyConnected)) for layer in spec.layers),

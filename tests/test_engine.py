@@ -9,6 +9,7 @@ from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, decompose, diagon
 from hegcn.engine import (
     DepthBudgetError,
     EncryptedFeatureMap,
+    PoolingError,
     ama_spatial,
     dense_matmul_case,
     fully_connected,
@@ -27,6 +28,7 @@ from hegcn.model import (
     ModelSpec,
     SpatialConv,
     TemporalConv,
+    acceptance_stgcn3,
     random_stgcn,
 )
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor, ama_pack, ama_unpack, rowmajor_pack, rowmajor_unpack
@@ -700,6 +702,19 @@ class TestRunModel:
             run_model(spec, x, AMA, ctx=ctx)
         assert err.value.layer is not None
         assert err.value.layer in str(err.value)
+
+    @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+    def test_pooling_frame_count_is_checked_before_any_op(self, fmt):
+        """The acceptance layers on 24 frames pool 12 valid frames after
+        the stride 2: a ``PoolingError``, a ``ValueError``, that names the
+        pooling layer, raised before anything is encrypted."""
+        spec = ModelSpec((1, 8, 24, 25), acceptance_stgcn3().layers)
+        ctx = SimContext(1024, max_level=costmodel.depth(spec), log_ops=True)
+        with pytest.raises(PoolingError, match="got 12") as err:
+            run_model(spec, GraphTensor.random(spec.input_dims, seed=3), fmt, ctx=ctx)
+        assert isinstance(err.value, ValueError)
+        assert err.value.layer == "12-global_avg_pool" and err.value.layer in str(err.value)
+        assert ctx.oplog == [] and ctx.counter.totals() == dict.fromkeys(hesim.OPS, 0)
 
     def test_pruned_activation_skips_ops_and_levels(self):
         spec = self.small_spec()

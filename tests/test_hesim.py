@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hegcn import hesim
 from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, diagonal_offsets, merge_spatial
 from hegcn.engine import _temporal_tap_mask, run_model
-from hegcn.hesim import BlockCirculant, Diagonals, LevelError, Mixed, MixedDiagonals, SimContext, replay_counts
+from hegcn.hesim import BlockCirculant, LevelError, Mixed, MixedDiagonals, SimContext, replay_counts
 from hegcn.model import acceptance_stgcn3
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor
 
@@ -51,6 +51,28 @@ def unstack(ct) -> list:
     if ct.slots.ndim == 1:
         return [ct]
     return [ct.ctx._new_ct(row, ct.level) for row in ct.slots.reshape(ct.rows, -1)]
+
+
+def per_term(vec):
+    """Factors per term, (terms, n1 or 1, n2), as those of an operator with
+    the single tap 0, (inputs, 1, n1 or 1, n2); a scalar as it is."""
+    return vec if np.ndim(vec) == 0 else np.expand_dims(vec, 1)
+
+
+def one_block(shifts, tables, grid, slot_count, vec=1.0) -> BlockCirculant:
+    """The diagonal method on a grid of n1 frames by n2 columns, n1 * n2 <=
+    ``slot_count``, as the row-major engine builds it: a ``BlockCirculant``
+    on one block of every slot with the single giant step 0 and the
+    ``shifts`` as taps.  ``tables`` (shifts, inputs, rows) holds one
+    coefficient per (shift, input, row) for every column, and ``vec``,
+    broadcast to (shifts, inputs, n1), one factor per frame, zero past the
+    grid."""
+    tables = np.asarray(tables, dtype=np.float64)
+    S, C, V = tables.shape
+    n1, n2 = grid
+    frames = np.broadcast_to(vec, (S, C, n1)).transpose(1, 0, 2)
+    coef = tables.transpose(2, 1, 0).reshape(1, V, C * S, 1)
+    return BlockCirculant([0], coef, (1, slot_count), shifts, np.repeat(frames, n2, axis=-1)[:, :, None])
 
 
 class TestEncryptDecrypt:
@@ -317,7 +339,7 @@ class TestStacks:
         with pytest.raises(LevelError):
             c.pmult(low, 1.0)
         with pytest.raises(LevelError):
-            c.fold_steps(low, Diagonals([0], np.ones((1, 3, 1)), (1, 8), 8))
+            c.fold_steps(low, BlockCirculant([0], np.ones((1, 1, 3, 1)), (1, 8)))
 
     @pytest.mark.parametrize(
         "coef_shape, grid",
@@ -330,7 +352,7 @@ class TestStacks:
     def test_fold_equals_the_loop_and_counts_the_mask(self, coef_shape, grid):
         """The terms that run are the nonzero pattern of ``coef``: exactly the
         terms of the per-ciphertext loop.  ``coef`` is (rows, terms, 1 or
-        columns): one shift 0, each term one input."""
+        columns): one shift 0, each term one input, on one block (``one_block``)."""
         rng = np.random.default_rng(2)
         vals = rng.uniform(-1, 1, (4, 8))
         n1, n2 = grid or (1, 8)
@@ -346,7 +368,7 @@ class TestStacks:
         expect["add"] = int(np.maximum(terms - 1, 0).sum())
         for vec in (0.5, rng.uniform(-1, 1, (1, 4, n1))):
             c, ref = ctx(slots=8, levels=3, log_ops=True), ctx(slots=8, levels=3, log_ops=True)
-            op = Diagonals([0], coef.transpose(2, 1, 0), (n1, n2), 8, vec)
+            op = one_block([0], coef.transpose(2, 1, 0), (n1, n2), 8, vec)
             with c.layer("fold"):
                 out = c.fold_steps(c.encrypt(vals), op)
             plains = np.zeros((3, 4, 8))
@@ -366,32 +388,32 @@ class TestStacks:
         """A term whose coefficients are all zero runs no PMult."""
         c = ctx(slots=8, levels=2)
         src = c.encrypt(np.ones((2, 8)))
-        out = c.fold_steps(src, Diagonals([0], np.array([[[5.0], [0.0]]]), (1, 8), 8))
+        out = c.fold_steps(src, BlockCirculant([0], np.array([[[[5.0], [0.0]]]]), (1, 8)))
         np.testing.assert_array_equal(out.slots, np.full((1, 8), 5.0))
         assert c.counter.totals()["pmult"] == 1 and c.counter.totals()["add"] == 0
 
     def test_fold_level_is_checked_first(self):
         c = ctx(slots=8, levels=1)
         low = c.pmult(c.encrypt(np.ones((3, 8))), 1.0)
-        op = Diagonals([0], np.ones((1, 2, 5)), (4, 4), 16)  # neither covers nor fits
+        op = BlockCirculant([0], np.ones((1, 5, 2, 1)), (1, 16))  # neither covers nor fits
         with pytest.raises(LevelError):
             c.fold_steps(low, op)
 
     @pytest.mark.parametrize(
         "rows, coef_shape, grid, match",
         [
-            (4, (1, 4, 1), (4, 4), "exceeds slot count"),
-            (4, (1, 4), None, "is not"),  # not 3-D
-            (4, (1, 4, 1, 1), None, "is not"),
+            (4, (1, 1, 4, 1), (1, 16), "does not cover"),  # built for more slots
+            (4, (1, 4), None, "is not"),  # not 4-D
+            (4, (1, 1, 4, 1, 1), None, "is not"),
             (4, (4,), (2, 4), "is not"),  # one axis
-            (6, (1, 4, 1), None, "does not fit"),  # not whole source sets
-            (3, (1, 4, 1), None, "does not fit"),
+            (6, (1, 1, 4, 1), None, "does not fit"),  # not whole source sets
+            (3, (1, 1, 4, 1), None, "does not fit"),
         ],
     )
     def test_fold_typed_errors(self, rows, coef_shape, grid, match):
         c = ctx(slots=8, levels=2)
         with pytest.raises(ValueError, match=match):
-            c.fold_steps(c.encrypt(np.ones((rows, 8))), Diagonals([0], np.ones(coef_shape), grid or (1, 8), 8))
+            c.fold_steps(c.encrypt(np.ones((rows, 8))), BlockCirculant([0], np.ones(coef_shape), grid or (1, 8)))
 
     def test_replay_of_batched_records(self):
         c = ctx(levels=4, log_ops=True)
@@ -399,7 +421,7 @@ class TestStacks:
             x = c.encrypt(self.rows(c, n=5))
             y = c.rotate(c.pmult(x, 0.5), 1)
             c.add(y, y)
-            c.fold_steps(take(x, slice(0, 2)), Diagonals([0], np.ones((1, 2, 2)), (1, 8), 8))
+            c.fold_steps(take(x, slice(0, 2)), BlockCirculant([0], np.ones((1, 2, 2, 1)), (1, 8)))
         with c.layer("b"):
             c.pmult(c.encrypt([1.0]), 2.0)
         assert any(r.get("count", 1) > 1 for r in c.oplog)
@@ -482,7 +504,7 @@ class TestFoldSteps:
         vec = 0.5 if vec_kind == "scalar" else rng.uniform(-1, 1, (self.T, 1, self.N2))
         coef, grid = self.coef(), (self.N1, self.N2)
         c, ref = ctx(slots=32, levels=3, log_ops=True), ctx(slots=32, levels=3, log_ops=True)
-        op = BlockCirculant(self.AMOUNTS, coef, grid, (0,), vec)
+        op = BlockCirculant(self.AMOUNTS, coef, grid, (0,), per_term(vec))
         with c.layer("steps"):
             out = c.fold_steps(c.encrypt(vals), op)
         with ref.layer("steps"):
@@ -508,14 +530,15 @@ class TestFoldSteps:
         rng = np.random.default_rng(17)
         vals = rng.uniform(-1, 1, (self.U * self.T, 32))
         coef, grid = self.coef(), (self.N1, self.N2)
-        for nonzero, live in (([1, 3, 5], slice(1, 6, 2)), ([2, 3, 6], slice(2, 7, 1))):
+        # runs (start, step, width, count): positions 1, 3, 5; then 2, 3 and 6, 7
+        for nonzero, live in (([1, 3, 5], (1, 2, 1, 3)), ([2, 3, 6], (2, 4, 2, 2))):
             vec = np.zeros((self.T, self.N1, self.N2))
             vec[..., nonzero] = rng.uniform(-1, 1, (self.T, self.N1, 3))
             vec[:, 2, nonzero[1]] = 0.0  # zero at one block only: the position stays live
             self.check_positions(vals, coef, grid, vec, live, quantize)
 
     def check_positions(self, vals, coef, grid, vec, live, quantize):
-        op = BlockCirculant(self.AMOUNTS, coef, grid, (0,), vec)
+        op = BlockCirculant(self.AMOUNTS, coef, grid, (0,), per_term(vec))
         assert op.live == live
         c, ref = (ctx(slots=32, levels=3, log_ops=True, quantize=quantize) for _ in range(2))
         with c.layer("steps"):
@@ -612,6 +635,21 @@ class TestBlockCirculant:
         with pytest.raises(ValueError, match=match):
             BlockCirculant([amount], np.ones(coef_shape), grid)
 
+    @pytest.mark.parametrize(
+        "vec_shape",
+        [
+            (9,),  # more positions than a block holds
+            (2, 2, 1, 8),  # two inputs, the operator has three
+            (1, 1, 2, 8),  # two blocks, the grid has four
+            (1, 3, 2, 1, 8),  # five axes
+        ],
+    )
+    def test_factors_that_do_not_fit(self, vec_shape):
+        """Factors broadcast to (inputs, taps, n1, m <= n2): three inputs of
+        two taps on 4 blocks of 8."""
+        with pytest.raises(ValueError, match="do not fit"):
+            BlockCirculant([0], np.ones((1, 1, 6, 4)), (4, 8), (0, 1), np.ones(vec_shape))
+
 
 class TestFusedTaps:
     """``fold_steps`` of an operator with taps against the explicit baby
@@ -654,14 +692,14 @@ class TestFusedTaps:
             for i in range(self.I)
             for k in range(K)
         ]
-        op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), (0,), vec)
+        op = BlockCirculant(self.AMOUNTS, coef, (self.N1, self.N2), (0,), np.reshape(vec, (-1, 1, 1, self.N2)) if np.ndim(vec) else vec)
         return c.fold_steps(stack(terms), op), op.has_terms
 
     @pytest.mark.parametrize("vec_kind", ["one", "per-term", "sparse"])
     def test_equals_rotate_stack_and_fold(self, vec_kind):
         rng = np.random.default_rng(9)
         vals = rng.uniform(-1, 1, (self.U * self.I, 32))
-        vec = 1.0 if vec_kind == "one" else rng.uniform(-1, 1, (self.I * len(self.TAPS), 1, self.N2))
+        vec = 1.0 if vec_kind == "one" else rng.uniform(-1, 1, (self.I, len(self.TAPS), 1, self.N2))
         if vec_kind == "sparse":  # only positions 1, 4 and 7 of each block
             vec[..., [0, 2, 3, 5, 6]] = 0.0
         coef = self.coef()
@@ -673,7 +711,7 @@ class TestFusedTaps:
             want, want_terms = self.explicit(ref, vals, coef, vec)
         np.testing.assert_allclose(out.slots, want.slots, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(op.has_terms, want_terms)
-        assert op.live == (slice(1, 8, 3) if vec_kind == "sparse" else slice(0, self.N2, 1))
+        assert op.live == ((1, 3, 1, 3) if vec_kind == "sparse" else (0, self.N2, self.N2, 1))
         assert out.level == want.level == 2
         assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
         assert replay_counts(c.oplog) == c.counter
@@ -690,7 +728,7 @@ class TestFusedTaps:
         reads = coef.reshape(coef.shape[:2] + (self.I, len(self.TAPS), self.N1)).any(axis=(0, 1, 4))  # (inputs, taps)
         taps = [(amount, n) for name, n, before, _, amount in op.records if name == "rot" and before == 0]
         assert taps == [(3, int((reads[..., 1] | reads[..., 3]).sum())), (31, int(reads[..., 2].sum()))]
-        assert op.live == slice(0, self.N2, 1) and op.vec is None
+        assert op.live == (0, self.N2, self.N2, 1) and op.vec is None
 
     def test_counts_do_not_depend_on_log_ops(self):
         vals = np.random.default_rng(10).uniform(-1, 1, (self.U * self.I, 32))
@@ -818,8 +856,8 @@ class TestMixed:
 
 
 def per_ciphertext_diagonals(c, src, shifts, tables, vec, grid) -> list:
-    """The schedule a ``Diagonals`` stands for, one ciphertext at a time:
-    the hoisted diagonal method, baby steps and one giant step of 0.
+    """The schedule a row-major operator stands for, one ciphertext at a
+    time: the hoisted diagonal method, baby steps and one giant step of 0.
 
     Per distinct amount mod slot_count, in first-appearance order, rotate
     once each input some term of the amount reads; then PMult each (term,
@@ -852,12 +890,14 @@ def per_ciphertext_diagonals(c, src, shifts, tables, vec, grid) -> list:
 
 
 class TestDiagonals:
-    """``fold_steps`` of a ``Diagonals`` against the per-ciphertext diagonal
-    method: 32 slots, a grid of 3 frames by 8 columns (8 slots past it),
-    U = 2 source sets of C = 3 inputs, V = 3 rows.  Each shift has one
-    (inputs, rows) table, the same in every column, as a temporal conv's
-    taps do; coefficients per joint are the ``MixedDiagonals`` of a spatial
-    conv (``TestMixedDiagonals``)."""
+    """``fold_steps`` of the diagonal method as a one-block
+    ``BlockCirculant`` (``one_block``), as the row-major temporal convs and
+    head are built, against the per-ciphertext diagonal method: 32 slots,
+    a grid of 3 frames by 8 columns (8 slots past it), U = 2 source sets of
+    C = 3 inputs, V = 3 rows.  Each shift has one (inputs, rows) table, the
+    same in every column, as a temporal conv's taps do; coefficients per
+    joint are the ``MixedDiagonals`` of a spatial conv
+    (``TestMixedDiagonals``)."""
 
     U, C, V, N1, N2 = 2, 3, 3, 3, 8
     # 0; 1 and 33 equal mod 32; a whole frame; reads past the grid and past
@@ -880,7 +920,7 @@ class TestDiagonals:
         return np.concatenate(out)
 
     def run(self, c, vals, tables, vec):
-        op = Diagonals(self.SHIFTS, tables, (self.N1, self.N2), 32, vec)
+        op = one_block(self.SHIFTS, tables, (self.N1, self.N2), 32, vec)
         with c.layer("diag"):
             return op, c.fold_steps(c.encrypt(vals), op)
 
@@ -896,8 +936,9 @@ class TestDiagonals:
         op, out = self.run(c, vals, tables, vec)
         with ref.layer("diag"):
             want = per_ciphertext_diagonals(ref, ref.encrypt(vals), self.SHIFTS, tables[:, None], vec, (self.N1, self.N2))
-        assert op.coef.shape == (self.V, len(self.SHIFTS) * self.C)
-        assert op.frames == (slice(0, 3, 2) if vec_kind == "strided" else slice(0, 3, 1))
+        assert op.matrix.shape == (self.V, self.C * len(self.SHIFTS))
+        # the grid's frames as runs (start, step, width, count): frames 0 and 2, or all three
+        assert op.live == ((0, 16, 8, 2) if vec_kind == "strided" else (0, 24, 24, 1))
         assert np.tile(op.has_terms, self.U).tolist() == [w is not None for w in want] == [False, True, True] * self.U
         assert out.rows == self.U * self.V and out.level == 2
         for row, w in zip(unstack(out), want):
@@ -920,7 +961,7 @@ class TestDiagonals:
         coef[2, 1, 1] = -1.0  # shift -3, input 1
         c = ctx(slots=16, levels=2, log_ops=True)
         src = c.encrypt(np.arange(32.0).reshape(2, 16))
-        op = Diagonals([0, 3, -3], coef, (2, 8), 16)
+        op = one_block([0, 3, -3], coef, (2, 8), 16)
         with c.layer("t"):
             out = c.fold_steps(src, op)
         assert c.oplog[1:] == [
@@ -936,7 +977,7 @@ class TestDiagonals:
 
     def test_a_zero_operator_gives_zero_rows(self):
         c = ctx(slots=32, levels=2, log_ops=True)
-        op = Diagonals([3], np.zeros((1, 2, 4)), (4, 8), 32)
+        op = one_block([3], np.zeros((1, 2, 4)), (4, 8), 32)
         out = c.fold_steps(c.encrypt(np.ones((2, 32))), op)
         assert not op.has_terms.any() and not out.slots.any() and out.rows == 4
         assert c.oplog == [rec for rec in c.oplog if rec["op"] == "encrypt"] and op.records == ()
@@ -944,7 +985,7 @@ class TestDiagonals:
     def test_quantize_rounds_the_fused_sum_once(self):
         q, exact = ctx(slots=32, levels=3, quantize=True), ctx(slots=32, levels=3)
         src = q.encrypt(np.random.default_rng(13).uniform(-1, 1, (self.U * self.C, 32)))
-        op = Diagonals(self.SHIFTS, self.tables(), (self.N1, self.N2), 32, 0.3)
+        op = one_block(self.SHIFTS, self.tables(), (self.N1, self.N2), 32, 0.3)
         got = q.fold_steps(src, op).slots
         want = exact.fold_steps(exact.encrypt(src.slots), op).slots
         np.testing.assert_array_equal(got, np.round(want * 2.0**33) / 2.0**33)
@@ -959,11 +1000,50 @@ class TestDiagonals:
 
     @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
     def test_chunks_of_columns_change_nothing(self, monkeypatch, chunk_bytes):
+        """Chunks of source sets, and parts of the live runs down to one
+        position or run (``_GEMM_BYTES`` of 1), compute what one GEMM does."""
         vals = np.random.default_rng(15).uniform(-1, 1, (self.U * self.C, 32))
-        want = self.run(ctx(slots=32, levels=3), vals, self.tables(), 0.5)[1]
+        vec = np.ones((len(self.SHIFTS), self.C, self.N1))
+        vec[..., 1] = 0.0  # frames 0 and 2: two runs of 8 slots
+        vec[2:4, :, 0] = 0.5
+        want = [self.run(ctx(slots=32, levels=3), vals, self.tables(), v)[1] for v in (0.5, vec)]
         monkeypatch.setattr(hesim, "_CHUNK_BYTES", chunk_bytes)
-        got = self.run(ctx(slots=32, levels=3), vals, self.tables(), 0.5)[1]
-        np.testing.assert_allclose(got.slots, want.slots, rtol=0, atol=1e-12)
+        monkeypatch.setattr(hesim, "_GEMM_BYTES", chunk_bytes)
+        for v, w in zip((0.5, vec), want):
+            got = self.run(ctx(slots=32, levels=3), vals, self.tables(), v)[1]
+            np.testing.assert_allclose(got.slots, w.slots, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["tap-mask", "ones"])
+    def test_stride_2_on_a_ragged_grid(self, kind):
+        """A stride-2 temporal conv of 5 taps on 5 frames of 5 joints, 25 of
+        32 slots: taps +-10 read across slot 32 and slot 0.  ``tap-mask`` is
+        the engine's mask (a read past the sequence carries a 0); ``ones``
+        weighs every read of a kept frame by 1, the wrapped ones included.
+        Frames 1 and 3 and the 7 slots past the grid are exact zeros, the
+        kept frames 0, 2 and 4 are three runs of 5 slots 10 apart, and the
+        slots and counts are those of the per-ciphertext schedule."""
+        T, J, N, eps = 5, 5, 32, np.arange(5) - 2
+        masks = _temporal_tap_mask(T, 1, T, 1, T, 2, eps).astype(float)  # (taps, frames)
+        if kind == "ones":
+            masks = np.where(masks.any(axis=0), 1.0, 0.0) * np.ones_like(masks)
+        rng = np.random.default_rng(18)
+        tables = rng.uniform(-1, 1, (len(eps), self.C, self.V))
+        vec = masks[:, None, :]
+        vals = rng.uniform(-1, 1, (self.U * self.C, N))  # the stale slots past the grid are not zero
+        c, ref = ctx(slots=N, levels=3, log_ops=True), ctx(slots=N, levels=3, log_ops=True)
+        op = one_block(eps * J, tables, (T, J), N, vec)
+        assert op.live == (0, 2 * J, J, 3)
+        with c.layer("t"):
+            out = c.fold_steps(c.encrypt(vals), op)
+        with ref.layer("t"):
+            want = per_ciphertext_diagonals(ref, ref.encrypt(vals), eps * J, tables[:, None], vec, (T, J))
+        dead = np.ones(N, dtype=bool)
+        dead[[f * J + j for f in (0, 2, 4) for j in range(J)]] = False
+        assert np.array_equal(out.slots[:, dead], np.zeros((self.U * self.V, dead.sum())))
+        for row, w in zip(unstack(out), want):
+            np.testing.assert_allclose(row.slots, w.slots, rtol=0, atol=1e-12)
+        assert c.counter == ref.counter and coalesce(c.oplog) == coalesce(ref.oplog)
+        assert replay_counts(c.oplog) == c.counter
 
     def test_random_geometries_equal_the_per_ciphertext_schedule(self):
         """Drawn slot counts, grids up to one frame of every slot, shifts
@@ -981,7 +1061,7 @@ class TestDiagonals:
                 vec[..., rng.uniform(size=n1) < 0.3] = 0.0
             vals = rng.uniform(-1, 1, (U * C, N))
             c, ref = ctx(slots=N, levels=3, log_ops=True), ctx(slots=N, levels=3, log_ops=True)
-            op = Diagonals(shifts, np.concatenate(tables), (n1, n2), N, vec)
+            op = one_block(shifts, np.concatenate(tables), (n1, n2), N, vec)
             out = c.fold_steps(c.encrypt(vals), op)
             want = per_ciphertext_diagonals(ref, ref.encrypt(vals), shifts, tables, vec, (n1, n2))
             assert np.tile(op.has_terms, U).tolist() == [w is not None for w in want]
@@ -992,20 +1072,22 @@ class TestDiagonals:
     @pytest.mark.parametrize(
         "shifts, shapes, grid, slots, match",
         [
-            ([0], (1, 2, 3), (8, 8), 32, "exceeds slot count"),
-            ([0], (2, 3), (4, 8), 32, "is not"),  # no shift axis
-            ([0], (1, 8, 2, 3), (4, 8), 32, "is not"),  # one coefficient per column
-            ([0, 1], (1, 2, 3), (4, 8), 32, "tables for 2 shifts"),
-            ([], (0, 2, 3), (4, 8), 32, "tables for 0 shifts"),
-            ([0], (1, 2, 3), (4, 8), 64, "does not cover"),  # built for other slots
-            ([0], (1, 3, 3), (4, 8), 32, "does not fit"),  # 4 sources, 3 inputs
+            ([0], (1, 3, 2, 1), (1, 16), 16, "does not cover"),  # built for fewer slots
+            ([0], (2, 3), (1, 32), 32, "is not"),  # not (1, rows, terms, 1)
+            ([0], (1, 3, 2, 8), (1, 32), 32, "is not"),  # one coefficient per column
+            ([0, 1], (1, 3, 3, 1), (1, 32), 32, "not \\(input, tap\\) pairs"),  # 3 terms of 2 taps
+            ([], (1, 3, 2, 1), (1, 32), 32, "of 0 taps"),
+            ([0], (1, 3, 2, 1), (1, 64), 64, "does not cover"),  # built for more slots
+            ([0], (1, 3, 3, 1), (1, 32), 32, "does not fit"),  # 4 sources, 3 inputs
         ],
     )
     def test_typed_errors(self, shifts, shapes, grid, slots, match):
-        """``shapes`` is the shape of the coefficients."""
+        """``shapes`` is the shape of the coefficients of a one-block
+        operator on ``grid``, built for ``slots`` slots and applied at 32."""
+        assert grid == (1, slots)
         c = ctx(slots=32, levels=2)
         with pytest.raises(ValueError, match=match):
-            c.fold_steps(c.encrypt(np.ones((4, 32))), Diagonals(shifts, np.ones(shapes), grid, slots))
+            c.fold_steps(c.encrypt(np.ones((4, 32))), BlockCirculant([0], np.ones(shapes), grid, shifts))
 
 
 def dense_diagonals(dense, offsets) -> list:
@@ -1273,11 +1355,11 @@ class TestEpilogues:
         assert c.rotate_sum(x, []) is x and len(c.oplog) == 1
 
     def operator(self, seed=2):
-        """A ``Diagonals`` of one input, two shifts and three rows, row 0 without terms."""
+        """A one-block operator of one input, two shifts and three rows, row 0 without terms."""
         rng = np.random.default_rng(seed)
         coef = rng.uniform(-1, 1, (2, 1, 3))
         coef[:, :, 0] = 0.0
-        return Diagonals([0, 3], coef, (4, 4), self.N, rng.uniform(-1, 1, (2, 1, 4)))
+        return one_block([0, 3], coef, (4, 4), self.N, rng.uniform(-1, 1, (2, 1, 4)))
 
     def bias(self, kind, rows, seed=3):
         rng = np.random.default_rng(seed)
@@ -1409,9 +1491,9 @@ class TestCounterAndLog:
 
 
 class TestScaledColumns:
-    """``BlockCirculant`` and ``Diagonals`` multiply the gathered terms by
-    their factors only at the columns where some factor is not 1; the slots
-    equal those of multiplying every column, bit for bit."""
+    """A ``BlockCirculant``, AMA or on one block (row-major), multiplies the
+    gathered terms by its factors only at the columns where some factor is
+    not 1; the slots equal those of multiplying every column, bit for bit."""
 
     @staticmethod
     def every_column(vec):
@@ -1435,21 +1517,24 @@ class TestScaledColumns:
 
     def test_temporal_tap_mask_on_a_block_circulant(self, monkeypatch):
         """AMA: 3 taps, 2 samples of 8 frames per block, stride 2: the
-        boundary frames of each sample carry a 0, the others all 1."""
+        boundary frames of each sample carry a 0, the others all 1.  The
+        masks are the factors of every input."""
         G, B, T, n1 = 2, 2, 8, 4
         eps = np.array([-1, 0, 1])
         masks = _temporal_tap_mask(B * T, B, T, 1, T, 2, eps).astype(float)
         coef = np.random.default_rng(32).uniform(-1, 1, (2, G, G * len(eps), n1))
-        vec = np.tile(masks[:, None, :], (G, 1, 1))
-        self.check(monkeypatch, lambda: BlockCirculant([0, B * T], coef, (n1, B * T), eps, vec), 3 * G, n1 * B * T, B * T // 2)
+        self.check(monkeypatch, lambda: BlockCirculant([0, B * T], coef, (n1, B * T), eps, masks[:, None, :]), 3 * G, n1 * B * T, B * T // 2)
 
     def test_temporal_tap_mask_on_diagonals(self, monkeypatch):
-        """Row-major: 3 taps over 8 frames of 4 joints, zero at the first and last frame."""
+        """Row-major: 3 taps over 8 frames of 4 joints on one block, zero at
+        the first and last frame: the masks of every input, each frame's
+        factor repeated over its joints, as the engine builds them."""
         C, V, T, J = 3, 2, 8, 4
         eps = np.array([-1, 0, 1])
         masks = _temporal_tap_mask(T, 1, T, 1, T, 1, eps).astype(float)
-        coef = np.random.default_rng(33).uniform(-1, 1, (len(eps), C, V))
-        self.check(monkeypatch, lambda: Diagonals(eps * J, coef, (T, J), 32, masks[:, None, :]), 2 * C, 32, T)
+        coef = np.random.default_rng(33).uniform(-1, 1, (1, V, C * len(eps), 1))
+        vec = np.repeat(masks[:, None, :], J, axis=-1)
+        self.check(monkeypatch, lambda: BlockCirculant([0], coef, (1, 32), eps * J, vec), 2 * C, 32, T * J)
 
     def test_ama_head_anchors(self, monkeypatch):
         """The AMA head's anchors, the first frame of each of 2 samples, one
@@ -1461,13 +1546,16 @@ class TestScaledColumns:
         self.check(monkeypatch, lambda: BlockCirculant([0], coef, (cap, B * T), vec=anchors), 2 * G, cap * B * T, B)
 
     def test_rowmajor_head_weights(self, monkeypatch):
-        """The row-major head's weights as per-class factors: classes 0 and
-        2 weigh every channel by 1, the others by 0 or other values."""
+        """The row-major head's weights as the factors of the class slots,
+        as the engine builds them: classes 0 and 2 weigh every channel by
+        1, the others by 0 or other values; the slots past them are zero."""
         C, classes = 4, 5
         weights = np.random.default_rng(35).uniform(-1, 1, (C, classes))
         weights[:, [0, 2]] = 1.0
         weights[1, 3] = 0.0
-        self.check(monkeypatch, lambda: Diagonals([0], np.ones((1, C, 1)), (classes, 1), 8, weights[None]), 2 * C, 8, classes)
+        op = lambda: BlockCirculant([0], np.ones((1, 1, C, 1)), (1, 8), vec=weights[:, None, None, :])  # noqa: E731
+        assert op().live == (0, classes, classes, 1)
+        self.check(monkeypatch, op, 2 * C, 8, classes)
 
 
 class TestAllocatorPolicy:
