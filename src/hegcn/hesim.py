@@ -38,30 +38,27 @@ joint of every (output joint, piece).  A ``MixedDiagonals`` (row-major
 spatial conv) is the diagonal method too: it rotates by the diagonals of
 the joint pattern and is applied factored, like a ``Mixed``: the joints of
 every frame row are mixed by each partition, then the weight slabs are one
-GEMM.  All three count with one schedule, built by their base's
-``_schedule``: the baby steps, a rotation per input and distinct nonzero
-tap amount some term reads (``_input_rotations``), then per giant step its
-PMults, the Adds of each row's products, a rotation of each row's partial
-sum and an Add into the row's running sum (``_giant_step_counts``).  A
-row-major operator is its hoisted diagonal method: every input rotation
-first, then one PMult and one Add record for its single giant step of 0.
-Each rule two operators share is one helper (``_merge_parts``,
-``_block_circulant``).  Each operator is built once per layer, holds the
-plaintext factors that scale its terms, builds its op records (op, count,
-levels spent and rotation amount) from vectorized count tables when it is
-built, and is applied as batched matrix products over chunks of its
-sources that stay under ``_CHUNK_BYTES`` (a ``BlockCirculant`` computes
-only the evenly spaced runs of positions its factors do not zero, and
-splits a source set too large for one GEMM along them).  It holds one set
-of coefficients, which serves every source set of the stack it is applied
-to: ``fold_steps`` counts, and with ``log_ops`` logs, its records in the
-schedule's order, each at the input's level and times the source sets,
-through ``SimContext._records``, the one path every op counts and logs
-through.  The counts are those of the schedule one ciphertext at a time:
-a rotation per input and amount some term reads, and a PMult per term
-that runs (its coefficients, for a ``Mixed`` the combined ones and for a
-``MixedDiagonals`` the merged ones, are not all zero), with the Adds that
-sum them.
+GEMM.  All three count with one schedule, the schedule one ciphertext at
+a time, built by their base's ``_schedule``: the baby steps, a rotation
+per input and distinct nonzero tap amount some term reads
+(``_input_rotations``), then per giant step a PMult per term that runs
+(its coefficients, for a ``Mixed`` the combined ones and for a
+``MixedDiagonals`` the merged ones, are not all zero), the Adds of each
+row's products, a rotation of each row's partial sum and an Add into the
+row's running sum (``_giant_step_counts``); a row-major operator's single
+giant step of 0 rotates nothing.  Each rule two operators share is one
+helper (``_merge_parts``, ``_block_circulant``).  Each operator is built
+once per layer, holds the plaintext factors that scale its terms, builds
+its op records (op, count, levels spent and rotation amount) from
+vectorized count tables when it is built, and is applied as batched
+matrix products over chunks of its sources that stay under
+``_CHUNK_BYTES`` (a ``BlockCirculant`` computes only the evenly spaced
+runs of positions its factors do not zero, and splits a source set too
+large for one GEMM along them).  It holds one set of coefficients, which
+serves every source set of the stack it is applied to: ``fold_steps``
+counts, and with ``log_ops`` logs, its records in the schedule's order,
+each at the input's level and times the source sets, through
+``SimContext._records``, the one path every op counts and logs through.
 
 The fused epilogues do the elementwise work between the folds, each as one
 op that writes one output buffer it owns, in row chunks under
@@ -347,19 +344,39 @@ def _live_run(vec: np.ndarray) -> tuple[int, int, int, int]:
     return int(starts[0]), step, width, int((starts[-1] - starts[0]) // step + 1)
 
 
-def _runs_view(a: np.ndarray, start: int, step: int, width: int, runs: int) -> np.ndarray:
-    """The positions (last axis) of ``a`` in the runs (start, step, width,
-    runs) of ``_live_run`` as a view (..., runs, width), without an axis of
-    one element (numpy copies a last axis of one element one element at a
-    time), sliced where it can (``as_strided`` costs 5 us)."""
-    if width == 1:
-        return a[..., start : start + (runs - 1) * step + 1 : step]
-    if runs == 1:
-        return a[..., start : start + width]
+def _runs_view(a: np.ndarray, key) -> np.ndarray:
+    """The positions (last axis) of ``a`` at a part's ``key`` (``_parts``)
+    as a view: a slice, or runs (offset, step, width, runs) as (..., runs,
+    width), sliced where it can (``as_strided`` costs 5 us)."""
+    if type(key) is slice:
+        return a[..., key]
+    start, step, width, runs = key
     if start + runs * step <= a.shape[-1]:
         return a[..., start : start + runs * step].reshape(a.shape[:-1] + (runs, step))[..., :width]
     *lead, s = a.strides
     return np.lib.stride_tricks.as_strided(a[..., start:], a.shape[:-1] + (runs, width), tuple(lead) + (step * s, s))
+
+
+def _parts(live, run_bytes: int, scaled, vec) -> tuple:
+    """The GEMMs of ``BlockCirculant._product`` over the ``live`` runs, whose
+    terms take ``run_bytes`` a run: all runs, or past ``_GEMM_BYTES`` as many
+    whole runs as stay under it, or pieces of one.  Each is (key, shape,
+    scale): its positions of a block (``_runs_view``), gathered as (n,) or
+    (runs, width), and its ``scaled`` ones (run by run) with their ``vec``."""
+    start, step, width, count = live
+    runs = max(1, _GEMM_BYTES // max(run_bytes, 1))
+    piece = width if run_bytes <= _GEMM_BYTES else max(1, _GEMM_BYTES * width // run_bytes)
+    parts = []
+    for r in range(0, count, runs):
+        for w in range(0, width, piece):
+            nr, nw, first, offset = min(runs, count - r), min(piece, width - w), r * width + w, start + r * step + w
+            if nr == 1 or nw == 1:
+                key, shape = slice(offset, offset + (nr - 1) * step + nw, step if nw == 1 else 1), (nr * nw,)
+            else:
+                key, shape = (offset, step, nw, nr), (nr, nw)
+            i, j = np.searchsorted(scaled, (first, first + nr * nw))
+            parts.append((key, shape, (scaled[i:j] - first, vec[..., i:j]) if i < j else None))
+    return tuple(parts)
 
 
 def _scaled_columns(vec: np.ndarray):
@@ -385,16 +402,14 @@ def _block_circulant(amounts, coef, grid) -> tuple[np.ndarray, np.ndarray, np.nd
     # sum the steps per block shift k (block b reads source block b + k), then
     # copy the sums once into E[v, t, b, k], doubled along k, so that
     # mat[v, b, t, c] = E[v, t, b, (c - b) % n1] = E[v, t, b, n1 - b + c]
-    # is a strided view; one block is its own circulant: mat is the sum
+    # is a strided view
     D = np.zeros((n1, V, T, n1))
     for k, c in zip((amounts // n2 % n1).tolist(), coef):
         D[k] += c
-    if n1 == 1:
-        mat = D.reshape(V, T)
-    else:
-        E = np.concatenate((D.transpose(1, 2, 3, 0),) * 2, axis=-1)
-        sv, st, sb, sk = E.strides
-        mat = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)).copy().reshape(V * n1, T * n1)
+    D = D.transpose(1, 2, 3, 0)
+    E = np.concatenate((D, D), axis=-1)
+    sv, st, sb, sk = E.strides
+    mat = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)).copy().reshape(V * n1, T * n1)
     mat.flags.writeable = False
     return amounts % (n1 * n2), coef, mat
 
@@ -456,8 +471,9 @@ class BlockCirculant(_Operator):
     tap rotation, (inputs, K, n1, m) with numpy broadcasting over the
     leading axes (the same mask on every input, say): the factors of the
     first m <= n2 positions of a block, zero past them, as a short
-    plaintext is; a scalar scales every position.  Block b of row v of
-    source set u is
+    plaintext is.  The last axis does not broadcast: m = 1 scales position
+    0 and zeroes the others; only a scalar scales every position.  Block b
+    of row v of source set u is
 
         sum over steps s, terms t of  coef[s, v, t, b] * (vec[t] * src[u, t])[b']
 
@@ -482,7 +498,9 @@ class BlockCirculant(_Operator):
     ``vec`` keeps the factors there, (inputs or 1, K or 1, n1 or 1,
     scaled), or None when every factor is 1: ``apply`` multiplies the
     gathered terms at ``scaled`` only, since a factor of 1 leaves a slot
-    as it is, bit for bit.
+    as it is, bit for bit.  ``apply``'s work is planned when it is built:
+    ``reach``, the taps the nearer way round, ``pad``, the slots a window of
+    the inputs wraps, ``sets`` per chunk and each GEMM's ``parts``.
 
     ``has_terms`` marks the V rows some step reaches.  The records of one
     source set (``_schedule``) are one rotation per distinct nonzero tap
@@ -495,7 +513,7 @@ class BlockCirculant(_Operator):
     operator serves any number of source stacks.
     """
 
-    __slots__ = ("taps", "matrix", "vec", "scaled", "live")
+    __slots__ = ("taps", "matrix", "vec", "scaled", "live", "reach", "pad", "sets", "parts")
 
     def __init__(self, amounts, coef, grid, taps=(0,), vec=1.0):
         n1, n2 = grid
@@ -515,62 +533,52 @@ class BlockCirculant(_Operator):
         lead = (T // K, K, n1)
         if vec.ndim != 4 or vec.shape[-1] > n2 or any(n not in (1, m) for n, m in zip(vec.shape, lead)):
             raise ValueError(f"factors of shape {vec.shape} do not fit {lead + (n2,)}")
-        self.live = _live_run(vec)
-        self.scaled, self.vec = _scaled_columns(_runs_view(vec, *self.live).reshape(vec.shape[:-1] + (-1,)))
+        self.live = start, step, width, count = _live_run(vec)
+        positions = (start + step * np.arange(count)[:, None] + np.arange(width)).ravel()
+        self.scaled, self.vec = _scaled_columns(vec[..., positions])
         self.taps = taps
-        self._freeze(grid, N, V, T // K, self.vec, self.scaled)
+        self.reach = tuple(a - N if a > N // 2 else a for a in taps)
+        self.pad = max(0, -min(self.reach)), max(0, max(self.reach))
+        self._freeze(grid, N, V, T // K, self.vec, self.scaled)  # before the parts' views of them
+        self.sets = max(1, _CHUNK_BYTES // (T * N * 8))
+        self.parts = _parts(self.live, self.sets * T * n1 * width * 8, self.scaled, self.vec)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count)
-        sources: source sets in chunks whose tap-rotated terms stay under
-        ``_CHUNK_BYTES`` (at least one set)."""
+        sources: source sets in chunks of ``sets``, whose tap-rotated terms
+        stay under ``_CHUNK_BYTES`` (at least one set)."""
         U, I, N = x.shape
         out = np.empty((U, self.rows, N))
-        size = max(1, _CHUNK_BYTES // (I * len(self.taps) * N * 8))
-        for u in range(0, U, size):
-            self._product(x[u : u + size], out[u : u + size])
+        for u in range(0, U, self.sets):
+            self._product(x[u : u + self.sets], out[u : u + self.sets])
         return out
 
     def _product(self, x: np.ndarray, out: np.ndarray) -> None:
-        """One chunk of source sets: per part of the live runs, one
+        """One chunk of source sets: per one of the ``parts``, one
         ``matmul`` of the matrix broadcast over the sets by z[u, i, k],
         input i of set u rotated by tap k (a window of the inputs wrapped
-        the nearer way round) at the part's positions.  The runs are one
-        part, unless their terms exceed ``_GEMM_BYTES``: then a part is as
-        many whole runs as stay under it, or a piece of one run."""
+        the nearer way round) at the part's positions."""
         U, I, N = x.shape
         n1, n2 = self.grid
-        start, step, width, count = self.live
         K = len(self.taps)
         blocks = out.reshape(U, self.rows * n1, n2)
-        if count * width < n2:
+        if self.live[2] * self.live[3] < n2:
             blocks[...] = 0.0
-        if not count:
-            return
-        reach = [a - N if a > N // 2 else a for a in self.taps]
-        pre, post = max(0, -min(reach)), max(0, max(reach))
+        pre, post = self.pad
         wrapped = np.concatenate((x[..., N - pre :], x, x[..., :post]), axis=-1) if pre or post else x
-        run_bytes = U * I * K * n1 * width * 8
-        runs = max(1, _GEMM_BYTES // run_bytes)
-        piece = width if run_bytes <= _GEMM_BYTES else max(1, _GEMM_BYTES * width // run_bytes)
-        for r in range(0, count, runs):
-            nr = min(runs, count - r)
-            for w in range(0, width, piece):
-                nw = min(piece, width - w)
-                # the part: live positions first to first + n, from slot offset of every block
-                first, n, offset = r * width + w, nr * nw, start + r * step + w
-                z = np.empty((U, I, K, n1) + ((nr, nw) if nr > 1 and nw > 1 else (n,)))  # the shape _runs_view gives
-                for k, a in enumerate(reach):
-                    z[:, :, k] = _runs_view(wrapped[..., pre + a : pre + a + N].reshape(U, I, n1, n2), offset, step, nw, nr)
-                z = z.reshape(U, I, K, n1, n)
-                if self.vec is not None:  # the factors of the part's scaled positions
-                    i, j = (0, len(self.scaled)) if n == count * width else np.searchsorted(self.scaled, (first, first + n))
-                    z[..., self.scaled[i:j] - first] *= self.vec[..., i:j]
-                if n == n2:
-                    np.matmul(self.matrix, z.reshape(U, -1, n), out=blocks)
-                else:
-                    dst = _runs_view(out.reshape(U, self.rows, n1, n2), offset, step, nw, nr)
-                    dst[...] = (self.matrix @ z.reshape(U, -1, n)).reshape(dst.shape)
+        for key, shape, scale in self.parts:
+            z = np.empty((U, I, K, n1) + shape)
+            for k, a in enumerate(self.reach):
+                z[:, :, k] = _runs_view(wrapped[..., pre + a : pre + a + N].reshape(U, I, n1, n2), key)
+            z = z.reshape(U, I, K, n1, -1)
+            if scale:
+                z[..., scale[0]] *= scale[1]
+            z = z.reshape(U, -1, z.shape[-1])
+            if z.shape[-1] == n2:
+                np.matmul(self.matrix, z, out=blocks)
+            else:
+                dst = _runs_view(blocks, key)
+                dst[...] = (self.matrix @ z).reshape(dst.shape)
 
 
 class Mixed(_Operator):

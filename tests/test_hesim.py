@@ -650,6 +650,19 @@ class TestBlockCirculant:
         with pytest.raises(ValueError, match="do not fit"):
             BlockCirculant([0], np.ones((1, 1, 6, 4)), (4, 8), (0, 1), np.ones(vec_shape))
 
+    def test_a_last_axis_of_one_does_not_broadcast(self):
+        """Factors of one position scale position 0 of each block and zero
+        the others, as the same factor padded with zeros to n2 does; only
+        a scalar scales every position (position 0 equal to the GEMM's
+        summation order)."""
+        coef, grid = TestFoldSteps().coef(), (self.N1, self.N2)
+        x = np.random.default_rng(9).uniform(-1, 1, (2, self.T, 32))
+        one, padded, scalar = (BlockCirculant(TestFoldSteps.AMOUNTS, coef, grid, (0,), v) for v in ([0.5], [0.5] + [0.0] * (self.N2 - 1), 0.5))
+        got = one.apply(x)
+        np.testing.assert_array_equal(got, padded.apply(x))
+        assert one.live == (0, 1, 1, 1) and not got.reshape(-1, self.N1, self.N2)[..., 1:].any()
+        np.testing.assert_allclose(got.reshape(-1, self.N1, self.N2)[..., 0], scalar.apply(x).reshape(-1, self.N1, self.N2)[..., 0], rtol=0, atol=1e-15)
+
 
 class TestFusedTaps:
     """``fold_steps`` of an operator with taps against the explicit baby
