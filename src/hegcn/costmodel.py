@@ -33,6 +33,7 @@ from hegcn.model import (
     ModelSpec,
     SpatialConv,
     TemporalConv,
+    check_pooled_frames,
 )
 from hegcn.packing import AMA, ROWMAJOR, next_pow2
 
@@ -277,6 +278,10 @@ def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[st
     whose weights zero a whole term (in row-major one weight, in AMA the
     weights of a term's channel blocks), or an AMA head with a zero (class,
     group) column, counts fewer PMults and Adds than these.
+
+    A pooling layer whose valid frame count is not a power of two has no
+    halving tree to count: it raises the ``PoolingError`` that
+    ``engine.check_pooling`` raises, naming the layer.
     """
     if fmt not in (AMA, ROWMAJOR):
         raise ValueError(f"unknown format {fmt!r}")
@@ -331,6 +336,7 @@ def analytic_layer_counts(spec: ModelSpec, fmt: str, slot_count: int) -> dict[st
                 counts["pmult"] = 2 * n_cts
                 counts["add"] = 2 * n_cts
         elif isinstance(layer, GlobalAvgPool):
+            check_pooled_frames(label, tv)
             steps = int(math.log2(tv)) if tv > 1 else 0
             if fmt == AMA:
                 G = packing.ama_layout((B, c_cur, T, J), slot_count).cts_per_joint

@@ -19,8 +19,14 @@ head included, is one prebuilt operator applied by one
 ``SimContext.fold_steps`` to the input stack; the operators run their
 sources in chunks of their own, and the engine has no chunk loop.  An AMA
 channel fold is built from one coefficient table over (step, row, term,
-output block), the same for every joint, gathered in one vectorized step
-from the giant steps ``_giant_steps`` lists.  A temporal conv is a
+output block), the same for every joint: one ``take`` of the layer's
+weights through flat indices that depend only on the layouts.  What
+depends only on a layout is worked out once per distinct layout by pure
+functions of its integers, memoized with read-only results: the giant
+steps (``_giant_steps``, ``_fold_tables``), those indices
+(``_temporal_gather``, ``_spatial_gather``) and the tap masks
+(``_tap_factors``).  Nothing keyed on weights, inputs or a model is kept
+between runs.  A temporal conv is a
 ``hesim.BlockCirculant`` that carries the tap rotations (the baby steps)
 and the tap masks, each joint's inputs one source set; within each block
 it multiplies only the positions some tap mask keeps (half of them after a
@@ -61,6 +67,7 @@ paths are tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,22 +81,16 @@ from hegcn.model import (
     FullyConnected,
     GlobalAvgPool,
     ModelSpec,
+    PoolingError,
     SpatialConv,
     TemporalConv,
+    check_pooled_frames,
 )
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor, PackingLayout, next_pow2
 
 
 class DepthBudgetError(Exception):
     """The model needs more multiplicative levels than the context offers."""
-
-    def __init__(self, message, layer=None):
-        super().__init__(message)
-        self.layer = layer
-
-
-class PoolingError(ValueError):
-    """Pooling would fold a valid frame count that is not a power of two."""
 
     def __init__(self, message, layer=None):
         super().__init__(message)
@@ -151,16 +152,66 @@ def _giant_steps(lin: PackingLayout, lout: PackingLayout):
     Returns the rotation amounts (S,), the (H, cap) channel of every output
     block, the (S, G, cap) input channel step s brings to block position p
     of group g (a rotation by delta blocks brings block p + delta), and the
-    (S, G, cap) mask of the positions each step serves.
+    (S, G, cap) mask of the positions each step serves, all read-only and
+    worked out once per pair of layouts (``_fold_tables``).
     """
-    cap, G = lin.capacity, lin.cts_per_joint
-    sizes = [lin.group_size(g) for g in range(G)]
+    return _fold_tables(lin.capacity, lin.pad_bt, lin.C, lin.channels_per_ct, lout.C, lout.channels_per_ct)
+
+
+@functools.lru_cache(maxsize=64)
+def _fold_tables(cap: int, pad: int, c_in: int, per_in: int, c_out: int, per_out: int):
+    """``_giant_steps`` of a fold from ``c_in`` channels, ``per_in`` to a
+    ciphertext, to ``c_out``, ``per_out`` to a ciphertext, over ``cap``
+    blocks of ``pad`` slots: a pure function of the layouts' integers."""
+    channels = packing.block_channels(cap, c_in, per_in)
+    sizes = [min(per_in, c_in - first) for first in range(0, c_in, per_in)]
     cover = {n: packing.giant_step_coverage(cap, n) for n in set(sizes)}
-    deltas = np.array(sorted({d for sel in cover.values() for d in sel}))
-    never = np.zeros(cap, dtype=bool)
-    serves = np.array([[cover[n].get(d, never) for n in sizes] for d in deltas])
-    reads = lin.block_channels()[np.arange(G)[:, None], (np.arange(cap) + deltas[:, None, None]) % cap]
-    return deltas * lin.pad_bt, lout.block_channels(), reads, serves
+    deltas = sorted({d for sel in cover.values() for d in sel})
+    serves = np.zeros((len(deltas), len(sizes), cap), dtype=bool)
+    for g, n in enumerate(sizes):
+        for d, sel in cover[n].items():
+            serves[deltas.index(d), g] = sel
+    deltas = np.array(deltas)
+    reads = channels[np.arange(len(sizes))[:, None], (np.arange(cap) + deltas[:, None, None]) % cap]
+    tables = deltas * pad, packing.block_channels(cap, c_out, per_out), reads, serves
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=64)
+def _spatial_gather(cap: int, pad: int, c_in: int, per_in: int, c_out: int, per_out: int, P: int):
+    """The giant steps of an AMA spatial fold (``_fold_tables``) and the
+    read-only flat indices (``_gather``) of its (S, H, P*G, cap)
+    coefficients in its (P, c_in, c_out) weight slabs: step s, output
+    group h, term (partition p, group g) and block b read slab p at the
+    input channel step s brings to (g, b) and the output channel of (h, b),
+    or 0.0 where step s does not serve (g, b)."""
+    amounts, out_chan, c_read, serves = _fold_tables(cap, pad, c_in, per_in, c_out, per_out)
+    index = (np.arange(P)[:, None, None] * c_in + c_read[:, None, None]) * c_out + out_chan[:, None, None, :]
+    index = np.where(serves[:, None, None], index, P * c_in * c_out).reshape(len(amounts), len(out_chan), -1, cap)
+    index.flags.writeable = False
+    return amounts, index
+
+
+@functools.lru_cache(maxsize=64)
+def _temporal_gather(cap: int, pad: int, C: int, per: int, K: int):
+    """The giant steps of an AMA temporal fold (``_fold_tables``) and the
+    read-only flat indices (``_gather``) of its (S, G, G*K, cap)
+    coefficients in its (C, C, K) taps: step s, row h, term (group g, tap
+    k) and block b read tap k from the input channel step s brings to (g,
+    b) into the output channel of (h, b), or 0.0 where step s does not
+    serve (g, b)."""
+    amounts, out_chan, c_read, serves = _fold_tables(cap, pad, C, per, C, per)
+    index = (out_chan[:, None, None, :] * C + c_read[:, None, :, None, :]) * K + np.arange(K)[:, None]
+    index = np.where(serves[:, None, :, None], index, C * C * K).reshape(len(amounts), len(out_chan), -1, cap)
+    index.flags.writeable = False
+    return amounts, index
+
+
+def _gather(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``weights`` at the flat ``index``, where index ``weights.size`` reads 0.0."""
+    return np.append(weights.ravel(), 0.0).take(index)
 
 
 def _add_bias(ct, bias_slots) -> SimCiphertext:
@@ -208,16 +259,11 @@ def ama_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> Encrypt
     rows = decompose(merged.pattern.T)
     reads = (rows if len(rows) else np.full((1, J), -1)).T
     lout = packing.ama_layout((lin.B, merged.c_out, lin.T, J), lin.slot_count)
-    cap, G, H = lin.capacity, lin.cts_per_joint, lout.cts_per_joint
-    amounts, out_chan, c_read, serves = _giant_steps(lin, lout)
-    P = len(merged.weights)
-    # weights over (step, h, partition, g, block), zero where the step does not serve
-    w = merged.weights[np.arange(P)[:, None, None], c_read[:, None, None], out_chan[:, None, None, :]]
-    w = np.where(serves[:, None, None], w, 0.0).reshape(len(amounts), H, P * G, cap)
+    amounts, index = _spatial_gather(lin.capacity, lin.pad_bt, lin.C, lin.channels_per_ct, lout.C, lout.channels_per_ct, len(merged.weights))
     # partition entries N_p[k, j] of (output joint k, partition, piece); a
     # piece without an entry reads joint 0 with zeros
     mix = np.where(reads >= 0, merged.parts[:, np.arange(J)[:, None], np.maximum(reads, 0)], 0.0).transpose(1, 0, 2)
-    op = hesim.Mixed(amounts, w, (cap, lin.pad_bt), mix, np.maximum(reads, 0), J)
+    op = hesim.Mixed(amounts, _gather(merged.weights, index), (lin.capacity, lin.pad_bt), mix, np.maximum(reads, 0), J)
     acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lout, merged.bias))
     return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid)
 
@@ -272,6 +318,19 @@ def _temporal_tap_mask(
     return on_lattice & (lprime < tv_out) & (lread >= 0) & (lread < tv_in)
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_factors(kind: str, pad: int, B: int, T: int, J: int, sigma_in: int, tv_in: int, stride: int, kernel: int) -> np.ndarray:
+    """The read-only factors of a temporal conv's ``kernel`` taps, a pure
+    function of the layout's integers: AMA the (K, 1, pad) tap masks
+    (``_temporal_tap_mask``), row-major the (K, 1, T*J) masks of the T
+    frame rows, each frame's factor repeated over its J joints."""
+    eps = np.arange(kernel) - (kernel - 1) // 2
+    masks = _temporal_tap_mask(pad, B, T, sigma_in, tv_in, stride, eps).astype(float)[:, None, :]
+    vec = masks if kind == AMA else np.repeat(masks[..., :T], J, axis=-1)
+    vec.flags.writeable = False
+    return vec
+
+
 def temporal_conv(fm: EncryptedFeatureMap, layer: TemporalConv) -> EncryptedFeatureMap:
     """K-tap zero-padded temporal convolution with optional stride 2.
 
@@ -286,52 +345,36 @@ def temporal_conv(fm: EncryptedFeatureMap, layer: TemporalConv) -> EncryptedFeat
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before temporal conv")
 
-    # merge batch-norm scale/shift into taps and bias up front
+    # merge batch-norm scale/shift into taps and bias up front; the scaled
+    # taps live only while the operator is built
     scale, bias = fold_bn(layer.bias, layer.bn, layer.channels)
-    W = layer.weights * scale[:, None, None]
-
-    eps = np.arange(layer.kernel) - (layer.kernel - 1) // 2  # the frame offset of every tap
-    masks = _temporal_tap_mask(lin.pad_bt, lin.B, lin.T, fm.t_stride, fm.t_valid, layer.stride, eps).astype(float)
-
-    if lin.kind == AMA:
-        out_fm = _temporal_ama(fm, W, bias, eps, masks)
-    else:
-        out_fm = _temporal_rowmajor(fm, W, bias, eps, masks)
-    out_fm.t_stride = fm.t_stride * layer.stride
-    out_fm.t_valid = math.ceil(fm.t_valid / layer.stride)
-    return out_fm
+    build = _temporal_ama if lin.kind == AMA else _temporal_rowmajor
+    vec = _tap_factors(lin.kind, lin.pad_bt, lin.B, lin.T, lin.J, fm.t_stride, fm.t_valid, layer.stride, layer.kernel)
+    op = build(lin, layer.weights * scale[:, None, None], fm.t_stride * (np.arange(layer.kernel) - (layer.kernel - 1) // 2), vec)
+    acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
+    return EncryptedFeatureMap(acc, lin, fm.t_stride * layer.stride, math.ceil(fm.t_valid / layer.stride))
 
 
-def _temporal_ama(fm, W, bias, eps, masks):
-    """Rows of the fold are joints, terms are (input group, tap).
+def _temporal_ama(lin, W, shifts, vec):
+    """The operator of an AMA temporal conv of taps ``W`` reading the frame
+    ``shifts`` (slots): rows of the fold are joints, terms are (input
+    group, tap).
 
     Block weights do not depend on the joint, so the block-circulant
     operator, taps included, is built once per layer and applied to the
     whole feature map, each joint's G inputs one source set; ``fold_steps``
     rotates them by the taps, in chunks of joints.
     """
-    lin = fm.layout
-    G, K = lin.cts_per_joint, len(eps)
-    amounts, out_chan, c_read, serves = _giant_steps(lin, lin)
-    # W over (step, h, g, tap, block)
-    w = W[out_chan[:, None, None], c_read[:, None, :, None], np.arange(K)[:, None]]
-    w = np.where(serves[:, None, :, None], w, 0.0)
-    coef = w.reshape(len(amounts), G, G * K, lin.capacity)
-    op = hesim.BlockCirculant(amounts, coef, (lin.capacity, lin.pad_bt), eps * fm.t_stride, masks[:, None, :])
-    acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
-    return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid)
+    amounts, index = _temporal_gather(lin.capacity, lin.pad_bt, lin.C, lin.channels_per_ct, len(shifts))
+    return hesim.BlockCirculant(amounts, _gather(W, index), (lin.capacity, lin.pad_bt), shifts, vec)
 
 
-def _temporal_rowmajor(fm, W, bias, eps, masks):
-    """One ``hesim.BlockCirculant`` on one block of every slot with the
-    single giant step 0, the diagonal method: terms are (input channel,
-    tap), rows output channels, and each tap's mask scales every input."""
-    lin = fm.layout
-    # masks were built over one T-row; each frame row spans J slots
-    vec = np.repeat(masks[:, None, : lin.T], lin.J, axis=-1)
-    op = hesim.BlockCirculant([0], W.reshape(1, len(W), -1, 1), (1, lin.slot_count), eps * fm.t_stride * lin.J, vec)
-    acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lin, bias))
-    return EncryptedFeatureMap(acc, lin, fm.t_stride, fm.t_valid)
+def _temporal_rowmajor(lin, W, shifts, vec):
+    """The operator of a row-major temporal conv: one
+    ``hesim.BlockCirculant`` on one block of every slot with the single
+    giant step 0, the diagonal method: terms are (input channel, tap), rows
+    output channels, and each tap's mask scales every input."""
+    return hesim.BlockCirculant([0], W.reshape(1, len(W), -1, 1), (1, lin.slot_count), shifts * lin.J, vec)
 
 
 # ----------------------------------------------------------------------
@@ -472,8 +515,8 @@ def check_pooling(spec: ModelSpec) -> None:
     """Static check; names the first pooling layer whose valid frame count
     (``ModelSpec.shape_walk``) is not a power of two."""
     for label, layer, (_, tv, _) in zip(spec.labels(), spec.layers, spec.shape_walk()):
-        if isinstance(layer, GlobalAvgPool) and tv & (tv - 1):
-            raise PoolingError(f"pooling at {label} expects a power-of-two valid frame count, got {tv}", layer=label)
+        if isinstance(layer, GlobalAvgPool):
+            check_pooled_frames(label, tv)
 
 
 def run_model(
@@ -508,16 +551,12 @@ def run_model(
     check_depth_budget(spec, ctx.max_level)
     check_pooling(spec)
 
-    with ctx.layer("pack"):
-        if fmt == AMA:
-            ct, layout = packing.ama_pack(x, ctx)
-        else:
-            ct, layout = packing.rowmajor_pack(x, ctx)
-    fm = EncryptedFeatureMap(ct, layout)
+    with ctx.layer("pack"):  # the packed stack lives only until the first layer replaces it
+        fm = EncryptedFeatureMap(*(packing.ama_pack if fmt == AMA else packing.rowmajor_pack)(x, ctx))
 
     trace = []
-    ct_counts = {"pack": ct.rows}
-    score_ct, out = None, ct
+    ct_counts = {"pack": fm.ct.rows}
+    score_ct, out = None, fm.ct
     classes = None
     for label, layer in zip(spec.labels(), spec.layers):
         before = out.level

@@ -40,25 +40,38 @@ the joint pattern and is applied factored, like a ``Mixed``: the joints of
 every frame row are mixed by each partition, then the weight slabs are one
 GEMM.  All three count with one schedule, the schedule one ciphertext at
 a time, built by their base's ``_schedule``: the baby steps, a rotation
-per input and distinct nonzero tap amount some term reads
-(``_input_rotations``), then per giant step a PMult per term that runs
-(its coefficients, for a ``Mixed`` the combined ones and for a
-``MixedDiagonals`` the merged ones, are not all zero), the Adds of each
-row's products, a rotation of each row's partial sum and an Add into the
-row's running sum (``_giant_step_counts``); a row-major operator's single
-giant step of 0 rotates nothing.  Each rule two operators share is one
-helper (``_merge_parts``, ``_block_circulant``).  Each operator is built
-once per layer, holds the plaintext factors that scale its terms, builds
-its op records (op, count, levels spent and rotation amount) from
-vectorized count tables when it is built, and is applied as batched
-matrix products over chunks of its sources that stay under
-``_CHUNK_BYTES`` (a ``BlockCirculant`` computes only the evenly spaced
-runs of positions its factors do not zero, and splits a source set too
-large for one GEMM along them).  It holds one set of coefficients, which
-serves every source set of the stack it is applied to: ``fold_steps``
-counts, and with ``log_ops`` logs, its records in the schedule's order,
-each at the input's level and times the source sets, through
-``SimContext._records``, the one path every op counts and logs through.
+per input and distinct nonzero tap amount some term reads, then per giant
+step a PMult per term that runs (its coefficients, for a ``Mixed`` the
+combined ones and for a ``MixedDiagonals`` the merged ones, are not all
+zero), the Adds of each row's products, a rotation of each row's partial
+sum and an Add into the row's running sum (``_giant_step_counts``); a
+row-major operator's single giant step of 0 rotates nothing.  Each rule
+two operators share is one helper (``_merge_parts``, ``_block_circulant``).
+Each operator is built once per layer, holds the plaintext factors that
+scale its terms, and is applied as batched matrix products over chunks
+of its sources that stay under ``_CHUNK_BYTES`` (a ``BlockCirculant``
+computes only the evenly spaced runs of positions its factors do not
+zero, and splits a source set too large for one GEMM along them).  It
+holds one set of coefficients, which serves every source set of the
+stack it is applied to: ``fold_steps`` counts, and with ``log_ops`` logs,
+its records in the schedule's order, each at the input's level and times
+the source sets, through ``SimContext._records``, the one path every op
+counts and logs through.
+
+Building an operator is a few array passes over its coefficients and
+factors, nothing per element in Python.  The block-circulant matrix is
+written from the per-shift sums of the giant steps' coefficients (a
+shift of one step is that step's table; only the steps of a repeated
+shift are added one by one, in step order) by one gather per row, whose
+indices depend only on the shape and the shifts (``_circulant_index``);
+on one block the one sum is the matrix.  The schedule's count tables are
+three per-step tallies of the terms that run, from which the records are
+written step by step.  The live runs, the scaled columns and the GEMM
+parts are worked out once from the factors.  What depends only on the
+layout is shared: ``_circulant_index`` is a pure function of integers,
+memoized with read-only results (as are the engine's giant steps, tap
+masks and coefficient gathers), and nothing keyed on coefficients,
+factors or any other array is kept between builds.
 
 The fused epilogues do the elementwise work between the folds, each as one
 op that writes one output buffer it owns, in row chunks under
@@ -90,6 +103,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 from contextlib import contextmanager
 
@@ -274,35 +288,14 @@ def _rowwise(ufunc, x: np.ndarray, y) -> np.ndarray:
     return ufunc(x, y.reshape(x.shape))
 
 
-#: Record layouts, one tuple per step of an operator's schedule: (op, levels
-#: spent before, levels spent after, carries the step's rotation amount).
-_TAP = (("rot", 0, 0, True),)
-_GIANT_STEP = (("pmult", 0, 1, False), ("add", 1, 1, False), ("rot", 1, 1, True), ("add", 1, 1, False))
-
-
-def _giant_step_counts(amounts: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_GIANT_STEP`` counts of a fold whose (S, R) ``terms`` count the
-    terms that run in each step and row, and the R rows some step reaches.
-
-    Per step: its PMults, its Adds of products, one rotation by the step's
-    amount (mod slot count, none when 0) per row with terms, and one Add per
-    row that already holds a partial sum of an earlier step.
-    """
+def _giant_step_counts(terms: np.ndarray) -> tuple[list, list, list, np.ndarray]:
+    """What the giant steps of a fold count, from the (S, R) ``terms`` that
+    run in each step and row: per step (lists of S) its products, its rows
+    with terms and the rows it or an earlier step reached, and the R rows
+    some step reaches."""
     rows = terms > 0
-    merges = np.zeros(len(rows), np.int64)
-    merges[1:] = (rows[1:] & np.logical_or.accumulate(rows, axis=0)[:-1]).sum(axis=1)
-    counts = np.stack((terms.sum(axis=1), np.maximum(terms - 1, 0).sum(axis=1), np.where(amounts != 0, rows.sum(axis=1), 0), merges), axis=1)
-    return counts, rows.any(axis=0)
-
-
-def _input_rotations(amounts, reads: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct ``amounts`` (in first-appearance order) and their input
-    rotations: one per input the (amounts, inputs) ``reads`` mark as read
-    at one of them, none for amount 0."""
-    distinct = list(dict.fromkeys(amounts))
-    member = np.array(amounts)[None, :] == np.array(distinct)[:, None]
-    rotated = ((member @ reads) > 0).sum(axis=1)
-    return distinct, np.where(np.array(distinct) != 0, rotated, 0)
+    products, width, reached = np.stack((terms, rows, np.logical_or.accumulate(rows, axis=0))).sum(axis=2).tolist()
+    return products, width, reached, rows.any(axis=0)
 
 
 def _merge_parts(entries: np.ndarray, slabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,15 +326,15 @@ def _live_run(vec: np.ndarray) -> tuple[int, int, int, int]:
     first such position to the last.  No such position gives no run."""
     nonzero = np.zeros(vec.shape[-1] + 2, dtype=bool)
     nonzero[1:-1] = vec.any(axis=tuple(range(vec.ndim - 1)))
-    edges = np.flatnonzero(nonzero[1:] != nonzero[:-1])  # each stretch's first position, then the one past its last
-    if not len(edges):
+    edges = np.flatnonzero(nonzero[1:] != nonzero[:-1]).tolist()  # each stretch's first position, then the one past its last
+    if not edges:
         return 0, 0, 0, 0
-    starts, width = edges[::2], int((edges[1::2] - edges[::2]).max())
-    step = int(np.gcd.reduce(np.diff(starts))) if len(starts) > 1 else width
+    starts = edges[::2]
+    width = max(end - start for start, end in zip(starts, edges[1::2]))
+    step = math.gcd(*(b - a for a, b in zip(starts, starts[1:]))) if len(starts) > 1 else width
     if step <= width or starts[-1] + width > vec.shape[-1]:
-        width = int(edges[-1] - edges[0])
-        return int(edges[0]), width, width, 1
-    return int(starts[0]), step, width, int((starts[-1] - starts[0]) // step + 1)
+        return edges[0], edges[-1] - edges[0], edges[-1] - edges[0], 1
+    return starts[0], step, width, (starts[-1] - starts[0]) // step + 1
 
 
 def _runs_view(a: np.ndarray, key) -> np.ndarray:
@@ -384,32 +377,58 @@ def _scaled_columns(vec: np.ndarray):
     not 1, and the factors there, or None when every factor is 1:
     multiplying by 1.0 is exact, so the other columns are left as they are."""
     cols = np.flatnonzero((vec != 1).any(axis=tuple(range(vec.ndim - 1))))
-    return cols, np.ascontiguousarray(vec[..., cols]) if len(cols) else None
+    return cols, vec.take(cols, axis=-1) if len(cols) else None
+
+
+@functools.lru_cache(maxsize=64)
+def _circulant_index(T: int, n1: int, shifts: tuple) -> np.ndarray:
+    """The read-only (n1, T, n1) indices that gather row (v, block b) and
+    columns (term t, source block c) of the block-circulant matrix of
+    ``_block_circulant`` from row v of its per-shift sums, laid out (sum,
+    term, block) in the order of ``shifts``: block b reads the sum of shift
+    (c - b) mod n1 at (t, b), or, for a shift not in ``shifts``, the zero
+    sum that follows them."""
+    which = np.full(n1, len(shifts))
+    which[list(shifts)] = np.arange(len(shifts))
+    blocks = np.arange(n1)
+    index = (which[(blocks - blocks[:, None]) % n1][:, None, :] * T + np.arange(T)[:, None]) * n1 + blocks[:, None, None]
+    index.flags.writeable = False
+    return index
 
 
 def _block_circulant(amounts, coef, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The giant steps ``amounts`` mod slot count, the (S, V, T, n1)
     ``coef`` and the read-only (V*n1, T*n1) block-circulant matrix of
-    ``BlockCirculant``, rows (row, block) and columns (term, source block)."""
+    ``BlockCirculant``, rows (row, block) and columns (term, source block).
+
+    Block b of row v reads source block c through the sum, in step order
+    from 0.0, of the coefficients at (v, t, b) of the steps whose block
+    shift is (c - b) mod n1: a shift of one step gives 0.0 + its
+    coefficient (so -0.0 becomes 0.0), a shift of several steps is summed
+    step by step, and one of none is 0.0.  Each row of the matrix is
+    gathered from those sums in one pass (``_circulant_index``)."""
     n1, n2 = grid
     amounts = np.asarray(amounts, dtype=np.int64)
     coef = np.asarray(coef, dtype=np.float64)
     if coef.ndim != 4 or coef.shape[3] != n1 or coef.shape[0] != len(amounts):
         raise ValueError(f"coef of shape {coef.shape} is not ({len(amounts)}, rows, terms, {n1})")
-    if np.any(amounts % n2):
+    blocks, rest = np.divmod(amounts, n2)
+    if rest.any():
         raise ValueError(f"a rotation amount in {amounts.tolist()} is not a multiple of the block length {n2}")
     V, T = coef.shape[1:3]
-    # sum the steps per block shift k (block b reads source block b + k), then
-    # copy the sums once into E[v, t, b, k], doubled along k, so that
-    # mat[v, b, t, c] = E[v, t, b, (c - b) % n1] = E[v, t, b, n1 - b + c]
-    # is a strided view
-    D = np.zeros((n1, V, T, n1))
-    for k, c in zip((amounts // n2 % n1).tolist(), coef):
-        D[k] += c
-    D = D.transpose(1, 2, 3, 0)
-    E = np.concatenate((D, D), axis=-1)
-    sv, st, sb, sk = E.strides
-    mat = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk)).copy().reshape(V * n1, T * n1)
+    steps = (blocks % n1).tolist()
+    shifts = tuple(dict.fromkeys(steps))
+    first = [steps.index(k) for k in shifts] if len(shifts) < len(steps) else slice(None)
+    sums = np.empty((V, len(shifts) + (len(shifts) < n1), T, n1))  # and a zero sum, if a shift has no step
+    np.add(coef[first].transpose(1, 0, 2, 3), 0.0, out=sums[:, : len(shifts)])
+    sums[:, len(shifts) :] = 0.0
+    if len(shifts) < len(steps):  # the further steps of a repeated shift, one by one in step order
+        for s in sorted(set(range(len(steps))) - set(first)):
+            sums[:, shifts.index(steps[s])] += coef[s]
+    if n1 == 1:  # one block: the one sum is the matrix
+        mat = sums.reshape(V, T)
+    else:
+        mat = np.take(sums.reshape(V, -1), _circulant_index(T, n1, shifts), axis=1).reshape(V * n1, T * n1)
     mat.flags.writeable = False
     return amounts % (n1 * n2), coef, mat
 
@@ -427,22 +446,33 @@ class _Operator:
 
     def _schedule(self, taps, reads, amounts, terms) -> None:
         """Build ``records`` and ``has_terms`` from the one schedule of every
-        operator, the baby-step/giant-step product: a rotation per input and
-        distinct nonzero tap amount the (taps, inputs) ``reads`` mark
-        (``_input_rotations``), then per giant step of ``amounts`` the
-        ``_GIANT_STEP`` records of the (steps, rows) ``terms`` that run
-        (``_giant_step_counts``)."""
-        distinct, rotated = _input_rotations(taps, reads)
-        amounts = np.asarray(amounts, dtype=np.int64)
-        steps, self.has_terms = _giant_step_counts(amounts, terms)
-        tables = ((_TAP, distinct, rotated[:, None]), (_GIANT_STEP, amounts.tolist(), steps))
-        self.records = tuple(
-            (op, n, before, after, a if rotates else None)
-            for layout, amounts, counts in tables
-            for a, row in zip(amounts, counts.tolist())
-            for (op, before, after, rotates), n in zip(layout, row)
-            if n
-        )
+        operator, the baby-step/giant-step product: a rotation per input the
+        (taps, inputs) ``reads`` mark as read at one of the distinct nonzero
+        tap amounts (in first-appearance order), then per giant step of
+        ``amounts`` the records of the (steps, rows) ``terms`` that run
+        (``_giant_step_counts``): its PMults, its Adds of products (one
+        fewer than the products of each row with terms), a rotation by the
+        step's amount (none when 0) per row with terms, and an Add per row
+        that already holds a partial sum of an earlier step.  Each record is
+        at the levels it spends, and a step writes none where it counts
+        nothing."""
+        distinct = list(dict.fromkeys(taps))
+        if len(distinct) < len(taps):  # a repeated amount rotates an input once
+            reads = np.equal.outer(distinct, taps) @ reads
+        records = [("rot", n, 0, 0, a) for a, n in zip(distinct, reads.sum(axis=1).tolist()) if n and a]
+        products, width, reached, self.has_terms = _giant_step_counts(terms)
+        before = 0
+        for a, p, w, r in zip(np.asarray(amounts, dtype=np.int64).tolist(), products, width, reached):
+            if p:
+                records.append(("pmult", p, 0, 1, None))
+            if p > w:
+                records.append(("add", p - w, 1, 1, None))
+            if w and a:
+                records.append(("rot", w, 1, 1, a))
+            if w > r - before:  # rows with terms that an earlier step reached
+                records.append(("add", w - r + before, 1, 1, None))
+            before = r
+        self.records = tuple(records)
 
     def _freeze(self, grid, slot_count, rows, inputs, *arrays) -> None:
         """Set the fields every operator has and make ``has_terms`` and
@@ -533,15 +563,14 @@ class BlockCirculant(_Operator):
         lead = (T // K, K, n1)
         if vec.ndim != 4 or vec.shape[-1] > n2 or any(n not in (1, m) for n, m in zip(vec.shape, lead)):
             raise ValueError(f"factors of shape {vec.shape} do not fit {lead + (n2,)}")
-        self.live = start, step, width, count = _live_run(vec)
-        positions = (start + step * np.arange(count)[:, None] + np.arange(width)).ravel()
-        self.scaled, self.vec = _scaled_columns(vec[..., positions])
+        self.live = _live_run(vec)
+        self.scaled, self.vec = _scaled_columns(_runs_view(vec, self.live).reshape(vec.shape[:-1] + (-1,)))
         self.taps = taps
         self.reach = tuple(a - N if a > N // 2 else a for a in taps)
         self.pad = max(0, -min(self.reach)), max(0, max(self.reach))
         self._freeze(grid, N, V, T // K, self.vec, self.scaled)  # before the parts' views of them
         self.sets = max(1, _CHUNK_BYTES // (T * N * 8))
-        self.parts = _parts(self.live, self.sets * T * n1 * width * 8, self.scaled, self.vec)
+        self.parts = _parts(self.live, self.sets * T * n1 * self.live[2] * 8, self.scaled, self.vec)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (U, rows, slot_count) products of the (U, inputs, slot_count)
@@ -686,8 +715,8 @@ class MixedDiagonals(_Operator):
     zero at some joint, so a sum that cancels exactly runs nothing.  They
     are worked out in one pass over the live (diagonal, joint) entries,
     where some part is nonzero, from the distinct vectors of part entries
-    they carry (``_merge_parts``), without building any per-diagonal
-    table.
+    they carry (``_merge_parts``), once per distinct set of vectors a
+    diagonal carries, without building any per-diagonal table.
     """
 
     __slots__ = ("mix", "slabs")
@@ -706,19 +735,25 @@ class MixedDiagonals(_Operator):
         # the live (diagonal, joint k) entries: k + d inside the row and some part nonzero there
         reads = np.arange(n2) + offsets[:, None]
         d, k = np.nonzero((reads >= 0) & (reads < n2))
-        j = k + offsets[d]
-        n = parts[:, k, j]
+        entry = k * n2 + k + offsets[d]  # (k, j) in a row-major (n2, n2) part
+        n = parts.reshape(len(parts), -1).take(entry, axis=1)
         live = n.any(axis=0)
-        d, k, j, n = d[live], k[live], j[live], n[:, live]
+        d, entry, n = d[live], entry[live], n[:, live]
         which, merged = _merge_parts(n.T, weights)
         hits = np.zeros((len(offsets), len(merged)))  # the vectors each diagonal's entries carry
         hits[d, which] = 1.0
-        runs = (hits @ (merged != 0).reshape(len(merged), C * V)).reshape(len(offsets), C, V) > 0
-        self._schedule((offsets % N).tolist(), runs.any(axis=2), [0], runs.sum(axis=(0, 1))[None])
-        mix = np.zeros_like(parts)
-        mix[:, k, j] = n
-        used = mix.any(axis=(1, 2)) & weights.any(axis=(1, 2))  # the other parts add only zeros
-        self.mix = mix[used].transpose(2, 0, 1).reshape(n2, -1)
+        # diagonals whose entries carry the same vectors run the same products
+        kinds = {}
+        kind = np.array([kinds.setdefault(row.tobytes(), len(kinds)) for row in hits], dtype=np.int64)
+        sets = np.zeros((len(kinds), len(merged)))
+        sets[kind] = hits
+        runs = (sets @ (merged != 0).reshape(len(merged), C * V)).reshape(len(kinds), C, V) > 0
+        terms = np.bincount(kind, minlength=len(kinds)) @ runs.sum(axis=1)
+        self._schedule((offsets % N).tolist(), runs.any(axis=2)[kind], [0], terms[None])
+        mix = np.zeros((len(parts), n2 * n2))
+        mix[:, entry] = n
+        used = mix.any(axis=1) & weights.any(axis=(1, 2))  # the other parts add only zeros
+        self.mix = mix[used].reshape(-1, n2, n2).transpose(2, 0, 1).reshape(n2, -1)
         self.slabs = weights[used].transpose(2, 0, 1).reshape(V, -1)
         self._freeze(grid, N, V, C, self.mix, self.slabs)
 

@@ -134,6 +134,22 @@ class FullyConnected:
         self.bias = np.asarray(self.bias, dtype=np.float64)
 
 
+class PoolingError(ValueError):
+    """Pooling would fold a valid frame count that is not a power of two."""
+
+    def __init__(self, message, layer=None):
+        super().__init__(message)
+        self.layer = layer
+
+
+def check_pooled_frames(label: str, t_valid: int) -> None:
+    """The pooling layer ``label`` folds its ``t_valid`` valid frames with a
+    halving tree, so their count must be a power of two; else a
+    ``PoolingError`` that names the layer."""
+    if t_valid & (t_valid - 1):
+        raise PoolingError(f"pooling at {label} expects a power-of-two valid frame count, got {t_valid}", layer=label)
+
+
 @dataclass
 class ModelSpec:
     """Input dims plus an ordered, shape-checked layer list."""

@@ -19,6 +19,7 @@ and the unpacking functions read such a stack.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -131,13 +132,8 @@ class PackingLayout:
 
     def block_channels(self) -> np.ndarray:
         """(group, block position) -> channel held there in every ciphertext
-        of that group.
-
-        Blocks tile cyclically with the group's own size, so replica blocks
-        map back onto real channels.
-        """
-        beta = np.arange(self.capacity)
-        return np.array([np.array(self.group_channels(g))[beta % self.group_size(g)] for g in range(self.cts_per_joint)])
+        of that group, read-only (``block_channels``)."""
+        return block_channels(self.capacity, self.C, self.channels_per_ct)
 
     def ama_ct_index(self, j: int, g: int) -> int:
         return j * self.cts_per_joint + g
@@ -159,6 +155,21 @@ def rowmajor_layout(dims, slot_count: int) -> PackingLayout:
     if T * J > slot_count:
         raise PackingError(f"T*J = {T * J} exceeds slot count {slot_count}")
     return PackingLayout(ROWMAJOR, slot_count, B, C, T, J, next_pow2(T * J), 1, 0)
+
+
+@functools.lru_cache(maxsize=64)
+def block_channels(cap: int, C: int, per_ct: int) -> np.ndarray:
+    """The read-only (groups, cap) channel at every block position of an
+    AMA ciphertext of each group of ``per_ct`` of the ``C`` channels.
+
+    Blocks tile cyclically with the group's own size, so replica blocks
+    map back onto real channels: group g starts at channel g * per_ct and
+    block b holds its channel b mod (its size).
+    """
+    first = np.arange(0, C, per_ct)[:, None]
+    channels = first + np.arange(cap) % np.minimum(per_ct, C - first)
+    channels.flags.writeable = False
+    return channels
 
 
 def giant_step_coverage(cap: int, n: int) -> dict[int, np.ndarray]:

@@ -162,6 +162,20 @@ class TestExactAnalytic:
         assert diff["per_layer"]
 
 
+@pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+def test_pooling_of_frames_no_halving_tree_folds_is_refused(fmt):
+    """The acceptance layers on 24 frames pool 12 valid frames after the
+    stride 2: the analytic counts and the amortization sweep raise the
+    engine's typed error, naming the pooling layer, instead of counting
+    int(log2(12)) halvings."""
+    layers = acceptance_stgcn3().layers
+    with pytest.raises(engine.PoolingError, match="got 12") as err:
+        analytic_layer_counts(ModelSpec((1, 8, 24, 25), layers), fmt, 1024)
+    assert err.value.layer == "12-global_avg_pool"
+    with pytest.raises(engine.PoolingError, match="12-global_avg_pool.*got 12"):
+        costmodel.amortized_sweep(lambda b: ModelSpec((b, 8, 24, 25), layers), fmt, 1024, [1, 2])
+
+
 class TestFoldDeltas:
     """The cost model's closed-form giant steps against the engine's
     ``packing.giant_step_coverage`` (itself checked against the greedy scan

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -989,3 +990,126 @@ def test_gated_logs_replay_to_the_unlogged_counter(name):
             k = ops.index("pmult")
             assert set(ops[:k]) == {"rot"} and ops[k : k + 2] == ["pmult", "add"]
             assert "rot" not in ops[k:] and "pmult" not in ops[k + 1 :]
+
+
+def head_block_channels(layout):
+    """Reference: each group's channels as a list, tiled over the blocks."""
+    beta = np.arange(layout.capacity)
+    return np.array([np.array(layout.group_channels(g))[beta % layout.group_size(g)] for g in range(layout.cts_per_joint)])
+
+
+def head_giant_steps(lin, lout):
+    """Reference: the giant-step tables as first built, from the coverage
+    of every group size and a nested list of the positions each serves."""
+    cap, G = lin.capacity, lin.cts_per_joint
+    sizes = [lin.group_size(g) for g in range(G)]
+    cover = {n: engine.packing.giant_step_coverage(cap, n) for n in set(sizes)}
+    deltas = np.array(sorted({d for sel in cover.values() for d in sel}))
+    never = np.zeros(cap, dtype=bool)
+    serves = np.array([[cover[n].get(d, never) for n in sizes] for d in deltas])
+    reads = head_block_channels(lin)[np.arange(G)[:, None], (np.arange(cap) + deltas[:, None, None]) % cap]
+    return deltas * lin.pad_bt, head_block_channels(lout), reads, serves
+
+
+def fold_layouts():
+    """AMA layouts of up to 64 blocks, of 1-3 samples, with channel counts
+    that fill, split evenly, leave a ragged last group or fill part of one
+    ciphertext, as (input layout, output layout) of a fold."""
+    for cap, (B, T) in itertools.product((1, 2, 4, 8, 16, 32, 64), ((1, 4), (2, 3), (3, 5))):
+        pad = 1 << (B * T - 1).bit_length()
+        for c_in, c_out in {(cap, cap), (max(1, cap // 2 + 1), 2 * cap), (3 * cap + 1, cap + 3), (5, 7)}:
+            yield engine.packing.ama_layout((B, c_in, T, 3), cap * pad), engine.packing.ama_layout((B, c_out, T, 3), cap * pad)
+
+
+class TestLayoutTables:
+    """The layout-only tables, worked out once per layout and read-only,
+    equal their first construction."""
+
+    def test_giant_steps_and_block_channels(self):
+        for lin, lout in fold_layouts():
+            got, want = engine._giant_steps(lin, lout), head_giant_steps(lin, lout)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (lin, lout)
+                assert not g.flags.writeable
+            assert np.array_equal(lin.block_channels(), head_block_channels(lin))
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_temporal_coefficients(self, K):
+        """The taps gathered through the layout's flat indices equal the
+        fancy-indexed taps, zeroed where a step does not serve."""
+        rng = np.random.default_rng(K)
+        for lin, _ in fold_layouts():
+            W = rng.uniform(-1, 1, (lin.C, lin.C, K))
+            W[rng.uniform(size=W.shape) < 0.2] = -0.0
+            amounts, out_chan, c_read, serves = head_giant_steps(lin, lin)
+            want = W[out_chan[:, None, None], c_read[:, None, :, None], np.arange(K)[:, None]]
+            want = np.where(serves[:, None, :, None], want, 0.0).reshape(len(amounts), lin.cts_per_joint, -1, lin.capacity)
+            got_amounts, index = engine._temporal_gather(lin.capacity, lin.pad_bt, lin.C, lin.channels_per_ct, K)
+            assert np.array_equal(got_amounts, amounts)
+            assert engine._gather(W, index).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_spatial_coefficients(self, P):
+        rng = np.random.default_rng(P)
+        for lin, lout in fold_layouts():
+            weights = rng.uniform(-1, 1, (P, lin.C, lout.C))
+            amounts, out_chan, c_read, serves = head_giant_steps(lin, lout)
+            want = weights[np.arange(P)[:, None, None], c_read[:, None, None], out_chan[:, None, None, :]]
+            want = np.where(serves[:, None, None], want, 0.0).reshape(len(amounts), lout.cts_per_joint, -1, lin.capacity)
+            args = lin.capacity, lin.pad_bt, lin.C, lin.channels_per_ct, lout.C, lout.channels_per_ct, P
+            got_amounts, index = engine._spatial_gather(*args)
+            assert np.array_equal(got_amounts, amounts)
+            assert engine._gather(weights, index).tobytes() == want.tobytes()
+
+    def test_tap_factors(self):
+        """Strides 1 and 2 after inputs of stride 1 and 2, 1-3 samples per
+        block: the masks as ``_temporal_tap_mask`` gives them, and in
+        row-major each frame's factor repeated over its joints."""
+        for B, T, J, K, sigma, stride in itertools.product((1, 2, 3), (4, 7, 16), (1, 4), (1, 3, 5), (1, 2), (1, 2)):
+            tv = -(-T // sigma)
+            if K > tv:
+                continue
+            pad = 1 << (B * T - 1).bit_length()
+            eps = np.arange(K) - (K - 1) // 2
+            masks = engine._temporal_tap_mask(pad, B, T, sigma, tv, stride, eps).astype(float)
+            ama = engine._tap_factors(AMA, pad, B, T, J, sigma, tv, stride, K)
+            rowmajor = engine._tap_factors(ROWMAJOR, pad, B, T, J, sigma, tv, stride, K)
+            assert np.array_equal(ama, masks[:, None, :])
+            assert np.array_equal(rowmajor, np.repeat(masks[:, None, :T], J, axis=-1))
+            assert not ama.flags.writeable and not rowmajor.flags.writeable
+
+
+def test_memoized_tables_are_read_only():
+    """Every table shared between runs refuses a write."""
+    tables = [
+        engine.packing.block_channels(8, 12, 8),
+        *engine._fold_tables(8, 4, 12, 8, 6, 6),
+        *engine._spatial_gather(8, 4, 12, 8, 6, 6, 2),
+        *engine._temporal_gather(8, 4, 12, 8, 3),
+        engine._tap_factors(AMA, 8, 2, 4, 3, 1, 4, 2, 3),
+        engine._tap_factors(ROWMAJOR, 8, 2, 4, 3, 1, 4, 2, 3),
+        hesim._circulant_index(5, 8, (0, 3, 1)),
+    ]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table.reshape(-1)[0] = 1
+
+
+def test_runs_carry_no_state():
+    """Acceptance AMA @1024, a model of other widths at 64 slots in both
+    packings, then acceptance AMA @1024 again: the two acceptance runs have
+    the same counters, op logs and scores, bit for bit."""
+    spec = acceptance_stgcn3()
+    x = GraphTensor.random(spec.input_dims, seed=43)
+
+    def logged(spec, x, fmt, slot_count):
+        ctx = SimContext(slot_count, max_level=costmodel.depth(spec), log_ops=True)
+        return run_model(spec, x, fmt, ctx=ctx), ctx.oplog
+
+    first, first_log = logged(spec, x, AMA, 1024)
+    other = random_stgcn((2, 3, 8, 5), widths=[6, 12], adjacency=ring_adjacency(5), classes=3, kernel=3, stride2_at=1, seed=5)
+    for fmt in (AMA, ROWMAJOR):
+        logged(other, GraphTensor.random(other.input_dims, seed=6), fmt, 64)
+    again, again_log = logged(spec, x, AMA, 1024)
+    assert again.counter == first.counter and again_log == first_log
+    assert again.scores.tobytes() == first.scores.tobytes()

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import re
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from hegcn import hesim
 from hegcn.adjacency import AdjacencySet, MergedSpatialMatrix, diagonal_offsets, merge_spatial
-from hegcn.engine import _temporal_tap_mask, run_model
+from hegcn.engine import _tap_factors, _temporal_tap_mask, run_model
 from hegcn.hesim import BlockCirculant, LevelError, Mixed, MixedDiagonals, SimContext, replay_counts
 from hegcn.model import acceptance_stgcn3
 from hegcn.packing import AMA, ROWMAJOR, GraphTensor
@@ -603,6 +604,53 @@ class TestBlockCirculant:
             got = op.matrix.reshape(V, self.N1, self.T, self.N1)  # (row, block, term, source block)
             assert got.tobytes() == np.ascontiguousarray(want.swapaxes(-1, -2)).tobytes()
             assert not op.matrix.flags.writeable
+
+    @staticmethod
+    def per_step_matrix(amounts, coef, grid):
+        """Reference: the block-circulant matrix as it was first built, each
+        step added onto zeros at its block shift (``D[k] += c``, which
+        turns -0.0 into 0.0), the sums copied doubled along the shift and
+        read through a strided view."""
+        n1, n2 = grid
+        V, T = coef.shape[1:3]
+        D = np.zeros((n1, V, T, n1))
+        for k, c in zip((np.asarray(amounts) // n2 % n1).tolist(), coef):
+            D[k] += c
+        D = D.transpose(1, 2, 3, 0)
+        E = np.concatenate((D, D), axis=-1)
+        sv, st, sb, sk = E.strides
+        view = np.lib.stride_tricks.as_strided(E[..., n1:], (V, n1, T, n1), (sv, sb - sk, st, sk))
+        return view.copy().reshape(V * n1, T * n1)
+
+    @pytest.mark.parametrize(
+        "shifts, n1",
+        [
+            ([0, 1, 2, 3], 4),  # every shift once
+            ([3, 0, 2], 4),  # distinct, out of order, shift 1 missing
+            ([0, 1, 0, 2, 1, 5, 1], 4),  # repeated shifts, one of them a full turn on
+            ([0], 1),  # one block
+            ([0, 0, 2], 1),  # one block, repeated steps
+            ([5, 1, 7, 3, 9], 8),
+        ],
+    )
+    def test_matrix_equals_the_per_step_loop(self, shifts, n1):
+        """``_block_circulant`` writes the matrix from the per-shift sums,
+        adding step by step only where shifts repeat: bit for bit the
+        per-step loop's, signed zeros included (0.0 + -0.0 is 0.0, so a
+        -0.0 coefficient becomes 0.0 as the loop makes it)."""
+        n2, V, T = 4, 3, 5
+        rng = np.random.default_rng(len(shifts) * n1)
+        coef = rng.uniform(-1, 1, (len(shifts), V, T, n1))
+        coef[rng.uniform(size=coef.shape) < 0.3] = -0.0
+        coef[rng.uniform(size=coef.shape) < 0.1] = 0.0
+        amounts = np.array(shifts) * n2
+        got = hesim._block_circulant(amounts, coef, (n1, n2))[2]
+        want = self.per_step_matrix(amounts, coef, (n1, n2))
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0]).any()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
 
     @pytest.mark.parametrize("U", [1, 2])
     def test_one_operator_applies_to_many_stacks(self, U):
@@ -1569,6 +1617,40 @@ class TestScaledColumns:
         op = lambda: BlockCirculant([0], np.ones((1, 1, C, 1)), (1, 8), vec=weights[:, None, None, :])  # noqa: E731
         assert op().live == (0, classes, classes, 1)
         self.check(monkeypatch, op, 2 * C, 8, classes)
+
+
+def gcd_live_run(vec):
+    """Reference: the live runs of factors as first computed, with numpy's
+    gcd over the stretch starts."""
+    nonzero = np.zeros(vec.shape[-1] + 2, dtype=bool)
+    nonzero[1:-1] = vec.any(axis=tuple(range(vec.ndim - 1)))
+    edges = np.flatnonzero(nonzero[1:] != nonzero[:-1])
+    if not len(edges):
+        return 0, 0, 0, 0
+    starts, width = edges[::2], int((edges[1::2] - edges[::2]).max())
+    step = int(np.gcd.reduce(np.diff(starts))) if len(starts) > 1 else width
+    if step <= width or starts[-1] + width > vec.shape[-1]:
+        width = int(edges[-1] - edges[0])
+        return int(edges[0]), width, width, 1
+    return int(starts[0]), step, width, int((starts[-1] - starts[0]) // step + 1)
+
+
+def test_live_runs_of_tap_masks_equal_the_reference():
+    """``_live_run`` of the engine's tap factors, AMA and row-major, on
+    blocks of up to 64 slots holding 1-3 samples, strides 1 and 2 after
+    inputs of stride 1 and 2, kernels 1-5; and of random sparse factors."""
+    for B, T, J, kernel, sigma, stride in itertools.product((1, 2, 3), (4, 5, 8, 16), (1, 3), (1, 3, 5), (1, 2), (1, 2)):
+        tv = -(-T // sigma)
+        if kernel > tv:
+            continue
+        pad = 1 << (B * T - 1).bit_length()
+        for kind in (AMA, ROWMAJOR):
+            vec = _tap_factors(kind, pad, B, T, J, sigma, tv, stride, kernel)
+            assert hesim._live_run(vec) == gcd_live_run(vec), (kind, B, T, J, kernel, sigma, stride)
+    rng = np.random.default_rng(40)
+    for m in range(1, 40):
+        vec = np.where(rng.uniform(size=(2, m)) < rng.uniform(), 1.0, 0.0)
+        assert hesim._live_run(vec) == gcd_live_run(vec), vec
 
 
 class TestAllocatorPolicy:
