@@ -9,16 +9,17 @@ whole spatial step costs a single plaintext-multiplication depth.
 The merged layer keeps its factors: P weight slabs, P normalized
 partitions and one batch-norm fold (``fold_bn``); kernels read the factors,
 never the dense matrices.  For rotation-free encrypted evaluation the
-shared support is decomposed into "patterned sparse" pieces with at most
-one nonzero per column, given by the row of each piece's entry in every
-column (``decompose``).  The number of pieces m equals the maximum column
-population, so sparser adjacencies need fewer plaintext multiplications.
+shared support, worked out from the factors, is decomposed into
+"patterned sparse" pieces with at most one nonzero per column, given by
+the row of each piece's entry in every column (``decompose``).  The number
+of pieces m equals the maximum column population, so sparser adjacencies
+need fewer plaintext multiplications.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,14 +150,13 @@ class MergedSpatialMatrix:
     Channel pair (c, o) mixes joints by sum_p weights[p, c, o] * parts[p], a
     J x J matrix in "output joint row" orientation (applied on the left of a
     joint-indexed column vector).  ``weights`` carries the batch-norm scale,
-    ``bias`` the folded shift, ``pattern`` the 0/1 support every channel
-    pair shares (by default the union of the parts' supports).
+    ``bias`` the folded shift; the factors are the only description of the
+    layer's sparsity (``pattern``).
     """
 
     weights: np.ndarray  # (P, C_in, C_out)
     parts: np.ndarray  # (P, J, J)
     bias: np.ndarray  # (C_out,)
-    pattern: np.ndarray = field(default=None)  # (J, J)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -168,18 +168,15 @@ class MergedSpatialMatrix:
             raise ValueError(f"{self.weights.shape[0]} weight slabs for {self.parts.shape[0]} partitions")
         if self.bias.shape != (self.c_out,):
             raise ValueError("bias must be one value per output channel")
-        if self.pattern is None:
-            self.pattern = (np.abs(self.parts) > VALID_EPS).any(axis=0).astype(float)
 
     @classmethod
     def from_dense(cls, mats: np.ndarray, bias: np.ndarray) -> "MergedSpatialMatrix":
         """Arbitrary (C_in, C_out, J, J) matrices as J*J one-hot parts, with
-        weights[k*J + j] = mats[:, :, k, j]; the pattern is their support."""
+        weights[k*J + j] = mats[:, :, k, j]."""
         mats = np.asarray(mats, dtype=np.float64)
         c_in, c_out, J, _ = mats.shape
         weights = mats.reshape(c_in, c_out, J * J).transpose(2, 0, 1)
-        pattern = (np.abs(mats) > VALID_EPS).any(axis=(0, 1)).astype(float)
-        return cls(weights, np.eye(J * J).reshape(J * J, J, J), bias, pattern)
+        return cls(weights, np.eye(J * J).reshape(J * J, J, J), bias)
 
     @property
     def c_in(self) -> int:
@@ -192,6 +189,15 @@ class MergedSpatialMatrix:
     @property
     def J(self) -> int:
         return self.parts.shape[1]
+
+    @property
+    def pattern(self) -> np.ndarray:
+        """Read-only 0/1 (J, J) support every channel pair shares: the
+        entries of the parts whose weight slab is not all zero."""
+        live = self.parts[self.weights.any(axis=(1, 2))]
+        pattern = (np.abs(live) > VALID_EPS).any(axis=0).astype(float)
+        pattern.flags.writeable = False
+        return pattern
 
     @property
     def matrices(self) -> np.ndarray:
@@ -217,7 +223,7 @@ def merge_spatial(
     """
     weights = np.asarray(weights, dtype=np.float64)
     scale, shift = fold_bn(bias, bn, weights.shape[-1])
-    return MergedSpatialMatrix(weights * scale, adjs.normalized(), shift, adjs.structural_union())
+    return MergedSpatialMatrix(weights * scale, adjs.normalized(), shift)
 
 
 def chain_skeleton_25() -> AdjacencySet:

@@ -23,7 +23,7 @@ output block), the same for every joint: one ``take`` of the layer's
 weights through flat indices that depend only on the layouts.  What
 depends only on a layout is worked out once per distinct layout by pure
 functions of its integers, memoized with read-only results: the giant
-steps (``_giant_steps``, ``_fold_tables``), those indices
+steps (``_fold_tables``), those indices
 (``_temporal_gather``, ``_spatial_gather``) and the tap masks
 (``_tap_factors``).  Nothing keyed on weights, inputs or a model is kept
 between runs.  A temporal conv is a
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hegcn import costmodel, hesim, packing
-from hegcn.adjacency import MergedSpatialMatrix, decompose, diagonal_offsets, fold_bn, merge_spatial
+from hegcn.adjacency import MergedSpatialMatrix, decompose, fold_bn, merge_spatial
 from hegcn.hesim import SimCiphertext, SimContext
 from hegcn.model import (
     Activation,
@@ -146,23 +146,18 @@ def _bias_rows(layout: PackingLayout, bias: np.ndarray) -> np.ndarray:
     return np.broadcast_to(bias[:, None], (layout.B, layout.C, layout.T * layout.J))
 
 
-def _giant_steps(lin: PackingLayout, lout: PackingLayout):
-    """The giant steps of an AMA channel fold from ``lin`` to ``lout``.
+@functools.lru_cache(maxsize=64)
+def _fold_tables(cap: int, pad: int, c_in: int, per_in: int, c_out: int, per_out: int):
+    """The giant steps of an AMA channel fold from ``c_in`` channels,
+    ``per_in`` to a ciphertext, to ``c_out``, ``per_out`` to a ciphertext,
+    over ``cap`` blocks of ``pad`` slots: a pure function of the layouts'
+    integers, worked out once per pair of layouts.
 
     Returns the rotation amounts (S,), the (H, cap) channel of every output
     block, the (S, G, cap) input channel step s brings to block position p
     of group g (a rotation by delta blocks brings block p + delta), and the
-    (S, G, cap) mask of the positions each step serves, all read-only and
-    worked out once per pair of layouts (``_fold_tables``).
+    (S, G, cap) mask of the positions each step serves, all read-only.
     """
-    return _fold_tables(lin.capacity, lin.pad_bt, lin.C, lin.channels_per_ct, lout.C, lout.channels_per_ct)
-
-
-@functools.lru_cache(maxsize=64)
-def _fold_tables(cap: int, pad: int, c_in: int, per_in: int, c_out: int, per_out: int):
-    """``_giant_steps`` of a fold from ``c_in`` channels, ``per_in`` to a
-    ciphertext, to ``c_out``, ``per_out`` to a ciphertext, over ``cap``
-    blocks of ``pad`` slots: a pure function of the layouts' integers."""
     channels = packing.block_channels(cap, c_in, per_in)
     sizes = [min(per_in, c_in - first) for first in range(0, c_in, per_in)]
     cover = {n: packing.giant_step_coverage(cap, n) for n in set(sizes)}
@@ -271,13 +266,14 @@ def ama_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> Encrypt
 def rowmajor_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> EncryptedFeatureMap:
     """Diagonal-method joint mixing on the flattened T x J grid.
 
-    One rotation per nonzero generalized diagonal of the shared pattern
-    (offset 0 free), shared across all output channels of an input
-    ciphertext; reads past either end of a frame row are zero.  The layer
-    is one ``hesim.MixedDiagonals`` of the factors: the joints are mixed
-    by each partition, then the weight slabs are one GEMM, counted as the
-    merged coefficients sum_p N_p * W_p would be.  A zero matrix has no
-    diagonals and gives every output zero.
+    One rotation per nonzero generalized diagonal on which the partitions
+    have entries (offset 0 free), shared across all output channels of an
+    input ciphertext; reads past either end of a frame row are zero.  The
+    layer is one ``hesim.MixedDiagonals`` of the factors, which finds the
+    diagonals itself: the joints are mixed by each partition, then the
+    weight slabs are one GEMM, counted as the merged coefficients sum_p N_p
+    * W_p would be.  A zero matrix has no diagonals and gives every output
+    zero.
     """
     lin = fm.layout
     if lin.kind != ROWMAJOR:
@@ -287,7 +283,7 @@ def rowmajor_spatial(fm: EncryptedFeatureMap, merged: MergedSpatialMatrix) -> En
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before spatial conv")
 
-    op = hesim.MixedDiagonals(merged.weights, merged.parts, diagonal_offsets(merged.pattern), (lin.T, lin.J), lin.slot_count)
+    op = hesim.MixedDiagonals(merged.weights, merged.parts, (lin.T, lin.J), lin.slot_count)
     lout = packing.rowmajor_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
     acc = fm.ct.ctx.fold_steps(fm.ct, op, _bias_rows(lout, merged.bias))
     return EncryptedFeatureMap(acc, lout, fm.t_stride, fm.t_valid)
@@ -402,8 +398,7 @@ def global_avg_pool(fm: EncryptedFeatureMap) -> EncryptedFeatureMap:
     if fm.level < 1:
         raise hesim.LevelError("level exhausted before pooling")
     tv, sigma = fm.t_valid, fm.t_stride
-    if tv & (tv - 1):
-        raise ValueError(f"pooling expects a power-of-two valid frame count, got {tv}")
+    check_pooled_frames(ctx.current_layer, tv)
     count = tv * lin.J
 
     if lin.kind == AMA:

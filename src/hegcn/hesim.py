@@ -35,13 +35,13 @@ mixes of a layer's inputs by such a matrix, built by the same helper
 sums of products, as in an AMA spatial conv, where the matrix holds the
 weight slabs, the mix the partition entries and a read index the input
 joint of every (output joint, piece).  A ``MixedDiagonals`` (row-major
-spatial conv) is the diagonal method too: it rotates by the diagonals of
-the joint pattern and is applied factored, like a ``Mixed``: the joints of
-every frame row are mixed by each partition, then the weight slabs are one
-GEMM.  All three count with one schedule, the schedule one ciphertext at
-a time, built by their base's ``_schedule``: the baby steps, a rotation
-per input and distinct nonzero tap amount some term reads, then per giant
-step a PMult per term that runs (its coefficients, for a ``Mixed`` the
+spatial conv) is the diagonal method too: it rotates by the diagonals on
+which its partitions have entries and is applied factored, like a
+``Mixed``: the joints of every frame row are mixed by each partition, then
+the weight slabs are one GEMM.  All three count with one schedule, the
+schedule one ciphertext at a time, built by their base's ``_schedule``:
+the baby steps, a rotation per input and distinct nonzero tap amount some
+term reads, then per giant step a PMult per term that runs (its coefficients, for a ``Mixed`` the
 combined ones and for a ``MixedDiagonals`` the merged ones, are not all
 zero), the Adds of each row's products, a rotation of each row's partial
 sum and an Add into the row's running sum (``_giant_step_counts``); a
@@ -425,10 +425,7 @@ def _block_circulant(amounts, coef, grid) -> tuple[np.ndarray, np.ndarray, np.nd
     if len(shifts) < len(steps):  # the further steps of a repeated shift, one by one in step order
         for s in sorted(set(range(len(steps))) - set(first)):
             sums[:, shifts.index(steps[s])] += coef[s]
-    if n1 == 1:  # one block: the one sum is the matrix
-        mat = sums.reshape(V, T)
-    else:
-        mat = np.take(sums.reshape(V, -1), _circulant_index(T, n1, shifts), axis=1).reshape(V * n1, T * n1)
+    mat = np.take(sums.reshape(V, -1), _circulant_index(T, n1, shifts), axis=1).reshape(V * n1, T * n1)
     mat.flags.writeable = False
     return amounts % (n1 * n2), coef, mat
 
@@ -696,8 +693,8 @@ class MixedDiagonals(_Operator):
         M[k, j, c, v] = sum over p of  parts[p, k, j] * weights[p, c, v]
 
     of the (P, inputs, rows) ``weights`` and (P, n2, n2) ``parts``, on the
-    diagonals d = j - k listed in ``offsets`` (entries off them are
-    ignored).  Row v of source set u at slot (t, k) is
+    diagonals d = j - k of the live entries (k, j), where some part is not
+    zero.  Row v of source set u at slot (t, k) is
 
         sum over d, c of  M[k, k + d, c, v] * src[u, c][t*n2 + k + d]   (0 <= k + d < n2)
 
@@ -705,23 +702,23 @@ class MixedDiagonals(_Operator):
     rotate the inputs by the diagonals.  ``apply`` computes it factored, in
     chunks of frames whose mixes stay under ``_CHUNK_BYTES`` (at least one
     frame): ``mix`` (n2, P' * n2) mixes the joints of every frame row by
-    each part some kept entry reads, x * N_p^T, and ``slabs`` (rows, P' *
-    inputs) is their weight slabs as one GEMM over (part, input) terms.
+    each part with entries and a weight slab not all zero, x * N_p^T, and
+    ``slabs`` (rows, P' * inputs) is their weight slabs as one GEMM over
+    (part, input) terms.
 
     The counts are those of the hoisted diagonal method one ciphertext at a
     time with the merged coefficients, counted by ``_schedule`` with the
     diagonals as taps and the single giant step 0: a (diagonal, input, row)
-    product runs where M, summed in the order of p, is not
-    zero at some joint, so a sum that cancels exactly runs nothing.  They
-    are worked out in one pass over the live (diagonal, joint) entries,
-    where some part is nonzero, from the distinct vectors of part entries
-    they carry (``_merge_parts``), once per distinct set of vectors a
-    diagonal carries, without building any per-diagonal table.
+    product runs where M, summed in the order of p, is not zero at some
+    joint, so a sum that cancels exactly runs nothing.  They are worked out
+    in one pass over the live entries, from the distinct vectors of part
+    entries they carry (``_merge_parts``), once per distinct set of vectors
+    a diagonal carries, without building any per-diagonal table.
     """
 
     __slots__ = ("mix", "slabs")
 
-    def __init__(self, weights, parts, offsets, grid, slot_count):
+    def __init__(self, weights, parts, grid, slot_count):
         n1, n2 = grid
         N = int(slot_count)
         if n1 * n2 > N:
@@ -731,14 +728,9 @@ class MixedDiagonals(_Operator):
         if weights.ndim != 3 or not len(weights) or parts.shape != (len(weights), n2, n2):
             raise ValueError(f"weights of shape {weights.shape} and parts of shape {parts.shape} are not (P, inputs, rows) and (P, {n2}, {n2})")
         C, V = weights.shape[1:]
-        offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        # the live (diagonal, joint k) entries: k + d inside the row and some part nonzero there
-        reads = np.arange(n2) + offsets[:, None]
-        d, k = np.nonzero((reads >= 0) & (reads < n2))
-        entry = k * n2 + k + offsets[d]  # (k, j) in a row-major (n2, n2) part
-        n = parts.reshape(len(parts), -1).take(entry, axis=1)
-        live = n.any(axis=0)
-        d, entry, n = d[live], entry[live], n[:, live]
+        k, j = np.nonzero(parts.any(axis=0))  # the live entries and their diagonals d
+        offsets, d = np.unique(j - k, return_inverse=True)
+        n = parts[:, k, j]
         which, merged = _merge_parts(n.T, weights)
         hits = np.zeros((len(offsets), len(merged)))  # the vectors each diagonal's entries carry
         hits[d, which] = 1.0
@@ -750,10 +742,8 @@ class MixedDiagonals(_Operator):
         runs = (sets @ (merged != 0).reshape(len(merged), C * V)).reshape(len(kinds), C, V) > 0
         terms = np.bincount(kind, minlength=len(kinds)) @ runs.sum(axis=1)
         self._schedule((offsets % N).tolist(), runs.any(axis=2)[kind], [0], terms[None])
-        mix = np.zeros((len(parts), n2 * n2))
-        mix[:, entry] = n
-        used = mix.any(axis=1) & weights.any(axis=(1, 2))  # the other parts add only zeros
-        self.mix = mix[used].reshape(-1, n2, n2).transpose(2, 0, 1).reshape(n2, -1)
+        used = parts.any(axis=(1, 2)) & weights.any(axis=(1, 2))  # the other parts add only zeros
+        self.mix = parts[used].transpose(2, 0, 1).reshape(n2, -1)
         self.slabs = weights[used].transpose(2, 0, 1).reshape(V, -1)
         self._freeze(grid, N, V, C, self.mix, self.slabs)
 

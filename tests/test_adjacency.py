@@ -234,6 +234,35 @@ class TestFactoredForm:
             with pytest.raises(ValueError, match="read-only"):
                 shared[0, 0] = 2.0
 
+    def test_pattern_is_the_support_of_the_parts_with_weights(self):
+        """The shared support is worked out from the factors: the structural
+        union for ``merge_spatial``, the matrices' support for a sparse
+        ``from_dense``, and a partition whose weight slab is all zero adds
+        none of its entries."""
+        rng = np.random.default_rng(12)
+        J = 6
+        parts = np.zeros((3, J, J))
+        parts[0] = np.eye(J) + np.eye(J, k=1)
+        parts[1, [0, J - 1], [J - 1, 0]] = 1.0  # the only partition with the edge (0, J - 1)
+        parts[2] = np.triu(rng.uniform(size=(J, J)) > 0.6, 2)
+        parts[2, 0, J - 1] = 0.0
+        adj = AdjacencySet(list(parts))
+        weights = rng.normal(size=(3, 2, 4))
+        np.testing.assert_array_equal(merge_spatial(adj, weights).pattern, adj.structural_union())
+        mats = np.where(rng.uniform(size=(2, 3, J, J)) > 0.8, rng.normal(size=(2, 3, J, J)), 0.0)
+        np.testing.assert_array_equal(MergedSpatialMatrix.from_dense(mats, np.zeros(3)).pattern, (mats != 0).any(axis=(0, 1)))
+        weights[1] = 0.0
+        pattern = merge_spatial(adj, weights).pattern
+        np.testing.assert_array_equal(pattern, (np.abs(adj.normalized()[[0, 2]]) > VALID_EPS).any(axis=0))
+        assert adj.structural_union()[0, J - 1] and not pattern[0, J - 1] and not pattern.flags.writeable
+
+    def test_pattern_is_neither_given_nor_set(self):
+        merged = merge_spatial(chain_skeleton_25(), np.ones((1, 1, 1)))
+        with pytest.raises(TypeError):
+            MergedSpatialMatrix(merged.weights, merged.parts, merged.bias, np.eye(25))
+        with pytest.raises(AttributeError):
+            merged.pattern = np.eye(25)
+
 
 class TestSkeletonStandIn:
     def test_shape_and_tree(self):

@@ -171,7 +171,7 @@ class TestSpatial:
         sum_p W_p[c, o] * N_p[k, j] gathered per (step, h, piece, g, block)."""
         lin = fm.layout
         lout = engine.packing.ama_layout((lin.B, merged.c_out, lin.T, lin.J), lin.slot_count)
-        amounts, out_chan, c_read, serves = engine._giant_steps(lin, lout)
+        amounts, out_chan, c_read, serves = engine._fold_tables(lin.capacity, lin.pad_bt, lin.C, lin.channels_per_ct, lout.C, lout.channels_per_ct)
         reads = decompose(merged.pattern.T).T
         G, H, cap = lin.cts_per_joint, lout.cts_per_joint, lin.capacity
         for k in range(lin.J):
@@ -296,6 +296,18 @@ class TestSpatial:
             ctx = SimContext(16, max_level=1)
             out = op(packed(x, ctx, fmt), merged)
             np.testing.assert_allclose(unpack(out, fmt), oracle, atol=1e-12)
+
+    def test_every_partition_entry_reaches_the_output(self):
+        """Dense partitions on 4 joints: both packings read every entry of
+        every partition (all 7 diagonals, 4 pieces), as ``apply`` does."""
+        rng = np.random.default_rng(25)
+        merged = MergedSpatialMatrix(rng.normal(size=(2, 2, 3)), rng.uniform(0.1, 1, (2, 4, 4)), rng.normal(size=3))
+        assert merged.pattern.all()
+        x = GraphTensor.random((1, 2, 4, 4), seed=26)
+        for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
+            ctx = SimContext(16, max_level=1)
+            out = op(packed(x, ctx, fmt), merged)
+            np.testing.assert_allclose(unpack(out, fmt), merged.apply(x.data), atol=1e-12)
 
 
 class TestTemporalConv:
@@ -487,6 +499,16 @@ class TestPoolingAndHead:
             scores = fully_connected(pooled, np.eye(2), np.zeros(2))
             got = engine.extract_scores(scores, pooled.layout, 2)
             np.testing.assert_allclose(got, [[2.5, 2.5]], atol=1e-12)
+
+    @pytest.mark.parametrize("fmt", [AMA, ROWMAJOR])
+    def test_the_kernel_names_its_layer(self, fmt):
+        """``global_avg_pool`` called on a map of 12 valid frames refuses it
+        with the ``PoolingError`` of the layer it runs in."""
+        ctx = SimContext(32, max_level=2)
+        fm = packed(GraphTensor.zeros((1, 1, 12, 2)), ctx, fmt)
+        with ctx.layer("p"), pytest.raises(PoolingError, match="got 12") as err:
+            global_avg_pool(fm)
+        assert err.value.layer == "p"
 
     def test_mean_of_ramp(self):
         x = GraphTensor(np.arange(1.0, 5.0).reshape(1, 1, 4, 1))
@@ -1027,7 +1049,8 @@ class TestLayoutTables:
 
     def test_giant_steps_and_block_channels(self):
         for lin, lout in fold_layouts():
-            got, want = engine._giant_steps(lin, lout), head_giant_steps(lin, lout)
+            got = engine._fold_tables(lin.capacity, lin.pad_bt, lin.C, lin.channels_per_ct, lout.C, lout.channels_per_ct)
+            want = head_giant_steps(lin, lout)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w), (lin, lout)
                 assert not g.flags.writeable

@@ -1178,7 +1178,7 @@ class TestMixedDiagonals:
         offsets = diagonal_offsets(merged.pattern)
         vals = np.random.default_rng(seed).uniform(-1, 1, (U * C, N))
         c, ref = ctx(slots=N, levels=2, log_ops=log_ops), ctx(slots=N, levels=2, log_ops=True)
-        op = MixedDiagonals(merged.weights, merged.parts, offsets, (T, J), N)
+        op = MixedDiagonals(merged.weights, merged.parts, (T, J), N)
         with c.layer("s"):
             out = c.fold_steps(c.encrypt(vals), op)
         # no diagonals: one zero table, so that no product runs
@@ -1242,15 +1242,15 @@ class TestMixedDiagonals:
     def test_the_op_log_is_pinned(self):
         """Two source sets of 2 inputs, 3 joints, one part with entries
         (0, 0), (0, 1), (1, 1) and (2, 2), weights into row 0 only: diagonal
-        1 rotates both inputs of each set, diagonal -1 (listed, with no
-        entry) rotates nothing, and the one giant step of 0 multiplies 2
-        (diagonal, input) products per set into row 0 through each of the
-        diagonals 0 and 1, as one PMult and one Add record."""
+        1 rotates both inputs of each set, diagonal -1 (no entry) rotates
+        nothing, and the one giant step of 0 multiplies 2 (diagonal, input)
+        products per set into row 0 through each of the diagonals 0 and 1,
+        as one PMult and one Add record."""
         parts = np.array([[[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
         weights = np.array([[[1.0, 0.0], [2.0, 0.0]]])
         c = ctx(slots=8, levels=2, log_ops=True)
         src = c.encrypt(np.arange(32.0).reshape(4, 8))
-        op = MixedDiagonals(weights, parts, [0, 1, -1], (2, 3), 8)
+        op = MixedDiagonals(weights, parts, (2, 3), 8)
         with c.layer("s"):
             out = c.fold_steps(src, op)
         assert c.oplog[1:] == [
@@ -1264,6 +1264,22 @@ class TestMixedDiagonals:
         want = np.zeros((2, 2, 8))
         want[:, 0, :6] = (mixed[:, 0] + 2.0 * mixed[:, 1]).reshape(2, 6)
         np.testing.assert_allclose(out.slots, want.reshape(4, 8), rtol=0, atol=1e-12)
+
+    def test_every_diagonal_of_the_parts_is_read(self):
+        """Parts with entries on every diagonal: the operator finds all
+        2J - 1 diagonals itself, rotates by each nonzero one, and every
+        entry reaches the output, as in ``apply`` of the merged layer."""
+        rng = np.random.default_rng(43)
+        J, T, N, C, V = 4, 3, 16, 2, 3
+        merged = MergedSpatialMatrix(rng.normal(size=(2, C, V)), rng.uniform(0.1, 1, (2, J, J)), np.zeros(V))
+        op, _ = self.run(merged, T, N, U=2)
+        assert sorted(rec[4] for rec in op.records if rec[0] == "rot") == sorted(d % N for d in range(1 - J, J) if d)
+        x = rng.uniform(-1, 1, (2, C, T, J))
+        src = np.zeros((2, C, N))
+        src[..., : T * J] = x.reshape(2, C, -1)
+        out = op.apply(src)
+        np.testing.assert_allclose(out[..., : T * J].reshape(2, V, T, J), merged.apply(x), rtol=0, atol=1e-12)
+        assert not out[..., T * J :].any()
 
     def test_a_zero_matrix_gives_zero_rows(self):
         """No diagonals (zero parts), or diagonals whose products are all zero."""
@@ -1289,7 +1305,7 @@ class TestMixedDiagonals:
         J, C, V, T, N = 5, 3, 4, 2, 16
         parts = [(rng.uniform(size=(J, J)) > 0.5) + np.eye(J) * (p == 0) for p in range(P)]
         merged = merge_spatial(AdjacencySet(parts), rng.normal(size=(P, C, V)), rng.normal(size=V))
-        op = MixedDiagonals(merged.weights, merged.parts, diagonal_offsets(merged.pattern), (T, J), N)
+        op = MixedDiagonals(merged.weights, merged.parts, (T, J), N)
         x = np.zeros((C, T, J, C, N))  # source set (c, t, j): input c one-hot at slot t*J + j
         for c, t, j in np.ndindex(C, T, J):
             x[c, t, j, c, t * J + j] = 1.0
@@ -1313,7 +1329,7 @@ class TestMixedDiagonals:
     def test_typed_errors(self, weights, parts, grid, slots, match):
         c = ctx(slots=16, levels=2)
         with pytest.raises(ValueError, match=match):
-            c.fold_steps(c.encrypt(np.ones((4, 16))), MixedDiagonals(np.ones(weights), np.ones(parts), [0, 1], grid, slots))
+            c.fold_steps(c.encrypt(np.ones((4, 16))), MixedDiagonals(np.ones(weights), np.ones(parts), grid, slots))
 
 
 def poly_chain(c, x, coeffs):
