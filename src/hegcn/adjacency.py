@@ -151,7 +151,9 @@ class MergedSpatialMatrix:
     J x J matrix in "output joint row" orientation (applied on the left of a
     joint-indexed column vector).  ``weights`` carries the batch-norm scale,
     ``bias`` the folded shift; the factors are the only description of the
-    layer's sparsity (``pattern``).
+    layer's sparsity (``pattern``).  Part entries at or below ``VALID_EPS``
+    are structural zeros and are zeroed when the layer is built, so the
+    oracle and every kernel read the same entries.
     """
 
     weights: np.ndarray  # (P, C_in, C_out)
@@ -160,7 +162,8 @@ class MergedSpatialMatrix:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.parts = np.asarray(self.parts, dtype=np.float64)
+        parts = np.asarray(self.parts, dtype=np.float64)
+        self.parts = np.where(np.abs(parts) > VALID_EPS, parts, 0.0)
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.weights.ndim != 3 or self.parts.ndim != 3 or self.parts.shape[1] != self.parts.shape[2]:
             raise ValueError("weights must have shape (P, C_in, C_out) and parts (P, J, J)")
@@ -172,11 +175,14 @@ class MergedSpatialMatrix:
     @classmethod
     def from_dense(cls, mats: np.ndarray, bias: np.ndarray) -> "MergedSpatialMatrix":
         """Arbitrary (C_in, C_out, J, J) matrices as J*J one-hot parts, with
-        weights[k*J + j] = mats[:, :, k, j]."""
+        weights[k*J + j] = mats[:, :, k, j]; the part of an entry that is a
+        structural zero in every matrix is zero, so the pattern is the
+        matrices' support."""
         mats = np.asarray(mats, dtype=np.float64)
         c_in, c_out, J, _ = mats.shape
         weights = mats.reshape(c_in, c_out, J * J).transpose(2, 0, 1)
-        return cls(weights, np.eye(J * J).reshape(J * J, J, J), bias)
+        live = (np.abs(weights) > VALID_EPS).any(axis=(1, 2))
+        return cls(weights, np.diag(live.astype(float)).reshape(J * J, J, J), bias)
 
     @property
     def c_in(self) -> int:
@@ -192,10 +198,9 @@ class MergedSpatialMatrix:
 
     @property
     def pattern(self) -> np.ndarray:
-        """Read-only 0/1 (J, J) support every channel pair shares: the
-        entries of the parts whose weight slab is not all zero."""
-        live = self.parts[self.weights.any(axis=(1, 2))]
-        pattern = (np.abs(live) > VALID_EPS).any(axis=0).astype(float)
+        """Read-only 0/1 (J, J) support every channel pair shares: the union
+        of the parts' supports."""
+        pattern = self.parts.any(axis=0).astype(float)
         pattern.flags.writeable = False
         return pattern
 
@@ -219,7 +224,8 @@ def merge_spatial(
 
     ``weights`` has shape (partitions, C_in, C_out); ``bn`` is as for
     ``fold_bn``.  The scale folds into the weight slabs, the shift into the
-    bias; the normalized partitions are shared, not copied.
+    bias; the parts are the normalized partitions, so ``pattern`` is their
+    ``structural_union()``.
     """
     weights = np.asarray(weights, dtype=np.float64)
     scale, shift = fold_bn(bias, bn, weights.shape[-1])

@@ -694,7 +694,7 @@ class MixedDiagonals(_Operator):
 
     of the (P, inputs, rows) ``weights`` and (P, n2, n2) ``parts``, on the
     diagonals d = j - k of the live entries (k, j), where some part is not
-    zero.  Row v of source set u at slot (t, k) is
+    zero (for a merged spatial layer, the entries of its ``pattern``).  Row v of source set u at slot (t, k) is
 
         sum over d, c of  M[k, k + d, c, v] * src[u, c][t*n2 + k + d]   (0 <= k + d < n2)
 

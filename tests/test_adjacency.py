@@ -234,27 +234,41 @@ class TestFactoredForm:
             with pytest.raises(ValueError, match="read-only"):
                 shared[0, 0] = 2.0
 
-    def test_pattern_is_the_support_of_the_parts_with_weights(self):
+    def test_pattern_is_the_support_of_the_parts(self):
         """The shared support is worked out from the factors: the structural
-        union for ``merge_spatial``, the matrices' support for a sparse
-        ``from_dense``, and a partition whose weight slab is all zero adds
-        none of its entries."""
+        union for ``merge_spatial``, also where a weight slab is all zero,
+        and the matrices' support for a sparse ``from_dense``, whose entry
+        that is zero in every matrix has a zero part."""
         rng = np.random.default_rng(12)
         J = 6
         parts = np.zeros((3, J, J))
         parts[0] = np.eye(J) + np.eye(J, k=1)
-        parts[1, [0, J - 1], [J - 1, 0]] = 1.0  # the only partition with the edge (0, J - 1)
+        parts[1, [0, J - 1], [J - 1, 0]] = 1.0
         parts[2] = np.triu(rng.uniform(size=(J, J)) > 0.6, 2)
-        parts[2, 0, J - 1] = 0.0
         adj = AdjacencySet(list(parts))
         weights = rng.normal(size=(3, 2, 4))
-        np.testing.assert_array_equal(merge_spatial(adj, weights).pattern, adj.structural_union())
-        mats = np.where(rng.uniform(size=(2, 3, J, J)) > 0.8, rng.normal(size=(2, 3, J, J)), 0.0)
-        np.testing.assert_array_equal(MergedSpatialMatrix.from_dense(mats, np.zeros(3)).pattern, (mats != 0).any(axis=(0, 1)))
         weights[1] = 0.0
         pattern = merge_spatial(adj, weights).pattern
-        np.testing.assert_array_equal(pattern, (np.abs(adj.normalized()[[0, 2]]) > VALID_EPS).any(axis=0))
-        assert adj.structural_union()[0, J - 1] and not pattern[0, J - 1] and not pattern.flags.writeable
+        np.testing.assert_array_equal(pattern, adj.structural_union())
+        assert not pattern.flags.writeable
+        mats = np.where(rng.uniform(size=(2, 3, J, J)) > 0.8, rng.normal(size=(2, 3, J, J)), 0.0)
+        merged = MergedSpatialMatrix.from_dense(mats, np.zeros(3))
+        support = (mats != 0).any(axis=(0, 1))
+        np.testing.assert_array_equal(merged.pattern, support)
+        np.testing.assert_array_equal(merged.parts.any(axis=(1, 2)), support.reshape(-1))
+        np.testing.assert_array_equal(merged.matrices, mats)
+
+    def test_structural_zeros_of_the_parts_are_dropped(self):
+        """A part entry at or below ``VALID_EPS`` is zero in the built layer:
+        the pattern and the dense matrices leave it out, as
+        ``structural_union`` does."""
+        a = np.eye(4)
+        a[0, 3] = 1e-13
+        adj = AdjacencySet([a])
+        merged = merge_spatial(adj, np.ones((1, 1, 1)))
+        assert 0 < adj.normalized()[0, 0, 3] <= VALID_EPS
+        assert merged.parts[0, 0, 3] == 0.0 and merged.matrices[0, 0, 0, 3] == 0.0
+        np.testing.assert_array_equal(merged.pattern, np.eye(4))
 
     def test_pattern_is_neither_given_nor_set(self):
         merged = merge_spatial(chain_skeleton_25(), np.ones((1, 1, 1)))

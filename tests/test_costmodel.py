@@ -152,6 +152,24 @@ class TestExactAnalytic:
             diff = reconcile(res.per_layer(), analytic_layer_counts(spec, fmt, 64))
             assert diff["max_abs_diff"] == 0, diff
 
+    def test_a_structural_zero_is_counted_by_neither_packing(self):
+        """A partition entry below ``VALID_EPS`` is left out of the
+        structural union the mirror counts, and out of both packings: their
+        counts equal the mirror's and their scores the reference's."""
+        from hegcn.adjacency import AdjacencySet
+        from hegcn.model import SpatialConv
+
+        a = np.eye(4)
+        a[0, 3] = 1e-13
+        layers = [SpatialConv(1, 1, AdjacencySet([a]), np.ones((1, 1, 1))), GlobalAvgPool(), FullyConnected(1, 1, np.ones((1, 1)))]
+        spec = ModelSpec((1, 1, 4, 4), layers)
+        x = GraphTensor.random(spec.input_dims, seed=33)
+        for fmt in (AMA, ROWMAJOR):
+            res = engine.run_model(spec, x, fmt, slot_count=16)
+            diff = reconcile(res.per_layer(), analytic_layer_counts(spec, fmt, 16))
+            assert diff["max_abs_diff"] == 0, (fmt, diff)
+            np.testing.assert_allclose(res.scores, engine.plaintext_reference(spec, x), rtol=0, atol=1e-12)
+
     def test_mismatched_batch_flagged(self):
         spec = acceptance_stgcn3()
         wrong = ModelSpec((2,) + spec.input_dims[1:], spec.layers, name="wrong-batch")

@@ -80,18 +80,23 @@ def unpack(fm, fmt):
 
 class TestSpatial:
     def test_reference_sparse_matrix_both_formats(self):
-        # the 4x4 two-piece example: decryption must equal the dense product
+        # the 4x4 two-piece example: decryption must equal the dense product;
+        # then two dense partitions, whose every entry (all 7 diagonals, 4
+        # pieces) must reach the output
         M = np.zeros((4, 4))
         for i, j in [(1, 1), (1, 3), (1, 4), (2, 3), (3, 2), (4, 1), (4, 2), (4, 4)]:
             M[i - 1, j - 1] = (10 * i + j) / 50.0
-        merged = MergedSpatialMatrix.from_dense(M[None, None], np.zeros(1))
+        rng = np.random.default_rng(25)
+        dense = MergedSpatialMatrix(rng.normal(size=(2, 1, 1)), rng.uniform(0.1, 1, (2, 4, 4)), np.zeros(1))
+        assert dense.pattern.all()
         x = GraphTensor.random((1, 1, 4, 4), seed=2)
-        oracle = merged.apply(x.data)
-        for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
-            ctx = SimContext(16, max_level=2)
-            out = op(packed(x, ctx, fmt), merged)
-            np.testing.assert_allclose(unpack(out, fmt), oracle, atol=1e-12)
-            assert out.level == 1
+        for merged in (MergedSpatialMatrix.from_dense(M[None, None], np.zeros(1)), dense):
+            oracle = merged.apply(x.data)
+            for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
+                ctx = SimContext(16, max_level=2)
+                out = op(packed(x, ctx, fmt), merged)
+                np.testing.assert_allclose(unpack(out, fmt), oracle, atol=1e-12)
+                assert out.level == 1
 
     def test_identity_matrix_preserves_values(self):
         merged = MergedSpatialMatrix.from_dense(np.eye(4)[None, None], np.zeros(1))
@@ -296,18 +301,6 @@ class TestSpatial:
             ctx = SimContext(16, max_level=1)
             out = op(packed(x, ctx, fmt), merged)
             np.testing.assert_allclose(unpack(out, fmt), oracle, atol=1e-12)
-
-    def test_every_partition_entry_reaches_the_output(self):
-        """Dense partitions on 4 joints: both packings read every entry of
-        every partition (all 7 diagonals, 4 pieces), as ``apply`` does."""
-        rng = np.random.default_rng(25)
-        merged = MergedSpatialMatrix(rng.normal(size=(2, 2, 3)), rng.uniform(0.1, 1, (2, 4, 4)), rng.normal(size=3))
-        assert merged.pattern.all()
-        x = GraphTensor.random((1, 2, 4, 4), seed=26)
-        for fmt, op in ((AMA, ama_spatial), (ROWMAJOR, rowmajor_spatial)):
-            ctx = SimContext(16, max_level=1)
-            out = op(packed(x, ctx, fmt), merged)
-            np.testing.assert_allclose(unpack(out, fmt), merged.apply(x.data), atol=1e-12)
 
 
 class TestTemporalConv:
